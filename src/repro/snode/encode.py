@@ -26,9 +26,10 @@ from repro.snode.reference import (
     encode_rows,
     plan_references,
 )
-from repro.util.bitio import BitReader, BitWriter
+from repro.util.bitio import BitReader, BitWriter, refill
 from repro.util.huffman import HuffmanCodec
-from repro.util.varint import decode_gamma, encode_gamma
+from repro.util.rle import bitvector_cost, decode_bitvector, encode_bitvector
+from repro.util.varint import decode_gamma, encode_gamma, gamma_cost
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +184,6 @@ def encode_superedge(
 
 def _encode_locals(writer: BitWriter, locals_list: list[int]) -> None:
     """Sorted local-index list: gamma gaps or RLE bit vector, cheaper wins."""
-    from repro.util.rle import bitvector_cost, encode_bitvector
-    from repro.util.varint import gamma_cost
-
     previous = -1
     gaps_cost = gamma_cost(len(locals_list))
     for local in locals_list:
@@ -211,18 +209,32 @@ def _encode_locals(writer: BitWriter, locals_list: list[int]) -> None:
 
 
 def _decode_locals(reader: BitReader) -> list[int]:
-    """Inverse of :func:`_encode_locals`."""
-    from repro.util.rle import decode_bitvector
+    """Inverse of :func:`_encode_locals`.
 
+    The gap-coded form is decoded on the reader's window held in local
+    variables (see ``util.bitio``); a gamma code's field is ``gap + 1``.
+    """
     if reader.read_bit():
         bits = decode_bitvector(reader)
         return [i for i, bit in enumerate(bits) if bit]
     count = decode_gamma(reader)
     locals_list: list[int] = []
+    if not count:
+        return locals_list
+    data = reader._data
+    byte, window, avail = reader._byte, reader._window, reader._avail
     previous = -1
     for _ in range(count):
-        previous = previous + 1 + decode_gamma(reader)
+        rest = 2 * window.bit_length() - avail - 1
+        while rest < 0:
+            byte, window, avail = refill(data, byte, window, avail)
+            rest = 2 * window.bit_length() - avail - 1
+        avail = rest
+        gap = window >> avail
+        window -= gap << avail
+        previous += gap
         locals_list.append(previous)
+    reader._byte, reader._window, reader._avail = byte, window, avail
     return locals_list
 
 
@@ -238,20 +250,38 @@ def decode_superedge_payload(data: bytes) -> tuple[bool, list[int], list[list[in
     return negative, linked, rows
 
 
+class SuperedgeRows:
+    """Positive rows of one superedge graph, held sparsely.
+
+    A superedge graph links a handful of its source supernode's pages,
+    so only those locals hold a row; :meth:`row` is how every reader gets
+    at one, linked or not.
+    """
+
+    __slots__ = ("source_size", "linked")
+
+    def __init__(self, source_size: int, linked: dict[int, list[int]]) -> None:
+        #: Pages in the source supernode (rows a dense form would have).
+        self.source_size = source_size
+        #: Source local -> ascending target locals, linked sources only.
+        self.linked = linked
+
+    def row(self, local: int) -> list[int]:
+        """Target locals of source ``local``; a new empty list if unlinked."""
+        return self.linked.get(local) or []
+
+
 def positive_rows_from_payload(
     data: bytes, source_size: int, target_size: int
-) -> list[list[int]]:
-    """Decode a superedge payload straight to positive rows (all sources)."""
+) -> SuperedgeRows:
+    """Decode a superedge payload straight to positive rows."""
     negative, linked, rows = decode_superedge_payload(data)
-    result: list[list[int]] = [[] for _ in range(source_size)]
     if negative:
-        for local, missing in zip(linked, rows):
-            absent = set(missing)
-            result[local] = [t for t in range(target_size) if t not in absent]
-    else:
-        for local, row in zip(linked, rows):
-            result[local] = list(row)
-    return result
+        targets = range(target_size)
+        rows = [
+            [t for t in targets if t not in absent] for absent in map(set, rows)
+        ]
+    return SuperedgeRows(source_size, dict(zip(linked, rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.errors import CodecError
-from repro.util.bitio import BitReader, BitWriter
+from repro.util.bitio import BitReader, BitWriter, refill
 from repro.util.rle import bitvector_cost, decode_bitvector, encode_bitvector
-from repro.util.varint import decode_gamma, encode_gamma, gamma_cost
+from repro.util.varint import encode_gamma, gamma_cost
 
 #: Above this many rows the encoder switches from the full affinity graph
 #: (exact Edmonds arborescence) to windowed candidate references.
@@ -518,24 +519,6 @@ def _encode_dictionary_body(
     _encode_extras(writer, extras)
 
 
-def _decode_dictionary_body(
-    reader: BitReader, dictionary: Sequence[int]
-) -> list[int]:
-    """Inverse of :func:`_encode_dictionary_body`; returns the full row."""
-    from repro.util.varint import decode_minimal_binary
-
-    if reader.read_bit():  # full copy
-        copied = list(dictionary)
-    else:
-        count = decode_gamma(reader)
-        copied = [
-            dictionary[decode_minimal_binary(reader, len(dictionary))]
-            for _ in range(count)
-        ]
-    extras = _decode_extras(reader)
-    return sorted(set(copied) | set(extras))
-
-
 def _encode_extras(writer: BitWriter, extras: Sequence[int]) -> None:
     encode_gamma(writer, len(extras))
     previous = -1
@@ -544,14 +527,8 @@ def _encode_extras(writer: BitWriter, extras: Sequence[int]) -> None:
         previous = value
 
 
-def _decode_extras(reader: BitReader) -> list[int]:
-    count = decode_gamma(reader)
-    extras: list[int] = []
-    previous = -1
-    for _ in range(count):
-        previous = previous + 1 + decode_gamma(reader)
-        extras.append(previous)
-    return extras
+# How decode_rows read the row it is working on.
+_DIRECT, _SIBLING, _DICTIONARY = range(3)
 
 
 def decode_rows(
@@ -561,71 +538,196 @@ def decode_rows(
 
     ``dictionary`` must match what the encoder was given (present for
     superedge graphs, absent for intranode graphs).
+
+    This is the cold read path's inner loop, so it is one fused kernel:
+    the reader's window lives in local variables for the whole collection
+    (the invariant is in ``util.bitio``) and every flag bit, gamma code
+    and dictionary index is a shift and a subtraction on it, marked
+    ``# bit:``, ``# gamma:`` and ``# field:`` below.  The field a gamma
+    code ends in is ``value + 1`` — a gap, a run, a distance.  Only a
+    copy or dense-row bit vector hands the window back to the reader
+    (:func:`~repro.util.rle.decode_bitvector` is a kernel of its own).
     """
-    count = decode_gamma(reader)
-    parsed: list[tuple[int, list[int], list[int]] | list[int]] = []
+    data = reader._data
+    byte, window, avail = reader._byte, reader._window, reader._avail
+    if dictionary:
+        # Minimal-binary dictionary indexes: ``short`` bits, one more from
+        # ``cutoff`` up (see ``varint.encode_minimal_binary``).
+        bound = len(dictionary)
+        short = max(0, (bound - 1).bit_length() - 1)
+        cutoff = (2 << short) - bound if bound > 1 else 1
+    # gamma: row count
+    rest = 2 * window.bit_length() - avail - 1
+    while rest < 0:
+        byte, window, avail = refill(data, byte, window, avail)
+        rest = 2 * window.bit_length() - avail - 1
+    avail = rest
+    count = window >> avail
+    window -= count << avail
+    count -= 1
+    rows: list[list[int] | None] = []
+    # Rows whose reference chain was not resolved when they were read:
+    # row -> (parent, copy bits or None for a full copy, extras).
+    deferred: dict[int, tuple[int, list[int] | None, list[int]]] = {}
     for y in range(count):
-        if reader.read_bit():
-            if dictionary and reader.read_bit():
-                parsed.append(_decode_dictionary_body(reader, dictionary))
-                continue
-            distance = decode_gamma(reader) + 1
-            backward = reader.read_bit()
-            parent = y - distance if backward else y + distance
-            if not 0 <= parent < count:
-                raise CodecError(f"row {y} references out-of-range row {parent}")
-            copy_bits, extras = _decode_reference_body(reader)
-            parsed.append((parent, copy_bits, extras))
-        else:
-            if reader.read_bit():  # dense mode
+        # bit: referenced (1) or direct (0)
+        if not avail:
+            byte, window, avail = refill(data, byte, window, avail)
+        avail -= 1
+        if not window >> avail:
+            # bit: dense (1) or gap-coded (0)
+            if not avail:
+                byte, window, avail = refill(data, byte, window, avail)
+            avail -= 1
+            if window >> avail:
+                window -= 1 << avail
+                reader._byte, reader._window, reader._avail = byte, window, avail
                 bits = decode_bitvector(reader)
-                parsed.append([i for i, bit in enumerate(bits) if bit])
+                byte, window, avail = reader._byte, reader._window, reader._avail
+                rows.append([i for i, bit in enumerate(bits) if bit])
+                continue
+            kind = _DIRECT
+        else:
+            window -= 1 << avail
+            kind = _SIBLING
+            if dictionary:
+                # bit: dictionary (1) or sibling-row (0) reference
+                if not avail:
+                    byte, window, avail = refill(data, byte, window, avail)
+                avail -= 1
+                if window >> avail:
+                    window -= 1 << avail
+                    kind = _DICTIONARY
+            if kind == _DICTIONARY:
+                # bit: copy the whole dictionary
+                if not avail:
+                    byte, window, avail = refill(data, byte, window, avail)
+                avail -= 1
+                if window >> avail:
+                    window -= 1 << avail
+                    copied = list(dictionary)
+                else:
+                    # gamma: number of dictionary entries used
+                    rest = 2 * window.bit_length() - avail - 1
+                    while rest < 0:
+                        byte, window, avail = refill(data, byte, window, avail)
+                        rest = 2 * window.bit_length() - avail - 1
+                    avail = rest
+                    used = window >> avail
+                    window -= used << avail
+                    copied = []
+                    for _ in range(used - 1):
+                        # field: minimal-binary dictionary index
+                        while short > avail:
+                            byte, window, avail = refill(data, byte, window, avail)
+                        avail -= short
+                        index = window >> avail
+                        window -= index << avail
+                        if index >= cutoff:
+                            if not avail:
+                                byte, window, avail = refill(data, byte, window, avail)
+                            avail -= 1
+                            bit = window >> avail
+                            window -= bit << avail
+                            index = (index << 1 | bit) - cutoff
+                        copied.append(dictionary[index])
             else:
-                length = decode_gamma(reader)
-                row: list[int] = []
-                previous = -1
-                for _ in range(length):
-                    previous = previous + 1 + decode_gamma(reader)
-                    row.append(previous)
-                parsed.append(row)
-    # Resolve reference chains iteratively (forward references allowed).
-    resolved: list[list[int] | None] = [
-        entry if isinstance(entry, list) else None for entry in parsed
-    ]
-    for y in range(count):
-        if resolved[y] is not None:
+                # gamma: distance to the referenced row
+                rest = 2 * window.bit_length() - avail - 1
+                while rest < 0:
+                    byte, window, avail = refill(data, byte, window, avail)
+                    rest = 2 * window.bit_length() - avail - 1
+                avail = rest
+                distance = window >> avail
+                window -= distance << avail
+                # bit: backward (1) or forward (0)
+                if not avail:
+                    byte, window, avail = refill(data, byte, window, avail)
+                avail -= 1
+                if window >> avail:
+                    window -= 1 << avail
+                    parent = y - distance
+                else:
+                    parent = y + distance
+                if not 0 <= parent < count:
+                    raise CodecError(f"row {y} references out-of-range row {parent}")
+                # bit: full copy
+                if not avail:
+                    byte, window, avail = refill(data, byte, window, avail)
+                avail -= 1
+                if window >> avail:
+                    window -= 1 << avail
+                    copy_bits = None
+                else:
+                    reader._byte, reader._window, reader._avail = byte, window, avail
+                    copy_bits = decode_bitvector(reader)
+                    byte, window, avail = reader._byte, reader._window, reader._avail
+        # Ascending gap list: a direct row's entries, a referenced row's extras.
+        # gamma: length
+        rest = 2 * window.bit_length() - avail - 1
+        while rest < 0:
+            byte, window, avail = refill(data, byte, window, avail)
+            rest = 2 * window.bit_length() - avail - 1
+        avail = rest
+        length = window >> avail
+        window -= length << avail
+        entries: list[int] = []
+        previous = -1
+        for _ in range(length - 1):
+            # gamma: gap
+            rest = 2 * window.bit_length() - avail - 1
+            while rest < 0:
+                byte, window, avail = refill(data, byte, window, avail)
+                rest = 2 * window.bit_length() - avail - 1
+            avail = rest
+            gap = window >> avail
+            window -= gap << avail
+            previous += gap
+            entries.append(previous)
+        if kind == _DIRECT:
+            rows.append(entries)
+        elif kind == _DICTIONARY:
+            rows.append(sorted({*copied, *entries}))
+        elif parent < y and rows[parent] is not None:
+            rows.append(_apply_reference(rows[parent], copy_bits, entries))
+        else:
+            rows.append(None)
+            deferred[y] = (parent, copy_bits, entries)
+    reader._byte, reader._window, reader._avail = byte, window, avail
+    if deferred:
+        _resolve_deferred(rows, deferred)
+    return rows  # type: ignore[return-value]
+
+
+def _apply_reference(
+    base: list[int], copy_bits: list[int] | None, extras: list[int]
+) -> list[int]:
+    """The row that copies ``base`` under ``copy_bits`` and adds ``extras``.
+
+    ``base`` is ascending and duplicate-free, so is any selection from it:
+    only extras force a merge.
+    """
+    copied = base[:] if copy_bits is None else list(compress(base, copy_bits))
+    if extras:
+        return sorted({*copied, *extras})
+    return copied
+
+
+def _resolve_deferred(
+    rows: list[list[int] | None],
+    deferred: dict[int, tuple[int, list[int] | None, list[int]]],
+) -> None:
+    """Fill in the rows whose chains run through a forward reference."""
+    for y in deferred:
+        if rows[y] is not None:
             continue
         chain = [y]
-        node = y
-        while resolved[node] is None:
-            parent = parsed[node][0]  # type: ignore[index]
-            if parent in chain:
+        node = deferred[y][0]
+        while rows[node] is None:
+            if node in chain:
                 raise CodecError("cyclic reference chain in encoded rows")
-            chain.append(parent)
-            node = parent
-        for position in range(len(chain) - 2, -1, -1):
-            current = chain[position]
-            parent, copy_bits, extras = parsed[current]  # type: ignore[misc]
-            base = resolved[parent]
-            assert base is not None
-            if copy_bits is None:  # full copy
-                copied = list(base)
-            else:
-                copied = [value for value, bit in zip(base, copy_bits) if bit]
-            resolved[current] = sorted(set(copied) | set(extras))
-    return [row if row is not None else [] for row in resolved]
-
-
-def _decode_reference_body(
-    reader: BitReader,
-) -> tuple[list[int] | None, list[int]]:
-    """Inverse of :func:`_encode_reference_body`; None = full copy."""
-    full_copy = bool(reader.read_bit())
-    copy_bits = None if full_copy else decode_bitvector(reader)
-    extras_count = decode_gamma(reader)
-    extras: list[int] = []
-    previous = -1
-    for _ in range(extras_count):
-        previous = previous + 1 + decode_gamma(reader)
-        extras.append(previous)
-    return copy_bits, extras
+            chain.append(node)
+            node = deferred[node][0]
+        for current in reversed(chain):
+            parent, copy_bits, extras = deferred[current]
+            rows[current] = _apply_reference(rows[parent], copy_bits, extras)

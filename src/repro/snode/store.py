@@ -36,7 +36,12 @@ from pathlib import Path
 
 from repro.errors import CorruptionError, StorageError
 from repro.obs import tracing
-from repro.snode.encode import decode_intranode, decode_supernode_graph, positive_rows_from_payload
+from repro.snode.encode import (
+    SuperedgeRows,
+    decode_intranode,
+    decode_supernode_graph,
+    positive_rows_from_payload,
+)
 from repro.snode.storage import (
     GraphLocation,
     StorageLayout,
@@ -52,9 +57,17 @@ from repro.storage.metrics import MetricsRegistry
 DEFAULT_BUFFER_BYTES = 8 * 1024 * 1024
 
 # Cost model for decoded graphs held in the buffer: 8 bytes per edge entry
-# plus 4 bytes per row, approximating compact array storage.
+# plus 4 bytes per row, approximating compact array storage.  A superedge
+# graph is charged for a row per source page, linked or not, although
+# only linked rows are held.
 _EDGE_COST = 8
 _ROW_COST = 4
+
+
+def _graph_cost(num_rows: int, rows) -> int:
+    """Buffer charge of a decoded graph: ``num_rows`` rows in all, whose
+    entries are in ``rows`` (any rows left out of it must be empty)."""
+    return _ROW_COST * num_rows + _EDGE_COST * sum(map(len, rows))
 
 
 class StoreStats:
@@ -193,7 +206,7 @@ class SNodeStore:
         self._pool.pin(
             ("pinned", "supernode-graph"),
             self._super_adjacency,
-            self._graph_cost(self._super_adjacency),
+            _graph_cost(len(self._super_adjacency), self._super_adjacency),
         )
         self._pool.pin(
             ("pinned", "pageid-index"), self._boundaries, 8 * len(self._boundaries)
@@ -307,14 +320,12 @@ class SNodeStore:
             )
         return payload
 
-    def _degraded(
-        self, key: tuple, rows: int, registry: MetricsRegistry
-    ) -> list[list[int]]:
-        """Serve a quarantined region: empty adjacency, counted."""
+    def _degraded(self, key: tuple, empty, registry: MetricsRegistry):
+        """Serve a quarantined region: ``empty`` adjacency, counted."""
         registry.inc("degraded_reads")
         if self._record_events:
             registry.record("degraded", key)
-        return [[] for _ in range(rows)]
+        return empty
 
     def _quarantine(self, key: tuple, error: CorruptionError) -> None:
         # Quarantining is a store-wide state change, so it always charges
@@ -327,9 +338,6 @@ class SNodeStore:
         self.metrics.inc("regions_quarantined")
         if self._record_events:
             self.metrics.record("quarantine", (*key, str(error)))
-
-    def _graph_cost(self, rows: list[list[int]]) -> int:
-        return _ROW_COST * len(rows) + _EDGE_COST * sum(len(r) for r in rows)
 
     def _loaded(self, kind: str, key: tuple, registry: MetricsRegistry) -> None:
         registry.inc("loads")
@@ -350,7 +358,7 @@ class SNodeStore:
         key = ("intra", supernode)
         size = self._boundaries[supernode + 1] - self._boundaries[supernode]
         if key in self._quarantined:
-            return self._degraded(key, size, reg)
+            return self._degraded(key, [[] for _ in range(size)], reg)
         cached = self._pool.get(key, kind="intranode", registry=reg)
         if cached is not None:
             if not self._cache_decoded:
@@ -366,10 +374,10 @@ class SNodeStore:
             if self._on_corruption != "degrade":
                 raise
             self._quarantine(key, error)
-            return self._degraded(key, size, reg)
+            return self._degraded(key, [[] for _ in range(size)], reg)
         rows = decode_intranode(payload)
         if self._cache_decoded:
-            self._pool.put(key, rows, self._graph_cost(rows), kind="intranode")
+            self._pool.put(key, rows, _graph_cost(len(rows), rows), kind="intranode")
         else:
             self._pool.put(key, payload, len(payload), kind="intranode")
         self._loaded("intranode", (supernode,), reg)
@@ -380,14 +388,14 @@ class SNodeStore:
         source: int,
         target: int,
         registry: MetricsRegistry | None = None,
-    ) -> list[list[int]]:
+    ) -> SuperedgeRows:
         """Positive rows of superedge (source, target), decoded on demand."""
         reg = registry if registry is not None else self.metrics
         key = ("super", source, target)
         source_size = self._boundaries[source + 1] - self._boundaries[source]
         target_size = self._boundaries[target + 1] - self._boundaries[target]
         if key in self._quarantined:
-            return self._degraded(key, source_size, reg)
+            return self._degraded(key, SuperedgeRows(source_size, {}), reg)
         cached = self._pool.get(key, kind="superedge", registry=reg)
         if cached is not None:
             if not self._cache_decoded:
@@ -405,10 +413,11 @@ class SNodeStore:
             if self._on_corruption != "degrade":
                 raise
             self._quarantine(key, error)
-            return self._degraded(key, source_size, reg)
+            return self._degraded(key, SuperedgeRows(source_size, {}), reg)
         rows = positive_rows_from_payload(payload, source_size, target_size)
         if self._cache_decoded:
-            self._pool.put(key, rows, self._graph_cost(rows), kind="superedge")
+            cost = _graph_cost(source_size, rows.linked.values())
+            self._pool.put(key, rows, cost, kind="superedge")
         else:
             self._pool.put(key, payload, len(payload), kind="superedge")
         self._loaded("superedge", (source, target), reg)
@@ -416,28 +425,41 @@ class SNodeStore:
 
     # -- adjacency access ----------------------------------------------------
 
+    def _adjacency(
+        self,
+        supernode: int,
+        locals_: list[int],
+        registry: MetricsRegistry | None,
+    ) -> list[list[int]]:
+        """Complete adjacency lists of ``locals_`` of ``supernode``.
+
+        Each list is assembled from the intranode graph plus every
+        outgoing superedge graph of the supernode, exactly the paper's
+        "adjacency lists are partitioned across multiple smaller graphs";
+        every graph is loaded once however many locals are asked for.
+        """
+        boundaries = self._boundaries
+        first = boundaries[supernode]
+        intra = self.intranode_rows(supernode, registry=registry)
+        result = [[first + t for t in intra[local]] for local in locals_]
+        for target_super in self._super_adjacency[supernode]:
+            rows = self.superedge_rows(supernode, target_super, registry=registry)
+            base = boundaries[target_super]
+            for local, row in zip(locals_, result):
+                targets = rows.row(local)
+                if targets:
+                    row.extend([base + t for t in targets])
+        for row in result:
+            row.sort()
+        return result
+
     def out_neighbors(
         self, page: int, registry: MetricsRegistry | None = None
     ) -> list[int]:
-        """Complete adjacency list of ``page`` in (new) page-id space.
-
-        Assembles the list from the intranode graph plus every outgoing
-        superedge graph of the page's supernode, exactly the paper's
-        "adjacency lists are partitioned across multiple smaller graphs".
-        """
+        """Complete adjacency list of ``page`` in (new) page-id space."""
         supernode = self.supernode_of(page)
-        first = self._boundaries[supernode]
-        local = page - first
-        result = [
-            first + t
-            for t in self.intranode_rows(supernode, registry=registry)[local]
-        ]
-        for target_super in self._super_adjacency[supernode]:
-            rows = self.superedge_rows(supernode, target_super, registry=registry)
-            base = self._boundaries[target_super]
-            result.extend(base + t for t in rows[local])
-        result.sort()
-        return result
+        local = page - self._boundaries[supernode]
+        return self._adjacency(supernode, [local], registry)[0]
 
     def out_neighbors_many(
         self, pages: list[int], registry: MetricsRegistry | None = None
@@ -452,22 +474,10 @@ class SNodeStore:
             by_super.setdefault(self.supernode_of(page), []).append(page)
         result: dict[int, list[int]] = {}
         for supernode in sorted(by_super):
+            group = by_super[supernode]
             first = self._boundaries[supernode]
-            intra = self.intranode_rows(supernode, registry=registry)
-            super_rows = [
-                (
-                    self._boundaries[t],
-                    self.superedge_rows(supernode, t, registry=registry),
-                )
-                for t in self._super_adjacency[supernode]
-            ]
-            for page in by_super[supernode]:
-                local = page - first
-                row = [first + t for t in intra[local]]
-                for base, rows in super_rows:
-                    row.extend(base + t for t in rows[local])
-                row.sort()
-                result[page] = row
+            rows = self._adjacency(supernode, [page - first for page in group], registry)
+            result.update(zip(group, rows))
         return result
 
     def iterate_all(self):
@@ -477,19 +487,9 @@ class SNodeStore:
         supernodes in order so payload reads follow the linear layout.
         """
         for supernode in range(self.num_supernodes):
-            first = self._boundaries[supernode]
-            size = self._boundaries[supernode + 1] - first
-            intra = self.intranode_rows(supernode)
-            super_rows = [
-                (self._boundaries[t], self.superedge_rows(supernode, t))
-                for t in self._super_adjacency[supernode]
-            ]
-            for local in range(size):
-                row = [first + t for t in intra[local]]
-                for base, rows in super_rows:
-                    row.extend(base + t for t in rows[local])
-                row.sort()
-                yield first + local, row
+            first, end = self.supernode_range(supernode)
+            rows = self._adjacency(supernode, list(range(end - first)), None)
+            yield from zip(range(first, end), rows)
 
     def load_digraph(self):
         """Decode the entire representation into an in-memory CSR graph.
@@ -621,7 +621,7 @@ class ReadSession:
         """See :meth:`SNodeStore.intranode_rows`; charges this session."""
         return self._store.intranode_rows(supernode, registry=self.registry)
 
-    def superedge_rows(self, source: int, target: int) -> list[list[int]]:
+    def superedge_rows(self, source: int, target: int) -> SuperedgeRows:
         """See :meth:`SNodeStore.superedge_rows`; charges this session."""
         return self._store.superedge_rows(source, target, registry=self.registry)
 

@@ -5,6 +5,30 @@ reference-encoded intranode/superedge graphs, RLE bit vectors) is serialized
 through these two classes.  Bits are packed most-significant-bit first, the
 conventional order for prefix codes, so that a canonical Huffman decoder can
 consume the stream by peeking fixed-width windows.
+
+Both classes move whole fields, not single bits.  The writer shifts each
+field into an integer accumulator and spills whole bytes once a few words
+have gathered.  The reader keeps a *window*: an integer holding exactly
+the next ``_avail`` unread bits, topped up :data:`REFILL_BYTES` at a time
+from the byte buffer, so a read is one shift and one subtraction whatever
+the length of the payload.
+
+**The window invariant** — what the fused decode kernels in
+``util.varint``, ``util.rle``, ``util.huffman`` and ``snode.reference``
+rely on when they take the reader's state into local variables:
+
+* ``0 <= _window < 1 << _avail``: consumed bits are cleared, so the next
+  field of ``width`` bits is ``_window >> (_avail - width)`` with nothing
+  to mask, and the length of a unary prefix is
+  ``_avail - _window.bit_length()``;
+* ``_byte`` is the index of the first byte not yet in the window, so the
+  cursor is ``8 * _byte - _avail`` and a refill never moves it;
+* bits enter the window through :func:`refill` only (and through
+  :meth:`BitReader.seek`, which loads the rest of the byte it lands in).
+
+A kernel copies ``_data, _byte, _window, _avail`` out, decodes with
+local arithmetic, calls :func:`refill` when a field needs more bits than
+``avail``, and writes ``_byte, _window, _avail`` back before it returns.
 """
 
 from __future__ import annotations
@@ -12,6 +36,14 @@ from __future__ import annotations
 from repro.errors import BitStreamError
 
 _BYTE_BITS = 8
+
+#: The writer spills its accumulator to the byte buffer past this many bits.
+_SPILL_BITS = 256
+
+#: Bytes a refill moves into the reader's window.
+REFILL_BYTES = 32
+
+_PAST_END = "read past end of bit stream"
 
 
 class BitWriter:
@@ -26,9 +58,11 @@ class BitWriter:
     13
     """
 
+    __slots__ = ("_buffer", "_current", "_filled")
+
     def __init__(self) -> None:
         self._buffer = bytearray()
-        self._current = 0  # bits accumulated into the in-progress byte
+        self._current = 0  # bits not yet spilled into ``_buffer``
         self._filled = 0  # number of valid bits in ``_current``
 
     def __len__(self) -> int:
@@ -40,14 +74,19 @@ class BitWriter:
         """Total number of bits written so far (alias of ``len``)."""
         return len(self)
 
+    def _spill(self) -> None:
+        """Move the accumulator's whole bytes into the byte buffer."""
+        tail = self._filled & 7
+        self._buffer += (self._current >> tail).to_bytes(self._filled >> 3, "big")
+        self._current &= (1 << tail) - 1
+        self._filled = tail
+
     def write_bit(self, bit: int) -> None:
         """Append a single bit (any truthy value counts as 1)."""
         self._current = (self._current << 1) | (1 if bit else 0)
         self._filled += 1
-        if self._filled == _BYTE_BITS:
-            self._buffer.append(self._current)
-            self._current = 0
-            self._filled = 0
+        if self._filled >= _SPILL_BITS:
+            self._spill()
 
     def write_bits(self, value: int, width: int) -> None:
         """Append ``width`` bits holding ``value`` (MSB first).
@@ -58,43 +97,63 @@ class BitWriter:
             raise BitStreamError(f"negative width {width}")
         if value < 0 or (width < value.bit_length()):
             raise BitStreamError(f"value {value} does not fit in {width} bits")
-        # Fast path: flush whole bytes when the write is byte-aligned.
-        while width >= _BYTE_BITS and self._filled == 0:
-            width -= _BYTE_BITS
-            self._buffer.append((value >> width) & 0xFF)
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        self._current = (self._current << width) | value
+        self._filled += width
+        if self._filled >= _SPILL_BITS:
+            self._spill()
 
     def write_unary(self, value: int) -> None:
         """Append ``value`` zero bits followed by a terminating one bit."""
         if value < 0:
             raise BitStreamError(f"unary cannot encode negative value {value}")
-        for _ in range(value):
-            self.write_bit(0)
-        self.write_bit(1)
+        self._current = (self._current << (value + 1)) | 1
+        self._filled += value + 1
+        if self._filled >= _SPILL_BITS:
+            self._spill()
 
     def align(self) -> None:
         """Pad with zero bits up to the next byte boundary."""
-        while self._filled:
-            self.write_bit(0)
+        pad = -self._filled & 7
+        self._current <<= pad
+        self._filled += pad
 
     def extend(self, other: "BitWriter") -> None:
         """Append every bit written to ``other`` onto this writer."""
-        data = other._buffer
-        if self._filled == 0:
-            self._buffer.extend(data)
+        if self._filled & 7:
+            data = other._buffer
+            self._current = (self._current << (len(data) * _BYTE_BITS)) | int.from_bytes(
+                data, "big"
+            )
+            self._filled += len(data) * _BYTE_BITS
+            self._spill()
         else:
-            for byte in data:
-                self.write_bits(byte, _BYTE_BITS)
-        if other._filled:
-            self.write_bits(other._current, other._filled)
+            self._spill()
+            self._buffer += other._buffer
+        self._current = (self._current << other._filled) | other._current
+        self._filled += other._filled
 
     def to_bytes(self) -> bytes:
         """Return the packed stream, zero-padding the final partial byte."""
-        if self._filled == 0:
-            return bytes(self._buffer)
-        tail = self._current << (_BYTE_BITS - self._filled)
-        return bytes(self._buffer) + bytes([tail])
+        pad = -self._filled & 7
+        tail = (self._current << pad).to_bytes((self._filled + pad) >> 3, "big")
+        return bytes(self._buffer) + tail
+
+
+def refill(data: bytes, byte: int, window: int, avail: int) -> tuple[int, int, int]:
+    """Top a reader window up from ``data``; returns ``(byte, window, avail)``.
+
+    Raises :class:`BitStreamError` when the buffer has no byte left, which
+    is how a kernel that asks for more bits than the stream holds fails.
+    """
+    chunk = data[byte : byte + REFILL_BYTES]
+    if not chunk:
+        raise BitStreamError(_PAST_END)
+    bits = len(chunk) * _BYTE_BITS
+    return (
+        byte + len(chunk),
+        (window << bits) | int.from_bytes(chunk, "big"),
+        avail + bits,
+    )
 
 
 class BitReader:
@@ -102,25 +161,31 @@ class BitReader:
 
     The reader tracks its absolute bit position, which lets callers jump to
     recorded offsets inside a concatenated stream (used by the on-disk index
-    files, where each graph records its starting bit offset).
+    files, where each graph records its starting bit offset).  A read that
+    fails raises :class:`BitStreamError` and leaves the position where it
+    was.
     """
+
+    __slots__ = ("_data", "_nbits", "_byte", "_window", "_avail")
 
     def __init__(self, data: bytes, start_bit: int = 0) -> None:
         self._data = bytes(data)
         self._nbits = len(self._data) * _BYTE_BITS
-        self._pos = 0
+        self._byte = 0  # first byte of ``_data`` not yet in the window
+        self._window = 0  # the next ``_avail`` unread bits
+        self._avail = 0
         if start_bit:
             self.seek(start_bit)
 
     @property
     def position(self) -> int:
         """Current absolute bit offset from the start of the stream."""
-        return self._pos
+        return self._byte * _BYTE_BITS - self._avail
 
     @property
     def remaining(self) -> int:
         """Number of bits left before the end of the underlying buffer."""
-        return self._nbits - self._pos
+        return self._nbits - self._byte * _BYTE_BITS + self._avail
 
     def seek(self, bit_offset: int) -> None:
         """Jump to an absolute bit offset."""
@@ -128,51 +193,84 @@ class BitReader:
             raise BitStreamError(
                 f"seek to bit {bit_offset} outside stream of {self._nbits} bits"
             )
-        self._pos = bit_offset
+        byte, used = divmod(bit_offset, _BYTE_BITS)
+        if used:
+            self._window = self._data[byte] & (0xFF >> used)
+            self._avail = _BYTE_BITS - used
+            self._byte = byte + 1
+        else:
+            self._window = 0
+            self._avail = 0
+            self._byte = byte
+
+    def _fill(self, need: int) -> int:
+        """Top the window up to ``need`` bits, or to the end of the stream.
+
+        Returns the new ``_avail``; the cursor does not move.
+        """
+        data = self._data
+        byte, window, avail = self._byte, self._window, self._avail
+        while avail < need and byte < len(data):
+            byte, window, avail = refill(data, byte, window, avail)
+        self._byte, self._window, self._avail = byte, window, avail
+        return avail
 
     def read_bit(self) -> int:
         """Read one bit; raises :class:`BitStreamError` past end of stream."""
-        if self._pos >= self._nbits:
-            raise BitStreamError("read past end of bit stream")
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
+        avail = self._avail
+        if not avail:
+            avail = self._fill(1)
+            if not avail:
+                raise BitStreamError(_PAST_END)
+        avail -= 1
+        self._avail = avail
+        bit = self._window >> avail
+        if bit:
+            self._window -= 1 << avail
         return bit
 
     def read_bits(self, width: int) -> int:
         """Read ``width`` bits and return them as an unsigned integer."""
-        if width < 0:
-            raise BitStreamError(f"negative width {width}")
-        if self._pos + width > self._nbits:
-            raise BitStreamError("read past end of bit stream")
-        value = 0
-        pos = self._pos
-        data = self._data
-        remaining = width
-        # Consume up to the next byte boundary bit-by-bit, then whole bytes.
-        while remaining and (pos & 7):
-            byte = data[pos >> 3]
-            value = (value << 1) | ((byte >> (7 - (pos & 7))) & 1)
-            pos += 1
-            remaining -= 1
-        while remaining >= _BYTE_BITS:
-            value = (value << _BYTE_BITS) | data[pos >> 3]
-            pos += _BYTE_BITS
-            remaining -= _BYTE_BITS
-        while remaining:
-            byte = data[pos >> 3]
-            value = (value << 1) | ((byte >> (7 - (pos & 7))) & 1)
-            pos += 1
-            remaining -= 1
-        self._pos = pos
+        avail = self._avail
+        if not 0 <= width <= avail:
+            if width < 0:
+                raise BitStreamError(f"negative width {width}")
+            if width > self.remaining:  # checked first: the window stays bounded
+                raise BitStreamError(_PAST_END)
+            avail = self._fill(width)
+        avail -= width
+        self._avail = avail
+        value = self._window >> avail
+        self._window -= value << avail
         return value
 
     def read_unary(self) -> int:
         """Read a unary code (count of zero bits before the first one bit)."""
-        count = 0
-        while not self.read_bit():
-            count += 1
-        return count
+        window = self._window
+        if not window:
+            return self._read_unary_refilling()
+        avail = self._avail
+        zeros = avail - window.bit_length()
+        avail -= zeros + 1
+        self._avail = avail
+        self._window = window - (1 << avail)
+        return zeros
+
+    def _read_unary_refilling(self) -> int:
+        """:meth:`read_unary` when the window holds zeros only.
+
+        Zero bits are counted and dropped a window at a time, so a long
+        run costs no more memory than a short one.
+        """
+        start = self.position
+        zeros = 0
+        while not self._window:
+            zeros += self._avail
+            self._avail = 0
+            if not self._fill(1):
+                self.seek(start)
+                raise BitStreamError(_PAST_END)
+        return zeros + self.read_unary()
 
     def peek_bits(self, width: int) -> int:
         """Read ``width`` bits without advancing; short reads are zero-padded.
@@ -180,12 +278,19 @@ class BitReader:
         Used by the table-driven Huffman decoder, which peeks a fixed window
         that may extend past the logical end of the last code word.
         """
-        save = self._pos
-        available = min(width, self._nbits - self._pos)
-        value = self.read_bits(available) if available > 0 else 0
-        self._pos = save
-        return value << (width - available)
+        avail = self._avail
+        if width > avail:
+            avail = self._fill(width)
+            if width > avail:
+                return self._window << (width - avail)
+        return self._window >> (avail - width)
 
     def skip(self, width: int) -> None:
         """Advance the cursor by ``width`` bits."""
-        self.seek(self._pos + width)
+        avail = self._avail
+        if 0 <= width <= avail:
+            avail -= width
+            self._avail = avail
+            self._window &= (1 << avail) - 1
+        else:
+            self.seek(self.position + width)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Mapping
 
-from repro.errors import CodecError
-from repro.util.bitio import BitReader, BitWriter
+from repro.errors import BitStreamError, CodecError
+from repro.util.bitio import BitReader, BitWriter, refill
 
 _MAX_TABLE_BITS = 16
 
@@ -178,8 +178,34 @@ class HuffmanCodec:
         return symbol
 
     def decode_sequence(self, reader: BitReader, count: int) -> list[int]:
-        """Decode exactly ``count`` symbols."""
-        return [self.decode_symbol(reader) for _ in range(count)]
+        """Decode exactly ``count`` symbols.
+
+        One table look-up per symbol on the reader's window held in local
+        variables (see ``util.bitio``); near the end of the stream the
+        look-up index is zero-padded, as :meth:`BitReader.peek_bits` does.
+        """
+        table = self._table
+        width = self._max_length
+        data = reader._data
+        size = len(data)
+        byte, window, avail = reader._byte, reader._window, reader._avail
+        symbols: list[int] = []
+        for _ in range(count):
+            if avail < width and byte < size:
+                byte, window, avail = refill(data, byte, window, avail)
+            if avail >= width:
+                symbol, length = table[window >> (avail - width)]
+            else:
+                symbol, length = table[window << (width - avail)]
+            if symbol < 0:
+                raise CodecError("invalid Huffman code word in stream")
+            if length > avail:
+                raise BitStreamError("read past end of bit stream")
+            avail -= length
+            window &= (1 << avail) - 1
+            symbols.append(symbol)
+        reader._byte, reader._window, reader._avail = byte, window, avail
+        return symbols
 
     def encoded_size_bits(self, symbols: Iterable[int]) -> int:
         """Total bits the codec would use to encode ``symbols``."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.errors import CodecError
-from repro.util.bitio import BitReader, BitWriter
+from repro.util.bitio import BitReader, BitWriter, refill
 from repro.util.varint import decode_gamma, encode_gamma, gamma_cost
 
 
@@ -46,18 +46,34 @@ def encode_rle(writer: BitWriter, bits: Sequence[int]) -> None:
 
 
 def decode_rle(reader: BitReader) -> list[int]:
-    """Read a bit vector written with :func:`encode_rle`."""
+    """Read a bit vector written with :func:`encode_rle`.
+
+    The run lengths are decoded on the reader's window held in local
+    variables (see ``util.bitio``); a gamma code's field is the run
+    length itself, the code being that of ``run - 1``.
+    """
     total = decode_gamma(reader)
     if total == 0:
         return []
     value = reader.read_bit()
+    data = reader._data
+    byte, window, avail = reader._byte, reader._window, reader._avail
     bits: list[int] = []
-    while len(bits) < total:
-        run = decode_gamma(reader) + 1
-        if len(bits) + run > total:
+    decoded = 0
+    while decoded < total:
+        rest = 2 * window.bit_length() - avail - 1
+        while rest < 0:
+            byte, window, avail = refill(data, byte, window, avail)
+            rest = 2 * window.bit_length() - avail - 1
+        avail = rest
+        run = window >> avail
+        window -= run << avail
+        decoded += run
+        if decoded > total:
             raise CodecError("RLE runs exceed declared bit-vector length")
-        bits.extend([value] * run)
+        bits += [value] * run
         value ^= 1
+    reader._byte, reader._window, reader._avail = byte, window, avail
     return bits
 
 
@@ -99,7 +115,8 @@ def decode_bitvector(reader: BitReader) -> list[int]:
     if reader.read_bit():
         return decode_rle(reader)
     total = decode_gamma(reader)
-    return [reader.read_bit() for _ in range(total)]
+    field = reader.read_bits(total)
+    return [field >> shift & 1 for shift in range(total - 1, -1, -1)]
 
 
 def bitvector_cost(bits: Sequence[int]) -> int:

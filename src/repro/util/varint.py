@@ -18,7 +18,7 @@ caller works with values >= 0.
 
 from __future__ import annotations
 
-from repro.errors import CodecError
+from repro.errors import BitStreamError, CodecError
 from repro.util.bitio import BitReader, BitWriter
 
 # ---------------------------------------------------------------------------
@@ -55,10 +55,34 @@ def encode_gamma(writer: BitWriter, value: int) -> None:
 
 
 def decode_gamma(reader: BitReader) -> int:
-    """Read an Elias gamma code written by :func:`encode_gamma`."""
-    width = reader.read_unary()
-    rest = reader.read_bits(width) if width else 0
-    return (1 << width) + rest - 1
+    """Read an Elias gamma code written by :func:`encode_gamma`.
+
+    A code is ``zeros`` zero bits and then the ``zeros + 1`` bits of
+    ``value + 1``.  In the reader's window (see ``util.bitio``) the
+    leading one bit sits ``bit_length`` bits from the right end and
+    ``avail - bit_length`` zeros precede it, so the code ends
+    ``2 * bit_length - avail - 1`` bits from the right end, and what is
+    left of that point *is* ``value + 1``: one ``bit_length``, one shift.
+    """
+    window = reader._window
+    rest = 2 * window.bit_length() - reader._avail - 1
+    if rest < 0:
+        return _decode_gamma_refilling(reader)
+    reader._avail = rest
+    shifted = window >> rest
+    reader._window = window - (shifted << rest)
+    return shifted - 1
+
+
+def _decode_gamma_refilling(reader: BitReader) -> int:
+    """:func:`decode_gamma` for a code that is not yet wholly in the window."""
+    start = reader.position
+    try:
+        width = reader.read_unary()
+        return (1 << width) + reader.read_bits(width) - 1
+    except BitStreamError:
+        reader.seek(start)
+        raise
 
 
 def gamma_cost(value: int) -> int:

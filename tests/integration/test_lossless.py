@@ -67,7 +67,7 @@ def test_property_model_and_codecs_are_lossless(case):
         rows = positive_rows_from_payload(payload, source_size, target_size)
         source_base = boundaries[source]
         target_base = boundaries[target]
-        for local, row in enumerate(rows):
+        for local, row in rows.linked.items():
             for t in row:
                 reconstructed.add((source_base + local, target_base + t))
 

@@ -87,6 +87,11 @@ def make_superedge(rows, negative=False, linked=()):
     )
 
 
+def dense(rows):
+    """Every source local's row of a ``SuperedgeRows``, empties included."""
+    return [rows.row(local) for local in range(rows.source_size)]
+
+
 class TestSuperedge:
     def test_positive_roundtrip(self):
         rows = [[0, 2], [], [1], []]
@@ -99,7 +104,7 @@ class TestSuperedge:
     def test_positive_rows_from_payload(self):
         rows = [[0, 2], [], [1], []]
         payload = encode_superedge(make_superedge(rows))
-        assert positive_rows_from_payload(payload, 4, 3) == rows
+        assert dense(positive_rows_from_payload(payload, 4, 3)) == rows
 
     def test_negative_roundtrip(self):
         # Sources 0 and 1 link to everything except what's listed.
@@ -107,11 +112,13 @@ class TestSuperedge:
         graph = make_superedge(rows, negative=True, linked=(0, 1))
         payload = encode_superedge(graph)
         positive = positive_rows_from_payload(payload, source_size=2, target_size=3)
-        assert positive == [[0, 1], [0, 1, 2]]
+        assert dense(positive) == [[0, 1], [0, 1, 2]]
 
     def test_all_sources_unlinked(self):
         payload = encode_superedge(make_superedge([[], [], []]))
-        assert positive_rows_from_payload(payload, 3, 5) == [[], [], []]
+        rows = positive_rows_from_payload(payload, 3, 5)
+        assert rows.linked == {}
+        assert dense(rows) == [[], [], []]
 
     def test_repeated_singleton_rows_are_tiny(self):
         many = [[3]] * 100

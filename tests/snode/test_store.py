@@ -122,6 +122,110 @@ class TestBufferManager:
         store.close()
 
 
+def superedge_keys(store):
+    """Every (source, target) superedge of ``store``, in supernode order."""
+    return [
+        (source, target)
+        for source, targets in enumerate(store.super_adjacency)
+        for target in targets
+    ]
+
+
+def dense(rows):
+    """The dense form the store cached before rows went sparse."""
+    return [rows.row(local) for local in range(rows.source_size)]
+
+
+class TestSparseSuperedgeRows:
+    #: ``io_stats()`` of the probe list below, captured at the parent
+    #: commit (dense superedge entries, per-bit reader) on this fixture.
+    PINNED_IO_STATS = {
+        "buffer_evictions": 1041,
+        "buffer_hits": 876,
+        "buffer_hits_intranode": 117,
+        "buffer_hits_superedge": 759,
+        "buffer_misses": 1133,
+        "buffer_misses_intranode": 181,
+        "buffer_misses_superedge": 952,
+        "bytes_read": 31355,
+        "disk_seeks": 54,
+        "intranode_loads": 181,
+        "loads": 1133,
+        "superedge_loads": 952,
+    }
+
+    def test_pool_charge_is_the_dense_cost(self, small_build):
+        """4 bytes per source page + 8 per edge, although only linked rows are held."""
+        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
+        keys = superedge_keys(store)
+        assert len(keys) > 100
+        for source, target in keys:
+            before = store.buffer_stats()["used_bytes"]
+            rows = store.superedge_rows(source, target)
+            charged = store.buffer_stats()["used_bytes"] - before
+            as_dense = dense(rows)
+            first, last = store.supernode_range(source)
+            assert len(as_dense) == last - first
+            assert charged == 4 * len(as_dense) + 8 * sum(len(row) for row in as_dense)
+            assert len(rows.linked) < len(as_dense) or all(as_dense)
+        store.close()
+
+    def test_bounded_buffer_counters_match_parent_commit(self, small_repo, small_build):
+        assert small_repo.num_pages == 1200
+        store = SNodeStore(small_build.root, buffer_bytes=24 * 1024)
+        for page in range(0, 1200, 7):
+            store.out_neighbors(page)
+        store.out_neighbors_many(list(range(5, 1200, 53)))
+        with store.session("pinned") as session:
+            for page in range(3, 1200, 101):
+                session.out_neighbors(page)
+        assert sum(len(row) for _page, row in store.iterate_all()) == small_repo.graph.num_edges
+        assert store.metrics.io_stats() == self.PINNED_IO_STATS
+        store.close()
+
+    def test_unlinked_rows_are_empty_and_private(self, small_build):
+        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
+        source, target = next(
+            key
+            for key in superedge_keys(store)
+            if len(store.superedge_rows(*key).linked) < store.superedge_rows(*key).source_size
+        )
+        rows = store.superedge_rows(source, target)
+        unlinked = next(
+            local for local in range(rows.source_size) if local not in rows.linked
+        )
+        first, _last = store.supernode_range(source)
+        expected = store.out_neighbors(first + unlinked)
+        row = rows.row(unlinked)
+        assert row == []
+        row.append(10**6)  # a caller scribbling on what it was handed
+        with store.session() as session:
+            again = session.superedge_rows(source, target)
+            assert again is rows  # the cached entry, shared
+            assert again.row(unlinked) == []
+            assert session.out_neighbors(first + unlinked) == expected
+        assert unlinked not in rows.linked
+        assert all(rows.linked.values())  # linked rows are never empty
+        store.close()
+
+    def test_encoded_payload_cache_returns_identical_rows(self, small_repo, small_build):
+        """``cache_decoded=False`` (Table 2) decodes on every access."""
+        decoded = SNodeStore(small_build.root, buffer_bytes=1 << 26)
+        encoded = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=False)
+        for source, target in superedge_keys(decoded):
+            for _ in range(2):  # the miss, then the hit that decodes the cached bytes
+                assert dense(encoded.superedge_rows(source, target)) == dense(
+                    decoded.superedge_rows(source, target)
+                )
+        pages = list(range(0, small_repo.num_pages, 29))
+        assert encoded.out_neighbors_many(pages) == decoded.out_neighbors_many(pages)
+        assert list(encoded.iterate_all()) == list(decoded.iterate_all())
+        # Encoded entries are charged their payload bytes, not the row model.
+        assert encoded.buffer_stats()["used_bytes"] == decoded.stats.bytes_read
+        decoded.close()
+        encoded.close()
+
+
 class TestLoadDigraph:
     def test_reconstructs_whole_graph(self, small_repo, small_build):
         graph = small_build.store.load_digraph()

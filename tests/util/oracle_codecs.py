@@ -1,0 +1,218 @@
+"""The method-per-bit decode kernels, kept as the test oracle.
+
+These are the decoders ``util.varint``, ``util.rle``, ``snode.reference``
+and ``snode.encode`` shipped before they were fused onto the reader's
+window, moved here verbatim: they touch a reader only through
+``read_bit`` / ``read_bits`` / ``read_unary``, and the payload decoders
+build the bit-by-bit :class:`oracle_bitio.BitReader`, so nothing here
+shares code with what it checks.  ``positive_rows_from_payload`` is the
+dense form (a list per source page) the store used to cache; its
+``4 * rows + 8 * edges`` is what the buffer charge must keep matching.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+from oracle_bitio import BitReader
+
+from repro.errors import CodecError
+
+
+def decode_gamma(reader: BitReader) -> int:
+    """Read an Elias gamma code written by :func:`encode_gamma`."""
+    width = reader.read_unary()
+    rest = reader.read_bits(width) if width else 0
+    return (1 << width) + rest - 1
+
+
+def decode_minimal_binary(reader: BitReader, bound: int) -> int:
+    """Read a value written with :func:`encode_minimal_binary`."""
+    if bound < 1:
+        raise CodecError(f"minimal binary bound must be >= 1, got {bound}")
+    if bound == 1:
+        return 0
+    width = (bound - 1).bit_length()
+    cutoff = (1 << width) - bound
+    value = reader.read_bits(width - 1) if width > 1 else 0
+    if value < cutoff:
+        return value
+    value = (value << 1) | reader.read_bit()
+    return value - cutoff
+
+
+def decode_rle(reader: BitReader) -> list[int]:
+    """Read a bit vector written with :func:`encode_rle`."""
+    total = decode_gamma(reader)
+    if total == 0:
+        return []
+    value = reader.read_bit()
+    bits: list[int] = []
+    while len(bits) < total:
+        run = decode_gamma(reader) + 1
+        if len(bits) + run > total:
+            raise CodecError("RLE runs exceed declared bit-vector length")
+        bits.extend([value] * run)
+        value ^= 1
+    return bits
+
+
+def decode_bitvector(reader: BitReader) -> list[int]:
+    """Inverse of :func:`encode_bitvector`."""
+    if reader.read_bit():
+        return decode_rle(reader)
+    total = decode_gamma(reader)
+    return [reader.read_bit() for _ in range(total)]
+
+
+def _decode_dictionary_body(
+    reader: BitReader, dictionary: Sequence[int]
+) -> list[int]:
+    """Inverse of :func:`_encode_dictionary_body`; returns the full row."""
+    if reader.read_bit():  # full copy
+        copied = list(dictionary)
+    else:
+        count = decode_gamma(reader)
+        copied = [
+            dictionary[decode_minimal_binary(reader, len(dictionary))]
+            for _ in range(count)
+        ]
+    extras = _decode_extras(reader)
+    return sorted(set(copied) | set(extras))
+
+
+def _decode_extras(reader: BitReader) -> list[int]:
+    count = decode_gamma(reader)
+    extras: list[int] = []
+    previous = -1
+    for _ in range(count):
+        previous = previous + 1 + decode_gamma(reader)
+        extras.append(previous)
+    return extras
+
+
+def decode_rows(
+    reader: BitReader, dictionary: Sequence[int] | None = None
+) -> list[list[int]]:
+    """Decode a row collection written by :func:`encode_rows`.
+
+    ``dictionary`` must match what the encoder was given (present for
+    superedge graphs, absent for intranode graphs).
+    """
+    count = decode_gamma(reader)
+    parsed: list[tuple[int, list[int], list[int]] | list[int]] = []
+    for y in range(count):
+        if reader.read_bit():
+            if dictionary and reader.read_bit():
+                parsed.append(_decode_dictionary_body(reader, dictionary))
+                continue
+            distance = decode_gamma(reader) + 1
+            backward = reader.read_bit()
+            parent = y - distance if backward else y + distance
+            if not 0 <= parent < count:
+                raise CodecError(f"row {y} references out-of-range row {parent}")
+            copy_bits, extras = _decode_reference_body(reader)
+            parsed.append((parent, copy_bits, extras))
+        else:
+            if reader.read_bit():  # dense mode
+                bits = decode_bitvector(reader)
+                parsed.append([i for i, bit in enumerate(bits) if bit])
+            else:
+                length = decode_gamma(reader)
+                row: list[int] = []
+                previous = -1
+                for _ in range(length):
+                    previous = previous + 1 + decode_gamma(reader)
+                    row.append(previous)
+                parsed.append(row)
+    # Resolve reference chains iteratively (forward references allowed).
+    resolved: list[list[int] | None] = [
+        entry if isinstance(entry, list) else None for entry in parsed
+    ]
+    for y in range(count):
+        if resolved[y] is not None:
+            continue
+        chain = [y]
+        node = y
+        while resolved[node] is None:
+            parent = parsed[node][0]  # type: ignore[index]
+            if parent in chain:
+                raise CodecError("cyclic reference chain in encoded rows")
+            chain.append(parent)
+            node = parent
+        for position in range(len(chain) - 2, -1, -1):
+            current = chain[position]
+            parent, copy_bits, extras = parsed[current]  # type: ignore[misc]
+            base = resolved[parent]
+            assert base is not None
+            if copy_bits is None:  # full copy
+                copied = list(base)
+            else:
+                copied = [value for value, bit in zip(base, copy_bits) if bit]
+            resolved[current] = sorted(set(copied) | set(extras))
+    return [row if row is not None else [] for row in resolved]
+
+
+def _decode_reference_body(
+    reader: BitReader,
+) -> tuple[list[int] | None, list[int]]:
+    """Inverse of :func:`_encode_reference_body`; None = full copy."""
+    full_copy = bool(reader.read_bit())
+    copy_bits = None if full_copy else decode_bitvector(reader)
+    extras_count = decode_gamma(reader)
+    extras: list[int] = []
+    previous = -1
+    for _ in range(extras_count):
+        previous = previous + 1 + decode_gamma(reader)
+        extras.append(previous)
+    return copy_bits, extras
+
+
+def decode_intranode(data: bytes) -> list[list[int]]:
+    """Inverse of :func:`encode_intranode`."""
+    reader = BitReader(data)
+    dictionary = _decode_locals(reader)
+    return decode_rows(reader, dictionary=dictionary)
+
+
+def _decode_locals(reader: BitReader) -> list[int]:
+    """Inverse of :func:`_encode_locals`."""
+    if reader.read_bit():
+        bits = decode_bitvector(reader)
+        return [i for i, bit in enumerate(bits) if bit]
+    count = decode_gamma(reader)
+    locals_list: list[int] = []
+    previous = -1
+    for _ in range(count):
+        previous = previous + 1 + decode_gamma(reader)
+        locals_list.append(previous)
+    return locals_list
+
+
+def decode_superedge_payload(data: bytes) -> tuple[bool, list[int], list[list[int]]]:
+    """Decode a superedge payload to (negative?, linked locals, their rows)."""
+    reader = BitReader(data)
+    negative = bool(reader.read_bit())
+    linked = _decode_locals(reader)
+    dictionary = _decode_locals(reader)
+    rows = decode_rows(reader, dictionary=dictionary)
+    if len(rows) != len(linked):
+        raise CodecError("superedge row count mismatch")
+    return negative, linked, rows
+
+
+def positive_rows_from_payload(
+    data: bytes, source_size: int, target_size: int
+) -> list[list[int]]:
+    """Decode a superedge payload straight to positive rows (all sources)."""
+    negative, linked, rows = decode_superedge_payload(data)
+    result: list[list[int]] = [[] for _ in range(source_size)]
+    if negative:
+        for local, missing in zip(linked, rows):
+            absent = set(missing)
+            result[local] = [t for t in range(target_size) if t not in absent]
+    else:
+        for local, row in zip(linked, rows):
+            result[local] = list(row)
+    return result
+
