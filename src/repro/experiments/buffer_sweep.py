@@ -275,7 +275,11 @@ def prediction_report(
 
 
 def report(points: list[SweepPoint]) -> str:
-    """One column per (scheme, query), one row per buffer size."""
+    """One column per (scheme, query), one row per buffer size.
+
+    A buffer size a scheme could not run at (below its pinned floor, see
+    :func:`run`) has no point; its cell reads ``—``.
+    """
     buffer_sizes = sorted({p.buffer_kb for p in points})
     columns = sorted({(p.scheme, p.query) for p in points})
     by_key = {(p.scheme, p.query, p.buffer_kb): p for p in points}
@@ -283,19 +287,24 @@ def report(points: list[SweepPoint]) -> str:
     for buffer_kb in buffer_sizes:
         row: list[object] = [f"{buffer_kb} KiB"]
         for scheme, query in columns:
-            point = by_key[(scheme, query, buffer_kb)]
-            row.append(f"{point.simulated_ms:.1f}")
+            point = by_key.get((scheme, query, buffer_kb))
+            row.append(f"{point.simulated_ms:.1f}" if point else "—")
         rows.append(row)
     table = format_table(
         ["buffer"] + [f"{scheme}/{query} (ms)" for scheme, query in columns],
         rows,
     )
-    # Flatness check: last two points of each curve should be close.
+    # Flatness check: the last two points a curve has should be close.
     checks = []
     for scheme, query in columns:
         curve = [
-            by_key[(scheme, query, b)].simulated_ms for b in buffer_sizes
+            by_key[(scheme, query, b)].simulated_ms
+            for b in buffer_sizes
+            if (scheme, query, b) in by_key
         ]
+        if len(curve) < 2:
+            checks.append(f"{scheme}/{query}: too few points")
+            continue
         flat = abs(curve[-1] - curve[-2]) <= max(0.15 * max(curve[-1], 1e-9), 1.0)
         checks.append(
             f"{scheme}/{query}: {'flattens' if flat else 'still falling'}"

@@ -33,6 +33,7 @@ from repro.partition.refine import RefinementConfig, RefinementResult
 from repro.snode.encode import supernode_graph_size_bytes
 from repro.snode.model import SNodeModel
 from repro.snode.numbering import Numbering
+from repro.snode.reference import DEFAULT_FULL_AFFINITY_LIMIT, DEFAULT_WINDOW
 from repro.snode.storage import DEFAULT_MAX_FILE_BYTES
 from repro.snode.store import DEFAULT_BUFFER_BYTES, SNodeStore
 from repro.webdata.corpus import Repository
@@ -45,8 +46,8 @@ class BuildOptions:
     refinement: RefinementConfig | None = None
     max_file_bytes: int = DEFAULT_MAX_FILE_BYTES
     buffer_bytes: int = DEFAULT_BUFFER_BYTES
-    reference_window: int = 8
-    full_affinity_limit: int = 96
+    reference_window: int = DEFAULT_WINDOW
+    full_affinity_limit: int = DEFAULT_FULL_AFFINITY_LIMIT
     # Ablation switches: turn off the per-graph target dictionary and/or
     # force every superedge graph positive (disable the pos/neg choice).
     use_dictionary: bool = True

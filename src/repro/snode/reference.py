@@ -22,6 +22,13 @@ WebGraph operate in).  Windowed candidate sets are acyclic by construction,
 so the arborescence degenerates to a per-row minimum, which is what the
 fast path computes.
 
+Planning costs what the *distinct, target-sharing* row pairs cost: pair
+costs are memoised by row content, a parent sharing no target with the row
+is dismissed unpriced (the lemma is in :class:`_CollectionCosts`), one
+kernel prices a pair, and a cycle contraction touches only the edges at
+its cycle — with the plans of the pair-by-pair planner, which the tests
+keep as their oracle.
+
 Decoded rows are plain ``list[int]`` (sorted).  Reference chains may point
 forward in the full-affinity mode; decoding resolves them iteratively.
 """
@@ -35,7 +42,7 @@ from itertools import compress
 from repro.errors import CodecError
 from repro.util.bitio import BitReader, BitWriter, refill
 from repro.util.rle import bitvector_cost, decode_bitvector, encode_bitvector
-from repro.util.varint import encode_gamma, gamma_cost
+from repro.util.varint import encode_gamma, encode_minimal_binary, gamma_cost
 
 #: Above this many rows the encoder switches from the full affinity graph
 #: (exact Edmonds arborescence) to windowed candidate references.
@@ -48,6 +55,17 @@ DEFAULT_WINDOW = 8
 # ---------------------------------------------------------------------------
 # cost model
 # ---------------------------------------------------------------------------
+
+#: ``gamma_cost`` of 0..4095 as a table: the planner's kernels index it
+#: where the codecs call the function, once per gap and per run.
+_GAMMA_COST = tuple(2 * (value + 1).bit_length() - 1 for value in range(1 << 12))
+
+
+def _gamma_costs(limit: int) -> Sequence[int]:
+    """A table ``t`` with ``t[v] == gamma_cost(v)`` for ``0 <= v <= limit``."""
+    if limit < len(_GAMMA_COST):
+        return _GAMMA_COST
+    return tuple(2 * (value + 1).bit_length() - 1 for value in range(limit + 1))
 
 
 def _gaps_cost(row: Sequence[int]) -> int:
@@ -84,47 +102,145 @@ def direct_cost(row: Sequence[int]) -> int:
     return 2 + min(gaps, vector)
 
 
-def _reference_parts(
-    row: Sequence[int], reference_row: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Split ``row`` into (copy bits over reference_row, extra entries)."""
-    row_set = set(row)
-    copy_bits = [1 if value in row_set else 0 for value in reference_row]
-    referenced = {
-        value for value, bit in zip(reference_row, copy_bits) if bit
-    }
-    extras = [value for value in row if value not in referenced]
-    return copy_bits, extras
+def _extras_cost(
+    row: Sequence[int], covered: frozenset[int], extras: int, gamma: Sequence[int]
+) -> int:
+    """Bits for the ``extras`` entries of ``row`` outside ``covered``: their
+    gamma-coded count, then their gamma-coded gaps."""
+    cost = gamma[extras]
+    if extras:
+        previous = -1
+        for value in row:
+            if value not in covered:
+                cost += gamma[value - previous - 1]
+                previous = value
+    return cost
+
+
+def _reference_base_cost(
+    row: Sequence[int],
+    row_set: frozenset[int],
+    reference_row: Sequence[int],
+    reference_set: frozenset[int],
+    gamma: Sequence[int],
+) -> int:
+    """:func:`reference_cost` less its distance code: the referenced flag,
+    the direction bit, the full-copy flag, the copy bit vector when not a
+    full copy, and the extras.
+
+    This is the planner's kernel.  One pass over ``reference_row`` prices
+    the copy bit vector — its RLE runs against its plain length, the
+    choice ``bitvector_cost`` makes — and one over ``row`` the gaps of the
+    entries ``reference_row`` lacks; a full copy skips the first pass, a
+    row without extras the second.  Both rows are ascending and
+    duplicate-free, and ``gamma`` covers their lengths and entries.
+
+    Identical consecutive rows are the common case in superedge graphs
+    (every page of a directory carrying the same external links), so a
+    one-bit "copy everything" fast path pays for itself many times over.
+    """
+    shared = len(row_set & reference_set)
+    length = len(reference_row)
+    cost = 3  # referenced flag, direction bit, full-copy flag
+    if shared != length or not length:
+        # Scheme flag, gamma(length), then plain bits or RLE (the first
+        # bit's value and gamma(run - 1) per run), whichever is shorter.
+        rle = 0
+        if length:
+            rle = 1
+            run = 0
+            current = reference_row[0] in row_set
+            for value in reference_row:
+                if (value in row_set) is current:
+                    run += 1
+                else:
+                    rle += gamma[run - 1]
+                    current = not current
+                    run = 1
+            rle += gamma[run - 1]
+        cost += 1 + gamma[length] + min(rle, length)
+    return cost + _extras_cost(row, reference_set, len(row) - shared, gamma)
 
 
 def reference_cost(
     row: Sequence[int], reference_row: Sequence[int], distance: int
 ) -> int:
     """Bits to encode ``row`` referencing a row ``distance`` away."""
-    cost = 1  # flag
-    cost += gamma_cost(distance - 1) + 1  # distance (>=1) and direction bit
-    cost += _reference_body_cost(row, reference_row)
-    return cost
+    gamma = _gamma_costs(max(len(row), len(reference_row), row[-1] if row else 0))
+    return gamma_cost(distance - 1) + _reference_base_cost(
+        row, frozenset(row), reference_row, frozenset(reference_row), gamma
+    )
 
 
-def _reference_body_cost(row: Sequence[int], reference_row: Sequence[int]) -> int:
-    """Full-copy flag + (copy bit vector when not a full copy) + extras.
+#: What :meth:`_CollectionCosts.reference_cost` answers for a parent that
+#: shares no target with the row: more than any direct cost.
+_NO_SHARED_TARGET = 1 << 62
 
-    Identical consecutive rows are the common case in superedge graphs
-    (every page of a directory carrying the same external links), so a
-    one-bit "copy everything" fast path pays for itself many times over.
+
+class _CollectionCosts:
+    """What the planner derives from one row collection, each thing once.
+
+    Rows of equal content share a *content id*, and with it one frozenset,
+    one direct cost and one memo entry per ordered pair of contents: the
+    distance between two rows enters :func:`reference_cost` only as the
+    additive ``gamma_cost(distance - 1)``.  Everything lives as long as
+    the ``plan_references`` call that made it.
+
+    **Pruning lemma.**  A parent that shares no target with the row is
+    never cheaper than the direct encoding: its copy bit vector is all
+    zeros and every entry is an extra, so it costs ``3 + gamma(d - 1) +
+    bitvector_cost(0...0) + gaps_cost(row) > 2 + gaps_cost(row) >=
+    direct_cost(row)``.  Both planners keep a parent only when it costs
+    strictly less than the direct encoding, so answering
+    :data:`_NO_SHARED_TARGET` for a disjoint (or empty) pair without
+    running the kernel leaves every candidate list as it was.
     """
-    copy_bits, extras = _reference_parts(row, reference_row)
-    full_copy = all(copy_bits) if copy_bits else False
-    cost = 1  # full-copy flag
-    if not full_copy:
-        cost += bitvector_cost(copy_bits)
-    cost += gamma_cost(len(extras))
-    previous = -1
-    for value in extras:
-        cost += gamma_cost(value - previous - 1)
-        previous = value
-    return cost
+
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        self.rows = rows
+        contents: dict[tuple[int, ...], int] = {}
+        #: Content id of every row.
+        self._ids = [contents.setdefault(tuple(row), len(contents)) for row in rows]
+        self._contents = list(contents)
+        self._sets = [frozenset(content) for content in contents]
+        direct = [direct_cost(content) for content in contents]
+        #: ``direct_cost`` of every row.
+        self.direct = [direct[content] for content in self._ids]
+        self._gamma = _gamma_costs(
+            max(len(rows), max((c[-1] + 1 for c in contents if c), default=0))
+        )
+        #: (content id of row, of parent) -> ``_reference_base_cost``.
+        self._base: dict[tuple[int, int], int] = {}
+
+    def reference_cost(self, y: int, x: int) -> int:
+        """``reference_cost(rows[y], rows[x], |y - x|)``, or at least
+        :data:`_NO_SHARED_TARGET` when the two rows share no target."""
+        key = content, parent_content = self._ids[y], self._ids[x]
+        base = self._base.get(key)
+        if base is None:
+            row_set = self._sets[content]
+            parent_set = self._sets[parent_content]
+            if row_set.isdisjoint(parent_set):
+                base = _NO_SHARED_TARGET
+            else:
+                base = _reference_base_cost(
+                    self._contents[content],
+                    row_set,
+                    self._contents[parent_content],
+                    parent_set,
+                    self._gamma,
+                )
+            self._base[key] = base
+        return base + self._gamma[abs(y - x) - 1]
+
+    def dictionary_costs(self, dictionary: Sequence[int]) -> list[int]:
+        """Bits of every row as a dictionary reference (flags included)."""
+        members = frozenset(dictionary)
+        by_content = [
+            2 + _dictionary_body_cost(content, row_set, members, len(dictionary), self._gamma)
+            for content, row_set in zip(self._contents, self._sets)
+        ]
+        return [by_content[content] for content in self._ids]
 
 
 # ---------------------------------------------------------------------------
@@ -133,95 +249,149 @@ def _reference_body_cost(row: Sequence[int], reference_row: Sequence[int]) -> in
 
 
 def minimum_arborescence(
-    num_nodes: int, edges: Sequence[tuple[int, int, float]], root: int
+    num_nodes: int, edges: Sequence[tuple[int, int, int]], root: int
 ) -> dict[int, int]:
     """Chu-Liu/Edmonds: min-weight spanning arborescence rooted at ``root``.
 
     ``edges`` are ``(source, target, weight)`` triples.  Returns a mapping
     ``node -> parent`` for every node except the root.  Raises
     :class:`CodecError` if some node is unreachable from the root.
+
+    Ties are broken by position in the *edge list*: ``edges`` in the order
+    given and, after a contraction, the surviving edges in their old
+    order, then one edge into the new super node per outside source (by
+    first appearance of the source), then one edge out of it per outside
+    target (by first appearance of the target).  A node's parent is the
+    first of its cheapest incoming edges in that list, and so are the
+    edge kept per outside source and per outside target.  The list is
+    never materialised: edges are numbered in list order — a contraction's
+    new edges take the next numbers — and kept per target and per source,
+    so a contraction reads only the edges that touch its cycle, and only
+    a node whose parent was in the cycle looks for a new one.
     """
-    nodes = list(range(num_nodes))
-    # Work on a mutable copy; contraction introduces fresh node ids.
-    current_edges = [(s, t, w) for s, t, w in edges if t != root and s != t]
-    current_nodes = set(nodes)
+    sources: list[int] = []
+    targets: list[int] = []
+    weights: list[int] = []
+    in_edges: dict[int, list[int]] = {
+        node: [] for node in range(num_nodes) if node != root
+    }
+    out_edges: dict[int, list[int]] = {}
+    for source, target, weight in edges:
+        if source != target and target in in_edges:
+            in_edges[target].append(len(sources))
+            out_edges.setdefault(source, []).append(len(sources))
+            sources.append(source)
+            targets.append(target)
+            weights.append(weight)
+    # Edges a contraction replaced stay in the lists of their outside ends.
+    alive = [True] * len(sources)
+
+    def first_cheapest(edge_ids: list[int]) -> tuple[int, int]:
+        """(source, weight) of the first of the cheapest of ``edge_ids``."""
+        edge = min(edge_ids, key=weights.__getitem__)  # the first minimal item
+        return sources[edge], weights[edge]
+
+    current_nodes = set(range(num_nodes))
     next_id = num_nodes
-    # Track, per contraction level, how to expand cycles back out.
-    expansions: list[tuple[int, dict[int, int], dict[tuple[int, int, float], tuple[int, int, float]]]] = []
+    # node -> (source, weight) of its parent edge
+    best_in = {
+        node: first_cheapest(incoming) for node, incoming in in_edges.items() if incoming
+    }
+    for node in current_nodes:
+        if node != root and node not in best_in:
+            raise CodecError(f"node {node} unreachable from arborescence root")
+    # Per contraction, how to expand the cycle back out: (super node, each
+    # member's parent inside the cycle, (source, target) of a contracted
+    # edge -> (source, target) of the edge it stands for).
+    expansions: list[
+        tuple[int, dict[int, int], dict[tuple[int, int], tuple[int, int]]]
+    ] = []
 
     while True:
-        best_in: dict[int, tuple[int, int, float]] = {}
-        for source, target, weight in current_edges:
-            if target == root or target not in current_nodes:
-                continue
-            incumbent = best_in.get(target)
-            if incumbent is None or weight < incumbent[2]:
-                best_in[target] = (source, target, weight)
-        for node in current_nodes:
-            if node != root and node not in best_in:
-                raise CodecError(f"node {node} unreachable from arborescence root")
-        # Detect a cycle in the best-incoming-edge graph.
         cycle = _find_cycle(best_in, current_nodes, root)
         if cycle is None:
-            parents = {t: s for t, (s, _, _) in best_in.items()}
-            # Expand contractions from innermost to outermost.
-            for super_node, cycle_parents, edge_origin in reversed(expansions):
-                entering_parent = parents.pop(super_node)
-                # Which original edge entered the cycle?
-                entry = edge_origin[(entering_parent, super_node, _WEIGHT_SENTINEL)]
-                entry_source, entry_target, _ = entry
-                for member, member_parent in cycle_parents.items():
-                    if member != entry_target:
-                        parents[member] = member_parent
-                parents[entry_target] = entry_source
-                # Re-route edges that previously left the super node.
-                for node, parent in list(parents.items()):
-                    if parent == super_node:
-                        leaving = edge_origin[(super_node, node, _WEIGHT_SENTINEL)]
-                        parents[node] = leaving[0]
-            return parents
+            break
         # Contract the cycle into a fresh super node.
         cycle_set = set(cycle)
-        cycle_parents = {node: best_in[node][0] for node in cycle}
-        cycle_cost = {node: best_in[node][2] for node in cycle}
         super_node = next_id
         next_id += 1
-        new_edges: list[tuple[int, int, float]] = []
-        edge_origin: dict[tuple[int, int, float], tuple[int, int, float]] = {}
-        best_entering: dict[int, tuple[float, tuple[int, int, float]]] = {}
-        best_leaving: dict[int, tuple[float, tuple[int, int, float]]] = {}
-        for source, target, weight in current_edges:
-            in_source = source in cycle_set
-            in_target = target in cycle_set
-            if in_source and in_target:
-                continue
-            if in_target:
-                adjusted = weight - cycle_cost[target]
-                incumbent = best_entering.get(source)
-                if incumbent is None or adjusted < incumbent[0]:
-                    best_entering[source] = (adjusted, (source, target, weight))
-            elif in_source:
-                incumbent = best_leaving.get(target)
-                if incumbent is None or weight < incumbent[0]:
-                    best_leaving[target] = (weight, (source, target, weight))
-            else:
-                new_edges.append((source, target, weight))
-        for source, (adjusted, original) in best_entering.items():
-            new_edges.append((source, super_node, adjusted))
-            edge_origin[(source, super_node, _WEIGHT_SENTINEL)] = original
-        for target, (weight, original) in best_leaving.items():
-            new_edges.append((super_node, target, weight))
-            edge_origin[(super_node, target, _WEIGHT_SENTINEL)] = original
+        cycle_parents = {node: best_in[node][0] for node in cycle}
+        cycle_cost = {node: best_in.pop(node)[1] for node in cycle}
+        entering: list[int] = []
+        leaving: list[int] = []
+        for node in cycle:
+            for edge in in_edges.pop(node):
+                if alive[edge]:
+                    alive[edge] = False
+                    if sources[edge] not in cycle_set:
+                        entering.append(edge)
+            for edge in out_edges.pop(node, ()):
+                if alive[edge]:
+                    alive[edge] = False
+                    if targets[edge] not in cycle_set:
+                        leaving.append(edge)
+        entering.sort()
+        leaving.sort()
+        # outside source -> (adjusted weight, edge): first of the cheapest
+        best_entering: dict[int, tuple[int, int]] = {}
+        for edge in entering:
+            adjusted = weights[edge] - cycle_cost[targets[edge]]
+            incumbent = best_entering.get(sources[edge])
+            if incumbent is None or adjusted < incumbent[0]:
+                best_entering[sources[edge]] = (adjusted, edge)
+        # outside target -> edge: first of the cheapest
+        best_leaving: dict[int, int] = {}
+        for edge in leaving:
+            incumbent = best_leaving.get(targets[edge])
+            if incumbent is None or weights[edge] < weights[incumbent]:
+                best_leaving[targets[edge]] = edge
+        if not best_entering:
+            raise CodecError(f"node {super_node} unreachable from arborescence root")
+        edge_origin: dict[tuple[int, int], tuple[int, int]] = {}
+        # The new edges, numbered on from the last: all that enter the
+        # super node, then all that leave it.
+        incoming = in_edges[super_node] = []
+        for source, (adjusted, edge) in best_entering.items():
+            incoming.append(len(sources))
+            out_edges[source].append(len(sources))
+            sources.append(source)
+            targets.append(super_node)
+            weights.append(adjusted)
+            edge_origin[(source, super_node)] = (source, targets[edge])
+        best_in[super_node] = first_cheapest(incoming)
+        outgoing = out_edges[super_node] = []
+        for target, edge in best_leaving.items():
+            outgoing.append(len(sources))
+            in_edges[target].append(len(sources))
+            sources.append(super_node)
+            targets.append(target)
+            weights.append(weights[edge])
+            edge_origin[(super_node, target)] = (sources[edge], target)
+        alive += [True] * (len(sources) - len(alive))
+        for target in best_leaving:
+            if best_in[target][0] in cycle_set:
+                in_edges[target] = [edge for edge in in_edges[target] if alive[edge]]
+                best_in[target] = first_cheapest(in_edges[target])
         expansions.append((super_node, cycle_parents, edge_origin))
         current_nodes = (current_nodes - cycle_set) | {super_node}
-        current_edges = new_edges
 
-
-_WEIGHT_SENTINEL = float("nan")  # weights are keyed out of edge_origin lookups
+    parents = {target: source for target, (source, _) in best_in.items()}
+    # Expand contractions, the last one first.
+    for super_node, cycle_parents, edge_origin in reversed(expansions):
+        entry_source, entry_target = edge_origin[(parents.pop(super_node), super_node)]
+        for member, member_parent in cycle_parents.items():
+            if member != entry_target:
+                parents[member] = member_parent
+        parents[entry_target] = entry_source
+        # Re-route edges that previously left the super node.
+        for node, parent in list(parents.items()):
+            if parent == super_node:
+                parents[node] = edge_origin[(super_node, node)][0]
+    return parents
 
 
 def _find_cycle(
-    best_in: dict[int, tuple[int, int, float]],
+    best_in: dict[int, tuple[int, int]],
     nodes: set[int],
     root: int,
 ) -> list[int] | None:
@@ -266,6 +436,14 @@ class EncodingPlan:
     comparison — when False the caller must serialize an empty dictionary
     (dictionary mode adds one flag bit to every referenced row, so it only
     pays off when enough rows actually use it).
+
+    ``total_bits`` is what :func:`encode_rows` writes after the row count
+    when ``used_dictionary`` is False.  In dictionary mode it is an upper
+    bound: the plan charges every dictionary index the full
+    ``ceil(log2 len(dictionary))`` bits, while the minimal-binary code
+    written is one bit shorter below its cutoff and empty for a one-entry
+    dictionary (ROADMAP item 2 has the exact-cost change; it moves
+    payload bytes, so it is a change of its own).
     """
 
     parents: list[int]
@@ -308,122 +486,96 @@ def plan_references(
     m = len(rows)
     if m == 0:
         return EncodingPlan(parents=[], total_bits=0)
-    direct = [direct_cost(row) for row in rows]
+    costs = _CollectionCosts(rows)
     if m <= full_affinity_limit:
-        plan = _plan_full(rows, direct)
+        plan = _plan_full(costs)
     else:
-        plan = _plan_windowed(rows, direct, window)
+        plan = _plan_windowed(costs, window)
     if not dictionary:
         return plan
     parents = list(plan.parents)
+    dictionary_costs = costs.dictionary_costs(dictionary)
     total = 0
     for y, row in enumerate(rows):
         parent = parents[y]
         if parent == -1:
-            current = direct[y]
+            current = costs.direct[y]
         else:
             # Row references add one dictionary-flag bit in this mode.
-            current = 1 + reference_cost(row, rows[parent], abs(y - parent))
-        if row:
-            dictionary_cost = 2 + _dictionary_body_cost(row, dictionary)
-            if dictionary_cost < current:
-                parents[y] = DICTIONARY_PARENT
-                current = dictionary_cost
+            current = 1 + costs.reference_cost(y, parent)
+        if row and dictionary_costs[y] < current:
+            parents[y] = DICTIONARY_PARENT
+            current = dictionary_costs[y]
         total += current
     # Dictionary mode also pays for serializing the dictionary itself.
-    dictionary_overhead = gamma_cost(len(dictionary))
-    previous = -1
-    for value in dictionary:
-        dictionary_overhead += gamma_cost(value - previous - 1)
-        previous = value
-    if total + dictionary_overhead >= plan.total_bits:
+    if total + _gaps_cost(dictionary) >= plan.total_bits:
         return plan
     return EncodingPlan(parents=parents, total_bits=total, used_dictionary=True)
 
 
-def _dictionary_parts(
-    row: Sequence[int], dictionary: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """(ascending dictionary indexes used, extra entries) for ``row``."""
-    positions = {value: index for index, value in enumerate(dictionary)}
-    indexes = sorted(positions[v] for v in row if v in positions)
-    member = set(dictionary)
-    extras = [v for v in row if v not in member]
-    return indexes, extras
-
-
-def _dictionary_body_cost(row: Sequence[int], dictionary: Sequence[int]) -> int:
+def _dictionary_body_cost(
+    row: Sequence[int],
+    row_set: frozenset[int],
+    members: frozenset[int],
+    size: int,
+    gamma: Sequence[int],
+) -> int:
     """Dictionary-reference body: full-copy flag or index list, plus extras.
 
     Rows typically use one or two dictionary entries, so an index list
-    (minimal-binary positions) beats a bit vector over the whole
-    dictionary; a full copy of the dictionary is one bit.
+    (positions in a dictionary of ``size`` entries, ``members``) beats a
+    bit vector over the whole dictionary; a full copy of the dictionary
+    is one bit.
     """
-    indexes, extras = _dictionary_parts(row, dictionary)
-    if len(indexes) == len(dictionary):
+    used = len(row_set & members)
+    if used == size:
         cost = 1  # full copy
     else:
-        width = max(1, (len(dictionary) - 1).bit_length())
-        cost = 1 + gamma_cost(len(indexes)) + len(indexes) * width
-    cost += gamma_cost(len(extras))
-    previous = -1
-    for value in extras:
-        cost += gamma_cost(value - previous - 1)
-        previous = value
-    return cost
+        cost = 1 + gamma[used] + used * max(1, (size - 1).bit_length())
+    return cost + _extras_cost(row, members, len(row) - used, gamma)
 
 
-
-
-def _plan_full(
-    rows: Sequence[Sequence[int]], direct: list[int]
-) -> EncodingPlan:
+def _plan_full(costs: _CollectionCosts) -> EncodingPlan:
     """Exact Adler-Mitzenmacher plan: Edmonds on the full affinity graph."""
+    rows, direct = costs.rows, costs.direct
     m = len(rows)
     root = m  # extra node
-    edges: list[tuple[int, int, float]] = []
+    edges: list[tuple[int, int, int]] = []
     for y in range(m):
-        edges.append((root, y, float(direct[y])))
+        edges.append((root, y, direct[y]))
         if not rows[y]:
             continue  # empty rows never benefit from a reference
         for x in range(m):
-            if x == y or not rows[x]:
-                continue
-            cost = reference_cost(rows[y], rows[x], abs(y - x))
-            if cost < direct[y]:
-                edges.append((x, y, float(cost)))
+            if x != y:
+                cost = costs.reference_cost(y, x)
+                if cost < direct[y]:
+                    edges.append((x, y, cost))
     parents_map = minimum_arborescence(m + 1, edges, root)
     parents = [-1] * m
     total = 0
     for y in range(m):
         parent = parents_map.get(y, root)
         if parent == root:
-            parents[y] = -1
             total += direct[y]
         else:
             parents[y] = parent
-            total += reference_cost(rows[y], rows[parent], abs(y - parent))
+            total += costs.reference_cost(y, parent)
     return EncodingPlan(parents=parents, total_bits=total)
 
 
-def _plan_windowed(
-    rows: Sequence[Sequence[int]], direct: list[int], window: int
-) -> EncodingPlan:
+def _plan_windowed(costs: _CollectionCosts, window: int) -> EncodingPlan:
     """Greedy plan: each row picks the cheapest of (direct, prev W rows)."""
+    rows = costs.rows
     parents = [-1] * len(rows)
     total = 0
     for y, row in enumerate(rows):
-        best_cost = direct[y]
-        best_parent = -1
+        best_cost = costs.direct[y]
         if row:
             for x in range(max(0, y - window), y):
-                if not rows[x]:
-                    continue
-                cost = reference_cost(row, rows[x], y - x)
+                cost = costs.reference_cost(y, x)
                 if cost < best_cost:
                     best_cost = cost
-                    best_parent = x
-        parents[y] = best_parent
+                    parents[y] = x
         total += best_cost
     return EncodingPlan(parents=parents, total_bits=total)
 
@@ -457,6 +609,7 @@ def encode_rows(
         raise CodecError("plan uses a dictionary that was not given")
     # Flag-bit layout depends on whether dictionary mode is active.
     dictionary = list(dictionary) if (dictionary and plan.used_dictionary) else None
+    positions = {value: index for index, value in enumerate(dictionary or ())}
     encode_gamma(writer, len(rows))
     for y, row in enumerate(rows):
         parent = plan.parents[y]
@@ -465,7 +618,7 @@ def encode_rows(
                 raise CodecError("plan references a dictionary that was not given")
             writer.write_bit(1)
             writer.write_bit(1)  # dictionary reference
-            _encode_dictionary_body(writer, row, dictionary)
+            _encode_dictionary_body(writer, row, positions)
         elif parent < 0:
             writer.write_bit(0)
             gaps = _gaps_cost(row)
@@ -495,7 +648,10 @@ def _encode_reference_body(
     writer: BitWriter, row: Sequence[int], reference_row: Sequence[int]
 ) -> None:
     """Full-copy flag, copy bit vector (unless full copy), extras."""
-    copy_bits, extras = _reference_parts(row, reference_row)
+    row_set = set(row)
+    copy_bits = [1 if value in row_set else 0 for value in reference_row]
+    reference_set = set(reference_row)
+    extras = [value for value in row if value not in reference_set]
     full_copy = bool(copy_bits) and all(copy_bits)
     writer.write_bit(1 if full_copy else 0)
     if not full_copy:
@@ -504,19 +660,18 @@ def _encode_reference_body(
 
 
 def _encode_dictionary_body(
-    writer: BitWriter, row: Sequence[int], dictionary: Sequence[int]
+    writer: BitWriter, row: Sequence[int], positions: dict[int, int]
 ) -> None:
-    """Full-copy flag or minimal-binary index list, then extras."""
-    from repro.util.varint import encode_minimal_binary
-
-    indexes, extras = _dictionary_parts(row, dictionary)
-    full_copy = len(indexes) == len(dictionary)
+    """Full-copy flag or minimal-binary index list, then extras;
+    ``positions`` maps a dictionary entry to its index."""
+    indexes = sorted(positions[value] for value in row if value in positions)
+    full_copy = len(indexes) == len(positions)
     writer.write_bit(1 if full_copy else 0)
     if not full_copy:
         encode_gamma(writer, len(indexes))
         for index in indexes:
-            encode_minimal_binary(writer, index, len(dictionary))
-    _encode_extras(writer, extras)
+            encode_minimal_binary(writer, index, len(positions))
+    _encode_extras(writer, [value for value in row if value not in positions])
 
 
 def _encode_extras(writer: BitWriter, extras: Sequence[int]) -> None:

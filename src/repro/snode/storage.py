@@ -49,6 +49,7 @@ from repro.snode.encode import (
     supernode_frequencies,
 )
 from repro.snode.model import SNodeModel
+from repro.snode.reference import DEFAULT_FULL_AFFINITY_LIMIT, DEFAULT_WINDOW
 from repro.storage import integrity
 from repro.storage.atomic import BuildTransaction, require_build
 from repro.util.varint import decode_vbyte, encode_vbyte
@@ -159,8 +160,8 @@ def encode_payloads(
     model: SNodeModel,
     transaction: BuildTransaction,
     max_file_bytes: int = DEFAULT_MAX_FILE_BYTES,
-    window: int = 8,
-    full_affinity_limit: int = 96,
+    window: int = DEFAULT_WINDOW,
+    full_affinity_limit: int = DEFAULT_FULL_AFFINITY_LIMIT,
     use_dictionary: bool = True,
     workers: int = 1,
     progress=None,
@@ -272,8 +273,8 @@ def write_tables(
     model: SNodeModel,
     transaction: BuildTransaction,
     encoded: EncodedPayloads,
-    window: int = 8,
-    full_affinity_limit: int = 96,
+    window: int = DEFAULT_WINDOW,
+    full_affinity_limit: int = DEFAULT_FULL_AFFINITY_LIMIT,
 ) -> dict:
     """Assemble stage: auxiliary tables + manifest (written last).
 
@@ -335,8 +336,8 @@ def write_snode(
     model: SNodeModel,
     root: Path | str,
     max_file_bytes: int = DEFAULT_MAX_FILE_BYTES,
-    window: int = 8,
-    full_affinity_limit: int = 96,
+    window: int = DEFAULT_WINDOW,
+    full_affinity_limit: int = DEFAULT_FULL_AFFINITY_LIMIT,
     use_dictionary: bool = True,
     progress=None,
     workers: int = 1,

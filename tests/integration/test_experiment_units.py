@@ -98,3 +98,21 @@ class TestHarnessScaling:
         # The paper's 25/50/75/100/115M shape: roughly equal increments.
         ratios = [sizes[i + 1] / sizes[i] for i in range(4)]
         assert all(1.1 < r <= 2.1 for r in ratios)
+
+
+class TestBufferSweepReport:
+    def test_skipped_point_renders_as_dash(self):
+        """A scheme whose pinned floor exceeds the smallest buffer has no
+        point there; the other curve does."""
+        from repro.experiments.buffer_sweep import SweepPoint, report
+
+        def point(scheme: str, buffer_kb: int, ms: float) -> SweepPoint:
+            return SweepPoint(scheme, "query1", buffer_kb, ms, ms, evictions=0)
+
+        points = [point("relational", kb, ms) for kb, ms in ((16, 9.0), (64, 4.0), (256, 4.0))]
+        points += [point("s-node", kb, ms) for kb, ms in ((64, 30.0), (256, 3.0))]
+        text = report(points)
+        row_16 = next(line for line in text.splitlines() if "16 KiB" in line)
+        assert "9.0" in row_16 and "—" in row_16
+        assert "relational/query1: flattens" in text
+        assert "s-node/query1: still falling" in text
