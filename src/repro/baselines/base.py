@@ -323,6 +323,11 @@ class SNodeSessionRepresentation(GraphRepresentation):
         row = self._session.out_neighbors(new_page)
         return self._merged(page, sorted(self._new_to_old[t] for t in row))
 
+    def is_resident(self, page: int) -> bool:
+        """See :meth:`~repro.snode.store.SNodeStore.is_resident` (a
+        pending overlay row is already in memory, so it never matters)."""
+        return self.store.is_resident(self._old_to_new[page])
+
     def out_neighbors_many(self, pages) -> dict[int, list[int]]:
         translated = {self._old_to_new[p]: p for p in pages}
         rows = self._session.out_neighbors_many(list(translated))

@@ -55,7 +55,8 @@ def render_top(snapshot: dict) -> str:
         f"  queue {gauges.get('queue_depth', 0)}/{gauges.get('queue_limit', 0)}"
         f"  workers {gauges.get('workers', 0)}"
         f"  connections live {len(snapshot.get('connections', {}))}"
-        f" total {gauges.get('connections_total', 0)}",
+        f" total {gauges.get('connections_total', 0)}"
+        f"  inline_replies {gauges.get('inline_replies', 0)}",
     ]
     pool = [
         f"{direction[len('buffer_'):-len('_used_bytes')]} "

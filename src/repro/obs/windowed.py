@@ -117,8 +117,10 @@ class WindowedHistogram:
         now = self.clock()
         index = self._window_index(now)
         with self._lock:
-            self._advance(now)
             if not self._ring or self._ring[-1][0] != index:
+                # The window moved: only now can a bucket or an exemplar
+                # have fallen behind the horizon since the last record.
+                self._advance(now)
                 self._ring.append(
                     (index, LatencyHistogram(self.min_value, self.growth))
                 )

@@ -22,7 +22,13 @@ Architecture (the paper's runtime organization, made multi-client):
 
 ``ping``, ``stats`` and ``metrics`` are served inline on the event loop
 — they touch no disk and must stay responsive under query overload
-(``stats``/``metrics`` are how an operator sees the overload).
+(``stats``/``metrics`` are how an operator sees the overload).  A
+``neighbors`` lookup joins them when the forward store says every graph
+it reads is already buffered (a non-mutating residency probe, after the
+usual admission and deadline checks): a worker hop costs several times
+such an answer.  Anything not resident — a cold start, the first
+lookups after a swap or compaction, a buffer smaller than the working
+set — and every ``query`` takes the worker pool.
 
 **Deadlines.**  A query/neighbors request may carry ``deadline_ms``
 (:func:`repro.serve.protocol.parse_deadline_ms`), a budget measured
@@ -619,6 +625,9 @@ class DaemonCounters:
     requests_timeout: int = 0
     store_swaps: int = 0
     writes: int = 0
+    #: Lookups answered on the event loop because every graph they read
+    #: was buffered (see ``_dispatch``); the rest went through a worker.
+    inline_replies: int = 0
 
     def as_dict(self) -> dict[str, int]:
         # "backpressure_replies", not "requests_shed": the count varies
@@ -632,6 +641,7 @@ class DaemonCounters:
             "requests_timeout": self.requests_timeout,
             "store_swaps": self.store_swaps,
             "writes_applied": self.writes,
+            "inline_replies": self.inline_replies,
         }
 
 
@@ -972,28 +982,40 @@ class GraphQueryDaemon:
             ), None
         self._inflight += 1
         submitted = clock()
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._executor,
-            self._execute_measured,
-            engine,
-            op,
-            request,
-            record,
-            submitted,
-            deadline,
-        )
-        self._active.add(future)
-        future.add_done_callback(self._active.discard)
+        future = None
         try:
-            if deadline is None:
-                result = await future
-            else:
-                # The shield keeps the executor future alive past the
-                # timer: threads cannot be cancelled, only abandoned.
-                result = await asyncio.wait_for(
-                    asyncio.shield(future), max(0.0, deadline - clock())
+            if op == "neighbors" and self._resident(engine, request):
+                # Every graph the lookup reads is buffered: the executor
+                # hop would cost more than the answer, so execute right
+                # here — same tracer, same counter delta, queue wait ~0.
+                # Nothing else runs on the loop meanwhile, so no swap or
+                # timer can interleave; a graph evicted since the probe
+                # is simply read here (one supernode's graphs at most).
+                self.counters.inline_replies += 1
+                result = self._execute_measured(
+                    engine, op, request, record, submitted, deadline
                 )
+            else:
+                future = asyncio.get_running_loop().run_in_executor(
+                    self._executor,
+                    self._execute_measured,
+                    engine,
+                    op,
+                    request,
+                    record,
+                    submitted,
+                    deadline,
+                )
+                self._active.add(future)
+                future.add_done_callback(self._active.discard)
+                if deadline is None:
+                    result = await future
+                else:
+                    # The shield keeps the executor future alive past the
+                    # timer: threads cannot be cancelled, only abandoned.
+                    result = await asyncio.wait_for(
+                        asyncio.shield(future), max(0.0, deadline - clock())
+                    )
         except asyncio.TimeoutError:
             # Deadline fired mid-queue or mid-execute: the typed reply
             # goes out *now* (deadline + one scheduling quantum is the
@@ -1236,11 +1258,23 @@ class GraphQueryDaemon:
         loop awaits each dispatch), so before/after differences of the
         connection's sessions are exactly this request's I/O.
         """
-        totals: dict[str, int] = {}
-        for direction in engine.io_stats().values():
-            for name in DELTA_COUNTERS:
-                totals[name] = totals.get(name, 0) + int(direction.get(name, 0))
-        return totals
+        forward = engine.forward.metrics.get
+        backward = engine.backward.metrics.get
+        return {name: forward(name) + backward(name) for name in DELTA_COUNTERS}
+
+    def _resident(self, engine: ClientEngine, request: dict) -> bool:
+        """Would this ``neighbors`` request be answered from the buffer?
+
+        A non-mutating probe of the forward store (no LRU movement, no
+        counter).  A malformed or out-of-range page answers False: the
+        executor path owns validation and its typed errors.
+        """
+        page = request.get("page")
+        if not isinstance(page, int) or isinstance(page, bool):
+            return False
+        if not 0 <= page < self.context.repository.num_pages:
+            return False
+        return engine.forward.is_resident(page)
 
     def _execute_measured(
         self,
@@ -1284,8 +1318,7 @@ class GraphQueryDaemon:
             record.phases["execute"] = clock() - begin
             after = self._session_counters(engine)
             record.counters = {
-                name: after.get(name, 0) - before.get(name, 0)
-                for name in DELTA_COUNTERS
+                name: after[name] - before[name] for name in DELTA_COUNTERS
             }
             record.spans = tracer.span_records()
 
@@ -1372,6 +1405,7 @@ class GraphQueryDaemon:
             "queue_limit": self.queue_limit,
             "workers": self.workers,
             "connections_total": self.counters.connections,
+            "inline_replies": self.counters.inline_replies,
         }
         for direction, stats in self.context.buffer_stats().items():
             for key in ("capacity_bytes", "used_bytes", "pinned_bytes"):

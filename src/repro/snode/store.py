@@ -51,7 +51,7 @@ from repro.snode.storage import (
 from repro.storage import integrity
 from repro.storage.bufferpool import BufferPool
 from repro.storage.device import CountedFile
-from repro.storage.metrics import MetricsRegistry
+from repro.storage.metrics import CounterBatch, MetricsRegistry
 
 #: Default buffer budget, a scaled analogue of the paper's 325 MB bound.
 DEFAULT_BUFFER_BYTES = 8 * 1024 * 1024
@@ -320,12 +320,20 @@ class SNodeStore:
             )
         return payload
 
-    def _degraded(self, key: tuple, empty, registry: MetricsRegistry):
-        """Serve a quarantined region: ``empty`` adjacency, counted."""
+    def _sizes(self, key: tuple) -> list[int]:
+        """Page counts of the supernodes a graph key names, in key order."""
+        boundaries = self._boundaries
+        return [boundaries[node + 1] - boundaries[node] for node in key[1:]]
+
+    def _degraded(self, key: tuple, registry):
+        """Serve a quarantined region: an empty graph of its shape, counted."""
         registry.inc("degraded_reads")
         if self._record_events:
             registry.record("degraded", key)
-        return empty
+        sizes = self._sizes(key)
+        if key[0] == "intra":
+            return [[] for _ in range(sizes[0])]
+        return SuperedgeRows(sizes[0], {})
 
     def _quarantine(self, key: tuple, error: CorruptionError) -> None:
         # Quarantining is a store-wide state change, so it always charges
@@ -339,7 +347,7 @@ class SNodeStore:
         if self._record_events:
             self.metrics.record("quarantine", (*key, str(error)))
 
-    def _loaded(self, kind: str, key: tuple, registry: MetricsRegistry) -> None:
+    def _loaded(self, kind: str, key: tuple, registry) -> None:
         registry.inc("loads")
         registry.inc(f"{kind}_loads")
         registry.mark(kind, key)
@@ -350,38 +358,59 @@ class SNodeStore:
         if self._record_events:
             registry.record(f"load-{'intra' if kind == 'intranode' else 'super'}", key)
 
-    def intranode_rows(
-        self, supernode: int, registry: MetricsRegistry | None = None
-    ) -> list[list[int]]:
-        """Decoded intranode graph of ``supernode`` (local target indices)."""
+    def _decode(self, key: tuple, payload: bytes):
+        if key[0] == "intra":
+            return decode_intranode(payload)
+        return positive_rows_from_payload(payload, *self._sizes(key))
+
+    def _graph(self, key: tuple, registry):
+        """The one keyed load path behind both graph kinds.
+
+        ``key`` is the buffer key: ``("intra", supernode)`` or
+        ``("super", source, target)``.  A buffered decoded graph costs
+        the quarantine test and the pool lookup; supernode sizes, the
+        pointer-table entry and the decoder are touched only on a miss,
+        a degraded answer or an encoded-payload hit.
+        """
         reg = registry if registry is not None else self.metrics
-        key = ("intra", supernode)
-        size = self._boundaries[supernode + 1] - self._boundaries[supernode]
+        kind = "intranode" if key[0] == "intra" else "superedge"
         if key in self._quarantined:
-            return self._degraded(key, [[] for _ in range(size)], reg)
-        cached = self._pool.get(key, kind="intranode", registry=reg)
+            return self._degraded(key, reg)
+        cached = self._pool.get(key, kind=kind, registry=reg)
         if cached is not None:
-            if not self._cache_decoded:
-                return decode_intranode(cached)
-            return cached
+            return cached if self._cache_decoded else self._decode(key, cached)
+        if kind == "intranode":
+            location = self._layout.intranode[key[1]]
+            region = f"intranode {key[1]}"
+        else:
+            entry = self._layout.superedge.get(key[1:])
+            if entry is None:
+                raise StorageError(f"no superedge {key[1]} -> {key[2]}")
+            location, _negative = entry
+            region = f"superedge {key[1]}->{key[2]}"
         try:
-            payload = self._read_payload(
-                self._layout.intranode[supernode],
-                f"intranode {supernode}",
-                registry=reg,
-            )
+            payload = self._read_payload(location, region, registry=reg)
         except CorruptionError as error:
             if self._on_corruption != "degrade":
                 raise
             self._quarantine(key, error)
-            return self._degraded(key, [[] for _ in range(size)], reg)
-        rows = decode_intranode(payload)
-        if self._cache_decoded:
-            self._pool.put(key, rows, _graph_cost(len(rows), rows), kind="intranode")
+            return self._degraded(key, reg)
+        rows = self._decode(key, payload)
+        if not self._cache_decoded:
+            self._pool.put(key, payload, len(payload), kind=kind)
+        elif kind == "intranode":
+            self._pool.put(key, rows, _graph_cost(len(rows), rows), kind=kind)
         else:
-            self._pool.put(key, payload, len(payload), kind="intranode")
-        self._loaded("intranode", (supernode,), reg)
+            cost = _graph_cost(rows.source_size, rows.linked.values())
+            self._pool.put(key, rows, cost, kind=kind)
+        self._loaded(kind, key[1:], reg)
         return rows
+
+    def intranode_rows(
+        self, supernode: int, registry: MetricsRegistry | None = None
+    ) -> list[list[int]]:
+        """Decoded intranode graph of ``supernode`` (local target indices)."""
+        return self._graph(("intra", supernode), registry)
 
     def superedge_rows(
         self,
@@ -390,38 +419,7 @@ class SNodeStore:
         registry: MetricsRegistry | None = None,
     ) -> SuperedgeRows:
         """Positive rows of superedge (source, target), decoded on demand."""
-        reg = registry if registry is not None else self.metrics
-        key = ("super", source, target)
-        source_size = self._boundaries[source + 1] - self._boundaries[source]
-        target_size = self._boundaries[target + 1] - self._boundaries[target]
-        if key in self._quarantined:
-            return self._degraded(key, SuperedgeRows(source_size, {}), reg)
-        cached = self._pool.get(key, kind="superedge", registry=reg)
-        if cached is not None:
-            if not self._cache_decoded:
-                return positive_rows_from_payload(cached, source_size, target_size)
-            return cached
-        entry = self._layout.superedge.get((source, target))
-        if entry is None:
-            raise StorageError(f"no superedge {source} -> {target}")
-        location, _negative = entry
-        try:
-            payload = self._read_payload(
-                location, f"superedge {source}->{target}", registry=reg
-            )
-        except CorruptionError as error:
-            if self._on_corruption != "degrade":
-                raise
-            self._quarantine(key, error)
-            return self._degraded(key, SuperedgeRows(source_size, {}), reg)
-        rows = positive_rows_from_payload(payload, source_size, target_size)
-        if self._cache_decoded:
-            cost = _graph_cost(source_size, rows.linked.values())
-            self._pool.put(key, rows, cost, kind="superedge")
-        else:
-            self._pool.put(key, payload, len(payload), kind="superedge")
-        self._loaded("superedge", (source, target), reg)
-        return rows
+        return self._graph(("super", source, target), registry)
 
     # -- adjacency access ----------------------------------------------------
 
@@ -437,21 +435,55 @@ class SNodeStore:
         outgoing superedge graph of the supernode, exactly the paper's
         "adjacency lists are partitioned across multiple smaller graphs";
         every graph is loaded once however many locals are asked for.
+
+        The pool, the device and the load bookkeeping charge one
+        :class:`~repro.storage.metrics.CounterBatch` for the whole call,
+        flushed into ``registry`` (or the store's own) on the way out —
+        error or not, so the graphs read before a ``CorruptionError``
+        stay counted.
         """
         boundaries = self._boundaries
         first = boundaries[supernode]
-        intra = self.intranode_rows(supernode, registry=registry)
-        result = [[first + t for t in intra[local]] for local in locals_]
-        for target_super in self._super_adjacency[supernode]:
-            rows = self.superedge_rows(supernode, target_super, registry=registry)
-            base = boundaries[target_super]
-            for local, row in zip(locals_, result):
-                targets = rows.row(local)
-                if targets:
-                    row.extend([base + t for t in targets])
+        batch = CounterBatch(registry if registry is not None else self.metrics)
+        try:
+            intra = self.intranode_rows(supernode, registry=batch)
+            result = [[first + t for t in intra[local]] for local in locals_]
+            for target_super in self._super_adjacency[supernode]:
+                rows = self.superedge_rows(supernode, target_super, registry=batch)
+                base = boundaries[target_super]
+                for local, row in zip(locals_, result):
+                    targets = rows.row(local)
+                    if targets:
+                        row.extend([base + t for t in targets])
+        finally:
+            batch.flush()
         for row in result:
             row.sort()
         return result
+
+    def is_resident(self, page: int) -> bool:
+        """True iff :meth:`out_neighbors` of ``page`` would read no file.
+
+        Every graph the lookup assembles — the supernode's intranode
+        graph and each outgoing superedge graph — is buffered decoded, or
+        quarantined (served empty from memory).  A probe, not a read: it
+        moves no LRU entry and no counter
+        (:meth:`~repro.storage.bufferpool.BufferPool.contains`), and the
+        answer can be overtaken by an eviction.
+        """
+        if not self._cache_decoded:
+            return False
+        supernode = self.supernode_of(page)
+        contains = self._pool.contains
+        quarantined = self._quarantined
+        key = ("intra", supernode)
+        if not contains(key) and key not in quarantined:
+            return False
+        for target_super in self._super_adjacency[supernode]:
+            key = ("super", supernode, target_super)
+            if not contains(key) and key not in quarantined:
+                return False
+        return True
 
     def out_neighbors(
         self, page: int, registry: MetricsRegistry | None = None

@@ -24,9 +24,10 @@ runtime architecture needs:
   a single exact LRU with byte-identical behaviour to the serial pool —
   the configuration every experiment and the Mattson miss-ratio
   validation use; the query daemon opens its shared store with more
-  stripes.  Pinned entries and their byte accounting sit behind one
-  dedicated lock, so capacity/pinned-byte bookkeeping is atomic under
-  contention.
+  stripes.  Pinned entries and their byte accounting are written behind
+  one dedicated lock, so capacity/pinned-byte bookkeeping is atomic
+  under contention; lookups read the pinned table without it (see
+  :meth:`BufferPool.get`).
 
 Hit/miss/eviction counters live in the owning representation's
 :class:`~repro.storage.metrics.MetricsRegistry` (``buffer_hits``,
@@ -47,6 +48,7 @@ registry, so per-client counters plus the base sum to the true totals.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections.abc import Callable, Hashable
 
@@ -63,6 +65,12 @@ def _split_budget(capacity_bytes: int, stripes: int) -> list[int]:
     budgets = [share] * stripes
     budgets[0] += capacity_bytes - share * stripes
     return budgets
+
+
+@functools.cache
+def _kind_counters(kind: str) -> tuple[str, str]:
+    """``(buffer_hits_<kind>, buffer_misses_<kind>)``, formatted once."""
+    return f"buffer_hits_{kind}", f"buffer_misses_{kind}"
 
 
 class BufferPool:
@@ -116,32 +124,51 @@ class BufferPool:
 
         A ``kind`` additionally attributes the lookup to
         ``buffer_hits_<kind>`` / ``buffer_misses_<kind>``; a ``registry``
-        (a session's) is charged instead of the pool's own.
+        (a session's, or a call's
+        :class:`~repro.storage.metrics.CounterBatch`) is charged instead
+        of the pool's own.
         """
         target = registry if registry is not None else self.registry
-        with self._pin_lock:
-            pinned = self._pinned.get(key)
+        if kind is not None:
+            names = _kind_counters(kind)
+        # No pin lock: one dict read is atomic, and every writer of
+        # ``_pinned`` replaces whole ``(value, cost)`` tuples under the
+        # lock, so a reader sees the entry from before or after a pin,
+        # never a torn one.
+        pinned = self._pinned.get(key)
         if pinned is not None:
             target.inc("buffer_hits")
             target.inc("buffer_pinned_hits")
             if kind is not None:
-                target.inc(f"buffer_hits_{kind}")
+                target.inc(names[0])
             _profile.buffer_access(self, key, kind, hit=True, pinned=True)
             return pinned[0]
-        index = self._stripe(key)
+        index = hash(key) % self._stripes if self._stripes > 1 else 0
         with self._locks[index]:
             value = self._caches[index].get(key)
         if value is None:
             target.inc("buffer_misses")
             if kind is not None:
-                target.inc(f"buffer_misses_{kind}")
+                target.inc(names[1])
             _profile.buffer_access(self, key, kind, hit=False, pinned=False)
             return None
         target.inc("buffer_hits")
         if kind is not None:
-            target.inc(f"buffer_hits_{kind}")
+            target.inc(names[0])
         _profile.buffer_access(self, key, kind, hit=True, pinned=False)
         return value
+
+    def contains(self, key: Hashable) -> bool:
+        """True iff ``key`` is resident right now, pinned or cached.
+
+        A pure probe for callers deciding *how* to run a read, not the
+        read itself: no LRU movement, no counter, no profile event, no
+        lock (both membership tests are single atomic dict reads).  The
+        answer can be stale by the time the caller acts on it.
+        """
+        if key in self._pinned:
+            return True
+        return key in self._caches[self._stripe(key)]
 
     def put(self, key: Hashable, value, cost_bytes: int, kind: str | None = None) -> None:
         """Admit ``value`` under the byte budget (evicting LRU entries)."""

@@ -89,10 +89,56 @@ class EventLog:
         self.dropped = 0
 
 
+class CounterBatch:
+    """The counter increments of one call, applied to a registry at once.
+
+    Presents the ``inc`` / ``mark`` / ``record`` face the storage layers
+    charge, so a read path can hand it down wherever it would hand a
+    registry.  ``inc`` accumulates in a plain dict — no lock, because a
+    batch is confined to the call that opened it — and :meth:`flush`
+    applies the sums with one :meth:`MetricsRegistry.add_counts`.
+    Counter addition commutes, so the registry ends where the same
+    increments applied one by one would have left it.
+
+    Only counters may wait.  ``mark`` and ``record`` go straight through:
+    a first-seen answer is needed at once, and the event log interleaves
+    with events other layers append to the same registry immediately
+    (unloads, quarantines), so deferring either would reorder it.  The
+    opener must flush in a ``finally`` — work done before an error stays
+    charged.
+    """
+
+    __slots__ = ("registry", "counts")
+
+    def __init__(self, registry: "MetricsRegistry") -> None:
+        self.registry = registry
+        self.counts: dict[str, int] = {}
+
+    def inc(self, name: str, amount: int = 1) -> None:
+        """Accumulate ``amount`` for counter ``name`` until the flush."""
+        counts = self.counts
+        counts[name] = counts.get(name, 0) + amount
+
+    def mark(self, name: str, key) -> bool:
+        """See :meth:`MetricsRegistry.mark` (immediate)."""
+        return self.registry.mark(name, key)
+
+    def record(self, kind: str, key: tuple = ()) -> None:
+        """See :meth:`MetricsRegistry.record` (immediate)."""
+        self.registry.record(kind, key)
+
+    def flush(self) -> None:
+        """Apply the accumulated increments and start empty again."""
+        if self.counts:
+            self.registry.add_counts(self.counts)
+            self.counts = {}
+
+
 class MetricsRegistry:
     """Registry of named counters, timers and distinct-key tallies.
 
-    * ``inc(name)`` / ``get(name)`` — integer counters;
+    * ``inc(name)`` / ``get(name)`` — integer counters
+      (``add_counts(mapping)`` applies a :class:`CounterBatch` at once);
     * ``add_time(name)`` / ``timer(name)`` — accumulated seconds;
     * ``mark(name, key)`` / ``distinct(name)`` — distinct-key tallies
       (how many *different* intranode graphs were loaded, etc.);
@@ -121,6 +167,18 @@ class MetricsRegistry:
         """Add ``amount`` to counter ``name`` (created at zero)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
+
+    def add_counts(self, counts: dict[str, int]) -> None:
+        """Add every ``{name: amount}`` of ``counts`` in one locked update.
+
+        Equal to one :meth:`inc` per entry (a zero amount still creates
+        its counter) at the price of a single lock round trip — the
+        flush of a :class:`CounterBatch`.
+        """
+        with self._lock:
+            counters = self._counters
+            for name, amount in counts.items():
+                counters[name] = counters.get(name, 0) + amount
 
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (zero if never incremented)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import QueryError
 from repro.graph.digraph import Digraph, GraphBuilder
-from repro.webdata.urls import host_of, in_domain, registered_domain
+from repro.webdata.urls import host_of, registered_domain
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class Repository:
     pages: list[Page]
     graph: Digraph
     _domain_members: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    _host_members: dict[str, list[int]] = field(default_factory=dict, repr=False)
     _url_to_id: dict[str, int] = field(default_factory=dict, repr=False)
     _transpose: Digraph | None = field(default=None, repr=False)
 
@@ -63,9 +64,14 @@ class Repository:
 
     def _rebuild_maps(self) -> None:
         self._domain_members = {}
+        self._host_members = {}
         self._url_to_id = {}
         for page in self.pages:
-            self._domain_members.setdefault(page.domain, []).append(page.page_id)
+            host = page.host
+            self._host_members.setdefault(host, []).append(page.page_id)
+            self._domain_members.setdefault(registered_domain(host), []).append(
+                page.page_id
+            )
             self._url_to_id[page.url] = page.page_id
 
     # -- basic accessors ----------------------------------------------------
@@ -102,11 +108,19 @@ class Repository:
         Subdomain membership (``cs.stanford.edu`` in ``stanford.edu``) is
         included because the registered domain collapses DNS levels.
         """
-        exact = self._domain_members.get(domain.lower())
+        domain = domain.lower()
+        exact = self._domain_members.get(domain)
         if exact is not None:
             return list(exact)
-        # Fall back to suffix matching for full-host queries.
-        return [p.page_id for p in self.pages if in_domain(p.url, domain)]
+        # A full host, a deeper sub-domain suffix or a domain the crawl
+        # never saw: match the distinct hosts, not every page's URL.
+        suffix = "." + domain
+        return sorted(
+            page_id
+            for host, members in self._host_members.items()
+            if host == domain or host.endswith(suffix)
+            for page_id in members
+        )
 
     def transpose(self) -> Digraph:
         """Backlink graph, computed once and cached."""

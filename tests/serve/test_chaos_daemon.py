@@ -9,12 +9,15 @@ connection.
 from __future__ import annotations
 
 import shutil
+import threading
 
 import pytest
 
 from repro.serve import protocol
 from repro.serve.daemon import DaemonHandle, GraphQueryDaemon, ServeContext
 from repro.serve.loadgen import ServeClient
+from repro.serve.telemetry import DELTA_COUNTERS
+from repro.storage import faults
 
 
 @pytest.fixture
@@ -164,3 +167,65 @@ class TestDegradeThroughDaemon:
                 engine.close()
         finally:
             context.close()
+
+
+class TestInlineRepliesUnderChaos:
+    def test_lookups_conserve_and_none_fail(self, tiny_repo, corrupted_pair):
+        """Four clients look every page up twice over corrupt regions and
+        transient EIO: worker-pool replies, inline replies and degraded
+        ones mix, every request answers, and request -> session -> store
+        accounting still sums."""
+        context = ServeContext.open(
+            tiny_repo,
+            corrupted_pair,
+            buffer_bytes=128 * 1024,
+            stripes=4,
+            on_corruption="degrade",
+        )
+        pages = range(tiny_repo.num_pages)
+        attributed = [dict.fromkeys(DELTA_COUNTERS, 0) for _ in range(4)]
+        sessions: list = [None] * 4
+        outcomes: list = [[] for _ in range(4)]
+
+        def client_loop(index: int, port: int) -> None:
+            with ServeClient("127.0.0.1", port) as client:
+                for page in list(pages[index::4]) * 2:
+                    reply = client.request("neighbors", page=page)
+                    outcomes[index].append((reply["ok"], reply["server"]["outcome"]))
+                    for name, value in reply["server"]["counters"].items():
+                        attributed[index][name] += value
+                sessions[index] = client.stats()["client"]
+
+        plan = faults.FaultPlan(seed=11, eio_rate=0.02)
+        try:
+            daemon = GraphQueryDaemon(context, port=0, workers=2, queue_limit=8)
+            with faults.activated(plan), DaemonHandle(daemon) as handle:
+                threads = [
+                    threading.Thread(target=client_loop, args=(index, handle.port))
+                    for index in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                assert not any(thread.is_alive() for thread in threads)
+                with ServeClient("127.0.0.1", handle.port) as client:
+                    stats = client.stats()
+        finally:
+            context.close()
+        flat = [outcome for per_client in outcomes for outcome in per_client]
+        assert len(flat) == 2 * tiny_repo.num_pages
+        assert all(ok for ok, _outcome in flat)
+        assert "degraded" in {outcome for _ok, outcome in flat} <= {"ok", "degraded"}
+        assert stats["daemon"]["requests_failed"] == 0
+        assert 0 < stats["daemon"]["inline_replies"] <= len(flat)
+        for index in range(4):
+            assert attributed[index] == {
+                name: sum(int(d.get(name, 0)) for d in sessions[index].values())
+                for name in DELTA_COUNTERS
+            }
+        # The four sessions have closed: the store totals are their sum.
+        for name in DELTA_COUNTERS:
+            assert sum(
+                int(direction.get(name, 0)) for direction in stats["shared"].values()
+            ) == sum(per_client[name] for per_client in attributed)

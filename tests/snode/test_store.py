@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import shutil
+import sys
+import threading
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import CorruptionError, StorageError
+from repro.snode.storage import read_layout
 from repro.snode.store import SNodeStore
 
 
@@ -224,6 +229,274 @@ class TestSparseSuperedgeRows:
         assert encoded.buffer_stats()["used_bytes"] == decoded.stats.bytes_read
         decoded.close()
         encoded.close()
+
+
+def accounting(registry) -> dict:
+    """Everything a registry accounts for, in a form small enough to pin.
+
+    ``snapshot`` is every counter plus the ``distinct_*`` tally sizes;
+    the tallies' keys and the event log (order included) are digested.
+    """
+    events = registry.events.to_list()
+    tallies = sorted(
+        (name[len("distinct_"):], sorted(registry.distinct_keys(name[len("distinct_"):])))
+        for name in registry.snapshot()
+        if name.startswith("distinct_")
+    )
+
+    def digest(value) -> str:
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    return {
+        "snapshot": registry.snapshot(),
+        "tallies": digest(tallies),
+        "events": [len(events), registry.events.dropped, digest(events)],
+    }
+
+
+def flip_byte(root, location) -> None:
+    """Corrupt the payload region ``location`` of the build under ``root``."""
+    path = root / read_layout(root).index_files[location.file_index]
+    with open(path, "r+b") as handle:
+        handle.seek(location.offset + location.length // 2)
+        original = handle.read(1)[0]
+        handle.seek(location.offset + location.length // 2)
+        handle.write(bytes([original ^ 0x10]))
+
+
+@pytest.fixture(scope="module")
+def corrupted_root(small_build, tmp_path_factory):
+    """A copy of the build with every 5th intranode region and every 7th
+    superedge region corrupted."""
+    root = tmp_path_factory.mktemp("snode_corrupt") / "build"
+    shutil.copytree(small_build.root, root)
+    layout = read_layout(root)
+    for index, location in enumerate(layout.intranode):
+        if index % 5 == 2 and location.length:
+            flip_byte(root, location)
+    for index, key in enumerate(sorted(layout.superedge)):
+        if index % 7 == 3 and layout.superedge[key][0].length:
+            flip_byte(root, layout.superedge[key][0])
+    return root
+
+
+class TestBatchedAccounting:
+    """One counter batch per ``_adjacency`` call changes no number.
+
+    The pinned dicts are :func:`accounting` of the same scenarios run at
+    the parent commit, where every increment took the registry lock on
+    its own.
+    """
+
+    BOUNDED = {
+        "snapshot": {
+            "buffer_evictions": 1041,
+            "buffer_hits": 876,
+            "buffer_hits_intranode": 117,
+            "buffer_hits_superedge": 759,
+            "buffer_misses": 1133,
+            "buffer_misses_intranode": 181,
+            "buffer_misses_superedge": 952,
+            "bytes_read": 31355,
+            "disk_seeks": 54,
+            "distinct_intranode": 95,
+            "distinct_superedge": 468,
+            "intranode_loads": 181,
+            "loads": 1133,
+            "superedge_loads": 952,
+        },
+        "tallies": "fa1eed5351fa5d94",
+        "events": [2174, 0, "6f3750d5f81f5158"],
+    }
+    ENCODED = {
+        "snapshot": {
+            "buffer_evictions": 763,
+            "buffer_hits": 876,
+            "buffer_hits_intranode": 117,
+            "buffer_hits_superedge": 759,
+            "buffer_misses": 1133,
+            "buffer_misses_intranode": 181,
+            "buffer_misses_superedge": 952,
+            "bytes_read": 31355,
+            "disk_seeks": 54,
+            "distinct_intranode": 95,
+            "distinct_superedge": 468,
+            "intranode_loads": 181,
+            "loads": 1133,
+            "superedge_loads": 952,
+        },
+        "tallies": "fa1eed5351fa5d94",
+        "events": [1896, 0, "f07e0927bb8e3936"],
+    }
+    DEGRADED = {
+        "snapshot": {
+            "buffer_evictions": 760,
+            "buffer_hits": 751,
+            "buffer_hits_intranode": 94,
+            "buffer_hits_superedge": 657,
+            "buffer_misses": 1040,
+            "buffer_misses_intranode": 161,
+            "buffer_misses_superedge": 879,
+            "bytes_read": 28442,
+            "degraded_reads": 304,
+            "disk_seeks": 138,
+            "distinct_intranode": 76,
+            "distinct_superedge": 401,
+            "intranode_loads": 142,
+            "loads": 954,
+            "regions_quarantined": 86,
+            "superedge_loads": 812,
+        },
+        "tallies": "5b6d681c4eba1688",
+        "events": [2104, 0, "74eaf9a5887f4699"],
+    }
+    DEGRADED_QUARANTINED = 86
+    SESSIONS_EACH = [
+        {"buffer_hits": 744, "buffer_hits_intranode": 105, "buffer_hits_superedge": 639},
+        {"buffer_hits": 758, "buffer_hits_intranode": 105, "buffer_hits_superedge": 653},
+        {"buffer_hits": 756, "buffer_hits_intranode": 105, "buffer_hits_superedge": 651},
+        {"buffer_hits": 754, "buffer_hits_intranode": 105, "buffer_hits_superedge": 649},
+        {"buffer_hits": 747, "buffer_hits_intranode": 104, "buffer_hits_superedge": 643},
+        {"buffer_hits": 743, "buffer_hits_intranode": 104, "buffer_hits_superedge": 639},
+    ]
+    SESSIONS_MERGED = {
+        "buffer_hits": 12472,
+        "buffer_hits_intranode": 1733,
+        "buffer_hits_superedge": 10739,
+        "buffer_misses": 563,
+        "buffer_misses_intranode": 95,
+        "buffer_misses_superedge": 468,
+        "bytes_read": 10290,
+        "disk_seeks": 1,
+        "distinct_intranode": 95,
+        "distinct_superedge": 468,
+        "intranode_loads": 95,
+        "loads": 563,
+        "superedge_loads": 468,
+    }
+    SESSIONS_CLOSED = {
+        "snapshot": {
+            "buffer_hits": 12472,
+            "buffer_hits_intranode": 1733,
+            "buffer_hits_superedge": 10739,
+            "buffer_misses": 563,
+            "buffer_misses_intranode": 95,
+            "buffer_misses_superedge": 468,
+            "bytes_read": 10290,
+            "disk_seeks": 1,
+            "distinct_intranode": 95,
+            "distinct_superedge": 468,
+            "intranode_loads": 95,
+            "loads": 563,
+            "superedge_loads": 468,
+        },
+        "tallies": "fa1eed5351fa5d94",
+        "events": [563, 0, "3323f7d4f2ada389"],
+    }
+
+    @staticmethod
+    def probe(store) -> None:
+        """Point lookups, a grouped lookup, a session and a full scan."""
+        for page in range(0, 1200, 7):
+            store.out_neighbors(page)
+        store.out_neighbors_many(list(range(5, 1200, 53)))
+        with store.session("pinned") as session:
+            for page in range(3, 1200, 101):
+                session.out_neighbors(page)
+        for _page, _row in store.iterate_all():
+            pass
+
+    def test_bounded_buffer(self, small_build):
+        store = SNodeStore(small_build.root, buffer_bytes=24 * 1024)
+        self.probe(store)
+        assert accounting(store.metrics) == self.BOUNDED
+        assert store.metrics.io_stats() == {
+            name: value
+            for name, value in self.BOUNDED["snapshot"].items()
+            if not name.startswith("distinct_")
+        }
+        store.close()
+
+    def test_encoded_payload_cache(self, small_build):
+        store = SNodeStore(small_build.root, buffer_bytes=4 * 1024, cache_decoded=False)
+        self.probe(store)
+        assert accounting(store.metrics) == self.ENCODED
+        store.close()
+
+    def test_degrade_mode_over_corrupted_regions(self, corrupted_root):
+        store = SNodeStore(corrupted_root, buffer_bytes=24 * 1024, on_corruption="degrade")
+        self.probe(store)
+        assert accounting(store.metrics) == self.DEGRADED
+        assert len(store.quarantined) == self.DEGRADED_QUARANTINED
+        store.close()
+
+    def test_six_concurrent_sessions(self, small_build):
+        store = SNodeStore(small_build.root, buffer_bytes=1 << 26, stripes=4)
+        for page in range(1200):  # everything resident: threads only hit
+            store.out_neighbors(page)
+        sessions = [store.session(f"client-{index}") for index in range(6)]
+
+        def read(index: int) -> None:
+            for page in range(index, 1200, 13):
+                sessions[index].out_neighbors(page)
+            sessions[index].out_neighbors_many(list(range(index, 1200, 97)))
+
+        threads = [threading.Thread(target=read, args=(index,)) for index in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch mid-call: a lost update would show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [session.io_stats() for session in sessions] == self.SESSIONS_EACH
+        assert store.metrics.merged_snapshot() == self.SESSIONS_MERGED
+        for session in sessions:
+            session.close()
+        assert accounting(store.metrics) == self.SESSIONS_CLOSED
+        store.close()
+
+    @pytest.mark.parametrize("through_session", [False, True])
+    def test_corruption_error_leaves_earlier_graphs_charged(
+        self, small_build, tmp_path, through_session
+    ):
+        """Raise mode: the flush is in a ``finally``."""
+        root = tmp_path / "build"
+        shutil.copytree(small_build.root, root)
+        layout = read_layout(root)
+        probe = SNodeStore(root)
+        source = next(
+            s for s, targets in enumerate(probe.super_adjacency) if len(targets) >= 4
+        )
+        targets = probe.super_adjacency[source]
+        page = probe.supernode_range(source)[0]
+        probe.close()
+        k = 3  # the graph whose read fails: intranode + superedges 0, 1 came before
+        read = [layout.intranode[source]] + [
+            layout.superedge[(source, target)][0] for target in targets[:k]
+        ]
+        flip_byte(root, read[-1])
+
+        store = SNodeStore(root, buffer_bytes=1 << 26)
+        session = store.session("s") if through_session else None
+        with pytest.raises(CorruptionError):
+            (session or store).out_neighbors(page)
+        charged = (session.registry if session else store.metrics).io_stats()
+        assert charged["buffer_misses"] == k + 1
+        assert charged["buffer_misses_intranode"] == 1
+        assert charged["buffer_misses_superedge"] == k
+        assert charged["loads"] == k
+        assert charged["superedge_loads"] == k - 1
+        assert charged["bytes_read"] == sum(location.length for location in read)
+        assert "buffer_hits" not in charged
+        if session is not None:
+            assert store.metrics.io_stats() == {}
+            session.close()
+            assert store.metrics.io_stats() == charged
+        store.close()
 
 
 class TestLoadDigraph:

@@ -191,6 +191,45 @@ class TestProfilerHooks:
         assert all(e.key is None for e in drops)
 
 
+class TestContains:
+    """The residency probe observes; it never reads."""
+
+    @pytest.mark.parametrize("stripes", [1, 4])
+    def test_answers_for_cached_pinned_and_absent(self, stripes):
+        pool = BufferPool(100, stripes=stripes)
+        pool.put(("g", 1), b"x", 10)
+        pool.pin("root", b"meta", 8)
+        assert pool.contains(("g", 1))
+        assert pool.contains("root")
+        assert not pool.contains(("g", 2))
+        pool.invalidate(("g", 1))
+        pool.unpin("root")
+        assert not pool.contains(("g", 1))
+        assert not pool.contains("root")
+
+    def test_leaves_lru_order_bytes_counters_and_profile_untouched(self):
+        from repro.obs.profile import AccessTracer, activated
+
+        pool = BufferPool(30, stripes=1)
+        pool.put("a", b"x", 10)
+        pool.put("b", b"x", 10)
+        pool.put("c", b"x", 10)
+        stats = pool.stats()
+        counters = pool.registry.snapshot()
+        tracer = AccessTracer()
+        with activated(tracer):
+            for key in ("a", "b", "c", "absent", "a", "a"):
+                pool.contains(key)
+        assert tracer.buffer_events() == []
+        assert pool.stats() == stats
+        assert pool.registry.snapshot() == counters
+        pool.check_invariants()
+        # "a" was probed last and most often, and is still the LRU victim.
+        pool.put("d", b"x", 10)
+        assert not pool.contains("a")
+        assert pool.contains("b") and pool.contains("c") and pool.contains("d")
+
+
 class TestMaintenance:
     def test_clear_recorded_counts_evictions(self):
         pool = BufferPool(100)

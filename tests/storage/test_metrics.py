@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.storage.metrics import EventLog, MetricsRegistry
+from repro.storage.metrics import CounterBatch, EventLog, MetricsRegistry
 
 
 class TestEventLog:
@@ -213,3 +215,61 @@ class TestSessions:
             parent.merge(child)
         assert parent.get("bytes_read") == 8000
         assert parent.get("disk_seeks") == 4000
+
+
+#: One step of a read call's accounting: an increment (zero amounts
+#: included — they still create the counter), a tally mark or an event.
+_STEPS = st.one_of(
+    st.tuples(st.just("inc"), st.sampled_from("abcd"), st.integers(0, 9)),
+    st.tuples(st.just("mark"), st.sampled_from("xy"), st.integers(0, 5)),
+    st.tuples(st.just("record"), st.sampled_from("lu"), st.integers(0, 5)),
+)
+
+
+def _apply(face, steps) -> list:
+    """Drive ``steps`` through an ``inc``/``mark``/``record`` face."""
+    firsts = []
+    for op, name, value in steps:
+        if op == "inc":
+            face.inc(name, value)
+        elif op == "mark":
+            firsts.append(face.mark(name, (value,)))
+        else:
+            face.record(name, (value,))
+    return firsts
+
+
+class TestCounterBatch:
+    def test_inc_waits_for_the_flush_mark_and_record_do_not(self):
+        registry = MetricsRegistry()
+        batch = CounterBatch(registry)
+        batch.inc("loads")
+        batch.inc("bytes_read", 0)
+        assert batch.mark("intranode", (3,)) is True
+        assert batch.mark("intranode", (3,)) is False
+        batch.record("load-intra", (3,))
+        assert registry.io_stats() == {}
+        assert registry.distinct("intranode") == 1
+        assert registry.events == [("load-intra", (3,))]
+        batch.flush()
+        assert registry.io_stats() == {"loads": 1, "bytes_read": 0}
+        batch.flush()  # nothing left: a second flush adds nothing
+        assert registry.io_stats() == {"loads": 1, "bytes_read": 0}
+
+    @given(st.lists(st.lists(_STEPS, max_size=12), max_size=6))
+    def test_flushed_batches_equal_increments_one_by_one(self, calls):
+        """Through a session child, ``get_total`` and ``merge`` too."""
+        direct_parent, batched_parent = MetricsRegistry(), MetricsRegistry()
+        direct, batched = direct_parent.child("c"), batched_parent.child("c")
+        for steps in calls:
+            batch = CounterBatch(batched)
+            assert _apply(batch, steps) == _apply(direct, steps)
+            batch.flush()
+            assert batched.io_stats() == direct.io_stats()
+        for name in "abcd":
+            assert batched_parent.get_total(name) == direct_parent.get_total(name)
+        assert batched_parent.merged_snapshot() == direct_parent.merged_snapshot()
+        direct_parent.merge(direct)
+        batched_parent.merge(batched)
+        assert batched_parent.snapshot() == direct_parent.snapshot()
+        assert batched_parent.events == direct_parent.events

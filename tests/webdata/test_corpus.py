@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import QueryError
 from repro.webdata.corpus import Page, Repository
+from repro.webdata.recrawl import RecrawlConfig, recrawl
+from repro.webdata.urls import host_of, in_domain, registered_domain
 
 
 def make_repository() -> Repository:
@@ -102,3 +104,94 @@ class TestCrawlPrefix:
         small_edges = set(smaller.graph.edges())
         large_edges = set(larger.graph.edges())
         assert small_edges <= large_edges
+
+
+def scanned_pages_in_domain(repository: Repository, domain: str) -> list[int]:
+    """``pages_in_domain`` as it was before the host index: the registered
+    domain's members, else a suffix test of every page's URL."""
+    exact = [p.page_id for p in repository.pages if p.domain == domain.lower()]
+    return exact or [p.page_id for p in repository.pages if in_domain(p.url, domain)]
+
+
+def domains_to_ask(repository: Repository) -> list[str]:
+    """Registered domains, full hosts, sub-domain suffixes, mixed case, unknowns."""
+    hosts = sorted({p.host for p in repository.pages})
+    asked = set(hosts) | {registered_domain(host) for host in hosts}
+    for host in hosts:
+        labels = host.split(".")
+        asked.update(".".join(labels[start:]) for start in range(1, len(labels)))
+    asked |= {name.upper() for name in asked} | {name.title() for name in asked}
+    asked |= {"doonesbury.com", "www.nowhere.example", "edu.", "", "stanford"}
+    return sorted(asked)
+
+
+class CountingPage:
+    """A page that counts how often its URL is read."""
+
+    reads = 0
+
+    def __init__(self, page_id: int, url: str) -> None:
+        self.page_id = page_id
+        self._url = url
+
+    @property
+    def url(self) -> str:
+        CountingPage.reads += 1
+        return self._url
+
+    @property
+    def host(self) -> str:
+        return host_of(self.url)
+
+    @property
+    def domain(self) -> str:
+        return registered_domain(self.url)
+
+
+class TestPagesInDomainContract:
+    def test_handmade_hosts(self):
+        urls = [
+            "http://www.stanford.edu/a.html",
+            "http://db.cs.stanford.edu/b.html",
+            "http://WWW.Amazon.com/c.html",
+            "http://cs.stanford.edu/d.html",
+            "http://xcs.stanford.edu/e.html",
+            "http://localhost/f.html",
+        ]
+        repo = Repository.from_parts(urls, [])
+        assert repo.pages_in_domain("cs.stanford.edu") == [1, 3]  # not xcs.
+        assert repo.pages_in_domain("CS.Stanford.EDU") == [1, 3]
+        assert repo.pages_in_domain("db.cs.stanford.edu") == [1]
+        assert repo.pages_in_domain("www.amazon.com") == [2]
+        assert repo.pages_in_domain("localhost") == [5]
+        assert repo.pages_in_domain("s.stanford.edu") == []
+        for domain in domains_to_ask(repo):
+            assert repo.pages_in_domain(domain) == scanned_pages_in_domain(repo, domain)
+
+    def test_generated_crawl_and_prefix_agree_with_the_scan(self, small_repo):
+        for repo in (small_repo, small_repo.crawl_prefix(300)):
+            asked = domains_to_ask(repo)
+            assert len(asked) > 300
+            for domain in asked:
+                assert repo.pages_in_domain(domain) == scanned_pages_in_domain(
+                    repo, domain
+                ), domain
+
+    def test_recrawl_steps_rebuild_the_host_index(self, tiny_repo):
+        for step in recrawl(tiny_repo, RecrawlConfig(steps=2, seed=5)):
+            repo = step.repository
+            assert repo is not tiny_repo
+            for domain in domains_to_ask(repo):
+                assert repo.pages_in_domain(domain) == scanned_pages_in_domain(
+                    repo, domain
+                ), domain
+
+    def test_unknown_domain_and_full_host_read_no_page_url(self, small_repo):
+        pages = [CountingPage(p.page_id, p.url) for p in small_repo.pages]
+        repo = Repository(pages=pages, graph=small_repo.graph)
+        host = small_repo.page(0).host
+        assert host != small_repo.page(0).domain
+        CountingPage.reads = 0
+        assert repo.pages_in_domain("doonesbury.com") == []
+        assert repo.pages_in_domain(host) == small_repo.pages_in_domain(host) != []
+        assert CountingPage.reads == 0
