@@ -79,7 +79,7 @@ class Digraph:
 
     def successors_list(self, vertex: int) -> list[int]:
         """Adjacency list of ``vertex`` as plain Python ints."""
-        return [int(t) for t in self.successors(vertex)]
+        return self.successors(vertex).tolist()
 
     def has_edge(self, source: int, target: int) -> bool:
         """True iff the edge ``source -> target`` exists."""

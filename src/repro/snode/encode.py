@@ -23,13 +23,14 @@ from repro.snode.reference import (
     DEFAULT_WINDOW,
     build_dictionary,
     decode_rows,
+    encode_ascending,
     encode_rows,
     plan_references,
 )
 from repro.util.bitio import BitReader, BitWriter, refill
 from repro.util.huffman import HuffmanCodec
-from repro.util.rle import bitvector_cost, decode_bitvector, encode_bitvector
-from repro.util.varint import decode_gamma, encode_gamma, gamma_cost
+from repro.util.rle import decode_bitvector
+from repro.util.varint import decode_gamma, encode_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -184,28 +185,7 @@ def encode_superedge(
 
 def _encode_locals(writer: BitWriter, locals_list: list[int]) -> None:
     """Sorted local-index list: gamma gaps or RLE bit vector, cheaper wins."""
-    previous = -1
-    gaps_cost = gamma_cost(len(locals_list))
-    for local in locals_list:
-        if local <= previous:
-            raise CodecError("linked sources must be strictly increasing")
-        gaps_cost += gamma_cost(local - previous - 1)
-        previous = local
-    bits: list[int] = []
-    if locals_list:
-        bits = [0] * (locals_list[-1] + 1)
-        for local in locals_list:
-            bits[local] = 1
-    if locals_list and bitvector_cost(bits) < gaps_cost:
-        writer.write_bit(1)
-        encode_bitvector(writer, bits)
-    else:
-        writer.write_bit(0)
-        encode_gamma(writer, len(locals_list))
-        previous = -1
-        for local in locals_list:
-            encode_gamma(writer, local - previous - 1)
-            previous = local
+    encode_ascending(writer, locals_list)
 
 
 def _decode_locals(reader: BitReader) -> list[int]:

@@ -108,84 +108,80 @@ def build_model(
     ``graph`` must be over *old* page ids; the model is expressed in new
     ids via the numbering.  ``force_positive`` disables the paper's
     positive/negative superedge choice (ablation experiment).
+
+    One pass over the pages in new-id order.  A page's targets are
+    renumbered and sorted, which groups them by supernode — a supernode
+    owns a contiguous id range — and leaves every row ascending: each
+    (page, target supernode) row is started once and only appended to.
     """
     if graph.num_vertices != numbering.num_pages:
         raise BuildError("graph and numbering disagree on page count")
-    n_super = numbering.num_supernodes
     boundaries = numbering.boundaries
-    intranode: list[list[list[int]]] = [
-        [[] for _ in range(numbering.supernode_size(i))] for i in range(n_super)
-    ]
-    positive: dict[tuple[int, int], list[list[int]]] = {}
-    super_adjacency: list[set[int]] = [set() for _ in range(n_super)]
-
-    for new_source in range(numbering.num_pages):
-        old_source = numbering.new_to_old[new_source]
-        source_super, source_local = numbering.local_index(new_source)
-        for old_target in graph.successors(old_source):
-            new_target = numbering.old_to_new[int(old_target)]
-            target_super = numbering.supernode_of(new_target)
-            target_local = new_target - boundaries[target_super]
-            if target_super == source_super:
-                intranode[source_super][source_local].append(target_local)
+    old_to_new, new_to_old = numbering.old_to_new, numbering.new_to_old
+    sizes = [end - first for first, end in zip(boundaries, boundaries[1:])]
+    #: New page id -> its supernode: the PageID index, unrolled.
+    supernode_of = [node for node, size in enumerate(sizes) for _ in range(size)]
+    model = SNodeModel(
+        numbering=numbering, super_adjacency=[], intranode=[], superedges={}
+    )
+    for source, size in enumerate(sizes):
+        first = boundaries[source]
+        intranode: list[list[int]] = []
+        #: target supernode -> source local -> ascending target locals
+        outgoing: dict[int, dict[int, list[int]]] = {}
+        for local in range(size):
+            own: list[int] = []
+            row, current, base = own, source, first
+            successors = graph.successors(new_to_old[first + local]).tolist()
+            for new_target in sorted([old_to_new[old] for old in successors]):
+                target = supernode_of[new_target]
+                if target != current:
+                    current, base = target, boundaries[target]
+                    if target == source:
+                        row = own
+                    else:
+                        row = outgoing.setdefault(target, {})[local] = []
+                row.append(new_target - base)
+            intranode.append(own)
+        model.intranode.append(intranode)
+        model.super_adjacency.append(sorted(outgoing))
+        for target in model.super_adjacency[-1]:
+            superedge = _superedge_graph(
+                source, target, outgoing[target], size, sizes[target], force_positive
+            )
+            model.superedges[(source, target)] = superedge
+            if superedge.negative:
+                model.negative_count += 1
             else:
-                key = (source_super, target_super)
-                rows = positive.get(key)
-                if rows is None:
-                    rows = [
-                        []
-                        for _ in range(numbering.supernode_size(source_super))
-                    ]
-                    positive[key] = rows
-                rows[source_local].append(target_local)
-                super_adjacency[source_super].add(target_super)
+                model.positive_count += 1
+    return model
 
-    for rows in intranode:
-        for row in rows:
-            row.sort()
 
-    superedges: dict[tuple[int, int], SuperedgeGraph] = {}
-    positive_count = 0
-    negative_count = 0
-    for (source, target), rows in positive.items():
-        for row in rows:
-            row.sort()
-        target_size = numbering.supernode_size(target)
-        linked = [local for local, row in enumerate(rows) if row]
-        positive_edges = sum(len(rows[local]) for local in linked)
-        negative_edges = len(linked) * target_size - positive_edges
-        if negative_edges < positive_edges and not force_positive:
-            negative_rows: list[tuple[int, ...]] = []
-            for local, row in enumerate(rows):
-                if not row:
-                    negative_rows.append(())
-                    continue
-                present = set(row)
-                negative_rows.append(
-                    tuple(t for t in range(target_size) if t not in present)
-                )
-            superedges[(source, target)] = SuperedgeGraph(
-                source=source,
-                target=target,
-                negative=True,
-                rows=tuple(negative_rows),
-                linked_sources=tuple(linked),
-            )
-            negative_count += 1
+def _superedge_graph(
+    source: int,
+    target: int,
+    linked_rows: dict[int, list[int]],
+    source_size: int,
+    target_size: int,
+    force_positive: bool,
+) -> SuperedgeGraph:
+    """The superedge graph of the positive ``linked_rows`` (source local ->
+    target locals, linked sources only, ascending): stored negative when
+    that has fewer edges, the paper's compactness heuristic."""
+    positive_edges = sum(map(len, linked_rows.values()))
+    negative_edges = len(linked_rows) * target_size - positive_edges
+    negative = negative_edges < positive_edges and not force_positive
+    rows: list[tuple[int, ...]] = [()] * source_size
+    for local, row in linked_rows.items():
+        if negative:
+            present = set(row)
+            rows[local] = tuple(t for t in range(target_size) if t not in present)
         else:
-            superedges[(source, target)] = SuperedgeGraph(
-                source=source,
-                target=target,
-                negative=False,
-                rows=tuple(tuple(row) for row in rows),
-            )
-            positive_count += 1
-
-    return SNodeModel(
-        numbering=numbering,
-        super_adjacency=[sorted(adj) for adj in super_adjacency],
-        intranode=intranode,
-        superedges=superedges,
-        positive_count=positive_count,
-        negative_count=negative_count,
+            rows[local] = tuple(row)
+    return SuperedgeGraph(
+        source=source,
+        target=target,
+        negative=negative,
+        rows=tuple(rows),
+        linked_sources=tuple(linked_rows) if negative else (),
     )

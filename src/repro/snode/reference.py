@@ -24,10 +24,11 @@ fast path computes.
 
 Planning costs what the *distinct, target-sharing* row pairs cost: pair
 costs are memoised by row content, a parent sharing no target with the row
-is dismissed unpriced (the lemma is in :class:`_CollectionCosts`), one
-kernel prices a pair, and a cycle contraction touches only the edges at
-its cycle — with the plans of the pair-by-pair planner, which the tests
-keep as their oracle.
+is never looked at (the lemma and the target index are in
+:class:`_CollectionCosts`), one kernel prices a pair, a direct row is
+priced from its entries rather than from a bit vector over its span, and
+a cycle contraction touches only the edges at its cycle — with the plans
+of the pair-by-pair planner, which the tests keep as their oracle.
 
 Decoded rows are plain ``list[int]`` (sorted).  Reference chains may point
 forward in the full-affinity mode; decoding resolves them iteratively.
@@ -35,13 +36,13 @@ forward in the full-affinity mode; decoding resolves them iteratively.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import compress
 
 from repro.errors import CodecError
 from repro.util.bitio import BitReader, BitWriter, refill
-from repro.util.rle import bitvector_cost, decode_bitvector, encode_bitvector
+from repro.util.rle import decode_bitvector, encode_bitvector
 from repro.util.varint import encode_gamma, encode_minimal_binary, gamma_cost
 
 #: Above this many rows the encoder switches from the full affinity graph
@@ -68,12 +69,25 @@ def _gamma_costs(limit: int) -> Sequence[int]:
     return tuple(2 * (value + 1).bit_length() - 1 for value in range(limit + 1))
 
 
+def _gamma_for(limit: int) -> Callable[[int], int]:
+    """``gamma_cost`` for ``0 <= value <= limit``: a look-up where the table
+    reaches, the formula past its end."""
+    return _GAMMA_COST.__getitem__ if limit < len(_GAMMA_COST) else gamma_cost
+
+
 def _gaps_cost(row: Sequence[int]) -> int:
-    """Bits for the gamma-gap body of ``row``."""
-    cost = gamma_cost(len(row))
+    """Bits for the gamma-gap body of ``row``, which must be ascending and
+    duplicate-free."""
+    if not row:
+        return 1  # gamma(0)
+    last = row[-1]
+    gamma = _gamma_for(max(len(row), last))
+    cost = gamma(len(row))
     previous = -1
     for value in row:
-        cost += gamma_cost(value - previous - 1)
+        if not previous < value <= last:
+            raise CodecError("row entries must be strictly increasing")
+        cost += gamma(value - previous - 1)
         previous = value
     return cost
 
@@ -88,6 +102,35 @@ def _row_bits(row: Sequence[int]) -> list[int]:
     return bits
 
 
+def _row_vector_cost(row: Sequence[int]) -> int:
+    """``bitvector_cost(_row_bits(row))`` without the vector.
+
+    ``row`` is ascending and duplicate-free (:func:`_gaps_cost` checks),
+    so the vector's runs can be read off its entries: a stretch of
+    consecutive entries is a run of ones, the gap before it a run of
+    zeros, and the last entry ends the vector.  The cost is the scheme
+    flag, the gamma-coded span, then the plain bits or the first bit's
+    value and ``gamma(run - 1)`` per run, whichever is shorter.
+    """
+    if not row:
+        return 2  # scheme flag and gamma(0)
+    span = row[-1] + 1
+    gamma = _gamma_for(span)
+    rle = 1
+    run = 0
+    previous = -1
+    for value in row:
+        if value - previous == 1:
+            run += 1
+        else:
+            if run:
+                rle += gamma(run - 1)
+            rle += gamma(value - previous - 2)
+            run = 1
+        previous = value
+    return 1 + gamma(span) + min(rle + gamma(run - 1), span)
+
+
 def direct_cost(row: Sequence[int]) -> int:
     """Bits to encode ``row`` directly.
 
@@ -97,9 +140,7 @@ def direct_cost(row: Sequence[int]) -> int:
     paper's "RLE bit vectors or gap encoding" choice.  Layout: flag bit
     (direct) + mode bit + body.
     """
-    gaps = _gaps_cost(row)
-    vector = bitvector_cost(_row_bits(row)) if row else gaps + 1
-    return 2 + min(gaps, vector)
+    return 2 + min(_gaps_cost(row), _row_vector_cost(row))
 
 
 def _extras_cost(
@@ -203,9 +244,9 @@ class _CollectionCosts:
         self._ids = [contents.setdefault(tuple(row), len(contents)) for row in rows]
         self._contents = list(contents)
         self._sets = [frozenset(content) for content in contents]
-        direct = [direct_cost(content) for content in contents]
+        self._content_direct = [direct_cost(content) for content in contents]
         #: ``direct_cost`` of every row.
-        self.direct = [direct[content] for content in self._ids]
+        self.direct = [self._content_direct[content] for content in self._ids]
         self._gamma = _gamma_costs(
             max(len(rows), max((c[-1] + 1 for c in contents if c), default=0))
         )
@@ -232,6 +273,60 @@ class _CollectionCosts:
                 )
             self._base[key] = base
         return base + self._gamma[abs(y - x) - 1]
+
+    def affinity_edges(self) -> list[tuple[int, int, int]]:
+        """The affinity graph of the collection, root ``len(rows)``.
+
+        Per row ``y`` in order: the root's edge at the direct cost, then
+        an edge ``x -> y`` for every other row ``x``, ascending, that
+        encodes ``y`` for less than that — the list, in the order, that
+        pricing every ordered pair of rows gives.
+
+        **Candidate index.**  By the pruning lemma only a row sharing a
+        target with ``y`` can yield an edge, so the parents of ``y`` are
+        enumerated from a ``target -> contents holding it`` index rather
+        than tried one by one.  A parent whose cost without the distance
+        code is not below the direct cost is dropped there, once per pair
+        of contents; the rows of the contents that remain are put back in
+        ascending order, which is the order of the pair-by-pair scan.
+        """
+        contents, sets, gamma = self._contents, self._sets, self._gamma
+        holders: dict[int, list[int]] = {}
+        for content, entries in enumerate(contents):
+            for target in entries:
+                holders.setdefault(target, []).append(content)
+        rows_of: list[list[int]] = [[] for _ in contents]
+        for y, content in enumerate(self._ids):
+            rows_of[content].append(y)
+        #: content id -> (row, cost less the distance code), ascending
+        candidates: list[list[tuple[int, int]]] = []
+        for content, entries in enumerate(contents):
+            direct = self._content_direct[content]
+            row_set = sets[content]
+            sharing = set().union(*map(holders.__getitem__, entries))
+            if len(rows_of[content]) == 1:
+                sharing.discard(content)  # a row is no parent of itself
+            parents: list[tuple[int, int]] = []
+            for parent in sharing:
+                base = _reference_base_cost(
+                    entries, row_set, contents[parent], sets[parent], gamma
+                )
+                if base < direct:
+                    self._base[(content, parent)] = base
+                    parents += [(x, base) for x in rows_of[parent]]
+            parents.sort()
+            candidates.append(parents)
+        root = len(self.rows)
+        edges: list[tuple[int, int, int]] = []
+        for y, content in enumerate(self._ids):
+            direct = self.direct[y]
+            edges.append((root, y, direct))
+            for x, base in candidates[content]:
+                if x != y:
+                    cost = base + gamma[abs(y - x) - 1]
+                    if cost < direct:
+                        edges.append((x, y, cost))
+        return edges
 
     def dictionary_costs(self, dictionary: Sequence[int]) -> list[int]:
         """Bits of every row as a dictionary reference (flags included)."""
@@ -301,11 +396,10 @@ def minimum_arborescence(
         if node != root and node not in best_in:
             raise CodecError(f"node {node} unreachable from arborescence root")
     # Per contraction, how to expand the cycle back out: (super node, each
-    # member's parent inside the cycle, (source, target) of a contracted
-    # edge -> (source, target) of the edge it stands for).
-    expansions: list[
-        tuple[int, dict[int, int], dict[tuple[int, int], tuple[int, int]]]
-    ] = []
+    # member's parent inside the cycle, outside source -> the member its
+    # edge into the super node entered at, outside target -> the member
+    # its edge out of the super node left from).
+    expansions: list[tuple[int, dict[int, int], dict[int, int], dict[int, int]]] = []
 
     while True:
         cycle = _find_cycle(best_in, current_nodes, root)
@@ -347,7 +441,6 @@ def minimum_arborescence(
                 best_leaving[targets[edge]] = edge
         if not best_entering:
             raise CodecError(f"node {super_node} unreachable from arborescence root")
-        edge_origin: dict[tuple[int, int], tuple[int, int]] = {}
         # The new edges, numbered on from the last: all that enter the
         # super node, then all that leave it.
         incoming = in_edges[super_node] = []
@@ -357,7 +450,6 @@ def minimum_arborescence(
             sources.append(source)
             targets.append(super_node)
             weights.append(adjusted)
-            edge_origin[(source, super_node)] = (source, targets[edge])
         best_in[super_node] = first_cheapest(incoming)
         outgoing = out_edges[super_node] = []
         for target, edge in best_leaving.items():
@@ -366,27 +458,32 @@ def minimum_arborescence(
             sources.append(super_node)
             targets.append(target)
             weights.append(weights[edge])
-            edge_origin[(super_node, target)] = (sources[edge], target)
         alive += [True] * (len(sources) - len(alive))
         for target in best_leaving:
             if best_in[target][0] in cycle_set:
                 in_edges[target] = [edge for edge in in_edges[target] if alive[edge]]
                 best_in[target] = first_cheapest(in_edges[target])
-        expansions.append((super_node, cycle_parents, edge_origin))
+        expansions.append(
+            (
+                super_node,
+                cycle_parents,
+                {source: targets[edge] for source, (_, edge) in best_entering.items()},
+                {target: sources[edge] for target, edge in best_leaving.items()},
+            )
+        )
         current_nodes = (current_nodes - cycle_set) | {super_node}
 
     parents = {target: source for target, (source, _) in best_in.items()}
     # Expand contractions, the last one first.
-    for super_node, cycle_parents, edge_origin in reversed(expansions):
-        entry_source, entry_target = edge_origin[(parents.pop(super_node), super_node)]
-        for member, member_parent in cycle_parents.items():
-            if member != entry_target:
-                parents[member] = member_parent
-        parents[entry_target] = entry_source
-        # Re-route edges that previously left the super node.
-        for node, parent in list(parents.items()):
-            if parent == super_node:
-                parents[node] = edge_origin[(super_node, node)][0]
+    for super_node, cycle_parents, entered_at, left_from in reversed(expansions):
+        entry_source = parents.pop(super_node)
+        parents.update(cycle_parents)
+        parents[entered_at[entry_source]] = entry_source
+        # Re-route the edges that left the super node: they only ever led
+        # to the outside targets of its contraction.
+        for target, member in left_from.items():
+            if parents[target] == super_node:
+                parents[target] = member
     return parents
 
 
@@ -396,7 +493,7 @@ def _find_cycle(
     root: int,
 ) -> list[int] | None:
     """Find a cycle in the parent-pointer graph, or None."""
-    color = {node: 0 for node in nodes}  # 0 unvisited, 1 in progress, 2 done
+    color = dict.fromkeys(nodes, 0)  # 0 unvisited, 1 in progress, 2 done
     for start in nodes:
         if start == root or color[start] == 2:
             continue
@@ -537,19 +634,10 @@ def _dictionary_body_cost(
 
 def _plan_full(costs: _CollectionCosts) -> EncodingPlan:
     """Exact Adler-Mitzenmacher plan: Edmonds on the full affinity graph."""
-    rows, direct = costs.rows, costs.direct
-    m = len(rows)
+    direct = costs.direct
+    m = len(direct)
     root = m  # extra node
-    edges: list[tuple[int, int, int]] = []
-    for y in range(m):
-        edges.append((root, y, direct[y]))
-        if not rows[y]:
-            continue  # empty rows never benefit from a reference
-        for x in range(m):
-            if x != y:
-                cost = costs.reference_cost(y, x)
-                if cost < direct[y]:
-                    edges.append((x, y, cost))
+    edges = costs.affinity_edges()
     parents_map = minimum_arborescence(m + 1, edges, root)
     parents = [-1] * m
     total = 0
@@ -621,18 +709,7 @@ def encode_rows(
             _encode_dictionary_body(writer, row, positions)
         elif parent < 0:
             writer.write_bit(0)
-            gaps = _gaps_cost(row)
-            bits = _row_bits(row)
-            if row and bitvector_cost(bits) < gaps:
-                writer.write_bit(1)  # dense mode: characteristic bit vector
-                encode_bitvector(writer, bits)
-            else:
-                writer.write_bit(0)  # sparse mode: gamma gaps
-                encode_gamma(writer, len(row))
-                previous = -1
-                for value in row:
-                    encode_gamma(writer, value - previous - 1)
-                    previous = value
+            encode_ascending(writer, row)
         else:
             writer.write_bit(1)
             if dictionary:
@@ -642,6 +719,20 @@ def encode_rows(
             writer.write_bit(1 if parent < y else 0)  # 1 = backward
             _encode_reference_body(writer, row, rows[parent])
     return plan
+
+
+def encode_ascending(writer: BitWriter, row: Sequence[int]) -> None:
+    """Mode bit and body of an ascending, duplicate-free list — a direct
+    row, or a superedge graph's linked sources: dense (1), its
+    characteristic bit vector, when that is shorter, else sparse (0), its
+    gamma-coded length and gaps.  The vector is built only when it wins."""
+    gaps = _gaps_cost(row)  # first: it refuses a list out of order
+    if _row_vector_cost(row) < gaps:
+        writer.write_bit(1)
+        encode_bitvector(writer, _row_bits(row))
+    else:
+        writer.write_bit(0)
+        _encode_extras(writer, row)
 
 
 def _encode_reference_body(

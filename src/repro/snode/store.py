@@ -304,14 +304,20 @@ class SNodeStore:
     def _read_payload(
         self,
         location: GraphLocation,
-        region: str,
+        key: tuple,
         registry: MetricsRegistry | None = None,
     ) -> bytes:
+        """The checksummed payload at ``location``; ``key`` is the buffer
+        key of the graph it holds, named only when the checksum fails."""
         payload = self._device(location.file_index).read_at(
             location.offset, location.length, registry=registry
         )
         actual = integrity.crc32(payload)
         if actual != location.crc:
+            if key[0] == "intra":
+                region = f"intranode {key[1]}"
+            else:
+                region = f"superedge {key[1]}->{key[2]}"
             raise CorruptionError(
                 f"{region}: payload checksum mismatch in "
                 f"{self._layout.index_files[location.file_index]} at offset "
@@ -381,15 +387,13 @@ class SNodeStore:
             return cached if self._cache_decoded else self._decode(key, cached)
         if kind == "intranode":
             location = self._layout.intranode[key[1]]
-            region = f"intranode {key[1]}"
         else:
             entry = self._layout.superedge.get(key[1:])
             if entry is None:
                 raise StorageError(f"no superedge {key[1]} -> {key[2]}")
             location, _negative = entry
-            region = f"superedge {key[1]}->{key[2]}"
         try:
-            payload = self._read_payload(location, region, registry=reg)
+            payload = self._read_payload(location, key, registry=reg)
         except CorruptionError as error:
             if self._on_corruption != "degrade":
                 raise
@@ -448,13 +452,27 @@ class SNodeStore:
         try:
             intra = self.intranode_rows(supernode, registry=batch)
             result = [[first + t for t in intra[local]] for local in locals_]
+            #: local -> the rows of ``result`` asked for it, built on the
+            #: first graph that links fewer locals than were asked for.
+            asked: dict[int, list[list[int]]] | None = None
             for target_super in self._super_adjacency[supernode]:
                 rows = self.superedge_rows(supernode, target_super, registry=batch)
                 base = boundaries[target_super]
-                for local, row in zip(locals_, result):
-                    targets = rows.row(local)
-                    if targets:
-                        row.extend([base + t for t in targets])
+                if len(rows.linked) < len(locals_):
+                    # A superedge graph links a handful of the supernode's
+                    # pages: walk those, not every local asked for.
+                    if asked is None:
+                        asked = {}
+                        for local, row in zip(locals_, result):
+                            asked.setdefault(local, []).append(row)
+                    for local, targets in rows.linked.items():
+                        for row in asked.get(local, ()):
+                            row.extend([base + t for t in targets])
+                else:
+                    for local, row in zip(locals_, result):
+                        targets = rows.row(local)
+                        if targets:
+                            row.extend([base + t for t in targets])
         finally:
             batch.flush()
         for row in result:

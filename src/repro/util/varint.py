@@ -48,10 +48,9 @@ def encode_gamma(writer: BitWriter, value: int) -> None:
     if value < 0:
         raise CodecError(f"gamma cannot encode {value}")
     shifted = value + 1
-    width = shifted.bit_length()
-    writer.write_unary(width - 1)
-    # The leading 1 bit is implied by the unary prefix; write the rest.
-    writer.write_bits(shifted - (1 << (width - 1)), width - 1)
+    # One field: the unary prefix is the field's leading zeros, and its
+    # terminating one bit is the leading bit of ``value + 1``.
+    writer.write_bits(shifted, 2 * shifted.bit_length() - 1)
 
 
 def decode_gamma(reader: BitReader) -> int:

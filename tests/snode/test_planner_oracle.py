@@ -1,17 +1,20 @@
 """Differential tests: the reference planner against the pair-by-pair
 planner kept in ``tests/util/oracle_planner.py``.
 
-The planner under ``src/`` memoises costs by row content, skips parents
-that share no target and contracts cycles incrementally; none of that may
-show in its answers.  Plans must be equal field for field and
-arborescences parent for parent — equal weight is not enough, because
-the bytes written depend on which of two equally cheap parents wins.
+The planner under ``src/`` memoises costs by row content, enumerates a
+row's parents from a target index instead of trying every pair and
+contracts cycles incrementally; none of that may show in its answers.
+Plans must be equal field for field, the edge list handed to
+``minimum_arborescence`` edge for edge in order, and arborescences parent
+for parent — equal weight is not enough, because the bytes written
+depend on which of two equally cheap parents wins.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +28,28 @@ from repro.snode.build import BuildOptions, build_snode  # noqa: E402
 from repro.webdata.generator import GeneratorConfig, generate_web  # noqa: E402
 
 
+def planned(module, *arguments):
+    """``module.plan_references(*arguments)`` and the ``(num_nodes, edges,
+    root)`` it handed to ``module.minimum_arborescence``, if it did."""
+    handed = []
+    solve = module.minimum_arborescence
+
+    def capturing(num_nodes, edges, root):
+        handed.append((num_nodes, list(edges), root))
+        return solve(num_nodes, edges, root)
+
+    with mock.patch.object(module, "minimum_arborescence", capturing):
+        return module.plan_references(*arguments), handed
+
+
 def assert_same_plan(rows, window, full_affinity_limit, dictionary):
-    expected = oracle_planner.plan_references(rows, window, full_affinity_limit, dictionary)
-    plan = reference.plan_references(rows, window, full_affinity_limit, dictionary)
+    expected, expected_graph = planned(
+        oracle_planner, rows, window, full_affinity_limit, dictionary
+    )
+    plan, graph = planned(reference, rows, window, full_affinity_limit, dictionary)
+    # The affinity graph edge for edge *in order*: the arborescence breaks
+    # ties by position in the list.
+    assert graph == expected_graph
     assert plan.parents == expected.parents
     assert plan.total_bits == expected.total_bits
     assert plan.used_dictionary == expected.used_dictionary

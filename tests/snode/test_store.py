@@ -32,6 +32,20 @@ class TestAdjacency:
         for page in pages:
             assert bulk[page] == store.out_neighbors(page)
 
+    def test_more_locals_asked_than_a_graph_links(self, small_build):
+        """The walk over ``rows.linked``: whole supernodes asked for, with
+        a repeated and (in most graphs) many unlinked locals among them."""
+        store = small_build.store
+        busiest = sorted(
+            range(store.num_supernodes), key=lambda s: -len(store.super_adjacency[s])
+        )[:5]
+        for supernode in busiest:
+            first, end = store.supernode_range(supernode)
+            locals_ = [*range(end - first), 0, end - first - 1]
+            rows = store._adjacency(supernode, locals_, None)
+            assert rows == [store.out_neighbors(first + local) for local in locals_]
+            assert rows[0] is not rows[-2]
+
     def test_iterate_all_covers_every_page(self, small_repo, small_build):
         store = small_build.store
         seen = {}

@@ -1,4 +1,4 @@
-"""The method-per-bit decode kernels, kept as the test oracle.
+"""The method-per-bit codec kernels, kept as the test oracle.
 
 These are the decoders ``util.varint``, ``util.rle``, ``snode.reference``
 and ``snode.encode`` shipped before they were fused onto the reader's
@@ -8,6 +8,11 @@ build the bit-by-bit :class:`oracle_bitio.BitReader`, so nothing here
 shares code with what it checks.  ``positive_rows_from_payload`` is the
 dense form (a list per source page) the store used to cache; its
 ``4 * rows + 8 * edges`` is what the buffer charge must keep matching.
+
+At the end, three *encoders* as they were before the write side was
+priced from a row's entries: ``encode_gamma`` as a unary prefix plus a
+field, and ``encode_locals`` choosing between gamma gaps and the bit
+vector it builds over the list's whole span.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from collections.abc import Sequence
 from oracle_bitio import BitReader
 
 from repro.errors import CodecError
+from repro.util.rle import plain_cost, rle_cost, runs_of
+from repro.util.varint import gamma_cost
 
 
 def decode_gamma(reader: BitReader) -> int:
@@ -216,3 +223,60 @@ def positive_rows_from_payload(
             result[local] = list(row)
     return result
 
+
+# ---------------------------------------------------------------------------
+# encoders (any writer with write_bit / write_bits / write_unary)
+# ---------------------------------------------------------------------------
+
+
+def encode_gamma(writer, value: int) -> None:
+    """Write ``value >= 0`` as an Elias gamma code (internally shifted +1)."""
+    if value < 0:
+        raise CodecError(f"gamma cannot encode {value}")
+    shifted = value + 1
+    width = shifted.bit_length()
+    writer.write_unary(width - 1)
+    # The leading 1 bit is implied by the unary prefix; write the rest.
+    writer.write_bits(shifted - (1 << (width - 1)), width - 1)
+
+
+def encode_bitvector(writer, bits: Sequence[int]) -> None:
+    """Store ``bits`` with a 1-bit scheme flag: RLE if cheaper, else plain."""
+    if rle_cost(bits) < plain_cost(bits):
+        writer.write_bit(1)
+        encode_gamma(writer, len(bits))
+        if bits:
+            writer.write_bit(1 if bits[0] else 0)
+            for run in runs_of(bits):
+                encode_gamma(writer, run - 1)
+    else:
+        writer.write_bit(0)
+        encode_gamma(writer, len(bits))
+        for bit in bits:
+            writer.write_bit(bit)
+
+
+def encode_locals(writer, locals_list: list[int]) -> None:
+    """Sorted local-index list: gamma gaps or RLE bit vector, cheaper wins."""
+    previous = -1
+    gaps_cost = gamma_cost(len(locals_list))
+    for local in locals_list:
+        if local <= previous:
+            raise CodecError("linked sources must be strictly increasing")
+        gaps_cost += gamma_cost(local - previous - 1)
+        previous = local
+    bits: list[int] = []
+    if locals_list:
+        bits = [0] * (locals_list[-1] + 1)
+        for local in locals_list:
+            bits[local] = 1
+    if locals_list and 1 + min(rle_cost(bits), plain_cost(bits)) < gaps_cost:
+        writer.write_bit(1)
+        encode_bitvector(writer, bits)
+    else:
+        writer.write_bit(0)
+        encode_gamma(writer, len(locals_list))
+        previous = -1
+        for local in locals_list:
+            encode_gamma(writer, local - previous - 1)
+            previous = local

@@ -3,6 +3,8 @@ minimal binary)."""
 
 from __future__ import annotations
 
+import oracle_bitio
+import oracle_codecs
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,24 @@ def test_nibble_cost_is_exact(value):
     writer = BitWriter()
     encode_nibble(writer, value)
     assert len(writer) == nibble_cost(value)
+
+
+def test_gamma_is_the_unary_prefix_and_field_bit_for_bit():
+    """One ``write_bits`` per code against the bit-by-bit writer's unary
+    prefix plus field: every value to 2**16, then around every power of
+    two to 2**40, as one stream and code by code."""
+    edges = [2**k + d for k in range(1, 41) for d in (-1, 0, 1)]
+    writer, expected = BitWriter(), oracle_bitio.BitWriter()
+    for value in [*range(2**16 + 1), *edges]:
+        encode_gamma(writer, value)
+        oracle_codecs.encode_gamma(expected, value)
+    assert len(writer) == len(expected)
+    assert writer.to_bytes() == expected.to_bytes()
+    for value in [0, 1, 2, 2**16, *edges]:
+        writer, expected = BitWriter(), oracle_bitio.BitWriter()
+        encode_gamma(writer, value)
+        oracle_codecs.encode_gamma(expected, value)
+        assert (len(writer), writer.to_bytes()) == (len(expected), expected.to_bytes())
 
 
 def test_gamma_rejects_negative():
