@@ -85,10 +85,10 @@ def register(commands) -> None:
     build.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="encode-stage worker processes (default: REPRO_BUILD_WORKERS "
-        "or 1 = serial; output bytes are identical for any N)",
+        help="encode-stage worker processes (default: 1 = serial; output "
+        "bytes are identical for any N)",
     )
     build.add_argument(
         "--resume",

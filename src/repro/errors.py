@@ -81,6 +81,15 @@ class DeadlineError(ServeError):
     """
 
 
+class BackpressureError(ServeError):
+    """Admission control shed a request: the daemon's queue is full.
+
+    Typed for the same reason as :class:`DeadlineError`: it maps to the
+    wire-level ``backpressure`` reply and its own counter.  Nothing
+    failed — the client is told to retry later.
+    """
+
+
 class BuildError(ReproError):
     """The S-Node build pipeline could not complete."""
 

@@ -59,7 +59,6 @@ from repro.experiments.harness import (
     add_trace_arguments,
     dataset,
     emit_report,
-    experiment_refinement_config,
     format_table,
     sweep_sizes,
     trace_session,
@@ -132,27 +131,8 @@ def _graph_digest(graph) -> str:
 
 def _build_pair(repository, workdir: Path, buffer_bytes: int):
     """Build a forward + transpose pair; returns open representations."""
-    from repro.baselines import SNodeRepresentation
-    from repro.snode.build import BuildOptions, build_snode
-
-    refinement = experiment_refinement_config()
-    forward = SNodeRepresentation(
-        build_snode(
-            repository,
-            workdir / "serve_f",
-            BuildOptions(refinement=refinement, buffer_bytes=buffer_bytes),
-        )
-    )
-    backward = SNodeRepresentation(
-        build_snode(
-            repository,
-            workdir / "serve_b",
-            BuildOptions(
-                refinement=refinement, buffer_bytes=buffer_bytes, transpose=True
-            ),
-        )
-    )
-    return forward, backward
+    ServeContext.build_store_pair(workdir, repository, buffer_bytes)
+    return ServeContext.open_store_pair(workdir, repository, buffer_bytes)
 
 
 def _equivalence_sweep(

@@ -371,23 +371,8 @@ def _swap_phase(
     Mutates ``context``: on return it serves from the swapped-in pair
     (the original stores are closed).
     """
-    from repro.experiments.harness import experiment_refinement_config
-    from repro.snode.build import BuildOptions, build_snode
-
     swap_dir = base / "swap_store"
-    refinement = experiment_refinement_config()
-    build_snode(
-        repository,
-        swap_dir / "serve_f",
-        BuildOptions(refinement=refinement, buffer_bytes=buffer_bytes),
-    ).store.close()
-    build_snode(
-        repository,
-        swap_dir / "serve_b",
-        BuildOptions(
-            refinement=refinement, buffer_bytes=buffer_bytes, transpose=True
-        ),
-    ).store.close()
+    ServeContext.build_store_pair(swap_dir, repository, buffer_bytes)
     daemon = GraphQueryDaemon(
         context, workers=workers, queue_limit=queue_limit
     )

@@ -20,15 +20,15 @@ Architecture (the paper's runtime organization, made multi-client):
   retry with backoff.  Overload therefore degrades throughput, never
   correctness.
 
-``ping``, ``stats`` and ``metrics`` are served inline on the event loop
-— they touch no disk and must stay responsive under query overload
-(``stats``/``metrics`` are how an operator sees the overload).  A
-``neighbors`` lookup joins them when the forward store says every graph
-it reads is already buffered (a non-mutating residency probe, after the
-usual admission and deadline checks): a worker hop costs several times
-such an answer.  Anything not resident — a cold start, the first
-lookups after a swap or compaction, a buffer smaller than the working
-set — and every ``query`` takes the worker pool.
+**The inline rule.**  ``ping``, ``stats``, ``metrics`` and ``debug`` are
+served on the event loop — they touch no disk and must stay responsive
+under query overload (``stats``/``metrics`` are how an operator sees the
+overload).  A ``neighbors`` lookup joins them when the forward store
+says every graph it reads is already buffered (a non-mutating residency
+probe, after the usual admission and deadline checks): a worker hop
+costs several times such an answer.  Anything not resident — a cold
+start, the first lookups after a swap or compaction, a buffer smaller
+than the working set — and every ``query`` takes the worker pool.
 
 **Deadlines.**  A query/neighbors request may carry ``deadline_ms``
 (:func:`repro.serve.protocol.parse_deadline_ms`), a budget measured
@@ -41,58 +41,44 @@ the background (the connection's next frame is not read until it does,
 preserving the strictly-sequential per-connection invariant that
 per-request counter attribution depends on).
 
-**Hot store swap.**  The ``swap`` admin op (also reachable via SIGHUP
-in ``repro serve``) points the daemon at a freshly built store
-directory pair: the directories are validated off-loop (committed
-build, manifest digest, whole-file CRCs via quick fsck, matching page
-count), opened cold, then the context flips atomically on the event
-loop and in-flight requests drain against the old stores before they
-close.  Requests admitted before the flip finish on the old store,
-requests after it run on the new one; none fail.  Connections lazily
-rebuild their sessions when they observe the context generation moved.
+**Hot store swap and compaction.**  ``swap`` (also SIGHUP in ``repro
+serve``) and ``compact`` move the daemon onto a new store directory
+pair without failing a request (:meth:`GraphQueryDaemon.swap_stores`);
+connections rebuild their sessions lazily when they see the context
+generation moved.
 
-**Telemetry.**  Every frame becomes a
-:class:`~repro.serve.telemetry.RequestRecord`: a request id (the
-client's ``rid`` or a daemon-generated one), per-phase timings along
-``accept -> decode -> queue-wait -> execute -> encode -> reply``, an
-outcome (``ok | backpressure | bad_request | server_error | degraded |
-timeout``)
-and the session counter deltas the request caused.  Records feed the
-shared :class:`~repro.serve.telemetry.ServeTelemetry` (windowed
-histograms, outcome rates, access + slow-query logs) and are echoed to
-the client in the reply's ``server`` section.
-
-**Request tracing.**  Every request carries a trace id — the client's
-propagated ``trace`` context (:func:`repro.serve.protocol.
-parse_trace_context`), else a daemon-generated one — and every executed
-request runs under a *request-scoped*
-:class:`~repro.obs.tracing.Tracer` bound to the connection's session
-pair: activation is contextvar-confined to the worker thread, the root
-span is ``request.<op>``, navigation blocks open ``nav.<op>`` child
-spans, and each span captures the session counter deltas it caused —
-so "this request did 12 seeks" decomposes into *which* navigation did
-them.  Finished traces (lifecycle record + span tree) go to the
-:class:`~repro.obs.flightrecorder.FlightRecorder`, dumpable live via
-the inline ``debug`` op or at shutdown via :meth:`GraphQueryDaemon.
-dump_debug_bundle`.
+**Telemetry and tracing.**  Every frame becomes a
+:class:`~repro.serve.telemetry.RequestRecord` (request id, phase
+timings, outcome, session counter deltas) fed to the shared
+:class:`~repro.serve.telemetry.ServeTelemetry` and echoed in the reply's
+``server`` section; every executed request also runs under a
+request-scoped tracer (:meth:`GraphQueryDaemon._execute_measured`) whose
+span tree goes to the :class:`~repro.obs.flightrecorder.FlightRecorder`,
+dumpable live via the ``debug`` op or at shutdown.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.baselines import SNodeRepresentation
 from repro.errors import (
+    BackpressureError,
     DeadlineError,
     QueryError,
     ReproError,
     ServeError,
     StorageError,
 )
+from repro.experiments.harness import experiment_refinement_config
+from repro.index.pagerank_index import PageRankIndex
+from repro.index.textindex import TextIndex
 from repro.obs import tracing
 from repro.obs.flightrecorder import FlightRecorder, write_debug_bundle
 from repro.obs.tracing import Tracer
@@ -105,6 +91,10 @@ from repro.serve.telemetry import (
     ServeTelemetry,
     render_prometheus,
 )
+from repro.snode.build import BuildOptions, build_snode
+from repro.snode.delta import DeltaOverlay, merged_repository
+from repro.storage.fsck import fsck
+from repro.storage.wal import GraphWal
 
 #: Worker threads executing queries (each owns no state; engines are
 #: per-connection, stores are shared).
@@ -117,6 +107,30 @@ DEFAULT_STRIPES = 8
 DEFAULT_BUFFER_BYTES = 512 * 1024
 
 _QUERY_NAMES = tuple(name for name, _fn in PAPER_QUERIES)
+
+_WRONG_SIZE = "store under {0.parent} holds {1} pages but the repository has {2}"
+_SWAP_WRONG_SIZE = "swap rejected: {0} holds {1} pages, serving repository has {2}"
+
+#: How :meth:`GraphQueryDaemon._serve` runs an op (see ``_OPS``).
+_INLINE, _ADMIN, _QUEUED = "inline", "admin", "queued"
+
+#: What a failed request is answered and counted as, first match wins:
+#: (exception types, wire error type, record outcome, DaemonCounters
+#: field).  A deadline miss and a shed are the protocol working, not
+#: failures; a malformed request and unreadable storage are the
+#: request's fault; anything else is the server's.
+_REQUEST_FAULTS = (QueryError, ServeError, StorageError, ValueError)
+_FAILURES = (
+    ((DeadlineError,), protocol.ERROR_TIMEOUT, "timeout", "requests_timeout"),
+    ((BackpressureError,), protocol.ERROR_BACKPRESSURE, "backpressure", "requests_shed"),
+    (_REQUEST_FAULTS, protocol.ERROR_BAD_REQUEST, "bad_request", "requests_failed"),
+    ((Exception,), protocol.ERROR_SERVER, "server_error", "requests_failed"),
+)
+
+
+def _expired(deadline_ms: float) -> DeadlineError:
+    """The deadline miss the event loop itself detects (pre-admission, timer)."""
+    return DeadlineError(f"deadline of {deadline_ms:g} ms expired; request abandoned")
 
 
 @dataclass
@@ -203,6 +217,56 @@ class ServeContext:
         self.compactions = 0
         self.last_compaction_generation = 0
 
+    @staticmethod
+    def build_store_pair(workdir, repository, buffer_bytes, refinement=None) -> None:
+        """Build and commit ``serve_f`` + ``serve_b`` under ``workdir``.
+
+        ``refinement=None`` is the experiment default.  The builder's
+        stores are closed: whoever serves the pair opens it its own way.
+        """
+        if refinement is None:
+            refinement = experiment_refinement_config()
+        for name, transpose in (("serve_f", False), ("serve_b", True)):
+            options = BuildOptions(
+                refinement=refinement, buffer_bytes=buffer_bytes, transpose=transpose
+            )
+            build_snode(repository, Path(workdir) / name, options).store.close()
+
+    @staticmethod
+    def open_store_pair(
+        workdir: Path | str,
+        repository,
+        buffer_bytes: int,
+        stripes: int = 1,
+        on_corruption: str = "raise",
+        wrong_size: str = _WRONG_SIZE,
+    ):
+        """Open committed ``serve_f`` + ``serve_b``: both sides, or neither.
+
+        Each side must hold exactly the repository's pages, or the
+        ``ServeError`` is ``wrong_size.format(its root, its pages, the
+        repository's)``; whatever fails on the second side closes the first.
+        """
+        opened = []
+        try:
+            for root in (Path(workdir) / "serve_f", Path(workdir) / "serve_b"):
+                side = SNodeRepresentation.open(
+                    root,
+                    buffer_bytes=buffer_bytes,
+                    stripes=stripes,
+                    on_corruption=on_corruption,
+                )
+                opened.append(side)
+                if side.num_pages != repository.num_pages:
+                    raise ServeError(
+                        wrong_size.format(root, side.num_pages, repository.num_pages)
+                    )
+        except BaseException:
+            for side in opened:
+                side.close()
+            raise
+        return tuple(opened)
+
     @classmethod
     def build(
         cls,
@@ -215,53 +279,13 @@ class ServeContext:
     ) -> "ServeContext":
         """Build forward + transpose S-Node stores and the indexes.
 
-        The stores are reopened with ``stripes`` buffer-pool segments —
+        The stores are opened with ``stripes`` buffer-pool segments —
         the serving configuration; experiments that need the exact
         single-LRU eviction order open their own stores with the default
         ``stripes=1``.
         """
-        from repro.baselines import SNodeRepresentation
-        from repro.experiments.harness import experiment_refinement_config
-        from repro.index.pagerank_index import PageRankIndex
-        from repro.index.textindex import TextIndex
-        from repro.snode.build import BuildOptions, build_snode
-        from repro.snode.store import SNodeStore
-
-        workdir = Path(workdir)
-        refinement = (
-            refinement if refinement is not None else experiment_refinement_config()
-        )
-        forward_build = build_snode(
-            repository,
-            workdir / "serve_f",
-            BuildOptions(refinement=refinement, buffer_bytes=buffer_bytes),
-        )
-        backward_build = build_snode(
-            repository,
-            workdir / "serve_b",
-            BuildOptions(
-                refinement=refinement, buffer_bytes=buffer_bytes, transpose=True
-            ),
-        )
-        if stripes != 1 or on_corruption != "raise":
-            for build in (forward_build, backward_build):
-                build.store.close()
-                build.store = SNodeStore(
-                    build.root,
-                    buffer_bytes=buffer_bytes,
-                    stripes=stripes,
-                    on_corruption=on_corruption,
-                )
-        context = cls(
-            repository,
-            TextIndex(repository),
-            PageRankIndex(repository),
-            SNodeRepresentation(forward_build),
-            SNodeRepresentation(backward_build),
-            buffer_bytes=buffer_bytes,
-            stripes=stripes,
-            on_corruption=on_corruption,
-        )
+        cls.build_store_pair(workdir, repository, buffer_bytes, refinement)
+        context = cls.open(repository, workdir, buffer_bytes, stripes, on_corruption)
         context.refinement = refinement
         return context
 
@@ -284,24 +308,10 @@ class ServeContext:
         ``on_corruption="degrade"``) and anywhere a store exists but the
         build-time state does not.
         """
-        from repro.baselines import SNodeRepresentation
-        from repro.index.pagerank_index import PageRankIndex
-        from repro.index.textindex import TextIndex
-
-        workdir = Path(workdir)
-        forward = SNodeRepresentation.open(
-            workdir / "serve_f",
-            buffer_bytes=buffer_bytes,
-            stripes=stripes,
-            on_corruption=on_corruption,
+        forward, backward = cls.open_store_pair(
+            workdir, repository, buffer_bytes, stripes, on_corruption
         )
-        backward = SNodeRepresentation.open(
-            workdir / "serve_b",
-            buffer_bytes=buffer_bytes,
-            stripes=stripes,
-            on_corruption=on_corruption,
-        )
-        context = cls(
+        return cls(
             repository,
             TextIndex(repository),
             PageRankIndex(repository),
@@ -311,15 +321,6 @@ class ServeContext:
             stripes=stripes,
             on_corruption=on_corruption,
         )
-        for representation in (forward, backward):
-            if representation.num_pages != repository.num_pages:
-                context.close()
-                raise ServeError(
-                    f"store under {workdir} holds "
-                    f"{representation.num_pages} pages but the repository "
-                    f"has {repository.num_pages}"
-                )
-        return context
 
     # -- mutable serving (WAL + delta overlay) -------------------------------
 
@@ -335,28 +336,29 @@ class ServeContext:
         and both attach to the live representations; sessions pick the
         overlay up dynamically.
         """
-        from repro.snode.delta import DeltaOverlay
-        from repro.storage.wal import GraphWal
-
         wal = GraphWal.for_build(self.forward.build.root)
         repaired = wal.repair_tail()
-        scan = wal.scan()
-        forward_overlay = DeltaOverlay()
-        backward_overlay = DeltaOverlay(transpose=True)
-        for record in scan.records:
-            forward_overlay.apply_record(record)
-            backward_overlay.apply_record(record)
-        self.forward.attach_overlay(forward_overlay)
-        self.backward.attach_overlay(backward_overlay)
-        self.wal = wal
-        self.overlay_forward = forward_overlay
-        self.overlay_backward = backward_overlay
+        scan = self._serve_log(wal, self.forward, self.backward)
         self.mutation_enabled = True
         return {
             "wal_bytes": scan.good_bytes,
             "wal_records": len(scan.records),
             "repaired_bytes": repaired,
         }
+
+    def _serve_log(self, wal, forward, backward):
+        """Scan ``wal`` once into a fresh overlay per direction, attach
+        them to the given pair, make all three the write state; the scan."""
+        scan = wal.scan()
+        overlays = DeltaOverlay(), DeltaOverlay(transpose=True)
+        for record in scan.records:
+            for overlay in overlays:
+                overlay.apply_record(record)
+        forward.attach_overlay(overlays[0])
+        backward.attach_overlay(overlays[1])
+        self.wal = wal
+        self.overlay_forward, self.overlay_backward = overlays
+        return scan
 
     def apply_mutation(self, op: str, edges) -> dict:
         """Durably log one edge batch, then fold it into both overlays.
@@ -422,11 +424,6 @@ class ServeContext:
         ``overlay`` must be frozen by the caller before new writes can
         interleave.
         """
-        from repro.baselines import SNodeRepresentation
-        from repro.experiments.harness import experiment_refinement_config
-        from repro.snode.build import BuildOptions, build_snode
-        from repro.snode.delta import merged_repository
-
         base = SNodeRepresentation.open(
             self.forward.build.root, buffer_bytes=self.buffer_bytes
         )
@@ -434,138 +431,82 @@ class ServeContext:
             repository = merged_repository(self.repository, base, overlay)
         finally:
             base.close()
-        workdir = Path(workdir)
-        refinement = (
-            self.refinement
-            if self.refinement is not None
-            else experiment_refinement_config()
-        )
-        for name, transpose in (("serve_f", False), ("serve_b", True)):
-            build = build_snode(
-                repository,
-                workdir / name,
-                BuildOptions(
-                    refinement=refinement,
-                    buffer_bytes=self.buffer_bytes,
-                    transpose=transpose,
-                ),
-            )
-            build.store.close()
+        self.build_store_pair(workdir, repository, self.buffer_bytes, self.refinement)
 
-    def absorb_wal(self, absorbed_offset, forward, backward) -> dict:
-        """Truncate the absorbed WAL prefix as part of a generation bump.
+    # -- hot store swap ------------------------------------------------------
 
-        Runs synchronously on the event loop right after :meth:`adopt`
-        (between two awaits), so from every other coroutine's point of
-        view the store flip and the log truncation are one atomic step.
-        The unabsorbed suffix is carried into a fresh ``graph.wal``
-        beside the adopted forward build (a restart on the new directory
-        replays exactly the writes the new build lacks), replayed into
-        fresh overlays, and attached to the new pair.  With
-        ``absorbed_offset=None`` — an operator-initiated swap onto an
-        independently rebuilt store — the whole log is treated as
-        superseded.
+    def open_pair(self, workdir: Path | str):
+        """Validate and open a fresh ``serve_f``/``serve_b`` pair.
+
+        The pre-open validation of the swap protocol: each directory
+        must be a committed, intact s-node build — build digest and
+        whole-file CRCs via quick :func:`~repro.storage.fsck.fsck`
+        (region CRCs are still verified lazily on every read) — holding
+        the serving repository's page count.  Runs off the event loop
+        (blocking I/O); returns the opened representations without
+        touching the serving state — adoption is a separate,
+        event-loop-confined step (:meth:`adopt`).
         """
-        from repro.snode.delta import DeltaOverlay
-        from repro.storage.wal import GraphWal
+        for name in ("serve_f", "serve_b"):
+            root = Path(workdir) / name
+            report = fsck(root, quick=True)
+            if not report.ok:
+                problems = "; ".join(f.render() for f in report.findings[:3])
+                raise ServeError(
+                    f"swap rejected: {root} failed validation "
+                    f"(state={report.state}) {problems}"
+                )
+            if report.scheme != "s-node":
+                raise ServeError(
+                    f"swap rejected: {root} holds a {report.scheme} build, "
+                    "not an s-node store"
+                )
+        return self.open_store_pair(
+            workdir,
+            self.repository,
+            self.buffer_bytes,
+            self.stripes,
+            self.on_corruption,
+            wrong_size=_SWAP_WRONG_SIZE,
+        )
 
-        old_wal = self.wal
+    def adopt(self, forward, backward, absorbed_offset=None):
+        """Switch to a new store pair; returns the old pair, still open,
+        and what happened to the log (None on an immutable context).
+
+        Must run on the daemon's event loop, between two awaits: the
+        reference flip, the generation bump and — when mutation is
+        enabled — the log hand-off are then one atomic step for every
+        coroutine, so a request sees the old pair with the old overlays
+        or the new pair with the new ones, never a mix.  The caller
+        drains in-flight work before closing the returned old pair.
+
+        The hand-off: the first ``absorbed_offset`` bytes of the old log
+        are what the new build already contains; the suffix behind them
+        is carried into a fresh ``graph.wal`` beside the adopted forward
+        build (a restart on the new directory replays exactly the writes
+        the new build lacks) and replayed into fresh overlays on the new
+        pair.  ``absorbed_offset=None`` — an operator-initiated swap
+        onto an independently rebuilt store — supersedes the whole log.
+        """
+        old = (self.forward, self.backward)
+        self.forward, self.backward = forward, backward
+        self.generation += 1
+        if not self.mutation_enabled:
+            return old, None
         if absorbed_offset is None:
-            absorbed_offset = old_wal.scan().good_bytes
+            absorbed_offset = self.wal.scan().good_bytes
         new_wal = GraphWal.for_build(forward.build.root)
-        carried_bytes = old_wal.carry_suffix_to(new_wal, absorbed_offset)
-        forward_overlay, scan = DeltaOverlay.replay(new_wal)
-        backward_overlay, _ = DeltaOverlay.replay(new_wal, transpose=True)
-        forward.attach_overlay(forward_overlay)
-        backward.attach_overlay(backward_overlay)
-        self.wal = new_wal
-        self.overlay_forward = forward_overlay
-        self.overlay_backward = backward_overlay
-        return {
+        carried_bytes = self.wal.carry_suffix_to(new_wal, absorbed_offset)
+        scan = self._serve_log(new_wal, forward, backward)
+        return old, {
             "absorbed_bytes": absorbed_offset,
             "carried_bytes": carried_bytes,
             "carried_records": len(scan.records),
         }
 
-    # -- hot store swap ------------------------------------------------------
-
-    def validate_store_dir(self, root: Path) -> None:
-        """Reject ``root`` unless it is a committed, intact, matching build.
-
-        The pre-open validation of the swap protocol: build digest and
-        whole-file CRCs via quick :func:`~repro.storage.fsck.fsck`
-        (region CRCs are still verified lazily on every read), page
-        count against the serving repository.
-        """
-        from repro.storage.fsck import fsck
-
-        report = fsck(root, quick=True)
-        if not report.ok:
-            problems = "; ".join(f.render() for f in report.findings[:3])
-            raise ServeError(
-                f"swap rejected: {root} failed validation "
-                f"(state={report.state}) {problems}"
-            )
-        if report.scheme != "s-node":
-            raise ServeError(
-                f"swap rejected: {root} holds a {report.scheme} build, "
-                "not an s-node store"
-            )
-
-    def open_pair(self, workdir: Path | str):
-        """Validate and open a fresh ``serve_f``/``serve_b`` pair.
-
-        Runs off the event loop (blocking I/O); returns the opened
-        representations without touching the serving state — adoption
-        is a separate, event-loop-confined step (:meth:`adopt`).
-        """
-        from repro.baselines import SNodeRepresentation
-
-        workdir = Path(workdir)
-        for name in ("serve_f", "serve_b"):
-            self.validate_store_dir(workdir / name)
-        opened = []
-        try:
-            for name in ("serve_f", "serve_b"):
-                representation = SNodeRepresentation.open(
-                    workdir / name,
-                    buffer_bytes=self.buffer_bytes,
-                    stripes=self.stripes,
-                    on_corruption=self.on_corruption,
-                )
-                opened.append(representation)
-                if representation.num_pages != self.repository.num_pages:
-                    raise ServeError(
-                        f"swap rejected: {workdir / name} holds "
-                        f"{representation.num_pages} pages, serving "
-                        f"repository has {self.repository.num_pages}"
-                    )
-        except BaseException:
-            for representation in opened:
-                representation.close()
-            raise
-        return opened[0], opened[1]
-
-    def adopt(self, forward, backward):
-        """Switch to a new store pair; returns the old pair, still open.
-
-        Must run on the daemon's event loop: the reference flip plus the
-        generation bump are one atomic step from every coroutine's point
-        of view, so a dispatch either sees the old pair or the new pair,
-        never a mix.  The caller drains in-flight work before closing
-        the returned old pair.
-        """
-        old = (self.forward, self.backward)
-        self.forward = forward
-        self.backward = backward
-        self.generation += 1
-        return old
-
-    def make_engine(self, label: str) -> ClientEngine:
-        """A per-client engine reading through fresh sessions."""
-        forward = self.forward.session(label=f"{label}/forward")
-        backward = self.backward.session(label=f"{label}/backward")
-        engine = QueryEngine(
+    def _engine(self, forward, backward) -> QueryEngine:
+        return QueryEngine(
             self.repository,
             self.text_index,
             self.pagerank_index,
@@ -576,8 +517,13 @@ class ServeContext:
             # degrade-mode serving store back to raise.
             on_corruption=self.on_corruption,
         )
+
+    def make_engine(self, label: str) -> ClientEngine:
+        """A per-client engine reading through fresh sessions."""
+        forward = self.forward.session(label=f"{label}/forward")
+        backward = self.backward.session(label=f"{label}/backward")
         return ClientEngine(
-            engine=engine,
+            engine=self._engine(forward, backward),
             forward=forward,
             backward=backward,
             generation=self.generation,
@@ -585,14 +531,7 @@ class ServeContext:
 
     def serial_engine(self) -> QueryEngine:
         """An engine on the shared (root) path — the serial baseline."""
-        return QueryEngine(
-            self.repository,
-            self.text_index,
-            self.pagerank_index,
-            self.forward,
-            self.backward,
-            on_corruption=self.on_corruption,
-        )
+        return self._engine(self.forward, self.backward)
 
     def shared_totals(self) -> dict[str, dict[str, float]]:
         """Merged metrics (base + live sessions), per direction."""
@@ -626,23 +565,17 @@ class DaemonCounters:
     store_swaps: int = 0
     writes: int = 0
     #: Lookups answered on the event loop because every graph they read
-    #: was buffered (see ``_dispatch``); the rest went through a worker.
+    #: was buffered (see ``_serve``); the rest went through a worker.
     inline_replies: int = 0
 
     def as_dict(self) -> dict[str, int]:
+        counts = asdict(self)
         # "backpressure_replies", not "requests_shed": the count varies
         # with thread interleaving, and a key containing "_s" would be
         # threshold-compared as a cost by bench-diff.
-        return {
-            "connections": self.connections,
-            "requests_ok": self.requests_ok,
-            "backpressure_replies": self.requests_shed,
-            "requests_failed": self.requests_failed,
-            "requests_timeout": self.requests_timeout,
-            "store_swaps": self.store_swaps,
-            "writes_applied": self.writes,
-            "inline_replies": self.inline_replies,
-        }
+        counts["backpressure_replies"] = counts.pop("requests_shed")
+        counts["writes_applied"] = counts.pop("writes")
+        return counts
 
 
 @dataclass
@@ -672,9 +605,10 @@ class GraphQueryDaemon:
         self._server: asyncio.AbstractServer | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._inflight = 0
-        self._next_client = 0
-        self._next_rid = 0
-        self._next_trace = 0
+        # Labels and ids the daemon hands out (event-loop confined).
+        self._clients = (f"client-{n}" for n in itertools.count())
+        self._rids = (f"srv-{n}" for n in itertools.count())
+        self._traces = (f"srvtr-{n}" for n in itertools.count())
         # In-flight executor futures (event-loop confined); a store swap
         # snapshots this set to drain pre-swap work before closing the
         # old stores.
@@ -724,10 +658,8 @@ class GraphQueryDaemon:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        client_id = self._next_client
-        self._next_client += 1
         self.counters.connections += 1
-        label = f"client-{client_id}"
+        label = next(self._clients)
         engine = self.context.make_engine(label)
         self.telemetry.connection_opened(label)
         clock = self.telemetry.clock
@@ -736,6 +668,8 @@ class GraphQueryDaemon:
                 try:
                     raw = await protocol.read_frame_raw(reader)
                 except ServeError as exc:
+                    # No frame was accepted, so there is no request to
+                    # record or count: say why and hang up.
                     with contextlib.suppress(Exception):
                         await protocol.write_frame(
                             writer,
@@ -756,42 +690,21 @@ class GraphQueryDaemon:
                     unix=self.telemetry.wall_clock(),
                 )
                 try:
-                    request = protocol.decode_payload(raw)
+                    request, undecodable = protocol.decode_payload(raw), None
                 except ServeError as exc:
-                    record.phases["decode"] = clock() - accepted
-                    record.rid = self._generate_rid()
-                    record.trace = self._generate_trace()
-                    record.error = str(exc)
-                    self.counters.requests_failed += 1
-                    reply = protocol.error_reply(
-                        None,
-                        protocol.ERROR_BAD_REQUEST,
-                        str(exc),
-                        server=record.reply_view(),
-                    )
-                    await self._send(writer, reply, record)
-                    break
+                    request, undecodable = None, exc
                 record.phases["decode"] = clock() - accepted
                 # A hot swap moved the context generation: rebuild the
                 # engine on fresh sessions (between requests — never
-                # mid-flight, dispatches are strictly sequential here).
+                # mid-flight, requests are strictly sequential here).
                 if engine.generation != self.context.generation:
                     engine.close()
                     engine = self.context.make_engine(label)
-                reply, pending = await self._dispatch(
-                    engine, request, record, accepted
+                await self._serve(
+                    engine, request, record, accepted, writer, undecodable
                 )
-                await self._send(writer, reply, record)
-                if pending is not None:
-                    # A deadline fired mid-execution: the timeout reply
-                    # is out, but the abandoned work still occupies a
-                    # worker slot and this connection's sessions.  Wait
-                    # for it before reading the next frame — the
-                    # strictly-sequential invariant per connection is
-                    # what makes counter attribution exact.
-                    with contextlib.suppress(Exception):
-                        await pending
-                    self._inflight -= 1
+                if undecodable is not None:
+                    break
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -802,18 +715,6 @@ class GraphQueryDaemon:
             # or a shutdown mid-close logs a spurious task traceback.
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
-
-    def _generate_rid(self) -> str:
-        """A daemon-assigned request id (event-loop confined counter)."""
-        rid = f"srv-{self._next_rid}"
-        self._next_rid += 1
-        return rid
-
-    def _generate_trace(self) -> str:
-        """A daemon-assigned trace id (event-loop confined counter)."""
-        trace = f"srvtr-{self._next_trace}"
-        self._next_trace += 1
-        return trace
 
     async def _send(
         self, writer: asyncio.StreamWriter, reply: dict, record: RequestRecord
@@ -836,351 +737,198 @@ class GraphQueryDaemon:
             self.telemetry.record(record)
             self.flight.record(record.trace_view())
 
-    async def _dispatch(
+    # -- the request pipeline ----------------------------------------------------
+
+    async def _serve(
         self,
         engine: ClientEngine,
         request,
         record: RequestRecord,
         accepted: float,
-    ) -> tuple[dict, asyncio.Future | None]:
-        """Route one decoded frame; returns (reply, still-draining future).
+        writer: asyncio.StreamWriter,
+        undecodable: ServeError | None,
+    ) -> None:
+        """One accepted frame through the pipeline, reply included.
 
-        The second element is non-None only when a deadline fired while
-        the request was executing: the typed ``timeout`` reply goes out
-        immediately, and the caller must await the abandoned future (and
-        release its admission slot) before reading the connection's next
-        frame.
+        Envelope, op table, handler; whatever goes wrong on the way is
+        an exception, and result or exception meet in :meth:`_complete`.
+        An admission slot is given back in the ``finally`` and nowhere
+        else, once the execution is over — so before the reply says so.
+        The exception is a deadline that fired mid-execution: the
+        ``timeout`` reply leaves at once (or cannot — the peer may be
+        gone), but the worker still runs, and neither the slot, nor the
+        connection's next frame, nor its ``engine.close()`` may overtake
+        it: strictly sequential requests per connection are what make
+        counter attribution exact.
         """
         clock = self.telemetry.clock
+        result = future = reply = failure = None
+        # Read before anything can refuse the frame: every reply echoes it.
+        request_id = request.get("id") if isinstance(request, dict) else None
+        admitted = False
+        try:
+            try:
+                kind, handler = self._envelope(request, record, undecodable)
+                if kind is _QUEUED:
+                    deadline_ms = protocol.parse_deadline_ms(request)
+                    deadline = self._admit(accepted, deadline_ms)
+                    admitted = True
+                    call = (engine, handler, request, record, clock(), deadline)
+                    if record.op == "neighbors" and self._resident(engine, request):
+                        # Every graph the lookup reads is buffered: the
+                        # executor hop would cost more than the answer,
+                        # so execute right here — same tracer, same
+                        # counter delta, queue wait ~0.  Nothing else
+                        # runs on the loop meanwhile, so no swap or
+                        # timer can interleave; a graph evicted since
+                        # the probe is simply read here (one
+                        # supernode's graphs at most).
+                        self.counters.inline_replies += 1
+                        result = self._execute_measured(*call)
+                    else:
+                        future = asyncio.get_running_loop().run_in_executor(
+                            self._executor, self._execute_measured, *call
+                        )
+                        self._active.add(future)
+                        future.add_done_callback(self._active.discard)
+                        result = await self._by_deadline(future, deadline, deadline_ms)
+                else:
+                    # No disk, no queue: measured as pure execute.
+                    start = clock()
+                    try:
+                        result = handler(self, engine, request)
+                        if kind is _ADMIN:
+                            result = await result
+                    finally:
+                        record.phases["execute"] = clock() - start
+            except Exception as exc:  # noqa: BLE001 — a bug must not kill the daemon
+                failure = exc
+            reply = self._complete(record, request_id, result, failure)
+            if future is not None and not future.done():
+                try:
+                    await self._send(writer, reply, record)
+                finally:
+                    reply = None
+                    with contextlib.suppress(Exception):
+                        await future
+        finally:
+            if admitted:
+                self._inflight -= 1
+        if reply is not None:
+            await self._send(writer, reply, record)
+
+    def _envelope(self, request, record: RequestRecord, undecodable):
+        """Read rid, trace context and op off a frame; its op-table row.
+
+        A frame that is not JSON (``undecodable`` is what the decoder
+        said) or not an object still gets a request id and a trace id.
+        """
         if not isinstance(request, dict):
-            record.rid = self._generate_rid()
-            record.trace = self._generate_trace()
-            record.error = "request frame must be an object"
-            self.counters.requests_failed += 1
-            return protocol.error_reply(
-                None,
-                protocol.ERROR_BAD_REQUEST,
-                record.error,
-                server=record.reply_view(),
-            ), None
+            record.rid = next(self._rids)
+            record.trace = next(self._traces)
+            raise undecodable or ServeError("request frame must be an object")
         rid = request.get("rid")
         if isinstance(rid, (str, int)) and not isinstance(rid, bool):
             record.rid = str(rid)
         else:
-            record.rid = self._generate_rid()
+            record.rid = next(self._rids)
         # Trace context: propagate the client's trace id when present
         # (lenient parse — unknown/malformed sections never fail the
         # request), else assign a server-side one.
         context = protocol.parse_trace_context(request)
-        record.trace = context.trace_id or self._generate_trace()
+        record.trace = context.trace_id or next(self._traces)
         record.parent = context.parent
-        request_id = request.get("id")
         op = request.get("op")
         if isinstance(op, str):
             record.op = op
-        if op in ("ping", "stats", "metrics", "debug"):
-            # Inline ops: no disk, no queue — measured as pure execute.
-            start = clock()
-            try:
-                if op == "ping":
-                    result = {"pong": True}
-                elif op == "stats":
-                    result = self._stats(engine)
-                elif op == "debug":
-                    result = self._debug()
-                else:
-                    result = self._metrics(request.get("format"))
-            except QueryError as exc:
-                record.phases["execute"] = clock() - start
-                record.error = str(exc)
-                self.counters.requests_failed += 1
-                return protocol.error_reply(
-                    request_id,
-                    protocol.ERROR_BAD_REQUEST,
-                    str(exc),
-                    server=record.reply_view(),
-                ), None
-            record.phases["execute"] = clock() - start
-            record.outcome = "ok"
-            self.counters.requests_ok += 1
-            return protocol.ok_reply(
-                request_id, result, server=record.reply_view()
-            ), None
-        if op in ("add_edges", "remove_edges"):
-            # Write ops run inline on the event loop: the WAL append +
-            # overlay fold must serialize with each other and with the
-            # swap/compaction flip, and the fsync *is* the op's cost.
-            # Deliberately absent from IDEMPOTENT_OPS: a lost reply
-            # retried blindly would double-apply a non-idempotent write.
-            start = clock()
-            try:
-                result = self.context.apply_mutation(
-                    "add" if op == "add_edges" else "remove",
-                    request.get("edges"),
-                )
-            except (ServeError, StorageError) as exc:
-                record.phases["execute"] = clock() - start
-                record.error = str(exc)
-                self.counters.requests_failed += 1
-                return protocol.error_reply(
-                    request_id,
-                    protocol.ERROR_BAD_REQUEST,
-                    str(exc),
-                    server=record.reply_view(),
-                ), None
-            record.phases["execute"] = clock() - start
-            record.outcome = "ok"
-            self.counters.requests_ok += 1
-            self.counters.writes += 1
-            return protocol.ok_reply(
-                request_id, result, server=record.reply_view()
-            ), None
-        if op == "swap":
-            return await self._swap_op(request, record, request_id), None
-        if op == "compact":
-            return await self._compact_op(request, record, request_id), None
-        if op not in ("query", "neighbors"):
-            record.error = f"unknown op {op!r}"
-            self.counters.requests_failed += 1
-            return protocol.error_reply(
-                request_id,
-                protocol.ERROR_BAD_REQUEST,
-                record.error,
-                server=record.reply_view(),
-            ), None
-        try:
-            deadline_ms = protocol.parse_deadline_ms(request)
-        except ServeError as exc:
-            record.error = str(exc)
-            self.counters.requests_failed += 1
-            return protocol.error_reply(
-                request_id,
-                protocol.ERROR_BAD_REQUEST,
-                str(exc),
-                server=record.reply_view(),
-            ), None
-        deadline = (
-            None if deadline_ms is None else accepted + deadline_ms / 1000.0
-        )
-        # Shed already-expired work before it ever takes a worker slot.
-        if deadline is not None and clock() >= deadline:
-            return self._timeout_reply(request_id, record, deadline_ms), None
-        # Admission control: _inflight is only touched on the event loop,
-        # so the check-then-increment is race-free without a lock.
+            if op in self._OPS:
+                return self._OPS[op]
+        raise ServeError(f"unknown op {op!r}")
+
+    def _admit(self, accepted: float, deadline_ms: float | None) -> float | None:
+        """Take an admission slot or raise; the absolute deadline, if any."""
+        deadline = None
+        if deadline_ms is not None:
+            deadline = accepted + deadline_ms / 1000.0
+            # Shed already-expired work before it ever takes a worker slot.
+            if self.telemetry.clock() >= deadline:
+                raise _expired(deadline_ms)
+        # _inflight is only touched on the event loop, so the
+        # check-then-increment is race-free without a lock.
         if self._inflight >= self.queue_limit:
-            self.counters.requests_shed += 1
-            record.outcome = "backpressure"
-            record.error = (
+            raise BackpressureError(
                 f"{self._inflight} requests in flight (limit "
                 f"{self.queue_limit}); retry later"
             )
-            return protocol.error_reply(
-                request_id,
-                protocol.ERROR_BACKPRESSURE,
-                record.error,
-                server=record.reply_view(),
-            ), None
         self._inflight += 1
-        submitted = clock()
-        future = None
+        return deadline
+
+    async def _by_deadline(self, future, deadline, deadline_ms):
+        """The worker's answer, or a ``DeadlineError`` *at* the deadline.
+
+        Deadline + one scheduling quantum is the contract.  The shield
+        keeps the executor future alive past the timer: threads cannot
+        be cancelled, only abandoned (:meth:`_serve` drains them).
+        """
+        if deadline is None:
+            return await future
         try:
-            if op == "neighbors" and self._resident(engine, request):
-                # Every graph the lookup reads is buffered: the executor
-                # hop would cost more than the answer, so execute right
-                # here — same tracer, same counter delta, queue wait ~0.
-                # Nothing else runs on the loop meanwhile, so no swap or
-                # timer can interleave; a graph evicted since the probe
-                # is simply read here (one supernode's graphs at most).
-                self.counters.inline_replies += 1
-                result = self._execute_measured(
-                    engine, op, request, record, submitted, deadline
-                )
-            else:
-                future = asyncio.get_running_loop().run_in_executor(
-                    self._executor,
-                    self._execute_measured,
-                    engine,
-                    op,
-                    request,
-                    record,
-                    submitted,
-                    deadline,
-                )
-                self._active.add(future)
-                future.add_done_callback(self._active.discard)
-                if deadline is None:
-                    result = await future
-                else:
-                    # The shield keeps the executor future alive past the
-                    # timer: threads cannot be cancelled, only abandoned.
-                    result = await asyncio.wait_for(
-                        asyncio.shield(future), max(0.0, deadline - clock())
-                    )
+            return await asyncio.wait_for(
+                asyncio.shield(future), max(0.0, deadline - self.telemetry.clock())
+            )
         except asyncio.TimeoutError:
-            # Deadline fired mid-queue or mid-execute: the typed reply
-            # goes out *now* (deadline + one scheduling quantum is the
-            # contract); the caller drains the abandoned future and then
-            # releases its admission slot.
-            return self._timeout_reply(request_id, record, deadline_ms), future
-        except DeadlineError as exc:
-            # The worker shed it at queue exit — never executed.
-            self._inflight -= 1
-            return self._timeout_reply(
-                request_id, record, deadline_ms, message=str(exc)
-            ), None
-        except (QueryError, ServeError, StorageError, ValueError) as exc:
-            self._inflight -= 1
-            record.outcome = "bad_request"
-            record.error = str(exc)
-            self.counters.requests_failed += 1
-            return protocol.error_reply(
-                request_id,
-                protocol.ERROR_BAD_REQUEST,
-                str(exc),
-                server=record.reply_view(),
-            ), None
-        except ReproError as exc:
-            self._inflight -= 1
-            record.outcome = "server_error"
-            record.error = str(exc)
-            self.counters.requests_failed += 1
-            return protocol.error_reply(
-                request_id,
-                protocol.ERROR_SERVER,
-                str(exc),
-                server=record.reply_view(),
-            ), None
-        except Exception as exc:  # noqa: BLE001 — a query bug must not kill the daemon
-            self._inflight -= 1
-            record.outcome = "server_error"
-            record.error = f"{type(exc).__name__}: {exc}"
-            self.counters.requests_failed += 1
-            return protocol.error_reply(
-                request_id,
-                protocol.ERROR_SERVER,
-                record.error,
-                server=record.reply_view(),
-            ), None
-        self._inflight -= 1
-        # A request served from quarantined regions answered, but an
-        # operator must see it was not served whole.
-        record.outcome = (
-            "degraded" if record.counters.get("degraded_reads", 0) else "ok"
-        )
-        self.counters.requests_ok += 1
-        return protocol.ok_reply(
-            request_id, result, server=record.reply_view()
-        ), None
+            raise _expired(deadline_ms) from None
 
-    def _timeout_reply(
-        self,
-        request_id,
-        record: RequestRecord,
-        deadline_ms,
-        message: str | None = None,
-    ) -> dict:
-        """Account and build one typed ``timeout`` reply."""
-        record.outcome = "timeout"
-        record.error = message or (
-            f"deadline of {deadline_ms:g} ms expired; request abandoned"
-        )
-        self.counters.requests_timeout += 1
+    def _complete(self, record: RequestRecord, request_id, result, failure) -> dict:
+        """The one place a request is answered, recorded and counted."""
+        if failure is None:
+            # A request served from quarantined regions answered, but an
+            # operator must see it was not served whole.
+            record.outcome = (
+                "degraded" if record.counters.get("degraded_reads", 0) else "ok"
+            )
+            self.counters.requests_ok += 1
+            return protocol.ok_reply(request_id, result, server=record.reply_view())
+        for types, error_type, outcome, counter in _FAILURES:
+            if isinstance(failure, types):
+                break
+        record.outcome = outcome
+        record.error = str(failure)
+        if not isinstance(failure, (ReproError, ValueError)):
+            # Not an error this library raises on purpose: name the type,
+            # the message alone ("0", "'page'") may say nothing.
+            record.error = f"{type(failure).__name__}: {failure}"
+        setattr(self.counters, counter, getattr(self.counters, counter) + 1)
         return protocol.error_reply(
-            request_id,
-            protocol.ERROR_TIMEOUT,
-            record.error,
-            server=record.reply_view(),
+            request_id, error_type, record.error, server=record.reply_view()
         )
 
-    # -- hot store swap ---------------------------------------------------------
-
-    async def _swap_op(
-        self, request: dict, record: RequestRecord, request_id
-    ) -> dict:
-        """The ``swap`` admin op: hot-swap onto a freshly built pair."""
-        clock = self.telemetry.clock
-        start = clock()
-        workdir = request.get("workdir")
-        try:
-            if not isinstance(workdir, str) or not workdir:
-                raise ServeError("swap op needs a 'workdir' string")
-            result = await self.swap_stores(workdir)
-        except (ServeError, StorageError) as exc:
-            record.phases["execute"] = clock() - start
-            record.error = str(exc)
-            self.counters.requests_failed += 1
-            return protocol.error_reply(
-                request_id,
-                protocol.ERROR_BAD_REQUEST,
-                str(exc),
-                server=record.reply_view(),
-            )
-        record.phases["execute"] = clock() - start
-        record.outcome = "ok"
-        self.counters.requests_ok += 1
-        return protocol.ok_reply(request_id, result, server=record.reply_view())
-
-    async def _compact_op(
-        self, request: dict, record: RequestRecord, request_id
-    ) -> dict:
-        """The ``compact`` admin op: fold the WAL into a fresh build."""
-        clock = self.telemetry.clock
-        start = clock()
-        workdir = request.get("workdir")
-        try:
-            if not isinstance(workdir, str) or not workdir:
-                raise ServeError("compact op needs a 'workdir' string")
-            result = await self.compact_stores(workdir)
-        except (ServeError, StorageError) as exc:
-            record.phases["execute"] = clock() - start
-            record.error = str(exc)
-            self.counters.requests_failed += 1
-            return protocol.error_reply(
-                request_id,
-                protocol.ERROR_BAD_REQUEST,
-                str(exc),
-                server=record.reply_view(),
-            )
-        record.phases["execute"] = clock() - start
-        record.outcome = "ok"
-        self.counters.requests_ok += 1
-        return protocol.ok_reply(request_id, result, server=record.reply_view())
-
-    async def swap_stores(self, workdir) -> dict:
-        """Hot-swap the serving stores onto the pair under ``workdir``.
+    async def swap_stores(self, workdir, compact: bool = False) -> dict:
+        """Move serving onto the store pair under ``workdir``; no request fails.
 
         The protocol, in order: **validate** the candidate directories
         off-loop (committed build, manifest digest + whole-file CRCs via
         quick fsck, matching page count) and open them cold; **flip**
         the context references and bump the generation — one atomic
-        event-loop step, so every dispatch sees either the old pair or
-        the new pair; **drain** the executor futures that were in flight
-        at the flip (they run against the old stores); **close** the old
-        pair.  Requests never fail because of a swap: pre-flip
-        admissions complete on the old store, post-flip admissions run
-        on the new one, and connections rebuild their sessions lazily on
-        their next request.
-        """
-        if self._swap_lock is None:
-            raise ServeError("daemon is not started")
-        if self._swap_lock.locked():
-            raise ServeError("a store swap is already in progress")
-        async with self._swap_lock:
-            return await self._adopt_pair(workdir, absorbed_offset=None)
+        event-loop step (:meth:`ServeContext.adopt`), so every request
+        sees either the old pair or the new pair; **drain** the executor
+        futures that were in flight at the flip (they run against the
+        old stores); **close** the old pair.  Pre-flip admissions
+        complete on the old store, post-flip admissions run on the new
+        one, and connections rebuild their sessions lazily on their next
+        request.
 
-    async def compact_stores(self, workdir) -> dict:
-        """Online compaction: fold the WAL into a fresh pair, then swap.
-
-        The sequence: **snapshot** the log on the event loop (no awaits
-        between observing the offset and copying the records, so the
-        snapshot is a frame-exact prefix even while writes keep
-        arriving); **build** base + snapshot-overlay through the normal
-        build pipeline off-loop under ``workdir``; **adopt** via the
-        same validate/flip/drain/close protocol as a hot swap, extended
-        to truncate the absorbed WAL prefix and replay the unabsorbed
-        suffix into fresh overlays inside the same generation bump.
-        Writes logged during the build are exactly that suffix — none
-        are lost, none are double-applied.
+        ``compact=True`` is online compaction — the pair is this
+        daemon's own log folded into a fresh build first: **snapshot**
+        the log on the event loop (no awaits between observing the
+        offset and copying the records, so the snapshot is a frame-exact
+        prefix even while writes keep arriving); **build** base +
+        snapshot-overlay through the normal build pipeline off-loop
+        under ``workdir``; then the protocol above, whose flip also
+        truncates the absorbed WAL prefix and replays the unabsorbed
+        suffix into fresh overlays.  Writes logged during the build are
+        exactly that suffix — none are lost, none are double-applied.
+        One swap at a time: a second one is refused, not queued.
         """
         if self._swap_lock is None:
             raise ServeError("daemon is not started")
@@ -1188,79 +936,51 @@ class GraphQueryDaemon:
             raise ServeError("a store swap is already in progress")
         async with self._swap_lock:
             context = self.context
-            if not context.mutation_enabled:
-                raise ServeError(
-                    "compact requires mutation to be enabled on this daemon"
-                )
-            from repro.snode.delta import DeltaOverlay
-
-            scan = context.wal.scan()
-            snapshot = DeltaOverlay()
-            for entry in scan.records:
-                snapshot.apply_record(entry)
-            await asyncio.to_thread(context.compact_build, snapshot, workdir)
-            result = await self._adopt_pair(
-                workdir, absorbed_offset=scan.good_bytes
-            )
-            context.compactions += 1
-            context.last_compaction_generation = context.generation
-            result.update(
-                {
-                    "compacted": True,
-                    "absorbed_records": len(scan.records),
-                    "absorbed_bytes": scan.good_bytes,
-                }
-            )
+            absorbed_offset = None
+            if compact:
+                if not context.mutation_enabled:
+                    raise ServeError(
+                        "compact requires mutation to be enabled on this daemon"
+                    )
+                snapshot, scan = DeltaOverlay.replay(context.wal)
+                await asyncio.to_thread(context.compact_build, snapshot, workdir)
+                absorbed_offset = scan.good_bytes
+            forward, backward = await asyncio.to_thread(context.open_pair, workdir)
+            # Snapshot-then-flip with no await between: the snapshot is
+            # exactly the set of requests running against the old pair.
+            pending = list(self._active)
+            old_pair, mutation = context.adopt(forward, backward, absorbed_offset)
+            if pending:
+                await asyncio.gather(*pending, return_exceptions=True)
+            for side in old_pair:
+                await asyncio.to_thread(side.close)
+            self.counters.store_swaps += 1
+            result = {
+                "swapped": True,
+                "generation": context.generation,
+                "drained": len(pending),
+                "workdir": str(workdir),
+            }
+            if mutation is not None:
+                result["mutation"] = mutation
+            if compact:
+                context.compactions += 1
+                context.last_compaction_generation = context.generation
+                result["compacted"] = True
+                result["absorbed_records"] = len(scan.records)
+                result["absorbed_bytes"] = scan.good_bytes
             return result
 
-    async def _adopt_pair(self, workdir, absorbed_offset) -> dict:
-        """Validate, open, flip, drain, close — the shared adoption tail.
+    # -- execution and op handlers (worker threads, or the loop when resident) --
 
-        Caller holds the swap lock.  When mutation is enabled, the WAL
-        hand-off (:meth:`ServeContext.absorb_wal`) runs synchronously
-        between the flip and the first await, so the generation bump,
-        the prefix truncation and the overlay re-attachment are one
-        atomic step for every coroutine.
-        """
-        forward, backward = await asyncio.to_thread(
-            self.context.open_pair, workdir
-        )
-        # Snapshot-then-flip with no await between: the snapshot is
-        # exactly the set of requests running against the old pair.
-        pending = list(self._active)
-        old_forward, old_backward = self.context.adopt(forward, backward)
-        mutation = None
-        if self.context.mutation_enabled:
-            mutation = self.context.absorb_wal(
-                absorbed_offset, forward, backward
-            )
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        await asyncio.to_thread(old_forward.close)
-        await asyncio.to_thread(old_backward.close)
-        self.counters.store_swaps += 1
-        result = {
-            "swapped": True,
-            "generation": self.context.generation,
-            "drained": len(pending),
-            "workdir": str(workdir),
-        }
-        if mutation is not None:
-            result["mutation"] = mutation
-        return result
-
-    # -- request execution (worker threads) ------------------------------------
-
-    def _session_counters(self, engine: ClientEngine) -> dict[str, int]:
-        """Attributable session counters summed over both directions.
-
-        Requests on one connection are strictly sequential (the read
-        loop awaits each dispatch), so before/after differences of the
-        connection's sessions are exactly this request's I/O.
-        """
-        forward = engine.forward.metrics.get
-        backward = engine.backward.metrics.get
-        return {name: forward(name) + backward(name) for name in DELTA_COUNTERS}
+    def _page(self, request: dict) -> int:
+        """The request's ``page``, or the typed error for a bad one."""
+        page = request.get("page")
+        if not isinstance(page, int) or isinstance(page, bool):
+            raise QueryError("neighbors op needs an integer 'page'")
+        if not 0 <= page < self.context.repository.num_pages:
+            raise QueryError(f"page {page} out of range")
+        return page
 
     def _resident(self, engine: ClientEngine, request: dict) -> bool:
         """Would this ``neighbors`` request be answered from the buffer?
@@ -1269,31 +989,29 @@ class GraphQueryDaemon:
         counter).  A malformed or out-of-range page answers False: the
         executor path owns validation and its typed errors.
         """
-        page = request.get("page")
-        if not isinstance(page, int) or isinstance(page, bool):
+        try:
+            return engine.forward.is_resident(self._page(request))
+        except QueryError:
             return False
-        if not 0 <= page < self.context.repository.num_pages:
-            return False
-        return engine.forward.is_resident(page)
 
     def _execute_measured(
         self,
         engine: ClientEngine,
-        op: str,
+        handler,
         request: dict,
         record: RequestRecord,
         submitted: float,
         deadline: float | None = None,
     ):
-        """Worker-thread wrapper: queue-wait + execute spans, counter deltas.
+        """Run a queued op's handler: queue-wait + execute spans, counter deltas.
 
         Opens a *request-scoped* tracer bound to the connection's
-        session pair and activates it for this worker thread only
-        (contextvar confinement): the root span is ``request.<op>``,
-        navigation helpers add ``nav.*`` children, and every span's
-        counter delta is this connection's I/O — another worker's
-        request can never leak into it.  The resulting span records ride
-        on the request record into the flight recorder.
+        session pair and activates it for this thread only (contextvar
+        confinement): the root span is ``request.<op>``, navigation
+        helpers add ``nav.*`` children, and every span's counter delta
+        is this connection's I/O — another worker's request can never
+        leak into it.  The resulting span records ride on the request
+        record into the flight recorder.
 
         A request whose ``deadline`` passed while it waited in the queue
         is shed here, at queue exit, without executing — the second
@@ -1308,45 +1026,63 @@ class GraphQueryDaemon:
                 f"deadline expired after {record.phases['queue_wait'] * 1e3:.1f} "
                 "ms of queue wait; request shed unexecuted"
             )
-        before = self._session_counters(engine)
         tracer = Tracer(registry=engine)
         try:
             with tracing.activated(tracer):
-                with tracer.span(f"request.{op}", rid=record.rid):
-                    return self._execute(engine, op, request)
+                with tracer.span(f"request.{record.op}", rid=record.rid):
+                    return handler(self, engine, request)
         finally:
             record.phases["execute"] = clock() - begin
-            after = self._session_counters(engine)
-            record.counters = {
-                name: after[name] - before[name] for name in DELTA_COUNTERS
-            }
+            # Requests on one connection are strictly sequential, so
+            # what its sessions counted while the root span was open is
+            # exactly this request's I/O.
+            moved = tracer.roots[0].counters
+            record.counters = {name: moved.get(name, 0) for name in DELTA_COUNTERS}
             record.spans = tracer.span_records()
 
-    def _execute(self, engine: ClientEngine, op: str, request: dict):
-        if op == "query":
-            name = request.get("name")
-            if name not in _QUERY_NAMES:
-                raise QueryError(
-                    f"unknown paper query {name!r}; choose from {_QUERY_NAMES}"
-                )
-            result = run_query(engine.engine, name)
-            payload = protocol.canonicalize(result.payload)
-            return {
-                "name": name,
-                "payload": payload,
-                "digest": protocol.payload_digest(result.payload),
-                "navigation_seconds": result.navigation_seconds,
-            }
-        if op == "neighbors":
-            page = request.get("page")
-            if not isinstance(page, int) or isinstance(page, bool):
-                raise QueryError("neighbors op needs an integer 'page'")
-            if not 0 <= page < self.context.repository.num_pages:
-                raise QueryError(f"page {page} out of range")
-            with engine.engine.navigation_timer("out_neighborhood"):
-                row = engine.engine.forward.out_neighbors(page)
-            return {"page": page, "neighbors": row}
-        raise ServeError(f"unhandled op {op!r}")  # pragma: no cover
+    def _ping(self, engine: ClientEngine, request: dict) -> dict:
+        return {"pong": True}
+
+    def _write(self, engine: ClientEngine, request: dict) -> dict:
+        """``add_edges`` / ``remove_edges``.  Inline on the event loop: the
+        WAL append + overlay fold must serialize with each other and
+        with the swap/compaction flip, and the fsync *is* the op's cost.
+        Deliberately absent from IDEMPOTENT_OPS: a lost reply retried
+        blindly would double-apply a non-idempotent write.
+        """
+        result = self.context.apply_mutation(
+            "add" if request["op"] == "add_edges" else "remove",
+            request.get("edges"),
+        )
+        self.counters.writes += 1
+        return result
+
+    async def _swap(self, engine: ClientEngine, request: dict) -> dict:
+        """The ``swap`` and ``compact`` admin ops (:meth:`swap_stores`)."""
+        op, workdir = request["op"], request.get("workdir")
+        if not isinstance(workdir, str) or not workdir:
+            raise ServeError(f"{op} op needs a 'workdir' string")
+        return await self.swap_stores(workdir, compact=op == "compact")
+
+    def _query(self, engine: ClientEngine, request: dict) -> dict:
+        name = request.get("name")
+        if name not in _QUERY_NAMES:
+            raise QueryError(
+                f"unknown paper query {name!r}; choose from {_QUERY_NAMES}"
+            )
+        result = run_query(engine.engine, name)
+        return {
+            "name": name,
+            "payload": protocol.canonicalize(result.payload),
+            "digest": protocol.payload_digest(result.payload),
+            "navigation_seconds": result.navigation_seconds,
+        }
+
+    def _neighbors(self, engine: ClientEngine, request: dict) -> dict:
+        page = self._page(request)
+        with engine.engine.navigation_timer("out_neighborhood"):
+            row = engine.engine.forward.out_neighbors(page)
+        return {"page": page, "neighbors": row}
 
     # -- stats / metrics (event loop; registries are internally locked) --------
 
@@ -1373,7 +1109,7 @@ class GraphQueryDaemon:
                     totals[name] = totals.get(name, 0) + int(value)
         return totals
 
-    def _stats(self, engine: ClientEngine) -> dict:
+    def _stats(self, engine: ClientEngine, request: dict) -> dict:
         return {
             "client": engine.io_stats(),
             "shared": self.context.shared_totals(),
@@ -1422,15 +1158,20 @@ class GraphQueryDaemon:
                 gauges[key] = mutation[key]
         return gauges
 
-    def _metrics(self, fmt) -> dict:
+    def _snapshot(self) -> dict:
+        """The telemetry snapshot with this daemon's gauges and storage."""
+        return self.telemetry.snapshot(
+            gauges=self._gauges(), storage=self.io_resilience()
+        )
+
+    def _metrics(self, engine: ClientEngine, request: dict) -> dict:
         """The ``metrics`` inline op: JSON snapshot or Prometheus text."""
+        fmt = request.get("format")
         if fmt not in (None, "json", "text"):
             raise QueryError(
                 f"metrics format must be 'json' or 'text', got {fmt!r}"
             )
-        snapshot = self.telemetry.snapshot(
-            gauges=self._gauges(), storage=self.io_resilience()
-        )
+        snapshot = self._snapshot()
         if fmt == "text":
             return {"text": render_prometheus(snapshot)}
         return snapshot
@@ -1450,7 +1191,7 @@ class GraphQueryDaemon:
             },
         }
 
-    def _debug(self) -> dict:
+    def _debug(self, engine: ClientEngine, request: dict) -> dict:
         """The ``debug`` inline op: every retained trace plus context.
 
         Returns the same material a shutdown debug bundle holds, so a
@@ -1462,9 +1203,7 @@ class GraphQueryDaemon:
             "traces": self.flight.traces(),
             "slow": self.telemetry.slow_log.top(),
             "config": self.config_view(),
-            "stats": self.telemetry.snapshot(
-                gauges=self._gauges(), storage=self.io_resilience()
-            ),
+            "stats": self._snapshot(),
         }
 
     def dump_debug_bundle(self, directory) -> Path:
@@ -1472,12 +1211,30 @@ class GraphQueryDaemon:
         return write_debug_bundle(
             directory,
             self.flight.traces(),
-            stats=self.telemetry.snapshot(
-                gauges=self._gauges(), storage=self.io_resilience()
-            ),
+            stats=self._snapshot(),
             config=self.config_view(),
             slow_entries=self.telemetry.slow_log.top(),
         )
+
+    #: The op table: op -> (kind, handler).  Every handler is
+    #: ``handler(self, engine, request) -> result``; the kind is how
+    #: :meth:`_serve` runs it.  ``_INLINE`` ops run on the event loop
+    #: even under overload; ``_ADMIN`` handlers are coroutines awaited
+    #: in place, one at a time under the swap lock; ``_QUEUED`` ops sit
+    #: behind deadline and admission and run on a worker — or inline
+    #: when :meth:`_resident` says so.
+    _OPS = {
+        "ping": (_INLINE, _ping),
+        "stats": (_INLINE, _stats),
+        "metrics": (_INLINE, _metrics),
+        "debug": (_INLINE, _debug),
+        "add_edges": (_INLINE, _write),
+        "remove_edges": (_INLINE, _write),
+        "swap": (_ADMIN, _swap),
+        "compact": (_ADMIN, _swap),
+        "query": (_QUEUED, _query),
+        "neighbors": (_QUEUED, _neighbors),
+    }
 
 
 class DaemonHandle:

@@ -15,8 +15,7 @@ the paper builds both for every scheme.
 Since the staged-pipeline refactor the heavy lifting lives in
 :class:`repro.snode.pipeline.BuildPipeline`: every stage checkpoints
 inside the build transaction's tmp directory, the encode stage can fan
-out across a ``multiprocessing`` worker pool (``BuildOptions.workers``,
-or the ``REPRO_BUILD_WORKERS`` environment variable), and
+out across a ``multiprocessing`` worker pool (``BuildOptions.workers``), and
 ``build_snode(..., resume=True)`` picks an interrupted build up from its
 last completed stage.  Output bytes are identical for every worker count
 and every resume path.
@@ -53,9 +52,9 @@ class BuildOptions:
     use_dictionary: bool = True
     force_positive_superedges: bool = False
     transpose: bool = False
-    # Encode-stage worker processes; None defers to REPRO_BUILD_WORKERS
-    # (default 1 = serial).  Never changes output bytes, only wall-clock.
-    workers: int | None = None
+    # Encode-stage worker processes (1 = serial).  Never changes output
+    # bytes, only wall-clock.
+    workers: int = 1
 
 
 @dataclass

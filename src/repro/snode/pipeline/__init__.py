@@ -5,14 +5,14 @@ Public surface:
 * :class:`~repro.snode.pipeline.core.BuildPipeline` — the staged,
   checkpointed, resumable builder behind ``build_snode``;
 * :data:`~repro.snode.pipeline.core.STAGES` — stage names in order;
-* :func:`~repro.snode.pipeline.pool.resolve_workers` /
-  :data:`~repro.snode.pipeline.pool.ENV_WORKERS` — worker-count policy;
+* :func:`~repro.snode.pipeline.pool.resolve_workers` — worker-count
+  validation;
 * the shard layer (:mod:`~repro.snode.pipeline.shard`) — picklable
   encode tasks for the ``multiprocessing`` fan-out.
 """
 
 from repro.snode.pipeline.core import STAGES, BuildPipeline, StageRun
-from repro.snode.pipeline.pool import ENV_WORKERS, resolve_workers, run_shards
+from repro.snode.pipeline.pool import resolve_workers, run_shards
 from repro.snode.pipeline.shard import (
     EncodedUnit,
     ShardResult,
@@ -26,7 +26,6 @@ __all__ = [
     "BuildPipeline",
     "STAGES",
     "StageRun",
-    "ENV_WORKERS",
     "resolve_workers",
     "run_shards",
     "ShardTask",

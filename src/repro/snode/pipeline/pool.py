@@ -7,14 +7,13 @@ over a process pool and results stream back **in task order**
 (``imap``), letting the parent append payloads to the index files while
 later shards are still encoding.
 
-The worker count resolves from, in priority order: the explicit
-``--workers`` value, the ``REPRO_BUILD_WORKERS`` environment variable,
-then the serial default of 1.
+The worker count is explicit (``BuildOptions.workers`` / ``--workers``)
+and defaults to the serial 1: at the sizes this repo builds, three
+measurements in a row had the pool slower than serial.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator, Sequence
 
 from repro.errors import BuildError
@@ -22,22 +21,8 @@ from repro.snode.model import SNodeModel
 from repro.snode.pipeline import shard as shard_mod
 from repro.snode.pipeline.shard import ShardResult, ShardTask, encode_shard
 
-#: Environment override for the default worker count.
-ENV_WORKERS = "REPRO_BUILD_WORKERS"
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Effective worker count: explicit value, else env var, else 1."""
-    if workers is None:
-        raw = os.environ.get(ENV_WORKERS, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise BuildError(
-                f"{ENV_WORKERS} must be a positive integer, got {raw!r}"
-            ) from None
+def resolve_workers(workers: int) -> int:
+    """The worker count, validated."""
     if workers < 1:
         raise BuildError(f"worker count must be >= 1, got {workers}")
     return workers

@@ -15,8 +15,7 @@ The contracts under test (the "Build pipeline" section of DESIGN.md):
 * **Fingerprint safety** — resuming against a different repository or
   different build knobs falls back to a fresh build instead of splicing
   mismatched checkpoints;
-* ``REPRO_BUILD_WORKERS`` is honoured (and validated) when
-  ``BuildOptions.workers`` is None;
+* the worker count is explicit: no environment variable changes it;
 * shard planning covers the supernode range exactly, in order.
 """
 
@@ -81,32 +80,18 @@ class TestWorkerDeterminism:
         assert _tree_digest(root) == ref_digest
         assert build.manifest["digest"] == ref_build.manifest["digest"]
 
-    def test_env_var_sets_worker_count(
-        self, tiny_repo, test_refinement_config, reference_build, tmp_path, monkeypatch
+    def test_worker_count_ignores_the_environment(
+        self, tiny_repo, test_refinement_config, tmp_path, monkeypatch
     ):
-        _ref_build, ref_digest, _baseline = reference_build
-        monkeypatch.setenv("REPRO_BUILD_WORKERS", "2")
+        # The knob that used to be read here is gone, garbage included.
+        monkeypatch.setenv("REPRO_BUILD_WORKERS", "two")
         build = build_snode(
             tiny_repo,
             tmp_path / "env",
             BuildOptions(refinement=test_refinement_config),
         )
         build.store.close()
-        assert build.workers == 2
-        assert _tree_digest(tmp_path / "env") == ref_digest
-
-    def test_explicit_workers_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BUILD_WORKERS", "4")
-        assert resolve_workers(2) == 2
-        assert resolve_workers(None) == 4
-        monkeypatch.delenv("REPRO_BUILD_WORKERS")
-        assert resolve_workers(None) == 1
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5"])
-    def test_bad_env_worker_count_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BUILD_WORKERS", raw)
-        with pytest.raises(BuildError):
-            resolve_workers(None)
+        assert build.workers == 1
 
     def test_bad_explicit_worker_count_rejected(self):
         with pytest.raises(BuildError):
