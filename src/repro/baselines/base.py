@@ -113,8 +113,20 @@ class GraphRepresentation(abc.ABC):
 
 
 class SNodeRepresentation(GraphRepresentation):
-    """Adapter exposing an :class:`~repro.snode.build.SNodeBuild` through
-    the common interface (translating new ids back to repository ids)."""
+    """An :class:`~repro.snode.build.SNodeBuild` behind the common
+    interface (new ids translated back to repository ids).
+
+    The one read view of an S-Node store.  The *shared* view, made from
+    a build, charges the store's own registry and owns the store's
+    lifetime.  :meth:`session` stamps out a *client* view of the same
+    class: same store, same buffer pool, same overlay, but reads charge
+    a child registry of the store's, so a query daemon can hand each
+    connection its own view (and its own
+    :class:`~repro.query.engine.QueryEngine`) with exactly attributable
+    I/O.  A client view is used from one thread at a time — that is what
+    makes its hot-path counting uncontended — and is closed by folding
+    its counters into the store's.
+    """
 
     name = "s-node"
 
@@ -123,6 +135,13 @@ class SNodeRepresentation(GraphRepresentation):
         self._store = build.store
         self._old_to_new = build.numbering.old_to_new
         self._new_to_old = build.numbering.new_to_old
+        #: What this view's reads charge: the store's own registry, or on
+        #: a client view a child of it.
+        self._registry = self._store.metrics
+        #: On a client view, the shared view it was stamped out from —
+        #: the owner of the store and the overlay; None on that view itself
+        #: (not a self-reference: dropping a view must free its store).
+        self._parent = None
         #: Optional :class:`~repro.snode.delta.DeltaOverlay` of pending
         #: edge mutations, merged into every row *after* the new->old id
         #: translation (the overlay speaks repository ids).
@@ -157,6 +176,19 @@ class SNodeRepresentation(GraphRepresentation):
             )
         )
 
+    def session(self, label: str | None = None) -> "SNodeRepresentation":
+        """A client view: this store and overlay, its own counters.
+
+        ``metrics`` / ``io_stats()`` of the returned view cover only its
+        own reads; the store's ``metrics.merged_snapshot()`` includes it
+        while it is open, and :meth:`close` folds it in for good, so
+        client numbers plus the base always sum to the shared totals.
+        """
+        view = SNodeRepresentation(self._build)
+        view._registry = self._store.metrics.child(label)
+        view._parent = self._parent or self
+        return view
+
     @property
     def store(self):
         """The underlying :class:`~repro.snode.store.SNodeStore`."""
@@ -170,49 +202,59 @@ class SNodeRepresentation(GraphRepresentation):
     @property
     def overlay(self):
         """The attached delta overlay, if the store is serving mutably."""
-        return self._overlay
+        return (self._parent or self)._overlay
 
     def attach_overlay(self, overlay) -> None:
         """Serve ``overlay``'s pending mutations merged into every row.
 
-        Sessions stamped out by :meth:`session` consult the parent's
-        overlay dynamically, so attaching before (or between) sessions
+        The overlay lives on the shared view and client views look it up
+        there on every read, so attaching before (or between) sessions
         is enough — no per-session re-plumbing.  Pass ``None`` to go
         back to serving the committed build verbatim.
         """
-        self._overlay = overlay
+        (self._parent or self)._overlay = overlay
 
-    def _merged(self, page: int, row: list[int], registry) -> list[int]:
-        overlay = self._overlay
+    def _repository_row(self, page: int, row: list[int], registry) -> list[int]:
+        """A store row of ``page`` in repository ids, overlay merged in;
+        the merge is charged to ``registry``."""
+        row = sorted(self._new_to_old[t] for t in row)
+        overlay = (self._parent or self)._overlay
         if overlay is None:
             return row
         return overlay.merge(page, row, registry)
 
     def out_neighbors(self, page: int) -> list[int]:
-        new_page = self._old_to_new[page]
-        row = self._store.out_neighbors(new_page)
-        return self._merged(
-            page, sorted(self._new_to_old[t] for t in row), self.metrics
-        )
+        registry = self._registry
+        row = self._store.out_neighbors(self._old_to_new[page], registry)
+        return self._repository_row(page, row, registry)
 
     def out_neighbors_many(self, pages) -> dict[int, list[int]]:
+        registry = self._registry
         translated = {self._old_to_new[p]: p for p in pages}
-        rows = self._store.out_neighbors_many(list(translated))
+        rows = self._store.out_neighbors_many(list(translated), registry)
         return {
-            translated[new_page]: self._merged(
-                translated[new_page],
-                sorted(self._new_to_old[t] for t in row),
-                self.metrics,
+            translated[new_page]: self._repository_row(
+                translated[new_page], row, registry
             )
             for new_page, row in rows.items()
         }
 
     def iterate_all(self):
+        """Every (page, adjacency) in storage order.
+
+        Always charged to the store's base registry, from a client view
+        too: a scan is a whole-store job, and conservation sums count on
+        a client's registry holding only that client's lookups.
+        """
+        base = self._store.metrics
         for new_page, row in self._store.iterate_all():
             page = self._new_to_old[new_page]
-            yield page, self._merged(
-                page, sorted(self._new_to_old[t] for t in row), self.metrics
-            )
+            yield page, self._repository_row(page, row, base)
+
+    def is_resident(self, page: int) -> bool:
+        """See :meth:`~repro.snode.store.SNodeStore.is_resident` (a
+        pending overlay row is already in memory, so it never matters)."""
+        return self._store.is_resident(self._old_to_new[page])
 
     def size_bytes(self) -> int:
         from repro.snode.encode import supernode_graph_size_bytes
@@ -240,137 +282,31 @@ class SNodeRepresentation(GraphRepresentation):
 
     @property
     def metrics(self) -> MetricsRegistry:
-        return self._store.metrics
-
-    def io_stats(self) -> dict[str, int]:
-        stats = self._store.stats
-        return {
-            **self._store.metrics.io_stats(),
-            # Historical aliases, derived from the same registry.
-            "graphs_loaded": stats.graphs_loaded,
-            "graphs_evicted": stats.graphs_evicted,
-        }
+        return self._registry
 
     def drop_caches(self) -> None:
-        self._store.drop_buffers()
+        # The pool is shared: a client's drop (or rebound) would be
+        # another client's surprise cold read, so only the shared view may.
+        if self._parent is None:
+            self._store.drop_buffers()
 
     def set_buffer_bytes(self, buffer_bytes: int) -> None:
-        self._store.set_buffer_bytes(buffer_bytes)
+        if self._parent is None:
+            self._store.set_buffer_bytes(buffer_bytes)
 
     def set_on_corruption(self, mode: str) -> None:
         self._store.set_on_corruption(mode)
 
     @property
     def degraded_reads(self) -> int:
-        return self._store.degraded_reads
-
-    def session(self, label: str | None = None) -> "SNodeSessionRepresentation":
-        """A per-client view sharing this representation's store.
-
-        The returned representation reads through a
-        :class:`~repro.snode.store.ReadSession`: same buffer pool, same
-        on-disk files, but its ``metrics`` / ``io_stats()`` cover only
-        that client's reads.  Close it to fold the client's numbers back
-        into the shared store.
-        """
-        return SNodeSessionRepresentation(self, self._store.session(label=label))
+        """Degraded answers of this view: every client's on the shared
+        view, its own on a client view."""
+        return self._registry.get_total("degraded_reads")
 
     def close(self) -> None:
-        self._store.close()
-
-
-class SNodeSessionRepresentation(GraphRepresentation):
-    """One client's :class:`SNodeRepresentation` view over a shared store.
-
-    Wraps a :class:`~repro.snode.store.ReadSession`: adjacency reads hit
-    the shared buffer pool but charge the session's own registry, so a
-    query daemon can hand each connection its own representation (and its
-    own :class:`~repro.query.engine.QueryEngine`) while every byte of
-    shared cache is reused across clients.  ``close()`` ends the session
-    — the shared store stays open.
-    """
-
-    name = "s-node"
-
-    def __init__(self, parent: SNodeRepresentation, session) -> None:
-        self._parent = parent
-        self._session = session
-        self._old_to_new = parent._old_to_new
-        self._new_to_old = parent._new_to_old
-
-    @property
-    def session(self):
-        """The underlying :class:`~repro.snode.store.ReadSession`."""
-        return self._session
-
-    @property
-    def store(self):
-        """The shared :class:`~repro.snode.store.SNodeStore`."""
-        return self._session.store
-
-    def _merged(self, page: int, row: list[int]) -> list[int]:
-        # The overlay is looked up on the parent per call: a mutation
-        # enabled after this session opened is still served, and the
-        # merge cost lands on *this* session's registry — per-request
-        # attribution stays exact in the daemon.
-        overlay = self._parent._overlay
-        if overlay is None:
-            return row
-        return overlay.merge(page, row, self._session.registry)
-
-    def out_neighbors(self, page: int) -> list[int]:
-        new_page = self._old_to_new[page]
-        row = self._session.out_neighbors(new_page)
-        return self._merged(page, sorted(self._new_to_old[t] for t in row))
-
-    def is_resident(self, page: int) -> bool:
-        """See :meth:`~repro.snode.store.SNodeStore.is_resident` (a
-        pending overlay row is already in memory, so it never matters)."""
-        return self.store.is_resident(self._old_to_new[page])
-
-    def out_neighbors_many(self, pages) -> dict[int, list[int]]:
-        translated = {self._old_to_new[p]: p for p in pages}
-        rows = self._session.out_neighbors_many(list(translated))
-        return {
-            translated[new_page]: self._merged(
-                translated[new_page],
-                sorted(self._new_to_old[t] for t in row),
-            )
-            for new_page, row in rows.items()
-        }
-
-    def iterate_all(self):
-        return self._parent.iterate_all()
-
-    def size_bytes(self) -> int:
-        return self._parent.size_bytes()
-
-    @property
-    def num_pages(self) -> int:
-        return self._parent.num_pages
-
-    @property
-    def num_edges(self) -> int:
-        return self._parent.num_edges
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._session.registry
-
-    def io_stats(self) -> dict[str, int]:
-        return self._session.io_stats()
-
-    def drop_caches(self) -> None:
-        # The cache is shared; a per-client drop would be another client's
-        # surprise cold read.  Sessions therefore never drop buffers.
-        pass
-
-    def set_on_corruption(self, mode: str) -> None:
-        self.store.set_on_corruption(mode)
-
-    @property
-    def degraded_reads(self) -> int:
-        return self._session.registry.get("degraded_reads")
-
-    def close(self) -> None:
-        self._session.close()
+        """Close the store — or, on a client view, fold its counters
+        into the store's registry (once) and leave the store open."""
+        if self._parent is None:
+            self._store.close()
+        elif self._registry in self._store.metrics.children():
+            self._store.metrics.merge(self._registry)

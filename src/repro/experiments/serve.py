@@ -55,9 +55,10 @@ Then two resilience phases:
   flip — carries the serial baseline's digest
   (``swap_matches_serial``).
 
-Reported costs: throughput, request latency percentiles, queue-wait
-percentiles, hit rates.  Latency, throughput, shed/timeout counts and
-the ``chaos_detail``/``swap_detail`` sections are machine-/
+Wall-clock serving cost is ``benchmarks/perf``'s ``serve-warm`` and
+``serve-mutate`` workloads, not this run: here only the overload ladder
+reports (server-measured) queue waits.  Shed/timeout counts, hit rates
+and the ``chaos_detail``/``swap_detail`` sections are
 interleaving-dependent (CI ignores them); the digests,
 ``matches_serial``, ``metrics_conserved``, ``requests_conserved``,
 ``attribution_conserved``, ``traces_propagated``, ``requests_ok`` and
@@ -492,9 +493,6 @@ def run(
                 attributed.get(name, 0) == session_sums[name]
                 for name in _ATTRIBUTABLE
             )
-            histogram = load.latency_histogram()
-            queue_hist = load.queue_wait_histogram()
-            server_hist = load.server_latency_histogram()
             with tracing.span("serve.overload"):
                 overload = [
                     _overload_level(
@@ -544,21 +542,6 @@ def run(
                 "requests_ok": load.requests_ok,
                 "requests_failed": load.requests_failed,
                 "shed_retries": load.shed_retries,
-                "throughput_qps": load.throughput_qps,
-                "latency": {
-                    "latency_ms_p50": histogram.p50 * 1000.0,
-                    "latency_ms_p90": histogram.p90 * 1000.0,
-                    "latency_ms_p99": histogram.p99 * 1000.0,
-                    "latency_ms_max": histogram.max * 1000.0,
-                },
-                "queue_wait": {
-                    "queue_wait_ms_p50": (
-                        queue_hist.p50 if queue_hist.count else 0.0
-                    ) * 1000.0,
-                    "queue_wait_ms_p99": (
-                        queue_hist.p99 if queue_hist.count else 0.0
-                    ) * 1000.0,
-                },
                 "matches_serial": matches_serial,
                 "metrics_conserved": metrics_conserved,
                 "requests_conserved": requests_conserved,
@@ -612,14 +595,7 @@ def run(
             results["hit_rate_pct"] = (
                 100.0 * hits / lookups if lookups else 0.0
             )
-            return {
-                "results": results,
-                "histograms": {
-                    "serve_latency": histogram.to_dict(),
-                    "server_latency": server_hist.to_dict(),
-                    "queue_wait": queue_hist.to_dict(),
-                },
-            }
+            return {"results": results}
         finally:
             context.close()
     finally:
@@ -636,13 +612,6 @@ def report(results: dict) -> str:
         ("buffer stripes", results["stripes"]),
         ("requests ok / total", f"{results['requests_ok']} / {results['requests_total']}"),
         ("backpressure retries", results["shed_retries"]),
-        ("throughput (q/s)", f"{results['throughput_qps']:.1f}"),
-        ("latency p50 / p99 (ms)",
-         f"{results['latency']['latency_ms_p50']:.1f} / "
-         f"{results['latency']['latency_ms_p99']:.1f}"),
-        ("queue wait p50 / p99 (ms)",
-         f"{results['queue_wait']['queue_wait_ms_p50']:.1f} / "
-         f"{results['queue_wait']['queue_wait_ms_p99']:.1f}"),
         ("buffer hit rate", f"{results['hit_rate_pct']:.1f}%"),
         ("matches serial", results["matches_serial"]),
         ("metrics conserved", results["metrics_conserved"]),
@@ -797,7 +766,6 @@ def main() -> None:
             "stripes": arguments.stripes,
             "buffer_bytes": arguments.buffer_kb * 1024,
         },
-        histograms=outcome["histograms"],
         spans=tracer.summary_dict() if tracer else None,
     )
 

@@ -124,10 +124,6 @@ class MissRatioCurve:
             return 0.0
         return self.predicted_hits(capacity) / self.accesses
 
-    def miss_ratio(self, capacity: int) -> float:
-        """Predicted miss ratio at ``capacity`` (1 - hit ratio)."""
-        return 1.0 - self.hit_ratio(capacity)
-
     @property
     def min_useful_capacity(self) -> int:
         """Smallest capacity with any predicted hit (0 when none)."""

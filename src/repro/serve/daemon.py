@@ -5,11 +5,11 @@ Architecture (the paper's runtime organization, made multi-client):
 * **one shared store pair** — forward and transpose S-Node stores with
   their pinned supernode graphs and one byte-budgeted buffer pool each
   (lock-striped for concurrent readers);
-* **per-client sessions** — every connection gets its own
-  :class:`~repro.snode.store.ReadSession` pair wrapped in a
-  :class:`~repro.query.engine.QueryEngine`, so its hits, misses, seeks
-  and navigation timers are attributable to exactly that client while
-  the cached graphs are shared by everyone;
+* **per-client sessions** — every connection gets its own pair of
+  client views (:meth:`~repro.baselines.base.SNodeRepresentation.session`)
+  wrapped in a :class:`~repro.query.engine.QueryEngine`, so its hits,
+  misses, seeks and navigation timers are attributable to exactly that
+  client while the cached graphs are shared by everyone;
 * **asyncio frontend, thread-pool backend** — the event loop owns
   accept/read/write; query execution (decode-heavy, disk-touching) runs
   on a bounded worker pool;
@@ -138,7 +138,7 @@ class ClientEngine:
     """One connection's engine plus the sessions it reads through."""
 
     engine: QueryEngine
-    forward: object  # SNodeSessionRepresentation
+    forward: object  # SNodeRepresentation client view
     backward: object
     #: The context generation the sessions were opened against; a hot
     #: store swap bumps the context's counter and connections rebuild
@@ -519,7 +519,7 @@ class ServeContext:
         )
 
     def make_engine(self, label: str) -> ClientEngine:
-        """A per-client engine reading through fresh sessions."""
+        """A per-client engine reading through fresh client views."""
         forward = self.forward.session(label=f"{label}/forward")
         backward = self.backward.session(label=f"{label}/backward")
         return ClientEngine(
@@ -768,13 +768,13 @@ class GraphQueryDaemon:
         admitted = False
         try:
             try:
-                kind, handler = self._envelope(request, record, undecodable)
+                kind, handler, resident = self._envelope(request, record, undecodable)
                 if kind is _QUEUED:
                     deadline_ms = protocol.parse_deadline_ms(request)
                     deadline = self._admit(accepted, deadline_ms)
                     admitted = True
                     call = (engine, handler, request, record, clock(), deadline)
-                    if record.op == "neighbors" and self._resident(engine, request):
+                    if resident is not None and resident(self, engine, request):
                         # Every graph the lookup reads is buffered: the
                         # executor hop would cost more than the answer,
                         # so execute right here — same tracer, same
@@ -1216,24 +1216,25 @@ class GraphQueryDaemon:
             slow_entries=self.telemetry.slow_log.top(),
         )
 
-    #: The op table: op -> (kind, handler).  Every handler is
-    #: ``handler(self, engine, request) -> result``; the kind is how
-    #: :meth:`_serve` runs it.  ``_INLINE`` ops run on the event loop
-    #: even under overload; ``_ADMIN`` handlers are coroutines awaited
-    #: in place, one at a time under the swap lock; ``_QUEUED`` ops sit
-    #: behind deadline and admission and run on a worker — or inline
-    #: when :meth:`_resident` says so.
+    #: The op table: op -> (kind, handler, residency probe).  Every
+    #: handler is ``handler(self, engine, request) -> result``; the kind
+    #: is how :meth:`_serve` runs it.  ``_INLINE`` ops run on the event
+    #: loop even under overload; ``_ADMIN`` handlers are coroutines
+    #: awaited in place, one at a time under the swap lock; ``_QUEUED``
+    #: ops sit behind deadline and admission and run on a worker — or
+    #: inline when the op has a probe ``probe(self, engine, request)``
+    #: and it says the answer is already in memory.
     _OPS = {
-        "ping": (_INLINE, _ping),
-        "stats": (_INLINE, _stats),
-        "metrics": (_INLINE, _metrics),
-        "debug": (_INLINE, _debug),
-        "add_edges": (_INLINE, _write),
-        "remove_edges": (_INLINE, _write),
-        "swap": (_ADMIN, _swap),
-        "compact": (_ADMIN, _swap),
-        "query": (_QUEUED, _query),
-        "neighbors": (_QUEUED, _neighbors),
+        "ping": (_INLINE, _ping, None),
+        "stats": (_INLINE, _stats, None),
+        "metrics": (_INLINE, _metrics, None),
+        "debug": (_INLINE, _debug, None),
+        "add_edges": (_INLINE, _write, None),
+        "remove_edges": (_INLINE, _write, None),
+        "swap": (_ADMIN, _swap, None),
+        "compact": (_ADMIN, _swap, None),
+        "query": (_QUEUED, _query, None),
+        "neighbors": (_QUEUED, _neighbors, _resident),
     }
 
 

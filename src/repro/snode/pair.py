@@ -73,8 +73,8 @@ class SNodePair:
 
     def reset_stats(self) -> None:
         """Zero instrumentation on both stores."""
-        self.forward_build.store.stats.reset()
-        self.backward_build.store.stats.reset()
+        self.forward.reset_io_stats()
+        self.backward.reset_io_stats()
 
     def close(self) -> None:
         """Close both stores."""

@@ -18,14 +18,15 @@ An :class:`SNodeStore` mirrors the paper's runtime organization:
   ordering (Figure 8) becomes measurable.
 
 **Concurrent readers.** One store may serve many threads at once: every
-read method takes an optional ``registry`` so a :class:`ReadSession`
-(created by :meth:`SNodeStore.session`) can attribute its hits, misses,
-seeks and bytes to its own child registry while sharing the store's
-buffer pool.  The serial path — calling the store directly — charges the
-store's own registry and is byte-identical to the single-threaded
-behaviour; shared events (evictions, quarantines) always charge the
-store's base registry, so per-session numbers plus the base sum to the
-shared totals.
+read method takes an optional ``registry``, and a client that passes a
+child of the store's own (``store.metrics.child(label)``, which is what
+:meth:`repro.baselines.base.SNodeRepresentation.session` does) has its
+hits, misses, seeks and bytes attributed to that child while sharing the
+store's buffer pool; ``store.metrics.merge(child)`` folds it back when
+the client is done.  Calling the store without one charges the store's
+own registry and is byte-identical to the single-threaded behaviour;
+shared events (evictions, quarantines) always charge the store's base
+registry, so per-client numbers plus the base sum to the shared totals.
 """
 
 from __future__ import annotations
@@ -68,74 +69,6 @@ def _graph_cost(num_rows: int, rows) -> int:
     """Buffer charge of a decoded graph: ``num_rows`` rows in all, whose
     entries are in ``rows`` (any rows left out of it must be empty)."""
     return _ROW_COST * num_rows + _EDGE_COST * sum(map(len, rows))
-
-
-class StoreStats:
-    """Counter view over a store's metrics registry.
-
-    Keeps the historical field names (``graphs_loaded``, ``disk_seeks``,
-    ...) while the actual accounting lives in the shared
-    :class:`~repro.storage.metrics.MetricsRegistry`; ``events`` is the
-    registry's bounded ring-buffer log.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-
-    @property
-    def graphs_loaded(self) -> int:
-        """Graphs loaded from disk (intranode + superedge)."""
-        return self.registry.get("loads")
-
-    @property
-    def graphs_evicted(self) -> int:
-        """Graphs evicted by the buffer manager."""
-        return self.registry.get("buffer_evictions")
-
-    @property
-    def intranode_loads(self) -> int:
-        """Intranode graph loads."""
-        return self.registry.get("intranode_loads")
-
-    @property
-    def superedge_loads(self) -> int:
-        """Superedge graph loads."""
-        return self.registry.get("superedge_loads")
-
-    @property
-    def bytes_read(self) -> int:
-        """Payload bytes read from disk."""
-        return self.registry.get("bytes_read")
-
-    @property
-    def disk_seeks(self) -> int:
-        """Non-contiguous reads (the paper's seek-counting rule)."""
-        return self.registry.get("disk_seeks")
-
-    @property
-    def buffer_hits(self) -> int:
-        """Buffer-manager hits."""
-        return self.registry.get("buffer_hits")
-
-    @property
-    def events(self) -> list[tuple[str, tuple]]:
-        """Most recent load/unload events (bounded ring buffer)."""
-        return self.registry.events.to_list()
-
-    def reset(self) -> None:
-        """Zero every counter and clear the event log."""
-        self.registry.reset()
-
-    def distinct_loaded(self) -> tuple[int, int]:
-        """(#distinct intranode, #distinct superedge) graphs ever loaded.
-
-        Served by the registry's distinct-key tallies, so the section-4.3
-        analysis stays exact even after the event ring buffer wraps.
-        """
-        return (
-            self.registry.distinct("intranode"),
-            self.registry.distinct("superedge"),
-        )
 
 
 class SNodeStore:
@@ -191,7 +124,6 @@ class SNodeStore:
         self._record_events = record_events
         self._cache_decoded = cache_decoded
         self.metrics = MetricsRegistry()
-        self.stats = StoreStats(self.metrics)
         self._pool = BufferPool(
             buffer_bytes,
             registry=self.metrics,
@@ -576,19 +508,6 @@ class SNodeStore:
         """Buffer-manager counters."""
         return self._pool.stats()
 
-    # -- sessions ------------------------------------------------------------
-
-    def session(self, label: str | None = None) -> "ReadSession":
-        """Open a :class:`ReadSession` over this store.
-
-        Each session owns a child metrics registry: its reads charge that
-        child (uncontended, attributable to the client), while the pages
-        themselves come from the store's shared buffer pool.  Close the
-        session (or use it as a context manager) to fold its numbers back
-        into the store's totals.
-        """
-        return ReadSession(self, label=label)
-
     # -- graceful degradation ------------------------------------------------
 
     @property
@@ -614,90 +533,3 @@ class SNodeStore:
     def degraded_reads(self) -> int:
         """Answers served from quarantined (empty) regions (all sessions)."""
         return self.metrics.get_total("degraded_reads")
-
-
-class ReadSession:
-    """One client's view of a shared :class:`SNodeStore`.
-
-    Exposes the store's read API with every metric charged to the
-    session's own child registry: concurrent sessions share the buffer
-    pool (and benefit from each other's cached graphs) but keep fully
-    attributable I/O accounting.  Sessions are intended to be used from
-    one thread at a time — that is what makes their hot-path counting
-    uncontended — while any number of sessions run in parallel.
-
-    Closing the session merges its counters back into the store's
-    registry; the store's ``metrics.merged_snapshot()`` view includes
-    still-open sessions, so per-client numbers always sum to the shared
-    totals.
-    """
-
-    def __init__(self, store: SNodeStore, label: str | None = None) -> None:
-        self._store = store
-        self.registry = store.metrics.child(label=label)
-        self.stats = StoreStats(self.registry)
-        self._closed = False
-
-    @property
-    def store(self) -> SNodeStore:
-        """The shared store this session reads through."""
-        return self._store
-
-    @property
-    def label(self) -> str | None:
-        """The session label (shown in per-client reports)."""
-        return self.registry.label
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has folded this session's metrics."""
-        return self._closed
-
-    # -- read API (mirrors SNodeStore) --------------------------------------
-
-    def supernode_of(self, page: int) -> int:
-        """See :meth:`SNodeStore.supernode_of`."""
-        return self._store.supernode_of(page)
-
-    def supernode_range(self, supernode: int) -> tuple[int, int]:
-        """See :meth:`SNodeStore.supernode_range`."""
-        return self._store.supernode_range(supernode)
-
-    def supernodes_of_domain(self, domain: str) -> list[int]:
-        """See :meth:`SNodeStore.supernodes_of_domain`."""
-        return self._store.supernodes_of_domain(domain)
-
-    def intranode_rows(self, supernode: int) -> list[list[int]]:
-        """See :meth:`SNodeStore.intranode_rows`; charges this session."""
-        return self._store.intranode_rows(supernode, registry=self.registry)
-
-    def superedge_rows(self, source: int, target: int) -> SuperedgeRows:
-        """See :meth:`SNodeStore.superedge_rows`; charges this session."""
-        return self._store.superedge_rows(source, target, registry=self.registry)
-
-    def out_neighbors(self, page: int) -> list[int]:
-        """See :meth:`SNodeStore.out_neighbors`; charges this session."""
-        return self._store.out_neighbors(page, registry=self.registry)
-
-    def out_neighbors_many(self, pages: list[int]) -> dict[int, list[int]]:
-        """See :meth:`SNodeStore.out_neighbors_many`; charges this session."""
-        return self._store.out_neighbors_many(pages, registry=self.registry)
-
-    def io_stats(self) -> dict[str, int]:
-        """This session's own counters (not the shared totals)."""
-        return self.registry.io_stats()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Fold this session's metrics into the store and detach."""
-        if self._closed:
-            return
-        self._closed = True
-        self._store.metrics.merge(self.registry)
-
-    def __enter__(self) -> "ReadSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -203,13 +203,6 @@ def active_plan() -> FaultPlan | None:
     return _plan
 
 
-def install(plan: FaultPlan | None) -> None:
-    """Install ``plan`` process-wide (None uninstalls)."""
-    global _plan
-    with _lock:
-        _plan = plan
-
-
 @contextmanager
 def activated(plan: FaultPlan):
     """Scope ``plan`` to a ``with`` block, restoring the previous plan."""

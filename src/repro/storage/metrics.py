@@ -6,11 +6,10 @@ the experiments read — ``bytes_read``, ``disk_seeks``, buffer
 hits/misses/evictions, loads by graph kind, navigation timers — flows
 through it, so ``io_stats()`` has the same meaning for every scheme.
 
-The event log is a bounded ring buffer (it replaces the unbounded
-``StoreStats.events`` list): long-running workloads keep only the most
-recent events, while the section-4.3 "graphs touched per query" analysis
-is served by the distinct-key tallies, which are plain counters and never
-grow with the event volume.
+The event log is a bounded ring buffer: long-running workloads keep only
+the most recent events, while the section-4.3 "graphs touched per query"
+analysis is served by the distinct-key tallies, which are plain counters
+and never grow with the event volume.
 
 **Sessions.** Concurrent readers over one shared store each accumulate
 into their own *child* registry (:meth:`MetricsRegistry.child`): the

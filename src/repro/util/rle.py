@@ -9,7 +9,7 @@ the leading bit value, whose value is stored explicitly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.errors import CodecError
 from repro.util.bitio import BitReader, BitWriter, refill
@@ -122,11 +122,3 @@ def decode_bitvector(reader: BitReader) -> list[int]:
 def bitvector_cost(bits: Sequence[int]) -> int:
     """Bit cost of :func:`encode_bitvector` (flag + cheaper scheme)."""
     return 1 + min(rle_cost(bits), plain_cost(bits))
-
-
-def pack_bits(bits: Iterable[int]) -> bytes:
-    """Pack an iterable of bits MSB-first into bytes (for tests/tools)."""
-    writer = BitWriter()
-    for bit in bits:
-        writer.write_bit(bit)
-    return writer.to_bytes()

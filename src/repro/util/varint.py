@@ -146,16 +146,6 @@ def decode_golomb(reader: BitReader, modulus: int) -> int:
     return quotient * modulus + remainder
 
 
-def golomb_parameter(density: float) -> int:
-    """Choose the Golomb modulus for gaps with Bernoulli density ``density``.
-
-    Classic rule: b ~= 0.69 * mean_gap.  Clamped to >= 1.
-    """
-    if not 0.0 < density < 1.0:
-        return 1
-    return max(1, int(round(0.69 / density)))
-
-
 # ---------------------------------------------------------------------------
 # minimal binary (truncated binary)
 # ---------------------------------------------------------------------------
@@ -262,15 +252,3 @@ def decode_nibble(reader: BitReader) -> int:
         value = (value << 3) | group
         if not more:
             return value
-
-
-def nibble_cost(value: int) -> int:
-    """Number of bits :func:`encode_nibble` uses for ``value`` (>= 0)."""
-    if value < 0:
-        raise CodecError(f"nibble cannot encode {value}")
-    groups = 1
-    value >>= 3
-    while value:
-        groups += 1
-        value >>= 3
-    return 4 * groups

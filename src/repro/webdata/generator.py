@@ -273,20 +273,6 @@ class _WebGenerator:
             return self._rng.choice(self._edge_targets)
         return self._rng.randrange(limit)
 
-    def _local_target(self, host: _Host, page_id: int, directory: str) -> int | None:
-        """Intra-host target with directory and lexicographic locality.
-
-        Most intra-host links stay inside the source page's own directory
-        (a site section is a topical cluster); the remainder go to
-        lexicographically-nearby pages on the host.  This is what realizes
-        Observation 2's "URLs within a few entries of each other".
-        """
-        pool = self._local_pool(host, page_id, directory)
-        if not pool:
-            return None
-        target = self._rng.choice(pool)
-        return target if target != page_id else None
-
     def _local_pool(self, host: _Host, page_id: int, directory: str) -> list[int]:
         """Candidate intra-host targets: own directory plus an id window.
 

@@ -131,7 +131,7 @@ def test_concurrent_mix_matches_serial(context):
 def test_sessions_see_warm_shared_cache(context):
     # A fresh session benefits from graphs cached by earlier traffic:
     # the pool is shared even though the accounting is per-session.
-    with context.forward.store.session(label="warm-check") as session:
+    with context.forward.session(label="warm-check") as session:
         session.out_neighbors(0)
         session.out_neighbors(0)
         stats = session.io_stats()

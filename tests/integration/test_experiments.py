@@ -227,9 +227,8 @@ class TestServeExperiment:
             counters.get("hits", 0) + counters.get("misses", 0)
             for counters in results["attribution"].values()
         ) > 0
-        assert set(results["queue_wait"]) == {
-            "queue_wait_ms_p50", "queue_wait_ms_p99",
-        }
+        # Wall-clock serving cost lives in benchmarks/perf, not here.
+        assert not {"throughput_qps", "latency", "queue_wait"} & set(results)
         assert results["outcome_totals"]["ok"] >= 18
         # The sweep covers at, past and far past the admission limit.
         levels = results["overload"]
@@ -239,7 +238,6 @@ class TestServeExperiment:
             assert level["completed"] + level["gave_up"] == level["offered"]
             assert level["queue_wait_ms_p99"] >= 0
             assert 0 <= level["shed_rate_pct"] <= 100
-        assert outcome["histograms"]["queue_wait"]["count"] == 18
         text = serve.report(results)
         assert "overload sweep" in text
         assert "requests conserved" in text

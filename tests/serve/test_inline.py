@@ -111,15 +111,16 @@ class TestInlineRule:
         self, daemon, serve_context, page, tiny_repo, monkeypatch
     ):
         """Probe says resident, then the pool is emptied: read on the loop."""
-        real = daemon.daemon._resident
+        store = serve_context.forward.store
+        real = store.is_resident
 
-        def probe_then_evict(engine, request):
-            answer = real(engine, request)
+        def probe_then_evict(page):
+            answer = real(page)
             if answer:
                 serve_context.forward.drop_caches()
             return answer
 
-        monkeypatch.setattr(daemon.daemon, "_resident", probe_then_evict)
+        monkeypatch.setattr(store, "is_resident", probe_then_evict)
         with ServeClient("127.0.0.1", daemon.port) as client:
             shared_before = client.stats()["shared"]
             replies = [client.request("neighbors", page=page) for _ in range(2)]

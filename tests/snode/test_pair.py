@@ -36,8 +36,11 @@ class TestSNodePair:
     def test_reset_stats(self, tiny_repo, tmp_path):
         with SNodePair.build(tiny_repo, tmp_path) as pair:
             pair.out_neighbors(0)
+            pair.in_neighbors(0)
+            assert pair.forward.metrics.get("loads") > 0
             pair.reset_stats()
-            assert pair.forward_build.store.stats.graphs_loaded == 0
+            assert pair.forward.io_stats() == {}
+            assert pair.backward.io_stats() == {}
 
     def test_directory_layout(self, tiny_repo, tmp_path):
         with SNodePair.build(tiny_repo, tmp_path):

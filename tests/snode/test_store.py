@@ -2,17 +2,33 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import shutil
 import sys
 import threading
+import weakref
+from contextlib import contextmanager
 
 import pytest
 
+from repro.baselines.base import SNodeRepresentation
 from repro.errors import CorruptionError, StorageError
+from repro.snode.delta import DeltaOverlay
 from repro.snode.storage import read_layout
 from repro.snode.store import SNodeStore
+
+
+@contextmanager
+def client(store, label=None):
+    """One client's child registry over ``store``, folded back on exit
+    (what ``SNodeRepresentation.session()`` / ``close()`` do)."""
+    registry = store.metrics.child(label)
+    try:
+        yield registry
+    finally:
+        store.metrics.merge(registry)
 
 
 class TestAdjacency:
@@ -98,26 +114,26 @@ class TestBufferManager:
         store = SNodeStore(small_build.root, buffer_bytes=2048)
         for page in range(0, small_repo.num_pages, 11):
             store.out_neighbors(page)
-        assert store.stats.graphs_evicted > 0
+        assert store.metrics.get("buffer_evictions") > 0
         assert store.buffer_stats()["used_bytes"] <= 2048 * 4  # oversize slack
         store.close()
 
     def test_warm_buffer_hits(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
         store.out_neighbors(0)
-        loaded_before = store.stats.graphs_loaded
+        loaded_before = store.metrics.get("loads")
         store.out_neighbors(0)
-        assert store.stats.graphs_loaded == loaded_before
-        assert store.stats.buffer_hits > 0
+        assert store.metrics.get("loads") == loaded_before
+        assert store.metrics.get("buffer_hits") > 0
         store.close()
 
     def test_drop_buffers_forces_reload(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
         store.out_neighbors(0)
         store.drop_buffers()
-        before = store.stats.graphs_loaded
+        before = store.metrics.get("loads")
         store.out_neighbors(0)
-        assert store.stats.graphs_loaded > before
+        assert store.metrics.get("loads") > before
         store.close()
 
     def test_set_buffer_bytes_resets(self, small_build):
@@ -195,9 +211,9 @@ class TestSparseSuperedgeRows:
         for page in range(0, 1200, 7):
             store.out_neighbors(page)
         store.out_neighbors_many(list(range(5, 1200, 53)))
-        with store.session("pinned") as session:
+        with client(store, "pinned") as registry:
             for page in range(3, 1200, 101):
-                session.out_neighbors(page)
+                store.out_neighbors(page, registry)
         assert sum(len(row) for _page, row in store.iterate_all()) == small_repo.graph.num_edges
         assert store.metrics.io_stats() == self.PINNED_IO_STATS
         store.close()
@@ -218,11 +234,11 @@ class TestSparseSuperedgeRows:
         row = rows.row(unlinked)
         assert row == []
         row.append(10**6)  # a caller scribbling on what it was handed
-        with store.session() as session:
-            again = session.superedge_rows(source, target)
+        with client(store) as registry:
+            again = store.superedge_rows(source, target, registry)
             assert again is rows  # the cached entry, shared
             assert again.row(unlinked) == []
-            assert session.out_neighbors(first + unlinked) == expected
+            assert store.out_neighbors(first + unlinked, registry) == expected
         assert unlinked not in rows.linked
         assert all(rows.linked.values())  # linked rows are never empty
         store.close()
@@ -240,7 +256,7 @@ class TestSparseSuperedgeRows:
         assert encoded.out_neighbors_many(pages) == decoded.out_neighbors_many(pages)
         assert list(encoded.iterate_all()) == list(decoded.iterate_all())
         # Encoded entries are charged their payload bytes, not the row model.
-        assert encoded.buffer_stats()["used_bytes"] == decoded.stats.bytes_read
+        assert encoded.buffer_stats()["used_bytes"] == decoded.metrics.get("bytes_read")
         decoded.close()
         encoded.close()
 
@@ -414,9 +430,9 @@ class TestBatchedAccounting:
         for page in range(0, 1200, 7):
             store.out_neighbors(page)
         store.out_neighbors_many(list(range(5, 1200, 53)))
-        with store.session("pinned") as session:
+        with client(store, "pinned") as registry:
             for page in range(3, 1200, 101):
-                session.out_neighbors(page)
+                store.out_neighbors(page, registry)
         for _page, _row in store.iterate_all():
             pass
 
@@ -448,12 +464,12 @@ class TestBatchedAccounting:
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26, stripes=4)
         for page in range(1200):  # everything resident: threads only hit
             store.out_neighbors(page)
-        sessions = [store.session(f"client-{index}") for index in range(6)]
+        sessions = [store.metrics.child(f"client-{index}") for index in range(6)]
 
         def read(index: int) -> None:
             for page in range(index, 1200, 13):
-                sessions[index].out_neighbors(page)
-            sessions[index].out_neighbors_many(list(range(index, 1200, 97)))
+                store.out_neighbors(page, sessions[index])
+            store.out_neighbors_many(list(range(index, 1200, 97)), sessions[index])
 
         threads = [threading.Thread(target=read, args=(index,)) for index in range(6)]
         interval = sys.getswitchinterval()
@@ -469,7 +485,7 @@ class TestBatchedAccounting:
         assert [session.io_stats() for session in sessions] == self.SESSIONS_EACH
         assert store.metrics.merged_snapshot() == self.SESSIONS_MERGED
         for session in sessions:
-            session.close()
+            store.metrics.merge(session)
         assert accounting(store.metrics) == self.SESSIONS_CLOSED
         store.close()
 
@@ -495,10 +511,10 @@ class TestBatchedAccounting:
         flip_byte(root, read[-1])
 
         store = SNodeStore(root, buffer_bytes=1 << 26)
-        session = store.session("s") if through_session else None
+        session = store.metrics.child("s") if through_session else None
         with pytest.raises(CorruptionError):
-            (session or store).out_neighbors(page)
-        charged = (session.registry if session else store.metrics).io_stats()
+            store.out_neighbors(page, session)
+        charged = (session or store.metrics).io_stats()
         assert charged["buffer_misses"] == k + 1
         assert charged["buffer_misses_intranode"] == 1
         assert charged["buffer_misses_superedge"] == k
@@ -508,7 +524,7 @@ class TestBatchedAccounting:
         assert "buffer_hits" not in charged
         if session is not None:
             assert store.metrics.io_stats() == {}
-            session.close()
+            store.metrics.merge(session)
             assert store.metrics.io_stats() == charged
         store.close()
 
@@ -534,103 +550,183 @@ class TestLoadDigraph:
 class TestInstrumentation:
     def test_events_recorded(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-        store.stats.reset()
+        store.metrics.reset()
         store.out_neighbors(0)
-        kinds = {kind for kind, _ in store.stats.events}
+        kinds = {kind for kind, _ in store.metrics.events}
         assert "load-intra" in kinds
         store.close()
 
     def test_distinct_loaded_counts(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-        store.stats.reset()
+        store.metrics.reset()
         first, last = store.supernode_range(0)
         for page in range(first, last):
             store.out_neighbors(page)
-        intranode, superedge = store.stats.distinct_loaded()
-        assert intranode == 1
-        assert superedge == len(store.super_adjacency[0])
+        assert store.metrics.distinct("intranode") == 1
+        assert store.metrics.distinct("superedge") == len(store.super_adjacency[0])
         store.close()
 
     def test_seeks_counted(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-        store.stats.reset()
+        store.metrics.reset()
         store.out_neighbors(0)
         last_page = store.num_pages - 1
         store.out_neighbors(last_page)
-        assert store.stats.disk_seeks >= 1
-        assert store.stats.bytes_read > 0
+        assert store.metrics.get("disk_seeks") >= 1
+        assert store.metrics.get("bytes_read") > 0
         store.close()
 
     def test_reset_clears_counters(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
         store.out_neighbors(0)
-        store.stats.reset()
-        assert store.stats.graphs_loaded == 0
-        assert store.stats.events == []
+        store.metrics.reset()
+        assert store.metrics.get("loads") == 0
+        assert store.metrics.events.to_list() == []
         store.close()
 
 
 class TestReadSessions:
-    def test_session_results_match_store(self, small_repo, small_build):
-        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-        with store.session(label="client-0") as session:
+    """A client view is :meth:`SNodeRepresentation.session`: same class,
+    same store and pool, a child registry of the store's."""
+
+    @pytest.fixture
+    def shared(self, small_build):
+        with SNodeRepresentation.open(small_build.root, buffer_bytes=1 << 26) as shared:
+            yield shared
+
+    def test_session_results_match_store(self, small_repo, shared):
+        with shared.session(label="client-0") as session:
+            assert type(session) is type(shared)
             for page in range(0, small_repo.num_pages, 53):
-                assert session.out_neighbors(page) == store.out_neighbors(page)
+                assert session.out_neighbors(page) == shared.out_neighbors(page)
             pages = list(range(0, small_repo.num_pages, 71))
             assert session.out_neighbors_many(pages) == {
-                page: store.out_neighbors(page) for page in pages
+                page: shared.out_neighbors(page) for page in pages
             }
-        store.close()
 
-    def test_session_io_attributed_not_global(self, small_build):
-        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-        base_before = store.metrics.get("bytes_read")
-        session = store.session(label="c")
+    def test_session_io_attributed_not_global(self, shared):
+        base = shared.metrics
+        base_before = base.get("bytes_read")
+        session = shared.session(label="c")
+        assert session.metrics.label == "c"
         session.out_neighbors(0)
         assert session.io_stats()["bytes_read"] > 0
-        assert session.stats.graphs_loaded > 0
+        assert session.metrics.get("loads") > 0
         # The store's own registry was not charged for session reads ...
-        assert store.metrics.get("bytes_read") == base_before
+        assert base.get("bytes_read") == base_before
         # ... but the merged view includes the live session.
         assert (
-            store.metrics.get_total("bytes_read")
+            base.get_total("bytes_read")
             == base_before + session.io_stats()["bytes_read"]
         )
         session.close()
-        store.close()
 
-    def test_close_merges_and_conserves_totals(self, small_build):
-        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-        session = store.session()
+    def test_close_merges_and_conserves_totals(self, shared):
+        session = shared.session()
         session.out_neighbors(0)
-        total_before = store.metrics.get_total("bytes_read")
+        total_before = shared.metrics.get_total("bytes_read")
         session.close()
-        assert session.closed
-        assert store.metrics.get("bytes_read") == total_before
-        assert store.metrics.children() == []
+        assert shared.metrics.get("bytes_read") == total_before
+        assert shared.metrics.children() == []
         session.close()  # idempotent
-        store.close()
+        assert shared.metrics.get("bytes_read") == total_before
 
-    def test_sessions_share_the_buffer_pool(self, small_build):
-        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-        first = store.session(label="warm")
-        second = store.session(label="cold")
+    def test_sessions_share_the_buffer_pool(self, shared):
+        first = shared.session(label="warm")
+        second = shared.session(label="cold")
         first.out_neighbors(0)
-        loads_before = second.stats.graphs_loaded
+        loads_before = second.metrics.get("loads")
         second.out_neighbors(0)  # cached by the first session's read
-        assert second.stats.graphs_loaded == loads_before
-        assert second.stats.buffer_hits > 0
+        assert second.metrics.get("loads") == loads_before
+        assert second.metrics.get("buffer_hits") > 0
+        assert second.is_resident(0) and shared.is_resident(0)
+        second.drop_caches()  # the pool is shared: a client may not empty it
+        second.set_buffer_bytes(1)
+        assert shared.is_resident(0)
         first.close()
         second.close()
-        store.close()
 
-    def test_distinct_loaded_aggregates_across_sessions(self, small_build):
-        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-        store.stats.reset()
-        first, last = store.supernode_range(0)
-        with store.session() as a, store.session() as b:
-            a.out_neighbors(first)
-            b.out_neighbors(last - 1)
-        intranode = store.metrics.distinct("intranode")
+    def test_distinct_loaded_aggregates_across_sessions(self, small_build, shared):
+        shared.reset_io_stats()
+        first, last = shared.store.supernode_range(0)
+        new_to_old = small_build.numbering.new_to_old
+        with shared.session() as a, shared.session() as b:
+            a.out_neighbors(new_to_old[first])
+            b.out_neighbors(new_to_old[last - 1])
+        intranode = shared.metrics.distinct("intranode")
         assert intranode == 1  # same supernode, merged as one distinct graph
-        store.close()
+
+    def test_views_are_freed_without_the_cycle_collector(self, small_build):
+        """A view that referred to itself would keep its build, store and
+        pool alive until the next collection (1.5 MB of peak RSS on the
+        benchmark's rebuilt pairs)."""
+        shared = SNodeRepresentation.open(small_build.root)
+        view = shared.session()
+        alive = [weakref.ref(shared), weakref.ref(view)]
+        gc.disable()
+        try:
+            view.close()
+            shared.close()
+            del view, shared
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_iterate_all_charges_the_shared_base(self, small_repo, shared):
+        with shared.session() as session:
+            edges = sum(len(row) for _page, row in session.iterate_all())
+            assert edges == small_repo.graph.num_edges
+            assert session.io_stats() == {}
+        assert shared.metrics.get("loads") > 0
+
+
+def recrawl_overlay(repository) -> tuple[DeltaOverlay, dict[int, list[int]]]:
+    """Pending mutations on every 9th page — its first edge removed, one
+    edge added — and the rows those pages must then read as."""
+    overlay, rows = DeltaOverlay(), {}
+    for page in range(0, repository.num_pages, 9):
+        row = repository.graph.successors_list(page)
+        added = (page * 7 + 3) % repository.num_pages
+        overlay.apply("remove", [(page, target) for target in row[:1]])
+        overlay.apply("add", [(page, added)])
+        rows[page] = sorted({*row[1:], added})
+    return overlay, rows
+
+
+@pytest.mark.parametrize("with_overlay", [False, True])
+def test_shared_and_client_views_read_alike(small_repo, small_build, with_overlay):
+    """The one read view, repository-id space: a client view returns the
+    shared view's rows, its counters plus the base are the merged totals
+    (overlay merges included), and closing it twice folds it in once."""
+    pages = list(range(0, small_repo.num_pages, 3))
+    expected = {page: small_repo.graph.successors_list(page) for page in pages}
+    with SNodeRepresentation.open(small_build.root, buffer_bytes=24 * 1024) as shared:
+        if with_overlay:
+            overlay, pending = recrawl_overlay(small_repo)
+            shared.attach_overlay(overlay)
+            expected.update((page, pending[page]) for page in pages if page in pending)
+        assert {page: shared.out_neighbors(page) for page in pages} == expected
+        assert shared.out_neighbors_many(pages) == expected
+        base = shared.metrics.snapshot()
+
+        view = shared.session("client")
+        assert view.overlay is shared.overlay
+        assert {page: view.out_neighbors(page) for page in pages} == expected
+        assert view.out_neighbors_many(pages) == expected
+        own = view.metrics.snapshot()
+        assert own["buffer_misses"] > 0  # a bounded pool: the client read files
+        merges = 2 * sum(page % 9 == 0 for page in pages) if with_overlay else 0
+        assert own.get("delta_merges", 0) == merges
+        # Only shared events (evictions) moved the base under the client.
+        now = shared.metrics.snapshot()
+        assert {name for name in now if now[name] != base[name]} <= {"buffer_evictions"}
+        merged = shared.metrics.merged_snapshot()
+        for name in own:
+            if not name.startswith("distinct_"):
+                assert merged[name] == now.get(name, 0) + own[name], name
+
+        view.close()
+        assert shared.metrics.children() == []
+        assert shared.metrics.snapshot() == merged
+        view.close()  # idempotent: nothing is folded in twice
+        assert shared.metrics.snapshot() == merged

@@ -13,7 +13,6 @@ from repro.util.rle import (
     decode_rle,
     encode_bitvector,
     encode_rle,
-    pack_bits,
     plain_cost,
     rle_cost,
     runs_of,
@@ -96,7 +95,3 @@ class TestAdaptiveBitvector:
         assert bitvector_cost(dense_runs) == 1 + rle_cost(dense_runs)
         noisy = [1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1]
         assert bitvector_cost(noisy) == 1 + plain_cost(noisy)
-
-
-def test_pack_bits_msb_first():
-    assert pack_bits([1, 0, 1, 0]) == bytes([0b1010_0000])

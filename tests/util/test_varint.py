@@ -27,8 +27,6 @@ from repro.util.varint import (
     encode_unary,
     encode_vbyte,
     gamma_cost,
-    golomb_parameter,
-    nibble_cost,
 )
 
 VALUES = [0, 1, 2, 3, 7, 8, 63, 64, 100, 1023, 1024, 10**6]
@@ -64,9 +62,10 @@ def test_delta_cost_is_exact(value):
 
 @pytest.mark.parametrize("value", VALUES)
 def test_nibble_cost_is_exact(value):
+    """Four bits per 3-bit group of the value, at least one group."""
     writer = BitWriter()
     encode_nibble(writer, value)
-    assert len(writer) == nibble_cost(value)
+    assert len(writer) == 4 * max(1, -(-value.bit_length() // 3))
 
 
 def test_gamma_is_the_unary_prefix_and_field_bit_for_bit():
@@ -115,11 +114,6 @@ class TestGolomb:
             encode_golomb(BitWriter(), 1, 0)
         with pytest.raises(CodecError):
             decode_golomb(BitReader(b"\xff"), 0)
-
-    def test_parameter_heuristic(self):
-        assert golomb_parameter(0.5) == 1
-        assert golomb_parameter(0.01) == 69
-        assert golomb_parameter(1.5) == 1  # degenerate densities clamp
 
 
 class TestMinimalBinary:
