@@ -218,50 +218,102 @@ def _decode_locals(reader: BitReader) -> list[int]:
     return locals_list
 
 
-def decode_superedge_payload(data: bytes) -> tuple[bool, list[int], list[list[int]]]:
-    """Decode a superedge payload to (negative?, linked locals, their rows)."""
+def _superedge_header(data: bytes) -> tuple[BitReader, bool, list[int]]:
+    """(a reader standing at the body, negative?, linked source locals)."""
     reader = BitReader(data)
     negative = bool(reader.read_bit())
-    linked = _decode_locals(reader)
+    return reader, negative, _decode_locals(reader)
+
+
+def _stored_rows(reader: BitReader, count: int) -> list[list[int]]:
+    """The ``count`` rows a superedge payload stores, ``reader`` at its body."""
     dictionary = _decode_locals(reader)
     rows = decode_rows(reader, dictionary=dictionary)
-    if len(rows) != len(linked):
+    if len(rows) != count:
         raise CodecError("superedge row count mismatch")
-    return negative, linked, rows
+    return rows
 
 
-class SuperedgeRows:
-    """Positive rows of one superedge graph, held sparsely.
+def decode_superedge_payload(data: bytes) -> tuple[bool, list[int], list[list[int]]]:
+    """Decode a superedge payload to (negative?, linked locals, their rows)."""
+    reader, negative, linked = _superedge_header(data)
+    return negative, linked, _stored_rows(reader, len(linked))
 
-    A superedge graph links a handful of its source supernode's pages,
-    so only those locals hold a row; :meth:`row` is how every reader gets
-    at one, linked or not.
+
+def _positive_rows(
+    sources: list[int], data: bytes, body_bit: int, negative: bool, target_size: int
+) -> dict[int, list[int]]:
+    """Source local -> positive row, from a payload's undecoded body.
+
+    A pure function of its arguments: threads that race to materialise
+    one :class:`SuperedgeRows` each compute the same dict.
     """
-
-    __slots__ = ("source_size", "linked")
-
-    def __init__(self, source_size: int, linked: dict[int, list[int]]) -> None:
-        #: Pages in the source supernode (rows a dense form would have).
-        self.source_size = source_size
-        #: Source local -> ascending target locals, linked sources only.
-        self.linked = linked
-
-    def row(self, local: int) -> list[int]:
-        """Target locals of source ``local``; a new empty list if unlinked."""
-        return self.linked.get(local) or []
-
-
-def positive_rows_from_payload(
-    data: bytes, source_size: int, target_size: int
-) -> SuperedgeRows:
-    """Decode a superedge payload straight to positive rows."""
-    negative, linked, rows = decode_superedge_payload(data)
+    rows = _stored_rows(BitReader(data, body_bit), len(sources))
     if negative:
         targets = range(target_size)
         rows = [
             [t for t in targets if t not in absent] for absent in map(set, rows)
         ]
-    return SuperedgeRows(source_size, dict(zip(linked, rows)))
+    return dict(zip(sources, rows))
+
+
+class SuperedgeRows:
+    """Positive rows of one superedge graph, held sparsely and on demand.
+
+    A superedge graph links a handful of its source supernode's pages and
+    its payload opens with their list, so that list is all a fresh entry
+    has parsed: :meth:`row` answers an unlinked local from it alone, and
+    the rows themselves are decoded by the first access to a linked one.
+    """
+
+    __slots__ = ("source_size", "sources", "_rows")
+
+    def __init__(
+        self, source_size: int, sources: list[int], rows: dict[int, list[int]] | tuple
+    ) -> None:
+        #: Pages in the source supernode (rows a dense form would have).
+        self.source_size = source_size
+        #: Ascending source locals that hold a row.
+        self.sources = sources
+        #: The materialised ``local -> row`` dict, or until first needed
+        #: the rest of the payload as ``(payload, body bit offset,
+        #: negative?, target size)`` — plain values, never a live reader:
+        #: :attr:`linked` swaps one for the other in a single store.
+        self._rows = rows
+
+    @property
+    def linked(self) -> dict[int, list[int]]:
+        """Source local -> ascending target locals, linked sources only.
+
+        A body that fails to decode raises on every call: the entry
+        keeps its undecoded form.
+        """
+        rows = self._rows
+        if type(rows) is tuple:
+            rows = self._rows = _positive_rows(self.sources, *rows)
+        return rows
+
+    def row(self, local: int) -> list[int]:
+        """Target locals of source ``local``; a new empty list if unlinked."""
+        rows = self._rows
+        if type(rows) is tuple:
+            if local not in self.sources:
+                return []
+            rows = self.linked
+        return rows.get(local) or []
+
+
+def positive_rows_from_payload(
+    data: bytes, source_size: int, target_size: int
+) -> SuperedgeRows:
+    """Parse a superedge payload's header only: polarity and linked sources.
+
+    The rows stay encoded until :attr:`SuperedgeRows.linked` is read.
+    """
+    reader, negative, sources = _superedge_header(data)
+    return SuperedgeRows(
+        source_size, sources, (data, reader.position, negative, target_size)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ DEFAULT_BUFFER_BYTES = 8 * 1024 * 1024
 
 # Cost model for decoded graphs held in the buffer: 8 bytes per edge entry
 # plus 4 bytes per row, approximating compact array storage.  A superedge
-# graph is charged for a row per source page, linked or not, although
-# only linked rows are held.
+# graph is charged for a row per source page and for every edge, although
+# only linked rows are held and those only once one is asked for.
 _EDGE_COST = 8
 _ROW_COST = 4
 
@@ -132,6 +132,11 @@ class SNodeStore:
         )
         self._devices: dict[int, CountedFile] = {}
         self._devices_lock = threading.Lock()
+        #: Superedge buffer key -> its decoded charge, learned the first
+        #: time the graph is loaded (which decodes its rows to count
+        #: them).  A graph's bytes never change under an open store, so
+        #: every later load is put at this charge with its rows undecoded.
+        self._charges: dict[tuple, int] = {}
         self._quarantined_lock = threading.Lock()
         # The paper pins the supernode graph and both indexes for the
         # lifetime of the store; account for them as pinned buffer bytes.
@@ -271,7 +276,7 @@ class SNodeStore:
         sizes = self._sizes(key)
         if key[0] == "intra":
             return [[] for _ in range(sizes[0])]
-        return SuperedgeRows(sizes[0], {})
+        return SuperedgeRows(sizes[0], [], {})
 
     def _quarantine(self, key: tuple, error: CorruptionError) -> None:
         # Quarantining is a store-wide state change, so it always charges
@@ -309,6 +314,12 @@ class SNodeStore:
         the quarantine test and the pool lookup; supernode sizes, the
         pointer-table entry and the decoder are touched only on a miss,
         a degraded answer or an encoded-payload hit.
+
+        A superedge graph is put at its full decoded charge whatever it
+        holds: its first load decodes the rows to learn that charge, a
+        re-load parses the header and leaves the rows to the first reader
+        that asks for a linked source.  The pool therefore sees the same
+        keys at the same costs either way.
         """
         reg = registry if registry is not None else self.metrics
         kind = "intranode" if key[0] == "intra" else "superedge"
@@ -337,7 +348,10 @@ class SNodeStore:
         elif kind == "intranode":
             self._pool.put(key, rows, _graph_cost(len(rows), rows), kind=kind)
         else:
-            cost = _graph_cost(rows.source_size, rows.linked.values())
+            cost = self._charges.get(key)
+            if cost is None:
+                cost = _graph_cost(rows.source_size, rows.linked.values())
+                self._charges[key] = cost
             self._pool.put(key, rows, cost, kind=kind)
         self._loaded(kind, key[1:], reg)
         return rows
@@ -390,16 +404,17 @@ class SNodeStore:
             for target_super in self._super_adjacency[supernode]:
                 rows = self.superedge_rows(supernode, target_super, registry=batch)
                 base = boundaries[target_super]
-                if len(rows.linked) < len(locals_):
+                if len(rows.sources) < len(locals_):
                     # A superedge graph links a handful of the supernode's
-                    # pages: walk those, not every local asked for.
+                    # pages: walk those, not every local asked for — and
+                    # leave its rows undecoded when none of them was.
                     if asked is None:
                         asked = {}
                         for local, row in zip(locals_, result):
                             asked.setdefault(local, []).append(row)
-                    for local, targets in rows.linked.items():
+                    for local in rows.sources:
                         for row in asked.get(local, ()):
-                            row.extend([base + t for t in targets])
+                            row.extend([base + t for t in rows.linked[local]])
                 else:
                     for local, row in zip(locals_, result):
                         targets = rows.row(local)
@@ -528,8 +543,3 @@ class SNodeStore:
         """Regions quarantined this session or by ``repro fsck --repair``."""
         with self._quarantined_lock:
             return sorted(self._quarantined)
-
-    @property
-    def degraded_reads(self) -> int:
-        """Answers served from quarantined (empty) regions (all sessions)."""
-        return self.metrics.get_total("degraded_reads")

@@ -20,21 +20,26 @@ import re
 import shutil
 import socket
 import struct
+import sys
 import threading
 import time
 from contextlib import ExitStack
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from repro.errors import GraphError, ServeError
-from repro.serve import protocol
-from repro.serve.daemon import DaemonHandle, GraphQueryDaemon, ServeContext
-from repro.serve.loadgen import ServeClient
-from repro.serve.telemetry import DELTA_COUNTERS, ServeTelemetry
-from repro.snode.store import SNodeStore
-from repro.storage import faults
-from repro.webdata.generator import GeneratorConfig, generate_web
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
+import cut_body  # noqa: E402
+
+from repro.errors import GraphError, ServeError  # noqa: E402
+from repro.serve import protocol  # noqa: E402
+from repro.serve.daemon import DaemonHandle, GraphQueryDaemon, ServeContext  # noqa: E402
+from repro.serve.loadgen import ServeClient  # noqa: E402
+from repro.serve.telemetry import DELTA_COUNTERS, ServeTelemetry  # noqa: E402
+from repro.snode.store import SNodeStore  # noqa: E402
+from repro.storage import faults  # noqa: E402
+from repro.webdata.generator import GeneratorConfig, generate_web  # noqa: E402
 
 QUEUE_LIMIT = 8
 
@@ -233,6 +238,16 @@ def worker_raises(env, error):
     return env.send("neighbors", page=page)
 
 
+def body_cut_short_under_a_sound_header(env):
+    """The read and its checksum pass, the header parses, the rows do not."""
+    store = env.context.forward.store
+    (source, target), keep, local = cut_body.breakable_superedge(store)
+    cut_body.truncate_region(store, (source, target), keep)
+    env.context.forward.drop_caches()
+    page = store.new_to_old[store.supernode_range(source)[0] + local]
+    return env.send("neighbors", page=page)
+
+
 def swap_ok(env):
     ServeContext.build(
         env.context.repository,
@@ -361,6 +376,9 @@ CONTRACT = [
              re.compile(r"intranode \d+: payload checksum mismatch in index_\d+\.dat at "
                         r"offset \d+ \(stored 0x[0-9a-f]{8}, read 0x[0-9a-f]{8}\)"),
              QUEUED)),
+    # Captured like the rest, when the rows were decoded as the graph loaded.
+    ("body_cut_short_under_a_sound_header", PRIVATE, body_cut_short_under_a_sound_header,
+     failure("server_error", "neighbors", "read past end of bit stream", QUEUED)),
     ("corrupt_region_under_degrade", CORRUPT_DEGRADE,
      lambda env: env.send("query", name="query1"),
      success("query", QUEUED, outcome="degraded")),

@@ -18,6 +18,7 @@ from repro.errors import CorruptionError, StorageError
 from repro.snode.delta import DeltaOverlay
 from repro.snode.storage import read_layout
 from repro.snode.store import SNodeStore
+from repro.util.bitio import BitReader
 
 
 @contextmanager
@@ -310,6 +311,22 @@ def corrupted_root(small_build, tmp_path_factory):
     return root
 
 
+def run_six(read) -> None:
+    """``read(0)`` .. ``read(5)`` on six threads at a 10 µs switch interval:
+    a thread is preempted mid-call, so a lost update would show."""
+    threads = [threading.Thread(target=read, args=(index,)) for index in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 class TestBatchedAccounting:
     """One counter batch per ``_adjacency`` call changes no number.
 
@@ -424,6 +441,40 @@ class TestBatchedAccounting:
         "events": [563, 0, "3323f7d4f2ada389"],
     }
 
+    #: One cold pass of :meth:`probe` over a 64 KiB pool at the parent
+    #: commit, where every load decoded every row of its graph.
+    COLD_PASS = {
+        "buffer": {
+            "capacity_bytes": 65536,
+            "entries": 432,
+            "evictions": 701,
+            "hits": 876,
+            "misses": 1133,
+            "pinned_bytes": 4892,
+            "pinned_entries": 2,
+            "pinned_hits": 0,
+            "used_bytes": 65528,
+        },
+        "snapshot": {
+            "buffer_evictions": 701,
+            "buffer_hits": 876,
+            "buffer_hits_intranode": 117,
+            "buffer_hits_superedge": 759,
+            "buffer_misses": 1133,
+            "buffer_misses_intranode": 181,
+            "buffer_misses_superedge": 952,
+            "bytes_read": 31355,
+            "disk_seeks": 54,
+            "distinct_intranode": 95,
+            "distinct_superedge": 468,
+            "intranode_loads": 181,
+            "loads": 1133,
+            "superedge_loads": 952,
+        },
+        "tallies": "fa1eed5351fa5d94",
+        "events": [1834, 0, "911814d07e2514f9"],
+    }
+
     @staticmethod
     def probe(store) -> None:
         """Point lookups, a grouped lookup, a session and a full scan."""
@@ -445,6 +496,26 @@ class TestBatchedAccounting:
             for name, value in self.BOUNDED["snapshot"].items()
             if not name.startswith("distinct_")
         }
+        store.close()
+
+    def test_second_cold_pass_counts_like_the_first(self, small_build):
+        """The first pass decodes every superedge graph it loads to learn
+        its charge; the second puts them header-first at the charge
+        learned.  Same counters, same occupancy, same tallies, same
+        ``load-*`` / ``unload`` sequence — the parent's."""
+        store = SNodeStore(small_build.root, buffer_bytes=64 * 1024)
+        passes = []
+        for _ in range(2):
+            store.drop_buffers()
+            store.metrics.reset()
+            self.probe(store)
+            passes.append({"buffer": store.buffer_stats(), **accounting(store.metrics)})
+            assert store.metrics.io_stats() == {
+                name: value
+                for name, value in self.COLD_PASS["snapshot"].items()
+                if not name.startswith("distinct_")
+            }
+        assert passes[1] == passes[0] == self.COLD_PASS
         store.close()
 
     def test_encoded_payload_cache(self, small_build):
@@ -471,22 +542,73 @@ class TestBatchedAccounting:
                 store.out_neighbors(page, sessions[index])
             store.out_neighbors_many(list(range(index, 1200, 97)), sessions[index])
 
-        threads = [threading.Thread(target=read, args=(index,)) for index in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch mid-call: a lost update would show
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_six(read)
         assert [session.io_stats() for session in sessions] == self.SESSIONS_EACH
         assert store.metrics.merged_snapshot() == self.SESSIONS_MERGED
         for session in sessions:
             store.metrics.merge(session)
         assert accounting(store.metrics) == self.SESSIONS_CLOSED
+        store.close()
+
+    def test_six_sessions_race_to_decode_header_resident_entries(
+        self, small_repo, small_build
+    ):
+        """After a cold reset every superedge graph is re-loaded at its
+        learned charge with its rows undecoded; six sessions then read
+        every page at once, so each entry's first linked access is a
+        race.  Whoever wins, the rows are the crawl's, each session is
+        charged its own hits and nothing else moves."""
+        store = SNodeStore(small_build.root, buffer_bytes=1 << 26, stripes=4)
+        numbering = small_build.numbering
+        expected = {
+            numbering.old_to_new[page]: sorted(
+                numbering.old_to_new[t] for t in small_repo.graph.successors_list(page)
+            )
+            for page in range(1200)
+        }
+        for _page, _row in store.iterate_all():  # every charge learned
+            pass
+        store.drop_buffers()
+        keys = superedge_keys(store)
+        entries = [store.superedge_rows(*key) for key in keys]
+        for supernode in range(store.num_supernodes):
+            store.intranode_rows(supernode)
+        linking = [rows for rows in entries if rows.sources]
+        assert len(linking) > 400
+        assert all(type(rows._rows) is tuple for rows in linking)  # header-resident
+        base = store.metrics.snapshot()
+
+        sessions = [store.metrics.child(f"client-{index}") for index in range(6)]
+        got: list[dict] = [{} for _ in sessions]
+
+        def read(index: int) -> None:
+            for page in range(1200):  # the same entries, all six at once
+                got[index][page] = store.out_neighbors(page, sessions[index])
+
+        run_six(read)
+        assert all(rows == expected for rows in got)
+        lookups = sum(
+            1 + len(store.super_adjacency[store.supernode_of(page)]) for page in range(1200)
+        )
+        for session in sessions:
+            assert session.io_stats() == {
+                "buffer_hits": lookups,
+                "buffer_hits_intranode": 1200,
+                "buffer_hits_superedge": lookups - 1200,
+            }
+        assert store.metrics.snapshot() == base  # every graph was resident
+        merged = store.metrics.merged_snapshot()
+        assert merged["buffer_hits"] == base.get("buffer_hits", 0) + 6 * lookups
+        for session in sessions:
+            store.metrics.merge(session)
+        assert store.metrics.snapshot() == merged
+        # Each entry decoded once for good, and kept nothing that reads bits.
+        assert [store.superedge_rows(*key) for key in keys] == entries
+        for rows in linking:
+            assert type(rows._rows) is dict
+            assert not any(
+                isinstance(getattr(rows, slot), BitReader) for slot in rows.__slots__
+            )
         store.close()
 
     @pytest.mark.parametrize("through_session", [False, True])

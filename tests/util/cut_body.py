@@ -1,0 +1,72 @@
+"""Superedge payloads whose header is sound and whose body is cut short.
+
+Built from the pointer table and the bit-by-bit oracle decoders only, so
+the same cut can be served by any commit of ``snode.encode`` /
+``snode.store`` — which is how the error a cut surfaces as was captured
+before cached superedge graphs went header-resident.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import oracle_codecs
+
+from repro.errors import CodecError
+from repro.storage import integrity
+
+
+def outcome(function, *args):
+    """``("ok", value)`` or ``("error", exception type)`` of a decode."""
+    try:
+        return "ok", function(*args)
+    except CodecError as error:  # BitStreamError is one
+        return "error", type(error)
+
+
+def cut_at(payload: bytes, bit: int) -> bytes:
+    """``payload`` up to ``bit`` bits, the last byte zero-padded."""
+    whole, used = divmod(bit, 8)
+    if not used:
+        return payload[:whole]
+    return payload[:whole] + bytes([payload[whole] & (0xFF00 >> used) & 0xFF])
+
+
+def body_bit(payload: bytes) -> int:
+    """Bit offset at which a superedge payload's header ends."""
+    reader = oracle_codecs.BitReader(payload)
+    reader.read_bit()
+    oracle_codecs._decode_locals(reader)
+    return reader.position
+
+
+def region(store, location) -> bytes:
+    """The payload bytes at ``location``, read past the store's counters."""
+    path = store._root / store._layout.index_files[location.file_index]
+    with open(path, "rb") as handle:
+        handle.seek(location.offset)
+        return handle.read(location.length)
+
+
+def breakable_superedge(store) -> tuple[tuple[int, int], int, int]:
+    """The first superedge graph of ``store`` with a byte length that keeps
+    its header and breaks its body: ((source, target), that length, a
+    linked source local)."""
+    layout = store._layout
+    for key, (location, _negative) in layout.superedge.items():
+        payload = region(store, location)
+        for keep in range(-(-body_bit(payload) // 8), location.length):
+            if outcome(oracle_codecs.decode_superedge_payload, payload[:keep])[0] == "error":
+                return key, keep, oracle_codecs.decode_superedge_payload(payload)[1][0]
+    raise AssertionError("no superedge graph with a breakable body")
+
+
+def truncate_region(store, key: tuple[int, int], keep: int) -> None:
+    """Point ``store`` at the first ``keep`` bytes of superedge ``key``'s
+    payload, checksum recomputed: the read passes, the decode cannot."""
+    location, negative = store._layout.superedge[key]
+    crc = integrity.crc32(region(store, location)[:keep])
+    store._layout.superedge[key] = (
+        dataclasses.replace(location, length=keep, crc=crc),
+        negative,
+    )

@@ -8,6 +8,9 @@ build the bit-by-bit :class:`oracle_bitio.BitReader`, so nothing here
 shares code with what it checks.  ``positive_rows_from_payload`` is the
 dense form (a list per source page) the store used to cache; its
 ``4 * rows + 8 * edges`` is what the buffer charge must keep matching.
+``linked_rows_from_payload`` is the sparse form ``snode.encode`` built
+eagerly, whole payload at once, before a cached superedge graph held
+only its header until a linked row was asked for.
 
 At the end, three *encoders* as they were before the write side was
 priced from a row's entries: ``encode_gamma`` as a unary prefix plus a
@@ -222,6 +225,18 @@ def positive_rows_from_payload(
         for local, row in zip(linked, rows):
             result[local] = list(row)
     return result
+
+
+def linked_rows_from_payload(data: bytes, target_size: int) -> dict[int, list[int]]:
+    """Decode a superedge payload to ``source local -> positive row``,
+    linked sources only (what ``SuperedgeRows.linked`` must equal)."""
+    negative, linked, rows = decode_superedge_payload(data)
+    if negative:
+        targets = range(target_size)
+        rows = [
+            [t for t in targets if t not in absent] for absent in map(set, rows)
+        ]
+    return dict(zip(linked, rows))
 
 
 # ---------------------------------------------------------------------------
