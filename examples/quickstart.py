@@ -22,11 +22,10 @@ from repro.baselines import (
     FlatFileRepresentation,
     HuffmanRepresentation,
     Link3Representation,
-    SNodeRepresentation,
 )
 from repro.index import PageRankIndex, TextIndex
-from repro.query import QueryEngine, query1_referred_universities
-from repro.snode import BuildOptions, build_snode
+from repro.query import query1_referred_universities
+from repro.snode.pair import SNodePair
 from repro.webdata import generate_web
 
 
@@ -42,9 +41,11 @@ def main() -> None:
         f"{len(repository.domains())} domains"
     )
 
-    # 2. Build the S-Node representation.
+    # 2. Build the S-Node representation: the Web graph and its transpose
+    #    (backlinks), as the paper does for every scheme.
     print("building S-Node representation ...")
-    build = build_snode(repository, workdir / "snode", BuildOptions())
+    pair = SNodePair.build(repository, workdir / "snode")
+    build = pair.forward_build
     print(
         f"  {build.model.num_supernodes} supernodes, "
         f"{build.model.num_superedges} superedges "
@@ -54,7 +55,7 @@ def main() -> None:
 
     # 3. Random access: adjacency lists come back exactly as in the graph.
     page = repository.pages_in_domain("stanford.edu")[0]
-    neighbors = build.translate_out(page)
+    neighbors = pair.out_neighbors(page)
     print(f"  page {page} ({repository.page(page).url}) links to {len(neighbors)} pages")
     assert neighbors == repository.graph.successors_list(page)
 
@@ -63,25 +64,13 @@ def main() -> None:
     huffman = HuffmanRepresentation(repository.graph)
     link3 = Link3Representation(repository, workdir / "link3")
     flat = FlatFileRepresentation(repository.graph, workdir / "flat")
-    for representation in (
-        SNodeRepresentation(build),
-        link3,
-        huffman,
-        flat,
-    ):
+    for representation in (pair.forward, link3, huffman, flat):
         print(f"  {representation.name:14s} {representation.bits_per_edge():6.2f} bits/edge")
 
     # 5. One complex query (Analysis 1 of the paper).
     print("running Analysis 1 (referred universities) on S-Node ...")
-    backward = build_snode(
-        repository, workdir / "snode_t", BuildOptions(transpose=True)
-    )
-    engine = QueryEngine(
-        repository,
-        TextIndex(repository),
-        PageRankIndex(repository),
-        SNodeRepresentation(build),
-        SNodeRepresentation(backward),
+    engine = pair.make_engine(
+        repository, TextIndex(repository), PageRankIndex(repository)
     )
     result = query1_referred_universities(engine)
     print(f"  navigation took {result.navigation_seconds * 1000:.2f} ms")
@@ -90,8 +79,7 @@ def main() -> None:
 
     link3.close()
     flat.close()
-    build.store.close()
-    backward.store.close()
+    pair.close()
     print(f"artifacts left under {workdir}")
 
 

@@ -47,7 +47,7 @@ def main() -> None:
         # Each dataset gets forward + backlink S-Node builds.
         root = workdir / f"snode_{num_pages}"
         with SNodePair.build(dataset, root) as pair:
-            wg_bits, wgt_bits = pair.total_bits_per_edge()
+            wg_bits, wgt_bits = pair.bits_per_edge()
             print(f"  WG  {wg_bits:5.2f} bits/edge   WGT {wgt_bits:5.2f} bits/edge")
 
             # Spot-check adjacency in both directions.

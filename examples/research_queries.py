@@ -17,11 +17,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.baselines import SNodeRepresentation
 from repro.index import PageRankIndex, TextIndex
-from repro.query import QueryEngine
 from repro.query.workload import PAPER_QUERIES
-from repro.snode import BuildOptions, build_snode
+from repro.snode.pair import SNodePair
 from repro.webdata import generate_web
 
 
@@ -70,22 +68,14 @@ def main() -> None:
     repository = generate_web(num_pages=num_pages, seed=7)
 
     print("building S-Node representations (WG and WGT) ...")
-    forward = build_snode(repository, workdir / "fwd", BuildOptions())
-    backward = build_snode(
-        repository, workdir / "bwd", BuildOptions(transpose=True)
-    )
-    engine = QueryEngine(
-        repository,
-        TextIndex(repository),
-        PageRankIndex(repository),
-        SNodeRepresentation(forward),
-        SNodeRepresentation(backward),
+    pair = SNodePair.build(repository, workdir)
+    engine = pair.make_engine(
+        repository, TextIndex(repository), PageRankIndex(repository)
     )
 
     for name, query_fn in PAPER_QUERIES:
-        stores = (forward.store.metrics, backward.store.metrics)
-        for metrics in stores:
-            metrics.reset()
+        stores = (pair.forward.metrics, pair.backward.metrics)
+        pair.reset_io_stats()
         result = query_fn(engine)
         # Distinct-key tallies, not the event log: exact however long
         # the query ran (the paper's section 4.3 "8 intranode graphs and
@@ -99,8 +89,7 @@ def main() -> None:
         for line in describe(name, result.payload):
             print(line)
 
-    forward.store.close()
-    backward.store.close()
+    pair.close()
 
 
 if __name__ == "__main__":

@@ -112,6 +112,91 @@ class GraphRepresentation(abc.ABC):
         self.close()
 
 
+class RepresentationPair:
+    """Forward (WG) + transpose (WGT) representations of one scheme.
+
+    The paper builds both "using each of the schemes" because half its
+    queries walk backlinks; whatever is done to one direction of a
+    measured run (cold start, counter reset, buffer rebound, close) is
+    done to the other, and every reported counter is the two
+    directions' sum.
+    """
+
+    def __init__(
+        self, forward: GraphRepresentation, backward: GraphRepresentation
+    ) -> None:
+        self.forward = forward
+        self.backward = backward
+
+    @property
+    def name(self) -> str:
+        return self.forward.name
+
+    def drop_caches(self) -> None:
+        self.forward.drop_caches()
+        self.backward.drop_caches()
+
+    def reset_io_stats(self) -> None:
+        self.forward.reset_io_stats()
+        self.backward.reset_io_stats()
+
+    def set_buffer_bytes(self, buffer_bytes: int) -> None:
+        self.forward.set_buffer_bytes(buffer_bytes)
+        self.backward.set_buffer_bytes(buffer_bytes)
+
+    def io_stats(self) -> dict[str, dict[str, int]]:
+        """Each direction's own counters."""
+        return {
+            "forward": self.forward.io_stats(),
+            "backward": self.backward.io_stats(),
+        }
+
+    def total(self, name: str) -> int:
+        """Counter ``name`` summed over both directions."""
+        return self.forward.metrics.get(name) + self.backward.metrics.get(name)
+
+    def snapshot(self) -> dict[str, int]:
+        """Every counter summed over both directions.
+
+        Also the registry face a :class:`~repro.obs.tracing.Tracer`
+        binds to — it only snapshots and diffs — so a span's counter
+        delta is the pair's combined forward + backward I/O.
+        """
+        totals = self.forward.io_stats()
+        for name, value in self.backward.io_stats().items():
+            totals[name] = totals.get(name, 0) + value
+        return totals
+
+    def bits_per_edge(self) -> tuple[float, float]:
+        """(WG, WGT) bits per edge — the scheme's two Table 1 cells."""
+        return self.forward.bits_per_edge(), self.backward.bits_per_edge()
+
+    def make_engine(
+        self, repository, text_index, pagerank_index, on_corruption: str = "raise"
+    ):
+        """A :class:`~repro.query.engine.QueryEngine` reading this pair."""
+        from repro.query.engine import QueryEngine
+
+        return QueryEngine(
+            repository,
+            text_index,
+            pagerank_index,
+            self.forward,
+            self.backward,
+            on_corruption=on_corruption,
+        )
+
+    def close(self) -> None:
+        self.forward.close()
+        self.backward.close()
+
+    def __enter__(self) -> "RepresentationPair":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 class SNodeRepresentation(GraphRepresentation):
     """An :class:`~repro.snode.build.SNodeBuild` behind the common
     interface (new ids translated back to repository ids).

@@ -16,7 +16,7 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
     from repro.experiments.harness import dataset, sweep_sizes
     from repro.obs.accesslog import AccessLog, SlowQueryLog
     from repro.obs.flightrecorder import FlightRecorder
-    from repro.serve.daemon import GraphQueryDaemon, ServeContext
+    from repro.serve.daemon import SERVE_NAMES, GraphQueryDaemon, ServeContext
     from repro.serve.telemetry import ServeTelemetry
     from repro.storage import faults
 
@@ -44,7 +44,7 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
             # then reopen the stores cold so every read re-verifies CRCs.
             context.close()
             corrupted = 0
-            for name in ("serve_f", "serve_b"):
+            for name in SERVE_NAMES:
                 corrupted += faults.corrupt_snode_regions(
                     base / name,
                     limit=arguments.corrupt_pages,

@@ -51,7 +51,6 @@ from repro.experiments.queries import (
 )
 from repro.index.pagerank_index import PageRankIndex
 from repro.index.textindex import TextIndex
-from repro.query.engine import QueryEngine
 from repro.query.workload import (
     query1_referred_universities,
     query5_intra_set_ranking,
@@ -95,6 +94,17 @@ class SweepPoint:
 #: Ring-buffer bound for ``--predict`` traces: large enough that seed-scale
 #: sweeps never drop buffer events (dropped events would bias the curve).
 PREDICT_TRACE_CAPACITY = 1 << 20
+
+
+def unpinned_hits_misses(pair) -> tuple[int, int]:
+    """(unpinned hits, misses) across both directions.
+
+    Pinned hits are excluded: they are served outside the LRU budget
+    at every capacity, so only the unpinned ratio is comparable with
+    stack-distance predictions.
+    """
+    hits = pair.total("buffer_hits") - pair.total("buffer_pinned_hits")
+    return hits, pair.total("buffer_misses")
 
 
 def _predict_curves(pair, engine, trials: int):
@@ -160,9 +170,7 @@ def run(
                 pair = _build_pair(
                     scheme, repository, Path(workdir) / scheme, buffer_sizes_kb[0] * 1024
                 )
-            engine = QueryEngine(
-                repository, text_index, pagerank_index, pair.forward, pair.backward
-            )
+            engine = pair.make_engine(repository, text_index, pagerank_index)
             if predict:
                 with tracing.span("buffer_sweep.predict", scheme=scheme):
                     for query_name, curve in _predict_curves(
@@ -194,7 +202,7 @@ def run(
                     hits_total = 0
                     misses_total = 0
                     for _ in range(trials):
-                        pair.reset_io()
+                        pair.reset_io_stats()
                         with tracing.span(
                             "buffer_sweep.trial",
                             scheme=scheme,
@@ -203,11 +211,10 @@ def run(
                         ):
                             result = query_fn(engine)
                         wall_total += result.navigation_seconds
-                        seeks, bytes_read = pair.io_totals()
-                        seeks_total += seeks
-                        bytes_total += bytes_read
-                        evictions += pair.eviction_totals()
-                        hits, misses = pair.buffer_totals()
+                        seeks_total += pair.total("disk_seeks")
+                        bytes_total += pair.total("bytes_read")
+                        evictions += pair.total("buffer_evictions")
+                        hits, misses = unpinned_hits_misses(pair)
                         hits_total += hits
                         misses_total += misses
                     wall_ms = wall_total * 1000.0 / trials

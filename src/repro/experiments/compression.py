@@ -14,11 +14,8 @@ import argparse
 import tempfile
 from dataclasses import asdict, dataclass
 
-from repro.baselines import (
-    HuffmanRepresentation,
-    Link3Representation,
-    SNodeRepresentation,
-)
+from repro.baselines import HuffmanRepresentation, Link3Representation
+from repro.baselines.base import RepresentationPair
 from repro.experiments.harness import (
     add_report_arguments,
     add_trace_arguments,
@@ -29,7 +26,8 @@ from repro.experiments.harness import (
     sweep_sizes,
     trace_session,
 )
-from repro.snode.build import BuildOptions, build_snode
+from repro.snode.build import BuildOptions
+from repro.snode.pair import SNodePair
 
 MEMORY_BYTES = 8 * 1024**3  # the paper's 8 GB headline
 
@@ -49,28 +47,21 @@ def _measure_scheme(scheme: str, repository, workdir: str) -> tuple[float, float
     """(bits/edge on WG, bits/edge on WGT) for one scheme on one dataset."""
     transpose = repository.graph.transpose()
     if scheme == "plain-huffman":
-        forward = HuffmanRepresentation(repository.graph)
-        backward = HuffmanRepresentation(transpose)
-        return forward.bits_per_edge(), backward.bits_per_edge()
-    if scheme == "link3":
-        with Link3Representation(repository, f"{workdir}/l3f") as forward:
-            wg = forward.bits_per_edge()
-        with Link3Representation(repository, f"{workdir}/l3b", graph=transpose) as backward:
-            wgt = backward.bits_per_edge()
-        return wg, wgt
-    if scheme == "s-node":
-        options = BuildOptions(refinement=experiment_refinement_config())
-        build = build_snode(repository, f"{workdir}/snf", options)
-        wg = SNodeRepresentation(build).bits_per_edge()
-        build.store.close()
-        options_t = BuildOptions(
-            refinement=experiment_refinement_config(), transpose=True
+        pair = RepresentationPair(
+            HuffmanRepresentation(repository.graph), HuffmanRepresentation(transpose)
         )
-        build_t = build_snode(repository, f"{workdir}/snb", options_t)
-        wgt = SNodeRepresentation(build_t).bits_per_edge()
-        build_t.store.close()
-        return wg, wgt
-    raise ValueError(f"unknown scheme {scheme}")
+    elif scheme == "link3":
+        pair = RepresentationPair(
+            Link3Representation(repository, f"{workdir}/l3f"),
+            Link3Representation(repository, f"{workdir}/l3b", graph=transpose),
+        )
+    elif scheme == "s-node":
+        options = BuildOptions(refinement=experiment_refinement_config())
+        pair = SNodePair.build(repository, workdir, options)
+    else:
+        raise ValueError(f"unknown scheme {scheme}")
+    with pair:
+        return pair.bits_per_edge()
 
 
 def run(sizes: list[int] | None = None) -> tuple[list[CompressionRow], float]:

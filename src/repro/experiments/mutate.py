@@ -49,7 +49,6 @@ import argparse
 import hashlib
 import shutil
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -67,13 +66,13 @@ from repro.obs import tracing
 from repro.serve import protocol
 from repro.serve.daemon import (
     DEFAULT_BUFFER_BYTES,
-    DaemonHandle,
-    GraphQueryDaemon,
+    SERVE_NAMES,
     ServeContext,
+    store_options,
 )
-from repro.serve.loadgen import DEFAULT_MIX, ServeClient, run_load
-from repro.experiments.serve import _conservation
-from repro.query.workload import run_query
+from repro.serve.loadgen import ServeClient
+from repro.experiments.serve import daemon_phase, serial_digests
+from repro.snode.pair import SNodePair
 from repro.webdata.recrawl import RecrawlConfig, recrawl
 
 DEFAULT_STEPS = 4
@@ -84,8 +83,6 @@ DEFAULT_QUEUE_LIMIT = 4
 #: Edges per write request in the live phase — small enough to produce
 #: several WAL appends per step, large enough to keep frame overhead low.
 _WRITE_BATCH = 256
-#: How long the live-phase load runs before the compact op lands.
-_COMPACT_DELAY_S = 0.05
 
 
 def _digest_rows(hasher: "hashlib._Hash", rows) -> None:
@@ -97,7 +94,7 @@ def _digest_rows(hasher: "hashlib._Hash", rows) -> None:
             hasher.update(int(target).to_bytes(8, "little"))
 
 
-def _representation_digest(forward, backward) -> str:
+def _representation_digest(pair) -> str:
     """Canonical digest of both directions' full served adjacency.
 
     Pages are probed in id order (``iterate_all`` yields physical
@@ -105,7 +102,7 @@ def _representation_digest(forward, backward) -> str:
     equivalent stores hash differently).
     """
     hasher = hashlib.sha256()
-    for representation in (forward, backward):
+    for representation in (pair.forward, pair.backward):
         num_pages = representation.num_pages
         for start in range(0, num_pages, 1024):
             pages = range(start, min(start + 1024, num_pages))
@@ -129,12 +126,6 @@ def _graph_digest(graph) -> str:
     return hasher.hexdigest()
 
 
-def _build_pair(repository, workdir: Path, buffer_bytes: int):
-    """Build a forward + transpose pair; returns open representations."""
-    ServeContext.build_store_pair(workdir, repository, buffer_bytes)
-    return ServeContext.open_store_pair(workdir, repository, buffer_bytes)
-
-
 def _equivalence_sweep(
     repository, steps, base: Path, buffer_bytes: int
 ) -> tuple[list[dict], bool]:
@@ -146,68 +137,40 @@ def _equivalence_sweep(
     fresh pair from the mutated repository at every depth and is thrown
     away immediately after hashing.
     """
-    from repro.snode.delta import DeltaOverlay
-    from repro.storage.wal import GraphWal
-
-    forward, backward = _build_pair(repository, base / "mutable", buffer_bytes)
-    wal = GraphWal.for_build(forward.build.root)
-    overlay_forward = DeltaOverlay()
-    overlay_backward = DeltaOverlay(transpose=True)
-    forward.attach_overlay(overlay_forward)
-    backward.attach_overlay(overlay_backward)
+    options = store_options(buffer_bytes)
+    pair = SNodePair.build(repository, base / "mutable", options, SERVE_NAMES)
     depths: list[dict] = []
     equivalent = True
     try:
+        pair.open_log()
         for step in steps:
             for op, edges in (("remove", step.removed), ("add", step.added)):
-                if not edges:
-                    continue
-                wal.append(op, list(edges))
-                overlay_forward.apply(op, edges)
-                overlay_backward.apply(op, edges)
-            merges_before = forward.metrics.get("delta_merges") + backward.metrics.get(
-                "delta_merges"
-            )
-            merge_edges_before = forward.metrics.get(
-                "delta_merge_edges"
-            ) + backward.metrics.get("delta_merge_edges")
+                if edges:
+                    pair.apply(op, list(edges))
+            merges_before = pair.total("delta_merges")
+            merge_edges_before = pair.total("delta_merge_edges")
             started = time.perf_counter()
-            overlay_digest = _representation_digest(forward, backward)
+            overlay_digest = _representation_digest(pair)
             probe_s = time.perf_counter() - started
-            merges = (
-                forward.metrics.get("delta_merges")
-                + backward.metrics.get("delta_merges")
-                - merges_before
-            )
-            merge_edges = (
-                forward.metrics.get("delta_merge_edges")
-                + backward.metrics.get("delta_merge_edges")
-                - merge_edges_before
-            )
+            merges = pair.total("delta_merges") - merges_before
+            merge_edges = pair.total("delta_merge_edges") - merge_edges_before
             rebuild_dir = base / f"rebuild_{step.index}"
-            rebuilt_forward, rebuilt_backward = _build_pair(
-                step.repository, rebuild_dir, buffer_bytes
-            )
-            try:
-                rebuild_digest = _representation_digest(
-                    rebuilt_forward, rebuilt_backward
-                )
-            finally:
-                rebuilt_forward.close()
-                rebuilt_backward.close()
-                shutil.rmtree(rebuild_dir)
+            with SNodePair.build(step.repository, rebuild_dir, options) as rebuilt:
+                rebuild_digest = _representation_digest(rebuilt)
+            shutil.rmtree(rebuild_dir)
             truth_digest = _graph_digest(step.repository.graph)
             matches = overlay_digest == rebuild_digest == truth_digest
             equivalent = equivalent and matches
+            overlay = pair.forward.overlay
             depths.append(
                 {
                     "depth": step.index + 1,
                     "step_edges": step.delta_edges,
                     "url_moves": step.url_moves,
                     "host_reorgs": step.host_reorgs,
-                    "wal_bytes": wal.size_bytes(),
-                    "overlay_edges": overlay_forward.edge_count,
-                    "overlay_rows": overlay_forward.row_count,
+                    "wal_bytes": pair.wal.size_bytes(),
+                    "overlay_edges": overlay.edge_count,
+                    "overlay_rows": overlay.row_count,
                     "delta_merges": merges,
                     "delta_merge_edges": merge_edges,
                     "digest": overlay_digest,
@@ -217,8 +180,7 @@ def _equivalence_sweep(
                 }
             )
     finally:
-        forward.close()
-        backward.close()
+        pair.close()
     return depths, equivalent
 
 
@@ -236,11 +198,7 @@ def _query_equivalence(final_repository, base: Path, buffer_bytes: int) -> dict:
     )
     try:
         replay = overlay_context.enable_mutation()
-        engine = overlay_context.serial_engine()
-        overlay_digests = {
-            name: protocol.payload_digest(run_query(engine, name).payload)
-            for name in DEFAULT_MIX
-        }
+        overlay_digests = serial_digests(overlay_context.serial_engine())
     finally:
         overlay_context.close()
     rebuild_dir = base / "rebuild_final"
@@ -248,11 +206,7 @@ def _query_equivalence(final_repository, base: Path, buffer_bytes: int) -> dict:
         final_repository, rebuild_dir, buffer_bytes=buffer_bytes
     )
     try:
-        engine = rebuild_context.serial_engine()
-        rebuild_digests = {
-            name: protocol.payload_digest(run_query(engine, name).payload)
-            for name in DEFAULT_MIX
-        }
+        rebuild_digests = serial_digests(rebuild_context.serial_engine())
     finally:
         rebuild_context.close()
         shutil.rmtree(rebuild_dir)
@@ -295,49 +249,24 @@ def _live_phase(
     context = ServeContext.build(repository, live_dir, buffer_bytes=buffer_bytes)
     try:
         context.enable_mutation()
-        daemon = GraphQueryDaemon(
-            context, workers=workers, queue_limit=queue_limit
-        )
-        box: dict = {}
-        with DaemonHandle(daemon) as handle:
-            with ServeClient("127.0.0.1", handle.port) as admin:
-                writes = _apply_live_writes(admin, step)
+        with daemon_phase(context, workers, queue_limit) as phase:
+            writes = phase.admin(lambda admin: _apply_live_writes(admin, step))
             # Serial reference digests *after* the writes: every reply
             # during the load — before and after the compaction flip —
             # must match these.
-            engine = context.serial_engine()
-            serial_digests = {
-                name: protocol.payload_digest(run_query(engine, name).payload)
-                for name in DEFAULT_MIX
-            }
-            wal_bytes_before = context.wal.size_bytes()
-
-            def _drive() -> None:
-                box["load"] = run_load(
-                    "127.0.0.1",
-                    handle.port,
-                    concurrency=concurrency,
-                    requests_per_client=requests_per_client,
-                )
-
-            thread = threading.Thread(target=_drive, name="mutate-load")
-            thread.start()
-            time.sleep(_COMPACT_DELAY_S)
-            with ServeClient("127.0.0.1", handle.port) as admin:
-                compact_outcome = admin.compact(str(live_dir / "compacted"))
-            thread.join()
+            digests = serial_digests(context.serial_engine())
+            wal_bytes_before = context.pair.wal.size_bytes()
+            compact_outcome = phase.run_load(
+                concurrency,
+                requests_per_client,
+                midway=lambda admin: admin.compact(str(live_dir / "compacted")),
+            )
             # The compacted store must accept new writes into its own,
             # fresh WAL.
-            with ServeClient("127.0.0.1", handle.port) as admin:
-                post = admin.add_edges([[0, repository.num_pages - 1]])
-        load = box["load"]
-        conserved, _ = _conservation(daemon, load)
-        observed = load.digests()
-        matches_serial = load.consistent() and all(
-            observed.get(name) == {digest}
-            for name, digest in serial_digests.items()
-        )
-        client_errors = [c.error for c in load.clients if c.error]
+            post = phase.admin(
+                lambda admin: admin.add_edges([[0, repository.num_pages - 1]])
+            )
+        load = phase.load
         mutation = context.mutation_stats()
         return {
             # Deterministic gates (CI exact-pins these):
@@ -345,11 +274,11 @@ def _live_phase(
             and context.generation == 1
             and context.compactions == 1
             and context.last_compaction_generation == 1,
-            "live_matches_serial": matches_serial,
+            "live_matches_serial": phase.matches(digests),
             "live_zero_failed": load.requests_failed == 0
             and load.requests_timeout == 0
-            and not client_errors,
-            "live_conserved": conserved,
+            and not phase.client_errors,
+            "live_conserved": phase.conserved,
             "live_wal_truncated": compact_outcome.get("absorbed_bytes")
             == wal_bytes_before
             and compact_outcome.get("mutation", {}).get("carried_bytes") == 0,
@@ -364,7 +293,7 @@ def _live_phase(
                 "drained_in_flight": compact_outcome.get("drained", 0),
                 "completed": load.requests_ok,
                 "shed": load.shed_retries,
-                "errors": client_errors,
+                "errors": phase.client_errors,
             },
         }
     finally:

@@ -28,7 +28,11 @@ import tempfile
 from pathlib import Path
 
 from repro.errors import BufferCapacityError, ReproError
-from repro.experiments.buffer_sweep import PREDICT_TRACE_CAPACITY, SWEEP_QUERIES
+from repro.experiments.buffer_sweep import (
+    PREDICT_TRACE_CAPACITY,
+    SWEEP_QUERIES,
+    unpinned_hits_misses,
+)
 from repro.experiments.harness import (
     add_report_arguments,
     add_trace_arguments,
@@ -43,7 +47,6 @@ from repro.index.pagerank_index import PageRankIndex
 from repro.index.textindex import TextIndex
 from repro.obs import profile as access_profile
 from repro.obs import tracing
-from repro.query.engine import QueryEngine
 
 #: Capacities (KiB) the measured validation mini-sweep runs at.
 DEFAULT_PROFILE_CAPACITIES_KB = (16, 32, 64, 128, 256)
@@ -123,9 +126,9 @@ def _measure_validation(
                 "profile.measure", query=query_name, capacity_kb=capacity_kb
             ):
                 for _ in range(trials):
-                    pair.reset_io()
+                    pair.reset_io_stats()
                     query_fn(engine)
-                    trial_hits, trial_misses = pair.buffer_totals()
+                    trial_hits, trial_misses = unpinned_hits_misses(pair)
                     hits += trial_hits
                     misses += trial_misses
             measured = hits / (hits + misses) if (hits + misses) else 0.0
@@ -164,12 +167,8 @@ def run(
                 pair = _build_pair(
                     scheme, repository, Path(workdir) / scheme, capacities_kb[0] * 1024
                 )
-            engine = QueryEngine(
-                repository,
-                TextIndex(repository),
-                PageRankIndex(repository),
-                pair.forward,
-                pair.backward,
+            engine = pair.make_engine(
+                repository, TextIndex(repository), PageRankIndex(repository)
             )
             tracers = _record_query_traces(result, pair, engine, trials)
             _measure_validation(result, pair, engine, capacities_kb, trials)

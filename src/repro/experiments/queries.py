@@ -37,9 +37,8 @@ from repro.baselines import (
     FlatFileRepresentation,
     Link3Representation,
     RelationalRepresentation,
-    SNodeRepresentation,
 )
-from repro.baselines.base import GraphRepresentation
+from repro.baselines.base import RepresentationPair
 from repro.experiments.harness import (
     add_report_arguments,
     add_trace_arguments,
@@ -54,9 +53,9 @@ from repro.obs import tracing
 from repro.obs.histogram import HistogramSet, LatencyHistogram
 from repro.index.pagerank_index import PageRankIndex
 from repro.index.textindex import TextIndex
-from repro.query.engine import QueryEngine
 from repro.query.workload import PAPER_QUERIES
-from repro.snode.build import BuildOptions, build_snode
+from repro.snode.build import BuildOptions
+from repro.snode.pair import SNodePair
 
 #: Scaled analogue of the paper's 325 MB representation-memory bound.
 DEFAULT_BUFFER_BYTES = 512 * 1024
@@ -118,82 +117,17 @@ class QueryExperiment:
         return reductions
 
 
-class _SchemePair:
-    """Forward + transpose representations of one scheme."""
-
-    def __init__(
-        self,
-        name: str,
-        forward: GraphRepresentation,
-        backward: GraphRepresentation,
-    ) -> None:
-        self.name = name
-        self.forward = forward
-        self.backward = backward
-
-    def drop_caches(self) -> None:
-        self.forward.drop_caches()
-        self.backward.drop_caches()
-
-    def reset_io(self) -> None:
-        self.forward.reset_io_stats()
-        self.backward.reset_io_stats()
-
-    def set_buffer_bytes(self, buffer_bytes: int) -> None:
-        self.forward.set_buffer_bytes(buffer_bytes)
-        self.backward.set_buffer_bytes(buffer_bytes)
-
-    def io_totals(self) -> tuple[int, int]:
-        stats_f = self.forward.io_stats()
-        stats_b = self.backward.io_stats()
-        seeks = stats_f.get("disk_seeks", 0) + stats_b.get("disk_seeks", 0)
-        bytes_read = stats_f.get("bytes_read", 0) + stats_b.get("bytes_read", 0)
-        return seeks, bytes_read
-
-    def eviction_totals(self) -> int:
-        return self.forward.metrics.get("buffer_evictions") + self.backward.metrics.get(
-            "buffer_evictions"
-        )
-
-    def buffer_totals(self) -> tuple[int, int]:
-        """(unpinned hits, misses) across both directions.
-
-        Pinned hits are excluded: they are served outside the LRU budget
-        at every capacity, so only the unpinned ratio is comparable with
-        stack-distance predictions.
-        """
-        hits = 0
-        misses = 0
-        for metrics in (self.forward.metrics, self.backward.metrics):
-            hits += metrics.get("buffer_hits") - metrics.get("buffer_pinned_hits")
-            misses += metrics.get("buffer_misses")
-        return hits, misses
-
-    def merged_snapshot(self) -> dict[str, float]:
-        """Forward + backward metrics snapshots, summed per name."""
-        merged = dict(self.forward.metrics.snapshot())
-        for name, value in self.backward.metrics.snapshot().items():
-            merged[name] = merged.get(name, 0) + value
-        return merged
-
-    def close(self) -> None:
-        self.forward.close()
-        self.backward.close()
-
-
 def _build_pair(
     name: str, repository, workdir: Path, buffer_bytes: int
-) -> _SchemePair:
+) -> RepresentationPair:
     transpose = repository.graph.transpose()
     if name == "flat-file":
-        return _SchemePair(
-            name,
+        return RepresentationPair(
             FlatFileRepresentation(repository.graph, workdir / "ff_f"),
             FlatFileRepresentation(transpose, workdir / "ff_b"),
         )
     if name == "relational":
-        return _SchemePair(
-            name,
+        return RepresentationPair(
             RelationalRepresentation(
                 repository, workdir / "rel_f", buffer_bytes=buffer_bytes
             ),
@@ -208,8 +142,7 @@ def _build_pair(
         # rather than S-Node's purpose-laid-out graph regions.  16-row
         # extents (~1-2 KiB) model that charitably — one extent still
         # covers a row's whole reference chain.
-        return _SchemePair(
-            name,
+        return RepresentationPair(
             Link3Representation(
                 repository,
                 workdir / "l3_f",
@@ -228,21 +161,7 @@ def _build_pair(
         options = BuildOptions(
             refinement=experiment_refinement_config(), buffer_bytes=buffer_bytes
         )
-        forward_build = build_snode(repository, workdir / "sn_f", options)
-        backward_build = build_snode(
-            repository,
-            workdir / "sn_b",
-            BuildOptions(
-                refinement=experiment_refinement_config(),
-                buffer_bytes=buffer_bytes,
-                transpose=True,
-            ),
-        )
-        return _SchemePair(
-            name,
-            SNodeRepresentation(forward_build),
-            SNodeRepresentation(backward_build),
-        )
+        return SNodePair.build(repository, workdir, options)
     raise ValueError(f"unknown scheme {name}")
 
 
@@ -268,9 +187,7 @@ def run(
         for scheme in schemes:
             with tracing.span("queries.build", scheme=scheme):
                 pair = _build_pair(scheme, repository, base, buffer_bytes)
-            engine = QueryEngine(
-                repository, text_index, pagerank_index, pair.forward, pair.backward
-            )
+            engine = pair.make_engine(repository, text_index, pagerank_index)
             for query_name, query_fn in PAPER_QUERIES:
                 wall_total = 0.0
                 seeks_total = 0
@@ -290,13 +207,14 @@ def run(
                 # shows.
                 pair.drop_caches()
                 for _ in range(trials):
-                    pair.reset_io()
+                    pair.reset_io_stats()
                     with tracing.span(
                         "queries.trial", scheme=scheme, query=query_name
                     ):
                         result = query_fn(engine)
                     wall_total += result.navigation_seconds
-                    seeks, bytes_read = pair.io_totals()
+                    seeks = pair.total("disk_seeks")
+                    bytes_read = pair.total("bytes_read")
                     seeks_total += seeks
                     bytes_total += bytes_read
                     wall_histogram.record(result.navigation_seconds)
@@ -340,7 +258,7 @@ def run(
                     },
                 )
             experiment.op_histograms[scheme] = engine.histograms
-            experiment.metrics[scheme] = pair.merged_snapshot()
+            experiment.metrics[scheme] = pair.snapshot()
             pair.close()
     finally:
         if own_tmp is not None:

@@ -69,6 +69,7 @@ CI-gated exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import shutil
 import tempfile
 import threading
@@ -90,13 +91,16 @@ from repro.serve import protocol
 from repro.serve.daemon import (
     DEFAULT_BUFFER_BYTES,
     DEFAULT_STRIPES,
+    SERVE_NAMES,
     DaemonHandle,
     GraphQueryDaemon,
     ServeContext,
+    store_options,
 )
 from repro.serve.loadgen import DEFAULT_MIX, ServeClient, run_load
 from repro.serve.telemetry import DELTA_COUNTERS
 from repro.query.workload import run_query
+from repro.snode.pair import SNodePair
 from repro.storage import faults
 
 DEFAULT_CONCURRENCY = 8
@@ -193,6 +197,79 @@ def _conservation(daemon: GraphQueryDaemon, load) -> tuple[bool, dict]:
     return conserved, outcome_totals
 
 
+def serial_digests(engine) -> dict[str, str]:
+    """The Figure 11 mix's payload digests through ``engine``, in process."""
+    return {
+        name: protocol.payload_digest(run_query(engine, name).payload)
+        for name in DEFAULT_MIX
+    }
+
+
+#: How long a phase's load runs before its mid-run admin op lands — long
+#: enough that requests are in flight, short enough that plenty follow.
+_MIDWAY_DELAY_S = 0.05
+
+
+class _DaemonPhase:
+    """One daemon's lifetime in a benchmark phase: admin ops and one load."""
+
+    def __init__(self, daemon: GraphQueryDaemon, port: int) -> None:
+        self.daemon = daemon
+        self.port = port
+        self.load = None
+
+    def admin(self, call):
+        """``call(client)`` on a connection of its own."""
+        with ServeClient("127.0.0.1", self.port) as client:
+            return call(client)
+
+    def run_load(self, concurrency, requests_per_client, midway=None, **options):
+        """Drive the Figure 11 mix; with ``midway``, on a thread while
+        that admin call lands mid-run — its result is returned."""
+
+        def drive() -> None:
+            self.load = run_load(
+                "127.0.0.1",
+                self.port,
+                concurrency=concurrency,
+                requests_per_client=requests_per_client,
+                **options,
+            )
+
+        if midway is None:
+            return drive()
+        thread = threading.Thread(target=drive, name="phase-load")
+        thread.start()
+        try:
+            time.sleep(_MIDWAY_DELAY_S)
+            return self.admin(midway)
+        finally:
+            thread.join()
+
+    def matches(self, digests: dict[str, str]) -> bool:
+        """Did every reply of the load carry its query's serial digest?"""
+        observed = self.load.digests()
+        return self.load.consistent() and all(
+            observed.get(name) == {digest} for name, digest in digests.items()
+        )
+
+
+@contextlib.contextmanager
+def daemon_phase(context: ServeContext, workers: int, queue_limit: int):
+    """A fresh daemon over ``context`` for one phase.
+
+    Once it has stopped — every request record is folded in by then —
+    the phase also carries ``conserved`` / ``outcome_totals``
+    (:func:`_conservation`) and the load's ``client_errors``.
+    """
+    daemon = GraphQueryDaemon(context, workers=workers, queue_limit=queue_limit)
+    with DaemonHandle(daemon) as handle:
+        phase = _DaemonPhase(daemon, handle.port)
+        yield phase
+    phase.conserved, phase.outcome_totals = _conservation(phase.daemon, phase.load)
+    phase.client_errors = [c.error for c in phase.load.clients if c.error]
+
+
 def _overload_levels(queue_limit: int, concurrency: int) -> tuple[int, ...]:
     """Offered-concurrency ladder: at, past and far past admission."""
     return tuple(
@@ -208,15 +285,9 @@ def _overload_level(
     queue_limit: int,
 ) -> dict:
     """One sweep level: fresh daemon, ``clients`` offered concurrency."""
-    daemon = GraphQueryDaemon(context, workers=workers, queue_limit=queue_limit)
-    with DaemonHandle(daemon) as handle:
-        load = run_load(
-            "127.0.0.1",
-            handle.port,
-            concurrency=clients,
-            requests_per_client=requests_per_client,
-        )
-    conserved, _ = _conservation(daemon, load)
+    with daemon_phase(context, workers, queue_limit) as phase:
+        phase.run_load(clients, requests_per_client)
+    load = phase.load
     queue_hist = load.queue_wait_histogram()
     server_hist = load.server_latency_histogram()
     attempts = load.requests_ok + load.shed_retries + load.requests_failed
@@ -234,7 +305,7 @@ def _overload_level(
         "queue_wait_ms_p99": (queue_hist.p99 if queue_hist.count else 0.0) * 1000.0,
         "server_ms_p50": (server_hist.p50 if server_hist.count else 0.0) * 1000.0,
         "server_ms_p99": (server_hist.p99 if server_hist.count else 0.0) * 1000.0,
-        "requests_conserved": conserved,
+        "requests_conserved": phase.conserved,
     }
 
 
@@ -274,7 +345,7 @@ def _chaos_phase(
     """
     chaos_dir = base / "chaos"
     corrupted = 0
-    for name in ("serve_f", "serve_b"):
+    for name in SERVE_NAMES:
         shutil.copytree(base / name, chaos_dir / name)
         corrupted += faults.corrupt_snode_regions(
             chaos_dir / name, seed=_CHAOS_CORRUPT_SEED
@@ -288,39 +359,35 @@ def _chaos_phase(
     )
     try:
         before = _counter_totals(context)
-        daemon = GraphQueryDaemon(
-            context, workers=workers, queue_limit=queue_limit
-        )
         plan = faults.FaultPlan(
             seed=_CHAOS_FAULT_SEED,
             eio_rate=_CHAOS_EIO_RATE,
             slow_read_rate=_CHAOS_SLOW_RATE,
             slow_read_seconds=_CHAOS_SLOW_SECONDS,
         )
-        with faults.activated(plan), DaemonHandle(daemon) as handle:
-            load = run_load(
-                "127.0.0.1",
-                handle.port,
-                concurrency=concurrency,
-                requests_per_client=requests_per_client,
+        with faults.activated(plan), daemon_phase(
+            context, workers, queue_limit
+        ) as phase:
+            phase.run_load(
+                concurrency,
+                requests_per_client,
                 deadline_ms=_CHAOS_DEADLINE_MS,
                 deadline_every=_CHAOS_DEADLINE_EVERY,
             )
+        load = phase.load
         after = _counter_totals(context)
-        conserved, outcome_totals = _conservation(daemon, load)
         degraded_read_growth = (
             after["degraded_reads"] - before["degraded_reads"]
         )
-        storage = daemon.io_resilience()
-        client_errors = [c.error for c in load.clients if c.error]
+        storage = phase.daemon.io_resilience()
         return {
             # Deterministic gates (CI exact-pins these):
-            "chaos_conserved": conserved,
+            "chaos_conserved": phase.conserved,
             "chaos_zero_failed": load.requests_failed == 0
-            and not client_errors,
+            and not phase.client_errors,
             "chaos_degraded_served": load.requests_degraded > 0
             and degraded_read_growth > 0,
-            "chaos_degraded_accounted": outcome_totals.get("degraded", 0)
+            "chaos_degraded_accounted": phase.outcome_totals.get("degraded", 0)
             == load.requests_degraded,
             "chaos_deadline_honored": load.deadline_honored(),
             # Interleaving-/timing-dependent observability (CI ignores):
@@ -336,30 +403,23 @@ def _chaos_phase(
                 "io_retries": storage.get("io_retries", 0),
                 "fault_eio": storage.get("fault_eio", 0),
                 "slow_reads": storage.get("fault_slow_reads", 0),
-                "errors": client_errors,
+                "errors": phase.client_errors,
             },
         }
     finally:
         context.close()
 
 
-#: How long the swap-phase load runs before the swap op lands — long
-#: enough that requests are in flight, short enough that plenty follow
-#: the flip.
-_SWAP_DELAY_S = 0.05
-
-
 def _swap_phase(
     repository,
     context: ServeContext,
     base: Path,
-    serial_digests: dict[str, str],
+    digests: dict[str, str],
     concurrency: int,
     requests_per_client: int,
     workers: int,
     queue_limit: int,
     buffer_bytes: int,
-    stripes: int,
 ) -> dict:
     """Hot-swap onto a freshly built pair while the load generator runs.
 
@@ -373,52 +433,31 @@ def _swap_phase(
     (the original stores are closed).
     """
     swap_dir = base / "swap_store"
-    ServeContext.build_store_pair(swap_dir, repository, buffer_bytes)
-    daemon = GraphQueryDaemon(
-        context, workers=workers, queue_limit=queue_limit
-    )
-    box: dict = {}
-    with DaemonHandle(daemon) as handle:
-
-        def _drive() -> None:
-            box["load"] = run_load(
-                "127.0.0.1",
-                handle.port,
-                concurrency=concurrency,
-                requests_per_client=requests_per_client,
-            )
-
-        thread = threading.Thread(target=_drive, name="swap-load")
-        thread.start()
-        time.sleep(_SWAP_DELAY_S)
-        with ServeClient("127.0.0.1", handle.port) as admin:
-            swap_outcome = admin.swap(str(swap_dir))
-        thread.join()
-    load = box["load"]
-    conserved, _ = _conservation(daemon, load)
-    observed = load.digests()
-    matches_serial = load.consistent() and all(
-        observed.get(name) == {digest}
-        for name, digest in serial_digests.items()
-    )
-    client_errors = [c.error for c in load.clients if c.error]
+    SNodePair.commit(repository, swap_dir, store_options(buffer_bytes), SERVE_NAMES)
+    with daemon_phase(context, workers, queue_limit) as phase:
+        swap_outcome = phase.run_load(
+            concurrency,
+            requests_per_client,
+            midway=lambda admin: admin.swap(str(swap_dir)),
+        )
+    load = phase.load
     return {
         # Deterministic gates (CI exact-pins these):
         "swap_applied": bool(swap_outcome.get("swapped"))
-        and daemon.counters.store_swaps == 1
+        and phase.daemon.counters.store_swaps == 1
         and context.generation == 1,
-        "swap_matches_serial": matches_serial,
+        "swap_matches_serial": phase.matches(digests),
         "swap_zero_failed": load.requests_failed == 0
         and load.requests_timeout == 0
-        and not client_errors,
-        "swap_conserved": conserved,
+        and not phase.client_errors,
+        "swap_conserved": phase.conserved,
         # Timing-dependent observability (CI ignores):
         "swap_detail": {
             "drained_in_flight": swap_outcome.get("drained", 0),
             "generation": swap_outcome.get("generation", 0),
             "completed": load.requests_ok,
             "shed": load.shed_retries,
-            "errors": client_errors,
+            "errors": phase.client_errors,
         },
     }
 
@@ -448,43 +487,23 @@ def run(
             # path, establishing the reference digests.  This also warms
             # the shared cache, so serial and concurrent runs read the
             # same warmed pool.
-            serial_engine = context.serial_engine()
-            serial_digests: dict[str, str] = {}
             with tracing.span("serve.serial"):
-                for name in DEFAULT_MIX:
-                    result = run_query(serial_engine, name)
-                    serial_digests[name] = protocol.payload_digest(result.payload)
+                serial = serial_digests(context.serial_engine())
             before = _counter_totals(context)
-            daemon = GraphQueryDaemon(
-                context, workers=workers, queue_limit=queue_limit
-            )
             with tracing.span("serve.load"):
-                with DaemonHandle(daemon) as handle:
-                    load = run_load(
-                        "127.0.0.1",
-                        handle.port,
-                        concurrency=concurrency,
-                        requests_per_client=requests_per_client,
-                    )
+                with daemon_phase(context, workers, queue_limit) as phase:
+                    phase.run_load(concurrency, requests_per_client)
+            load = phase.load
             after = _counter_totals(context)
-            client_errors = [
-                client.error for client in load.clients if client.error
-            ]
-            if client_errors:
+            if phase.client_errors:
                 raise ServeError(
-                    f"load generator reported errors: {client_errors[:3]}"
+                    f"load generator reported errors: {phase.client_errors[:3]}"
                 )
-            observed = load.digests()
-            matches_serial = load.consistent() and all(
-                observed.get(name) == {digest}
-                for name, digest in serial_digests.items()
-            )
             session_sums = _client_sums(load)
             growth = {
                 name: after[name] - before[name] for name in _ATTRIBUTABLE
             }
             metrics_conserved = growth == session_sums
-            requests_conserved, outcome_totals = _conservation(daemon, load)
             # Attribution conservation: the per-request session deltas
             # echoed in every ok reply, summed over the run, must equal
             # the session totals the clients read back — bit-for-bit.
@@ -522,13 +541,12 @@ def run(
                     repository,
                     context,
                     base,
-                    serial_digests,
+                    serial,
                     concurrency,
                     requests_per_client,
                     workers,
                     queue_limit,
                     buffer_bytes,
-                    stripes,
                 )
             results = {
                 "num_pages": repository.num_pages,
@@ -542,9 +560,9 @@ def run(
                 "requests_ok": load.requests_ok,
                 "requests_failed": load.requests_failed,
                 "shed_retries": load.shed_retries,
-                "matches_serial": matches_serial,
+                "matches_serial": phase.matches(serial),
                 "metrics_conserved": metrics_conserved,
-                "requests_conserved": requests_conserved,
+                "requests_conserved": phase.conserved,
                 "attribution_conserved": attribution_conserved,
                 "traces_propagated": load.traces_propagated(),
                 # Per-query-name share of the run's I/O, from the
@@ -561,16 +579,14 @@ def run(
                 },
                 # Per-outcome telemetry totals; backpressure varies with
                 # interleaving, so these are reported, not gated.
-                "outcome_totals": outcome_totals,
+                "outcome_totals": phase.outcome_totals,
                 "overload": overload,
                 "per_query_digests": {
                     name: sorted(digests)[0]
-                    for name, digests in sorted(observed.items())
+                    for name, digests in sorted(load.digests().items())
                     if digests
                 },
-                "digest": protocol.payload_digest(
-                    {"per_query": serial_digests}
-                ),
+                "digest": protocol.payload_digest({"per_query": serial}),
                 # Concurrency-dependent (duplicate loads under races);
                 # reported for observability.  Key names deliberately
                 # avoid bench-diff cost markers so runs are not gated on
@@ -586,7 +602,7 @@ def run(
                     "superedge": growth["superedge_loads"],
                     "degraded": growth["degraded_reads"],
                 },
-                "daemon": daemon.counters.as_dict(),
+                "daemon": phase.daemon.counters.as_dict(),
             }
             results.update(chaos)
             results.update(swap)

@@ -67,7 +67,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.baselines import SNodeRepresentation
+from repro.baselines.base import RepresentationPair
 from repro.errors import (
     BackpressureError,
     DeadlineError,
@@ -91,10 +91,10 @@ from repro.serve.telemetry import (
     ServeTelemetry,
     render_prometheus,
 )
-from repro.snode.build import BuildOptions, build_snode
-from repro.snode.delta import DeltaOverlay, merged_repository
+from repro.snode.build import BuildOptions
+from repro.snode.delta import DeltaOverlay
+from repro.snode.pair import SNodePair
 from repro.storage.fsck import fsck
-from repro.storage.wal import GraphWal
 
 #: Worker threads executing queries (each owns no state; engines are
 #: per-connection, stores are shared).
@@ -108,7 +108,10 @@ DEFAULT_BUFFER_BYTES = 512 * 1024
 
 _QUERY_NAMES = tuple(name for name, _fn in PAPER_QUERIES)
 
-_WRONG_SIZE = "store under {0.parent} holds {1} pages but the repository has {2}"
+#: Forward and transpose directory names of a served pair; the WAL is
+#: ``graph.wal`` beside the forward build.
+SERVE_NAMES = ("serve_f", "serve_b")
+
 _SWAP_WRONG_SIZE = "swap rejected: {0} holds {1} pages, serving repository has {2}"
 
 #: How :meth:`GraphQueryDaemon._serve` runs an op (see ``_OPS``).
@@ -128,56 +131,42 @@ _FAILURES = (
 )
 
 
+def store_options(buffer_bytes: int, refinement=None) -> BuildOptions:
+    """How a served pair is built; ``refinement=None`` is the experiment default."""
+    if refinement is None:
+        refinement = experiment_refinement_config()
+    return BuildOptions(refinement=refinement, buffer_bytes=buffer_bytes)
+
+
 def _expired(deadline_ms: float) -> DeadlineError:
     """The deadline miss the event loop itself detects (pre-admission, timer)."""
     return DeadlineError(f"deadline of {deadline_ms:g} ms expired; request abandoned")
 
 
-@dataclass
-class ClientEngine:
-    """One connection's engine plus the sessions it reads through."""
+class ClientEngine(RepresentationPair):
+    """One connection's client views plus the engine reading through them.
 
-    engine: QueryEngine
-    forward: object  # SNodeRepresentation client view
-    backward: object
-    #: The context generation the sessions were opened against; a hot
-    #: store swap bumps the context's counter and connections rebuild
-    #: their engine when the two disagree.
-    generation: int = 0
+    Its :meth:`~repro.baselines.base.RepresentationPair.snapshot` is
+    what a request-scoped :class:`~repro.obs.tracing.Tracer` binds to.
+    """
 
-    def io_stats(self) -> dict[str, dict[str, int]]:
-        """This client's own counters, per direction."""
-        return {
-            "forward": self.forward.io_stats(),
-            "backward": self.backward.io_stats(),
-        }
-
-    def snapshot(self) -> dict[str, float]:
-        """Merged counters over both directions' sessions.
-
-        This is the duck-typed registry face a request-scoped
-        :class:`~repro.obs.tracing.Tracer` binds to — the tracer only
-        snapshots and diffs, so span counter deltas attribute the
-        connection's combined forward+backward I/O to each span.
-        """
-        totals: dict[str, float] = {}
-        for stats in self.io_stats().values():
-            for name, value in stats.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
-    def close(self) -> None:
-        """Fold both sessions' metrics back into the shared stores."""
-        self.forward.close()
-        self.backward.close()
+    def __init__(self, engine: QueryEngine, forward, backward, generation: int = 0) -> None:
+        super().__init__(forward, backward)
+        self.engine = engine
+        #: The context generation the sessions were opened against; a hot
+        #: store swap bumps the context's counter and connections rebuild
+        #: their engine when the two disagree.
+        self.generation = generation
 
 
 class ServeContext:
     """Everything the daemon serves from: stores, indexes, repository.
 
-    Owns the *shared* side (one forward + one transpose
-    :class:`~repro.baselines.base.SNodeRepresentation`, the text and
-    PageRank indexes); :meth:`make_engine` stamps out the per-client
+    Holds the *shared* :class:`~repro.snode.pair.SNodePair` — which owns
+    the store-pair lifecycle, the log and the overlays — next to what
+    only serving knows: the text and PageRank indexes, how the stores
+    were opened, whether writes are accepted, the swap generation and
+    request validation.  :meth:`make_engine` stamps out the per-client
     side.
     """
 
@@ -186,8 +175,7 @@ class ServeContext:
         repository,
         text_index,
         pagerank_index,
-        forward,
-        backward,
+        pair: SNodePair,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         stripes: int = DEFAULT_STRIPES,
         on_corruption: str = "raise",
@@ -195,8 +183,7 @@ class ServeContext:
         self.repository = repository
         self.text_index = text_index
         self.pagerank_index = pagerank_index
-        self.forward = forward
-        self.backward = backward
+        self.pair = pair
         # Store-opening configuration, remembered so a hot swap opens
         # the replacement pair exactly the way the originals were.
         self.buffer_bytes = buffer_bytes
@@ -208,64 +195,17 @@ class ServeContext:
         #: Refinement config the stores were built with; compaction
         #: rebuilds with the same one (None -> the experiment default).
         self.refinement = None
-        # Mutable-serving state (enable_mutation): the WAL plus one
-        # overlay per direction, both fed from the same log.
-        self.wal = None
-        self.overlay_forward = None
-        self.overlay_backward = None
         self.mutation_enabled = False
         self.compactions = 0
         self.last_compaction_generation = 0
 
-    @staticmethod
-    def build_store_pair(workdir, repository, buffer_bytes, refinement=None) -> None:
-        """Build and commit ``serve_f`` + ``serve_b`` under ``workdir``.
+    @property
+    def forward(self):
+        return self.pair.forward
 
-        ``refinement=None`` is the experiment default.  The builder's
-        stores are closed: whoever serves the pair opens it its own way.
-        """
-        if refinement is None:
-            refinement = experiment_refinement_config()
-        for name, transpose in (("serve_f", False), ("serve_b", True)):
-            options = BuildOptions(
-                refinement=refinement, buffer_bytes=buffer_bytes, transpose=transpose
-            )
-            build_snode(repository, Path(workdir) / name, options).store.close()
-
-    @staticmethod
-    def open_store_pair(
-        workdir: Path | str,
-        repository,
-        buffer_bytes: int,
-        stripes: int = 1,
-        on_corruption: str = "raise",
-        wrong_size: str = _WRONG_SIZE,
-    ):
-        """Open committed ``serve_f`` + ``serve_b``: both sides, or neither.
-
-        Each side must hold exactly the repository's pages, or the
-        ``ServeError`` is ``wrong_size.format(its root, its pages, the
-        repository's)``; whatever fails on the second side closes the first.
-        """
-        opened = []
-        try:
-            for root in (Path(workdir) / "serve_f", Path(workdir) / "serve_b"):
-                side = SNodeRepresentation.open(
-                    root,
-                    buffer_bytes=buffer_bytes,
-                    stripes=stripes,
-                    on_corruption=on_corruption,
-                )
-                opened.append(side)
-                if side.num_pages != repository.num_pages:
-                    raise ServeError(
-                        wrong_size.format(root, side.num_pages, repository.num_pages)
-                    )
-        except BaseException:
-            for side in opened:
-                side.close()
-            raise
-        return tuple(opened)
+    @property
+    def backward(self):
+        return self.pair.backward
 
     @classmethod
     def build(
@@ -279,12 +219,14 @@ class ServeContext:
     ) -> "ServeContext":
         """Build forward + transpose S-Node stores and the indexes.
 
-        The stores are opened with ``stripes`` buffer-pool segments —
-        the serving configuration; experiments that need the exact
-        single-LRU eviction order open their own stores with the default
-        ``stripes=1``.
+        ``refinement=None`` is the experiment default.  The builder's
+        stores are closed and reopened with ``stripes`` buffer-pool
+        segments — the serving configuration; experiments that need the
+        exact single-LRU eviction order open their own stores with the
+        default ``stripes=1``.
         """
-        cls.build_store_pair(workdir, repository, buffer_bytes, refinement)
+        options = store_options(buffer_bytes, refinement)
+        SNodePair.commit(repository, workdir, options, SERVE_NAMES)
         context = cls.open(repository, workdir, buffer_bytes, stripes, on_corruption)
         context.refinement = refinement
         return context
@@ -300,23 +242,25 @@ class ServeContext:
     ) -> "ServeContext":
         """Open committed ``serve_f``/``serve_b`` directories, no rebuild.
 
-        The disk-only twin of :meth:`build`: stores come off the
-        committed directories via
-        :meth:`~repro.baselines.base.SNodeRepresentation.open`, indexes
-        are derived from the repository as usual.  Used by chaos
-        fixtures (reopen a deliberately corrupted copy with
-        ``on_corruption="degrade"``) and anywhere a store exists but the
-        build-time state does not.
+        The disk-only twin of :meth:`build`: each side must hold exactly
+        the repository's pages; indexes are derived from the repository
+        as usual.  Used by chaos fixtures (reopen a deliberately
+        corrupted copy with ``on_corruption="degrade"``) and anywhere a
+        store exists but the build-time state does not.
         """
-        forward, backward = cls.open_store_pair(
-            workdir, repository, buffer_bytes, stripes, on_corruption
+        pair = SNodePair.open(
+            workdir,
+            SERVE_NAMES,
+            buffer_bytes,
+            stripes,
+            on_corruption,
+            num_pages=repository.num_pages,
         )
         return cls(
             repository,
             TextIndex(repository),
             PageRankIndex(repository),
-            forward,
-            backward,
+            pair,
             buffer_bytes=buffer_bytes,
             stripes=stripes,
             on_corruption=on_corruption,
@@ -325,49 +269,19 @@ class ServeContext:
     # -- mutable serving (WAL + delta overlay) -------------------------------
 
     def enable_mutation(self) -> dict:
-        """Start serving mutably: open (or create) the WAL, replay it.
-
-        The log lives beside the forward build's manifest
-        (``serve_f/graph.wal``).  A torn tail — the residue of a crash
-        mid-append — is repaired *before* anything else, so subsequent
-        appends land on a clean frame boundary and every acknowledged
-        write stays replayable.  The intact records rebuild one overlay
-        per direction (the transpose overlay sees every edge flipped),
-        and both attach to the live representations; sessions pick the
-        overlay up dynamically.
-        """
-        wal = GraphWal.for_build(self.forward.build.root)
-        repaired = wal.repair_tail()
-        scan = self._serve_log(wal, self.forward, self.backward)
+        """Start serving mutably: open (or create) ``serve_f/graph.wal``,
+        repair a torn tail, replay it
+        (:meth:`~repro.snode.pair.SNodePair.open_log`)."""
+        opened = self.pair.open_log()
         self.mutation_enabled = True
-        return {
-            "wal_bytes": scan.good_bytes,
-            "wal_records": len(scan.records),
-            "repaired_bytes": repaired,
-        }
-
-    def _serve_log(self, wal, forward, backward):
-        """Scan ``wal`` once into a fresh overlay per direction, attach
-        them to the given pair, make all three the write state; the scan."""
-        scan = wal.scan()
-        overlays = DeltaOverlay(), DeltaOverlay(transpose=True)
-        for record in scan.records:
-            for overlay in overlays:
-                overlay.apply_record(record)
-        forward.attach_overlay(overlays[0])
-        backward.attach_overlay(overlays[1])
-        self.wal = wal
-        self.overlay_forward, self.overlay_backward = overlays
-        return scan
+        return opened
 
     def apply_mutation(self, op: str, edges) -> dict:
-        """Durably log one edge batch, then fold it into both overlays.
+        """Validate one edge batch, then log and fold it
+        (:meth:`~repro.snode.pair.SNodePair.apply`).
 
-        The WAL append (CRC frame + fsync) happens *first*; only after
-        it returns is the overlay touched and the caller answered —
-        returning from here is the acknowledgement the crash-safety
-        contract covers.  Must be called from the daemon's event loop
-        (or any single writer): writes are serialized by construction.
+        Must be called from the daemon's event loop (or any single
+        writer): writes are serialized by construction.
         """
         if not self.mutation_enabled:
             raise ServeError(
@@ -389,53 +303,37 @@ class ServeContext:
                 if not 0 <= page < self.repository.num_pages:
                     raise ServeError(f"page {page} out of range")
             checked.append((source, target))
-        wal_bytes = self.wal.append(op, checked)
-        applied = self.overlay_forward.apply(op, checked)
-        self.overlay_backward.apply(op, checked)
-        return {
-            "op": op,
-            "edges_applied": applied,
-            "wal_bytes": wal_bytes,
-            "delta_edges": self.overlay_forward.edge_count,
-        }
+        return self.pair.apply(op, checked)
 
     def mutation_stats(self) -> dict:
         """The ``mutation`` section of stats replies and gauge exports."""
         if not self.mutation_enabled:
             return {"enabled": False}
+        overlay = self.forward.overlay
         return {
             "enabled": True,
-            "wal_bytes": self.wal.size_bytes(),
-            "wal_records": self.overlay_forward.records_applied,
-            "delta_edges": self.overlay_forward.edge_count,
-            "overlay_rows": self.overlay_forward.row_count,
+            "wal_bytes": self.pair.wal.size_bytes(),
+            "wal_records": overlay.records_applied,
+            "delta_edges": overlay.edge_count,
+            "overlay_rows": overlay.row_count,
             "compactions": self.compactions,
             "last_compaction_generation": self.last_compaction_generation,
         }
 
     def compact_build(self, overlay, workdir: Path | str) -> None:
-        """Materialize base + ``overlay`` and build a fresh pair.
+        """Materialize base + ``overlay`` and build a fresh pair
+        (:meth:`~repro.snode.pair.SNodePair.compact`).
 
-        The base rows come from a *separate, overlay-free* open of the
-        committed forward store — never from ``repository.graph``, which
-        after one compaction lags the store — so chained compactions
-        stay correct and the WAL remains the only non-durable truth.
         Runs off the event loop (heavy build I/O); the snapshot
         ``overlay`` must be frozen by the caller before new writes can
         interleave.
         """
-        base = SNodeRepresentation.open(
-            self.forward.build.root, buffer_bytes=self.buffer_bytes
-        )
-        try:
-            repository = merged_repository(self.repository, base, overlay)
-        finally:
-            base.close()
-        self.build_store_pair(workdir, repository, self.buffer_bytes, self.refinement)
+        options = store_options(self.buffer_bytes, self.refinement)
+        self.pair.compact(self.repository, overlay, workdir, options, SERVE_NAMES)
 
     # -- hot store swap ------------------------------------------------------
 
-    def open_pair(self, workdir: Path | str):
+    def open_pair(self, workdir: Path | str) -> SNodePair:
         """Validate and open a fresh ``serve_f``/``serve_b`` pair.
 
         The pre-open validation of the swap protocol: each directory
@@ -443,11 +341,11 @@ class ServeContext:
         whole-file CRCs via quick :func:`~repro.storage.fsck.fsck`
         (region CRCs are still verified lazily on every read) — holding
         the serving repository's page count.  Runs off the event loop
-        (blocking I/O); returns the opened representations without
-        touching the serving state — adoption is a separate,
-        event-loop-confined step (:meth:`adopt`).
+        (blocking I/O); returns the opened pair without touching the
+        serving state — adoption is a separate, event-loop-confined
+        step (:meth:`adopt`).
         """
-        for name in ("serve_f", "serve_b"):
+        for name in SERVE_NAMES:
             root = Path(workdir) / name
             report = fsck(root, quick=True)
             if not report.ok:
@@ -461,96 +359,65 @@ class ServeContext:
                     f"swap rejected: {root} holds a {report.scheme} build, "
                     "not an s-node store"
                 )
-        return self.open_store_pair(
+        return SNodePair.open(
             workdir,
-            self.repository,
+            SERVE_NAMES,
             self.buffer_bytes,
             self.stripes,
             self.on_corruption,
+            num_pages=self.repository.num_pages,
             wrong_size=_SWAP_WRONG_SIZE,
         )
 
-    def adopt(self, forward, backward, absorbed_offset=None):
+    def adopt(self, pair: SNodePair, absorbed_offset=None):
         """Switch to a new store pair; returns the old pair, still open,
         and what happened to the log (None on an immutable context).
 
         Must run on the daemon's event loop, between two awaits: the
         reference flip, the generation bump and — when mutation is
-        enabled — the log hand-off are then one atomic step for every
-        coroutine, so a request sees the old pair with the old overlays
-        or the new pair with the new ones, never a mix.  The caller
-        drains in-flight work before closing the returned old pair.
-
-        The hand-off: the first ``absorbed_offset`` bytes of the old log
-        are what the new build already contains; the suffix behind them
-        is carried into a fresh ``graph.wal`` beside the adopted forward
-        build (a restart on the new directory replays exactly the writes
-        the new build lacks) and replayed into fresh overlays on the new
-        pair.  ``absorbed_offset=None`` — an operator-initiated swap
-        onto an independently rebuilt store — supersedes the whole log.
+        enabled — the log hand-off
+        (:meth:`~repro.snode.pair.SNodePair.take_over_log`) are then one
+        atomic step for every coroutine, so a request sees the old pair
+        with the old overlays or the new pair with the new ones, never a
+        mix.  The caller drains in-flight work before closing the
+        returned old pair.
         """
-        old = (self.forward, self.backward)
-        self.forward, self.backward = forward, backward
+        old, self.pair = self.pair, pair
         self.generation += 1
         if not self.mutation_enabled:
             return old, None
-        if absorbed_offset is None:
-            absorbed_offset = self.wal.scan().good_bytes
-        new_wal = GraphWal.for_build(forward.build.root)
-        carried_bytes = self.wal.carry_suffix_to(new_wal, absorbed_offset)
-        scan = self._serve_log(new_wal, forward, backward)
-        return old, {
-            "absorbed_bytes": absorbed_offset,
-            "carried_bytes": carried_bytes,
-            "carried_records": len(scan.records),
-        }
-
-    def _engine(self, forward, backward) -> QueryEngine:
-        return QueryEngine(
-            self.repository,
-            self.text_index,
-            self.pagerank_index,
-            forward,
-            backward,
-            # The engine pushes its corruption policy down onto the
-            # stores it reads; defaulting here would silently flip a
-            # degrade-mode serving store back to raise.
-            on_corruption=self.on_corruption,
-        )
+        return old, pair.take_over_log(old, absorbed_offset)
 
     def make_engine(self, label: str) -> ClientEngine:
         """A per-client engine reading through fresh client views."""
-        forward = self.forward.session(label=f"{label}/forward")
-        backward = self.backward.session(label=f"{label}/backward")
+        views = self.pair.session(label)
         return ClientEngine(
-            engine=self._engine(forward, backward),
-            forward=forward,
-            backward=backward,
-            generation=self.generation,
+            self._engine(views), views.forward, views.backward, self.generation
         )
 
     def serial_engine(self) -> QueryEngine:
         """An engine on the shared (root) path — the serial baseline."""
-        return self._engine(self.forward, self.backward)
+        return self._engine(self.pair)
+
+    def _engine(self, pair) -> QueryEngine:
+        # The engine pushes its corruption policy down onto the stores
+        # it reads; defaulting here would silently flip a degrade-mode
+        # serving store back to raise.
+        return pair.make_engine(
+            self.repository, self.text_index, self.pagerank_index, self.on_corruption
+        )
 
     def shared_totals(self) -> dict[str, dict[str, float]]:
         """Merged metrics (base + live sessions), per direction."""
-        return {
-            "forward": self.forward.store.metrics.merged_snapshot(),
-            "backward": self.backward.store.metrics.merged_snapshot(),
-        }
+        return self.pair.shared_totals()
 
     def buffer_stats(self) -> dict[str, dict[str, int]]:
         """Shared buffer-pool occupancy and hit counters, per direction."""
-        return {
-            "forward": self.forward.store.buffer_stats(),
-            "backward": self.backward.store.buffer_stats(),
-        }
+        return self.pair.buffer_stats()
 
     def close(self) -> None:
         """Close both shared stores."""
-        self.forward.close()
-        self.backward.close()
+        self.pair.close()
 
 
 @dataclass
@@ -942,18 +809,17 @@ class GraphQueryDaemon:
                     raise ServeError(
                         "compact requires mutation to be enabled on this daemon"
                     )
-                snapshot, scan = DeltaOverlay.replay(context.wal)
+                snapshot, scan = DeltaOverlay.replay(context.pair.wal)
                 await asyncio.to_thread(context.compact_build, snapshot, workdir)
                 absorbed_offset = scan.good_bytes
-            forward, backward = await asyncio.to_thread(context.open_pair, workdir)
+            pair = await asyncio.to_thread(context.open_pair, workdir)
             # Snapshot-then-flip with no await between: the snapshot is
             # exactly the set of requests running against the old pair.
             pending = list(self._active)
-            old_pair, mutation = context.adopt(forward, backward, absorbed_offset)
+            old_pair, mutation = context.adopt(pair, absorbed_offset)
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-            for side in old_pair:
-                await asyncio.to_thread(side.close)
+            await asyncio.to_thread(old_pair.close)
             self.counters.store_swaps += 1
             result = {
                 "swapped": True,

@@ -9,8 +9,9 @@ The claims (the tentpole's correctness contract):
   navigation buffer churns;
 * the buffer pools respect their byte budgets and pass
   ``check_invariants`` while readers hammer them;
-* per-client metrics plus the base registry sum to the shared totals
-  (conservation), before and after sessions close.
+* a session pair's counters plus the base registry sum to the shared
+  pair's ``shared_totals()`` (conservation), counter for counter, while
+  the sessions are open and after they close.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def context(tiny_repo, test_refinement_config, tmp_path_factory):
 
 
 def _pool_state(context):
-    stats = context.buffer_stats()
+    stats = context.pair.buffer_stats()
     return {
         direction: (s["pinned_entries"], s["pinned_bytes"])
         for direction, s in stats.items()
@@ -59,13 +60,12 @@ def test_concurrent_mix_matches_serial(context):
         for name in QUERY_NAMES
     }
     pins_before = _pool_state(context)
-    totals_before = {
-        direction: snapshot.get("bytes_read", 0)
-        for direction, snapshot in context.shared_totals().items()
-    }
+    pair = context.pair
+    totals_before = pair.shared_totals()
 
     results: list[dict[str, str]] = [{} for _ in range(THREADS)]
-    session_bytes: list[dict[str, int]] = [{} for _ in range(THREADS)]
+    session_stats: list[dict[str, dict[str, int]]] = [{} for _ in range(THREADS)]
+    live_gaps: list[dict] = []
     errors: list[BaseException] = []
     barrier = threading.Barrier(THREADS)
 
@@ -83,14 +83,20 @@ def test_concurrent_mix_matches_serial(context):
                     )
                 # Invariants hold mid-flight, from any thread.
                 for direction in ("forward", "backward"):
-                    store = getattr(context, direction).store
+                    store = getattr(pair, direction).store
                     store._pool.check_invariants()
                     stats = store.buffer_stats()
                     assert stats["used_bytes"] <= stats["capacity_bytes"]
-                session_bytes[index] = {
-                    direction: stats.get("bytes_read", 0)
-                    for direction, stats in client.io_stats().items()
-                }
+                session_stats[index] = client.io_stats()
+                # An open session is already in the shared totals.
+                live = pair.shared_totals()
+                live_gaps.extend(
+                    (direction, name)
+                    for direction, stats in session_stats[index].items()
+                    for name, value in stats.items()
+                    if live[direction].get(name, 0) - totals_before[direction].get(name, 0)
+                    < value
+                )
             finally:
                 client.close()
         except BaseException as exc:  # noqa: BLE001 — surfaced below
@@ -113,26 +119,38 @@ def test_concurrent_mix_matches_serial(context):
     assert _pool_state(context) == pins_before
     # 3. Budgets respected after the storm.
     for direction in ("forward", "backward"):
-        store = getattr(context, direction).store
+        store = getattr(pair, direction).store
         store._pool.check_invariants()
         stats = store.buffer_stats()
         assert stats["used_bytes"] <= stats["capacity_bytes"]
-    # 4. Conservation: shared growth equals the sum of what the sessions
-    # attributed (all sessions are closed, so totals are in the base).
+    # 4. Conservation: for every counter a session charged, shared growth
+    # equals the sum of what the sessions attributed (all sessions are
+    # closed, so the totals are in the base).
+    assert live_gaps == []
+    totals_after = pair.shared_totals()
     for direction in ("forward", "backward"):
-        grown = (
-            context.shared_totals()[direction].get("bytes_read", 0)
-            - totals_before[direction]
-        )
-        attributed = sum(bytes_[direction] for bytes_ in session_bytes)
-        assert grown == attributed
+        attributed: dict[str, int] = {}
+        for stats in session_stats:
+            for name, value in stats[direction].items():
+                attributed[name] = attributed.get(name, 0) + value
+        assert attributed["buffer_hits"] > 0
+        assert attributed == {
+            name: totals_after[direction].get(name, 0)
+            - totals_before[direction].get(name, 0)
+            for name in attributed
+        }
 
 
 def test_sessions_see_warm_shared_cache(context):
     # A fresh session benefits from graphs cached by earlier traffic:
     # the pool is shared even though the accounting is per-session.
-    with context.forward.session(label="warm-check") as session:
-        session.out_neighbors(0)
-        session.out_neighbors(0)
-        stats = session.io_stats()
-        assert stats.get("buffer_hits", 0) > 0
+    with context.pair.session("warm-check") as views:
+        assert views.forward.metrics.label == "warm-check/forward"
+        assert views.backward.metrics.label == "warm-check/backward"
+        for side in (views.forward, views.backward):
+            side.out_neighbors(0)
+            side.out_neighbors(0)
+        assert all(stats.get("buffer_hits", 0) > 0 for stats in views.io_stats().values())
+        assert views.total("buffer_hits") == sum(
+            stats["buffer_hits"] for stats in views.io_stats().values()
+        )

@@ -39,6 +39,7 @@ from repro.serve.loadgen import ServeClient  # noqa: E402
 from repro.serve.telemetry import DELTA_COUNTERS, ServeTelemetry  # noqa: E402
 from repro.snode.store import SNodeStore  # noqa: E402
 from repro.storage import faults  # noqa: E402
+from repro.storage.fsck import fsck  # noqa: E402
 from repro.webdata.generator import GeneratorConfig, generate_web  # noqa: E402
 
 QUEUE_LIMIT = 8
@@ -271,6 +272,19 @@ def compact_ok(env):
     return env.send("compact", workdir=env.path("compacted"))
 
 
+def compact_over_quarantine(env):
+    """Nothing is built, flipped or truncated; the old pair keeps serving."""
+    edge = env.fresh_edge()
+    env.client.add_edges([edge])
+    wal_bytes = env.context.pair.wal.size_bytes()
+    reply = env.send("compact", workdir=env.path("compacted"))
+    assert not Path(env.path("compacted")).exists()
+    assert (env.context.generation, env.context.compactions) == (0, 0)
+    assert env.context.pair.wal.size_bytes() == wal_bytes
+    assert edge[1] in env.context.forward.out_neighbors(edge[0])
+    return reply
+
+
 def neighbors_answered_inline(env):
     page = env.cold_page()
     env.client.request_ok("neighbors", page=page)
@@ -281,7 +295,7 @@ def neighbors_answered_inline(env):
 
 #: Where a scenario runs: the module's shared read-only context, or a
 #: private one it may write to, swap or open over corrupted regions.
-SHARED, PRIVATE, MUTABLE, CORRUPT_RAISE, CORRUPT_DEGRADE = range(5)
+SHARED, PRIVATE, MUTABLE, CORRUPT_RAISE, CORRUPT_DEGRADE, QUARANTINED = range(6)
 
 #: Which phases a reply's ``server.phases_us`` carries: every frame is
 #: decoded; inline and admin ops add ``execute``; a queued op adds
@@ -432,6 +446,14 @@ CONTRACT = [
              re.compile(r"NotADirectoryError: \[Errno 20\] Not a directory: "
                         r"'\S+/a-file/pair/serve_f\.tmp'"),
              INLINE)),
+    # Added with the rule: rows read from quarantined regions are empty,
+    # and a rebuild from them would commit the loss as a clean store.
+    ("compact_over_quarantined_regions", QUARANTINED, compact_over_quarantine,
+     failure("bad_request", "compact",
+             re.compile(r"compaction refused: \d+ reads of \S+/chaos/serve_f were "
+                        r"answered from quarantined regions, whose rows would be "
+                        r"committed as empty"),
+             INLINE)),
     # -- every op, answered
     ("ping_ok", SHARED, lambda env: env.send("ping"), success("ping", INLINE)),
     ("stats_ok", SHARED, lambda env: env.send("stats"), success("stats", INLINE)),
@@ -485,6 +507,8 @@ def open_context(serve_context, tiny_repo, test_refinement_config, tmp_path):
                 for name in ("serve_f", "serve_b"):
                     shutil.copytree(tmp_path / "pristine" / name, tmp_path / "chaos" / name)
                     faults.corrupt_snode_regions(tmp_path / "chaos" / name, seed=29)
+                    if where == QUARANTINED:
+                        assert fsck(tmp_path / "chaos" / name, repair=True).repaired
                 context = ServeContext.open(
                     tiny_repo,
                     tmp_path / "chaos",
@@ -492,6 +516,8 @@ def open_context(serve_context, tiny_repo, test_refinement_config, tmp_path):
                     stripes=4,
                     on_corruption="raise" if where == CORRUPT_RAISE else "degrade",
                 )
+                if where == QUARANTINED:
+                    context.enable_mutation()
             stack.callback(context.close)
             return context
 
