@@ -231,6 +231,10 @@ class SNodeRepresentation(GraphRepresentation):
         #: edge mutations, merged into every row *after* the new->old id
         #: translation (the overlay speaks repository ids).
         self._overlay = None
+        #: Set (by whoever owns a client view, for as long as it wants)
+        #: to have reads answer from the buffer pool or raise
+        #: :class:`~repro.errors.NotResident` without reading a file.
+        self.memory_only = False
 
     @classmethod
     def open(
@@ -310,13 +314,17 @@ class SNodeRepresentation(GraphRepresentation):
 
     def out_neighbors(self, page: int) -> list[int]:
         registry = self._registry
-        row = self._store.out_neighbors(self._old_to_new[page], registry)
+        row = self._store.out_neighbors(
+            self._old_to_new[page], registry, self.memory_only
+        )
         return self._repository_row(page, row, registry)
 
     def out_neighbors_many(self, pages) -> dict[int, list[int]]:
         registry = self._registry
         translated = {self._old_to_new[p]: p for p in pages}
-        rows = self._store.out_neighbors_many(list(translated), registry)
+        rows = self._store.out_neighbors_many(
+            list(translated), registry, self.memory_only
+        )
         return {
             translated[new_page]: self._repository_row(
                 translated[new_page], row, registry
@@ -335,11 +343,6 @@ class SNodeRepresentation(GraphRepresentation):
         for new_page, row in self._store.iterate_all():
             page = self._new_to_old[new_page]
             yield page, self._repository_row(page, row, base)
-
-    def is_resident(self, page: int) -> bool:
-        """See :meth:`~repro.snode.store.SNodeStore.is_resident` (a
-        pending overlay row is already in memory, so it never matters)."""
-        return self._store.is_resident(self._old_to_new[page])
 
     def size_bytes(self) -> int:
         from repro.snode.encode import supernode_graph_size_bytes

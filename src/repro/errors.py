@@ -52,6 +52,17 @@ class BufferCapacityError(StorageError):
     """
 
 
+class NotResident(ReproError):
+    """A memory-only read needed a graph that is not in the buffer pool.
+
+    Raised before the read moved a counter or touched a file, so the
+    caller can run the same read again where blocking is allowed (the
+    query daemon: on a worker thread instead of the event loop).  Not a
+    :class:`StorageError` — nothing is wrong with the store — and never
+    a reply: it is a question answered "no", not a failure.
+    """
+
+
 class EmptyHistogramError(ReproError):
     """A percentile was requested of a histogram with no observations.
 

@@ -153,6 +153,15 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
+    def restart(self) -> None:
+        """Time the spans opened from now on from this moment.
+
+        For a tracer made ahead of the work it traces, or handed from
+        one execution of that work to the next: each execution's spans
+        start near zero, spans already recorded keep their times.
+        """
+        self._origin = time.perf_counter()
+
     @property
     def current(self) -> Span | None:
         """The innermost open span, or None."""

@@ -23,12 +23,19 @@ Architecture (the paper's runtime organization, made multi-client):
 **The inline rule.**  ``ping``, ``stats``, ``metrics`` and ``debug`` are
 served on the event loop — they touch no disk and must stay responsive
 under query overload (``stats``/``metrics`` are how an operator sees the
-overload).  A ``neighbors`` lookup joins them when the forward store
-says every graph it reads is already buffered (a non-mutating residency
-probe, after the usual admission and deadline checks): a worker hop
-costs several times such an answer.  Anything not resident — a cold
-start, the first lookups after a swap or compaction, a buffer smaller
-than the working set — and every ``query`` takes the worker pool.
+overload).  A ``neighbors`` lookup or a ``query`` is *tried in memory*
+there, after the usual admission and deadline checks: the connection's
+views answer from the buffer pools or raise
+:class:`~repro.errors.NotResident` without reading a file, and a worker
+hop costs several times a resident lookup.  A miss — a cold start, the
+first requests after a swap or compaction, a buffer smaller than the
+working set — hands the same execution to the worker pool, which keeps
+what the attempt counted.  A lookup always tries (its miss comes at the
+first graph, ~0.05 ms of opened spans against a read that costs twenty
+times that); a query only when it carries no ``deadline_ms`` (the
+deadline timer cannot fire while the loop executes) and its
+connection's previous lookup or query loaded nothing (a connection
+that is still loading would pay for most of a query before the miss).
 
 **Deadlines.**  A query/neighbors request may carry ``deadline_ms``
 (:func:`repro.serve.protocol.parse_deadline_ms`), a budget measured
@@ -71,6 +78,7 @@ from repro.baselines.base import RepresentationPair
 from repro.errors import (
     BackpressureError,
     DeadlineError,
+    NotResident,
     QueryError,
     ReproError,
     ServeError,
@@ -138,6 +146,17 @@ def store_options(buffer_bytes: int, refinement=None) -> BuildOptions:
     return BuildOptions(refinement=refinement, buffer_bytes=buffer_bytes)
 
 
+def _always(engine, deadline_ms) -> bool:
+    """A lookup visits one supernode, so its miss comes first thing."""
+    return True
+
+
+def _when_unhurried_and_warm(engine, deadline_ms) -> bool:
+    """The loop cannot time a deadline out while it executes, and a
+    connection that is still loading would miss late, most of a query in."""
+    return deadline_ms is None and not engine.loaded
+
+
 def _expired(deadline_ms: float) -> DeadlineError:
     """The deadline miss the event loop itself detects (pre-admission, timer)."""
     return DeadlineError(f"deadline of {deadline_ms:g} ms expired; request abandoned")
@@ -157,6 +176,18 @@ class ClientEngine(RepresentationPair):
         #: store swap bumps the context's counter and connections rebuild
         #: their engine when the two disagree.
         self.generation = generation
+        #: Whether the connection's previous lookup or query loaded a graph.
+        self.loaded = False
+
+    @contextlib.contextmanager
+    def memory_only(self):
+        """Both views answer from the buffer pools, or raise
+        :class:`~repro.errors.NotResident`, inside the block."""
+        self.forward.memory_only = self.backward.memory_only = True
+        try:
+            yield
+        finally:
+            self.forward.memory_only = self.backward.memory_only = False
 
 
 class ServeContext:
@@ -431,8 +462,8 @@ class DaemonCounters:
     requests_timeout: int = 0
     store_swaps: int = 0
     writes: int = 0
-    #: Lookups answered on the event loop because every graph they read
-    #: was buffered (see ``_serve``); the rest went through a worker.
+    #: Lookups and queries answered on the event loop, from memory (see
+    #: ``_serve``); the rest went through a worker.
     inline_replies: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -635,24 +666,32 @@ class GraphQueryDaemon:
         admitted = False
         try:
             try:
-                kind, handler, resident = self._envelope(request, record, undecodable)
+                kind, handler, tries = self._envelope(request, record, undecodable)
                 if kind is _QUEUED:
                     deadline_ms = protocol.parse_deadline_ms(request)
                     deadline = self._admit(accepted, deadline_ms)
                     admitted = True
-                    call = (engine, handler, request, record, clock(), deadline)
-                    if resident is not None and resident(self, engine, request):
-                        # Every graph the lookup reads is buffered: the
-                        # executor hop would cost more than the answer,
-                        # so execute right here — same tracer, same
-                        # counter delta, queue wait ~0.  Nothing else
-                        # runs on the loop meanwhile, so no swap or
-                        # timer can interleave; a graph evicted since
-                        # the probe is simply read here (one
-                        # supernode's graphs at most).
-                        self.counters.inline_replies += 1
-                        result = self._execute_measured(*call)
-                    else:
+                    # One tracer per request, however often it executes.
+                    tracer = Tracer(registry=engine)
+                    call = (engine, handler, request, record, tracer, clock(), deadline)
+                    answered = False
+                    if tries(engine, deadline_ms):
+                        # The executor hop costs more than a resident
+                        # answer, so execute right here — same tracer,
+                        # same counter delta, queue wait ~0 — with file
+                        # reads forbidden.  Nothing else runs on the
+                        # loop meanwhile, so no swap or timer can
+                        # interleave.
+                        try:
+                            with engine.memory_only():
+                                result = self._execute_measured(*call)
+                            answered = True
+                            self.counters.inline_replies += 1
+                        except NotResident:
+                            # A worker starts over; what the attempt hit
+                            # stays counted, but nothing has executed yet.
+                            del record.phases["execute"]
+                    if not answered:
                         future = asyncio.get_running_loop().run_in_executor(
                             self._executor, self._execute_measured, *call
                         )
@@ -681,6 +720,7 @@ class GraphQueryDaemon:
         finally:
             if admitted:
                 self._inflight -= 1
+                engine.loaded = bool(record.counters.get("loads"))
         if reply is not None:
             await self._send(writer, reply, record)
 
@@ -848,41 +888,35 @@ class GraphQueryDaemon:
             raise QueryError(f"page {page} out of range")
         return page
 
-    def _resident(self, engine: ClientEngine, request: dict) -> bool:
-        """Would this ``neighbors`` request be answered from the buffer?
-
-        A non-mutating probe of the forward store (no LRU movement, no
-        counter).  A malformed or out-of-range page answers False: the
-        executor path owns validation and its typed errors.
-        """
-        try:
-            return engine.forward.is_resident(self._page(request))
-        except QueryError:
-            return False
-
     def _execute_measured(
         self,
         engine: ClientEngine,
         handler,
         request: dict,
         record: RequestRecord,
+        tracer: Tracer,
         submitted: float,
         deadline: float | None = None,
     ):
         """Run a queued op's handler: queue-wait + execute spans, counter deltas.
 
-        Opens a *request-scoped* tracer bound to the connection's
-        session pair and activates it for this thread only (contextvar
-        confinement): the root span is ``request.<op>``, navigation
-        helpers add ``nav.*`` children, and every span's counter delta
-        is this connection's I/O — another worker's request can never
-        leak into it.  The resulting span records ride on the request
-        record into the flight recorder.
+        ``tracer`` is the *request-scoped* tracer, bound to the
+        connection's session pair and activated for this thread only
+        (contextvar confinement): the root span is ``request.<op>``,
+        navigation helpers add ``nav.*`` children, and every span's
+        counter delta is this connection's I/O — another worker's
+        request can never leak into it.  The resulting span records ride
+        on the request record into the flight recorder.
 
         A request whose ``deadline`` passed while it waited in the queue
         is shed here, at queue exit, without executing — the second
         enforcement point after the pre-admission check (the event-loop
         timer covers the third, mid-execution, case).
+
+        Run again after a memory-only miss, the phases are this run's
+        (the attempt and the hop were queue wait), the attempt's
+        ``request.<op>`` root span stays beside the new one, and the
+        counters are what both moved.
         """
         clock = self.telemetry.clock
         begin = clock()
@@ -892,7 +926,7 @@ class GraphQueryDaemon:
                 f"deadline expired after {record.phases['queue_wait'] * 1e3:.1f} "
                 "ms of queue wait; request shed unexecuted"
             )
-        tracer = Tracer(registry=engine)
+        tracer.restart()
         try:
             with tracing.activated(tracer):
                 with tracer.span(f"request.{record.op}", rid=record.rid):
@@ -900,10 +934,12 @@ class GraphQueryDaemon:
         finally:
             record.phases["execute"] = clock() - begin
             # Requests on one connection are strictly sequential, so
-            # what its sessions counted while the root span was open is
+            # what its sessions counted while a root span was open is
             # exactly this request's I/O.
-            moved = tracer.roots[0].counters
-            record.counters = {name: moved.get(name, 0) for name in DELTA_COUNTERS}
+            record.counters = {
+                name: sum(root.counters.get(name, 0) for root in tracer.roots)
+                for name in DELTA_COUNTERS
+            }
             record.spans = tracer.span_records()
 
     def _ping(self, engine: ClientEngine, request: dict) -> dict:
@@ -937,10 +973,11 @@ class GraphQueryDaemon:
                 f"unknown paper query {name!r}; choose from {_QUERY_NAMES}"
             )
         result = run_query(engine.engine, name)
+        payload = protocol.canonicalize(result.payload)
         return {
             "name": name,
-            "payload": protocol.canonicalize(result.payload),
-            "digest": protocol.payload_digest(result.payload),
+            "payload": payload,
+            "digest": protocol.canonical_digest(payload),
             "navigation_seconds": result.navigation_seconds,
         }
 
@@ -1082,14 +1119,14 @@ class GraphQueryDaemon:
             slow_entries=self.telemetry.slow_log.top(),
         )
 
-    #: The op table: op -> (kind, handler, residency probe).  Every
-    #: handler is ``handler(self, engine, request) -> result``; the kind
-    #: is how :meth:`_serve` runs it.  ``_INLINE`` ops run on the event
-    #: loop even under overload; ``_ADMIN`` handlers are coroutines
+    #: The op table: op -> (kind, handler, when to try in memory).
+    #: Every handler is ``handler(self, engine, request) -> result``; the
+    #: kind is how :meth:`_serve` runs it.  ``_INLINE`` ops run on the
+    #: event loop even under overload; ``_ADMIN`` handlers are coroutines
     #: awaited in place, one at a time under the swap lock; ``_QUEUED``
-    #: ops sit behind deadline and admission and run on a worker — or
-    #: inline when the op has a probe ``probe(self, engine, request)``
-    #: and it says the answer is already in memory.
+    #: ops sit behind deadline and admission and run on a worker — after
+    #: a memory-only attempt on the loop when the third column,
+    #: ``tries(engine, deadline_ms)``, says one is worth making.
     _OPS = {
         "ping": (_INLINE, _ping, None),
         "stats": (_INLINE, _stats, None),
@@ -1099,8 +1136,8 @@ class GraphQueryDaemon:
         "remove_edges": (_INLINE, _write, None),
         "swap": (_ADMIN, _swap, None),
         "compact": (_ADMIN, _swap, None),
-        "query": (_QUEUED, _query, None),
-        "neighbors": (_QUEUED, _neighbors, _resident),
+        "query": (_QUEUED, _query, _when_unhurried_and_warm),
+        "neighbors": (_QUEUED, _neighbors, _always),
     }
 
 

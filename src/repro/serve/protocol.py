@@ -161,9 +161,16 @@ def canonical_json(value) -> str:
     )
 
 
+def canonical_digest(canonical) -> str:
+    """:func:`payload_digest` of a value :func:`canonicalize` already made
+    (canonicalizing is idempotent, so the digests agree)."""
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def payload_digest(value) -> str:
     """sha256 hex digest of the canonical JSON form of ``value``."""
-    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+    return canonical_digest(canonicalize(value))
 
 
 def encode_frame(message) -> bytes:

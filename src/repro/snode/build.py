@@ -84,12 +84,13 @@ class SNodeBuild:
 
     @property
     def bits_per_edge(self) -> float:
-        """Structure bits per edge: payloads + supernode graph + pointers.
+        """Structure bits per edge: payloads + supernode graph + PageID index.
 
         This matches the paper's Table 1 metric (total representation size
-        over edge count).  The PageID index is included; the new-id map and
-        domain index are auxiliary structures every scheme shares and are
-        excluded, as in the paper.
+        over edge count).  The pointer table (``pointers.bin``: where each
+        payload lies and its checksum) is not counted, nor are the new-id
+        map and the domain index — auxiliary structures every scheme
+        shares, excluded as in the paper.
         """
         num_edges = self.total_edges()
         if num_edges == 0:

@@ -35,7 +35,7 @@ import bisect
 import threading
 from pathlib import Path
 
-from repro.errors import CorruptionError, StorageError
+from repro.errors import CorruptionError, NotResident, StorageError
 from repro.obs import tracing
 from repro.snode.encode import (
     SuperedgeRows,
@@ -137,6 +137,10 @@ class SNodeStore:
         #: them).  A graph's bytes never change under an open store, so
         #: every later load is put at this charge with its rows undecoded.
         self._charges: dict[tuple, int] = {}
+        #: Supernode -> (buffer keys, kinds) of the graphs its adjacency
+        #: lists are spread over, intranode graph first, built on first
+        #: use (racing threads build equal tuples).
+        self._visits: dict[int, tuple[tuple, tuple]] = {}
         self._quarantined_lock = threading.Lock()
         # The paper pins the supernode graph and both indexes for the
         # lifetime of the store; account for them as pinned buffer bytes.
@@ -373,11 +377,51 @@ class SNodeStore:
 
     # -- adjacency access ----------------------------------------------------
 
+    def _visit(self, supernode: int) -> tuple[tuple, tuple]:
+        """Buffer keys and kinds of every graph ``supernode``'s adjacency
+        lists are assembled from, in the order they are read."""
+        visit = self._visits.get(supernode)
+        if visit is None:
+            targets = self._super_adjacency[supernode]
+            keys = (("intra", supernode), *(("super", supernode, t) for t in targets))
+            kinds = ("intranode", *("superedge" for _ in targets))
+            visit = self._visits[supernode] = (keys, kinds)
+        return visit
+
+    def _resident(self, supernode: int, batch: CounterBatch) -> list | None:
+        """The graphs of :meth:`_visit` when none needs a file — buffered
+        decoded, or quarantined and so served empty — else None with
+        nothing moved or counted."""
+        if not self._cache_decoded:
+            return None
+        keys, kinds = self._visit(supernode)
+        bad = self._quarantined and self._quarantined.intersection(keys)
+        if not bad:
+            return self._pool.get_resident(keys, kinds, batch)
+        sound = [pair for pair in zip(keys, kinds) if pair[0] not in bad]
+        cached = self._pool.get_resident(
+            [key for key, _kind in sound], [kind for _key, kind in sound], batch
+        )
+        if cached is None:
+            return None
+        cached = iter(cached)
+        return [
+            self._degraded(key, batch) if key in bad else next(cached) for key in keys
+        ]
+
+    def _load_each(self, supernode: int, batch: CounterBatch):
+        """The graphs of :meth:`_visit`, each looked up — and on a miss
+        read, decoded and admitted — as the caller asks for the next."""
+        yield self.intranode_rows(supernode, registry=batch)
+        for target_super in self._super_adjacency[supernode]:
+            yield self.superedge_rows(supernode, target_super, registry=batch)
+
     def _adjacency(
         self,
         supernode: int,
         locals_: list[int],
         registry: MetricsRegistry | None,
+        memory_only: bool = False,
     ) -> list[list[int]]:
         """Complete adjacency lists of ``locals_`` of ``supernode``.
 
@@ -385,6 +429,15 @@ class SNodeStore:
         outgoing superedge graph of the supernode, exactly the paper's
         "adjacency lists are partitioned across multiple smaller graphs";
         every graph is loaded once however many locals are asked for.
+
+        A supernode whose graphs are all buffered decoded is read in one
+        visit to the pool
+        (:meth:`~repro.storage.bufferpool.BufferPool.get_resident`, which
+        moves and counts what one lookup per graph would).  When one is
+        missing nothing has moved and the graphs are looked up and
+        loaded one by one; under ``memory_only`` that raises
+        :class:`~repro.errors.NotResident` instead, before any counter
+        moves or any file is read.
 
         The pool, the device and the load bookkeeping charge one
         :class:`~repro.storage.metrics.CounterBatch` for the whole call,
@@ -396,13 +449,20 @@ class SNodeStore:
         first = boundaries[supernode]
         batch = CounterBatch(registry if registry is not None else self.metrics)
         try:
-            intra = self.intranode_rows(supernode, registry=batch)
+            graphs = self._resident(supernode, batch)
+            if graphs is None:
+                if memory_only:
+                    raise NotResident(
+                        f"supernode {supernode} is not wholly buffered"
+                    )
+                graphs = self._load_each(supernode, batch)
+            graphs = iter(graphs)
+            intra = next(graphs)
             result = [[first + t for t in intra[local]] for local in locals_]
             #: local -> the rows of ``result`` asked for it, built on the
             #: first graph that links fewer locals than were asked for.
             asked: dict[int, list[list[int]]] | None = None
-            for target_super in self._super_adjacency[supernode]:
-                rows = self.superedge_rows(supernode, target_super, registry=batch)
+            for target_super, rows in zip(self._super_adjacency[supernode], graphs):
                 base = boundaries[target_super]
                 if len(rows.sources) < len(locals_):
                     # A superedge graph links a handful of the supernode's
@@ -426,45 +486,33 @@ class SNodeStore:
             row.sort()
         return result
 
-    def is_resident(self, page: int) -> bool:
-        """True iff :meth:`out_neighbors` of ``page`` would read no file.
-
-        Every graph the lookup assembles — the supernode's intranode
-        graph and each outgoing superedge graph — is buffered decoded, or
-        quarantined (served empty from memory).  A probe, not a read: it
-        moves no LRU entry and no counter
-        (:meth:`~repro.storage.bufferpool.BufferPool.contains`), and the
-        answer can be overtaken by an eviction.
-        """
-        if not self._cache_decoded:
-            return False
-        supernode = self.supernode_of(page)
-        contains = self._pool.contains
-        quarantined = self._quarantined
-        key = ("intra", supernode)
-        if not contains(key) and key not in quarantined:
-            return False
-        for target_super in self._super_adjacency[supernode]:
-            key = ("super", supernode, target_super)
-            if not contains(key) and key not in quarantined:
-                return False
-        return True
-
     def out_neighbors(
-        self, page: int, registry: MetricsRegistry | None = None
+        self,
+        page: int,
+        registry: MetricsRegistry | None = None,
+        memory_only: bool = False,
     ) -> list[int]:
-        """Complete adjacency list of ``page`` in (new) page-id space."""
+        """Complete adjacency list of ``page`` in (new) page-id space.
+
+        ``memory_only`` answers from the buffer pool or raises
+        :class:`~repro.errors.NotResident` (see :meth:`_adjacency`).
+        """
         supernode = self.supernode_of(page)
         local = page - self._boundaries[supernode]
-        return self._adjacency(supernode, [local], registry)[0]
+        return self._adjacency(supernode, [local], registry, memory_only)[0]
 
     def out_neighbors_many(
-        self, pages: list[int], registry: MetricsRegistry | None = None
+        self,
+        pages: list[int],
+        registry: MetricsRegistry | None = None,
+        memory_only: bool = False,
     ) -> dict[int, list[int]]:
         """Adjacency lists for several pages, grouped to reuse loads.
 
         Pages are processed supernode-by-supernode so each intranode /
         superedge graph is decoded once per group rather than per page.
+        Under ``memory_only`` the groups before a
+        :class:`~repro.errors.NotResident` one stay read and counted.
         """
         by_super: dict[int, list[int]] = {}
         for page in pages:
@@ -473,7 +521,9 @@ class SNodeStore:
         for supernode in sorted(by_super):
             group = by_super[supernode]
             first = self._boundaries[supernode]
-            rows = self._adjacency(supernode, [page - first for page in group], registry)
+            rows = self._adjacency(
+                supernode, [page - first for page in group], registry, memory_only
+            )
             result.update(zip(group, rows))
         return result
 
@@ -507,17 +557,23 @@ class SNodeStore:
 
     # -- maintenance ---------------------------------------------------------
 
+    def _forget_positions(self) -> None:
+        # Copied under the lock ``_device`` inserts under: another
+        # thread may be opening a payload file right now.
+        with self._devices_lock:
+            devices = list(self._devices.values())
+        for device in devices:
+            device.forget_position()
+
     def drop_buffers(self) -> None:
         """Empty the buffer manager (cold-cache experiment resets)."""
         self._pool.clear(record=True)
-        for device in self._devices.values():
-            device.forget_position()
+        self._forget_positions()
 
     def set_buffer_bytes(self, buffer_bytes: int) -> None:
         """Reconfigure the buffer budget (Figure 12 sweep)."""
         self._pool.set_buffer_bytes(buffer_bytes)
-        for device in self._devices.values():
-            device.forget_position()
+        self._forget_positions()
 
     def buffer_stats(self) -> dict[str, int]:
         """Buffer-manager counters."""

@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections.abc import Callable, Hashable
+from collections import Counter
+from collections.abc import Callable, Hashable, Sequence
 
 from repro.errors import BufferCapacityError, StorageError
 from repro.obs import tracing
@@ -71,6 +72,17 @@ def _split_budget(capacity_bytes: int, stripes: int) -> list[int]:
 def _kind_counters(kind: str) -> tuple[str, str]:
     """``(buffer_hits_<kind>, buffer_misses_<kind>)``, formatted once."""
     return f"buffer_hits_{kind}", f"buffer_misses_{kind}"
+
+
+@functools.lru_cache(maxsize=1024)
+def _hit_counters(kinds: tuple) -> tuple[tuple[str, int], ...]:
+    """``(buffer_hits_<kind>, how many of kinds are that kind)`` pairs; a
+    caller visiting the same graphs again passes the same kinds."""
+    return tuple(
+        (_kind_counters(kind)[0], count)
+        for kind, count in Counter(kinds).items()
+        if kind is not None
+    )
 
 
 class BufferPool:
@@ -158,17 +170,53 @@ class BufferPool:
         _profile.buffer_access(self, key, kind, hit=True, pinned=False)
         return value
 
-    def contains(self, key: Hashable) -> bool:
-        """True iff ``key`` is resident right now, pinned or cached.
+    def get_resident(
+        self,
+        keys: Sequence[Hashable],
+        kinds: Sequence[str | None],
+        registry: MetricsRegistry | None = None,
+    ) -> list | None:
+        """Every key's cached value, in order — or None, all or nothing.
 
-        A pure probe for callers deciding *how* to run a read, not the
-        read itself: no LRU movement, no counter, no profile event, no
-        lock (both membership tests are single atomic dict reads).  The
-        answer can be stale by the time the caller acts on it.
+        When every key is cached this *is* :meth:`get` of each key in
+        order: the same LRU movement within each stripe, the same
+        ``buffer_hits`` / ``buffer_hits_<kind>`` charged to ``registry``,
+        the same profile events — at one lock round trip per stripe
+        touched instead of one per key.  When any key is missing (a
+        pinned entry counts as missing: pins are not the LRU's) nothing
+        has moved and nothing is counted, so the caller can fall back
+        to key-by-key :meth:`get` as if it had never asked.
+
+        The values are peeked without a lock (single atomic dict reads)
+        and touched under it afterwards.  An entry evicted in between is
+        still returned and still counted as a hit: the caller was served
+        it from memory, exactly as a :meth:`get` scheduled just before
+        the eviction would have been.
         """
-        if key in self._pinned:
-            return True
-        return key in self._caches[self._stripe(key)]
+        if not keys:
+            return []
+        caches = self._caches
+        stripes = self._stripes
+        values = []
+        by_stripe: dict[int, list] = {}
+        for key in keys:
+            index = hash(key) % stripes if stripes > 1 else 0
+            value = caches[index].peek(key)
+            if value is None:
+                return None
+            values.append(value)
+            by_stripe.setdefault(index, []).append(key)
+        for index, touched in by_stripe.items():
+            with self._locks[index]:
+                self._caches[index].touch(touched)
+        target = registry if registry is not None else self.registry
+        target.inc("buffer_hits", len(values))
+        for name, count in _hit_counters(tuple(kinds)):
+            target.inc(name, count)
+        if _profile.current_profiler() is not None:
+            for key, kind in zip(keys, kinds):
+                _profile.buffer_access(self, key, kind, hit=True, pinned=False)
+        return values
 
     def put(self, key: Hashable, value, cost_bytes: int, kind: str | None = None) -> None:
         """Admit ``value`` under the byte budget (evicting LRU entries)."""

@@ -61,6 +61,22 @@ class LRUCache(Generic[K, V]):
         self.hits += 1
         return entry[0]
 
+    def peek(self, key: K) -> V | None:
+        """The cached value, observed only: no order change, no counter."""
+        entry = self._entries.get(key)
+        return None if entry is None else entry[0]
+
+    def touch(self, keys: list[K]) -> None:
+        """Count a hit for each of ``keys`` and mark it most-recently-used,
+        in order: what :meth:`get` of each would do, for a caller that
+        already holds the values it peeked.  A key evicted since still
+        counts — the caller was served the value."""
+        entries = self._entries
+        for key in keys:
+            if key in entries:
+                entries.move_to_end(key)
+        self.hits += len(keys)
+
     def put(self, key: K, value: V, size_bytes: int) -> None:
         """Insert/replace ``key``; evicts LRU entries to fit the budget.
 

@@ -177,7 +177,8 @@ class TestDeterministicBackpressure:
         with DaemonHandle(daemon) as handle:
             try:
                 # Occupy the only worker thread, then fill the only
-                # admission slot with a query stuck behind it.
+                # admission slot with a query stuck behind it (one with a
+                # deadline is never tried in memory on the loop).
                 daemon._executor.submit(plug)
                 assert blocked.wait(10)
                 stuck = socket.create_connection(
@@ -185,7 +186,7 @@ class TestDeterministicBackpressure:
                 )
                 protocol.send_frame(
                     stuck, {"id": 0, "op": "query", "name": "query1",
-                            "rid": "stuck-1"}
+                            "rid": "stuck-1", "deadline_ms": 60_000}
                 )
                 deadline = time.monotonic() + 10
                 while daemon._inflight < 1:

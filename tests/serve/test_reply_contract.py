@@ -148,10 +148,13 @@ class Env:
         return str(self.tmp_path / name)
 
     def patch_store_reads(self, replacement) -> None:
-        """Route every store-level ``out_neighbors`` through ``replacement``."""
+        """Route every store-level ``out_neighbors`` that may read a file
+        through ``replacement`` (a memory-only attempt passes untouched)."""
         real = SNodeStore.out_neighbors
 
-        def patched(store, page, registry=None):
+        def patched(store, page, registry=None, memory_only=False):
+            if memory_only:
+                return real(store, page, registry, memory_only)
             return replacement(lambda: real(store, page, registry=registry))
 
         self.monkeypatch.setattr(SNodeStore, "out_neighbors", patched)
@@ -289,6 +292,29 @@ def neighbors_answered_inline(env):
     page = env.cold_page()
     env.client.request_ok("neighbors", page=page)
     return env.send("neighbors", page=page)
+
+
+def query_through_a_worker(env):
+    env.cold_page()
+    return env.send("query", name="query1")
+
+
+def warmed_query(env, name):
+    """``name`` is resident and the connection's last read loaded nothing."""
+    env.cold_page()
+    for _ in range(2):
+        env.client.request_ok("query", name=name)
+    return name
+
+
+def memory_only_miss_falls_back(env):
+    """query3 walks out-links, then in-links: the attempt is served the
+    forward graphs and misses on the first backward one."""
+    name = warmed_query(env, "query3")
+    env.context.backward.drop_caches()
+    reply = env.send("query", name=name)
+    assert reply["server"]["counters"]["loads"] > 0
+    return reply
 
 
 # -- the table ---------------------------------------------------------------
@@ -470,7 +496,12 @@ CONTRACT = [
      success("remove_edges", INLINE, writes_applied=1)),
     ("swap_ok", PRIVATE, swap_ok, success("swap", INLINE, store_swaps=1)),
     ("compact_ok", MUTABLE, compact_ok, success("compact", INLINE, store_swaps=1)),
-    ("query_ok", SHARED, lambda env: env.send("query", name="query1"),
+    ("query_ok", SHARED, query_through_a_worker, success("query", QUEUED)),
+    ("query_answered_inline", SHARED,
+     lambda env: env.send("query", name=warmed_query(env, "query1")),
+     success("query", QUEUED, inline_replies=1)),
+    # The reply a worker gave before requests were tried in memory.
+    ("memory_only_miss_falls_back", SHARED, memory_only_miss_falls_back,
      success("query", QUEUED)),
     ("neighbors_through_a_worker", SHARED,
      lambda env: env.send("neighbors", page=env.cold_page()),

@@ -9,15 +9,16 @@ import shutil
 import sys
 import threading
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
 from repro.baselines.base import SNodeRepresentation
-from repro.errors import CorruptionError, StorageError
+from repro.errors import CorruptionError, NotResident, StorageError
 from repro.snode.delta import DeltaOverlay
 from repro.snode.storage import read_layout
 from repro.snode.store import SNodeStore
+from repro.storage.device import CountedFile
 from repro.util.bitio import BitReader
 
 
@@ -651,6 +652,133 @@ class TestBatchedAccounting:
         store.close()
 
 
+class TestResidentVisit:
+    """A warm pass reads each supernode in one pool visit, and counts as
+    one lookup per graph did: the dicts are :func:`accounting` (and a
+    session's ``io_stats``) of these scenarios at the parent commit,
+    where every hit was a ``BufferPool.get`` of its own."""
+
+    WARM_PASS = {
+        "snapshot": {
+            "buffer_hits": 2009,
+            "buffer_hits_intranode": 298,
+            "buffer_hits_superedge": 1711,
+        },
+        "tallies": "4f53cda18c2baa0c",
+        "events": [0, 0, "4f53cda18c2baa0c"],
+    }
+    WARM_SESSION = {
+        "buffer_hits": 1363,
+        "buffer_hits_intranode": 191,
+        "buffer_hits_superedge": 1172,
+    }
+
+    @staticmethod
+    def lookups(store, registry) -> None:
+        for page in range(0, 1200, 7):
+            store.out_neighbors(page, registry)
+        store.out_neighbors_many(list(range(5, 1200, 53)), registry)
+
+    @pytest.fixture
+    def warm_store(self, small_build):
+        store = SNodeStore(small_build.root, buffer_bytes=16 << 20)
+        TestBatchedAccounting.probe(store)
+        store.metrics.reset()
+        yield store
+        store.close()
+
+    def test_warm_second_pass(self, warm_store):
+        TestBatchedAccounting.probe(warm_store)
+        assert accounting(warm_store.metrics) == self.WARM_PASS
+
+    def test_warm_pass_through_a_session(self, warm_store):
+        with client(warm_store, "warm") as registry:
+            self.lookups(warm_store, registry)
+            assert registry.io_stats() == self.WARM_SESSION
+            assert warm_store.metrics.io_stats() == {}
+        assert warm_store.metrics.io_stats() == self.WARM_SESSION
+
+    def test_warm_pass_under_six_concurrent_sessions(self, small_build):
+        store = SNodeStore(small_build.root, buffer_bytes=16 << 20, stripes=8)
+        TestBatchedAccounting.probe(store)
+        store.metrics.reset()
+        sessions = [store.metrics.child(f"client-{index}") for index in range(6)]
+        run_six(lambda index: self.lookups(store, sessions[index]))
+        assert [session.io_stats() for session in sessions] == [self.WARM_SESSION] * 6
+        assert store.metrics.io_stats() == {}
+        store._pool.check_invariants()
+        store.close()
+
+    @pytest.mark.parametrize("buffer_bytes", [0, 24 * 1024, 16 << 20])
+    def test_memory_only_reads_no_file_whatever_the_pool_holds(
+        self, small_repo, small_build, monkeypatch, buffer_bytes
+    ):
+        """Served from the pool or refused before anything moved."""
+        store = SNodeStore(small_build.root, buffer_bytes=buffer_bytes)
+        for page in range(1200):  # leaves the pool empty, part-full or full
+            store.out_neighbors(page)
+        reads = []
+        monkeypatch.setattr(CountedFile, "read_at", lambda *args, **kwargs: reads.append(args))
+
+        def state():
+            return store.metrics.snapshot(), store.buffer_stats(), store._pool._caches[0].keys()
+
+        numbering = small_build.numbering
+        served = refused = 0
+        for page in range(1200):
+            before = state()
+            try:
+                row = store.out_neighbors(page, memory_only=True)
+            except NotResident:
+                refused += 1
+                assert state() == before
+            else:
+                served += 1
+                assert sorted(numbering.new_to_old[t] for t in row) == (
+                    small_repo.graph.successors_list(numbering.new_to_old[page])
+                )
+        with pytest.raises(NotResident) if refused else nullcontext():
+            store.out_neighbors_many(list(range(1200)), memory_only=True)
+        assert reads == []
+        assert (served > 0, refused > 0) == {
+            0: (False, True), 24 * 1024: (True, True), 16 << 20: (True, False)
+        }[buffer_bytes]
+        store.close()
+
+
+class TestDevicesOpenedMidMaintenance:
+    @pytest.mark.parametrize("maintain", ["drop_buffers", "set_buffer_bytes"])
+    def test_a_device_opened_while_positions_are_forgotten(
+        self, small_build, tmp_path, monkeypatch, maintain
+    ):
+        """Another thread's first read of a payload file inserts into the
+        device table while maintenance walks it."""
+        store = SNodeStore(small_build.root)
+        store.out_neighbors(0)
+        assert len(store._devices) == 1
+        real = CountedFile.forget_position
+        opened = []
+
+        def open_another_then_forget(device):
+            if not opened:
+                (tmp_path / "another.dat").write_bytes(b"")
+                opened.append(CountedFile(tmp_path / "another.dat", registry=store.metrics))
+                with store._devices_lock:
+                    store._devices[len(store._layout.index_files)] = opened[0]
+            real(device)
+
+        monkeypatch.setattr(CountedFile, "forget_position", open_another_then_forget)
+        try:
+            if maintain == "drop_buffers":
+                store.drop_buffers()
+            else:
+                store.set_buffer_bytes(1 << 20)
+        finally:
+            monkeypatch.undo()
+            store.close()
+        assert opened
+
+
 class TestLoadDigraph:
     def test_reconstructs_whole_graph(self, small_repo, small_build):
         graph = small_build.store.load_digraph()
@@ -761,10 +889,12 @@ class TestReadSessions:
         second.out_neighbors(0)  # cached by the first session's read
         assert second.metrics.get("loads") == loads_before
         assert second.metrics.get("buffer_hits") > 0
-        assert second.is_resident(0) and shared.is_resident(0)
+        row = first.out_neighbors(0)
+        second.memory_only = True
+        assert second.out_neighbors(0) == row
         second.drop_caches()  # the pool is shared: a client may not empty it
         second.set_buffer_bytes(1)
-        assert shared.is_resident(0)
+        assert second.out_neighbors(0) == row  # still in memory
         first.close()
         second.close()
 

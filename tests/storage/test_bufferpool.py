@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from repro.obs import profile
 from repro.storage.bufferpool import BufferPool
-from repro.storage.metrics import MetricsRegistry
+from repro.storage.metrics import CounterBatch, MetricsRegistry
+from repro.util.lru import LRUCache
 
 
 class TestCacheProtocol:
@@ -191,43 +195,119 @@ class TestProfilerHooks:
         assert all(e.key is None for e in drops)
 
 
-class TestContains:
-    """The residency probe observes; it never reads."""
+KINDS = ("intranode", "superedge", None)
 
-    @pytest.mark.parametrize("stripes", [1, 4])
-    def test_answers_for_cached_pinned_and_absent(self, stripes):
-        pool = BufferPool(100, stripes=stripes)
-        pool.put(("g", 1), b"x", 10)
-        pool.pin("root", b"meta", 8)
-        assert pool.contains(("g", 1))
-        assert pool.contains("root")
-        assert not pool.contains(("g", 2))
-        pool.invalidate(("g", 1))
-        pool.unpin("root")
-        assert not pool.contains(("g", 1))
-        assert not pool.contains("root")
 
-    def test_leaves_lru_order_bytes_counters_and_profile_untouched(self):
-        from repro.obs.profile import AccessTracer, activated
+def pool_state(pool) -> dict:
+    """Everything a lookup could move: order, counters, occupancy."""
+    return {
+        "order": [cache.keys() for cache in pool._caches],
+        "lru_hits": [(cache.hits, cache.misses) for cache in pool._caches],
+        "counters": pool.registry.snapshot(),
+        "stats": pool.stats(),
+    }
 
-        pool = BufferPool(30, stripes=1)
-        pool.put("a", b"x", 10)
-        pool.put("b", b"x", 10)
-        pool.put("c", b"x", 10)
-        stats = pool.stats()
-        counters = pool.registry.snapshot()
-        tracer = AccessTracer()
-        with activated(tracer):
-            for key in ("a", "b", "c", "absent", "a", "a"):
-                pool.contains(key)
-        assert tracer.buffer_events() == []
-        assert pool.stats() == stats
-        assert pool.registry.snapshot() == counters
+
+def filled(stripes, contents) -> BufferPool:
+    pool = BufferPool(10_000, stripes=stripes)
+    for key in contents:
+        pool.put(("g", key), [key], 10, kind=KINDS[key % 3])
+    return pool
+
+
+_CONTENTS = st.lists(st.integers(0, 30), max_size=20, unique=True)
+
+
+class TestGetResident:
+    """One visit for many keys: all of them as ``get`` would, or nothing."""
+
+    @pytest.mark.parametrize("stripes", [1, 8])
+    @given(contents=_CONTENTS, data=st.data())
+    def test_all_resident_is_get_of_each_in_order(self, stripes, contents, data):
+        asked = data.draw(st.lists(st.sampled_from(contents or [0]), max_size=12))
+        assume(set(asked) <= set(contents))
+        keys = [("g", key) for key in asked]
+        kinds = [KINDS[key % 3] for key in asked]
+        batched, one_by_one = filled(stripes, contents), filled(stripes, contents)
+        batched_events, single_events = profile.AccessTracer(), profile.AccessTracer()
+        with profile.activated(batched_events):
+            values = batched.get_resident(keys, kinds)
+        with profile.activated(single_events):
+            expected = [one_by_one.get(key, kind=kind) for key, kind in zip(keys, kinds)]
+        assert values == expected == [[key] for key in asked]
+        assert pool_state(batched) == pool_state(one_by_one)
+        assert [
+            event._replace(pool=0) for event in batched_events.buffer_events()
+        ] == [event._replace(pool=0) for event in single_events.buffer_events()]
+        batched.check_invariants()
+
+    @pytest.mark.parametrize("stripes", [1, 8])
+    @given(
+        contents=_CONTENTS,
+        asked=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+        pinned=st.sets(st.integers(0, 40), max_size=3),
+    )
+    def test_a_key_missing_or_only_pinned_declines_and_moves_nothing(
+        self, stripes, contents, asked, pinned
+    ):
+        pool = filled(stripes, contents)
+        for key in pinned:
+            pool.pin(("g", key), [key], 10)
+        cached = set(contents) - pinned
+        assume(not set(asked) <= cached)
+        before = pool_state(pool)
+        session = MetricsRegistry()
+        events = profile.AccessTracer()
+        with profile.activated(events):
+            answer = pool.get_resident(
+                [("g", key) for key in asked], [KINDS[key % 3] for key in asked], session
+            )
+        assert answer is None
+        assert pool_state(pool) == before
+        assert session.snapshot() == {}
+        assert events.buffer_events() == []
+
+    @pytest.mark.parametrize("stripes", [1, 8])
+    def test_hits_charge_the_registry_handed_in_once(self, stripes):
+        pool = filled(stripes, range(6))
+        session = MetricsRegistry()
+        batch = CounterBatch(session)
+        keys = [("g", key) for key in (0, 1, 2, 3, 3)]
+        assert pool.get_resident(keys, [KINDS[key[1] % 3] for key in keys], batch) == [
+            [0], [1], [2], [3], [3]
+        ]
+        assert session.snapshot() == {} and pool.registry.snapshot() == {}
+        batch.flush()
+        assert session.snapshot() == {
+            "buffer_hits": 5,
+            "buffer_hits_intranode": 3,
+            "buffer_hits_superedge": 1,
+        }
+        assert pool.registry.snapshot() == {}
+
+    @pytest.mark.parametrize("stripes", [1, 8])
+    def test_entry_evicted_between_peek_and_touch_is_still_a_hit(self, stripes, monkeypatch):
+        pool = filled(stripes, range(4))
+        real = LRUCache.touch
+
+        def evict_then_touch(cache, keys):
+            cache.pop(("g", 2))
+            real(cache, keys)
+
+        monkeypatch.setattr(LRUCache, "touch", evict_then_touch)
+        keys = [("g", key) for key in (1, 2, 3)]
+        assert pool.get_resident(keys, ["superedge"] * 3) == [[1], [2], [3]]
+        monkeypatch.undo()
+        assert pool.registry.snapshot() == {"buffer_hits": 3, "buffer_hits_superedge": 3}
+        assert sum(cache.hits for cache in pool._caches) == 3
+        assert pool.get(("g", 2)) is None
         pool.check_invariants()
-        # "a" was probed last and most often, and is still the LRU victim.
-        pool.put("d", b"x", 10)
-        assert not pool.contains("a")
-        assert pool.contains("b") and pool.contains("c") and pool.contains("d")
+
+    def test_no_keys_is_no_lookup(self):
+        pool = filled(1, range(3))
+        before = pool_state(pool)
+        assert pool.get_resident([], []) == []
+        assert pool_state(pool) == before
 
 
 class TestMaintenance:
