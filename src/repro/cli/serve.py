@@ -14,7 +14,6 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
     import signal
 
     from repro.experiments.harness import dataset, sweep_sizes
-    from repro.obs.accesslog import AccessLog, SlowQueryLog
     from repro.obs.flightrecorder import FlightRecorder
     from repro.serve.daemon import SERVE_NAMES, GraphQueryDaemon, ServeContext
     from repro.serve.telemetry import ServeTelemetry
@@ -83,18 +82,13 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
                 slow_read_rate=arguments.fault_slow_rate,
                 slow_read_seconds=arguments.fault_slow_ms / 1000.0,
             )
-        telemetry = ServeTelemetry(
-            window_seconds=arguments.window_seconds,
-            windows=arguments.windows,
-            access_log=AccessLog(
-                sample_every=arguments.access_sample,
-                path=arguments.access_log,
-            ),
-            slow_log=SlowQueryLog(
-                threshold_s=arguments.slow_threshold_ms / 1000.0,
-                top_k=arguments.slow_top,
-                path=arguments.slow_log,
-            ),
+        recorder = FlightRecorder(
+            recent=arguments.flight_recent,
+            slow_threshold_s=arguments.slow_threshold_ms / 1000.0,
+            slow_top=arguments.slow_top,
+            sample_every=arguments.access_sample,
+            access_log=arguments.access_log,
+            slow_log=arguments.slow_log,
         )
         try:
             daemon = GraphQueryDaemon(
@@ -103,11 +97,10 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
                 port=arguments.port,
                 workers=arguments.workers,
                 queue_limit=arguments.queue_limit,
-                telemetry=telemetry,
-                flight=FlightRecorder(
-                    recent=arguments.flight_recent,
-                    slow_threshold_s=arguments.slow_threshold_ms / 1000.0,
-                    slow_top=arguments.slow_top,
+                telemetry=ServeTelemetry(
+                    window_seconds=arguments.window_seconds,
+                    windows=arguments.windows,
+                    recorder=recorder,
                 ),
             )
 
@@ -184,8 +177,7 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
                     print(f"[serve] debug bundle written to {path}",
                           file=sys.stderr)
         finally:
-            telemetry.access_log.close()
-            telemetry.slow_log.close()
+            recorder.close()
             context.close()
     finally:
         if own_tmp is not None:
@@ -283,11 +275,12 @@ def _cmd_loadgen(arguments: argparse.Namespace) -> int:
 def register(commands) -> None:
     """Attach the ``serve`` and ``loadgen`` subparsers."""
     from repro.experiments.harness import add_report_arguments
-    from repro.obs.accesslog import (
+    from repro.obs.flightrecorder import (
+        DEFAULT_RECENT,
         DEFAULT_SAMPLE_EVERY,
-        DEFAULT_SLOW_TOP_K,
+        DEFAULT_SLOW_THRESHOLD_S,
+        DEFAULT_SLOW_TOP,
     )
-    from repro.obs.flightrecorder import DEFAULT_RECENT
     from repro.obs.windowed import DEFAULT_WINDOW_SECONDS, DEFAULT_WINDOWS
 
     serve = commands.add_parser(
@@ -326,11 +319,12 @@ def register(commands) -> None:
         help="append slow-query records as JSONL to FILE",
     )
     serve.add_argument(
-        "--slow-threshold-ms", type=float, default=100.0,
+        "--slow-threshold-ms", type=float,
+        default=DEFAULT_SLOW_THRESHOLD_S * 1000.0,
         help="slow-query threshold in milliseconds (default 100)",
     )
     serve.add_argument(
-        "--slow-top", type=int, default=DEFAULT_SLOW_TOP_K,
+        "--slow-top", type=int, default=DEFAULT_SLOW_TOP,
         help="slowest requests retained in memory (default 32)",
     )
     serve.add_argument(

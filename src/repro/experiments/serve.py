@@ -75,6 +75,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from typing import Iterable
 
 from repro.errors import ServeError
 from repro.experiments.harness import (
@@ -133,22 +134,12 @@ _ATTRIBUTION_KEYS = {
 }
 
 
-def _counter_totals(context: ServeContext) -> dict[str, int]:
-    """Attributable counters summed over both directions (base + live)."""
+def _counter_sums(directions: Iterable[dict]) -> dict[str, int]:
+    """Attributable counters summed over per-direction counter dicts."""
     totals = {name: 0 for name in _ATTRIBUTABLE}
-    for direction in context.shared_totals().values():
+    for direction in directions:
         for name in _ATTRIBUTABLE:
             totals[name] += int(direction.get(name, 0))
-    return totals
-
-
-def _client_sums(load) -> dict[str, int]:
-    """Attributable counters summed over every client's final stats."""
-    totals = {name: 0 for name in _ATTRIBUTABLE}
-    for client in load.clients:
-        for direction in client.io_stats.values():
-            for name in _ATTRIBUTABLE:
-                totals[name] += int(direction.get(name, 0))
     return totals
 
 
@@ -170,7 +161,7 @@ def _conservation(daemon: GraphQueryDaemon, load) -> tuple[bool, dict]:
     """
     snapshot = daemon.telemetry.snapshot()
     op_totals = {
-        name: data.get("requests", {}).get("total", 0)
+        name: data["cumulative"]["count"]
         for name, data in snapshot["ops"].items()
         if not name.startswith("phase:")
     }
@@ -358,7 +349,7 @@ def _chaos_phase(
         on_corruption="degrade",
     )
     try:
-        before = _counter_totals(context)
+        before = _counter_sums(context.shared_totals().values())
         plan = faults.FaultPlan(
             seed=_CHAOS_FAULT_SEED,
             eio_rate=_CHAOS_EIO_RATE,
@@ -375,7 +366,7 @@ def _chaos_phase(
                 deadline_every=_CHAOS_DEADLINE_EVERY,
             )
         load = phase.load
-        after = _counter_totals(context)
+        after = _counter_sums(context.shared_totals().values())
         degraded_read_growth = (
             after["degraded_reads"] - before["degraded_reads"]
         )
@@ -489,17 +480,21 @@ def run(
             # same warmed pool.
             with tracing.span("serve.serial"):
                 serial = serial_digests(context.serial_engine())
-            before = _counter_totals(context)
+            before = _counter_sums(context.shared_totals().values())
             with tracing.span("serve.load"):
                 with daemon_phase(context, workers, queue_limit) as phase:
                     phase.run_load(concurrency, requests_per_client)
             load = phase.load
-            after = _counter_totals(context)
+            after = _counter_sums(context.shared_totals().values())
             if phase.client_errors:
                 raise ServeError(
                     f"load generator reported errors: {phase.client_errors[:3]}"
                 )
-            session_sums = _client_sums(load)
+            session_sums = _counter_sums(
+                direction
+                for client in load.clients
+                for direction in client.io_stats.values()
+            )
             growth = {
                 name: after[name] - before[name] for name in _ATTRIBUTABLE
             }

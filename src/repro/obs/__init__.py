@@ -13,11 +13,11 @@ Layered on the storage engine's :class:`~repro.storage.metrics.MetricsRegistry`:
 * :mod:`repro.obs.windowed` — time-windowed histograms/counters rotated
   on an injectable clock (live percentiles that decay instead of
   averaging over the process lifetime);
-* :mod:`repro.obs.accesslog` — bounded sampled JSONL access log and
-  always-on top-K slow-query log for the serving layer.
+* :mod:`repro.obs.flightrecorder` — the serving layer's one retention
+  point for finished requests: recent / slowest / errored traces, the
+  sampled access and slow-query JSONL trails, and debug bundles.
 """
 
-from repro.obs.accesslog import AccessLog, SlowQueryLog
 from repro.obs.histogram import HistogramSet, LatencyHistogram
 from repro.obs.progress import NULL_PROGRESS, NullProgress, ProgressReporter
 from repro.obs.report import (
@@ -37,8 +37,6 @@ from repro.obs.windowed import (
 )
 
 __all__ = [
-    "AccessLog",
-    "SlowQueryLog",
     "WindowedCounter",
     "WindowedHistogram",
     "WindowedHistogramSet",

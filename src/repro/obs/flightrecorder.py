@@ -1,4 +1,4 @@
-"""Flight recorder: bounded retention of complete request traces.
+"""Flight recorder: the one place a finished request is kept.
 
 The serving daemon produces one **trace document** per request — a plain
 JSON-ready dict joining the request's lifecycle record (phases, outcome,
@@ -11,15 +11,27 @@ it:
 * a **recent ring** — the last N traces regardless of speed (context for
   "what was the daemon doing around then");
 * a **slow top-K** — the K slowest traces at or above a threshold, a
-  min-heap keyed on server time (the same shape as
-  :class:`~repro.obs.accesslog.SlowQueryLog`, but retaining the whole
-  trace, not a log line);
-* an **error ring** — the last traces whose outcome was not ``ok``.
+  min-heap keyed on server time;
+* an **error ring** — the last traces whose outcome was not ``ok``;
+
+and writes two optional JSONL **trails** as it files them:
+
+* the **access trail** — 1-in-``sample_every`` of the offered stream,
+  deterministically (request 0, N, 2N, ...), so a replayed run samples
+  the same requests;
+* the **slow trail** — every request at or above the threshold, never
+  sampled: the top-K bounds memory, not the trail on disk.
+
+A trail line is the trace document without ``parent`` and ``spans`` —
+the request's id, trace id, op, outcome, phases and counters, which
+join back to the retained trace by ``rid`` / ``trace``.  Span trees stay
+in memory and in debug bundles, so a trail grows by one short line per
+request however deep a query's navigation went.
 
 Recording is always on and near-zero cost for fast requests: one lock,
-one deque append, one threshold comparison.  The expensive part —
-building the span records — is paid once per request by the daemon and
-only for requests that were traced at all.
+one deque append, one modulo, one threshold comparison.  The expensive
+part — building the document and its span records — is paid once per
+request by the caller.
 
 A recorder (plus surrounding state) dumps to a **debug bundle**: one
 directory holding ``MANIFEST.json``, ``traces.jsonl`` (schema header
@@ -39,6 +51,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
+from typing import IO
 
 from repro.obs.tracing import ROOT_PARENT
 
@@ -57,26 +70,51 @@ BUNDLE_STATS = "stats.json"
 BUNDLE_CONFIG = "config.json"
 BUNDLE_SLOW = "slow.jsonl"
 
-#: Request lifecycle phases in order (must match
-#: ``repro.serve.telemetry.PHASES``; the serve tests assert equality so
-#: the two layers cannot drift).
-LIFECYCLE_PHASES = ("decode", "queue_wait", "execute", "encode", "reply")
+#: Request lifecycle phases in order (``repro.serve.telemetry`` imports
+#: this one definition).
+PHASES = ("decode", "queue_wait", "execute", "encode", "reply")
 
-#: Defaults for the three retention classes.
+#: Defaults for the three retention classes and the two trails.
 DEFAULT_RECENT = 256
 DEFAULT_SLOW_TOP = 32
 DEFAULT_ERRORS = 64
-DEFAULT_SLOW_THRESHOLD_S = 0.050
+DEFAULT_SLOW_THRESHOLD_S = 0.100
+#: Default access sampling: every request (operators tune this down).
+DEFAULT_SAMPLE_EVERY = 1
+
+#: Trace-document keys a trail line leaves out.
+_TRACE_ONLY = ("parent", "spans")
+
+
+def _trail_view(trace: dict) -> dict:
+    """A trace document as a trail line carries it (no parent/spans)."""
+    return {key: value for key, value in trace.items() if key not in _TRACE_ONLY}
+
+
+def _open_trail(path) -> IO[str] | None:
+    if path is None:
+        return None
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("a")
+
+
+def _append(trail: IO[str], trace: dict) -> None:
+    line = json.dumps(_trail_view(trace), sort_keys=True, separators=(",", ":"))
+    trail.write(line + "\n")
+    trail.flush()
 
 
 class FlightRecorder:
-    """Bounded retention of finished request traces (recent/slow/error).
+    """Bounded retention of finished request traces, plus their trails.
 
     ``record()`` takes one trace document (see the module docstring) and
     files it in up to three places: the recent ring (always), the slow
     top-K heap (when ``server_us`` meets the threshold) and the error
     ring (when ``outcome`` is not ``ok``).  All three are bounded, so an
-    arbitrarily long serving run holds flat memory.
+    arbitrarily long serving run holds flat memory.  With ``access_log``
+    / ``slow_log`` paths it also appends the sampled / slow requests'
+    trail lines; :meth:`close` flushes and closes both (idempotent).
     """
 
     def __init__(
@@ -85,6 +123,9 @@ class FlightRecorder:
         slow_threshold_s: float = DEFAULT_SLOW_THRESHOLD_S,
         slow_top: int = DEFAULT_SLOW_TOP,
         errors: int = DEFAULT_ERRORS,
+        sample_every: int = DEFAULT_SAMPLE_EVERY,
+        access_log: Path | str | None = None,
+        slow_log: Path | str | None = None,
     ) -> None:
         if recent < 1:
             raise ValueError(f"recent must be >= 1, got {recent}")
@@ -92,14 +133,19 @@ class FlightRecorder:
             raise ValueError(f"slow_top must be >= 1, got {slow_top}")
         if errors < 1:
             raise ValueError(f"errors must be >= 1, got {errors}")
+        if sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         if slow_threshold_s < 0:
             raise ValueError(
                 f"slow_threshold_s must be >= 0, got {slow_threshold_s}"
             )
         self.slow_threshold_s = float(slow_threshold_s)
         self.slow_top = slow_top
+        self.sample_every = sample_every
         #: Traces ever offered to :meth:`record`.
         self.recorded = 0
+        #: Traces sampled into the access trail (counted with no path too).
+        self.logged = 0
         #: Traces that met the slow threshold (not all are retained).
         self.slow_seen = 0
         self._lock = threading.Lock()
@@ -108,25 +154,39 @@ class FlightRecorder:
         #: retained slow trace, evicted first when a slower one arrives.
         self._slow: list[tuple[int, int, dict]] = []
         self._errors: deque[dict] = deque(maxlen=errors)
-        self._seq = 0
+        self._access = _open_trail(access_log)
+        self._slow_trail = _open_trail(slow_log)
 
     def record(self, trace: dict) -> None:
         """File one finished trace document (thread-safe, O(log K))."""
         server_us = int(trace.get("server_us", 0))
-        outcome = trace.get("outcome", "ok")
         with self._lock:
+            seq = self.recorded
             self.recorded += 1
-            self._seq += 1
             self._recent.append(trace)
+            if seq % self.sample_every == 0:
+                self.logged += 1
+                if self._access is not None:
+                    _append(self._access, trace)
             if server_us >= self.slow_threshold_s * 1e6:
                 self.slow_seen += 1
-                entry = (server_us, self._seq, trace)
+                entry = (server_us, seq, trace)
                 if len(self._slow) < self.slow_top:
                     heapq.heappush(self._slow, entry)
                 elif server_us > self._slow[0][0]:
                     heapq.heapreplace(self._slow, entry)
-            if outcome != "ok":
+                if self._slow_trail is not None:
+                    _append(self._slow_trail, trace)
+            if trace.get("outcome", "ok") != "ok":
                 self._errors.append(trace)
+
+    def close(self) -> None:
+        """Flush and close both trails (retained traces survive)."""
+        with self._lock:
+            for trail in (self._access, self._slow_trail):
+                if trail is not None:
+                    trail.close()
+            self._access = self._slow_trail = None
 
     # -- views ---------------------------------------------------------------
 
@@ -141,29 +201,33 @@ class FlightRecorder:
             ordered = sorted(self._slow, key=lambda e: (-e[0], e[1]))
         return [trace for _us, _seq, trace in ordered]
 
+    def slow_entries(self) -> list[dict]:
+        """Retained slow requests as trail lines, slowest first."""
+        return [_trail_view(trace) for trace in self.slow_traces()]
+
     def error_traces(self) -> list[dict]:
         """The error ring, oldest first."""
         with self._lock:
             return list(self._errors)
 
     def traces(self) -> list[dict]:
-        """Every retained trace, deduplicated by trace id.
+        """Every retained trace, each document once.
 
         Recent traces first (oldest to newest), then slow and error
         traces that have already aged out of the recent ring — so the
-        dump is a superset of every retention class with each request
-        appearing once.
+        dump is a superset of every retention class.  One document filed
+        in several classes is the same dict, so identity is the key: two
+        attempts under one trace id (a shed request and its retry) are
+        two documents and both stay.
         """
         out: list[dict] = []
-        seen: set[str] = set()
+        seen: set[int] = set()
         for trace in (
             self.recent_traces() + self.slow_traces() + self.error_traces()
         ):
-            key = str(trace.get("trace", id(trace)))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(trace)
+            if id(trace) not in seen:
+                seen.add(id(trace))
+                out.append(trace)
         return out
 
     def snapshot(self) -> dict:
@@ -199,7 +263,7 @@ def write_debug_bundle(
 
     ``traces`` is typically :meth:`FlightRecorder.traces`; ``stats`` a
     daemon stats/metrics snapshot; ``config`` the serving configuration;
-    ``slow_entries`` the slow-query log's retained entries.  Every file
+    ``slow_entries`` :meth:`FlightRecorder.slow_entries`.  Every file
     is optional except the manifest and ``traces.jsonl`` (which may hold
     zero traces — the header line still records that).
     """
@@ -370,8 +434,8 @@ def render_waterfall(trace: dict, width: int = 48) -> str:
 
     offset_us = 0.0
     execute_offset_us = 0.0
-    ordered = [p for p in LIFECYCLE_PHASES if p in phases_us]
-    ordered += [p for p in sorted(phases_us) if p not in LIFECYCLE_PHASES]
+    ordered = [p for p in PHASES if p in phases_us]
+    ordered += [p for p in sorted(phases_us) if p not in PHASES]
     for phase in ordered:
         duration_us = float(phases_us[phase])
         if phase == "execute":

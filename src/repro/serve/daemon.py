@@ -60,8 +60,9 @@ timings, outcome, session counter deltas) fed to the shared
 :class:`~repro.serve.telemetry.ServeTelemetry` and echoed in the reply's
 ``server`` section; every executed request also runs under a
 request-scoped tracer (:meth:`GraphQueryDaemon._execute_measured`) whose
-span tree goes to the :class:`~repro.obs.flightrecorder.FlightRecorder`,
-dumpable live via the ``debug`` op or at shutdown.
+span tree rides on the record into the telemetry's
+:class:`~repro.obs.flightrecorder.FlightRecorder`, dumpable live via the
+``debug`` op or at shutdown.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from repro.experiments.harness import experiment_refinement_config
 from repro.index.pagerank_index import PageRankIndex
 from repro.index.textindex import TextIndex
 from repro.obs import tracing
-from repro.obs.flightrecorder import FlightRecorder, write_debug_bundle
+from repro.obs.flightrecorder import write_debug_bundle
 from repro.obs.tracing import Tracer
 from repro.query.engine import QueryEngine
 from repro.query.workload import PAPER_QUERIES, run_query
@@ -486,12 +487,11 @@ class GraphQueryDaemon:
     workers: int = DEFAULT_WORKERS
     queue_limit: int = DEFAULT_QUEUE_LIMIT
     counters: DaemonCounters = field(default_factory=DaemonCounters)
-    #: Shared telemetry sink; pass one with a fake clock / log sinks to
-    #: control windows and capture JSONL logs.
+    #: Shared telemetry sink; pass one with a fake clock to control
+    #: windows, or with a flight recorder of your own (thresholds, JSONL
+    #: trails) — its recorder is what the ``debug`` op and debug bundles
+    #: dump.
     telemetry: ServeTelemetry = field(default_factory=ServeTelemetry)
-    #: Always-on retention of complete request traces (recent ring +
-    #: slow top-K + errors); dumped by the ``debug`` op / debug bundles.
-    flight: FlightRecorder = field(default_factory=FlightRecorder)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -633,7 +633,6 @@ class GraphQueryDaemon:
             record.phases["reply"] = clock() - encoded
         finally:
             self.telemetry.record(record)
-            self.flight.record(record.trace_view())
 
     # -- the request pipeline ----------------------------------------------------
 
@@ -1083,14 +1082,15 @@ class GraphQueryDaemon:
 
     def config_view(self) -> dict:
         """The serving configuration, as recorded in debug bundles."""
+        recorder = self.telemetry.recorder
         return {
             "host": self.host,
             "port": self.port,
             "workers": self.workers,
             "queue_limit": self.queue_limit,
             "flight": {
-                "slow_threshold_ms": self.flight.slow_threshold_s * 1e3,
-                "slow_top": self.flight.slow_top,
+                "slow_threshold_ms": recorder.slow_threshold_s * 1e3,
+                "slow_top": recorder.slow_top,
             },
         }
 
@@ -1101,22 +1101,24 @@ class GraphQueryDaemon:
         client (``repro trace --dump``) can write a bundle from a live
         daemon without stopping it.
         """
+        recorder = self.telemetry.recorder
         return {
-            "flight": self.flight.snapshot(),
-            "traces": self.flight.traces(),
-            "slow": self.telemetry.slow_log.top(),
+            "flight": recorder.snapshot(),
+            "traces": recorder.traces(),
+            "slow": recorder.slow_entries(),
             "config": self.config_view(),
             "stats": self._snapshot(),
         }
 
     def dump_debug_bundle(self, directory) -> Path:
-        """Write the flight recorder + stats/config/slow log as a bundle."""
+        """Write the flight recorder + stats/config as a debug bundle."""
+        recorder = self.telemetry.recorder
         return write_debug_bundle(
             directory,
-            self.flight.traces(),
+            recorder.traces(),
             stats=self._snapshot(),
             config=self.config_view(),
-            slow_entries=self.telemetry.slow_log.top(),
+            slow_entries=recorder.slow_entries(),
         )
 
     #: The op table: op -> (kind, handler, when to try in memory).

@@ -10,10 +10,12 @@ which maintains:
   one injectable clock, so ``metrics`` reports p99 *over the last
   windows*, not over the process lifetime;
 * **cumulative aggregates**: the same histograms' lifetime view (the two
-  are conserved by construction — see ``WindowedHistogram``);
-* **structured logs** (:mod:`repro.obs.accesslog`): a sampled, bounded
-  access log and an always-on slow-query log, both carrying the request
-  id so a slow entry joins back to its phase breakdown;
+  are conserved by construction — see ``WindowedHistogram``); an op's
+  request count is its histogram's cumulative count;
+* **the flight recorder** (:mod:`repro.obs.flightrecorder`): the one
+  place the finished request itself is kept — recent / slowest /
+  errored traces in memory, the sampled access and slow-query JSONL
+  trails on disk;
 * **per-connection counters** for live connections (requests by outcome,
   attributable I/O via the connection's metrics session).
 
@@ -39,7 +41,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.obs.accesslog import AccessLog, SlowQueryLog
+# PHASES, the measured phase spans in lifecycle order, is defined once
+# in obs (the flight recorder renders them) and re-exported here.
+from repro.obs.flightrecorder import PHASES, FlightRecorder  # noqa: F401
 from repro.obs.windowed import (
     DEFAULT_WINDOW_SECONDS,
     DEFAULT_WINDOWS,
@@ -56,9 +60,6 @@ OUTCOMES = (
     "degraded",
     "timeout",
 )
-
-#: The measured phase spans, in lifecycle order.
-PHASES = ("decode", "queue_wait", "execute", "encode", "reply")
 
 #: Session counters attributed per request (deltas of the connection's
 #: metrics session around the execute phase).  This is the complete set
@@ -127,7 +128,7 @@ class RequestRecord:
         }
 
     def log_view(self) -> dict:
-        """The JSONL form written to the access / slow-query logs."""
+        """The request's fields, as a flight-recorder trail line has them."""
         return {
             "rid": self.rid,
             "trace": self.trace,
@@ -166,15 +167,15 @@ class ServeTelemetry:
         windows: int = DEFAULT_WINDOWS,
         clock: Callable[[], float] = time.monotonic,
         wall_clock: Callable[[], float] = time.time,
-        access_log: AccessLog | None = None,
-        slow_log: SlowQueryLog | None = None,
+        recorder: FlightRecorder | None = None,
     ) -> None:
         self.clock = clock
         self.wall_clock = wall_clock
         self.started = clock()
         self.started_unix = wall_clock()
-        self.access_log = access_log if access_log is not None else AccessLog()
-        self.slow_log = slow_log if slow_log is not None else SlowQueryLog()
+        #: Where every finished request's trace document is kept (and
+        #: its access / slow trail lines written).
+        self.recorder = recorder if recorder is not None else FlightRecorder()
         #: Per-op server latency (one histogram per op name) and
         #: per-phase spans (under ``phase:<name>``), windowed + cumulative.
         self.latency = WindowedHistogramSet(
@@ -187,8 +188,6 @@ class ServeTelemetry:
             )
             for outcome in OUTCOMES
         }
-        #: Per-op windowed request counters (rates per op).
-        self._op_counts: dict[str, WindowedCounter] = {}
         self._window_seconds = window_seconds
         self._windows = windows
         self._lock = threading.Lock()
@@ -210,35 +209,22 @@ class ServeTelemetry:
     # -- recording -----------------------------------------------------------
 
     def record(self, record: RequestRecord) -> None:
-        """Fold one finished request into every aggregate and log."""
+        """Fold one finished request into every aggregate and keep it."""
         if record.outcome not in self.outcomes:
             raise ValueError(f"unknown outcome {record.outcome!r}")
-        server_s = record.server_s
         # The trace id rides along as the histogram bucket's exemplar, so
         # a p99 bucket in `repro top` names a concrete witness request.
         exemplar = record.trace or record.rid or None
-        self.latency.observe(record.op, server_s, exemplar)
+        self.latency.observe(record.op, record.server_s, exemplar)
         for phase, seconds in record.phases.items():
             self.latency.observe(f"phase:{phase}", seconds, exemplar)
         self.outcomes[record.outcome].add()
         with self._lock:
-            counter = self._op_counts.get(record.op)
-            if counter is None:
-                counter = WindowedCounter(
-                    window_seconds=self._window_seconds,
-                    windows=self._windows,
-                    clock=self.clock,
-                )
-                self._op_counts[record.op] = counter
             connection = self._connections.get(record.client)
-        counter.add()
-        if connection is not None:
-            with self._lock:
+            if connection is not None:
                 connection["requests"] = connection.get("requests", 0) + 1
                 connection[record.outcome] = connection.get(record.outcome, 0) + 1
-        entry = record.log_view()
-        self.access_log.log(entry)
-        self.slow_log.observe(server_s, entry)
+        self.recorder.record(record.trace_view())
 
     # -- exposition ----------------------------------------------------------
 
@@ -263,18 +249,16 @@ class ServeTelemetry:
         ``fault_*`` tallies) summed over the shared stores, so transient
         I/O errors absorbed below the request layer stay visible.
         """
-        per_op = {}
-        for name in self.latency.names():
-            histogram = self.latency.get(name)
-            per_op[name] = histogram.to_dict()
-            count = self._op_counts.get(name)
-            if count is not None:
-                per_op[name]["requests"] = count.to_dict()
+        per_op = {
+            name: self.latency.get(name).to_dict()
+            for name in self.latency.names()
+        }
         with self._lock:
             connections = {
                 client: dict(counts)
                 for client, counts in sorted(self._connections.items())
             }
+        recorder = self.recorder
         return {
             "uptime_seconds": self.uptime_seconds,
             "started_unix": self.started_unix,
@@ -288,8 +272,17 @@ class ServeTelemetry:
             "connections": connections,
             "gauges": dict(gauges or {}),
             "storage": dict(storage or {}),
-            "access_log": self.access_log.to_dict(),
-            "slow_queries": self.slow_log.to_dict(),
+            "access_log": {
+                "offered": recorder.recorded,
+                "logged": recorder.logged,
+                "sample_every": recorder.sample_every,
+            },
+            "slow_queries": {
+                "threshold_ms": recorder.slow_threshold_s * 1000.0,
+                "observed": recorder.recorded,
+                "slow": recorder.slow_seen,
+                "top": recorder.slow_entries(),
+            },
         }
 
 

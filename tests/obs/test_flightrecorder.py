@@ -1,4 +1,20 @@
-"""Tests for the flight recorder, debug bundles and trace rendering."""
+"""Tests for the flight recorder, its trails, debug bundles and rendering.
+
+The recorder is the one place a finished request is kept (recent /
+slow / error classes in memory, the sampled access and slow JSONL
+trails on disk).  Seeded mutations of ``obs/flightrecorder.py``, each
+failing the test named:
+
+* sampling off by one (``seq % sample_every == 1``, or counting ``seq``
+  after the increment) — ``TestAccessTrail::
+  test_sampling_is_deterministic_one_in_n``;
+* a trail line carrying ``spans`` (``_TRACE_ONLY`` without it) —
+  ``TestTrailLines::test_trail_line_is_the_parents_log_view``;
+* the slow heap evicting the slowest (``<`` for ``>`` against the heap
+  root) — ``TestSlowTrail::test_top_k_keeps_the_slowest``;
+* ``traces()`` deduplicating by trace id again —
+  ``TestFlightRecorder::test_a_retry_under_one_trace_id_keeps_both_attempts``.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +34,7 @@ from repro.obs.flightrecorder import (
     render_waterfall,
     write_debug_bundle,
 )
+from repro.serve.telemetry import RequestRecord
 
 
 def make_trace(
@@ -41,6 +58,10 @@ def make_trace(
         "parent": -1,
         "spans": spans or [],
     }
+
+
+def read_trail(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestFlightRecorder:
@@ -89,6 +110,17 @@ class TestFlightRecorder:
         ids = [t["trace"] for t in recorder.traces()]
         assert sorted(ids) == ["both", "newer"]
 
+    def test_a_retry_under_one_trace_id_keeps_both_attempts(self):
+        # A client keeps its trace id across backpressure retries: the
+        # shed attempt and the served one are two documents, and the
+        # served one (with its span tree) must not be dropped.
+        recorder = FlightRecorder(slow_threshold_s=10.0)
+        recorder.record(make_trace("lgt0-0", outcome="backpressure"))
+        recorder.record(make_trace("lgt0-0", spans=SPANS[:1]))
+        assert [
+            (t["outcome"], len(t["spans"])) for t in recorder.traces()
+        ] == [("backpressure", 0), ("ok", 1)]
+
     def test_snapshot_reports_counts_and_retained_ids(self):
         recorder = FlightRecorder(slow_threshold_s=0.001)
         recorder.record(make_trace("a", server_us=5000))
@@ -109,6 +141,178 @@ class TestFlightRecorder:
         ):
             with pytest.raises(ValueError):
                 FlightRecorder(**kwargs)
+
+    def test_close_is_idempotent_and_keeps_what_is_retained(self, tmp_path):
+        recorder = FlightRecorder(
+            slow_threshold_s=0.0,
+            access_log=tmp_path / "access.jsonl",
+            slow_log=tmp_path / "slow.jsonl",
+        )
+        recorder.record(make_trace("t0"))
+        recorder.close()
+        recorder.close()
+        # Recording after close still retains in memory; no trail grows.
+        recorder.record(make_trace("t1"))
+        assert [t["trace"] for t in recorder.traces()] == ["t0", "t1"]
+        assert len(read_trail(tmp_path / "access.jsonl")) == 1
+        assert len(read_trail(tmp_path / "slow.jsonl")) == 1
+
+
+class TestAccessTrail:
+    def test_logs_every_request_by_default(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        recorder = FlightRecorder(access_log=path)
+        recorder.record(make_trace("r0"))
+        recorder.record(make_trace("r1"))
+        recorder.close()
+        assert [line["trace"] for line in read_trail(path)] == ["r0", "r1"]
+        assert recorder.logged == 2
+
+    def test_sampling_is_deterministic_one_in_n(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        recorder = FlightRecorder(sample_every=3, access_log=path)
+        for i in range(9):
+            recorder.record(make_trace(f"r{i}"))
+        recorder.close()
+        assert recorder.recorded == 9
+        assert recorder.logged == 3
+        assert [line["trace"] for line in read_trail(path)] == ["r0", "r3", "r6"]
+
+    def test_jsonl_sink(self, tmp_path):
+        path = tmp_path / "logs" / "access.jsonl"
+        recorder = FlightRecorder(sample_every=2, access_log=path)
+        for i in range(4):
+            recorder.record(make_trace(f"r{i}"))
+        recorder.close()
+        assert [line["rid"] for line in read_trail(path)] == ["rid-r0", "rid-r2"]
+        # The trail appends: a second recorder on the same path adds on.
+        again = FlightRecorder(access_log=path)
+        again.record(make_trace("r9"))
+        again.close()
+        assert len(read_trail(path)) == 3
+
+    def test_summary_figures(self):
+        # Sampling is counted with no trail path too.
+        recorder = FlightRecorder(sample_every=2)
+        for i in range(4):
+            recorder.record(make_trace(f"r{i}"))
+        assert (recorder.recorded, recorder.logged, recorder.sample_every) == (
+            4,
+            2,
+            2,
+        )
+
+    def test_invalid_configuration_rejected(self):
+        with pytest.raises(ValueError):
+            FlightRecorder(sample_every=0)
+
+
+class TestSlowTrail:
+    def test_threshold_splits_fast_from_slow(self):
+        recorder = FlightRecorder(slow_threshold_s=0.100)
+        recorder.record(make_trace("fast", server_us=50_000))
+        recorder.record(make_trace("at", server_us=100_000))
+        recorder.record(make_trace("slow", server_us=500_000))
+        assert recorder.recorded == 3
+        assert recorder.slow_seen == 2
+        assert [e["trace"] for e in recorder.slow_entries()] == ["slow", "at"]
+
+    def test_top_k_keeps_the_slowest(self):
+        recorder = FlightRecorder(slow_threshold_s=0.0, slow_top=3)
+        for i, us in enumerate([100, 500, 200, 900, 300]):
+            recorder.record(make_trace(f"r{i}", server_us=us))
+        # Slowest first; counting is unbounded, retention is not.
+        assert [e["trace"] for e in recorder.slow_entries()] == ["r3", "r1", "r4"]
+        assert recorder.slow_seen == 5
+
+    def test_every_slow_request_hits_the_sink(self, tmp_path):
+        path = tmp_path / "slow.jsonl"
+        recorder = FlightRecorder(
+            slow_threshold_s=0.1, slow_top=1, slow_log=path
+        )
+        recorder.record(make_trace("r0", server_us=200_000))
+        recorder.record(make_trace("r1", server_us=300_000))
+        recorder.record(make_trace("r2", server_us=10_000))
+        recorder.close()
+        # slow_top bounds memory, not the on-disk trail.
+        assert [line["trace"] for line in read_trail(path)] == ["r0", "r1"]
+        assert [e["trace"] for e in recorder.slow_entries()] == ["r1"]
+
+    def test_summary_figures(self):
+        recorder = FlightRecorder(slow_threshold_s=0.25, slow_top=2)
+        recorder.record(make_trace("r0", server_us=300_000))
+        assert recorder.slow_threshold_s * 1e3 == pytest.approx(250.0)
+        assert (recorder.recorded, recorder.slow_seen) == (1, 1)
+        assert [e["rid"] for e in recorder.slow_entries()] == ["rid-r0"]
+
+    def test_invalid_configuration_rejected(self):
+        with pytest.raises(ValueError):
+            FlightRecorder(slow_threshold_s=-1)
+        with pytest.raises(ValueError):
+            FlightRecorder(slow_top=0)
+
+
+class TestTrailLines:
+    #: ``RequestRecord.log_view()`` of ``_record()`` as the commit before
+    #: the recorder took over the trails wrote it to access.jsonl.
+    PARENT_LOG_VIEW = {
+        "rid": "r7",
+        "trace": "tr7",
+        "client": "client-3",
+        "op": "query",
+        "outcome": "server_error",
+        "unix": 1000.5,
+        "server_us": 12500,
+        "phases_us": {"decode": 500, "execute": 12000},
+        "counters": {"buffer_hits": 4, "bytes_read": 0},
+        "error": "boom",
+    }
+
+    @staticmethod
+    def _record() -> RequestRecord:
+        return RequestRecord(
+            rid="r7",
+            client="client-3",
+            op="query",
+            outcome="server_error",
+            unix=1000.5,
+            phases={"execute": 0.012, "decode": 0.0005},
+            counters={"bytes_read": 0, "buffer_hits": 4},
+            error="boom",
+            trace="tr7",
+            parent=5,
+            spans=SPANS,
+        )
+
+    def test_trail_line_is_the_parents_log_view(self, tmp_path):
+        record = self._record()
+        recorder = FlightRecorder(
+            slow_threshold_s=0.0,
+            access_log=tmp_path / "access.jsonl",
+            slow_log=tmp_path / "slow.jsonl",
+        )
+        recorder.record(record.trace_view())
+        recorder.close()
+        for name in ("access.jsonl", "slow.jsonl"):
+            (line,) = read_trail(tmp_path / name)
+            assert line == self.PARENT_LOG_VIEW == record.log_view()
+        # The same lines in memory (metrics, debug, bundle slow.jsonl);
+        # the retained trace keeps its span tree.
+        assert recorder.slow_entries() == [self.PARENT_LOG_VIEW]
+        (trace,) = recorder.traces()
+        assert trace["spans"] == SPANS and trace["parent"] == 5
+
+    def test_trail_line_bytes_are_the_parents(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        recorder = FlightRecorder(access_log=path)
+        recorder.record(self._record().trace_view())
+        recorder.close()
+        assert path.read_text() == (
+            '{"client":"client-3","counters":{"buffer_hits":4,"bytes_read":0},'
+            '"error":"boom","op":"query","outcome":"server_error",'
+            '"phases_us":{"decode":500,"execute":12000},"rid":"r7",'
+            '"server_us":12500,"trace":"tr7","unix":1000.5}\n'
+        )
 
 
 class TestDebugBundle:

@@ -95,12 +95,13 @@ class TestPhaseBreakdown:
         with ServeClient("127.0.0.1", daemon.port) as client:
             client.request("query", name="query1", rid="logged-1")
         # The record is folded in right after the reply bytes flush, so
-        # the client can hold the reply a beat before the log entry lands.
+        # the client can hold the reply a beat before the entry lands in
+        # the flight recorder's recent ring.
         deadline = time.monotonic() + 10
         while True:
             entries = {
                 entry["rid"]: entry
-                for entry in daemon.daemon.telemetry.access_log.entries()
+                for entry in daemon.daemon.telemetry.recorder.recent_traces()
             }
             if "logged-1" in entries or time.monotonic() > deadline:
                 break
@@ -224,7 +225,7 @@ class TestDeterministicBackpressure:
         # Shed + served + inline add up: nothing double- or un-counted.
         snapshot = telemetry.snapshot()
         op_total = sum(
-            data["requests"]["total"]
+            data["cumulative"]["count"]
             for name, data in snapshot["ops"].items()
             if not name.startswith("phase:")
         )
@@ -248,7 +249,7 @@ class TestConservationUnderLoad:
         query_frames = (
             load.requests_ok + load.shed_retries + load.requests_failed
         )
-        assert snapshot["ops"]["query"]["requests"]["total"] == query_frames
+        assert snapshot["ops"]["query"]["cumulative"]["count"] == query_frames
         assert telemetry.outcomes["backpressure"].total == load.shed_retries
         # One stats frame per client on top of the queries.
         assert telemetry.requests_total() == query_frames + 4

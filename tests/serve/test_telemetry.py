@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.accesslog import AccessLog, SlowQueryLog
+from repro.obs.flightrecorder import FlightRecorder
 from repro.obs.histogram import LatencyHistogram
 from repro.serve.telemetry import (
     OUTCOMES,
@@ -90,9 +90,11 @@ class TestServeTelemetry:
         assert telemetry.requests_total() == 3
         assert telemetry.outcomes["ok"].total == 2
         assert telemetry.outcomes["backpressure"].total == 1
+        # An op's request count is its latency histogram's count.
         snapshot = telemetry.snapshot()
-        assert snapshot["ops"]["query"]["requests"]["total"] == 2
-        assert snapshot["ops"]["stats"]["requests"]["total"] == 1
+        assert snapshot["ops"]["query"]["cumulative"]["count"] == 2
+        assert snapshot["ops"]["stats"]["cumulative"]["count"] == 1
+        assert "requests" not in snapshot["ops"]["query"]
 
     def test_phase_histograms_recorded_per_phase(self):
         telemetry = _telemetry(FakeClock())
@@ -145,17 +147,26 @@ class TestServeTelemetry:
 
     def test_logs_receive_every_record(self):
         telemetry = _telemetry(
-            FakeClock(),
-            access_log=AccessLog(),
-            slow_log=SlowQueryLog(threshold_s=0.005),
+            FakeClock(), recorder=FlightRecorder(slow_threshold_s=0.005)
         )
         telemetry.record(_record(rid="fast", phases={"execute": 0.001}))
         telemetry.record(_record(rid="slow", phases={"execute": 0.010}))
-        assert [e["rid"] for e in telemetry.access_log.entries()] == [
-            "fast",
-            "slow",
-        ]
-        assert [e["rid"] for e in telemetry.slow_log.top()] == ["slow"]
+        recorder = telemetry.recorder
+        assert [t["rid"] for t in recorder.recent_traces()] == ["fast", "slow"]
+        assert [e["rid"] for e in recorder.slow_entries()] == ["slow"]
+        snapshot = telemetry.snapshot()
+        assert snapshot["access_log"] == {
+            "offered": 2,
+            "logged": 2,
+            "sample_every": 1,
+        }
+        slow = snapshot["slow_queries"]
+        assert (slow["threshold_ms"], slow["observed"], slow["slow"]) == (
+            5.0,
+            2,
+            1,
+        )
+        assert slow["top"] == recorder.slow_entries()
 
     def test_uptime_and_snapshot_shape(self):
         clock = FakeClock(now=5.0)

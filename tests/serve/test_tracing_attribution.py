@@ -6,22 +6,26 @@ These tests gate the tracing layer's central claims over a real daemon:
 * per-request attributed I/O is *conserved* — the deltas echoed in every
   reply sum, bit-for-bit, to the session totals the daemon reports;
 * the flight recorder retains complete traces the ``debug`` op serves;
+* the telemetry's flight recorder is the one place a finished request
+  is kept: ``debug``, bundles and ``metrics`` read one slow threshold and
+  one slow top-K, and a retried trace id keeps every attempt;
 * with no tracer active, span entry points are shared no-ops (tracing
-  disabled costs no storage-layer work);
-* the lifecycle phase list is identical across the serve and obs layers
-  (they must not import each other, so the constant is duplicated and
-  pinned here).
+  disabled costs no storage-layer work).
 """
 
 from __future__ import annotations
 
+import socket
+import threading
+import time
+
 import pytest
 
 from repro.obs import flightrecorder, tracing
-from repro.serve import telemetry as serve_telemetry
+from repro.serve import protocol
 from repro.serve.daemon import DaemonHandle, GraphQueryDaemon
 from repro.serve.loadgen import DEFAULT_MIX, ServeClient, run_load
-from repro.serve.telemetry import DELTA_COUNTERS
+from repro.serve.telemetry import DELTA_COUNTERS, ServeTelemetry
 
 
 def wait_for_trace(handle: DaemonHandle, trace_id: str) -> dict:
@@ -30,11 +34,9 @@ def wait_for_trace(handle: DaemonHandle, trace_id: str) -> dict:
     Traces are filed *after* the reply is written, so a client can see
     its reply a moment before the recorder does.
     """
-    import time
-
     deadline = time.monotonic() + 5.0
     while time.monotonic() < deadline:
-        for trace in handle.daemon.flight.traces():
+        for trace in handle.daemon.telemetry.recorder.traces():
             if trace.get("trace") == trace_id:
                 return trace
         time.sleep(0.01)
@@ -50,7 +52,9 @@ def daemon(serve_context):
             port=0,
             workers=4,
             queue_limit=16,
-            flight=flightrecorder.FlightRecorder(slow_threshold_s=0.0),
+            telemetry=ServeTelemetry(
+                recorder=flightrecorder.FlightRecorder(slow_threshold_s=0.0)
+            ),
         )
     )
     with handle:
@@ -177,7 +181,7 @@ class TestFlightRecorderIntegration:
         trace_id = reply["server"]["trace"]
         assert trace_id  # never an empty trace id
         wait_for_trace(daemon, trace_id)
-        errors = daemon.daemon.flight.error_traces()
+        errors = daemon.daemon.telemetry.recorder.error_traces()
         assert errors[-1]["outcome"] == "bad_request"
 
     def test_dump_debug_bundle_round_trips(self, daemon, tmp_path):
@@ -188,6 +192,88 @@ class TestFlightRecorderIntegration:
         bundle = flightrecorder.read_debug_bundle(path)
         assert "bdl" in {t["trace"] for t in bundle["traces"]}
         assert bundle["config"]["queue_limit"] == 16
+
+    def test_debug_slow_entries_are_the_retained_slow_traces(self, daemon):
+        # One slow top-K: the log lines debug (and bundles, and metrics)
+        # serve are the traces the recorder retains, in the same order —
+        # past the point where the heap has started evicting.
+        with ServeClient("127.0.0.1", daemon.port) as client:
+            for i in range(40):
+                client.request_ok("ping", trace={"id": f"p{i}"})
+            client.request_ok("query", name="query3", trace={"id": "q3"})
+            debug = client.debug()
+        retained = debug["flight"]["retained"]["slow"]
+        assert len(retained) == daemon.daemon.telemetry.recorder.slow_top
+        assert [entry["trace"] for entry in debug["slow"]] == retained
+        assert debug["stats"]["slow_queries"]["top"] == debug["slow"]
+        # Log lines, not traces: no span tree, no parent link.
+        assert not any("spans" in entry for entry in debug["slow"])
+
+    def test_default_daemon_has_one_slow_threshold(self, serve_context):
+        with DaemonHandle(GraphQueryDaemon(serve_context, port=0)) as handle:
+            with ServeClient("127.0.0.1", handle.port) as client:
+                metrics = client.request_ok("metrics")
+                debug = client.debug()
+        threshold_ms = metrics["slow_queries"]["threshold_ms"]
+        assert threshold_ms == debug["config"]["flight"]["slow_threshold_ms"]
+        assert threshold_ms == debug["flight"]["slow_threshold_ms"] == 100.0
+
+    def test_shed_attempt_and_its_served_retry_are_both_kept(
+        self, serve_context
+    ):
+        """A retried trace id keeps both documents, each exactly once."""
+        daemon = GraphQueryDaemon(
+            serve_context,
+            port=0,
+            workers=1,
+            queue_limit=1,
+            # Every document is slow, so the shed one is filed as slow
+            # *and* error and must still be dumped once.
+            telemetry=ServeTelemetry(
+                recorder=flightrecorder.FlightRecorder(slow_threshold_s=0.0)
+            ),
+        )
+        blocked = threading.Event()
+        release = threading.Event()
+
+        def plug() -> None:
+            blocked.set()
+            release.wait(30)
+
+        with DaemonHandle(daemon) as handle:
+            try:
+                # Occupy the only worker, then the only admission slot
+                # with a query stuck behind it (a deadline keeps it off
+                # the loop).
+                daemon._executor.submit(plug)
+                assert blocked.wait(10)
+                stuck = socket.create_connection(
+                    ("127.0.0.1", handle.port), timeout=30
+                )
+                protocol.send_frame(
+                    stuck, {"id": 0, "op": "query", "name": "query1",
+                            "deadline_ms": 60_000}
+                )
+                deadline = time.monotonic() + 10
+                while daemon._inflight < 1:
+                    assert time.monotonic() < deadline, "query never admitted"
+                    time.sleep(0.01)
+                with ServeClient("127.0.0.1", handle.port) as client:
+                    context = {"id": "retry-1"}
+                    shed = client.request("query", name="query2", trace=context)
+                    assert shed["error"]["type"] == protocol.ERROR_BACKPRESSURE
+                    release.set()
+                    assert protocol.recv_frame(stuck)["ok"] is True
+                    stuck.close()
+                    served = client.request("query", name="query2", trace=context)
+                    assert served["ok"] is True
+                    debug = client.debug()
+            finally:
+                release.set()
+        attempts = [t for t in debug["traces"] if t["trace"] == "retry-1"]
+        assert [t["outcome"] for t in attempts] == ["backpressure", "ok"]
+        assert attempts[0]["spans"] == []
+        assert any(s["name"] == "request.query" for s in attempts[1]["spans"])
 
 
 class TestDisabledTracingCost:
@@ -214,10 +300,3 @@ class TestDisabledTracingCost:
         assert traces["two"]["spans"][0]["id"] == 0
         # And nothing leaked into this (main) thread's context.
         assert tracing.current_tracer() is None
-
-
-class TestLayerConstants:
-    def test_lifecycle_phases_match_across_layers(self):
-        # flightrecorder (obs) cannot import serve, so it duplicates the
-        # phase list; this is the pin that keeps the copies identical.
-        assert flightrecorder.LIFECYCLE_PHASES == serve_telemetry.PHASES
