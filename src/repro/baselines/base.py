@@ -156,12 +156,7 @@ class RepresentationPair:
         return self.forward.metrics.get(name) + self.backward.metrics.get(name)
 
     def snapshot(self) -> dict[str, int]:
-        """Every counter summed over both directions.
-
-        Also the registry face a :class:`~repro.obs.tracing.Tracer`
-        binds to — it only snapshots and diffs — so a span's counter
-        delta is the pair's combined forward + backward I/O.
-        """
+        """Every counter summed over both directions."""
         totals = self.forward.io_stats()
         for name, value in self.backward.io_stats().items():
             totals[name] = totals.get(name, 0) + value

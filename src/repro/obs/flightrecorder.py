@@ -1,10 +1,10 @@
 """Flight recorder: the one place a finished request is kept.
 
-The serving daemon produces one **trace document** per request — a plain
-JSON-ready dict joining the request's lifecycle record (phases, outcome,
-attributed session counter deltas) with its span tree (stable-id records
-from :meth:`repro.obs.tracing.Tracer.span_records`).  A
-:class:`FlightRecorder` keeps those documents *after* the reply has been
+The serving daemon leaves one record per request, read as a **trace
+document** — a plain JSON-ready dict joining the request's lifecycle
+(phases, outcome, attributed session counters) with its span tree
+(:func:`repro.obs.tracing.span_records`).  A
+:class:`FlightRecorder` keeps the records *after* the reply has been
 sent, so a slow request can be explained hours later without re-running
 it:
 
@@ -29,9 +29,8 @@ in memory and in debug bundles, so a trail grows by one short line per
 request however deep a query's navigation went.
 
 Recording is always on and near-zero cost for fast requests: one lock,
-one deque append, one modulo, one threshold comparison.  The expensive
-part — building the document and its span records — is paid once per
-request by the caller.
+one deque append, one modulo, one threshold comparison.  Documents and
+trail lines are built only when read (or written to a trail).
 
 A recorder (plus surrounding state) dumps to a **debug bundle**: one
 directory holding ``MANIFEST.json``, ``traces.jsonl`` (schema header
@@ -82,14 +81,6 @@ DEFAULT_SLOW_THRESHOLD_S = 0.100
 #: Default access sampling: every request (operators tune this down).
 DEFAULT_SAMPLE_EVERY = 1
 
-#: Trace-document keys a trail line leaves out.
-_TRACE_ONLY = ("parent", "spans")
-
-
-def _trail_view(trace: dict) -> dict:
-    """A trace document as a trail line carries it (no parent/spans)."""
-    return {key: value for key, value in trace.items() if key not in _TRACE_ONLY}
-
 
 def _open_trail(path) -> IO[str] | None:
     if path is None:
@@ -99,19 +90,20 @@ def _open_trail(path) -> IO[str] | None:
     return path.open("a")
 
 
-def _append(trail: IO[str], trace: dict) -> None:
-    line = json.dumps(_trail_view(trace), sort_keys=True, separators=(",", ":"))
+def _append(trail: IO[str], record) -> None:
+    line = json.dumps(record.log_view(), sort_keys=True, separators=(",", ":"))
     trail.write(line + "\n")
     trail.flush()
 
 
 class FlightRecorder:
-    """Bounded retention of finished request traces, plus their trails.
+    """Bounded retention of finished request records, plus their trails.
 
-    ``record()`` takes one trace document (see the module docstring) and
-    files it in up to three places: the recent ring (always), the slow
-    top-K heap (when ``server_us`` meets the threshold) and the error
-    ring (when ``outcome`` is not ``ok``).  All three are bounded, so an
+    ``record()`` takes one finished, never again changed
+    :class:`~repro.serve.telemetry.RequestRecord` and files it in up to
+    three places: the recent ring (always), the slow top-K heap (when
+    its server time meets the threshold) and the error ring (when
+    ``outcome`` is not ``ok``).  All three are bounded, so an
     arbitrarily long serving run holds flat memory.  With ``access_log``
     / ``slow_log`` paths it also appends the sampled / slow requests'
     trail lines; :meth:`close` flushes and closes both (idempotent).
@@ -149,36 +141,36 @@ class FlightRecorder:
         #: Traces that met the slow threshold (not all are retained).
         self.slow_seen = 0
         self._lock = threading.Lock()
-        self._recent: deque[dict] = deque(maxlen=recent)
-        #: Min-heap of (server_us, seq, trace): the root is the *fastest*
-        #: retained slow trace, evicted first when a slower one arrives.
-        self._slow: list[tuple[int, int, dict]] = []
-        self._errors: deque[dict] = deque(maxlen=errors)
+        self._recent: deque = deque(maxlen=recent)
+        #: Min-heap of (server_us, seq, record): the root is the *fastest*
+        #: retained slow request, evicted first when a slower one arrives.
+        self._slow: list[tuple] = []
+        self._errors: deque = deque(maxlen=errors)
         self._access = _open_trail(access_log)
         self._slow_trail = _open_trail(slow_log)
 
-    def record(self, trace: dict) -> None:
-        """File one finished trace document (thread-safe, O(log K))."""
-        server_us = int(trace.get("server_us", 0))
+    def record(self, record) -> None:
+        """File one finished request (thread-safe, O(log K))."""
+        server_us = round(record.server_s * 1e6)
         with self._lock:
             seq = self.recorded
             self.recorded += 1
-            self._recent.append(trace)
+            self._recent.append(record)
             if seq % self.sample_every == 0:
                 self.logged += 1
                 if self._access is not None:
-                    _append(self._access, trace)
+                    _append(self._access, record)
             if server_us >= self.slow_threshold_s * 1e6:
                 self.slow_seen += 1
-                entry = (server_us, seq, trace)
+                entry = (server_us, seq, record)
                 if len(self._slow) < self.slow_top:
                     heapq.heappush(self._slow, entry)
                 elif server_us > self._slow[0][0]:
                     heapq.heapreplace(self._slow, entry)
                 if self._slow_trail is not None:
-                    _append(self._slow_trail, trace)
-            if trace.get("outcome", "ok") != "ok":
-                self._errors.append(trace)
+                    _append(self._slow_trail, record)
+            if record.outcome != "ok":
+                self._errors.append(record)
 
     def close(self) -> None:
         """Flush and close both trails (retained traces survive)."""
@@ -190,53 +182,53 @@ class FlightRecorder:
 
     # -- views ---------------------------------------------------------------
 
-    def recent_traces(self) -> list[dict]:
-        """The recent ring, oldest first."""
-        with self._lock:
-            return list(self._recent)
-
-    def slow_traces(self) -> list[dict]:
-        """Retained slow traces, slowest first."""
+    def _slowest_first(self) -> list:
         with self._lock:
             ordered = sorted(self._slow, key=lambda e: (-e[0], e[1]))
-        return [trace for _us, _seq, trace in ordered]
+        return [record for _us, _seq, record in ordered]
+
+    def _documents(self, ring) -> list[dict]:
+        with self._lock:
+            records = list(ring)
+        return [record.trace_view() for record in records]
+
+    def recent_traces(self) -> list[dict]:
+        """The recent ring's trace documents, oldest first."""
+        return self._documents(self._recent)
+
+    def slow_traces(self) -> list[dict]:
+        """Retained slow requests' trace documents, slowest first."""
+        return [record.trace_view() for record in self._slowest_first()]
 
     def slow_entries(self) -> list[dict]:
         """Retained slow requests as trail lines, slowest first."""
-        return [_trail_view(trace) for trace in self.slow_traces()]
+        return [record.log_view() for record in self._slowest_first()]
 
     def error_traces(self) -> list[dict]:
-        """The error ring, oldest first."""
-        with self._lock:
-            return list(self._errors)
+        """The error ring's trace documents, oldest first."""
+        return self._documents(self._errors)
 
     def traces(self) -> list[dict]:
-        """Every retained trace, each document once.
+        """Every retained request's trace document, each request once.
 
-        Recent traces first (oldest to newest), then slow and error
-        traces that have already aged out of the recent ring — so the
-        dump is a superset of every retention class.  One document filed
-        in several classes is the same dict, so identity is the key: two
-        attempts under one trace id (a shed request and its retry) are
-        two documents and both stay.
+        Recent requests first (oldest to newest), then slow and error
+        requests that have already aged out of the recent ring — so the
+        dump is a superset of every retention class.  Identity is the
+        key: two attempts under one trace id (a shed request and its
+        retry) are two records and both stay.
         """
-        out: list[dict] = []
-        seen: set[int] = set()
-        for trace in (
-            self.recent_traces() + self.slow_traces() + self.error_traces()
-        ):
-            if id(trace) not in seen:
-                seen.add(id(trace))
-                out.append(trace)
-        return out
+        with self._lock:
+            recent, errors = list(self._recent), list(self._errors)
+        ordered = recent + self._slowest_first() + errors
+        unique = {id(record): record for record in ordered}
+        return [record.trace_view() for record in unique.values()]
 
     def snapshot(self) -> dict:
         """Counts + retained trace ids (the ``debug`` op's summary)."""
+        slow_ids = [str(r.trace) for r in self._slowest_first()]
         with self._lock:
-            recent_ids = [str(t.get("trace")) for t in self._recent]
-            slow = sorted(self._slow, key=lambda e: (-e[0], e[1]))
-            slow_ids = [str(t.get("trace")) for _us, _seq, t in slow]
-            error_ids = [str(t.get("trace")) for t in self._errors]
+            recent_ids = [str(r.trace) for r in self._recent]
+            error_ids = [str(r.trace) for r in self._errors]
         return {
             "recorded": self.recorded,
             "slow_seen": self.slow_seen,

@@ -70,11 +70,13 @@ class LatencyHistogram:
         """Largest value bucket ``index`` can hold."""
         return self.min_value * self.growth**index if index > 0 else self.min_value
 
-    def record(self, value: float) -> None:
-        """Record one observation (negative values clamp to zero)."""
+    def record(self, value: float, index: int | None = None) -> None:
+        """Record one observation (negative values clamp to zero); ``index``
+        is its :meth:`bucket_index`, if the caller has it already."""
         if value < 0:
             value = 0.0
-        index = self.bucket_index(value)
+        if index is None:
+            index = self.bucket_index(value)
         self._buckets[index] = self._buckets.get(index, 0) + 1
         self.count += 1
         self.sum += value

@@ -2,10 +2,10 @@
 
 A :class:`Tracer` records a bounded tree of :class:`Span` objects.  Spans
 nest (``with tracer.span("build.refine"): ...``), carry arbitrary
-attributes, measure wall time, and — when the tracer is bound to a
-:class:`~repro.storage.metrics.MetricsRegistry` — capture the registry's
-counter deltas between span entry and exit, so "this refinement phase did
-N disk seeks" falls out of the existing accounting for free.
+attributes, measure wall time, and carry the counters charged to the
+innermost open span (:meth:`Tracer.charge`, which a
+:class:`~repro.storage.metrics.MetricsRegistry` whose ``tracer`` is set
+calls on every increment), a closing span's added to its parent's.
 
 Instrumented library code does not thread tracer objects through every
 call.  Instead it uses the module-level helpers:
@@ -48,8 +48,6 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.storage.metrics import MetricsRegistry
-
 #: Default bound on stored span-tree nodes.
 DEFAULT_MAX_SPANS = 10_000
 
@@ -75,7 +73,6 @@ class Span:
         "notes",
         "span_id",
         "parent_id",
-        "_entry_snapshot",
     )
 
     def __init__(
@@ -97,15 +94,21 @@ class Span:
         self.span_id = span_id
         #: The enclosing span's ``span_id`` (:data:`ROOT_PARENT` for roots).
         self.parent_id = parent_id
-        #: Registry counter deltas captured at span exit (entry vs exit).
-        self.counters: dict[str, float] = {}
+        #: Counters charged while it was open, its children's included.
+        self.counters: dict[str, int] = {}
         #: Span-local event counts attached via :func:`note`.
         self.notes: dict[str, int] = {}
-        self._entry_snapshot: dict[str, float] | None = None
 
     def note(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to this span's local event count ``name``."""
         self.notes[name] = self.notes.get(name, 0) + amount
+
+    def charge(self, counts: dict[str, int]) -> None:
+        """Add every nonzero ``{name: amount}`` to this span's counters."""
+        counters = self.counters
+        for name, amount in counts.items():
+            if amount:
+                counters[name] = counters.get(name, 0) + amount
 
     def to_dict(self) -> dict:
         """JSON-serializable view of this span (children excluded)."""
@@ -124,22 +127,27 @@ class Span:
         return out
 
 
+def span_records(roots: list[Span]) -> list[dict]:
+    """The trees under ``roots`` as JSON-ready dicts, depth-first, each
+    with its stable ``id`` and ``parent`` (:data:`ROOT_PARENT` for roots),
+    so a consumer can rebuild the tree from the records in any order."""
+    records = []
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        record = {"id": node.span_id, "parent": node.parent_id}
+        record.update(node.to_dict())
+        records.append(record)
+        stack.extend(reversed(node.children))
+    return records
+
+
 class Tracer:
     """Bounded span-tree recorder with per-name aggregate summaries."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        max_spans: int = DEFAULT_MAX_SPANS,
-    ) -> None:
-        """``registry`` may be a :class:`MetricsRegistry` or any object
-        with a compatible ``snapshot() -> dict`` — the tracer only ever
-        snapshots and diffs, so a composite view over several session
-        registries (the daemon's per-connection pair) plugs in directly.
-        """
+    def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
         if max_spans <= 0:
             raise ValueError(f"max_spans must be > 0, got {max_spans}")
-        self.registry = registry
         self.max_spans = max_spans
         self.roots: list[Span] = []
         self.dropped = 0
@@ -184,8 +192,6 @@ class Tracer:
                 self.roots.append(node)
         else:
             self.dropped += 1
-        if self.registry is not None:
-            node._entry_snapshot = self.registry.snapshot()
         self._stack.append(node)
         try:
             yield node
@@ -195,18 +201,19 @@ class Tracer:
         finally:
             self._stack.pop()
             node.duration_s = time.perf_counter() - started
-            if node._entry_snapshot is not None:
-                delta = MetricsRegistry.diff(
-                    node._entry_snapshot, self.registry.snapshot()
-                )
-                node.counters = {k: v for k, v in delta.items() if v}
-                node._entry_snapshot = None
+            if self._stack and node.counters:
+                self._stack[-1].charge(node.counters)  # the child's are the parent's
             entry = self._summary.setdefault(name, [0, 0.0, 0.0, 0])
             entry[0] += 1
             entry[1] += node.duration_s
             entry[2] = max(entry[2], node.duration_s)
             if node.status != "ok":
                 entry[3] += 1
+
+    def charge(self, counts: dict[str, int]) -> None:
+        """Add the nonzero ``{name: amount}`` to the innermost open span."""
+        if self._stack:
+            self._stack[-1].charge(counts)
 
     def note(self, name: str, amount: int = 1) -> None:
         """Attach an event count to the innermost open span (if any)."""
@@ -251,28 +258,6 @@ class Tracer:
             for name, entry in sorted(self._summary.items())
         }
 
-    def _walk(self) -> Iterator[Span]:
-        """Stored spans, depth-first (ids live on the spans themselves)."""
-        stack: list[Span] = list(reversed(self.roots))
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def span_records(self) -> list[dict]:
-        """Stored spans as JSON-ready dicts, depth-first, with stable ids.
-
-        Each record carries the span's ``id`` (assigned at open time) and
-        ``parent`` (:data:`ROOT_PARENT` for roots), so a consumer can
-        rebuild the tree from the records in any order.
-        """
-        records = []
-        for node in self._walk():
-            record = {"id": node.span_id, "parent": node.parent_id}
-            record.update(node.to_dict())
-            records.append(record)
-        return records
-
     def to_jsonl(self) -> str:
         """Schema header line + one JSON object per stored span.
 
@@ -289,7 +274,7 @@ class Tracer:
             "dropped": self.dropped,
         }
         lines = [json.dumps(header, sort_keys=True)]
-        for record in self.span_records():
+        for record in span_records(self.roots):
             lines.append(json.dumps(record, sort_keys=True))
         return "\n".join(lines)
 

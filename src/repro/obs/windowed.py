@@ -49,7 +49,26 @@ DEFAULT_WINDOW_SECONDS = 10.0
 DEFAULT_WINDOWS = 6
 
 
-class WindowedHistogram:
+class _Windows:
+    """The ring of fixed-width clock windows a windowed aggregate keeps."""
+
+    def __init__(self, window_seconds: float, windows: int, clock) -> None:
+        if window_seconds <= 0:
+            raise ValueError(f"window_seconds must be > 0, got {window_seconds}")
+        if windows < 1:
+            raise ValueError(f"windows must be >= 1, got {windows}")
+        self.window_seconds = float(window_seconds)
+        self.windows = windows
+        self.clock = clock
+        self._lock = threading.Lock()
+        #: (window_index, window's aggregate), oldest first; at most ``windows``.
+        self._ring: deque = deque()
+
+    def _window_index(self, now: float) -> int:
+        return int(now // self.window_seconds)
+
+
+class WindowedHistogram(_Windows):
     """Ring of :class:`LatencyHistogram` buckets rotated on a clock.
 
     ``clock`` must be monotonic (``time.monotonic`` by default; tests
@@ -69,27 +88,15 @@ class WindowedHistogram:
         growth: float = DEFAULT_GROWTH,
         on_rotate: Callable[[int, LatencyHistogram], None] | None = None,
     ) -> None:
-        if window_seconds <= 0:
-            raise ValueError(f"window_seconds must be > 0, got {window_seconds}")
-        if windows < 1:
-            raise ValueError(f"windows must be >= 1, got {windows}")
-        self.window_seconds = float(window_seconds)
-        self.windows = windows
-        self.clock = clock
+        super().__init__(window_seconds, windows, clock)
         self.min_value = min_value
         self.growth = growth
         self.on_rotate = on_rotate
         #: Every observation ever recorded (never rotated away).
         self.cumulative = LatencyHistogram(min_value, growth)
-        self._lock = threading.Lock()
-        #: (window_index, histogram), oldest first; at most ``windows``.
-        self._ring: deque[tuple[int, LatencyHistogram]] = deque()
         #: latency bucket -> (window_index, value, exemplar id); pruned
         #: with the windows, so an exemplar never outlives its window.
         self._exemplars: dict[int, tuple[int, float, str]] = {}
-
-    def _window_index(self, now: float) -> int:
-        return int(now // self.window_seconds)
 
     def _advance(self, now: float) -> None:
         """Close every live bucket older than the decay horizon (locked)."""
@@ -107,15 +114,19 @@ class WindowedHistogram:
             for bucket in stale:
                 del self._exemplars[bucket]
 
-    def record(self, value: float, exemplar: str | None = None) -> None:
+    def record(self, value: float, exemplar: str | None = None, now=None) -> None:
         """Record one observation into the current window + cumulative.
 
         When ``exemplar`` is given (a trace/request id), it replaces the
         stored exemplar for the latency bucket ``value`` falls in —
-        latest wins, so the exemplar is always a fresh witness.
+        latest wins, so the exemplar is always a fresh witness.  ``now``
+        is the clock as a caller filing several observations read it.
         """
-        now = self.clock()
+        if now is None:
+            now = self.clock()
         index = self._window_index(now)
+        recorded = 0.0 if value < 0 else value
+        bucket = self.cumulative.bucket_index(recorded)
         with self._lock:
             if not self._ring or self._ring[-1][0] != index:
                 # The window moved: only now can a bucket or an exemplar
@@ -124,10 +135,9 @@ class WindowedHistogram:
                 self._ring.append(
                     (index, LatencyHistogram(self.min_value, self.growth))
                 )
-            self._ring[-1][1].record(value)
-            self.cumulative.record(value)
+            self._ring[-1][1].record(recorded, bucket)
+            self.cumulative.record(recorded, bucket)
             if exemplar is not None:
-                bucket = self.cumulative.bucket_index(value)
                 self._exemplars[bucket] = (index, value, exemplar)
 
     def exemplars(self) -> dict[int, dict]:
@@ -182,7 +192,7 @@ class WindowedHistogram:
         return out
 
 
-class WindowedCounter:
+class WindowedCounter(_Windows):
     """Per-window event counts with a decaying rate and cumulative total.
 
     ``add(n)`` charges the current window; ``rate()`` is the live-window
@@ -196,29 +206,19 @@ class WindowedCounter:
         windows: int = DEFAULT_WINDOWS,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if window_seconds <= 0:
-            raise ValueError(f"window_seconds must be > 0, got {window_seconds}")
-        if windows < 1:
-            raise ValueError(f"windows must be >= 1, got {windows}")
-        self.window_seconds = float(window_seconds)
-        self.windows = windows
-        self.clock = clock
+        super().__init__(window_seconds, windows, clock)
         self.total = 0
-        self._lock = threading.Lock()
-        self._ring: deque[tuple[int, int]] = deque()
         self._started = self.clock()
-
-    def _window_index(self, now: float) -> int:
-        return int(now // self.window_seconds)
 
     def _advance(self, now: float) -> None:
         floor = self._window_index(now) - self.windows + 1
         while self._ring and self._ring[0][0] < floor:
             self._ring.popleft()
 
-    def add(self, amount: int = 1) -> None:
+    def add(self, amount: int = 1, now=None) -> None:
         """Count ``amount`` events in the current window (and the total)."""
-        now = self.clock()
+        if now is None:
+            now = self.clock()
         index = self._window_index(now)
         with self._lock:
             self._advance(now)
@@ -273,7 +273,10 @@ class WindowedHistogramSet:
         self._histograms: dict[str, WindowedHistogram] = {}
 
     def get(self, name: str) -> WindowedHistogram:
-        """The windowed histogram for ``name`` (created on first use)."""
+        """The windowed histogram for ``name`` (made, locked, on first use)."""
+        histogram = self._histograms.get(name)
+        if histogram is not None:
+            return histogram
         with self._lock:
             histogram = self._histograms.get(name)
             if histogram is None:
@@ -287,9 +290,9 @@ class WindowedHistogramSet:
                 self._histograms[name] = histogram
             return histogram
 
-    def observe(self, name: str, value: float, exemplar: str | None = None) -> None:
+    def observe(self, name: str, value: float, exemplar=None, now=None) -> None:
         """Record ``value`` under operation ``name`` (optional exemplar id)."""
-        self.get(name).record(value, exemplar)
+        self.get(name).record(value, exemplar, now)
 
     def names(self) -> list[str]:
         """Recorded operation names, sorted."""

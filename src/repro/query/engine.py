@@ -86,9 +86,9 @@ class QueryEngine:
         start = time.perf_counter()
         try:
             # When a tracer is active (request-scoped tracing in the
-            # daemon), each navigation block is also a span — storage
-            # counter deltas then attribute hits/seeks/bytes to exactly
-            # this operation.  Free when no tracer is active.
+            # daemon), each navigation block is also a span — the storage
+            # counters charged to it attribute hits/seeks/bytes to
+            # exactly this operation.  Free when no tracer is active.
             with tracing.span(f"nav.{op}"):
                 yield
         finally:
@@ -139,4 +139,4 @@ class QueryEngine:
 
     def domain_of(self, page: int) -> str:
         """Registered domain of ``page``."""
-        return self.repository.page(page).domain
+        return self.repository.domain_of(page)

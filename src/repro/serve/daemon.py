@@ -164,11 +164,7 @@ def _expired(deadline_ms: float) -> DeadlineError:
 
 
 class ClientEngine(RepresentationPair):
-    """One connection's client views plus the engine reading through them.
-
-    Its :meth:`~repro.baselines.base.RepresentationPair.snapshot` is
-    what a request-scoped :class:`~repro.obs.tracing.Tracer` binds to.
-    """
+    """One connection's client views plus the engine reading through them."""
 
     def __init__(self, engine: QueryEngine, forward, backward, generation: int = 0) -> None:
         super().__init__(forward, backward)
@@ -180,15 +176,13 @@ class ClientEngine(RepresentationPair):
         #: Whether the connection's previous lookup or query loaded a graph.
         self.loaded = False
 
-    @contextlib.contextmanager
-    def memory_only(self):
-        """Both views answer from the buffer pools, or raise
-        :class:`~repro.errors.NotResident`, inside the block."""
-        self.forward.memory_only = self.backward.memory_only = True
-        try:
-            yield
-        finally:
-            self.forward.memory_only = self.backward.memory_only = False
+    def bind(self, tracer: Tracer | None = None, memory_only: bool = False) -> None:
+        """Both views, for one execution: their sessions charge ``tracer``'s
+        open span (the stores' registries never: theirs is nobody's request),
+        and ``memory_only`` reads raise :class:`~repro.errors.NotResident`
+        instead of reading a file.  No argument undoes both."""
+        for view in (self.forward, self.backward):
+            view.metrics.tracer, view.memory_only = tracer, memory_only
 
 
 class ServeContext:
@@ -671,19 +665,18 @@ class GraphQueryDaemon:
                     deadline = self._admit(accepted, deadline_ms)
                     admitted = True
                     # One tracer per request, however often it executes.
-                    tracer = Tracer(registry=engine)
+                    tracer = Tracer()
                     call = (engine, handler, request, record, tracer, clock(), deadline)
                     answered = False
                     if tries(engine, deadline_ms):
                         # The executor hop costs more than a resident
                         # answer, so execute right here — same tracer,
-                        # same counter delta, queue wait ~0 — with file
+                        # same counters, queue wait ~0 — with file
                         # reads forbidden.  Nothing else runs on the
                         # loop meanwhile, so no swap or timer can
                         # interleave.
                         try:
-                            with engine.memory_only():
-                                result = self._execute_measured(*call)
+                            result = self._execute_measured(*call, memory_only=True)
                             answered = True
                             self.counters.inline_replies += 1
                         except NotResident:
@@ -896,16 +889,17 @@ class GraphQueryDaemon:
         tracer: Tracer,
         submitted: float,
         deadline: float | None = None,
+        memory_only: bool = False,
     ):
-        """Run a queued op's handler: queue-wait + execute spans, counter deltas.
+        """Run a queued op's handler: queue-wait + execute spans, counters.
 
-        ``tracer`` is the *request-scoped* tracer, bound to the
-        connection's session pair and activated for this thread only
-        (contextvar confinement): the root span is ``request.<op>``,
-        navigation helpers add ``nav.*`` children, and every span's
-        counter delta is this connection's I/O — another worker's
-        request can never leak into it.  The resulting span records ride
-        on the request record into the flight recorder.
+        ``tracer`` is the *request-scoped* tracer, charged by the
+        connection's sessions and activated for this thread only: the
+        root span is ``request.<op>``, navigation helpers add ``nav.*``
+        children, and every span's counters are this connection's I/O —
+        another worker's request can never leak into it.  The root spans
+        ride on the request record into the flight recorder.
+        ``memory_only`` is the loop's attempt (:meth:`ClientEngine.bind`).
 
         A request whose ``deadline`` passed while it waited in the queue
         is shed here, at queue exit, without executing — the second
@@ -926,20 +920,25 @@ class GraphQueryDaemon:
                 "ms of queue wait; request shed unexecuted"
             )
         tracer.restart()
+        engine.bind(tracer, memory_only)
         try:
             with tracing.activated(tracer):
                 with tracer.span(f"request.{record.op}", rid=record.rid):
                     return handler(self, engine, request)
         finally:
+            engine.bind()
             record.phases["execute"] = clock() - begin
             # Requests on one connection are strictly sequential, so
             # what its sessions counted while a root span was open is
-            # exactly this request's I/O.
-            record.counters = {
-                name: sum(root.counters.get(name, 0) for root in tracer.roots)
-                for name in DELTA_COUNTERS
-            }
-            record.spans = tracer.span_records()
+            # exactly this request's I/O.  A copy of the roots: a worker
+            # run after a miss adds its own to the tracer's list.
+            record.roots = roots = tracer.roots[:]
+            counters = dict.fromkeys(DELTA_COUNTERS, 0)
+            for root in roots:
+                for name, amount in root.counters.items():
+                    if name in counters:
+                        counters[name] += amount
+            record.counters = counters
 
     def _ping(self, engine: ClientEngine, request: dict) -> dict:
         return {"pong": True}

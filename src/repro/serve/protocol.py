@@ -129,42 +129,62 @@ def parse_deadline_ms(request) -> float | None:
     return float(raw)
 
 
+#: Exact types :func:`canonicalize` passes through unchanged.
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+_STR = frozenset((str,))
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, made once.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class _CanonicalDict(dict):
+    """Plain JSON all the way down, as :func:`canonicalize` and the reply
+    constructors build it: canonicalizing it again returns it as it is."""
+
+    __slots__ = ()
+
+
 def canonicalize(value):
     """Map a query payload onto deterministic plain-JSON values.
 
     Sets become sorted lists, tuples become lists, non-string dict keys
     become strings (entries sorted by that string key).  The result
     round-trips through ``json`` unchanged, so digests computed on
-    either side of the wire agree.
+    either side of the wire agree.  A container of scalars is copied or
+    sorted in one C-level call, and a dict this function made comes back
+    as it is: a payload canonicalized for its digest is not walked again.
     """
+    if type(value) in _SCALARS or type(value) is _CanonicalDict:
+        return value
     if isinstance(value, dict):
+        if _STR.issuperset(map(type, value)):
+            canonical = _CanonicalDict()
+            for key in sorted(value):
+                item = value[key]
+                canonical[key] = item if type(item) in _SCALARS else canonicalize(item)
+            return canonical
         items = [(str(key), canonicalize(item)) for key, item in value.items()]
         items.sort(key=lambda kv: kv[0])
         if len({key for key, _ in items}) != len(items):
             raise ServeError("payload dict keys collide after stringification")
-        return dict(items)
-    if isinstance(value, (set, frozenset)):
-        return sorted(canonicalize(item) for item in value)
-    if isinstance(value, (list, tuple)):
-        return [canonicalize(item) for item in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, float, str)):
+        return _CanonicalDict(items)
+    if isinstance(value, (set, frozenset, list, tuple)):
+        items = value if _SCALARS.issuperset(map(type, value)) else map(canonicalize, value)
+        return sorted(items) if isinstance(value, (set, frozenset)) else list(items)
+    if isinstance(value, (int, float, str)) or value is None:
         return value
     raise ServeError(f"cannot canonicalize payload value of type {type(value).__name__}")
 
 
 def canonical_json(value) -> str:
     """Deterministic JSON text of ``value`` (after :func:`canonicalize`)."""
-    return json.dumps(
-        canonicalize(value), sort_keys=True, separators=(",", ":")
-    )
+    return _CANONICAL_JSON.encode(canonicalize(value))
 
 
 def canonical_digest(canonical) -> str:
     """:func:`payload_digest` of a value :func:`canonicalize` already made
     (canonicalizing is idempotent, so the digests agree)."""
-    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    text = _CANONICAL_JSON.encode(canonical)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -273,20 +293,20 @@ def recv_frame(sock: socket.socket):
 def error_reply(
     request_id, error_type: str, message: str, server: dict | None = None
 ) -> dict:
-    """A failure reply frame (``server`` echoes the request telemetry)."""
-    reply = {
-        "id": request_id,
-        "ok": False,
-        "error": {"type": error_type, "message": message},
-    }
+    """A failure reply frame (``server`` echoes the request telemetry);
+    canonical as built — the decoded ``id``, a plain-JSON ``server``."""
+    reply = _CanonicalDict(
+        id=request_id, ok=False, error={"type": error_type, "message": message}
+    )
     if server is not None:
         reply["server"] = server
     return reply
 
 
 def ok_reply(request_id, result, server: dict | None = None) -> dict:
-    """A success reply frame (``server`` echoes the request telemetry)."""
-    reply = {"id": request_id, "ok": True, "result": result}
+    """A success reply frame (``server`` echoes the request telemetry);
+    ``result`` is canonicalized here, the rest as in :func:`error_reply`."""
+    reply = _CanonicalDict(id=request_id, ok=True, result=canonicalize(result))
     if server is not None:
         reply["server"] = server
     return reply

@@ -13,9 +13,9 @@ which maintains:
   are conserved by construction — see ``WindowedHistogram``); an op's
   request count is its histogram's cumulative count;
 * **the flight recorder** (:mod:`repro.obs.flightrecorder`): the one
-  place the finished request itself is kept — recent / slowest /
-  errored traces in memory, the sampled access and slow-query JSONL
-  trails on disk;
+  place the finished request itself is kept — the record as it is,
+  recent / slowest / errored, rendered to trace documents when read —
+  and the sampled access and slow-query JSONL trails on disk;
 * **per-connection counters** for live connections (requests by outcome,
   attributable I/O via the connection's metrics session).
 
@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 # PHASES, the measured phase spans in lifecycle order, is defined once
 # in obs (the flight recorder renders them) and re-exported here.
 from repro.obs.flightrecorder import PHASES, FlightRecorder  # noqa: F401
+from repro.obs.tracing import span_records
 from repro.obs.windowed import (
     DEFAULT_WINDOW_SECONDS,
     DEFAULT_WINDOWS,
@@ -61,8 +62,8 @@ OUTCOMES = (
     "timeout",
 )
 
-#: Session counters attributed per request (deltas of the connection's
-#: metrics session around the execute phase).  This is the complete set
+#: Session counters attributed per request (what the connection's
+#: sessions charged its spans as it executed).  This is the complete set
 #: of counters sessions accumulate, so summing the per-request deltas
 #: over a connection's requests reproduces its session totals exactly —
 #: the conservation identity the serve benchmark gates.
@@ -79,9 +80,11 @@ DELTA_COUNTERS = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
-    """One measured request, as fed to :meth:`ServeTelemetry.record`."""
+    """One measured request, as fed to :meth:`ServeTelemetry.record` —
+    and as the flight recorder keeps it, its dict views built only when
+    read.  Once recorded it is not written again."""
 
     rid: str
     client: str
@@ -92,16 +95,16 @@ class RequestRecord:
     #: Phase name -> seconds; missing phases did not happen (a shed
     #: request has no execute span).
     phases: dict[str, float] = field(default_factory=dict)
-    #: Session counter growth caused by this request (hits/misses/seeks).
+    #: Session counter growth caused by this request (its roots' counters).
     counters: dict[str, int] = field(default_factory=dict)
     error: str | None = None
     #: Trace id: the client's propagated id, else daemon-generated.
     trace: str = ""
     #: Client-side parent span id from the trace context (-1 = none).
     parent: int = -1
-    #: Span records (stable-id dicts) from the request-scoped tracer;
-    #: start times are relative to the execute phase.
-    spans: list = field(default_factory=list)
+    #: The request tracer's root spans, one per execution (a memory-only
+    #: attempt and the worker run after its miss are two).
+    roots: list = field(default_factory=list)
 
     @property
     def server_s(self) -> float:
@@ -129,32 +132,21 @@ class RequestRecord:
 
     def log_view(self) -> dict:
         """The request's fields, as a flight-recorder trail line has them."""
-        return {
-            "rid": self.rid,
-            "trace": self.trace,
-            "client": self.client,
-            "op": self.op,
-            "outcome": self.outcome,
-            "unix": self.unix,
-            "server_us": round(self.server_s * 1e6),
-            "phases_us": {
-                name: round(seconds * 1e6)
-                for name, seconds in sorted(self.phases.items())
-            },
-            "counters": dict(sorted(self.counters.items())),
-            **({"error": self.error} if self.error else {}),
-        }
+        view = self.reply_view()
+        view.update(
+            client=self.client, op=self.op, unix=self.unix, server_us=round(self.server_s * 1e6)
+        )
+        if self.error:
+            view["error"] = self.error
+        return view
 
     def trace_view(self) -> dict:
-        """The complete trace document fed to the flight recorder.
-
-        Everything :meth:`log_view` carries plus the trace-context link
-        and the span tree — the unit :func:`repro.obs.flightrecorder.
-        render_waterfall` renders and debug bundles retain.
-        """
+        """The complete trace document: :meth:`log_view` plus the
+        trace-context link and the span records — the unit
+        :func:`repro.obs.flightrecorder.render_waterfall` renders."""
         doc = self.log_view()
         doc["parent"] = self.parent
-        doc["spans"] = self.spans
+        doc["spans"] = span_records(self.roots)
         return doc
 
 
@@ -173,8 +165,8 @@ class ServeTelemetry:
         self.wall_clock = wall_clock
         self.started = clock()
         self.started_unix = wall_clock()
-        #: Where every finished request's trace document is kept (and
-        #: its access / slow trail lines written).
+        #: Where every finished request is kept (and its access / slow
+        #: trail lines written).
         self.recorder = recorder if recorder is not None else FlightRecorder()
         #: Per-op server latency (one histogram per op name) and
         #: per-phase spans (under ``phase:<name>``), windowed + cumulative.
@@ -209,22 +201,28 @@ class ServeTelemetry:
     # -- recording -----------------------------------------------------------
 
     def record(self, record: RequestRecord) -> None:
-        """Fold one finished request into every aggregate and keep it."""
+        """Fold one finished request into every aggregate (one clock read
+        for all) and keep it — a ``timeout``'s as a copy: its abandoned
+        execution may still write phases, counters and roots to it."""
         if record.outcome not in self.outcomes:
             raise ValueError(f"unknown outcome {record.outcome!r}")
+        now = self.clock()
         # The trace id rides along as the histogram bucket's exemplar, so
         # a p99 bucket in `repro top` names a concrete witness request.
         exemplar = record.trace or record.rid or None
-        self.latency.observe(record.op, record.server_s, exemplar)
+        latency = self.latency
+        latency.observe(record.op, record.server_s, exemplar, now)
         for phase, seconds in record.phases.items():
-            self.latency.observe(f"phase:{phase}", seconds, exemplar)
-        self.outcomes[record.outcome].add()
+            latency.observe(f"phase:{phase}", seconds, exemplar, now)
+        self.outcomes[record.outcome].add(1, now)
         with self._lock:
             connection = self._connections.get(record.client)
             if connection is not None:
                 connection["requests"] = connection.get("requests", 0) + 1
                 connection[record.outcome] = connection.get(record.outcome, 0) + 1
-        self.recorder.record(record.trace_view())
+        if record.outcome == "timeout":
+            record = replace(record, phases=dict(record.phases))
+        self.recorder.record(record)
 
     # -- exposition ----------------------------------------------------------
 

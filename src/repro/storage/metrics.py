@@ -144,7 +144,7 @@ class MetricsRegistry:
     * ``record(kind, key)`` — bounded event log (see :class:`EventLog`);
     * ``child()`` / ``merge()`` / ``get_total()`` — session protocol
       (per-client accumulation that sums back to shared totals);
-    * ``snapshot()`` / ``diff()`` / ``reset()`` — experiment protocol.
+    * ``snapshot()`` / ``reset()`` — experiment protocol.
     """
 
     def __init__(
@@ -159,6 +159,9 @@ class MetricsRegistry:
         self.label = label
         self._lock = threading.RLock()
         self._children: list[MetricsRegistry] = []
+        #: The tracer whose innermost open span every counter increment is
+        #: also charged to (a session's, while one request runs), or None.
+        self.tracer = None
 
     # -- counters ----------------------------------------------------------
 
@@ -166,6 +169,8 @@ class MetricsRegistry:
         """Add ``amount`` to counter ``name`` (created at zero)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
+        if self.tracer is not None:
+            self.tracer.charge({name: amount})
 
     def add_counts(self, counts: dict[str, int]) -> None:
         """Add every ``{name: amount}`` of ``counts`` in one locked update.
@@ -178,6 +183,8 @@ class MetricsRegistry:
             counters = self._counters
             for name, amount in counts.items():
                 counters[name] = counters.get(name, 0) + amount
+        if self.tracer is not None:
+            self.tracer.charge(counts)
 
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (zero if never incremented)."""
@@ -359,16 +366,6 @@ class MetricsRegistry:
             distinct.setdefault(name, set()).update(keys)
         for child in children:
             child._collect(counters, timers, distinct)
-
-    @staticmethod
-    def diff(
-        before: dict[str, float], after: dict[str, float]
-    ) -> dict[str, float]:
-        """Per-name deltas between two :meth:`snapshot` results."""
-        names = set(before) | set(after)
-        return {
-            name: after.get(name, 0) - before.get(name, 0) for name in names
-        }
 
     def reset(self) -> None:
         """Zero every counter, timer and tally; clear the event log.

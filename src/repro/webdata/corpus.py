@@ -10,6 +10,7 @@ scaled-down page count).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -46,6 +47,8 @@ class Repository:
     _domain_members: dict[str, list[int]] = field(default_factory=dict, repr=False)
     _host_members: dict[str, list[int]] = field(default_factory=dict, repr=False)
     _url_to_id: dict[str, int] = field(default_factory=dict, repr=False)
+    #: Page id -> registered domain (:meth:`domain_of`'s table).
+    _page_domains: list[str] = field(default_factory=list, repr=False)
     _transpose: Digraph | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -66,13 +69,14 @@ class Repository:
         self._domain_members = {}
         self._host_members = {}
         self._url_to_id = {}
+        self._page_domains = []
         for page in self.pages:
             host = page.host
+            domain = sys.intern(registered_domain(host))  # one string per domain
             self._host_members.setdefault(host, []).append(page.page_id)
-            self._domain_members.setdefault(registered_domain(host), []).append(
-                page.page_id
-            )
+            self._domain_members.setdefault(domain, []).append(page.page_id)
             self._url_to_id[page.url] = page.page_id
+            self._page_domains.append(domain)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -92,6 +96,10 @@ class Repository:
             return self.pages[page_id]
         except IndexError as exc:
             raise QueryError(f"page id {page_id} out of range") from exc
+
+    def domain_of(self, page_id: int) -> str:
+        """:attr:`Page.domain` of ``pages[page_id]``, from a table."""
+        return self._page_domains[page_id]
 
     def page_by_url(self, url: str) -> Page | None:
         """Page with exactly this URL, or None."""

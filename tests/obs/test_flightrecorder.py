@@ -8,7 +8,7 @@ failing the test named:
 * sampling off by one (``seq % sample_every == 1``, or counting ``seq``
   after the increment) — ``TestAccessTrail::
   test_sampling_is_deterministic_one_in_n``;
-* a trail line carrying ``spans`` (``_TRACE_ONLY`` without it) —
+* a trail line carrying ``spans`` (``_append`` writing ``trace_view()``) —
   ``TestTrailLines::test_trail_line_is_the_parents_log_view``;
 * the slow heap evicting the slowest (``<`` for ``>`` against the heap
   root) — ``TestSlowTrail::test_top_k_keeps_the_slowest``;
@@ -34,6 +34,7 @@ from repro.obs.flightrecorder import (
     render_waterfall,
     write_debug_bundle,
 )
+from repro.obs.tracing import Span
 from repro.serve.telemetry import RequestRecord
 
 
@@ -60,6 +61,53 @@ def make_trace(
     }
 
 
+def span_tree(records: list[dict]) -> list[Span]:
+    """The root :class:`Span` objects whose span records are ``records``."""
+    nodes: dict[int, Span] = {}
+    roots: list[Span] = []
+    for record in records:
+        node = Span(
+            record["name"],
+            record.get("attrs", {}),
+            record["start_s"],
+            record["id"],
+            record["parent"],
+        )
+        node.duration_s = record["duration_s"]
+        node.status = record["status"]
+        node.counters = dict(record.get("counters", {}))
+        node.notes = dict(record.get("notes", {}))
+        nodes[node.span_id] = node
+        siblings = roots if node.parent_id == -1 else nodes[node.parent_id].children
+        siblings.append(node)
+    return roots
+
+
+def make_record(
+    trace_id: str,
+    server_us: int = 1000,
+    outcome: str = "ok",
+    op: str = "query",
+    spans: list | None = None,
+) -> RequestRecord:
+    """The request whose trace document is ``make_trace(...)``."""
+    return RequestRecord(
+        rid=f"rid-{trace_id}",
+        client="client-0",
+        op=op,
+        outcome=outcome,
+        unix=0.0,
+        phases={"decode": 10e-6, "execute": (server_us - 10) * 1e-6},
+        counters={"disk_seeks": 2, "bytes_read": 100},
+        trace=trace_id,
+        roots=span_tree(spans or []),
+    )
+
+
+def test_a_record_reads_as_its_trace_document():
+    assert make_record("t1", spans=SPANS).trace_view() == make_trace("t1", spans=SPANS)
+
+
 def read_trail(path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -68,7 +116,7 @@ class TestFlightRecorder:
     def test_recent_ring_is_bounded_keeps_newest(self):
         recorder = FlightRecorder(recent=3, slow_threshold_s=10.0)
         for i in range(5):
-            recorder.record(make_trace(f"t{i}"))
+            recorder.record(make_record(f"t{i}"))
         ids = [t["trace"] for t in recorder.recent_traces()]
         assert ids == ["t2", "t3", "t4"]
         assert recorder.recorded == 5
@@ -78,22 +126,22 @@ class TestFlightRecorder:
             recent=2, slow_threshold_s=0.001, slow_top=2
         )
         for i, us in enumerate((5000, 1500, 9000, 2500)):
-            recorder.record(make_trace(f"t{i}", server_us=us))
+            recorder.record(make_record(f"t{i}", server_us=us))
         ids = [t["trace"] for t in recorder.slow_traces()]
         assert ids == ["t2", "t0"]  # slowest first
         assert recorder.slow_seen == 4
 
     def test_fast_requests_never_enter_the_slow_heap(self):
         recorder = FlightRecorder(slow_threshold_s=0.050)
-        recorder.record(make_trace("fast", server_us=100))
+        recorder.record(make_record("fast", server_us=100))
         assert recorder.slow_traces() == []
         assert recorder.slow_seen == 0
 
     def test_error_ring_captures_non_ok_outcomes(self):
         recorder = FlightRecorder(errors=2, slow_threshold_s=10.0)
-        recorder.record(make_trace("ok1"))
+        recorder.record(make_record("ok1"))
         for i in range(3):
-            recorder.record(make_trace(f"e{i}", outcome="bad_request"))
+            recorder.record(make_record(f"e{i}", outcome="bad_request"))
         ids = [t["trace"] for t in recorder.error_traces()]
         assert ids == ["e1", "e2"]
 
@@ -104,9 +152,9 @@ class TestFlightRecorder:
             recent=1, slow_threshold_s=0.001, slow_top=4
         )
         recorder.record(
-            make_trace("both", server_us=9000, outcome="server_error")
+            make_record("both", server_us=9000, outcome="server_error")
         )
-        recorder.record(make_trace("newer", server_us=20))
+        recorder.record(make_record("newer", server_us=20))
         ids = [t["trace"] for t in recorder.traces()]
         assert sorted(ids) == ["both", "newer"]
 
@@ -115,16 +163,16 @@ class TestFlightRecorder:
         # shed attempt and the served one are two documents, and the
         # served one (with its span tree) must not be dropped.
         recorder = FlightRecorder(slow_threshold_s=10.0)
-        recorder.record(make_trace("lgt0-0", outcome="backpressure"))
-        recorder.record(make_trace("lgt0-0", spans=SPANS[:1]))
+        recorder.record(make_record("lgt0-0", outcome="backpressure"))
+        recorder.record(make_record("lgt0-0", spans=SPANS[:1]))
         assert [
             (t["outcome"], len(t["spans"])) for t in recorder.traces()
         ] == [("backpressure", 0), ("ok", 1)]
 
     def test_snapshot_reports_counts_and_retained_ids(self):
         recorder = FlightRecorder(slow_threshold_s=0.001)
-        recorder.record(make_trace("a", server_us=5000))
-        recorder.record(make_trace("b", server_us=10, outcome="bad_request"))
+        recorder.record(make_record("a", server_us=5000))
+        recorder.record(make_record("b", server_us=10, outcome="bad_request"))
         snapshot = recorder.snapshot()
         assert snapshot["recorded"] == 2
         assert snapshot["slow_seen"] == 1
@@ -148,11 +196,11 @@ class TestFlightRecorder:
             access_log=tmp_path / "access.jsonl",
             slow_log=tmp_path / "slow.jsonl",
         )
-        recorder.record(make_trace("t0"))
+        recorder.record(make_record("t0"))
         recorder.close()
         recorder.close()
         # Recording after close still retains in memory; no trail grows.
-        recorder.record(make_trace("t1"))
+        recorder.record(make_record("t1"))
         assert [t["trace"] for t in recorder.traces()] == ["t0", "t1"]
         assert len(read_trail(tmp_path / "access.jsonl")) == 1
         assert len(read_trail(tmp_path / "slow.jsonl")) == 1
@@ -162,8 +210,8 @@ class TestAccessTrail:
     def test_logs_every_request_by_default(self, tmp_path):
         path = tmp_path / "access.jsonl"
         recorder = FlightRecorder(access_log=path)
-        recorder.record(make_trace("r0"))
-        recorder.record(make_trace("r1"))
+        recorder.record(make_record("r0"))
+        recorder.record(make_record("r1"))
         recorder.close()
         assert [line["trace"] for line in read_trail(path)] == ["r0", "r1"]
         assert recorder.logged == 2
@@ -172,7 +220,7 @@ class TestAccessTrail:
         path = tmp_path / "access.jsonl"
         recorder = FlightRecorder(sample_every=3, access_log=path)
         for i in range(9):
-            recorder.record(make_trace(f"r{i}"))
+            recorder.record(make_record(f"r{i}"))
         recorder.close()
         assert recorder.recorded == 9
         assert recorder.logged == 3
@@ -182,12 +230,12 @@ class TestAccessTrail:
         path = tmp_path / "logs" / "access.jsonl"
         recorder = FlightRecorder(sample_every=2, access_log=path)
         for i in range(4):
-            recorder.record(make_trace(f"r{i}"))
+            recorder.record(make_record(f"r{i}"))
         recorder.close()
         assert [line["rid"] for line in read_trail(path)] == ["rid-r0", "rid-r2"]
         # The trail appends: a second recorder on the same path adds on.
         again = FlightRecorder(access_log=path)
-        again.record(make_trace("r9"))
+        again.record(make_record("r9"))
         again.close()
         assert len(read_trail(path)) == 3
 
@@ -195,7 +243,7 @@ class TestAccessTrail:
         # Sampling is counted with no trail path too.
         recorder = FlightRecorder(sample_every=2)
         for i in range(4):
-            recorder.record(make_trace(f"r{i}"))
+            recorder.record(make_record(f"r{i}"))
         assert (recorder.recorded, recorder.logged, recorder.sample_every) == (
             4,
             2,
@@ -210,9 +258,9 @@ class TestAccessTrail:
 class TestSlowTrail:
     def test_threshold_splits_fast_from_slow(self):
         recorder = FlightRecorder(slow_threshold_s=0.100)
-        recorder.record(make_trace("fast", server_us=50_000))
-        recorder.record(make_trace("at", server_us=100_000))
-        recorder.record(make_trace("slow", server_us=500_000))
+        recorder.record(make_record("fast", server_us=50_000))
+        recorder.record(make_record("at", server_us=100_000))
+        recorder.record(make_record("slow", server_us=500_000))
         assert recorder.recorded == 3
         assert recorder.slow_seen == 2
         assert [e["trace"] for e in recorder.slow_entries()] == ["slow", "at"]
@@ -220,7 +268,7 @@ class TestSlowTrail:
     def test_top_k_keeps_the_slowest(self):
         recorder = FlightRecorder(slow_threshold_s=0.0, slow_top=3)
         for i, us in enumerate([100, 500, 200, 900, 300]):
-            recorder.record(make_trace(f"r{i}", server_us=us))
+            recorder.record(make_record(f"r{i}", server_us=us))
         # Slowest first; counting is unbounded, retention is not.
         assert [e["trace"] for e in recorder.slow_entries()] == ["r3", "r1", "r4"]
         assert recorder.slow_seen == 5
@@ -230,9 +278,9 @@ class TestSlowTrail:
         recorder = FlightRecorder(
             slow_threshold_s=0.1, slow_top=1, slow_log=path
         )
-        recorder.record(make_trace("r0", server_us=200_000))
-        recorder.record(make_trace("r1", server_us=300_000))
-        recorder.record(make_trace("r2", server_us=10_000))
+        recorder.record(make_record("r0", server_us=200_000))
+        recorder.record(make_record("r1", server_us=300_000))
+        recorder.record(make_record("r2", server_us=10_000))
         recorder.close()
         # slow_top bounds memory, not the on-disk trail.
         assert [line["trace"] for line in read_trail(path)] == ["r0", "r1"]
@@ -240,7 +288,7 @@ class TestSlowTrail:
 
     def test_summary_figures(self):
         recorder = FlightRecorder(slow_threshold_s=0.25, slow_top=2)
-        recorder.record(make_trace("r0", server_us=300_000))
+        recorder.record(make_record("r0", server_us=300_000))
         assert recorder.slow_threshold_s * 1e3 == pytest.approx(250.0)
         assert (recorder.recorded, recorder.slow_seen) == (1, 1)
         assert [e["rid"] for e in recorder.slow_entries()] == ["rid-r0"]
@@ -281,7 +329,7 @@ class TestTrailLines:
             error="boom",
             trace="tr7",
             parent=5,
-            spans=SPANS,
+            roots=span_tree(SPANS),
         )
 
     def test_trail_line_is_the_parents_log_view(self, tmp_path):
@@ -291,7 +339,7 @@ class TestTrailLines:
             access_log=tmp_path / "access.jsonl",
             slow_log=tmp_path / "slow.jsonl",
         )
-        recorder.record(record.trace_view())
+        recorder.record(record)
         recorder.close()
         for name in ("access.jsonl", "slow.jsonl"):
             (line,) = read_trail(tmp_path / name)
@@ -305,7 +353,7 @@ class TestTrailLines:
     def test_trail_line_bytes_are_the_parents(self, tmp_path):
         path = tmp_path / "access.jsonl"
         recorder = FlightRecorder(access_log=path)
-        recorder.record(self._record().trace_view())
+        recorder.record(self._record())
         recorder.close()
         assert path.read_text() == (
             '{"client":"client-3","counters":{"buffer_hits":4,"bytes_read":0},'
@@ -378,7 +426,6 @@ SPANS = [
         "duration_s": 0.0009,
         "status": "ok",
         "counters": {"disk_seeks": 2},
-        "notes": {},
     },
     {
         "id": 1,
@@ -388,7 +435,6 @@ SPANS = [
         "duration_s": 0.0006,
         "status": "ok",
         "counters": {"disk_seeks": 2, "bytes_read": 100},
-        "notes": {},
     },
 ]
 

@@ -90,33 +90,71 @@ class TestExceptionSafety:
 
 
 class TestCounterDeltas:
+    """Counters are pushed: a registry whose ``tracer`` is set charges the
+    innermost open span with every increment, as it takes it, and a
+    closing span adds its counters to its parent's.  (The snapshot-and-
+    diff accounting this replaced is ``tests/util/oracle_tracing.py``;
+    ``tests/obs/test_tracing_oracle.py`` holds the two equal.)"""
+
     def test_deltas_captured_at_exit(self):
         registry = MetricsRegistry()
-        registry.inc("bytes_read", 100)
-        tracer = Tracer(registry=registry)
+        registry.inc("bytes_read", 100)  # before the binding: nobody's
+        tracer = Tracer()
+        registry.tracer = tracer
         with tracer.span("load") as node:
             registry.inc("bytes_read", 40)
-            registry.inc("disk_seeks", 2)
-        assert node.counters["bytes_read"] == 40
-        assert node.counters["disk_seeks"] == 2
+            registry.add_counts({"disk_seeks": 2, "bytes_read": 1})
+        registry.inc("bytes_read", 7)  # no span open: charged nowhere
+        assert node.counters == {"bytes_read": 41, "disk_seeks": 2}
+        assert registry.get("bytes_read") == 148
 
     def test_zero_deltas_omitted(self):
         registry = MetricsRegistry()
-        registry.inc("bytes_read", 100)
-        tracer = Tracer(registry=registry)
+        tracer = Tracer()
+        registry.tracer = tracer
         with tracer.span("idle") as node:
-            pass
-        assert "bytes_read" not in node.counters
+            registry.add_counts({"bytes_read": 0})
+            registry.inc("loads", 0)
+        assert node.counters == {}
+        # The registry still creates a counter charged zero.
+        assert registry.io_stats() == {"bytes_read": 0, "loads": 0}
 
     def test_nested_deltas_are_per_span(self):
         registry = MetricsRegistry()
-        tracer = Tracer(registry=registry)
+        tracer = Tracer()
+        registry.tracer = tracer
         with tracer.span("outer") as outer:
             registry.inc("loads", 1)
             with tracer.span("inner") as inner:
                 registry.inc("loads", 5)
-        assert inner.counters["loads"] == 5
-        assert outer.counters["loads"] == 6  # includes the child's work
+            with tracer.span("idle") as idle:
+                pass
+        assert inner.counters == {"loads": 5}
+        assert idle.counters == {}
+        assert outer.counters == {"loads": 6}  # includes the child's work
+
+    def test_unbound_registries_charge_nothing(self):
+        bound, unbound = MetricsRegistry(), MetricsRegistry()
+        tracer = Tracer()
+        bound.tracer = tracer
+        with tracer.span("request") as node:
+            unbound.inc("buffer_evictions")
+            bound.inc("loads")
+        bound.tracer = None
+        with tracer.span("after") as after:
+            bound.inc("loads")
+        assert node.counters == {"loads": 1}
+        assert after.counters == {}
+
+    def test_dropped_spans_still_roll_up(self):
+        registry = MetricsRegistry()
+        tracer = Tracer(max_spans=1)
+        registry.tracer = tracer
+        with tracer.span("kept") as kept:
+            with tracer.span("dropped"):
+                registry.inc("loads", 3)
+        assert tracer.dropped == 1 and kept.children == []
+        assert kept.counters == {"loads": 3}
 
 
 class TestBoundedTree:

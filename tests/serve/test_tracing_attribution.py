@@ -10,22 +10,33 @@ These tests gate the tracing layer's central claims over a real daemon:
   is kept: ``debug``, bundles and ``metrics`` read one slow threshold and
   one slow top-K, and a retried trace id keeps every attempt;
 * with no tracer active, span entry points are shared no-ops (tracing
-  disabled costs no storage-layer work).
+  disabled costs no storage-layer work);
+* a finished request is kept as its record and rendered when read, and
+  what is kept is what the commit before that kept
+  (:class:`TestWhatIsKept`, against ``trace_capture.json``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import random
+import re
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.obs import flightrecorder, tracing
 from repro.serve import protocol
-from repro.serve.daemon import DaemonHandle, GraphQueryDaemon
+from repro.serve.daemon import DaemonHandle, GraphQueryDaemon, ServeContext
 from repro.serve.loadgen import DEFAULT_MIX, ServeClient, run_load
 from repro.serve.telemetry import DELTA_COUNTERS, ServeTelemetry
+from repro.snode.store import SNodeStore
 
 
 def wait_for_trace(handle: DaemonHandle, trace_id: str) -> dict:
@@ -300,3 +311,203 @@ class TestDisabledTracingCost:
         assert traces["two"]["spans"][0]["id"] == 0
         # And nothing leaked into this (main) thread's context.
         assert tracing.current_tracer() is None
+
+
+# -- what the flight recorder keeps ---------------------------------------------
+
+#: The seeded stream's retained traces, trail lines and ``repro trace
+#: --list`` lines as the commit before records were kept as objects
+#: (rendered when read) produced them, timings cut (:func:`untimed`).
+CAPTURE = Path(__file__).with_name("trace_capture.json")
+STREAM_SEED = 26
+STREAM_LENGTH = 30
+
+
+def seeded_stream(num_pages: int) -> list[dict]:
+    """Lookups (cold, warm and bad), the six queries with and without
+    a deadline, pings, an unknown op, some with a client trace context."""
+    rng = random.Random(STREAM_SEED)
+    stream = []
+    for n in range(STREAM_LENGTH):
+        draw = rng.random()
+        if draw < 0.4:
+            request = {"op": "neighbors", "page": rng.randrange(num_pages)}
+        elif draw < 0.75:
+            request = {"op": "query", "name": f"query{rng.randint(1, 6)}"}
+            if rng.random() < 0.3:
+                request["deadline_ms"] = 60_000
+        elif draw < 0.85:
+            request = {"op": "ping"}
+        elif draw < 0.93:
+            request = {"op": "neighbors", "page": num_pages + n}
+        else:
+            request = {"op": "frobnicate"}
+        if rng.random() < 0.3:
+            request["trace"] = {"id": f"client-{n}", "parent": rng.randrange(10)}
+        request["rid"] = f"s{n}"
+        stream.append(request)
+    return stream
+
+
+_TIMED = ("unix", "server_us")
+_SPAN_TIMED = ("start_s", "duration_s")
+
+
+def untimed(document: dict) -> dict:
+    """A trace document or trail line without its timings: phase names
+    stay, their microseconds go; spans keep everything but times."""
+    out = {key: value for key, value in document.items() if key not in _TIMED}
+    out["phases_us"] = sorted(document["phases_us"])
+    if "spans" in document:
+        out["spans"] = [
+            {key: value for key, value in span.items() if key not in _SPAN_TIMED}
+            for span in document["spans"]
+        ]
+    return out
+
+
+def wait_for_recorded(recorder, count: int) -> None:
+    deadline = time.monotonic() + 10.0
+    while recorder.recorded < count:
+        assert time.monotonic() < deadline, "requests never reached the recorder"
+        time.sleep(0.005)
+
+
+def capture_retained(repository, refinement, workdir: Path) -> dict:
+    """Serve :func:`seeded_stream` from a fresh pair, then read back every
+    place the flight recorder keeps it, timings cut."""
+    context = ServeContext.build(
+        repository, workdir / "pair", buffer_bytes=128 * 1024, stripes=4, refinement=refinement
+    )
+    recorder = flightrecorder.FlightRecorder(
+        slow_threshold_s=0.0,
+        slow_top=STREAM_LENGTH + 2,
+        sample_every=1,
+        access_log=workdir / "access.jsonl",
+        slow_log=workdir / "slow.jsonl",
+    )
+    daemon = GraphQueryDaemon(
+        context, port=0, workers=2, queue_limit=8, telemetry=ServeTelemetry(recorder=recorder)
+    )
+    try:
+        with DaemonHandle(daemon) as handle:
+            with ServeClient("127.0.0.1", handle.port) as client:
+                for request in seeded_stream(repository.num_pages):
+                    fields = dict(request)
+                    client.request(fields.pop("op"), **fields)
+                wait_for_recorded(recorder, STREAM_LENGTH)
+                debug = client.debug()
+            wait_for_recorded(recorder, STREAM_LENGTH + 1)
+            bundle = daemon.dump_debug_bundle(workdir / "bundle")
+        recorder.close()
+    finally:
+        context.close()
+    listing = io.StringIO()
+    with contextlib.redirect_stdout(listing):
+        assert cli_main(["trace", "--bundle", str(bundle), "--list"]) == 0
+    saved = flightrecorder.read_debug_bundle(bundle)
+
+    def trail(name: str) -> list[dict]:
+        lines = (workdir / name).read_text().splitlines()
+        return [untimed(json.loads(line)) for line in lines]
+
+    return {
+        "debug_traces": [untimed(trace) for trace in debug["traces"]],
+        "bundle_traces": [untimed(trace) for trace in saved["traces"]],
+        # Slowest first: the order is the timings', so compare the set.
+        "bundle_slow": sorted(
+            (untimed(entry) for entry in saved["slow"]), key=lambda entry: entry["rid"]
+        ),
+        "access_trail": trail("access.jsonl"),
+        "slow_trail": trail("slow.jsonl"),
+        "trace_list": [
+            re.sub(r"server=[0-9.]+ms", "server=-ms", line)
+            for line in listing.getvalue().splitlines()
+        ],
+    }
+
+
+class TestWhatIsKept:
+    def test_retained_traces_are_the_parents(
+        self, tiny_repo, test_refinement_config, tmp_path
+    ):
+        captured = capture_retained(tiny_repo, test_refinement_config, tmp_path)
+        expected = json.loads(CAPTURE.read_text())
+        assert set(captured) == set(expected)
+        for place in expected:
+            assert captured[place] == expected[place], place
+        # Not vacuous: attempts, retries, nav spans and counters are in it.
+        spans = [s for t in expected["debug_traces"] for s in t["spans"]]
+        assert any(s["status"] == "error:NotResident" for s in spans)
+        assert any(s["name"].startswith("nav.") and s.get("counters") for s in spans)
+        assert {t["outcome"] for t in expected["debug_traces"]} >= {"ok", "bad_request"}
+
+    def test_slow_record_renders_its_own_request_after_300_more(self, serve_context):
+        """A record retained in the slow heap is rendered long after it was
+        filed — the connection, its sessions and its tracer's successors
+        have moved on 300 requests — and still reads as its own request."""
+        recorder = flightrecorder.FlightRecorder(slow_threshold_s=0.0, slow_top=1)
+        daemon = GraphQueryDaemon(
+            serve_context, port=0, workers=2, telemetry=ServeTelemetry(recorder=recorder)
+        )
+        serve_context.forward.drop_caches()
+        serve_context.backward.drop_caches()
+        with DaemonHandle(daemon) as handle:
+            with ServeClient("127.0.0.1", handle.port) as client:
+                slow = client.request(
+                    "query", name="query3", deadline_ms=60_000, trace={"id": "kept"}
+                )["server"]
+                for _ in range(300):
+                    client.request("neighbors", page=0)
+                wait_for_recorded(recorder, 301)
+                debug = client.debug()
+        (entry,) = debug["slow"]
+        assert entry["trace"] == "kept", "the cold query3 was not the slowest request"
+        kept = next(trace for trace in debug["traces"] if trace["trace"] == "kept")
+        assert kept["counters"] == slow["counters"] and slow["counters"]["loads"] > 0
+        for phase, us in slow["phases_us"].items():
+            assert kept["phases_us"][phase] == us
+        root = next(span for span in kept["spans"] if span["name"] == "request.query")
+        for name, value in slow["counters"].items():
+            assert root["counters"].get(name, 0) == value
+
+    def test_a_timed_out_record_keeps_what_its_reply_said(self, serve_context, monkeypatch):
+        """The one execution that outlives its reply: a deadline fires while
+        the worker is parked, and the worker then finishes, counting its
+        reads into the live record.  What is kept is what the reply said."""
+        real = SNodeStore.out_neighbors
+        parked, release = threading.Event(), threading.Event()
+
+        def parked_read(store, page, registry=None, memory_only=False):
+            if not memory_only:
+                parked.set()
+                assert release.wait(30)
+            return real(store, page, registry, memory_only)
+
+        monkeypatch.setattr(SNodeStore, "out_neighbors", parked_read)
+        recorder = flightrecorder.FlightRecorder()
+        daemon = GraphQueryDaemon(
+            serve_context, port=0, workers=2, telemetry=ServeTelemetry(recorder=recorder)
+        )
+        graph = serve_context.repository.graph
+        page = next(p for p in range(graph.num_vertices) if graph.successors_list(p))
+        serve_context.forward.drop_caches()
+        with DaemonHandle(daemon) as handle:
+            with ServeClient("127.0.0.1", handle.port) as client:
+                try:
+                    reply = client.request("neighbors", page=page, deadline_ms=250, rid="late")
+                    assert reply["error"]["type"] == protocol.ERROR_TIMEOUT
+                    assert parked.wait(10)
+                finally:
+                    release.set()
+                # The connection's next frame waits for the abandoned worker.
+                client.request_ok("ping")
+                wait_for_recorded(recorder, 2)
+                debug = client.debug()
+        kept = next(trace for trace in debug["traces"] if trace["rid"] == "late")
+        said = reply["server"]
+        assert kept["counters"] == said["counters"]
+        assert sorted(kept["phases_us"]) == sorted([*said["phases_us"], "encode", "reply"])
+        assert "execute" not in kept["phases_us"]
+        roots = [span for span in kept["spans"] if span["parent"] == tracing.ROOT_PARENT]
+        assert [root["status"] for root in roots] == ["error:NotResident"]

@@ -12,19 +12,23 @@ dense form (a list per source page) the store used to cache; its
 eagerly, whole payload at once, before a cached superedge graph held
 only its header until a linked row was asked for.
 
-At the end, three *encoders* as they were before the write side was
-priced from a row's entries: ``encode_gamma`` as a unary prefix plus a
-field, and ``encode_locals`` choosing between gamma gaps and the bit
-vector it builds over the list's whole span.
+Then three *encoders* as they were before the write side was priced
+from a row's entries: ``encode_gamma`` as a unary prefix plus a field,
+and ``encode_locals`` choosing between gamma gaps and the bit vector it
+builds over the list's whole span.
+
+Last, the serve protocol's ``canonicalize`` / ``canonical_json`` as they
+were before the type-dispatched fast path.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 
 from oracle_bitio import BitReader
 
-from repro.errors import CodecError
+from repro.errors import CodecError, ServeError
 from repro.util.rle import plain_cost, rle_cost, runs_of
 from repro.util.varint import gamma_cost
 
@@ -295,3 +299,33 @@ def encode_locals(writer, locals_list: list[int]) -> None:
         for local in locals_list:
             encode_gamma(writer, local - previous - 1)
             previous = local
+
+
+# ---------------------------------------------------------------------------
+# the wire's canonical JSON, as it was before its type-dispatched fast path
+# ---------------------------------------------------------------------------
+
+
+def canonicalize(value):
+    """``serve.protocol.canonicalize`` as it was: one ``isinstance`` chain,
+    one call per item of every container."""
+    if isinstance(value, dict):
+        items = [(str(key), canonicalize(item)) for key, item in value.items()]
+        items.sort(key=lambda kv: kv[0])
+        if len({key for key, _ in items}) != len(items):
+            raise ServeError("payload dict keys collide after stringification")
+        return dict(items)
+    if isinstance(value, (set, frozenset)):
+        return sorted(canonicalize(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return [canonicalize(item) for item in value]
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, (int, float, str)):
+        return value
+    raise ServeError(f"cannot canonicalize payload value of type {type(value).__name__}")
+
+
+def canonical_json(value) -> str:
+    """Deterministic JSON text of ``value`` (after :func:`canonicalize`)."""
+    return json.dumps(canonicalize(value), sort_keys=True, separators=(",", ":"))

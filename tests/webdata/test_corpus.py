@@ -195,3 +195,79 @@ class TestPagesInDomainContract:
         assert repo.pages_in_domain("doonesbury.com") == []
         assert repo.pages_in_domain(host) == small_repo.pages_in_domain(host) != []
         assert CountingPage.reads == 0
+
+
+class TestDomainTable:
+    """``Repository.domain_of`` reads a per-page table built with the
+    host index; it must say what ``Page.domain`` says, URL re-parsed."""
+
+    URLS = [
+        "http://www.stanford.edu/a.html",
+        "HTTP://WWW.Amazon.COM/b.html",
+        "http://CS.Stanford.EDU/",
+        "http://localhost/f.html",
+        "http://intranet",
+        "http://a.b.c.d/deep/er/page.html",
+        "http://10.0.0.1/x",
+        "ftp://Files.Example.org/pub/",
+        "plainhost.com/page.html",
+        "BareHost",
+    ]
+
+    def test_table_is_page_domain_for_handmade_hosts(self):
+        repo = Repository.from_parts(self.URLS, [])
+        for page in repo.pages:
+            assert repo.domain_of(page.page_id) == page.domain
+        assert [repo.domain_of(n) for n in (1, 3, 5, 9)] == [
+            "amazon.com",
+            "localhost",
+            "c.d",
+            "barehost",
+        ]
+        with pytest.raises(IndexError):
+            repo.domain_of(len(self.URLS))
+
+    def test_benchmark_crawl_and_its_prefix_have_their_own_tables(self):
+        from repro.webdata.generator import GeneratorConfig, generate_web
+
+        crawl = generate_web(GeneratorConfig(num_pages=2000, seed=2003))
+        prefix = crawl.crawl_prefix(700)
+        for repo in (crawl, prefix):
+            assert [repo.domain_of(p.page_id) for p in repo.pages] == [
+                p.domain for p in repo.pages
+            ]
+        with pytest.raises(IndexError):
+            prefix.domain_of(700)
+        assert crawl.domain_of(699) == prefix.domain_of(699)
+
+    def test_query_answers_are_unchanged(self, small_repo, tmp_path):
+        """The six paper queries' digests on ``small_repo``, as the engine
+        gave them when ``domain_of`` re-parsed each page's URL."""
+        from repro.baselines import FlatFileRepresentation
+        from repro.index.pagerank_index import PageRankIndex
+        from repro.index.textindex import TextIndex
+        from repro.query.engine import QueryEngine
+        from repro.query.workload import PAPER_QUERIES, run_query
+        from repro.serve.protocol import payload_digest
+
+        forward = FlatFileRepresentation(small_repo.graph, tmp_path / "f")
+        backward = FlatFileRepresentation(small_repo.transpose(), tmp_path / "b")
+        engine = QueryEngine(
+            small_repo, TextIndex(small_repo), PageRankIndex(small_repo), forward, backward
+        )
+        try:
+            digests = {
+                name: payload_digest(run_query(engine, name).payload)
+                for name, _function in PAPER_QUERIES
+            }
+        finally:
+            forward.close()
+            backward.close()
+        assert digests == {
+            "query1": "d7893c54dc74b3a041de59f67fb52624d86edd955c9f26ee3f0314be20055d76",
+            "query2": "f81e020c13461c39f4d4fcd76153ed5e92c4dff275ac78ef0b6438be923a556c",
+            "query3": "6991d4be0cdb11e07dd4d61e115738327cdc2b851eab8934fb6a9ae651db76ab",
+            "query4": "fd1a422ac5aab2514a3fd544dfa76f9b5f398ff5ebe862c82d5c21672f106c83",
+            "query5": "4708d015db02b6177c46dfd36977443e95c88d9bc0a9101fc349533bd5c48192",
+            "query6": "f39a29f7974ca75a4ddd51cfbdc99c6f3e36ad5bd350ab1eee71c9877d96d67d",
+        }
