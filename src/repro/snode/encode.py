@@ -3,7 +3,8 @@
 * The **supernode graph** is Huffman-coded: supernodes appearing often in
   superedge lists (high in-degree) get short codes.
 * **Intranode graphs** are reference-encoded row collections over local
-  indices.
+  indices; a decoded one is an :class:`IntranodeRows`, which a directory
+  of row offsets lets decode one row at a time.
 * **Superedge graphs** store the sorted list of linked source locals
   (gap-coded) followed by a reference-encoded row collection for exactly
   those sources; a leading flag records the positive/negative polarity.
@@ -14,7 +15,9 @@ into index files and hand out (offset, length) pointers.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from repro.errors import CodecError
 from repro.snode.model import SNodeModel, SuperedgeGraph
@@ -22,6 +25,7 @@ from repro.snode.reference import (
     DEFAULT_FULL_AFFINITY_LIMIT,
     DEFAULT_WINDOW,
     build_dictionary,
+    decode_row,
     decode_rows,
     encode_ascending,
     encode_rows,
@@ -135,11 +139,88 @@ def encode_intranode(
     return writer.to_bytes()
 
 
-def decode_intranode(data: bytes) -> list[list[int]]:
-    """Inverse of :func:`encode_intranode`."""
+class RowDirectory(NamedTuple):
+    """Where an intranode payload's rows are: what decoding it whole learns."""
+
+    #: The graph's dictionary of recurring targets.
+    dictionary: list[int]
+    #: Bit offset of the row collection (its row count).
+    body: int
+    #: Bit offset of each row's record.
+    starts: array
+
+
+class IntranodeRows:
+    """The rows of one intranode graph, each decoded when first asked for.
+
+    An entry holds plain values only, never a live reader: the payload,
+    its :class:`RowDirectory` and the rows decoded so far — a ``local ->
+    row`` dict, or every row as a list once something needed them all
+    (:meth:`every`, iteration, ``==``), swapped in with one store.
+    ``entry[local]`` decodes that row and its reference chain
+    (:func:`~repro.snode.reference.decode_row`).  ``len``, iteration and
+    ``==`` are those of the list of rows.
+    """
+
+    __slots__ = ("payload", "directory", "_rows")
+
+    def __init__(
+        self,
+        payload: bytes,
+        directory: RowDirectory,
+        rows: dict[int, list[int]] | list[list[int]],
+    ) -> None:
+        self.payload = payload
+        self.directory = directory
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self.directory.starts)
+
+    def __getitem__(self, local: int) -> list[int]:
+        rows = self._rows
+        if type(rows) is list:
+            return rows[local]
+        row = rows.get(local)
+        if row is None:
+            directory = self.directory
+            row = decode_row(
+                self.payload, directory.starts, local, directory.dictionary, rows
+            )
+        return row
+
+    def every(self) -> list[list[int]]:
+        """Every row; one fused :func:`decode_rows` pass unless already held."""
+        rows = self._rows
+        if type(rows) is not list:
+            dictionary, body, _starts = self.directory
+            rows = self._rows = decode_rows(BitReader(self.payload, body), dictionary)
+        return rows
+
+    def __iter__(self):
+        return iter(self.every())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, IntranodeRows):
+            other = other.every()
+        return self.every() == other
+
+
+def decode_intranode(data: bytes, directory: RowDirectory | None = None) -> IntranodeRows:
+    """Inverse of :func:`encode_intranode`.
+
+    Without a ``directory`` every row is decoded in one pass, which also
+    learns the payload's directory (``.directory`` of the result).  Given
+    that directory again, nothing is decoded until a row is asked for.
+    """
+    if directory is not None:
+        return IntranodeRows(data, directory, {})
     reader = BitReader(data)
     dictionary = _decode_locals(reader)
-    return decode_rows(reader, dictionary=dictionary)
+    body = reader.position
+    starts = array("I")
+    rows = decode_rows(reader, dictionary=dictionary, starts=starts)
+    return IntranodeRows(data, RowDirectory(dictionary, body, starts), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,14 @@ of the pair-by-pair planner, which the tests keep as their oracle.
 
 Decoded rows are plain ``list[int]`` (sorted).  Reference chains may point
 forward in the full-affinity mode; decoding resolves them iteratively.
+:func:`decode_rows` decodes a whole collection and can record where each
+row's record starts; given those offsets, :func:`decode_row` decodes one
+row and its reference chain with the same kernel.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, MutableSequence, Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -778,12 +781,106 @@ _DIRECT, _SIBLING, _DICTIONARY = range(3)
 
 
 def decode_rows(
-    reader: BitReader, dictionary: Sequence[int] | None = None
+    reader: BitReader,
+    dictionary: Sequence[int] | None = None,
+    starts: MutableSequence[int] | None = None,
 ) -> list[list[int]]:
     """Decode a row collection written by :func:`encode_rows`.
 
     ``dictionary`` must match what the encoder was given (present for
-    superedge graphs, absent for intranode graphs).
+    superedge graphs, absent for intranode graphs).  ``starts``, when
+    given, receives the bit offset at which each row's record starts: the
+    row directory :func:`decode_row` reads a single row by.
+    """
+    data = reader._data
+    byte, window, avail = reader._byte, reader._window, reader._avail
+    # gamma: row count (refilled here like every field of the kernel, so
+    # a reader that was just positioned costs no method call)
+    rest = 2 * window.bit_length() - avail - 1
+    while rest < 0:
+        byte, window, avail = refill(data, byte, window, avail)
+        rest = 2 * window.bit_length() - avail - 1
+    count = window >> rest
+    reader._byte, reader._window, reader._avail = byte, window - (count << rest), rest
+    count -= 1
+    rows: list[list[int] | None] = []
+    # Rows whose reference chain was not resolved when they were read:
+    # row -> (parent, copy bits or None for a full copy, extras).
+    deferred: dict[int, tuple[int, list[int] | None, list[int]]] = {}
+    _decode_records(reader, dictionary, count, range(count), rows, deferred, starts)
+    if deferred:
+        _resolve_deferred(rows, deferred)
+    return rows  # type: ignore[return-value]
+
+
+def decode_row(
+    data: bytes,
+    starts: Sequence[int],
+    y: int,
+    dictionary: Sequence[int] | None,
+    decoded: dict[int, list[int]],
+) -> list[int]:
+    """Row ``y`` of the collection in ``data`` whose records start at the
+    bit offsets ``starts``, decoded without its siblings.
+
+    Row ``y``'s record is read alone; a sibling reference then reads its
+    parent's the same way, forward or backward, until a direct or
+    dictionary row — or a row already in ``decoded`` — ends the chain.
+    Every row of the chain is stored in ``decoded``, each with one dict
+    store, so threads sharing ``decoded`` may race: they compute equal
+    rows.  A chain that returns to a row raises :class:`CodecError`, as
+    in :func:`decode_rows`.
+    """
+    count = len(starts)
+    if not 0 <= y < count:
+        raise IndexError(f"row {y} outside a collection of {count}")
+    # The rows read so far whose parent was not known yet, from ``y`` on:
+    # row -> (copy bits or None for a full copy, extras).
+    chain: dict[int, tuple[list[int] | None, list[int]]] = {}
+    node = y
+    while (row := decoded.get(node)) is None:
+        if node in chain:
+            raise CodecError("cyclic reference chain in encoded rows")
+        # No row before ``node`` is known to the kernel, so any sibling
+        # reference comes back deferred, as its parent, copy bits, extras.
+        records: list[list[int] | None] = [None] * node
+        deferred: dict[int, tuple[int, list[int] | None, list[int]]] = {}
+        _decode_records(
+            BitReader(data, starts[node]),
+            dictionary,
+            count,
+            range(node, node + 1),
+            records,
+            deferred,
+            None,
+        )
+        row = records[node]
+        if row is not None:
+            decoded[node] = row
+            break
+        parent, copy_bits, extras = deferred[node]
+        chain[node] = (copy_bits, extras)
+        node = parent
+    for node, (copy_bits, extras) in reversed(chain.items()):
+        row = decoded[node] = _apply_reference(row, copy_bits, extras)
+    return row
+
+
+def _decode_records(
+    reader: BitReader,
+    dictionary: Sequence[int] | None,
+    count: int,
+    ys: range,
+    rows: list[list[int] | None],
+    deferred: dict[int, tuple[int, list[int] | None, list[int]]],
+    starts: MutableSequence[int] | None,
+) -> None:
+    """Read the records of rows ``ys`` of a collection of ``count`` rows,
+    ``reader`` at the first of them, appending each row to ``rows``.
+
+    ``rows`` holds the rows before ``ys`` (None where not known).  A row
+    that copies a known row is appended resolved; one whose parent is not
+    known is appended as None and its record put in ``deferred``.
 
     This is the cold read path's inner loop, so it is one fused kernel:
     the reader's window lives in local variables for the whole collection
@@ -802,20 +899,9 @@ def decode_rows(
         bound = len(dictionary)
         short = max(0, (bound - 1).bit_length() - 1)
         cutoff = (2 << short) - bound if bound > 1 else 1
-    # gamma: row count
-    rest = 2 * window.bit_length() - avail - 1
-    while rest < 0:
-        byte, window, avail = refill(data, byte, window, avail)
-        rest = 2 * window.bit_length() - avail - 1
-    avail = rest
-    count = window >> avail
-    window -= count << avail
-    count -= 1
-    rows: list[list[int] | None] = []
-    # Rows whose reference chain was not resolved when they were read:
-    # row -> (parent, copy bits or None for a full copy, extras).
-    deferred: dict[int, tuple[int, list[int] | None, list[int]]] = {}
-    for y in range(count):
+    for y in ys:
+        if starts is not None:
+            starts.append(8 * byte - avail)
         # bit: referenced (1) or direct (0)
         if not avail:
             byte, window, avail = refill(data, byte, window, avail)
@@ -940,9 +1026,6 @@ def decode_rows(
             rows.append(None)
             deferred[y] = (parent, copy_bits, entries)
     reader._byte, reader._window, reader._avail = byte, window, avail
-    if deferred:
-        _resolve_deferred(rows, deferred)
-    return rows  # type: ignore[return-value]
 
 
 def _apply_reference(

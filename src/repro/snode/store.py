@@ -38,6 +38,8 @@ from pathlib import Path
 from repro.errors import CorruptionError, NotResident, StorageError
 from repro.obs import tracing
 from repro.snode.encode import (
+    IntranodeRows,
+    RowDirectory,
     SuperedgeRows,
     decode_intranode,
     decode_supernode_graph,
@@ -58,9 +60,9 @@ from repro.storage.metrics import CounterBatch, MetricsRegistry
 DEFAULT_BUFFER_BYTES = 8 * 1024 * 1024
 
 # Cost model for decoded graphs held in the buffer: 8 bytes per edge entry
-# plus 4 bytes per row, approximating compact array storage.  A superedge
-# graph is charged for a row per source page and for every edge, although
-# only linked rows are held and those only once one is asked for.
+# plus 4 bytes per row, approximating compact array storage.  A graph is
+# charged for every row and edge, although a re-loaded one holds only the
+# rows asked for (a superedge graph: a row per source page, linked or not).
 _EDGE_COST = 8
 _ROW_COST = 4
 
@@ -132,11 +134,12 @@ class SNodeStore:
         )
         self._devices: dict[int, CountedFile] = {}
         self._devices_lock = threading.Lock()
-        #: Superedge buffer key -> its decoded charge, learned the first
-        #: time the graph is loaded (which decodes its rows to count
-        #: them).  A graph's bytes never change under an open store, so
-        #: every later load is put at this charge with its rows undecoded.
-        self._charges: dict[tuple, int] = {}
+        #: Buffer key -> (decoded charge, row directory or None): what the
+        #: graph's first load learned by decoding it whole.  A graph's
+        #: bytes never change under an open store, so every later load is
+        #: put at this charge with its rows undecoded — a superedge graph
+        #: header-first, an intranode graph by its directory.
+        self._learned: dict[tuple, tuple[int, RowDirectory | None]] = {}
         #: Supernode -> (buffer keys, kinds) of the graphs its adjacency
         #: lists are spread over, intranode graph first, built on first
         #: use (racing threads build equal tuples).
@@ -305,9 +308,9 @@ class SNodeStore:
         if self._record_events:
             registry.record(f"load-{'intra' if kind == 'intranode' else 'super'}", key)
 
-    def _decode(self, key: tuple, payload: bytes):
+    def _decode(self, key: tuple, payload: bytes, learned: tuple | None):
         if key[0] == "intra":
-            return decode_intranode(payload)
+            return decode_intranode(payload, None if learned is None else learned[1])
         return positive_rows_from_payload(payload, *self._sizes(key))
 
     def _graph(self, key: tuple, registry):
@@ -319,11 +322,12 @@ class SNodeStore:
         pointer-table entry and the decoder are touched only on a miss,
         a degraded answer or an encoded-payload hit.
 
-        A superedge graph is put at its full decoded charge whatever it
-        holds: its first load decodes the rows to learn that charge, a
-        re-load parses the header and leaves the rows to the first reader
-        that asks for a linked source.  The pool therefore sees the same
-        keys at the same costs either way.
+        A graph is put at its full decoded charge whatever it holds: its
+        first load decodes every row, learning that charge (and an
+        intranode graph's row directory); a re-load leaves the rows to
+        whoever asks for them — a superedge graph parses its header, an
+        intranode graph nothing.  The pool therefore sees the same keys at
+        the same costs either way.
         """
         reg = registry if registry is not None else self.metrics
         kind = "intranode" if key[0] == "intra" else "superedge"
@@ -331,7 +335,9 @@ class SNodeStore:
             return self._degraded(key, reg)
         cached = self._pool.get(key, kind=kind, registry=reg)
         if cached is not None:
-            return cached if self._cache_decoded else self._decode(key, cached)
+            if self._cache_decoded:
+                return cached
+            return self._decode(key, cached, self._learned.get(key))
         if kind == "intranode":
             location = self._layout.intranode[key[1]]
         else:
@@ -346,24 +352,28 @@ class SNodeStore:
                 raise
             self._quarantine(key, error)
             return self._degraded(key, reg)
-        rows = self._decode(key, payload)
-        if not self._cache_decoded:
-            self._pool.put(key, payload, len(payload), kind=kind)
-        elif kind == "intranode":
-            self._pool.put(key, rows, _graph_cost(len(rows), rows), kind=kind)
+        learned = self._learned.get(key)
+        rows = self._decode(key, payload, learned)
+        if learned is None and kind == "intranode":
+            learned = self._learned[key] = (_graph_cost(len(rows), rows), rows.directory)
+        elif learned is None and self._cache_decoded:
+            # Only a decoded-graph pool needs a superedge charge: a
+            # payload-caching store leaves the rows undecoded until a
+            # linked one is read.
+            cost = _graph_cost(rows.source_size, rows.linked.values())
+            learned = self._learned[key] = (cost, None)
+        if self._cache_decoded:
+            self._pool.put(key, rows, learned[0], kind=kind)
         else:
-            cost = self._charges.get(key)
-            if cost is None:
-                cost = _graph_cost(rows.source_size, rows.linked.values())
-                self._charges[key] = cost
-            self._pool.put(key, rows, cost, kind=kind)
+            self._pool.put(key, payload, len(payload), kind=kind)
         self._loaded(kind, key[1:], reg)
         return rows
 
     def intranode_rows(
         self, supernode: int, registry: MetricsRegistry | None = None
-    ) -> list[list[int]]:
-        """Decoded intranode graph of ``supernode`` (local target indices)."""
+    ) -> IntranodeRows | list[list[int]]:
+        """Intranode graph of ``supernode`` (local target indices), its rows
+        decoded on demand; a quarantined graph is a list of empty rows."""
         return self._graph(("intra", supernode), registry)
 
     def superedge_rows(
@@ -429,6 +439,9 @@ class SNodeStore:
         outgoing superedge graph of the supernode, exactly the paper's
         "adjacency lists are partitioned across multiple smaller graphs";
         every graph is loaded once however many locals are asked for.
+        Asked for as many locals as the supernode has pages (a scan), the
+        intranode graph is decoded whole in one pass; otherwise each asked
+        row is decoded alone, with its reference chain.
 
         A supernode whose graphs are all buffered decoded is read in one
         visit to the pool
@@ -458,6 +471,10 @@ class SNodeStore:
                 graphs = self._load_each(supernode, batch)
             graphs = iter(graphs)
             intra = next(graphs)
+            if type(intra) is IntranodeRows and len(locals_) >= len(intra):
+                # Every row asked for (a scan): one fused decode of the
+                # graph, not one per row.  (A quarantined graph is a list.)
+                intra = intra.every()
             result = [[first + t for t in intra[local]] for local in locals_]
             #: local -> the rows of ``result`` asked for it, built on the
             #: first graph that links fewer locals than were asked for.

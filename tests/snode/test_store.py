@@ -15,7 +15,9 @@ import pytest
 
 from repro.baselines.base import SNodeRepresentation
 from repro.errors import CorruptionError, NotResident, StorageError
+from repro.snode import encode
 from repro.snode.delta import DeltaOverlay
+from repro.snode.reference import decode_row
 from repro.snode.storage import read_layout
 from repro.snode.store import SNodeStore
 from repro.storage.device import CountedFile
@@ -499,14 +501,30 @@ class TestBatchedAccounting:
         }
         store.close()
 
-    def test_second_cold_pass_counts_like_the_first(self, small_build):
-        """The first pass decodes every superedge graph it loads to learn
-        its charge; the second puts them header-first at the charge
-        learned.  Same counters, same occupancy, same tallies, same
+    def test_second_cold_pass_counts_like_the_first(self, small_build, monkeypatch):
+        """The first pass decodes every graph it loads whole, learning its
+        charge (and an intranode graph's row directory); the later passes
+        put them at the charge learned — superedge graphs header-first,
+        intranode graphs with no row decoded until one is asked for.  The
+        third runs with every directory learned and reads rows one at a
+        time.  Same counters, same occupancy, same tallies, same
         ``load-*`` / ``unload`` sequence — the parent's."""
         store = SNodeStore(small_build.root, buffer_bytes=64 * 1024)
+        single_rows = []
+
+        def counted(data, starts, local, *rest):
+            single_rows.append(local)
+            return decode_row(data, starts, local, *rest)
+
+        monkeypatch.setattr(encode, "decode_row", counted)
         passes = []
-        for _ in range(2):
+        for index in range(3):
+            if index == 2:
+                assert all(
+                    store._learned[("intra", supernode)][1] is not None
+                    for supernode in range(store.num_supernodes)
+                )
+                single_rows.clear()
             store.drop_buffers()
             store.metrics.reset()
             self.probe(store)
@@ -516,7 +534,8 @@ class TestBatchedAccounting:
                 for name, value in self.COLD_PASS["snapshot"].items()
                 if not name.startswith("distinct_")
             }
-        assert passes[1] == passes[0] == self.COLD_PASS
+        assert passes[2] == passes[1] == passes[0] == self.COLD_PASS
+        assert len(single_rows) > 100
         store.close()
 
     def test_encoded_payload_cache(self, small_build):
@@ -554,11 +573,12 @@ class TestBatchedAccounting:
     def test_six_sessions_race_to_decode_header_resident_entries(
         self, small_repo, small_build
     ):
-        """After a cold reset every superedge graph is re-loaded at its
-        learned charge with its rows undecoded; six sessions then read
-        every page at once, so each entry's first linked access is a
-        race.  Whoever wins, the rows are the crawl's, each session is
-        charged its own hits and nothing else moves."""
+        """After a cold reset every graph is re-loaded at its learned
+        charge with its rows undecoded; six sessions then read every page
+        at once, so each superedge entry's first linked access and each
+        intranode entry's every row is a race.  Whoever wins, the rows
+        are the crawl's, each session is charged its own hits and nothing
+        else moves."""
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26, stripes=4)
         numbering = small_build.numbering
         expected = {
@@ -572,11 +592,11 @@ class TestBatchedAccounting:
         store.drop_buffers()
         keys = superedge_keys(store)
         entries = [store.superedge_rows(*key) for key in keys]
-        for supernode in range(store.num_supernodes):
-            store.intranode_rows(supernode)
+        intranode = [store.intranode_rows(supernode) for supernode in range(store.num_supernodes)]
         linking = [rows for rows in entries if rows.sources]
         assert len(linking) > 400
         assert all(type(rows._rows) is tuple for rows in linking)  # header-resident
+        assert all(rows._rows == {} for rows in intranode)  # no row decoded
         base = store.metrics.snapshot()
 
         sessions = [store.metrics.child(f"client-{index}") for index in range(6)]
@@ -607,6 +627,12 @@ class TestBatchedAccounting:
         assert [store.superedge_rows(*key) for key in keys] == entries
         for rows in linking:
             assert type(rows._rows) is dict
+            assert not any(
+                isinstance(getattr(rows, slot), BitReader) for slot in rows.__slots__
+            )
+        for supernode, rows in enumerate(intranode):
+            assert store.intranode_rows(supernode) is rows
+            assert len(rows._rows) == len(rows)  # every row, each decoded into the one entry
             assert not any(
                 isinstance(getattr(rows, slot), BitReader) for slot in rows.__slots__
             )

@@ -1,9 +1,13 @@
-"""Superedge payloads whose header is sound and whose body is cut short.
+"""Payloads whose header is sound and whose body is cut short.
 
-Built from the pointer table and the bit-by-bit oracle decoders only, so
-the same cut can be served by any commit of ``snode.encode`` /
-``snode.store`` — which is how the error a cut surfaces as was captured
-before cached superedge graphs went header-resident.
+Superedge payloads keep their polarity bit and linked-source list;
+intranode payloads keep their dictionary, and are served from a region
+appended to the index file with its checksum recomputed, so any cut bit
+offset reaches the decoder.  Built from the pointer table and the
+bit-by-bit oracle decoders only, so the same cut can be served by any
+commit of ``snode.encode`` / ``snode.store`` — which is how the error a
+cut surfaces as was captured before cached superedge graphs went
+header-resident.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import dataclasses
 import oracle_codecs
 
 from repro.errors import CodecError
+from repro.snode.storage import GraphLocation
 from repro.storage import integrity
 
 
@@ -70,3 +75,30 @@ def truncate_region(store, key: tuple[int, int], keep: int) -> None:
         dataclasses.replace(location, length=keep, crc=crc),
         negative,
     )
+
+
+def richest_intranode(store, max_bytes: int = 128) -> int:
+    """The intranode graph of ``store`` with the most reference records
+    among those of at most ``max_bytes`` bytes: the one whose reference
+    chains a cut breaks in the most places."""
+
+    def references(location) -> int:
+        records = oracle_codecs.intranode_records(region(store, location))[3]
+        return sum(isinstance(record, tuple) for record in records)
+
+    counts = {
+        supernode: references(location)
+        for supernode, location in enumerate(store._layout.intranode)
+        if location.length <= max_bytes
+    }
+    return max(counts, key=counts.get)
+
+
+def append_region(store, file_index: int, data: bytes):
+    """Append ``data`` to index file ``file_index`` of ``store``'s build;
+    its location, checksum included."""
+    path = store._root / store._layout.index_files[file_index]
+    with open(path, "ab") as handle:
+        offset = handle.tell()
+        handle.write(data)
+    return GraphLocation(file_index, offset, len(data), integrity.crc32(data))

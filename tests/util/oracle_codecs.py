@@ -10,7 +10,9 @@ dense form (a list per source page) the store used to cache; its
 ``4 * rows + 8 * edges`` is what the buffer charge must keep matching.
 ``linked_rows_from_payload`` is the sparse form ``snode.encode`` built
 eagerly, whole payload at once, before a cached superedge graph held
-only its header until a linked row was asked for.
+only its header until a linked row was asked for.  ``decode_row`` reads
+one row of a collection from its record's bit offset, recursing along
+its reference chain — the per-row reader an intranode entry must match.
 
 Then three *encoders* as they were before the write side was priced
 from a row's entries: ``encode_gamma`` as a unary prefix plus a field,
@@ -114,31 +116,7 @@ def decode_rows(
     superedge graphs, absent for intranode graphs).
     """
     count = decode_gamma(reader)
-    parsed: list[tuple[int, list[int], list[int]] | list[int]] = []
-    for y in range(count):
-        if reader.read_bit():
-            if dictionary and reader.read_bit():
-                parsed.append(_decode_dictionary_body(reader, dictionary))
-                continue
-            distance = decode_gamma(reader) + 1
-            backward = reader.read_bit()
-            parent = y - distance if backward else y + distance
-            if not 0 <= parent < count:
-                raise CodecError(f"row {y} references out-of-range row {parent}")
-            copy_bits, extras = _decode_reference_body(reader)
-            parsed.append((parent, copy_bits, extras))
-        else:
-            if reader.read_bit():  # dense mode
-                bits = decode_bitvector(reader)
-                parsed.append([i for i, bit in enumerate(bits) if bit])
-            else:
-                length = decode_gamma(reader)
-                row: list[int] = []
-                previous = -1
-                for _ in range(length):
-                    previous = previous + 1 + decode_gamma(reader)
-                    row.append(previous)
-                parsed.append(row)
+    parsed = [_read_record(reader, y, count, dictionary) for y in range(count)]
     # Resolve reference chains iteratively (forward references allowed).
     resolved: list[list[int] | None] = [
         entry if isinstance(entry, list) else None for entry in parsed
@@ -159,12 +137,63 @@ def decode_rows(
             parent, copy_bits, extras = parsed[current]  # type: ignore[misc]
             base = resolved[parent]
             assert base is not None
-            if copy_bits is None:  # full copy
-                copied = list(base)
-            else:
-                copied = [value for value, bit in zip(base, copy_bits) if bit]
-            resolved[current] = sorted(set(copied) | set(extras))
+            resolved[current] = _referenced_row(base, copy_bits, extras)
     return [row if row is not None else [] for row in resolved]
+
+
+def _read_record(
+    reader: BitReader, y: int, count: int, dictionary: Sequence[int] | None
+) -> tuple[int, list[int] | None, list[int]] | list[int]:
+    """Row ``y``'s record: the row, or (parent, copy bits, extras)."""
+    if reader.read_bit():
+        if dictionary and reader.read_bit():
+            return _decode_dictionary_body(reader, dictionary)
+        distance = decode_gamma(reader) + 1
+        backward = reader.read_bit()
+        parent = y - distance if backward else y + distance
+        if not 0 <= parent < count:
+            raise CodecError(f"row {y} references out-of-range row {parent}")
+        copy_bits, extras = _decode_reference_body(reader)
+        return parent, copy_bits, extras
+    if reader.read_bit():  # dense mode
+        bits = decode_bitvector(reader)
+        return [i for i, bit in enumerate(bits) if bit]
+    length = decode_gamma(reader)
+    row: list[int] = []
+    previous = -1
+    for _ in range(length):
+        previous = previous + 1 + decode_gamma(reader)
+        row.append(previous)
+    return row
+
+
+def _referenced_row(
+    base: list[int], copy_bits: list[int] | None, extras: list[int]
+) -> list[int]:
+    if copy_bits is None:  # full copy
+        copied = list(base)
+    else:
+        copied = [value for value, bit in zip(base, copy_bits) if bit]
+    return sorted(set(copied) | set(extras))
+
+
+def decode_row(
+    data: bytes,
+    starts: Sequence[int],
+    y: int,
+    dictionary: Sequence[int] | None,
+    seen: tuple[int, ...] = (),
+) -> list[int]:
+    """Row ``y`` of a collection whose records start at the bit offsets
+    ``starts``: its record read alone, its parent's recursively."""
+    if y in seen:
+        raise CodecError("cyclic reference chain in encoded rows")
+    record = _read_record(BitReader(data, starts[y]), y, len(starts), dictionary)
+    if isinstance(record, list):
+        return record
+    parent, copy_bits, extras = record
+    base = decode_row(data, starts, parent, dictionary, (*seen, y))
+    return _referenced_row(base, copy_bits, extras)
 
 
 def _decode_reference_body(
@@ -187,6 +216,22 @@ def decode_intranode(data: bytes) -> list[list[int]]:
     reader = BitReader(data)
     dictionary = _decode_locals(reader)
     return decode_rows(reader, dictionary=dictionary)
+
+
+def intranode_records(data: bytes) -> tuple[list[int], int, list[int], list]:
+    """(dictionary, bit offset of the row count, bit offset of every row's
+    record, the records) of an intranode payload, read one record after
+    the other; a record is a row or (parent, copy bits, extras)."""
+    reader = BitReader(data)
+    dictionary = _decode_locals(reader)
+    body = reader.position
+    count = decode_gamma(reader)
+    starts: list[int] = []
+    records: list = []
+    for y in range(count):
+        starts.append(reader.position)
+        records.append(_read_record(reader, y, count, dictionary))
+    return dictionary, body, starts, records
 
 
 def _decode_locals(reader: BitReader) -> list[int]:

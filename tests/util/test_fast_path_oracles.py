@@ -1,4 +1,4 @@
-"""The served request path's two fast paths, each against its oracle.
+"""Three fast paths, each against its oracle.
 
 **Pushed span counters.**  A request's counters used to be read off its
 spans as the difference of two full snapshots of the connection's session
@@ -19,6 +19,18 @@ type and hands containers of scalars to C in one call; the oracle
 call per item it replaced.  The canonical values must be equal, their
 JSON byte-equal, and the errors the same.
 
+**The intranode row decoder.**  A re-loaded intranode graph decodes only
+the rows asked for, each with its reference chain, by the row directory
+its first, whole decode learned (``snode.encode.IntranodeRows``).
+Hypothesis generates row collections — windowed and full-affinity plans
+(so forward references occur), the dictionary on and off, dense runs,
+empty rows, repeated rows — and every row read through the directory, in
+any order and from a partly filled cache, must equal
+``oracle_codecs.decode_intranode``'s, and the directory the oracle's
+record offsets.  A payload cut at every bit offset past its dictionary
+fails typed through a store that learned its directory and through a
+fresh one; a scan decodes each graph in one pass.
+
 Seeded mutations, each failing the test named:
 
 * base-registry charges leak in (``ClientEngine.bind`` also binding
@@ -33,7 +45,18 @@ Seeded mutations, each failing the test named:
   scalars) — ``test_canonical_json_equals_the_oracle``;
 * the fast path passes a tuple through as a tuple (``return value`` for a
   tuple of scalars; its JSON is the same, the value is not) —
-  ``test_canonical_json_equals_the_oracle``.
+  ``test_canonical_json_equals_the_oracle``;
+* a row's offset is recorded one bit late (``8 * byte - avail + 1`` in
+  ``reference._decode_records``) —
+  ``test_row_reads_equal_the_oracle``;
+* a forward reference is resolved before its parent (``decode_row`` walks
+  its chain from the asked row instead of ``reversed``) —
+  ``test_row_reads_equal_the_oracle``;
+* a full copy returns the parent's own list (``base`` for ``base[:]`` in
+  ``reference._apply_reference``) — ``test_row_reads_equal_the_oracle``;
+* a scan decodes row by row (the all-rows rule in
+  ``SNodeStore._adjacency`` deleted) —
+  ``test_a_scan_decodes_each_intranode_graph_in_one_pass``.
 """
 
 from __future__ import annotations
@@ -42,6 +65,7 @@ import collections
 import enum
 import shutil
 
+import cut_body
 import oracle_codecs
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -51,9 +75,11 @@ from repro.errors import NotResident, ServeError
 from repro.obs import tracing
 from repro.serve import protocol
 from repro.serve.daemon import ClientEngine
+from repro.snode import encode
 from repro.snode.build import BuildOptions
 from repro.snode.delta import DeltaOverlay
 from repro.snode.pair import SNodePair
+from repro.snode.store import SNodeStore
 from repro.storage import faults
 
 # -- pushed span counters ----------------------------------------------------
@@ -283,3 +309,208 @@ def test_errors_are_unchanged():
         expected = outcome(oracle_codecs.canonicalize, value)
         assert outcome(protocol.canonicalize, value) == expected
         assert expected[0] is ServeError
+
+
+# -- the intranode row decoder ---------------------------------------------------
+
+
+@st.composite
+def row_collections(draw):
+    """(rows, window, full-affinity limit, dictionary allowed?, the order
+    rows are read in, the rows read first).
+
+    A few shapes, repeated (full copies) or with one more target (a copy
+    plus extras, and the partial copy the other way); runs of consecutive
+    targets (dense rows); a few hub targets (what a dictionary pays for);
+    empty rows.  A full-affinity plan may reference forward, a windowed
+    one (limit 0) only backward.
+    """
+    size = draw(st.integers(1, 40))
+    local = st.integers(0, size - 1)
+    run = st.tuples(local, st.integers(1, 12)).map(
+        lambda run: list(range(run[0], min(size, run[0] + run[1])))
+    )
+    shapes = draw(st.lists(st.sets(local, max_size=8).map(sorted) | run, min_size=1, max_size=4))
+    hubs = draw(st.sets(local, min_size=1, max_size=3))
+    row = st.one_of(
+        st.sampled_from(shapes),
+        st.tuples(st.sampled_from(shapes), local).map(lambda pick: sorted({*pick[0], pick[1]})),
+        st.tuples(st.sets(st.sampled_from(sorted(hubs)), min_size=1), local).map(
+            lambda pick: sorted({*pick[0], pick[1]})
+        ),
+        st.just([]),
+        run,
+    )
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    window, limit = draw(st.sampled_from([(8, 96), (2, 96), (8, 0), (1, 0)]))
+    order = draw(st.permutations(range(size)))
+    first = draw(st.sets(local, max_size=size))
+    return rows, window, limit, draw(st.booleans()), order, sorted(first)
+
+
+#: Named collections: no dictionary, with a forward reference, full
+#: copies, a dense row and empty rows; the same read windowed, with a
+#: partial copy; a dictionary with sibling references, one forward.
+DENSE_AND_FORWARD = [
+    [3, 7, 9, 12, 15], [], [3, 7, 9, 12, 15], [3, 7, 9, 12, 15, 20], list(range(4, 20)),
+    [3, 7, 12], [], [0, 3, 7, 9, 12, 15, 21],
+]
+HUBS_AND_FORWARD = [
+    [6], [3, 4], [6], [4, 5, 6, 7, 8, 10], [4, 5, 6, 7, 8, 10], [], [6], [4, 6], [], [],
+    [0, 6, 10], [4, 5, 6, 7, 8, 10], [4, 5, 6, 7, 8, 10], [],
+]
+
+
+def reference_chain(records, local: int) -> set[int]:
+    """``local`` and every row its record references, transitively."""
+    chain = [local]
+    while isinstance(records[chain[-1]], tuple):
+        chain.append(records[chain[-1]][0])
+    return set(chain)
+
+
+def check_row_reads(rows, window, limit, use_dictionary, order, first):
+    payload = encode.encode_intranode(rows, window, limit, use_dictionary)
+    want = oracle_codecs.decode_intranode(payload)
+    assert want == rows
+    dictionary, body, starts, records = oracle_codecs.intranode_records(payload)
+    whole = encode.decode_intranode(payload)  # the first load: every row, directory learned
+    assert whole == want and list(whole) == want
+    assert (whole.directory.dictionary, whole.directory.body) == (dictionary, body)
+    assert list(whole.directory.starts) == starts
+    assert len({id(row) for row in whole}) == len(want)  # no row is another's list
+
+    entry = encode.decode_intranode(payload, whole.directory)  # a re-load: nothing decoded
+    assert len(entry) == len(want) and entry._rows == {}
+    for local in first:
+        entry[local]
+    for local in order:
+        assert entry[local] == want[local] == oracle_codecs.decode_row(
+            payload, starts, local, dictionary
+        )
+    assert len({id(entry[local]) for local in range(len(entry))}) == len(want)
+    for local in order[:4]:
+        alone = encode.decode_intranode(payload, whole.directory)
+        assert alone[local] == want[local]
+        assert set(alone._rows) == reference_chain(records, local)  # that row and its chain
+    assert entry == want and list(entry) == want
+    return payload, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_collections())
+@example((DENSE_AND_FORWARD, 8, 96, False, list(range(7, -1, -1)), [1, 4]))
+@example((DENSE_AND_FORWARD, 2, 0, False, list(range(8)), []))
+@example((HUBS_AND_FORWARD, 8, 96, True, list(range(13, -1, -1)), [3, 11]))
+def test_row_reads_equal_the_oracle(case):
+    check_row_reads(*case)
+
+
+def test_the_named_collections_are_what_they_claim():
+    """Forward references, full and partial copies, dense, empty and
+    dictionary rows all occur in the named collections."""
+
+    def kinds(rows, window, limit, use_dictionary):
+        payload, records = check_row_reads(
+            rows, window, limit, use_dictionary, range(len(rows)), []
+        )
+        starts = oracle_codecs.intranode_records(payload)[2]
+        found = set()
+        for y, (start, record) in enumerate(zip(starts, records)):
+            if isinstance(record, tuple):
+                found.add("forward" if record[0] > y else "backward")
+                found.add("full copy" if record[1] is None else "partial copy")
+                continue
+            flags = oracle_codecs.BitReader(payload, start)
+            referenced, dense = flags.read_bit(), flags.read_bit()
+            found.add("dictionary" if referenced else "dense" if dense else "sparse")
+            if not record:
+                found.add("empty")
+        return found
+
+    assert {"forward", "full copy", "dense", "empty"} <= kinds(DENSE_AND_FORWARD, 8, 96, False)
+    windowed = kinds(DENSE_AND_FORWARD, 2, 0, False)
+    assert "partial copy" in windowed and "forward" not in windowed
+    assert {"dictionary", "forward", "full copy"} <= kinds(HUBS_AND_FORWARD, 8, 96, True)
+
+
+@pytest.mark.parametrize("cache_decoded", [True, False], ids=["decoded", "encoded"])
+def test_a_scan_decodes_each_intranode_graph_in_one_pass(small_build, monkeypatch, cache_decoded):
+    """With every directory learned, a scan calls ``decode_rows`` once per
+    graph it reads rows of and never ``decode_row``; a point lookup in a
+    supernode of more than one page decodes its row alone."""
+    store = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
+    sources = {key: store.superedge_rows(*key).sources for key in store._layout.superedge}
+    for _page, _row in store.iterate_all():  # every graph loaded: every directory learned
+        pass
+    calls = dict.fromkeys(("decode_rows", "decode_row"), 0)
+    for name in calls:
+        original = getattr(encode, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(encode, name, counting)
+
+    store.drop_buffers()
+    for _page, _row in store.iterate_all():
+        pass
+    linking = sum(1 for linked in sources.values() if linked)
+    assert calls == {"decode_rows": store.num_supernodes + linking, "decode_row": 0}
+
+    store.drop_buffers()
+    calls.update(dict.fromkeys(calls, 0))
+    single = whole = linking = 0
+    for supernode in range(store.num_supernodes):
+        first, end = store.supernode_range(supernode)
+        local = (end - first) // 2
+        store.out_neighbors(first + local)
+        single += end - first > 1
+        whole += end - first == 1  # asking for its one row is asking for every row
+        linking += sum(
+            local in sources[(supernode, target)] for target in store.super_adjacency[supernode]
+        )
+    assert single > 50
+    assert calls == {"decode_rows": whole + linking, "decode_row": single}
+    store.close()
+
+
+def test_cut_intranode_payloads_fail_typed(small_build, tmp_path):
+    """An intranode payload cut at every bit offset past its dictionary,
+    checksum recomputed, served through a store that learned its directory
+    from the sound payload and through a fresh store: every row read
+    raises ``CodecError`` (``BitStreamError`` is one) or is the oracle's
+    row — never ``IndexError`` or ``ValueError``, never a hang."""
+    root = tmp_path / "build"
+    shutil.copytree(small_build.root, root)
+    learned = SNodeStore(root, buffer_bytes=1 << 26)
+    supernode = cut_body.richest_intranode(learned)
+    location = learned._layout.intranode[supernode]
+    payload = cut_body.region(learned, location)
+    dictionary, body, starts, _records = oracle_codecs.intranode_records(payload)
+    learned.intranode_rows(supernode)  # the first load learns the directory
+    count = len(starts)
+    order = sorted(range(count), key=lambda local: local * 7 % count)  # not in row order
+    outcome = cut_body.outcome
+    failed = served = 0
+    cuts = [cut_body.cut_at(payload, bit) for bit in range(body, 8 * len(payload))]
+    for data in cuts:
+        cut = cut_body.append_region(learned, location.file_index, data)
+        learned._layout.intranode[supernode] = cut
+        learned.drop_buffers()
+        entry = learned.intranode_rows(supernode)
+        assert entry._rows == {}  # a re-load decodes nothing
+        for local in order:
+            read = outcome(entry.__getitem__, local)
+            assert read == outcome(oracle_codecs.decode_row, data, starts, local, dictionary)
+            failed += read[0] == "error"
+            served += read[0] == "ok"
+        whole = outcome(oracle_codecs.decode_intranode, data)
+        assert outcome(list, entry) == whole  # the all-rows decode of the same entry
+        fresh = SNodeStore(root)
+        fresh._layout.intranode[supernode] = cut
+        assert outcome(lambda: list(fresh.intranode_rows(supernode))) == whole
+        fresh.close()
+    learned.close()
+    assert failed > len(cuts) and served > len(cuts)
