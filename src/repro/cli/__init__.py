@@ -5,9 +5,8 @@ Gives a repository operator the whole pipeline without writing Python:
 * ``repro generate`` — synthesize a crawl and write it as a WebBase-style
   bulk stream;
 * ``repro build``    — build an S-Node representation from a stream
-  (``--workers N`` fans the encode stage over a process pool,
-  ``--resume`` continues an interrupted build from its last stage
-  checkpoint — bytes are identical either way);
+  (``--workers N`` fans the encode stage over a process pool — bytes
+  are identical for any N);
 * ``repro verify``   — integrity-check a stored representation;
 * ``repro fsck``     — check any build directory (atomic-commit state,
   manifest file table, per-region checksums); ``--repair`` quarantines
@@ -38,7 +37,7 @@ Gives a repository operator the whole pipeline without writing Python:
   daemon's recorder as a bundle);
 * ``repro bench-diff`` — compare two bench reports and flag regressions
   (``--ignore`` skips machine-dependent metrics, ``--exact`` pins
-  determinism markers like digests and shard counts).
+  determinism markers like digests and conservation flags).
 
 Every command prints human-readable output to stdout and exits non-zero
 on failure, so the tool scripts cleanly.  Long-running builds report

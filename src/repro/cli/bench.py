@@ -105,6 +105,6 @@ def register(commands) -> None:
         metavar="SUBSTRING",
         help="result paths containing SUBSTRING must match exactly "
         "(repeatable; covers non-numeric leaves like digests, and exempts "
-        "the path from --ignore; e.g. digest, shards)",
+        "the path from --ignore; e.g. digest, matches_serial)",
     )
     bench_diff.set_defaults(handler=_cmd_bench_diff)

@@ -37,25 +37,13 @@ def _cmd_build(arguments: argparse.Namespace) -> int:
         options = BuildOptions(
             transpose=arguments.transpose, workers=arguments.workers
         )
-        build = build_snode(
-            repository,
-            arguments.out,
-            options,
-            progress=progress,
-            resume=arguments.resume,
-        )
+        build = build_snode(repository, arguments.out, options, progress=progress)
     direction = "WGT (backlinks)" if arguments.transpose else "WG"
     print(
         f"built {direction}: {build.model.num_supernodes} supernodes, "
         f"{build.model.num_superedges} superedges, "
         f"{build.bits_per_edge:.2f} bits/edge -> {arguments.out}"
     )
-    if build.resumed_stages:
-        print(
-            f"resumed from checkpoints: skipped "
-            f"{', '.join(build.resumed_stages)}",
-            file=sys.stderr,
-        )
     if arguments.trace:
         print("build trace (span-attributed phases):", file=sys.stderr)
         print(tracer.render(max_depth=arguments.trace_depth), file=sys.stderr)
@@ -89,12 +77,6 @@ def register(commands) -> None:
         metavar="N",
         help="encode-stage worker processes (default: 1 = serial; output "
         "bytes are identical for any N)",
-    )
-    build.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted build from its last completed stage "
-        "checkpoint (falls back to a fresh build when none applies)",
     )
     build.add_argument(
         "--trace",

@@ -11,26 +11,12 @@ builds the supernode graph, and reports
 
 ``--policy largest`` reruns the sweep with largest-first element choice,
 the ablation the paper reports as indistinguishable from random.
-
-``--build-bench`` switches to the staged-build benchmark instead: one
-full ``build_snode`` per worker count (default 1/2/4) at the *largest*
-sweep point, reporting per-stage wall-clock, the encode-stage time, the
-shard count and the manifest digest.  The digest and shard count must be
-identical across worker counts — that is the determinism contract CI
-gates with ``repro bench-diff --exact digest --exact shards`` (wall-clock
-leaves are machine-dependent and ignored; on a single-core runner the
-parallel sweep shows no speedup at all, which is why the gate pins only
-the deterministic markers).  The report is written as
-``BENCH_build.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import tempfile
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 from repro.experiments.harness import (
     add_report_arguments,
@@ -114,131 +100,13 @@ def report(points: list[ScalabilityPoint]) -> str:
     return table + summary
 
 
-@dataclass(frozen=True)
-class BuildBenchPoint:
-    """One worker count's full-build measurements (largest sweep point)."""
-
-    workers: int
-    shards: int
-    encode_s: float
-    total_s: float
-    stages_s: dict
-    digest: str
-    num_supernodes: int
-    num_superedges: int
-
-
-def run_build_bench(
-    workers_list: tuple[int, ...] = (1, 2, 4), seed: int = 7
-) -> tuple[int, list[BuildBenchPoint]]:
-    """Build the largest sweep point once per worker count.
-
-    Returns ``(num_pages, points)``.  Every point must carry the same
-    digest and shard count — a parallel build is byte-identical to the
-    serial one by construction (frozen code tables + ordered shard
-    reassembly); this benchmark is where CI checks that claim against a
-    committed baseline.
-    """
-    from repro.snode.build import BuildOptions, build_snode
-
-    size = sweep_sizes()[-1]
-    repository = dataset(size)
-    options_base = BuildOptions(refinement=experiment_refinement_config(seed))
-    points: list[BuildBenchPoint] = []
-    for workers in workers_list:
-        with tempfile.TemporaryDirectory(prefix="repro-build-bench-") as tmp:
-            build = build_snode(
-                repository,
-                Path(tmp) / "snode",
-                options=replace(options_base, workers=workers),
-            )
-            stages_s = {
-                f"{name}_s": seconds
-                for name, seconds in build.stage_seconds.items()
-            }
-            points.append(
-                BuildBenchPoint(
-                    workers=build.workers,
-                    shards=build.shards,
-                    encode_s=build.stage_seconds.get("encode", 0.0),
-                    total_s=sum(build.stage_seconds.values()),
-                    stages_s=stages_s,
-                    digest=build.manifest["digest"],
-                    num_supernodes=build.model.num_supernodes,
-                    num_superedges=build.model.num_superedges,
-                )
-            )
-            build.store.close()
-    return size, points
-
-
-def report_build_bench(num_pages: int, points: list[BuildBenchPoint]) -> str:
-    """Workers-sweep table plus the determinism check."""
-    rows = [
-        (p.workers, p.shards, p.encode_s, p.total_s, p.digest[:16])
-        for p in points
-    ]
-    table = format_table(
-        ["workers", "shards", "encode_s", "total_s", "digest[:16]"], rows
-    )
-    digests = {p.digest for p in points}
-    serial = next((p for p in points if p.workers == 1), points[0])
-    fastest = min(points, key=lambda p: p.encode_s)
-    # Shard counts differ by design (about 4x the worker count); the
-    # byte-level determinism claim is that the *digest* never moves.
-    summary = (
-        f"\n{num_pages} pages, cpu_count={os.cpu_count()}: "
-        f"deterministic across workers: "
-        f"{'yes' if len(digests) == 1 else 'NO'}; "
-        f"best encode {fastest.encode_s:.3f}s at workers={fastest.workers} "
-        f"({serial.encode_s / max(fastest.encode_s, 1e-9):.2f}x vs serial)"
-    )
-    return table + summary
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--policy", choices=("random", "largest"), default="random")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--build-bench",
-        action="store_true",
-        help="benchmark the staged build at the largest sweep point across "
-        "worker counts (writes BENCH_build.json with --json)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        metavar="N",
-        help="worker counts swept by --build-bench (default: 1 2 4)",
-    )
     add_report_arguments(parser)
     add_trace_arguments(parser)
     arguments = parser.parse_args()
-    if arguments.build_bench:
-        with trace_session(arguments, "build") as tracer:
-            num_pages, points = run_build_bench(
-                workers_list=tuple(arguments.workers), seed=arguments.seed
-            )
-        if not arguments.quiet:
-            print("[build] workers sweep (largest scalability point)")
-            print(report_build_bench(num_pages, points))
-        emit_report(
-            arguments.json_dir,
-            "build",
-            [asdict(point) for point in points],
-            params={
-                "seed": arguments.seed,
-                "num_pages": num_pages,
-                "workers_list": list(arguments.workers),
-                # Wall-clock context: with one core, no speedup is possible.
-                "cpu_count": os.cpu_count(),
-            },
-            spans=tracer.summary_dict() if tracer else None,
-        )
-        return
     with trace_session(arguments, "scalability") as tracer:
         points = run(policy=arguments.policy, seed=arguments.seed)
     if not arguments.quiet:

@@ -425,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         default=[],
         metavar="SUBSTRING",
         help="paths containing SUBSTRING must match exactly (repeatable; "
-        "covers non-numeric leaves like digests; e.g. digest, shards)",
+        "covers non-numeric leaves like digests; e.g. digest, matches_serial)",
     )
     arguments = parser.parse_args(argv)
 

@@ -21,7 +21,6 @@ to the whole repository, and materializes an immutable
 
 from __future__ import annotations
 
-import pickle
 import random
 from dataclasses import dataclass, field
 
@@ -75,62 +74,6 @@ class RefinementResult:
     def num_elements(self) -> int:
         """Size of the final partition."""
         return self.partition.num_elements
-
-    def to_artifact(self) -> bytes:
-        """Serialize to a stage-checkpoint artifact (deterministic bytes).
-
-        Everything is flattened to plain tuples before pickling, so the
-        artifact depends only on the refinement outcome — pickling the
-        same result twice yields identical bytes, which is what lets the
-        pipeline's checkpoint registry verify it by SHA-256.
-        """
-        elements = tuple(
-            (e.pages, e.domain, e.url_depth, e.url_split_exhausted)
-            for e in self.partition.elements()
-        )
-        state = (
-            self.partition.num_pages,
-            elements,
-            self.iterations,
-            self.url_splits,
-            self.clustered_splits,
-            self.clustered_aborts,
-            self.stop_reason,
-        )
-        return pickle.dumps(state, protocol=4)
-
-    @classmethod
-    def from_artifact(cls, data: bytes) -> "RefinementResult":
-        """Inverse of :meth:`to_artifact`."""
-        (
-            num_pages,
-            elements,
-            iterations,
-            url_splits,
-            clustered_splits,
-            clustered_aborts,
-            stop_reason,
-        ) = pickle.loads(data)
-        partition = Partition(
-            num_pages,
-            [
-                Element(
-                    pages=tuple(pages),
-                    domain=domain,
-                    url_depth=url_depth,
-                    url_split_exhausted=exhausted,
-                )
-                for pages, domain, url_depth, exhausted in elements
-            ],
-        )
-        return cls(
-            partition=partition,
-            iterations=iterations,
-            url_splits=url_splits,
-            clustered_splits=clustered_splits,
-            clustered_aborts=clustered_aborts,
-            stop_reason=stop_reason,
-        )
 
 
 class _RefinementState:

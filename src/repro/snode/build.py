@@ -1,4 +1,4 @@
-"""End-to-end S-Node builder (façade over the staged pipeline).
+"""End-to-end S-Node builder.
 
 ``build_snode`` chains the full pipeline of section 3:
 
@@ -12,29 +12,34 @@ Table 1 and Figures 9/10.  Passing ``transpose=True`` builds the
 representation of WGT (backlinks) instead, reusing the same partition —
 the paper builds both for every scheme.
 
-Since the staged-pipeline refactor the heavy lifting lives in
-:class:`repro.snode.pipeline.BuildPipeline`: every stage checkpoints
-inside the build transaction's tmp directory, the encode stage can fan
-out across a ``multiprocessing`` worker pool (``BuildOptions.workers``), and
-``build_snode(..., resume=True)`` picks an interrupted build up from its
-last completed stage.  Output bytes are identical for every worker count
-and every resume path.
+Each stage is a plain function call, so a caller that needs only part of
+the build (a compaction that keeps its partition, say) calls the same
+functions directly.  The encode stage can fan out across a
+``multiprocessing`` pool (``BuildOptions.workers``); output bytes are
+identical for every worker count.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import StorageError
+from repro.errors import BuildError, StorageError
+from repro.obs import tracing
 from repro.partition.partition import Partition
-from repro.partition.refine import RefinementConfig, RefinementResult
+from repro.partition.refine import (
+    RefinementConfig,
+    RefinementResult,
+    refine_partition,
+)
 from repro.snode.encode import supernode_graph_size_bytes
-from repro.snode.model import SNodeModel
-from repro.snode.numbering import Numbering
+from repro.snode.model import SNodeModel, build_model
+from repro.snode.numbering import Numbering, build_numbering
 from repro.snode.reference import DEFAULT_FULL_AFFINITY_LIMIT, DEFAULT_WINDOW
-from repro.snode.storage import DEFAULT_MAX_FILE_BYTES
+from repro.snode.storage import DEFAULT_MAX_FILE_BYTES, encode_payloads, write_tables
 from repro.snode.store import DEFAULT_BUFFER_BYTES, SNodeStore
+from repro.storage.atomic import BuildTransaction
 from repro.webdata.corpus import Repository
 
 
@@ -56,6 +61,10 @@ class BuildOptions:
     # bytes, only wall-clock.
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise BuildError(f"worker count must be >= 1, got {self.workers}")
+
 
 @dataclass
 class SNodeBuild:
@@ -74,13 +83,8 @@ class SNodeBuild:
     refinement: RefinementResult | None
     manifest: dict
     root: Path
-    #: Wall-clock seconds per pipeline stage (0.0 for resumed stages).
+    #: Wall-clock seconds per build stage.
     stage_seconds: dict = field(default_factory=dict)
-    #: Stages restored from checkpoints instead of recomputed.
-    resumed_stages: tuple = ()
-    #: Effective encode worker count and shard count of this build.
-    workers: int = 1
-    shards: int = 1
 
     @property
     def bits_per_edge(self) -> float:
@@ -136,32 +140,92 @@ def build_snode(
     options: BuildOptions | None = None,
     partition: Partition | None = None,
     progress=None,
-    resume: bool = False,
 ) -> SNodeBuild:
     """Build, serialize and open an S-Node representation under ``root``.
 
-    Each pipeline stage runs inside a tracing span on the currently
+    Six calls inside one :class:`~repro.storage.atomic.BuildTransaction`:
+    refine, number, model, encode, assemble, commit; then the store is
+    opened.  Each stage runs inside a tracing span on the currently
     activated tracer (``build.refine`` / ``build.numbering`` /
     ``build.model`` / ``build.encode`` / ``build.assemble`` /
     ``build.open``), so ``repro build --trace`` attributes build time to
     phases; encode-worker span aggregates are absorbed under a
     ``worker.`` prefix.  ``progress`` (an optional
     :class:`~repro.obs.progress.ProgressReporter`) is threaded into the
-    refinement loop and the supernode encoder.  ``resume=True`` continues
-    an interrupted build from its last completed stage checkpoint —
-    producing exactly the bytes an uninterrupted build would have.
+    refinement loop and the supernode encoder.  A build killed part-way
+    leaves ``<root>.tmp`` behind (a partial build); the next build at
+    ``root`` removes it and starts over.
     """
-    # Deferred import: pipeline.core imports this module's dataclasses.
-    from repro.snode.pipeline.core import BuildPipeline
+    options = options or BuildOptions()
+    root = Path(root)
+    stage_seconds: dict[str, float] = {}
+    mark = time.perf_counter()
 
-    return BuildPipeline(
-        repository,
-        root,
-        options=options,
-        partition=partition,
-        progress=progress,
-        resume=resume,
-    ).run()
+    def lap(stage: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        stage_seconds[stage] = now - mark
+        mark = now
+
+    with BuildTransaction(root) as transaction:
+        refinement = None
+        if partition is None:
+            with tracing.span("build.refine", pages=repository.num_pages):
+                refinement = refine_partition(
+                    repository,
+                    options.refinement or RefinementConfig(),
+                    progress=progress,
+                )
+            partition = refinement.partition
+        lap("refine")
+        with tracing.span("build.numbering", elements=partition.num_elements):
+            numbering = build_numbering(repository, partition)
+        lap("number")
+        graph = repository.graph.transpose() if options.transpose else repository.graph
+        with tracing.span("build.model", transpose=options.transpose):
+            model = build_model(
+                graph, numbering, force_positive=options.force_positive_superedges
+            )
+        lap("model")
+        with tracing.span(
+            "build.encode",
+            supernodes=model.num_supernodes,
+            superedges=model.num_superedges,
+            workers=options.workers,
+        ):
+            encoded = encode_payloads(
+                model,
+                transaction,
+                max_file_bytes=options.max_file_bytes,
+                window=options.reference_window,
+                full_affinity_limit=options.full_affinity_limit,
+                use_dictionary=options.use_dictionary,
+                workers=options.workers,
+                progress=progress,
+            )
+        lap("encode")
+        with tracing.span("build.assemble"):
+            manifest = write_tables(
+                model,
+                transaction,
+                encoded,
+                window=options.reference_window,
+                full_affinity_limit=options.full_affinity_limit,
+            )
+        lap("assemble")
+        transaction.commit()
+
+    with tracing.span("build.open"):
+        store = SNodeStore(root, buffer_bytes=options.buffer_bytes)
+    return SNodeBuild(
+        store=store,
+        numbering=numbering,
+        model=model,
+        refinement=refinement,
+        manifest=manifest,
+        root=root,
+        stage_seconds=stage_seconds,
+    )
 
 
 def open_snode(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,9 +141,7 @@ class PayloadWriter:
 class EncodedPayloads:
     """Outcome of the encode stage: payload locations and byte accounting.
 
-    Produced by :func:`encode_payloads`, consumed by :func:`write_tables`
-    — and the unit the build pipeline checkpoints between the two, so a
-    resumed build can skip straight to table assembly.
+    Produced by :func:`encode_payloads`, consumed by :func:`write_tables`.
     """
 
     intranode: list[GraphLocation]
@@ -152,8 +151,96 @@ class EncodedPayloads:
     intranode_bytes: int
     superedge_bytes: int
     supernode_payload: bytes
-    shards: int = 1
-    workers: int = 1
+
+
+def _encode_supernode(
+    model: SNodeModel,
+    supernode: int,
+    window: int,
+    full_affinity_limit: int,
+    use_dictionary: bool,
+) -> tuple[bytes, list[tuple[int, bytes, bool]]]:
+    """One supernode's intranode payload and ``(target, payload, negative)``
+    per superedge, in ascending target order (the linear layout)."""
+    intranode = encode_intranode(
+        model.intranode[supernode],
+        window=window,
+        full_affinity_limit=full_affinity_limit,
+        use_dictionary=use_dictionary,
+    )
+    superedges = []
+    for target in model.super_adjacency[supernode]:
+        graph = model.superedges[(supernode, target)]
+        payload = encode_superedge(
+            graph,
+            window=window,
+            full_affinity_limit=full_affinity_limit,
+            use_dictionary=use_dictionary,
+        )
+        superedges.append((target, payload, graph.negative))
+    return intranode, superedges
+
+
+def supernode_ranges(count: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ``[first, last)`` ranges tiling ``0..count`` in order.
+
+    About four per worker, so one huge supernode cannot straggle the
+    pool; the boundaries never change a byte, only load balance.
+    """
+    parts = min(count, workers * 4)
+    return [
+        (index * count // parts, (index + 1) * count // parts)
+        for index in range(parts)
+    ]
+
+
+#: ``(model, knobs)`` of an encode worker, set by the pool initializer
+#: (inherited over fork, pickled once per worker under spawn).
+_WORKER: tuple | None = None
+
+
+def _install_worker(model: SNodeModel, knobs: tuple) -> None:
+    global _WORKER
+    _WORKER = (model, knobs)
+
+
+def _encode_range(bounds: tuple[int, int]) -> tuple[list, dict]:
+    """Pool task: encode one supernode range on a private tracer.
+
+    The tracer's per-name summary rides back with the payloads, so the
+    parent accounts for time spent in the child process.
+    """
+    model, knobs = _WORKER
+    tracer = tracing.Tracer(max_spans=1)
+    results = []
+    with tracing.activated(tracer):
+        for supernode in range(*bounds):
+            with tracing.span("encode.supernode"):
+                results.append(_encode_supernode(model, supernode, *knobs))
+    return results, tracer.summary()
+
+
+def _encode_in_pool(model: SNodeModel, knobs: tuple, workers: int):
+    """Per-supernode results from a process pool, in supernode order.
+
+    ``imap`` hands ranges back in task order whatever order the workers
+    finish in; worker spans are absorbed under ``worker.``.
+    """
+    import multiprocessing
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platform without fork
+        context = multiprocessing.get_context("spawn")
+    ranges = supernode_ranges(model.num_supernodes, workers)
+    with context.Pool(
+        processes=min(workers, len(ranges)),
+        initializer=_install_worker,
+        initargs=(model, knobs),
+    ) as pool:
+        for results, spans in pool.imap(_encode_range, ranges):
+            tracing.absorb_summary(spans, prefix="worker.")
+            yield from results
 
 
 def encode_payloads(
@@ -168,19 +255,13 @@ def encode_payloads(
 ) -> EncodedPayloads:
     """Encode every payload into the transaction's index files.
 
-    Two-phase map-reduce shape:
-
-    1. **freeze** — the supernode-graph Huffman table (the only global
-       code table of the format) is frozen from the in-degree frequency
-       pass, and the supernode-graph payload encoded from it;
-    2. **map** — per-supernode payloads (intranode + superedge graphs)
-       encode independently: serially in-process for ``workers == 1``,
-       or sharded across a ``multiprocessing`` pool otherwise.
-
-    Either way the parent appends payloads to the :class:`PayloadWriter`
-    in strict supernode order (the paper's linear layout), so the index
-    files are **byte-identical** for every worker count.  ``progress``
-    gets one update per encoded supernode.
+    The supernode-graph Huffman table — the format's only global code
+    table — is frozen first.  Every intranode and superedge graph then
+    encodes independently: inline for ``workers == 1``, across a
+    ``multiprocessing`` pool otherwise.  Either way this one loop appends
+    the results to the :class:`PayloadWriter` in supernode order (the
+    paper's linear layout), so the index files are byte-identical for
+    every worker count.  ``progress`` gets one update per supernode.
     """
     from repro.obs import progress as obs_progress
 
@@ -190,69 +271,31 @@ def encode_payloads(
     writer = PayloadWriter(transaction, max_file_bytes)
     progress.start_phase("encode", total=model.num_supernodes, unit="supernodes")
 
+    knobs = (window, full_affinity_limit, use_dictionary)
+    if workers > 1 and model.num_supernodes > 1:
+        results = _encode_in_pool(model, knobs, workers)
+    else:
+        results = (
+            _encode_supernode(model, supernode, *knobs)
+            for supernode in range(model.num_supernodes)
+        )
     intranode_locations: list[GraphLocation] = []
     superedge_locations: dict[tuple[int, int], tuple[GraphLocation, bool]] = {}
-    payload_bytes = 0
     intranode_bytes = 0
     superedge_bytes = 0
-    shards = 1
-
-    if workers <= 1:
-        for supernode in range(model.num_supernodes):
-            payload = encode_intranode(
-                model.intranode[supernode],
-                window=window,
-                full_affinity_limit=full_affinity_limit,
-                use_dictionary=use_dictionary,
-            )
-            intranode_locations.append(writer.append(payload))
-            payload_bytes += len(payload)
-            intranode_bytes += len(payload)
-            # Linear ordering: this supernode's superedge graphs come right
-            # after its intranode graph.
-            for target in model.super_adjacency[supernode]:
-                graph = model.superedges[(supernode, target)]
-                payload = encode_superedge(
-                    graph,
-                    window=window,
-                    full_affinity_limit=full_affinity_limit,
-                    use_dictionary=use_dictionary,
-                )
+    # closing(): a failed append stops the pool now, not at garbage
+    # collection of the traceback that holds this frame.
+    with closing(results):
+        for supernode, (intranode, superedges) in enumerate(results):
+            intranode_locations.append(writer.append(intranode))
+            intranode_bytes += len(intranode)
+            for target, payload, negative in superedges:
                 superedge_locations[(supernode, target)] = (
                     writer.append(payload),
-                    graph.negative,
+                    negative,
                 )
-                payload_bytes += len(payload)
                 superedge_bytes += len(payload)
             progress.update()
-    else:
-        # Deferred import: the pipeline package imports this module.
-        from repro.snode.pipeline import pool as shard_pool
-        from repro.snode.pipeline import shard as shard_mod
-
-        tasks = shard_mod.plan_shards(
-            model,
-            window=window,
-            full_affinity_limit=full_affinity_limit,
-            use_dictionary=use_dictionary,
-            workers=workers,
-        )
-        shards = len(tasks)
-        for result in shard_pool.run_shards(tasks, workers, model):
-            for unit in result.units:
-                intranode_locations.append(writer.append(unit.intranode_payload))
-                payload_bytes += len(unit.intranode_payload)
-                intranode_bytes += len(unit.intranode_payload)
-                for target, payload, negative in unit.superedges:
-                    superedge_locations[(unit.supernode, target)] = (
-                        writer.append(payload),
-                        negative,
-                    )
-                    payload_bytes += len(payload)
-                    superedge_bytes += len(payload)
-                progress.update()
-            tracing.absorb_summary(result.span_summary, prefix="worker.")
-            tracing.note("encode.shards")
 
     index_files = writer.finish()
     progress.finish_phase()
@@ -260,12 +303,10 @@ def encode_payloads(
         intranode=intranode_locations,
         superedge=superedge_locations,
         index_files=index_files,
-        payload_bytes=payload_bytes,
+        payload_bytes=intranode_bytes + superedge_bytes,
         intranode_bytes=intranode_bytes,
         superedge_bytes=superedge_bytes,
         supernode_payload=supernode_payload,
-        shards=shards,
-        workers=workers,
     )
 
 
@@ -278,8 +319,7 @@ def write_tables(
 ) -> dict:
     """Assemble stage: auxiliary tables + manifest (written last).
 
-    Does **not** commit — the caller owns the transaction (the pipeline
-    runs its final checkpoint hook between assembly and commit).
+    Does **not** commit — the caller owns the transaction.
     """
     numbering = model.numbering
     transaction.write_file(
@@ -340,17 +380,15 @@ def write_snode(
     full_affinity_limit: int = DEFAULT_FULL_AFFINITY_LIMIT,
     use_dictionary: bool = True,
     progress=None,
-    workers: int = 1,
 ) -> dict:
     """Serialize ``model`` under directory ``root``; returns the manifest.
 
     The build is atomic: everything is written under ``<root>.tmp`` and
     published by a final rename, with the manifest (carrying per-file
-    CRCs and the whole-build digest) written last.  This is the plain
-    one-shot path (no stage checkpoints); the staged, resumable variant
-    lives in :class:`repro.snode.pipeline.BuildPipeline` and shares
-    :func:`encode_payloads` / :func:`write_tables` with it, so the bytes
-    on disk are identical either way.
+    CRCs and the whole-build digest) written last.
+    :func:`repro.snode.build.build_snode` makes the same calls around its
+    refine, number and model stages, so the bytes and the write ops are
+    identical either way.
     """
     root = Path(root)
     transaction = BuildTransaction(root)
@@ -361,7 +399,6 @@ def write_snode(
         window=window,
         full_affinity_limit=full_affinity_limit,
         use_dictionary=use_dictionary,
-        workers=workers,
         progress=progress,
     )
     manifest = write_tables(

@@ -11,27 +11,20 @@ through a :class:`BuildTransaction`:
 3. commit fsyncs every payload file, fsyncs the tmp directory, renames
    ``<root>.tmp`` -> ``<root>`` and fsyncs the parent directory.
 
-A crash therefore leaves exactly one of three states, which
+A crash therefore leaves one of three states, which
 :func:`classify_build` distinguishes on reopen:
 
 * ``"valid"``   — the rename happened; the manifest describes the build;
 * ``"partial"`` — ``<root>.tmp`` exists but ``<root>`` has no manifest:
-  the build died mid-write (a previously committed build at ``<root>``
-  is never touched before the rename, so it survives intact);
+  the build died before its commit finished;
 * ``"missing"`` — neither exists: nothing was ever built here.
 
-**Stage checkpoints** extend the protocol for staged builders (the
-S-Node :class:`~repro.snode.pipeline.BuildPipeline`): a transaction can
-record named stages, each with a small JSON payload and an optional
-artifact file under ``<root>.tmp/.stages/``.  The checkpoint registry
-(``.checkpoint.json`` in the tmp dir) is replaced atomically after every
-stage, so a crash mid-checkpoint leaves the previous registry intact and
-the interrupted stage simply reruns.  Opening a transaction with
-``resume=True`` keeps an existing tmp dir, restores its registry and
-files table, and lets the builder skip every stage whose checkpoint (and
-artifact checksum) still verifies.  Checkpoint state is torn down right
-before the commit rename — a committed build never contains it, so a
-resumed build is byte-identical to an uninterrupted one.
+A previously committed build at ``<root>`` survives every crash up to
+and including the commit's fault-layer op.  After that op, commit
+removes ``<root>`` and then renames ``<root>.tmp`` over it; a kill in
+that window leaves only the complete ``<root>.tmp`` (manifest included),
+which :func:`classify_build` reports as ``"partial"`` — the old build is
+gone and the new one was never published.
 
 **Mutation sidecars.**  A committed build served mutably grows a
 ``graph.wal`` write-ahead log (and transiently a ``graph.wal.new``
@@ -55,10 +48,6 @@ from repro.storage import faults, integrity
 
 MANIFEST_NAME = "manifest.json"
 TMP_SUFFIX = ".tmp"
-#: Stage-checkpoint registry inside the tmp dir (never committed).
-CHECKPOINT_NAME = ".checkpoint.json"
-#: Directory of stage artifacts inside the tmp dir (never committed).
-STAGE_DIR_NAME = ".stages"
 
 
 def tmp_root(root: Path | str) -> Path:
@@ -137,18 +126,12 @@ class BuildTransaction:
     is deliberately left behind as the "partial build" marker.
     """
 
-    def __init__(self, root: Path | str, resume: bool = False) -> None:
+    def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.dir = tmp_root(self.root)
         self.files: dict[str, dict] = {}
-        #: Stage-checkpoint registry: name -> {"payload", "artifact", "sha256"}.
-        self.stages: dict[str, dict] = {}
-        self.resumed = False
         if self.dir.exists():
-            if resume:
-                self.resumed = self._load_checkpoint()
-            if not self.resumed:
-                shutil.rmtree(self.dir)
+            shutil.rmtree(self.dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self._manifest_written = False
         self._committed = False
@@ -171,114 +154,6 @@ class BuildTransaction:
         """
         self.files[name] = {}  # placeholder, filled by write_manifest
 
-    # -- stage checkpoints -------------------------------------------------
-
-    @property
-    def stage_dir(self) -> Path:
-        """Directory holding stage artifacts (inside the tmp dir)."""
-        return self.dir / STAGE_DIR_NAME
-
-    def checkpoint_stage(
-        self, name: str, payload: dict | None = None, artifact: bytes | None = None
-    ) -> None:
-        """Record stage ``name`` as complete, optionally with an artifact.
-
-        The artifact bytes land under ``.stages/<name>`` (one
-        fault-injectable write op, like any build file), and the registry
-        is then replaced atomically — so a crash anywhere inside this
-        method leaves the previous registry, and the stage reruns on
-        resume.  The registry also snapshots the transaction's ``files``
-        table, which is what makes resumed manifests byte-identical.
-        """
-        entry: dict = {"payload": payload or {}}
-        if artifact is not None:
-            self.stage_dir.mkdir(exist_ok=True)
-            artifact_name = f"{STAGE_DIR_NAME}/{name}"
-            write_file(self.path(artifact_name), artifact)
-            entry["artifact"] = artifact_name
-            entry["sha256"] = integrity.sha256_hex(artifact)
-        self.stages[name] = entry
-        self._persist_checkpoint()
-
-    def completed_stage(self, name: str) -> dict | None:
-        """The checkpoint payload of ``name`` if it (still) verifies.
-
-        Returns None when the stage was never checkpointed or its
-        artifact is missing/corrupt (size or SHA-256 mismatch) — the
-        caller must then rerun the stage.
-        """
-        entry = self.stages.get(name)
-        if entry is None:
-            return None
-        artifact_name = entry.get("artifact")
-        if artifact_name is not None:
-            path = self.path(artifact_name)
-            if not path.exists():
-                return None
-            if integrity.sha256_hex(path.read_bytes()) != entry.get("sha256"):
-                return None
-        return entry["payload"]
-
-    def stage_artifact(self, name: str) -> bytes:
-        """Raw artifact bytes of a checkpointed stage."""
-        entry = self.stages.get(name)
-        if entry is None or "artifact" not in entry:
-            raise StorageError(f"stage {name!r} has no checkpointed artifact")
-        return self.path(entry["artifact"]).read_bytes()
-
-    def drop_stages(self, names) -> None:
-        """Invalidate checkpoints (used when an earlier stage reran)."""
-        dropped = False
-        for name in names:
-            entry = self.stages.pop(name, None)
-            if entry is None:
-                continue
-            dropped = True
-            artifact_name = entry.get("artifact")
-            if artifact_name is not None:
-                self.path(artifact_name).unlink(missing_ok=True)
-        if dropped:
-            self._persist_checkpoint()
-
-    def _persist_checkpoint(self) -> None:
-        """Atomically replace the checkpoint registry (write-new + rename)."""
-        blob = json.dumps(
-            {"stages": self.stages, "files": self.files}, indent=2
-        ).encode()
-        staging = self.path(CHECKPOINT_NAME + ".new")
-        write_file(staging, blob)
-        os.replace(staging, self.path(CHECKPOINT_NAME))
-
-    def _load_checkpoint(self) -> bool:
-        """Restore registry + files table from an interrupted build.
-
-        Returns False (caller starts fresh) when no registry exists or it
-        does not parse — an interrupted non-pipeline build, or a registry
-        lost to a torn write before the atomic replace.
-        """
-        path = self.path(CHECKPOINT_NAME)
-        if not path.exists():
-            return False
-        try:
-            data = json.loads(path.read_text())
-            stages = data["stages"]
-            files = data["files"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            return False
-        if not isinstance(stages, dict) or not isinstance(files, dict):
-            return False
-        self.stages = stages
-        self.files = files
-        return True
-
-    def _discard_checkpoints(self) -> None:
-        """Remove all checkpoint state (right before the commit rename)."""
-        if self.stage_dir.exists():
-            shutil.rmtree(self.stage_dir)
-        self.path(CHECKPOINT_NAME).unlink(missing_ok=True)
-        self.path(CHECKPOINT_NAME + ".new").unlink(missing_ok=True)
-        self.stages = {}
-
     def write_manifest(self, manifest: dict, name: str = MANIFEST_NAME) -> dict:
         """Write the manifest (last!), adding the files table and digest."""
         for file_name, entry in self.files.items():
@@ -300,15 +175,13 @@ class BuildTransaction:
 
         Counts as one write op in the fault layer's crash schedule — a
         crash "at the commit" happens before any destructive step, so an
-        existing build at ``root`` survives it.
+        existing build at ``root`` survives it.  A kill between the
+        ``rmtree`` of that build and the rename leaves only ``<root>.tmp``
+        (see the module docstring).
         """
         if not self._manifest_written:
             raise StorageError("commit before manifest: write_manifest() first")
         faults.commit(self.root)
-        # After the fault layer's crash op, before anything destructive:
-        # a crash "at the commit" leaves the registry behind for resume,
-        # while a committed build never contains checkpoint state.
-        self._discard_checkpoints()
         for path in sorted(self.dir.iterdir()):
             fsync_file(path)
         fsync_dir(self.dir)

@@ -42,11 +42,6 @@ def crc32(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def sha256_hex(data: bytes) -> str:
-    """SHA-256 hex digest of ``data`` (stage artifacts, build digests)."""
-    return hashlib.sha256(data).hexdigest()
-
-
 # -- frame codec -----------------------------------------------------------
 
 

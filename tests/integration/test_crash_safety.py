@@ -5,6 +5,9 @@ The contract under test (the durability model of DESIGN.md):
 * killing a build at **any** write-op index leaves, on reopen, either a
   clean ``StorageError`` ("partial build") or a lossless committed build —
   never a third outcome, and never silent corruption;
+* ``build_snode`` makes exactly ``write_snode``'s write ops, and after a
+  crash at any of them the next plain build at that root reproduces the
+  reference digest;
 * a build crashed **over an existing valid build** always preserves the
   old build losslessly (nothing at the final root is touched before the
   atomic rename);
@@ -94,6 +97,38 @@ class TestCrashPointSweep:
                 with pytest.raises(SimulatedCrash):
                     write_snode(build.model, root)
             # The committed build at `root` must survive every crash intact.
+            assert _reopen_outcome(root, baseline) == "lossless"
+
+    def test_build_snode_writes_what_write_snode_writes(
+        self, crash_build, tiny_repo, test_refinement_config, tmp_path
+    ):
+        # The production path adds no write op (no checkpoints) on top of
+        # the one-shot serializer of the same model.
+        build, _baseline = crash_build
+        with faults.activated(FaultPlan(seed=0)) as plan:
+            write_snode(build.model, tmp_path / "write")
+        options = BuildOptions(refinement=test_refinement_config)
+        with faults.activated(FaultPlan(seed=0)) as build_plan:
+            build_snode(tiny_repo, tmp_path / "build", options).store.close()
+        assert build_plan.write_ops == plan.write_ops
+
+    def test_every_build_snode_crash_is_partial_then_rebuilds_identically(
+        self, crash_build, tiny_repo, test_refinement_config, tmp_path
+    ):
+        build, baseline = crash_build
+        options = BuildOptions(refinement=test_refinement_config)
+        with faults.activated(FaultPlan(seed=0)) as plan:
+            write_snode(build.model, tmp_path / "count")
+        for index in range(plan.write_ops):
+            root = tmp_path / f"crash_{index}"
+            crash = FaultPlan(seed=300 + index, crash_at_write=index, torn_writes=True)
+            with faults.activated(crash):
+                with pytest.raises(SimulatedCrash):
+                    build_snode(tiny_repo, root, options)
+            assert _reopen_outcome(root, baseline) == "partial"
+            rebuilt = build_snode(tiny_repo, root, options)
+            rebuilt.store.close()
+            assert rebuilt.manifest["digest"] == build.manifest["digest"]
             assert _reopen_outcome(root, baseline) == "lossless"
 
     def test_crash_index_beyond_schedule_builds_losslessly(
