@@ -18,7 +18,7 @@ call.  Instead it uses the module-level helpers:
 The span tree is bounded (default 10 000 nodes).  Once full, new spans
 are no longer *stored* but are still *aggregated* into the per-name
 summary, so ``summary()`` stays exact for arbitrarily long runs while
-memory stays flat — the same contract as the metrics event ring buffer.
+memory stays flat.
 
 Spans carry **stable ids**: every span is numbered when it is *opened*
 (``span_id``, with ``parent_id`` linking to the enclosing span), so an

@@ -7,11 +7,10 @@ An :class:`SNodeStore` mirrors the paper's runtime organization:
 * intranode and superedge graphs are loaded and decoded on demand through
   the shared byte-budgeted buffer manager
   (:class:`repro.storage.bufferpool.BufferPool`);
-* loads/unloads are tallied in the store's
+* loads and evictions are counted in the store's
   :class:`~repro.storage.metrics.MetricsRegistry` — the paper's section
   4.3 analysis ("Query 1 required access to only 8 intranode graphs and
-  32 superedge graphs") is reproduced from its distinct-load counters,
-  with a bounded ring-buffer event log for debugging;
+  32 superedge graphs") is reproduced from its distinct-load tallies;
 * disk seeks are counted by :class:`repro.storage.device.CountedFile`: a
   read that does not continue exactly where the previous read on the same
   file ended counts as one seek, which is how the benefit of the linear
@@ -25,8 +24,9 @@ hits, misses, seeks and bytes attributed to that child while sharing the
 store's buffer pool; ``store.metrics.merge(child)`` folds it back when
 the client is done.  Calling the store without one charges the store's
 own registry and is byte-identical to the single-threaded behaviour;
-shared events (evictions, quarantines) always charge the store's base
-registry, so per-client numbers plus the base sum to the shared totals.
+shared state changes (evictions, quarantines) always charge the store's
+base registry, so per-client numbers plus the base sum to the shared
+totals.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class SNodeStore:
         self,
         root: Path | str,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-        record_events: bool = True,
         cache_decoded: bool = True,
         on_corruption: str = "raise",
         stripes: int = 1,
@@ -108,12 +107,8 @@ class SNodeStore:
         default of 1 keeps the exact single-LRU eviction order that the
         experiments and their committed baselines depend on.
         """
-        if on_corruption not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_corruption must be 'raise' or 'degrade', got {on_corruption!r}"
-            )
+        self.set_on_corruption(on_corruption)
         self._root = Path(root)
-        self._on_corruption = on_corruption
         self._layout: StorageLayout = read_layout(self._root)
         self._quarantined: set[tuple] = {
             ("intra", entry[1]) if entry[0] == "intranode" else ("super", *entry[1:])
@@ -123,15 +118,9 @@ class SNodeStore:
             self._layout.super_adjacency_bytes
         )
         self._boundaries = self._layout.boundaries
-        self._record_events = record_events
         self._cache_decoded = cache_decoded
         self.metrics = MetricsRegistry()
-        self._pool = BufferPool(
-            buffer_bytes,
-            registry=self.metrics,
-            on_evict=self._on_evict,
-            stripes=stripes,
-        )
+        self._pool = BufferPool(buffer_bytes, registry=self.metrics, stripes=stripes)
         self._devices: dict[int, CountedFile] = {}
         self._devices_lock = threading.Lock()
         #: Buffer key -> (decoded charge, row directory or None): what the
@@ -230,10 +219,6 @@ class SNodeStore:
 
     # -- buffer manager ------------------------------------------------------
 
-    def _on_evict(self, key, value) -> None:
-        if self._record_events:
-            self.metrics.record("unload", key)
-
     def _device(self, file_index: int) -> CountedFile:
         device = self._devices.get(file_index)
         if device is None:
@@ -278,24 +263,19 @@ class SNodeStore:
     def _degraded(self, key: tuple, registry):
         """Serve a quarantined region: an empty graph of its shape, counted."""
         registry.inc("degraded_reads")
-        if self._record_events:
-            registry.record("degraded", key)
         sizes = self._sizes(key)
         if key[0] == "intra":
             return [[] for _ in range(sizes[0])]
         return SuperedgeRows(sizes[0], [], {})
 
-    def _quarantine(self, key: tuple, error: CorruptionError) -> None:
+    def _quarantine(self, key: tuple) -> None:
         # Quarantining is a store-wide state change, so it always charges
         # the base registry regardless of which session hit the bad region.
         with self._quarantined_lock:
-            already = key in self._quarantined
+            if key in self._quarantined:
+                return
             self._quarantined.add(key)
-        if already:
-            return
         self.metrics.inc("regions_quarantined")
-        if self._record_events:
-            self.metrics.record("quarantine", (*key, str(error)))
 
     def _loaded(self, kind: str, key: tuple, registry) -> None:
         registry.inc("loads")
@@ -305,8 +285,6 @@ class SNodeStore:
         # tracer is active), so span trees show which phase/operation
         # pulled which graph kind from disk.
         tracing.note(f"{kind}_loads")
-        if self._record_events:
-            registry.record(f"load-{'intra' if kind == 'intranode' else 'super'}", key)
 
     def _decode(self, key: tuple, payload: bytes, learned: tuple | None):
         if key[0] == "intra":
@@ -347,10 +325,10 @@ class SNodeStore:
             location, _negative = entry
         try:
             payload = self._read_payload(location, key, registry=reg)
-        except CorruptionError as error:
+        except CorruptionError:
             if self._on_corruption != "degrade":
                 raise
-            self._quarantine(key, error)
+            self._quarantine(key)
             return self._degraded(key, reg)
         learned = self._learned.get(key)
         rows = self._decode(key, payload, learned)
@@ -604,7 +582,7 @@ class SNodeStore:
         return self._on_corruption
 
     def set_on_corruption(self, mode: str) -> None:
-        """Switch the corruption policy of an open store."""
+        """Set the corruption policy; an open store may switch it."""
         if mode not in ("raise", "degrade"):
             raise ValueError(
                 f"on_corruption must be 'raise' or 'degrade', got {mode!r}"

@@ -11,8 +11,8 @@ this package:
   buffer manager (LRU + pinning + typed load accounting) shared by the
   S-Node store, the mini relational database and the Link3 block cache;
 * :mod:`repro.storage.metrics` — :class:`MetricsRegistry` holds the named
-  counters/timers, distinct-key tallies and the bounded event log that
-  experiments read through ``GraphRepresentation.io_stats()``.
+  counters and distinct-key tallies that experiments read through
+  ``GraphRepresentation.io_stats()``.
 
 Because all representations meter through the same layer, cross-scheme
 comparisons (Table 2, Figures 11-12) rest on a single cost model.
@@ -35,13 +35,12 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.device import CountedFile, PageDevice
 from repro.storage.faults import FaultPlan, SimulatedCrash, activated
 from repro.storage.fsck import FsckReport, fsck
-from repro.storage.metrics import EventLog, MetricsRegistry
+from repro.storage.metrics import MetricsRegistry
 
 __all__ = [
     "BufferPool",
     "BuildTransaction",
     "CountedFile",
-    "EventLog",
     "FaultPlan",
     "FsckReport",
     "MetricsRegistry",

@@ -92,23 +92,18 @@ class BufferPool:
         self,
         capacity_bytes: int,
         registry: MetricsRegistry | None = None,
-        on_evict: Callable[[Hashable, object], None] | None = None,
         stripes: int = 1,
     ) -> None:
         if stripes < 1:
             raise ValueError(f"stripes must be >= 1, got {stripes}")
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._on_evict = on_evict
         self._capacity_bytes = capacity_bytes
         self._stripes = stripes
         self._pin_lock = threading.RLock()
         self._pinned: dict[Hashable, tuple[object, int]] = {}
         self._pinned_bytes = 0
         self._locks = [threading.RLock() for _ in range(stripes)]
-        self._caches: list[LRUCache] = [
-            LRUCache(budget, on_evict=self._evicted)
-            for budget in _split_budget(capacity_bytes, stripes)
-        ]
+        self._caches = self._empty_caches(capacity_bytes)
 
     def _stripe(self, key: Hashable) -> int:
         if self._stripes == 1:
@@ -117,12 +112,17 @@ class BufferPool:
 
     # -- eviction accounting -----------------------------------------------
 
+    def _empty_caches(self, capacity_bytes: int) -> list[LRUCache]:
+        """One empty LRU per stripe, each counting its evictions."""
+        return [
+            LRUCache(budget, self._evicted)
+            for budget in _split_budget(capacity_bytes, self._stripes)
+        ]
+
     def _evicted(self, key: Hashable, value: object) -> None:
         # Evictions are shared-pool events (session A's admission can push
         # out session B's entry), so they always charge the base registry.
         self.registry.inc("buffer_evictions")
-        if self._on_evict is not None:
-            self._on_evict(key, value)
 
     # -- cache protocol ----------------------------------------------------
 
@@ -314,10 +314,9 @@ class BufferPool:
     def clear(self, record: bool = True) -> None:
         """Drop every unpinned entry.
 
-        ``record=True`` (cold-cache resets) counts the drops as evictions
-        and fires the owner's eviction callback, matching the unload
-        instrumentation of an actual buffer-pressure eviction;
-        ``record=False`` discards silently (resize protocol).
+        ``record=True`` (cold-cache resets) counts the drops as
+        ``buffer_evictions``, as an actual buffer-pressure eviction is
+        counted; ``record=False`` discards silently (resize protocol).
         """
         self._lock_all()
         try:
@@ -325,12 +324,7 @@ class BufferPool:
                 for cache in self._caches:
                     cache.clear()
             else:
-                self._caches = [
-                    LRUCache(budget, on_evict=self._evicted)
-                    for budget in _split_budget(
-                        self._capacity_bytes, self._stripes
-                    )
-                ]
+                self._caches = self._empty_caches(self._capacity_bytes)
         finally:
             self._unlock_all()
         _profile.buffer_drop(self)
@@ -355,10 +349,7 @@ class BufferPool:
         self._lock_all()
         try:
             self._capacity_bytes = capacity_bytes
-            self._caches = [
-                LRUCache(budget, on_evict=self._evicted)
-                for budget in _split_budget(capacity_bytes, self._stripes)
-            ]
+            self._caches = self._empty_caches(capacity_bytes)
         finally:
             self._unlock_all()
         _profile.buffer_drop(self)

@@ -13,12 +13,12 @@ write in the process flows through it, so a crash-point sweep can kill a
 build at *every* write op and a fuzz run can flip bits under real query
 traffic.
 
-Faults are charged to the reading device's
-:class:`~repro.storage.metrics.MetricsRegistry` (``fault_bit_flips``,
-``fault_short_reads``, ``fault_eio``, ``io_retries``) and recorded in its
-bounded event log, so the PR-3 access tracer and ``io_stats()`` both see
-them.  Write-op indices are global to the plan — a build is one ordered
-sequence of write operations regardless of how many files it touches.
+Read faults are counted in the reading device's
+:class:`~repro.storage.metrics.MetricsRegistry` — ``fault_bit_flips``,
+``fault_short_reads``, ``fault_eio`` and ``fault_slow_reads``, plus the
+device's own ``io_retries`` — so ``io_stats()`` reports them.  Write-op
+indices are global to the plan — a build is one ordered sequence of
+write operations regardless of how many files it touches.
 
 Determinism: the same plan (same seed, same rates) against the same
 workload injects the same faults, so every failure reproduces.  Under a
@@ -113,11 +113,10 @@ class FaultPlan:
         #: Faults injected so far, by kind.
         self.injected: dict[str, int] = {}
 
-    def _count(self, kind: str, registry=None, path=None) -> None:
+    def _count(self, kind: str, registry=None) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
         if registry is not None:
             registry.inc(f"fault_{kind}")
-            registry.record("fault", (kind, str(path)))
 
     # -- read path ---------------------------------------------------------
 
@@ -137,16 +136,16 @@ class FaultPlan:
         stall = 0.0
         with self._mutex:
             if self._rng.random() < self.eio_rate:
-                self._count("eio", registry, path)
+                self._count("eio", registry)
                 raise TransientIOError(path)
             if self.slow_read_rate and self._rng.random() < self.slow_read_rate:
-                self._count("slow_reads", registry, path)
+                self._count("slow_reads", registry)
                 stall = self.slow_read_seconds
             if data and self._rng.random() < self.short_read_rate:
-                self._count("short_reads", registry, path)
+                self._count("short_reads", registry)
                 data = data[: self._rng.randrange(len(data))]
             if data and self._rng.random() < self.bit_flip_rate:
-                self._count("bit_flips", registry, path)
+                self._count("bit_flips", registry)
                 flipped = bytearray(data)
                 position = self._rng.randrange(len(flipped))
                 flipped[position] ^= 1 << self._rng.randrange(8)
@@ -172,7 +171,7 @@ class FaultPlan:
                     torn = data[: self._rng.randrange(len(data))]
                     if torn:
                         writer(torn)
-                    self._count("torn_writes", path=path)
+                    self._count("torn_writes")
                 raise SimulatedCrash(
                     f"simulated crash at write op {index} ({path})"
                 )

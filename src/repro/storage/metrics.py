@@ -1,110 +1,52 @@
-"""Named counters, timers, distinct-key tallies and a bounded event log.
+"""Named counters and distinct-key tallies.
 
 One :class:`MetricsRegistry` instance is owned by each representation (or
 shared between a representation and its devices/buffer pool).  Everything
 the experiments read — ``bytes_read``, ``disk_seeks``, buffer
-hits/misses/evictions, loads by graph kind, navigation timers — flows
-through it, so ``io_stats()`` has the same meaning for every scheme.
+hits/misses/evictions, loads by graph kind — flows through it, so
+``io_stats()`` has the same meaning for every scheme.
 
-The event log is a bounded ring buffer: long-running workloads keep only
-the most recent events, while the section-4.3 "graphs touched per query"
-analysis is served by the distinct-key tallies, which are plain counters
-and never grow with the event volume.
+Counters are the registry's only record: the section-4.3 "graphs touched
+per query" analysis is served by the distinct-key tallies, which never
+grow with the load volume.  An ordered stream of storage events is the
+opt-in access profiler's (:mod:`repro.obs.profile.trace`).
 
 **Sessions.** Concurrent readers over one shared store each accumulate
 into their own *child* registry (:meth:`MetricsRegistry.child`): the
 child is thread-confined, so its hot-path increments are uncontended and
 need no coordination, and a client's I/O is attributable to exactly that
 client.  :meth:`merge` folds a child back into its parent (done when a
-session closes), and the ``*_total`` accessors aggregate a parent with
-its still-live children — by construction, per-client metrics sum to the
-shared totals.  Mutators on a single registry take its internal lock, so
-the rare genuinely shared counters (buffer evictions, quarantine events)
-stay exact when charged from several threads.
+session closes), and :meth:`get_total` / :meth:`merged_snapshot`
+aggregate a parent with its still-live children — by construction,
+per-client metrics sum to the shared totals.  Mutators on a single
+registry take its internal lock, so the rare genuinely shared counters
+(buffer evictions, quarantines) stay exact when charged from several
+threads.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
-from contextlib import contextmanager
-from typing import Iterator
-
-#: Default number of events the ring buffer retains.
-DEFAULT_EVENT_CAPACITY = 4096
 
 #: Counter names that ``io_stats()`` is expected to expose for any scheme
 #: that touches disk (all are zero until the first read).
 IO_COUNTERS = ("bytes_read", "disk_seeks")
 
 
-class EventLog:
-    """Bounded ring buffer of ``(kind, key)`` instrumentation events.
-
-    Appending beyond the capacity drops the oldest events and counts them
-    in :attr:`dropped`; analyses that must see *every* load therefore use
-    the registry's distinct-key tallies instead of replaying the log.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_EVENT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"event capacity must be > 0, got {capacity}")
-        self._capacity = capacity
-        self._events: deque[tuple[str, tuple]] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of retained events."""
-        return self._capacity
-
-    def append(self, kind: str, key: tuple = ()) -> None:
-        """Record one event, evicting the oldest if the buffer is full."""
-        if len(self._events) == self._capacity:
-            self.dropped += 1
-        self._events.append((kind, key))
-
-    def __iter__(self) -> Iterator[tuple[str, tuple]]:
-        return iter(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EventLog):
-            return list(self) == list(other)
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    def to_list(self) -> list[tuple[str, tuple]]:
-        """Retained events, oldest first."""
-        return list(self._events)
-
-    def clear(self) -> None:
-        """Drop every retained event and zero the dropped counter."""
-        self._events.clear()
-        self.dropped = 0
-
-
 class CounterBatch:
     """The counter increments of one call, applied to a registry at once.
 
-    Presents the ``inc`` / ``mark`` / ``record`` face the storage layers
-    charge, so a read path can hand it down wherever it would hand a
-    registry.  ``inc`` accumulates in a plain dict — no lock, because a
-    batch is confined to the call that opened it — and :meth:`flush`
-    applies the sums with one :meth:`MetricsRegistry.add_counts`.
-    Counter addition commutes, so the registry ends where the same
-    increments applied one by one would have left it.
+    Presents the ``inc`` / ``mark`` face the storage layers charge, so a
+    read path can hand it down wherever it would hand a registry.
+    ``inc`` accumulates in a plain dict — no lock, because a batch is
+    confined to the call that opened it — and :meth:`flush` applies the
+    sums with one :meth:`MetricsRegistry.add_counts`.  Counter addition
+    commutes, so the registry ends where the same increments applied one
+    by one would have left it.
 
-    Only counters may wait.  ``mark`` and ``record`` go straight through:
-    a first-seen answer is needed at once, and the event log interleaves
-    with events other layers append to the same registry immediately
-    (unloads, quarantines), so deferring either would reorder it.  The
-    opener must flush in a ``finally`` — work done before an error stays
-    charged.
+    Only counters wait: ``mark`` goes straight through, because its
+    first-seen answer is needed at once.  The opener must flush in a
+    ``finally`` — work done before an error stays charged.
     """
 
     __slots__ = ("registry", "counts")
@@ -122,10 +64,6 @@ class CounterBatch:
         """See :meth:`MetricsRegistry.mark` (immediate)."""
         return self.registry.mark(name, key)
 
-    def record(self, kind: str, key: tuple = ()) -> None:
-        """See :meth:`MetricsRegistry.record` (immediate)."""
-        self.registry.record(kind, key)
-
     def flush(self) -> None:
         """Apply the accumulated increments and start empty again."""
         if self.counts:
@@ -134,28 +72,20 @@ class CounterBatch:
 
 
 class MetricsRegistry:
-    """Registry of named counters, timers and distinct-key tallies.
+    """Registry of named counters and distinct-key tallies.
 
     * ``inc(name)`` / ``get(name)`` — integer counters
       (``add_counts(mapping)`` applies a :class:`CounterBatch` at once);
-    * ``add_time(name)`` / ``timer(name)`` — accumulated seconds;
     * ``mark(name, key)`` / ``distinct(name)`` — distinct-key tallies
       (how many *different* intranode graphs were loaded, etc.);
-    * ``record(kind, key)`` — bounded event log (see :class:`EventLog`);
     * ``child()`` / ``merge()`` / ``get_total()`` — session protocol
       (per-client accumulation that sums back to shared totals);
     * ``snapshot()`` / ``reset()`` — experiment protocol.
     """
 
-    def __init__(
-        self,
-        event_capacity: int = DEFAULT_EVENT_CAPACITY,
-        label: str | None = None,
-    ) -> None:
+    def __init__(self, label: str | None = None) -> None:
         self._counters: dict[str, int] = {}
-        self._timers: dict[str, float] = {}
         self._distinct: dict[str, set] = {}
-        self.events = EventLog(event_capacity)
         self.label = label
         self._lock = threading.RLock()
         self._children: list[MetricsRegistry] = []
@@ -190,26 +120,6 @@ class MetricsRegistry:
         """Current value of counter ``name`` (zero if never incremented)."""
         return self._counters.get(name, 0)
 
-    # -- timers ------------------------------------------------------------
-
-    def add_time(self, name: str, seconds: float) -> None:
-        """Accumulate ``seconds`` into timer ``name``."""
-        with self._lock:
-            self._timers[name] = self._timers.get(name, 0.0) + seconds
-
-    def get_time(self, name: str) -> float:
-        """Accumulated seconds of timer ``name``."""
-        return self._timers.get(name, 0.0)
-
-    @contextmanager
-    def timer(self, name: str):
-        """Context manager accumulating wall time into timer ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(name, time.perf_counter() - start)
-
     # -- distinct-key tallies ----------------------------------------------
 
     def mark(self, name: str, key) -> bool:
@@ -232,29 +142,23 @@ class MetricsRegistry:
         """The distinct keys marked under ``name`` (a copy)."""
         return set(self._distinct.get(name, ()))
 
-    # -- events ------------------------------------------------------------
-
-    def record(self, kind: str, key: tuple = ()) -> None:
-        """Append one event to the bounded log."""
-        with self._lock:
-            self.events.append(kind, key)
-
     # -- sessions ----------------------------------------------------------
     #
     # A child registry is thread-confined to its session, so its hot-path
     # increments never contend; the parent tracks live children for the
-    # aggregated ``*_total`` views and absorbs them on merge.
+    # aggregated ``get_total`` / ``merged_snapshot`` views and absorbs
+    # them on merge.
 
     def child(self, label: str | None = None) -> "MetricsRegistry":
         """A fresh registry whose totals roll up into this one.
 
         The child starts empty; the parent keeps a reference so the
-        ``get_total`` / ``distinct_total`` / ``merged_snapshot`` views
-        include it while the session is live.  Call :meth:`merge` with
-        the child (normally via the owning session's ``close()``) to fold
-        its final numbers into the parent and drop the reference.
+        ``get_total`` / ``merged_snapshot`` views include it while the
+        session is live.  Call :meth:`merge` with the child (normally via
+        the owning session's ``close()``) to fold its final numbers into
+        the parent and drop the reference.
         """
-        child = MetricsRegistry(self.events.capacity, label=label)
+        child = MetricsRegistry(label=label)
         with self._lock:
             self._children.append(child)
         return child
@@ -265,10 +169,10 @@ class MetricsRegistry:
             return list(self._children)
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s counters/timers/tallies/events into this one.
+        """Fold ``other``'s counters and tallies into this one.
 
         If ``other`` is a live child of this registry it is detached
-        afterwards, so nothing is double-counted by the ``*_total``
+        afterwards, so nothing is double-counted by the aggregated
         views.  Merging preserves conservation: parent totals after the
         merge equal the aggregated totals before it.
         """
@@ -276,20 +180,12 @@ class MetricsRegistry:
             return
         with other._lock:
             counters = dict(other._counters)
-            timers = dict(other._timers)
             distinct = {name: set(keys) for name, keys in other._distinct.items()}
-            events = other.events.to_list()
-            dropped = other.events.dropped
         with self._lock:
             for name, amount in counters.items():
                 self._counters[name] = self._counters.get(name, 0) + amount
-            for name, seconds in timers.items():
-                self._timers[name] = self._timers.get(name, 0.0) + seconds
             for name, keys in distinct.items():
                 self._distinct.setdefault(name, set()).update(keys)
-            self.events.dropped += dropped
-            for kind, key in events:
-                self.events.append(kind, key)
             if other in self._children:
                 self._children.remove(other)
 
@@ -299,76 +195,53 @@ class MetricsRegistry:
             child.get_total(name) for child in self.children()
         )
 
-    def distinct_total(self, name: str) -> int:
-        """Distinct keys under ``name`` across this registry + children."""
-        keys = self.distinct_keys(name)
-        for child in self.children():
-            keys |= child.distinct_keys(name)
-        return len(keys)
-
     # -- experiment protocol -----------------------------------------------
 
     def io_stats(self) -> dict[str, int]:
         """All integer counters (the ``GraphRepresentation.io_stats`` view)."""
         return dict(self._counters)
 
-    def snapshot(self) -> dict[str, float]:
-        """Flat view: counters, ``time_<name>`` timers and
-        ``distinct_<name>`` tallies.
+    def snapshot(self) -> dict[str, int]:
+        """Flat view: counters and ``distinct_<name>`` tally sizes.
 
-        Timers and tallies are namespaced so a counter and a timer (or
-        tally) sharing a base name cannot silently overwrite each other
-        in the flat dict.
+        Tallies are namespaced so a counter and a tally sharing a base
+        name cannot silently overwrite each other in the flat dict.
         """
-        out: dict[str, float] = dict(self._counters)
-        for name, seconds in self._timers.items():
-            out[f"time_{name}"] = seconds
+        out = dict(self._counters)
         for name, keys in self._distinct.items():
             out[f"distinct_{name}"] = len(keys)
         return out
 
-    def merged_snapshot(self) -> dict[str, float]:
+    def merged_snapshot(self) -> dict[str, int]:
         """Like :meth:`snapshot`, but aggregated over live children.
 
-        Counters and timers sum; distinct tallies union their key sets —
-        the same numbers a serial caller would have accumulated in one
-        registry, however the work was spread across sessions.
+        Counters sum; distinct tallies union their key sets — the same
+        numbers a serial caller would have accumulated in one registry,
+        however the work was spread across sessions.
         """
         counters: dict[str, int] = {}
-        timers: dict[str, float] = {}
         distinct: dict[str, set] = {}
-        self._collect(counters, timers, distinct)
-        result: dict[str, float] = dict(counters)
-        for name, seconds in timers.items():
-            result[f"time_{name}"] = seconds
+        self._collect(counters, distinct)
         for name, keys in distinct.items():
-            result[f"distinct_{name}"] = len(keys)
-        return result
+            counters[f"distinct_{name}"] = len(keys)
+        return counters
 
-    def _collect(
-        self,
-        counters: dict[str, int],
-        timers: dict[str, float],
-        distinct: dict[str, set],
-    ) -> None:
+    def _collect(self, counters: dict[str, int], distinct: dict[str, set]) -> None:
         with self._lock:
             own_counters = dict(self._counters)
-            own_timers = dict(self._timers)
             own_distinct = {
                 name: set(keys) for name, keys in self._distinct.items()
             }
             children = list(self._children)
         for name, amount in own_counters.items():
             counters[name] = counters.get(name, 0) + amount
-        for name, seconds in own_timers.items():
-            timers[name] = timers.get(name, 0.0) + seconds
         for name, keys in own_distinct.items():
             distinct.setdefault(name, set()).update(keys)
         for child in children:
-            child._collect(counters, timers, distinct)
+            child._collect(counters, distinct)
 
     def reset(self) -> None:
-        """Zero every counter, timer and tally; clear the event log.
+        """Zero every counter and tally.
 
         Live children are reset too: a reset marks the start of a
         measured phase, and a session surviving the boundary must not
@@ -376,9 +249,7 @@ class MetricsRegistry:
         """
         with self._lock:
             self._counters.clear()
-            self._timers.clear()
             self._distinct.clear()
-            self.events.clear()
             children = list(self._children)
         for child in children:
             child.reset()

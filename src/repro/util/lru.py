@@ -3,8 +3,8 @@
 Shared by the S-Node buffer manager (decoded intranode/superedge graphs)
 and the mini relational database's buffer pool (heap/index pages).  Entries
 carry an explicit size in bytes; insertion evicts least-recently-used
-entries until the budget is respected.  Eviction callbacks let owners log
-unload events, which the paper's section 4.3 instrumentation relies on.
+entries until the budget is respected.  An eviction callback lets the
+owner count evictions (the buffer pool's ``buffer_evictions``).
 """
 
 from __future__ import annotations

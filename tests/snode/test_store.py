@@ -265,27 +265,27 @@ class TestSparseSuperedgeRows:
         encoded.close()
 
 
-def accounting(registry) -> dict:
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def accounting(registry, pool=None) -> dict:
     """Everything a registry accounts for, in a form small enough to pin.
 
     ``snapshot`` is every counter plus the ``distinct_*`` tally sizes;
-    the tallies' keys and the event log (order included) are digested.
+    the tallies' keys are digested.  Given the store's ``pool``, the
+    ``lru`` leg digests each stripe's keys, least- to most-recently used,
+    which pins the order of the loads and evictions that left them.
     """
-    events = registry.events.to_list()
     tallies = sorted(
         (name[len("distinct_"):], sorted(registry.distinct_keys(name[len("distinct_"):])))
         for name in registry.snapshot()
         if name.startswith("distinct_")
     )
-
-    def digest(value) -> str:
-        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-    return {
-        "snapshot": registry.snapshot(),
-        "tallies": digest(tallies),
-        "events": [len(events), registry.events.dropped, digest(events)],
-    }
+    legs = {"snapshot": registry.snapshot(), "tallies": digest(tallies)}
+    if pool is not None:
+        legs["lru"] = digest([cache.keys() for cache in pool._caches])
+    return legs
 
 
 def flip_byte(root, location) -> None:
@@ -335,7 +335,8 @@ class TestBatchedAccounting:
 
     The pinned dicts are :func:`accounting` of the same scenarios run at
     the parent commit, where every increment took the registry lock on
-    its own.
+    its own.  The ``lru`` legs of the single-threaded scenarios were
+    captured while the registry still logged every load and unload.
     """
 
     BOUNDED = {
@@ -356,7 +357,7 @@ class TestBatchedAccounting:
             "superedge_loads": 952,
         },
         "tallies": "fa1eed5351fa5d94",
-        "events": [2174, 0, "6f3750d5f81f5158"],
+        "lru": "7a86b53e056ea20f",
     }
     ENCODED = {
         "snapshot": {
@@ -376,7 +377,7 @@ class TestBatchedAccounting:
             "superedge_loads": 952,
         },
         "tallies": "fa1eed5351fa5d94",
-        "events": [1896, 0, "f07e0927bb8e3936"],
+        "lru": "7d7f91b2db98ddf9",
     }
     DEGRADED = {
         "snapshot": {
@@ -398,7 +399,7 @@ class TestBatchedAccounting:
             "superedge_loads": 812,
         },
         "tallies": "5b6d681c4eba1688",
-        "events": [2104, 0, "74eaf9a5887f4699"],
+        "lru": "05bc849feab3a7b6",
     }
     DEGRADED_QUARANTINED = 86
     SESSIONS_EACH = [
@@ -441,7 +442,6 @@ class TestBatchedAccounting:
             "superedge_loads": 468,
         },
         "tallies": "fa1eed5351fa5d94",
-        "events": [563, 0, "3323f7d4f2ada389"],
     }
 
     #: One cold pass of :meth:`probe` over a 64 KiB pool at the parent
@@ -475,7 +475,7 @@ class TestBatchedAccounting:
             "superedge_loads": 952,
         },
         "tallies": "fa1eed5351fa5d94",
-        "events": [1834, 0, "911814d07e2514f9"],
+        "lru": "196d7bd9c718eb57",
     }
 
     @staticmethod
@@ -493,7 +493,7 @@ class TestBatchedAccounting:
     def test_bounded_buffer(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=24 * 1024)
         self.probe(store)
-        assert accounting(store.metrics) == self.BOUNDED
+        assert accounting(store.metrics, store._pool) == self.BOUNDED
         assert store.metrics.io_stats() == {
             name: value
             for name, value in self.BOUNDED["snapshot"].items()
@@ -507,8 +507,8 @@ class TestBatchedAccounting:
         put them at the charge learned — superedge graphs header-first,
         intranode graphs with no row decoded until one is asked for.  The
         third runs with every directory learned and reads rows one at a
-        time.  Same counters, same occupancy, same tallies, same
-        ``load-*`` / ``unload`` sequence — the parent's."""
+        time.  Same counters, same occupancy, same tallies, same LRU
+        order — the parent's."""
         store = SNodeStore(small_build.root, buffer_bytes=64 * 1024)
         single_rows = []
 
@@ -528,7 +528,9 @@ class TestBatchedAccounting:
             store.drop_buffers()
             store.metrics.reset()
             self.probe(store)
-            passes.append({"buffer": store.buffer_stats(), **accounting(store.metrics)})
+            passes.append(
+                {"buffer": store.buffer_stats(), **accounting(store.metrics, store._pool)}
+            )
             assert store.metrics.io_stats() == {
                 name: value
                 for name, value in self.COLD_PASS["snapshot"].items()
@@ -541,13 +543,13 @@ class TestBatchedAccounting:
     def test_encoded_payload_cache(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=4 * 1024, cache_decoded=False)
         self.probe(store)
-        assert accounting(store.metrics) == self.ENCODED
+        assert accounting(store.metrics, store._pool) == self.ENCODED
         store.close()
 
     def test_degrade_mode_over_corrupted_regions(self, corrupted_root):
         store = SNodeStore(corrupted_root, buffer_bytes=24 * 1024, on_corruption="degrade")
         self.probe(store)
-        assert accounting(store.metrics) == self.DEGRADED
+        assert accounting(store.metrics, store._pool) == self.DEGRADED
         assert len(store.quarantined) == self.DEGRADED_QUARANTINED
         store.close()
 
@@ -691,7 +693,6 @@ class TestResidentVisit:
             "buffer_hits_superedge": 1711,
         },
         "tallies": "4f53cda18c2baa0c",
-        "events": [0, 0, "4f53cda18c2baa0c"],
     }
     WARM_SESSION = {
         "buffer_hits": 1363,
@@ -824,14 +825,6 @@ class TestLoadDigraph:
 
 
 class TestInstrumentation:
-    def test_events_recorded(self, small_build):
-        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-        store.metrics.reset()
-        store.out_neighbors(0)
-        kinds = {kind for kind, _ in store.metrics.events}
-        assert "load-intra" in kinds
-        store.close()
-
     def test_distinct_loaded_counts(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
         store.metrics.reset()
@@ -857,7 +850,6 @@ class TestInstrumentation:
         store.out_neighbors(0)
         store.metrics.reset()
         assert store.metrics.get("loads") == 0
-        assert store.metrics.events.to_list() == []
         store.close()
 
 

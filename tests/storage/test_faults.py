@@ -118,10 +118,14 @@ class TestReadFaults:
         assert device.registry.get("fault_bit_flips") >= 1
 
     def test_faults_recorded_in_event_log(self, datafile):
+        """Every injected fault is a counter: each ``EIO`` one
+        ``fault_eio``, each absorbed by one ``io_retries``."""
         device = CountedFile(datafile)
-        with faults.activated(FaultPlan(seed=1, eio_rate=0.5)):
+        plan = FaultPlan(seed=1, eio_rate=0.5)
+        with faults.activated(plan):
             device.read_at(0, 8)
-        assert any(kind == "fault" for kind, _ in device.registry.events.to_list())
+        assert device.registry.get("fault_eio") == plan.injected["eio"] >= 1
+        assert device.registry.get("io_retries") == plan.injected["eio"]
 
 
 class TestSlowReads:

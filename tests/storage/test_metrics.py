@@ -1,55 +1,17 @@
-"""Tests for the metrics registry and its bounded event log."""
+"""Tests for the metrics registry: counters, tallies, sessions, batches."""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
 from oracle_tracing import diff  # noqa: E402
 
-from repro.storage.metrics import CounterBatch, EventLog, MetricsRegistry  # noqa: E402
-
-
-class TestEventLog:
-    def test_append_and_iterate(self):
-        log = EventLog(capacity=10)
-        log.append("load", (1,))
-        log.append("unload", (2,))
-        assert list(log) == [("load", (1,)), ("unload", (2,))]
-        assert len(log) == 2
-        assert log.dropped == 0
-
-    def test_ring_buffer_bounds_memory(self):
-        log = EventLog(capacity=3)
-        for i in range(10):
-            log.append("load", (i,))
-        assert len(log) == 3
-        assert log.to_list() == [("load", (7,)), ("load", (8,)), ("load", (9,))]
-        assert log.dropped == 7
-
-    def test_clear_resets_dropped(self):
-        log = EventLog(capacity=2)
-        for i in range(5):
-            log.append("e", (i,))
-        log.clear()
-        assert len(log) == 0
-        assert log.dropped == 0
-
-    def test_compares_to_plain_list(self):
-        log = EventLog()
-        assert log == []
-        log.append("load", (1,))
-        assert log == [("load", (1,))]
-        assert log != [("load", (2,))]
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
+from repro.storage.metrics import CounterBatch, MetricsRegistry  # noqa: E402
 
 
 class TestMetricsRegistry:
@@ -63,15 +25,6 @@ class TestMetricsRegistry:
         assert registry.get("disk_seeks") == 1
         assert registry.io_stats() == {"bytes_read": 120, "disk_seeks": 1}
 
-    def test_timers(self):
-        registry = MetricsRegistry()
-        registry.add_time("navigation", 0.5)
-        registry.add_time("navigation", 0.25)
-        assert registry.get_time("navigation") == pytest.approx(0.75)
-        with registry.timer("navigation"):
-            pass
-        assert registry.get_time("navigation") >= 0.75
-
     def test_distinct_tallies(self):
         registry = MetricsRegistry()
         assert registry.mark("intranode", (3,)) is True
@@ -82,16 +35,14 @@ class TestMetricsRegistry:
         assert registry.distinct("never-marked") == 0
 
     def test_distinct_tally_is_flat_despite_event_volume(self):
-        # The section-4.3 analysis reads tallies, not the ring buffer, so
-        # repeated loads of the same graphs cost no memory growth.
-        registry = MetricsRegistry(event_capacity=8)
+        # The section-4.3 analysis reads tallies, so repeated loads of the
+        # same graphs cost no memory growth.
+        registry = MetricsRegistry()
         for _ in range(100):
             for graph in range(5):
                 registry.mark("intranode", (graph,))
-                registry.record("load-intra", (graph,))
         assert registry.distinct("intranode") == 5
-        assert len(registry.events) == 8
-        assert registry.events.dropped == 100 * 5 - 8
+        assert registry.distinct_keys("intranode") == {(graph,) for graph in range(5)}
 
     def test_snapshot_and_diff(self):
         registry = MetricsRegistry()
@@ -106,27 +57,14 @@ class TestMetricsRegistry:
         assert delta["disk_seeks"] == 1
         assert delta["distinct_intranode"] == 1
 
-    def test_snapshot_namespaces_timers(self):
-        # A counter and a timer sharing a name must not collide in the
-        # snapshot: timers are exported under ``time_<name>``.
-        registry = MetricsRegistry()
-        registry.inc("load", 7)
-        registry.add_time("load", 0.25)
-        snapshot = registry.snapshot()
-        assert snapshot["load"] == 7
-        assert snapshot["time_load"] == 0.25
-
     def test_reset_clears_everything(self):
         registry = MetricsRegistry()
         registry.inc("bytes_read", 10)
-        registry.add_time("t", 1.0)
         registry.mark("intranode", (1,))
-        registry.record("load", (1,))
         registry.reset()
         assert registry.io_stats() == {}
-        assert registry.get_time("t") == 0.0
+        assert registry.snapshot() == {}
         assert registry.distinct("intranode") == 0
-        assert len(registry.events) == 0
 
 
 class TestSessions:
@@ -148,28 +86,16 @@ class TestSessions:
         assert parent.get("bytes_read") == 10  # own view unchanged
         assert parent.get_total("bytes_read") == 22
 
-    def test_distinct_total_unions_keys(self):
-        parent = MetricsRegistry()
-        parent.mark("intranode", (1,))
-        child = parent.child()
-        child.mark("intranode", (1,))  # overlap must not double-count
-        child.mark("intranode", (2,))
-        assert parent.distinct_total("intranode") == 2
-
     def test_merge_detaches_and_conserves(self):
         parent = MetricsRegistry()
         child = parent.child("c")
         child.inc("disk_seeks", 3)
-        child.add_time("navigation", 0.5)
         child.mark("intranode", (9,))
-        child.record("load-intra", (9,))
         total_before = parent.get_total("disk_seeks")
         parent.merge(child)
         assert parent.children() == []
         assert parent.get("disk_seeks") == 3 == total_before
-        assert parent.get_time("navigation") == 0.5
-        assert parent.distinct("intranode") == 1
-        assert ("load-intra", (9,)) in parent.events.to_list()
+        assert parent.distinct_keys("intranode") == {(9,)}
 
     def test_merge_self_is_noop(self):
         registry = MetricsRegistry()
@@ -224,24 +150,21 @@ class TestSessions:
 
 
 #: One step of a read call's accounting: an increment (zero amounts
-#: included — they still create the counter), a tally mark or an event.
+#: included — they still create the counter) or a tally mark.
 _STEPS = st.one_of(
     st.tuples(st.just("inc"), st.sampled_from("abcd"), st.integers(0, 9)),
     st.tuples(st.just("mark"), st.sampled_from("xy"), st.integers(0, 5)),
-    st.tuples(st.just("record"), st.sampled_from("lu"), st.integers(0, 5)),
 )
 
 
 def _apply(face, steps) -> list:
-    """Drive ``steps`` through an ``inc``/``mark``/``record`` face."""
+    """Drive ``steps`` through an ``inc``/``mark`` face."""
     firsts = []
     for op, name, value in steps:
         if op == "inc":
             face.inc(name, value)
-        elif op == "mark":
-            firsts.append(face.mark(name, (value,)))
         else:
-            face.record(name, (value,))
+            firsts.append(face.mark(name, (value,)))
     return firsts
 
 
@@ -253,10 +176,8 @@ class TestCounterBatch:
         batch.inc("bytes_read", 0)
         assert batch.mark("intranode", (3,)) is True
         assert batch.mark("intranode", (3,)) is False
-        batch.record("load-intra", (3,))
         assert registry.io_stats() == {}
         assert registry.distinct("intranode") == 1
-        assert registry.events == [("load-intra", (3,))]
         batch.flush()
         assert registry.io_stats() == {"loads": 1, "bytes_read": 0}
         batch.flush()  # nothing left: a second flush adds nothing
@@ -278,4 +199,3 @@ class TestCounterBatch:
         direct_parent.merge(direct)
         batched_parent.merge(batched)
         assert batched_parent.snapshot() == direct_parent.snapshot()
-        assert batched_parent.events == direct_parent.events
