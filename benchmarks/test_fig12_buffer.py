@@ -14,7 +14,7 @@ from repro.experiments import buffer_sweep
 def test_fig12_buffer_sweep(benchmark):
     points = benchmark.pedantic(
         buffer_sweep.run, kwargs={"trials": 2}, rounds=1, iterations=1
-    )
+    ).points
     print("\n" + buffer_sweep.report(points))
 
     by_curve: dict[tuple[str, str], dict[int, float]] = {}

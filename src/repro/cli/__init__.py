@@ -18,8 +18,8 @@ Gives a repository operator the whole pipeline without writing Python:
   (every driver accepts ``--json [DIR]`` to write a versioned
   ``BENCH_<experiment>.json`` bench report, and the shared
   ``--trace/--trace-out/--folded/--quiet`` span flags);
-* ``repro profile`` — run a workload under the access-pattern profiler
-  (Mattson miss-ratio curves, seek-distance profiles, hot-set heatmaps);
+* ``repro profile`` — the ``profile`` experiment driver: Mattson
+  miss-ratio curves, seek-distance profiles, hot-set heatmaps;
 * ``repro serve`` — run the graph query daemon: concurrent Figure 11
   queries over one shared store behind admission control;
 * ``repro loadgen`` — drive a running daemon with the Figure 11 mix at

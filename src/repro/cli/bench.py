@@ -27,13 +27,9 @@ def _cmd_experiment(arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    module = importlib.import_module(f"repro.experiments.{arguments.name}")
-    saved_argv = sys.argv
-    try:
-        sys.argv = [f"repro experiment {arguments.name}", *arguments.args]
-        module.main()
-    finally:
-        sys.argv = saved_argv
+    importlib.import_module(f"repro.experiments.{arguments.name}").main(
+        arguments.args
+    )
     return 0
 
 

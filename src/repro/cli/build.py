@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import sys
 
 
 def _cmd_generate(arguments: argparse.Namespace) -> int:
@@ -22,15 +21,15 @@ def _cmd_generate(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_build(arguments: argparse.Namespace) -> int:
+    from repro.experiments.harness import trace_session
+    from repro.obs import tracing
     from repro.obs.progress import ProgressReporter
-    from repro.obs.tracing import Tracer, activated
     from repro.snode.build import BuildOptions, build_snode
     from repro.webdata.webbase import read_repository
 
     progress = None if arguments.quiet else ProgressReporter(label="build")
-    tracer = Tracer()
-    with activated(tracer):
-        with tracer.span("build.stream", path=str(arguments.stream)):
+    with trace_session(arguments, "build"):
+        with tracing.span("build.stream", path=str(arguments.stream)):
             repository = read_repository(
                 arguments.stream, limit=arguments.limit, progress=progress
             )
@@ -44,21 +43,14 @@ def _cmd_build(arguments: argparse.Namespace) -> int:
         f"{build.model.num_superedges} superedges, "
         f"{build.bits_per_edge:.2f} bits/edge -> {arguments.out}"
     )
-    if arguments.trace:
-        print("build trace (span-attributed phases):", file=sys.stderr)
-        print(tracer.render(max_depth=arguments.trace_depth), file=sys.stderr)
-    if arguments.trace_out:
-        tracer.write_jsonl(arguments.trace_out)
-        print(f"trace spans written to {arguments.trace_out}", file=sys.stderr)
-    if arguments.folded:
-        tracer.write_folded(arguments.folded)
-        print(f"folded stacks written to {arguments.folded}", file=sys.stderr)
     build.store.close()
     return 0
 
 
 def register(commands) -> None:
     """Attach the ``generate`` and ``build`` subparsers."""
+    from repro.experiments.harness import add_trace_arguments
+
     generate = commands.add_parser("generate", help="synthesize a crawl stream")
     generate.add_argument("--pages", type=int, default=10_000)
     generate.add_argument("--seed", type=int, default=2003)
@@ -78,30 +70,5 @@ def register(commands) -> None:
         help="encode-stage worker processes (default: 1 = serial; output "
         "bytes are identical for any N)",
     )
-    build.add_argument(
-        "--trace",
-        action="store_true",
-        help="print the span tree attributing build time to phases (stderr)",
-    )
-    build.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write the full span tree as JSON lines to FILE",
-    )
-    build.add_argument(
-        "--trace-depth",
-        type=int,
-        default=2,
-        help="maximum span depth shown by --trace (default 2)",
-    )
-    build.add_argument(
-        "--folded",
-        default=None,
-        metavar="FILE",
-        help="write flamegraph folded stacks (span path + self time) to FILE",
-    )
-    build.add_argument(
-        "--quiet", action="store_true", help="suppress stderr progress reporting"
-    )
+    add_trace_arguments(build)
     build.set_defaults(handler=_cmd_build)

@@ -1,106 +1,22 @@
-"""``repro profile`` — run workloads under the access-pattern profiler."""
+"""``repro profile`` — ``repro experiment profile`` under its own name."""
 
 from __future__ import annotations
 
 import argparse
-import sys
-
-
-def _cmd_profile(arguments: argparse.Namespace) -> int:
-    from repro.experiments import profile
-    from repro.experiments.harness import emit_report, trace_session
-
-    with trace_session(arguments, "profile") as tracer:
-        result = profile.run(
-            size=arguments.size,
-            scheme=arguments.scheme,
-            workload=arguments.workload,
-            capacities_kb=tuple(arguments.capacities_kb),
-            trials=arguments.trials,
-        )
-    if not arguments.quiet:
-        print(profile.render(result, top=arguments.top))
-    if arguments.events_out:
-        profile.write_events(result, arguments.events_out)
-        print(f"access events written to {arguments.events_out}", file=sys.stderr)
-    emit_report(
-        arguments.json_dir,
-        "profile",
-        profile.to_results(result, arguments.capacities_kb, top=arguments.top),
-        params={
-            "scheme": arguments.scheme,
-            "workload": arguments.workload,
-            "trials": arguments.trials,
-            "capacities_kb": list(arguments.capacities_kb),
-        },
-        spans=tracer.summary_dict() if tracer else None,
-    )
-    return 0
 
 
 def register(commands) -> None:
-    """Attach the ``profile`` subparser."""
+    """Attach the ``profile`` subparser; its driver parses every argument."""
+    from repro.cli.bench import _cmd_experiment
+
+    # No option strings of its own (``prefix_chars`` matches nothing), so
+    # every argument, ``--help`` included, reaches the driver's parser.
     profile = commands.add_parser(
         "profile",
         help="run a workload under the access-pattern profiler "
         "(miss-ratio curves, seek profile, hot-set heatmap)",
+        prefix_chars="\0",
+        add_help=False,
     )
-    profile.add_argument("--size", type=int, default=None, help="dataset pages")
-    profile.add_argument(
-        "--scheme",
-        choices=("flat-file", "relational", "link3", "s-node"),
-        default="s-node",
-    )
-    profile.add_argument(
-        "--workload", choices=("queries", "build"), default="queries"
-    )
-    profile.add_argument(
-        "--capacities-kb",
-        type=int,
-        nargs="+",
-        default=[16, 32, 64, 128, 256],
-        metavar="KB",
-        help="buffer capacities (KiB) for the measured validation sweep",
-    )
-    profile.add_argument("--trials", type=int, default=2)
-    profile.add_argument(
-        "--top", type=int, default=10, help="top-k hot entries shown"
-    )
-    profile.add_argument(
-        "--events-out",
-        default=None,
-        metavar="FILE",
-        help="write the raw access-event trace as JSON lines to FILE",
-    )
-    profile.add_argument(
-        "--json",
-        nargs="?",
-        const=".",
-        default=None,
-        metavar="DIR",
-        dest="json_dir",
-        help="write a machine-readable BENCH_profile.json report "
-        "(optionally into DIR)",
-    )
-    profile.add_argument(
-        "--trace",
-        action="store_true",
-        help="print the span tree attributing profiler time to phases (stderr)",
-    )
-    profile.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="write the full span tree as JSON lines to FILE",
-    )
-    profile.add_argument(
-        "--trace-depth", type=int, default=2,
-        help="maximum span depth shown by --trace (default 2)",
-    )
-    profile.add_argument(
-        "--folded", default=None, metavar="FILE",
-        help="write flamegraph folded stacks (span path + self time) to FILE",
-    )
-    profile.add_argument(
-        "--quiet", action="store_true",
-        help="suppress the human-readable report on stdout",
-    )
-    profile.set_defaults(handler=_cmd_profile)
+    profile.add_argument("args", nargs=argparse.REMAINDER)
+    profile.set_defaults(handler=_cmd_experiment, name="profile")

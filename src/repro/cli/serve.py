@@ -189,15 +189,13 @@ def _cmd_loadgen(arguments: argparse.Namespace) -> int:
     from repro.experiments.harness import emit_report
     from repro.serve.loadgen import run_load
 
-    deadline_ms = arguments.deadline_ms
-    deadline_every = arguments.deadline_every
-    if arguments.chaos:
-        # The chaos preset: deadlines on every third request, at the
-        # budget the chaos sweep gates on.  Explicit flags still win.
-        if deadline_ms is None:
-            deadline_ms = 250.0
-        if deadline_every == 0:
-            deadline_every = 3
+    # The chaos preset: deadlines on every third request, at the budget
+    # the chaos sweep gates on.  Explicit flags (an explicit 0 too) win.
+    deadline_ms, deadline_every = (250.0, 3) if arguments.chaos else (None, 0)
+    if arguments.deadline_ms is not None:
+        deadline_ms = arguments.deadline_ms
+    if arguments.deadline_every is not None:
+        deadline_every = arguments.deadline_every
     load = run_load(
         arguments.host,
         arguments.port,
@@ -395,7 +393,7 @@ def register(commands) -> None:
         help="deadline budget attached to requests (default: none)",
     )
     loadgen.add_argument(
-        "--deadline-every", type=int, default=0, metavar="K",
+        "--deadline-every", type=int, default=None, metavar="K",
         help="attach the deadline to every Kth request (0 = all)",
     )
     loadgen.add_argument(

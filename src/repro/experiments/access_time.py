@@ -202,12 +202,12 @@ def report(rows: list[AccessRow]) -> str:
     )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=None)
     add_report_arguments(parser)
     add_trace_arguments(parser)
-    arguments = parser.parse_args()
+    arguments = parser.parse_args(argv)
     with trace_session(arguments, "access_time") as tracer:
         rows, histograms = run(size=arguments.size)
     if not arguments.quiet:

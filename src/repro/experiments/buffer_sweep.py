@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.experiments.harness import (
@@ -96,19 +96,23 @@ class SweepPoint:
 PREDICT_TRACE_CAPACITY = 1 << 20
 
 
-def unpinned_hits_misses(pair) -> tuple[int, int]:
-    """(unpinned hits, misses) across both directions.
+@dataclass
+class Sweep:
+    """What :func:`run` measured.
 
-    Pinned hits are excluded: they are served outside the LRU budget
-    at every capacity, so only the unpinned ratio is comparable with
-    stack-distance predictions.
+    ``points`` holds one point per (scheme, query, buffer size).  With
+    ``predict`` each (scheme, query) also has its recorded access trace
+    in ``traces`` and that trace's Mattson miss-ratio curve in ``curves``;
+    without it both are empty.
     """
-    hits = pair.total("buffer_hits") - pair.total("buffer_pinned_hits")
-    return hits, pair.total("buffer_misses")
+
+    points: list[SweepPoint] = field(default_factory=list)
+    curves: dict = field(default_factory=dict)
+    traces: dict = field(default_factory=dict)
 
 
-def _predict_curves(pair, engine, trials: int):
-    """Record one profiled run per query and return its miss-ratio curve.
+def _record(sweep: Sweep, scheme: str, pair, engine, trials: int) -> None:
+    """Record one profiled run per query; add its trace and curve.
 
     The buffer request stream is capacity-independent (queries request the
     same graphs no matter what is cached), so a single trace recorded at
@@ -118,7 +122,6 @@ def _predict_curves(pair, engine, trials: int):
     """
     from repro.obs import profile as access_profile
 
-    curves = {}
     for query_name, query_fn in SWEEP_QUERIES.items():
         tracer = access_profile.AccessTracer(capacity=PREDICT_TRACE_CAPACITY)
         pair.drop_caches()
@@ -127,16 +130,87 @@ def _predict_curves(pair, engine, trials: int):
             boundary = tracer.seq
             for _ in range(trials):
                 query_fn(engine)
-        if tracer.dropped_buffer:
-            print(
-                f"[buffer_sweep] warning: {tracer.dropped_buffer} buffer "
-                f"events dropped while predicting {pair.name}/{query_name}; "
-                "curve is biased"
-            )
-        curves[query_name] = access_profile.analyze_buffer_trace(
+        sweep.traces[(scheme, query_name)] = tracer
+        sweep.curves[(scheme, query_name)] = access_profile.analyze_buffer_trace(
             tracer.buffer_events(), count_from_seq=boundary
         )
-    return curves
+
+
+def _measure(
+    sweep: Sweep,
+    scheme: str,
+    pair,
+    engine,
+    buffer_sizes_kb,
+    trials: int,
+    seek_ms: float,
+    mbps: float,
+    cpu_scale: float,
+) -> None:
+    """Run every query at every feasible buffer size; add the points."""
+    from repro.obs import tracing
+
+    for buffer_kb in buffer_sizes_kb:
+        try:
+            pair.set_buffer_bytes(buffer_kb * 1024)
+        except BufferCapacityError:
+            # Budget below the scheme's pinned floor (supernode graph,
+            # root pages): the point is infeasible for this scheme, not
+            # slow — skip it explicitly.
+            tracing.note("buffer_sweep_infeasible")
+            continue
+        for query_name, query_fn in SWEEP_QUERIES.items():
+            # Paper protocol: "we executed queries 1, 5, and 6
+            # repeatedly" — one cold warm-up execution, then measured
+            # repetitions.  With a buffer big enough for the query's
+            # working set the repetitions do no I/O and the curve
+            # flattens; below that they keep evicting and re-seeking.
+            pair.drop_caches()
+            query_fn(engine)  # cold warm-up, not measured
+            wall_total = 0.0
+            seeks_total = 0
+            bytes_total = 0
+            evictions = 0
+            hits_total = 0
+            misses_total = 0
+            for _ in range(trials):
+                pair.reset_io_stats()
+                with tracing.span(
+                    "buffer_sweep.trial",
+                    scheme=scheme,
+                    query=query_name,
+                    buffer_kb=buffer_kb,
+                ):
+                    result = query_fn(engine)
+                wall_total += result.navigation_seconds
+                seeks_total += pair.total("disk_seeks")
+                bytes_total += pair.total("bytes_read")
+                evictions += pair.total("buffer_evictions")
+                # Pinned hits are served outside the LRU budget at every
+                # capacity, so only the unpinned ratio is comparable with
+                # stack-distance predictions.
+                hits_total += pair.total("buffer_hits") - pair.total(
+                    "buffer_pinned_hits"
+                )
+                misses_total += pair.total("buffer_misses")
+            wall_ms = wall_total * 1000.0 / trials
+            simulated_ms = (
+                wall_ms * cpu_scale
+                + (seeks_total / trials) * seek_ms
+                + (bytes_total / trials / (mbps * 1e6)) * 1000.0
+            )
+            sweep.points.append(
+                SweepPoint(
+                    scheme=scheme,
+                    query=query_name,
+                    buffer_kb=buffer_kb,
+                    simulated_ms=simulated_ms,
+                    wall_ms=wall_ms,
+                    evictions=evictions // trials,
+                    hits=hits_total,
+                    misses=misses_total,
+                )
+            )
 
 
 def run(
@@ -148,22 +222,15 @@ def run(
     cpu_scale: float = DEFAULT_CPU_SCALE,
     schemes: tuple[str, ...] = DEFAULT_SWEEP_SCHEMES,
     predict: bool = False,
-):
-    """Run the sweep; returns one point per (scheme, query, buffer size).
-
-    With ``predict=True`` returns ``(points, predictions)`` where
-    ``predictions`` maps ``(scheme, query)`` to the Mattson
-    :class:`~repro.obs.profile.stackdist.MissRatioCurve` recorded from a
-    single profiled run per query.
-    """
+) -> Sweep:
+    """Run the sweep: per scheme, record (with ``predict``), then measure."""
     from repro.obs import tracing
 
     size = size or sweep_sizes()[3]
     repository = dataset(size)
     text_index = TextIndex(repository)
     pagerank_index = PageRankIndex(repository)
-    points: list[SweepPoint] = []
-    predictions: dict[tuple[str, str], object] = {}
+    sweep = Sweep()
     with tempfile.TemporaryDirectory() as workdir:
         for scheme in schemes:
             with tracing.span("buffer_sweep.build", scheme=scheme):
@@ -173,112 +240,82 @@ def run(
             engine = pair.make_engine(repository, text_index, pagerank_index)
             if predict:
                 with tracing.span("buffer_sweep.predict", scheme=scheme):
-                    for query_name, curve in _predict_curves(
-                        pair, engine, trials
-                    ).items():
-                        predictions[(scheme, query_name)] = curve
-            for buffer_kb in buffer_sizes_kb:
-                try:
-                    pair.set_buffer_bytes(buffer_kb * 1024)
-                except BufferCapacityError:
-                    # Budget below the scheme's pinned floor (supernode
-                    # graph, root pages): the point is infeasible for this
-                    # scheme, not slow — skip it explicitly.
-                    tracing.note("buffer_sweep_infeasible")
-                    continue
-                for query_name, query_fn in SWEEP_QUERIES.items():
-                    # Paper protocol: "we executed queries 1, 5, and 6
-                    # repeatedly" — one cold warm-up execution, then
-                    # measured repetitions.  With a buffer big enough for
-                    # the query's working set the repetitions do no I/O
-                    # and the curve flattens; below that they keep
-                    # evicting and re-seeking.
-                    pair.drop_caches()
-                    query_fn(engine)  # cold warm-up, not measured
-                    wall_total = 0.0
-                    seeks_total = 0
-                    bytes_total = 0
-                    evictions = 0
-                    hits_total = 0
-                    misses_total = 0
-                    for _ in range(trials):
-                        pair.reset_io_stats()
-                        with tracing.span(
-                            "buffer_sweep.trial",
-                            scheme=scheme,
-                            query=query_name,
-                            buffer_kb=buffer_kb,
-                        ):
-                            result = query_fn(engine)
-                        wall_total += result.navigation_seconds
-                        seeks_total += pair.total("disk_seeks")
-                        bytes_total += pair.total("bytes_read")
-                        evictions += pair.total("buffer_evictions")
-                        hits, misses = unpinned_hits_misses(pair)
-                        hits_total += hits
-                        misses_total += misses
-                    wall_ms = wall_total * 1000.0 / trials
-                    simulated_ms = (
-                        wall_ms * cpu_scale
-                        + (seeks_total / trials) * seek_ms
-                        + (bytes_total / trials / (mbps * 1e6)) * 1000.0
-                    )
-                    points.append(
-                        SweepPoint(
-                            scheme=scheme,
-                            query=query_name,
-                            buffer_kb=buffer_kb,
-                            simulated_ms=simulated_ms,
-                            wall_ms=wall_ms,
-                            evictions=evictions // trials,
-                            hits=hits_total,
-                            misses=misses_total,
-                        )
-                    )
-            pair.close()
-    if predict:
-        return points, predictions
-    return points
-
-
-def prediction_report(
-    points: list[SweepPoint], predictions: dict
-) -> str:
-    """Predicted (Mattson) vs measured hit ratio at every swept capacity."""
-    rows = []
-    worst = 0.0
-    for point in points:
-        curve = predictions.get((point.scheme, point.query))
-        if curve is None:
-            continue
-        predicted = curve.hit_ratio(point.buffer_kb * 1024)
-        measured = point.hit_ratio
-        delta = predicted - measured
-        worst = max(worst, abs(delta))
-        rows.append(
-            (
-                f"{point.scheme}/{point.query}",
-                f"{point.buffer_kb} KiB",
-                f"{predicted * 100.0:.2f}%",
-                f"{measured * 100.0:.2f}%",
-                f"{delta * 100.0:+.2f}pp",
+                    _record(sweep, scheme, pair, engine, trials)
+            _measure(
+                sweep, scheme, pair, engine, buffer_sizes_kb, trials,
+                seek_ms, mbps, cpu_scale,
             )
+            pair.close()
+    return sweep
+
+
+def validation_rows(sweep: Sweep, scheme: str) -> list[dict]:
+    """Predicted (Mattson) vs measured unpinned hit ratio at each of
+    ``scheme``'s swept points (needs a ``predict`` sweep)."""
+    rows = []
+    for point in sweep.points:
+        if point.scheme != scheme:
+            continue
+        curve = sweep.curves[(scheme, point.query)]
+        predicted = curve.hit_ratio(point.buffer_kb * 1024)
+        rows.append(
+            {
+                "query": point.query,
+                "capacity_kb": point.buffer_kb,
+                "predicted_hit_ratio": predicted,
+                "measured_hit_ratio": point.hit_ratio,
+                "delta": predicted - point.hit_ratio,
+            }
         )
+    return rows
+
+
+def worst_delta(rows: list[dict]) -> float:
+    """Largest |predicted - measured| of :func:`validation_rows` (0 when empty)."""
+    return max((abs(row["delta"]) for row in rows), default=0.0)
+
+
+def validation_table(rows: list[dict]) -> str:
+    """:func:`validation_rows` as a table, closed by the worst gap."""
     table = format_table(
-        ["scheme/query", "buffer", "predicted hit", "measured hit", "delta"],
-        rows,
+        ["query", "buffer", "predicted", "measured", "delta"],
+        [
+            (
+                row["query"],
+                f"{row['capacity_kb']} KiB",
+                f"{row['predicted_hit_ratio'] * 100.0:.2f}%",
+                f"{row['measured_hit_ratio'] * 100.0:.2f}%",
+                f"{row['delta'] * 100.0:+.2f}pp",
+            )
+            for row in rows
+        ],
     )
+    return (
+        f"{table}\nworst |predicted - measured| = "
+        f"{worst_delta(rows) * 100.0:.2f}pp"
+    )
+
+
+def prediction_report(sweep: Sweep) -> str:
+    """Each recorded scheme's validation table and every curve's knee."""
+    schemes = dict.fromkeys(scheme for scheme, _query in sweep.curves)
+    sections = [
+        f"{scheme}:\n{validation_table(validation_rows(sweep, scheme))}"
+        for scheme in schemes
+    ]
     knees = "; ".join(
         f"{scheme}/{query}: saturates at "
         f"{curve.saturation_capacity / 1024.0:.0f} KiB"
-        for (scheme, query), curve in sorted(predictions.items())
+        for (scheme, query), curve in sorted(sweep.curves.items())
     )
-    return (
-        table
-        + f"\nworst |predicted - measured| = {worst * 100.0:.2f}pp\n"
-        + "MRC saturation capacities (no sweep needed): "
-        + knees
+    sections.append("MRC saturation capacities (no sweep needed): " + knees)
+    sections.extend(
+        f"warning: {tracer.dropped_buffer} buffer events dropped while "
+        f"recording {scheme}/{query}; its curve is biased"
+        for (scheme, query), tracer in sweep.traces.items()
+        if tracer.dropped_buffer
     )
+    return "\n\n".join(sections)
 
 
 def report(points: list[SweepPoint]) -> str:
@@ -319,7 +356,7 @@ def report(points: list[SweepPoint]) -> str:
     return table + "\n" + "; ".join(checks)
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=None)
     parser.add_argument("--trials", type=int, default=3)
@@ -337,34 +374,26 @@ def main() -> None:
     )
     add_report_arguments(parser)
     add_trace_arguments(parser)
-    arguments = parser.parse_args()
-    predictions: dict = {}
+    arguments = parser.parse_args(argv)
     with trace_session(arguments, "buffer_sweep") as tracer:
-        if arguments.predict:
-            points, predictions = run(
-                size=arguments.size,
-                trials=arguments.trials,
-                schemes=tuple(arguments.schemes),
-                predict=True,
-            )
-        else:
-            points = run(
-                size=arguments.size,
-                trials=arguments.trials,
-                schemes=tuple(arguments.schemes),
-            )
+        sweep = run(
+            size=arguments.size,
+            trials=arguments.trials,
+            schemes=tuple(arguments.schemes),
+            predict=arguments.predict,
+        )
     if not arguments.quiet:
         print("[buffer_sweep] Figure 12")
-        print(report(points))
-        if predictions:
+        print(report(sweep.points))
+        if sweep.curves:
             print("\nMattson MRC validation (predicted vs measured):")
-            print(prediction_report(points, predictions))
-    capacities = sorted({point.buffer_kb * 1024 for point in points})
-    results: dict = {"points": [asdict(point) for point in points]}
-    if predictions:
+            print(prediction_report(sweep))
+    capacities = sorted({point.buffer_kb * 1024 for point in sweep.points})
+    results: dict = {"points": [asdict(point) for point in sweep.points]}
+    if sweep.curves:
         results["predictions"] = {
             f"{scheme}/{query}": curve.to_dict(capacities=capacities)
-            for (scheme, query), curve in sorted(predictions.items())
+            for (scheme, query), curve in sorted(sweep.curves.items())
         }
     emit_report(
         arguments.json_dir,

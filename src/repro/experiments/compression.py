@@ -131,11 +131,11 @@ def report(rows: list[CompressionRow], mean_degree: float) -> str:
     return table + summary
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     add_report_arguments(parser)
     add_trace_arguments(parser)
-    arguments = parser.parse_args()
+    arguments = parser.parse_args(argv)
     with trace_session(arguments, "compression") as tracer:
         rows, mean_degree = run()
     if not arguments.quiet:

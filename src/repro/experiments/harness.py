@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ServeError
 from repro.partition.clustered_split import ClusteredSplitConfig
 from repro.partition.refine import RefinementConfig
 from repro.webdata.corpus import Repository
@@ -109,17 +109,18 @@ def add_report_arguments(parser) -> None:
 
 
 def add_trace_arguments(parser) -> None:
-    """Add the uniform tracing flags every experiment driver accepts.
+    """Add the uniform tracing flags of ``repro build`` and every driver.
 
-    The same surface as ``repro build``: ``--trace`` prints the span tree
-    to stderr, ``--trace-out FILE`` writes span JSONL, ``--folded FILE``
-    writes flamegraph folded stacks, and ``--quiet`` suppresses the
-    human-readable stdout report (useful with ``--json``).
+    ``--trace`` prints the span tree to stderr, ``--trace-out FILE``
+    writes span JSONL, ``--folded FILE`` writes flamegraph folded stacks
+    (all three through :func:`trace_session`), and ``--quiet`` suppresses
+    an experiment's human-readable stdout report (useful with ``--json``)
+    or a build's stderr progress.
     """
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="print the span tree attributing experiment time to phases (stderr)",
+        help="print the span tree attributing the run's time to phases (stderr)",
     )
     parser.add_argument(
         "--trace-out",
@@ -142,45 +143,44 @@ def add_trace_arguments(parser) -> None:
     parser.add_argument(
         "--quiet",
         action="store_true",
-        help="suppress the human-readable report on stdout",
+        help="suppress the human-readable report on stdout (a build's "
+        "progress on stderr)",
     )
 
 
 @contextmanager
 def trace_session(arguments, label: str):
-    """Activate a span tracer for an experiment when any trace flag is set.
+    """Activate a span tracer for a run when any trace flag is set.
 
     Yields the active :class:`~repro.obs.tracing.Tracer` (rooted at a
     ``label`` span so buffer-pool load notes always have an open span), or
     None when no ``--trace``/``--trace-out``/``--folded`` flag was given —
     tracing stays strictly opt-in.  On exit the requested exports are
-    written, mirroring ``repro build`` exactly.  Pass the tracer's
+    written, also when the body raised: a failed run's trace holds the
+    spans it opened, marked with the error.  Pass the tracer's
     :meth:`~repro.obs.tracing.Tracer.summary_dict` into
     :func:`emit_report`'s ``spans`` so bench reports carry the span
     aggregates.
     """
-    wants_trace = getattr(arguments, "trace", False)
-    trace_out = getattr(arguments, "trace_out", None)
-    folded = getattr(arguments, "folded", None)
-    if not (wants_trace or trace_out or folded):
+    if not (arguments.trace or arguments.trace_out or arguments.folded):
         yield None
         return
     from repro.obs.tracing import Tracer, activated
 
     tracer = Tracer()
-    with activated(tracer):
-        with tracer.span(label):
+    try:
+        with activated(tracer), tracer.span(label):
             yield tracer
-    if wants_trace:
-        print(f"{label} trace (span-attributed phases):", file=sys.stderr)
-        depth = getattr(arguments, "trace_depth", 2)
-        print(tracer.render(max_depth=depth), file=sys.stderr)
-    if trace_out:
-        tracer.write_jsonl(trace_out)
-        print(f"trace spans written to {trace_out}", file=sys.stderr)
-    if folded:
-        tracer.write_folded(folded)
-        print(f"folded stacks written to {folded}", file=sys.stderr)
+    finally:
+        if arguments.trace:
+            print(f"{label} trace (span-attributed phases):", file=sys.stderr)
+            print(tracer.render(max_depth=arguments.trace_depth), file=sys.stderr)
+        if arguments.trace_out:
+            tracer.write_jsonl(arguments.trace_out)
+            print(f"trace spans written to {arguments.trace_out}", file=sys.stderr)
+        if arguments.folded:
+            tracer.write_folded(arguments.folded)
+            print(f"folded stacks written to {arguments.folded}", file=sys.stderr)
 
 
 def emit_report(
@@ -219,6 +219,36 @@ def emit_report(
     path = write_report(report, json_dir)
     print(f"bench report written to {path}")
     return path
+
+
+def gate_and_report(
+    arguments,
+    experiment: str,
+    results: dict,
+    text: str,
+    gates: dict[str, bool],
+    params: dict,
+    tracer,
+) -> None:
+    """The tail of a gated driver (serve, mutate).
+
+    Prints ``text`` unless ``--quiet``, raises
+    :class:`~repro.errors.ServeError` with the first message in ``gates``
+    (failure message -> whether the run held) that did not hold, then
+    writes the bench report (``--json``) with the tracer's span summary.
+    """
+    if not arguments.quiet:
+        print(text)
+    for message, held in gates.items():
+        if not held:
+            raise ServeError(message)
+    emit_report(
+        arguments.json_dir,
+        experiment,
+        results,
+        params=params,
+        spans=tracer.summary_dict() if tracer else None,
+    )
 
 
 def format_table(

@@ -52,34 +52,32 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.errors import ServeError
 from repro.experiments.harness import (
     add_report_arguments,
     add_trace_arguments,
     dataset,
-    emit_report,
     format_table,
+    gate_and_report,
     sweep_sizes,
     trace_session,
 )
 from repro.obs import tracing
 from repro.serve import protocol
-from repro.serve.daemon import (
-    DEFAULT_BUFFER_BYTES,
-    SERVE_NAMES,
-    ServeContext,
-    store_options,
-)
+from repro.serve.daemon import SERVE_NAMES, ServeContext, store_options
 from repro.serve.loadgen import ServeClient
-from repro.experiments.serve import daemon_phase, serial_digests
+from repro.experiments.serve import (
+    LoadShape,
+    add_load_arguments,
+    daemon_phase,
+    parsed_shape,
+    serial_digests,
+)
 from repro.snode.pair import SNodePair
 from repro.webdata.recrawl import RecrawlConfig, recrawl
 
 DEFAULT_STEPS = 4
-DEFAULT_CONCURRENCY = 6
-DEFAULT_REQUESTS_PER_CLIENT = 8
-DEFAULT_WORKERS = 4
-DEFAULT_QUEUE_LIMIT = 4
+#: The live phase's load: lighter than the serving benchmark's.
+DEFAULT_SHAPE = LoadShape(concurrency=6, requests_per_client=8)
 #: Edges per write request in the live phase — small enough to produce
 #: several WAL appends per step, large enough to keep frame overhead low.
 _WRITE_BATCH = 256
@@ -234,22 +232,13 @@ def _apply_live_writes(client: ServeClient, step) -> int:
     return writes
 
 
-def _live_phase(
-    repository,
-    step,
-    base: Path,
-    buffer_bytes: int,
-    concurrency: int,
-    requests_per_client: int,
-    workers: int,
-    queue_limit: int,
-) -> dict:
+def _live_phase(repository, step, base: Path, shape: LoadShape) -> dict:
     """Writes + compaction under live load against a real daemon."""
     live_dir = base / "live"
-    context = ServeContext.build(repository, live_dir, buffer_bytes=buffer_bytes)
+    context = ServeContext.build(repository, live_dir, buffer_bytes=shape.buffer_bytes)
     try:
         context.enable_mutation()
-        with daemon_phase(context, workers, queue_limit) as phase:
+        with daemon_phase(context, shape) as phase:
             writes = phase.admin(lambda admin: _apply_live_writes(admin, step))
             # Serial reference digests *after* the writes: every reply
             # during the load — before and after the compaction flip —
@@ -257,9 +246,7 @@ def _live_phase(
             digests = serial_digests(context.serial_engine())
             wal_bytes_before = context.pair.wal.size_bytes()
             compact_outcome = phase.run_load(
-                concurrency,
-                requests_per_client,
-                midway=lambda admin: admin.compact(str(live_dir / "compacted")),
+                midway=lambda admin: admin.compact(str(live_dir / "compacted"))
             )
             # The compacted store must accept new writes into its own,
             # fresh WAL.
@@ -304,11 +291,7 @@ def run(
     size: int | None = None,
     steps: int = DEFAULT_STEPS,
     seed: int = 2003,
-    buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-    concurrency: int = DEFAULT_CONCURRENCY,
-    requests_per_client: int = DEFAULT_REQUESTS_PER_CLIENT,
-    workers: int = DEFAULT_WORKERS,
-    queue_limit: int = DEFAULT_QUEUE_LIMIT,
+    shape: LoadShape = DEFAULT_SHAPE,
     workdir: str | None = None,
 ) -> dict:
     """Run the mutation benchmark end-to-end; returns the results dict."""
@@ -323,28 +306,19 @@ def run(
     try:
         with tracing.span("mutate.equivalence"):
             depths, adjacency_equivalent = _equivalence_sweep(
-                repository, recrawl_steps, base, buffer_bytes
+                repository, recrawl_steps, base, shape.buffer_bytes
             )
         with tracing.span("mutate.queries"):
             queries = _query_equivalence(
-                recrawl_steps[-1].repository, base, buffer_bytes
+                recrawl_steps[-1].repository, base, shape.buffer_bytes
             )
         with tracing.span("mutate.live"):
-            live = _live_phase(
-                repository,
-                recrawl_steps[0],
-                base,
-                buffer_bytes,
-                concurrency,
-                requests_per_client,
-                workers,
-                queue_limit,
-            )
+            live = _live_phase(repository, recrawl_steps[0], base, shape)
         results = {
             "num_pages": repository.num_pages,
             "recrawl_steps": steps,
             "seed": seed,
-            "buffer_bytes": buffer_bytes,
+            "buffer_bytes": shape.buffer_bytes,
             "total_delta_edges": sum(s.delta_edges for s in recrawl_steps),
             "adjacency_equivalent": adjacency_equivalent,
             "depths": depths,
@@ -398,57 +372,43 @@ def report(results: dict) -> str:
     return table
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=None)
     parser.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     parser.add_argument("--seed", type=int, default=2003)
-    parser.add_argument(
-        "--buffer-kb", type=int, default=DEFAULT_BUFFER_BYTES // 1024
+    add_load_arguments(
+        parser, DEFAULT_SHAPE, "query requests per client in the live phase"
     )
-    parser.add_argument("--concurrency", type=int, default=DEFAULT_CONCURRENCY)
-    parser.add_argument(
-        "--requests", type=int, default=DEFAULT_REQUESTS_PER_CLIENT,
-        help="query requests per client in the live phase",
-    )
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
-    parser.add_argument("--queue-limit", type=int, default=DEFAULT_QUEUE_LIMIT)
     add_report_arguments(parser)
     add_trace_arguments(parser)
-    arguments = parser.parse_args()
+    arguments = parser.parse_args(argv)
+    shape = parsed_shape(arguments)
     with trace_session(arguments, "mutate") as tracer:
-        outcome = run(
+        results = run(
             size=arguments.size,
             steps=arguments.steps,
             seed=arguments.seed,
-            buffer_bytes=arguments.buffer_kb * 1024,
-            concurrency=arguments.concurrency,
-            requests_per_client=arguments.requests,
-            workers=arguments.workers,
-            queue_limit=arguments.queue_limit,
-        )
-    results = outcome["results"]
-    if not arguments.quiet:
-        print(report(results))
-    if not (
-        results["adjacency_equivalent"]
-        and results["queries_equivalent"]
-        and results["live_matches_serial"]
-    ):
-        raise ServeError(
-            "mutation equivalence violated: base+delta diverged from rebuild"
-        )
-    emit_report(
-        arguments.json_dir,
+            shape=shape,
+        )["results"]
+    gate_and_report(
+        arguments,
         "mutate",
         results,
+        report(results),
+        {
+            "mutation equivalence violated: base+delta diverged from rebuild":
+                results["adjacency_equivalent"]
+                and results["queries_equivalent"]
+                and results["live_matches_serial"],
+        },
         params={
             "steps": arguments.steps,
             "seed": arguments.seed,
-            "concurrency": arguments.concurrency,
-            "requests_per_client": arguments.requests,
+            "concurrency": shape.concurrency,
+            "requests_per_client": shape.requests_per_client,
         },
-        spans=tracer.summary_dict() if tracer else None,
+        tracer=tracer,
     )
 
 

@@ -6,8 +6,10 @@ counters cannot provide:
 
 * **miss-ratio curves** — Mattson stack-distance analysis of the recorded
   buffer trace gives the exact predicted LRU hit ratio at *every* cache
-  size from one run, then a measured mini-sweep at the requested
-  capacities validates the prediction in the same report;
+  size from one run, then the measured sweep at the requested
+  capacities validates the prediction in the same report (one scheme of
+  ``buffer_sweep --predict``: the same recorded runs and measured
+  points);
 * **seek profile** — per-file seek-distance histograms and
   sequential-run lengths (the distributional form of Figure 8's
   ``disk_seeks`` rule);
@@ -25,26 +27,20 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import BufferCapacityError, ReproError
-from repro.experiments.buffer_sweep import (
-    PREDICT_TRACE_CAPACITY,
-    SWEEP_QUERIES,
-    unpinned_hits_misses,
-)
+from repro.errors import ReproError
+from repro.experiments import buffer_sweep
 from repro.experiments.harness import (
     add_report_arguments,
     add_trace_arguments,
     dataset,
     emit_report,
-    format_table,
     sweep_sizes,
     trace_session,
 )
-from repro.experiments.queries import SCHEMES, _build_pair
-from repro.index.pagerank_index import PageRankIndex
-from repro.index.textindex import TextIndex
+from repro.experiments.queries import SCHEMES
 from repro.obs import profile as access_profile
 from repro.obs import tracing
 
@@ -54,94 +50,36 @@ DEFAULT_PROFILE_CAPACITIES_KB = (16, 32, 64, 128, 256)
 WORKLOADS = ("queries", "build")
 
 
+@dataclass
 class ProfileResult:
     """Everything ``repro profile`` measured and derived for one workload."""
 
-    def __init__(self, scheme: str, workload: str, num_pages: int, trials: int) -> None:
-        self.scheme = scheme
-        self.workload = workload
-        self.num_pages = num_pages
-        self.trials = trials
-        #: Per-query Mattson curves (one entry, "build", for build runs).
-        self.curves: dict[str, access_profile.MissRatioCurve] = {}
-        #: Measured-vs-predicted rows from the validation mini-sweep.
-        self.validation: list[dict] = []
-        self.seek: access_profile.SeekProfile | None = None
-        self.heatmap: access_profile.AccessHeatmap | None = None
-        #: Summed event counts across all recording tracers.
-        self.trace_counts: dict[str, int] = {}
-        #: Raw per-phase JSONL dumps, for ``--events-out``.
-        self.event_dumps: list[tuple[str, str]] = []
+    scheme: str
+    workload: str
+    num_pages: int
+    trials: int
+    #: Phase (a query name, or "build") -> its recorded access trace.
+    traces: dict[str, access_profile.AccessTracer]
+    #: Phase -> the Mattson curve of its recorded buffer trace.
+    curves: dict[str, access_profile.MissRatioCurve]
+    #: Predicted-vs-measured rows of the validation sweep (queries only).
+    validation: list[dict]
+    seek: access_profile.SeekProfile
+    heatmap: access_profile.AccessHeatmap
 
     @property
     def worst_delta(self) -> float:
         """Largest |predicted - measured| hit-ratio gap (0 when unswept)."""
-        return max((abs(row["delta"]) for row in self.validation), default=0.0)
+        return buffer_sweep.worst_delta(self.validation)
 
-
-def _merge_counts(into: dict[str, int], counts: dict[str, int]) -> None:
-    for name, value in counts.items():
-        into[name] = into.get(name, 0) + value
-
-
-def _record_query_traces(result: ProfileResult, pair, engine, trials: int) -> list:
-    """Phase 1: one profiled run per query; fills curves, returns tracers."""
-    tracers = []
-    for query_name, query_fn in SWEEP_QUERIES.items():
-        tracer = access_profile.AccessTracer(capacity=PREDICT_TRACE_CAPACITY)
-        pair.drop_caches()
-        with tracing.span("profile.record", query=query_name):
-            with access_profile.activated(tracer):
-                query_fn(engine)  # cold warm-up: stack-updating, uncounted
-                boundary = tracer.seq
-                for _ in range(trials):
-                    query_fn(engine)
-        result.curves[query_name] = access_profile.analyze_buffer_trace(
-            tracer.buffer_events(), count_from_seq=boundary
-        )
-        _merge_counts(result.trace_counts, tracer.summary())
-        result.event_dumps.append((query_name, tracer.to_jsonl()))
-        tracers.append(tracer)
-    return tracers
-
-
-def _measure_validation(
-    result: ProfileResult, pair, engine, capacities_kb, trials: int
-) -> None:
-    """Phase 2: measured mini-sweep at each capacity vs the predictions."""
-    for capacity_kb in capacities_kb:
-        try:
-            pair.set_buffer_bytes(capacity_kb * 1024)
-        except BufferCapacityError:
-            # Capacity below the scheme's pinned floor: the point is
-            # infeasible, not mispredicted — skip it explicitly.
-            tracing.note("profile_validation_infeasible")
-            continue
-        for query_name, query_fn in SWEEP_QUERIES.items():
-            pair.drop_caches()
-            query_fn(engine)  # warm-up, matching the recorded protocol
-            hits = 0
-            misses = 0
-            with tracing.span(
-                "profile.measure", query=query_name, capacity_kb=capacity_kb
-            ):
-                for _ in range(trials):
-                    pair.reset_io_stats()
-                    query_fn(engine)
-                    trial_hits, trial_misses = unpinned_hits_misses(pair)
-                    hits += trial_hits
-                    misses += trial_misses
-            measured = hits / (hits + misses) if (hits + misses) else 0.0
-            predicted = result.curves[query_name].hit_ratio(capacity_kb * 1024)
-            result.validation.append(
-                {
-                    "query": query_name,
-                    "capacity_kb": capacity_kb,
-                    "predicted_hit_ratio": predicted,
-                    "measured_hit_ratio": measured,
-                    "delta": predicted - measured,
-                }
-            )
+    @property
+    def trace_counts(self) -> dict[str, int]:
+        """Event counts summed over every phase's trace."""
+        counts: dict[str, int] = {}
+        for tracer in self.traces.values():
+            for name, value in tracer.summary().items():
+                counts[name] = counts.get(name, 0) + value
+        return counts
 
 
 def run(
@@ -151,61 +89,69 @@ def run(
     capacities_kb: tuple[int, ...] = DEFAULT_PROFILE_CAPACITIES_KB,
     trials: int = 2,
 ) -> ProfileResult:
-    """Profile one workload; returns curves + validation + seek + heatmap."""
+    """Profile one workload; returns curves + validation + seek + heatmap.
+
+    The queries workload is :func:`buffer_sweep.run` with ``predict`` at
+    ``capacities_kb`` for one scheme: its recorded runs give the curves,
+    seek profile and heatmap, its measured points the validation rows.
+    """
     if workload not in WORKLOADS:
         raise ReproError(f"unknown workload {workload!r}; choose from {WORKLOADS}")
     if scheme not in SCHEMES:
         raise ReproError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     size = size or sweep_sizes()[3]
-    repository = dataset(size)
-    result = ProfileResult(scheme, workload, size, trials)
-    with tempfile.TemporaryDirectory() as workdir:
-        if workload == "build":
-            _run_build(result, repository, Path(workdir))
-        else:
-            with tracing.span("profile.build", scheme=scheme):
-                pair = _build_pair(
-                    scheme, repository, Path(workdir) / scheme, capacities_kb[0] * 1024
-                )
-            engine = pair.make_engine(
-                repository, TextIndex(repository), PageRankIndex(repository)
-            )
-            tracers = _record_query_traces(result, pair, engine, trials)
-            _measure_validation(result, pair, engine, capacities_kb, trials)
-            io_events = [e for t in tracers for e in t.io_events()]
-            buffer_events = [e for t in tracers for e in t.buffer_events()]
-            result.seek = access_profile.SeekProfile.from_events(io_events)
-            result.heatmap = access_profile.AccessHeatmap.from_events(
-                buffer_events, io_events
-            )
-            pair.close()
-    return result
+    validation: list[dict] = []
+    if workload == "build":
+        tracer = _record_build(dataset(size))
+        traces = {"build": tracer}
+        curves = {"build": access_profile.analyze_buffer_trace(tracer.buffer_events())}
+    else:
+        sweep = buffer_sweep.run(
+            size=size,
+            buffer_sizes_kb=tuple(capacities_kb),
+            trials=trials,
+            schemes=(scheme,),
+            predict=True,
+        )
+        traces = {query: tracer for (_, query), tracer in sweep.traces.items()}
+        curves = {query: curve for (_, query), curve in sweep.curves.items()}
+        validation = buffer_sweep.validation_rows(sweep, scheme)
+    io_events = [event for tracer in traces.values() for event in tracer.io_events()]
+    buffer_events = [
+        event for tracer in traces.values() for event in tracer.buffer_events()
+    ]
+    return ProfileResult(
+        scheme=scheme,
+        workload=workload,
+        num_pages=size,
+        trials=trials,
+        traces=traces,
+        curves=curves,
+        validation=validation,
+        seek=access_profile.SeekProfile.from_events(io_events),
+        heatmap=access_profile.AccessHeatmap.from_events(buffer_events, io_events),
+    )
 
 
-def _run_build(result: ProfileResult, repository, workdir: Path) -> None:
-    """Profile a fresh S-Node build (open + verify reads) end to end."""
+def _record_build(repository) -> access_profile.AccessTracer:
+    """Trace a fresh S-Node build (open + verify reads) end to end."""
     from repro.snode.build import BuildOptions, build_snode
 
-    tracer = access_profile.AccessTracer(capacity=PREDICT_TRACE_CAPACITY)
-    with tracing.span("profile.build_workload"):
-        with access_profile.activated(tracer):
-            build = build_snode(
-                repository, workdir / "snode", BuildOptions()
-            )
-            # Touch every supernode once so the trace includes the read
-            # path, not only the build's write-side bookkeeping.
-            for supernode in range(build.model.num_supernodes):
-                build.store.intranode_rows(supernode)
-            build.store.close()
-    result.curves["build"] = access_profile.analyze_buffer_trace(
-        tracer.buffer_events()
+    tracer = access_profile.AccessTracer(
+        capacity=buffer_sweep.PREDICT_TRACE_CAPACITY
     )
-    _merge_counts(result.trace_counts, tracer.summary())
-    result.event_dumps.append(("build", tracer.to_jsonl()))
-    result.seek = access_profile.SeekProfile.from_events(tracer.io_events())
-    result.heatmap = access_profile.AccessHeatmap.from_events(
-        tracer.buffer_events(), tracer.io_events()
-    )
+    with tempfile.TemporaryDirectory() as workdir:
+        with tracing.span("profile.build_workload"):
+            with access_profile.activated(tracer):
+                build = build_snode(
+                    repository, Path(workdir) / "snode", BuildOptions()
+                )
+                # Touch every supernode once so the trace includes the
+                # read path, not only the build's write-side bookkeeping.
+                for supernode in range(build.model.num_supernodes):
+                    build.store.intranode_rows(supernode)
+                build.store.close()
+    return tracer
 
 
 def render(result: ProfileResult, top: int = 10) -> str:
@@ -222,34 +168,14 @@ def render(result: ProfileResult, top: int = 10) -> str:
             f"saturates at {curve.saturation_capacity / 1024.0:.1f} KiB"
         )
     if result.validation:
-        rows = [
-            (
-                row["query"],
-                f"{row['capacity_kb']} KiB",
-                f"{row['predicted_hit_ratio'] * 100.0:.2f}%",
-                f"{row['measured_hit_ratio'] * 100.0:.2f}%",
-                f"{row['delta'] * 100.0:+.2f}pp",
-            )
-            for row in result.validation
-        ]
         lines.append("\npredicted vs measured hit ratio:")
-        lines.append(
-            format_table(
-                ["query", "buffer", "predicted", "measured", "delta"], rows
-            )
-        )
-        lines.append(
-            f"worst |predicted - measured| = {result.worst_delta * 100.0:.2f}pp"
-        )
-    if result.seek is not None:
-        lines.append("\n== seek profile (Figure 8 locality, distributional) ==")
-        lines.append(result.seek.render())
-    if result.heatmap is not None:
-        lines.append("\n== access heatmap (hot set / working set) ==")
-        lines.append(result.heatmap.render(top))
-    dropped = result.trace_counts.get("dropped_io", 0) + result.trace_counts.get(
-        "dropped_buffer", 0
-    )
+        lines.append(buffer_sweep.validation_table(result.validation))
+    lines.append("\n== seek profile (Figure 8 locality, distributional) ==")
+    lines.append(result.seek.render())
+    lines.append("\n== access heatmap (hot set / working set) ==")
+    lines.append(result.heatmap.render(top))
+    counts = result.trace_counts
+    dropped = counts.get("dropped_io", 0) + counts.get("dropped_buffer", 0)
     if dropped:
         lines.append(f"\nwarning: {dropped} trace events dropped (ring bound)")
     return "\n".join(lines)
@@ -269,8 +195,8 @@ def to_results(result: ProfileResult, capacities_kb, top: int = 10) -> dict:
         },
         "validation": result.validation,
         "worst_validation_delta": result.worst_delta,
-        "seek_profile": result.seek.to_dict() if result.seek else {},
-        "heatmap": result.heatmap.to_dict(top) if result.heatmap else {},
+        "seek_profile": result.seek.to_dict(),
+        "heatmap": result.heatmap.to_dict(top),
         "trace_events": result.trace_counts,
     }
 
@@ -278,15 +204,16 @@ def to_results(result: ProfileResult, capacities_kb, top: int = 10) -> dict:
 def write_events(result: ProfileResult, path) -> None:
     """Dump every phase's raw access events as JSONL with phase markers."""
     with open(path, "w") as handle:
-        for phase, dump in result.event_dumps:
+        for phase, tracer in result.traces.items():
             handle.write(f'{{"type": "phase", "name": "{phase}"}}\n')
+            dump = tracer.to_jsonl()
             if dump:
                 handle.write(dump + "\n")
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--size", type=int, default=None)
+    parser.add_argument("--size", type=int, default=None, help="dataset pages")
     parser.add_argument("--scheme", choices=SCHEMES, default="s-node")
     parser.add_argument("--workload", choices=WORKLOADS, default="queries")
     parser.add_argument(
@@ -294,6 +221,7 @@ def main(argv: list[str] | None = None) -> None:
         type=int,
         nargs="+",
         default=list(DEFAULT_PROFILE_CAPACITIES_KB),
+        metavar="KB",
         help="buffer capacities (KiB) for the measured validation sweep",
     )
     parser.add_argument("--trials", type=int, default=2)

@@ -350,7 +350,7 @@ def to_results(experiment: QueryExperiment) -> dict:
     }
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=None)
     parser.add_argument("--buffer-kb", type=int, default=DEFAULT_BUFFER_BYTES // 1024)
@@ -360,7 +360,7 @@ def main() -> None:
     parser.add_argument("--cpu-scale", type=float, default=DEFAULT_CPU_SCALE)
     add_report_arguments(parser)
     add_trace_arguments(parser)
-    arguments = parser.parse_args()
+    arguments = parser.parse_args(argv)
     with trace_session(arguments, "queries") as tracer:
         experiment = run(
             size=arguments.size,

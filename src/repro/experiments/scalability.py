@@ -100,13 +100,13 @@ def report(points: list[ScalabilityPoint]) -> str:
     return table + summary
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--policy", choices=("random", "largest"), default="random")
     parser.add_argument("--seed", type=int, default=7)
     add_report_arguments(parser)
     add_trace_arguments(parser)
-    arguments = parser.parse_args()
+    arguments = parser.parse_args(argv)
     with trace_session(arguments, "scalability") as tracer:
         points = run(policy=arguments.policy, seed=arguments.seed)
     if not arguments.quiet:

@@ -74,6 +74,7 @@ import shutil
 import tempfile
 import threading
 import time
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -82,8 +83,8 @@ from repro.experiments.harness import (
     add_report_arguments,
     add_trace_arguments,
     dataset,
-    emit_report,
     format_table,
+    gate_and_report,
     sweep_sizes,
     trace_session,
 )
@@ -111,6 +112,47 @@ DEFAULT_WORKERS = 4
 #: admission control (sheds + retries) rather than only the happy path.
 DEFAULT_QUEUE_LIMIT = 4
 
+
+@dataclass(frozen=True)
+class LoadShape:
+    """How a serving benchmark loads its daemons, named once per run.
+
+    Every phase reads it from its :func:`daemon_phase`: the daemon's
+    workers and admission queue, the load generator's clients and
+    requests per client, and the stores' buffer budget.
+    """
+
+    concurrency: int = DEFAULT_CONCURRENCY
+    requests_per_client: int = DEFAULT_REQUESTS_PER_CLIENT
+    workers: int = DEFAULT_WORKERS
+    queue_limit: int = DEFAULT_QUEUE_LIMIT
+    buffer_bytes: int = DEFAULT_BUFFER_BYTES
+
+
+def add_load_arguments(parser, shape: LoadShape, requests_help: str) -> None:
+    """A serving driver's load-shape flags, defaulting to ``shape``
+    (read back by :func:`parsed_shape`)."""
+    parser.add_argument("--buffer-kb", type=int, default=shape.buffer_bytes // 1024)
+    parser.add_argument("--concurrency", type=int, default=shape.concurrency)
+    parser.add_argument(
+        "--requests", type=int, default=shape.requests_per_client,
+        help=requests_help,
+    )
+    parser.add_argument("--workers", type=int, default=shape.workers)
+    parser.add_argument("--queue-limit", type=int, default=shape.queue_limit)
+
+
+def parsed_shape(arguments) -> LoadShape:
+    """The shape :func:`add_load_arguments`' flags name."""
+    return LoadShape(
+        concurrency=arguments.concurrency,
+        requests_per_client=arguments.requests,
+        workers=arguments.workers,
+        queue_limit=arguments.queue_limit,
+        buffer_bytes=arguments.buffer_kb * 1024,
+    )
+
+
 #: Counters that sessions accumulate (everything else — evictions,
 #: quarantines — charges the shared base registry by design).  The same
 #: set the daemon attributes per request, so the per-request attribution
@@ -132,6 +174,15 @@ _ATTRIBUTION_KEYS = {
     "superedge_loads": "superedge",
     "degraded_reads": "degraded",
 }
+
+
+def _report_keys(counters: dict) -> dict:
+    """``counters`` under their :data:`_ATTRIBUTION_KEYS` report names."""
+    return {
+        _ATTRIBUTION_KEYS[name]: value
+        for name, value in sorted(counters.items())
+        if name in _ATTRIBUTION_KEYS
+    }
 
 
 def _counter_sums(directions: Iterable[dict]) -> dict[str, int]:
@@ -204,9 +255,10 @@ _MIDWAY_DELAY_S = 0.05
 class _DaemonPhase:
     """One daemon's lifetime in a benchmark phase: admin ops and one load."""
 
-    def __init__(self, daemon: GraphQueryDaemon, port: int) -> None:
+    def __init__(self, daemon: GraphQueryDaemon, port: int, shape: LoadShape) -> None:
         self.daemon = daemon
         self.port = port
+        self.shape = shape
         self.load = None
 
     def admin(self, call):
@@ -214,16 +266,17 @@ class _DaemonPhase:
         with ServeClient("127.0.0.1", self.port) as client:
             return call(client)
 
-    def run_load(self, concurrency, requests_per_client, midway=None, **options):
-        """Drive the Figure 11 mix; with ``midway``, on a thread while
-        that admin call lands mid-run — its result is returned."""
+    def run_load(self, midway=None, **options):
+        """Drive the Figure 11 mix at the phase's shape; with ``midway``,
+        on a thread while that admin call lands mid-run — its result is
+        returned."""
 
         def drive() -> None:
             self.load = run_load(
                 "127.0.0.1",
                 self.port,
-                concurrency=concurrency,
-                requests_per_client=requests_per_client,
+                concurrency=self.shape.concurrency,
+                requests_per_client=self.shape.requests_per_client,
                 **options,
             )
 
@@ -246,38 +299,33 @@ class _DaemonPhase:
 
 
 @contextlib.contextmanager
-def daemon_phase(context: ServeContext, workers: int, queue_limit: int):
-    """A fresh daemon over ``context`` for one phase.
+def daemon_phase(context: ServeContext, shape: LoadShape):
+    """A fresh daemon over ``context`` for one phase, loaded at ``shape``.
 
     Once it has stopped — every request record is folded in by then —
     the phase also carries ``conserved`` / ``outcome_totals``
     (:func:`_conservation`) and the load's ``client_errors``.
     """
-    daemon = GraphQueryDaemon(context, workers=workers, queue_limit=queue_limit)
+    daemon = GraphQueryDaemon(
+        context, workers=shape.workers, queue_limit=shape.queue_limit
+    )
     with DaemonHandle(daemon) as handle:
-        phase = _DaemonPhase(daemon, handle.port)
+        phase = _DaemonPhase(daemon, handle.port, shape)
         yield phase
     phase.conserved, phase.outcome_totals = _conservation(phase.daemon, phase.load)
     phase.client_errors = [c.error for c in phase.load.clients if c.error]
 
 
-def _overload_levels(queue_limit: int, concurrency: int) -> tuple[int, ...]:
+def _overload_levels(shape: LoadShape) -> tuple[int, ...]:
     """Offered-concurrency ladder: at, past and far past admission."""
-    return tuple(
-        sorted({queue_limit, max(2 * queue_limit, concurrency), 4 * queue_limit})
-    )
+    limit = shape.queue_limit
+    return tuple(sorted({limit, max(2 * limit, shape.concurrency), 4 * limit}))
 
 
-def _overload_level(
-    context: ServeContext,
-    clients: int,
-    requests_per_client: int,
-    workers: int,
-    queue_limit: int,
-) -> dict:
+def _overload_level(context: ServeContext, shape: LoadShape, clients: int) -> dict:
     """One sweep level: fresh daemon, ``clients`` offered concurrency."""
-    with daemon_phase(context, workers, queue_limit) as phase:
-        phase.run_load(clients, requests_per_client)
+    with daemon_phase(context, replace(shape, concurrency=clients)) as phase:
+        phase.run_load()
     load = phase.load
     queue_hist = load.queue_wait_histogram()
     server_hist = load.server_latency_histogram()
@@ -287,7 +335,7 @@ def _overload_level(
     # vary with interleaving; only the conservation flag is pinned).
     return {
         "clients": clients,
-        "offered": clients * requests_per_client,
+        "offered": clients * shape.requests_per_client,
         "completed": load.requests_ok,
         "shed": load.shed_retries,
         "gave_up": load.requests_failed,
@@ -314,16 +362,7 @@ _CHAOS_DEADLINE_MS = 250.0
 _CHAOS_DEADLINE_EVERY = 3
 
 
-def _chaos_phase(
-    repository,
-    base: Path,
-    concurrency: int,
-    requests_per_client: int,
-    workers: int,
-    queue_limit: int,
-    buffer_bytes: int,
-    stripes: int,
-) -> dict:
+def _chaos_phase(repository, base: Path, shape: LoadShape, stripes: int) -> dict:
     """Serve a corrupted store copy under injected faults and deadlines.
 
     Copies the committed pair, flips one byte in *every* intranode
@@ -344,7 +383,7 @@ def _chaos_phase(
     context = ServeContext.open(
         repository,
         chaos_dir,
-        buffer_bytes=buffer_bytes,
+        buffer_bytes=shape.buffer_bytes,
         stripes=stripes,
         on_corruption="degrade",
     )
@@ -356,12 +395,8 @@ def _chaos_phase(
             slow_read_rate=_CHAOS_SLOW_RATE,
             slow_read_seconds=_CHAOS_SLOW_SECONDS,
         )
-        with faults.activated(plan), daemon_phase(
-            context, workers, queue_limit
-        ) as phase:
+        with faults.activated(plan), daemon_phase(context, shape) as phase:
             phase.run_load(
-                concurrency,
-                requests_per_client,
                 deadline_ms=_CHAOS_DEADLINE_MS,
                 deadline_every=_CHAOS_DEADLINE_EVERY,
             )
@@ -406,11 +441,7 @@ def _swap_phase(
     context: ServeContext,
     base: Path,
     digests: dict[str, str],
-    concurrency: int,
-    requests_per_client: int,
-    workers: int,
-    queue_limit: int,
-    buffer_bytes: int,
+    shape: LoadShape,
 ) -> dict:
     """Hot-swap onto a freshly built pair while the load generator runs.
 
@@ -424,12 +455,12 @@ def _swap_phase(
     (the original stores are closed).
     """
     swap_dir = base / "swap_store"
-    SNodePair.commit(repository, swap_dir, store_options(buffer_bytes), SERVE_NAMES)
-    with daemon_phase(context, workers, queue_limit) as phase:
+    SNodePair.commit(
+        repository, swap_dir, store_options(shape.buffer_bytes), SERVE_NAMES
+    )
+    with daemon_phase(context, shape) as phase:
         swap_outcome = phase.run_load(
-            concurrency,
-            requests_per_client,
-            midway=lambda admin: admin.swap(str(swap_dir)),
+            midway=lambda admin: admin.swap(str(swap_dir))
         )
     load = phase.load
     return {
@@ -455,11 +486,7 @@ def _swap_phase(
 
 def run(
     size: int | None = None,
-    buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-    concurrency: int = DEFAULT_CONCURRENCY,
-    requests_per_client: int = DEFAULT_REQUESTS_PER_CLIENT,
-    workers: int = DEFAULT_WORKERS,
-    queue_limit: int = DEFAULT_QUEUE_LIMIT,
+    shape: LoadShape = LoadShape(),
     stripes: int = DEFAULT_STRIPES,
     workdir: str | None = None,
 ) -> dict:
@@ -471,7 +498,10 @@ def run(
     try:
         with tracing.span("serve.build"):
             context = ServeContext.build(
-                repository, base, buffer_bytes=buffer_bytes, stripes=stripes
+                repository,
+                base,
+                buffer_bytes=shape.buffer_bytes,
+                stripes=stripes,
             )
         try:
             # Serial baseline: the six queries through the root (shared)
@@ -482,8 +512,8 @@ def run(
                 serial = serial_digests(context.serial_engine())
             before = _counter_sums(context.shared_totals().values())
             with tracing.span("serve.load"):
-                with daemon_phase(context, workers, queue_limit) as phase:
-                    phase.run_load(concurrency, requests_per_client)
+                with daemon_phase(context, shape) as phase:
+                    phase.run_load()
             load = phase.load
             after = _counter_sums(context.shared_totals().values())
             if phase.client_errors:
@@ -509,49 +539,20 @@ def run(
             )
             with tracing.span("serve.overload"):
                 overload = [
-                    _overload_level(
-                        context,
-                        clients,
-                        requests_per_client,
-                        workers,
-                        queue_limit,
-                    )
-                    for clients in _overload_levels(queue_limit, concurrency)
+                    _overload_level(context, shape, clients)
+                    for clients in _overload_levels(shape)
                 ]
             with tracing.span("serve.chaos"):
-                chaos = _chaos_phase(
-                    repository,
-                    base,
-                    concurrency,
-                    requests_per_client,
-                    workers,
-                    queue_limit,
-                    buffer_bytes,
-                    stripes,
-                )
+                chaos = _chaos_phase(repository, base, shape, stripes)
             # The swap phase runs last: it retires the original stores
             # and leaves the context serving from the swapped-in pair.
             with tracing.span("serve.swap"):
-                swap = _swap_phase(
-                    repository,
-                    context,
-                    base,
-                    serial,
-                    concurrency,
-                    requests_per_client,
-                    workers,
-                    queue_limit,
-                    buffer_bytes,
-                )
+                swap = _swap_phase(repository, context, base, serial, shape)
             results = {
                 "num_pages": repository.num_pages,
-                "buffer_bytes": buffer_bytes,
-                "concurrency": concurrency,
-                "requests_per_client": requests_per_client,
-                "workers": workers,
-                "queue_limit": queue_limit,
+                **asdict(shape),
                 "stripes": stripes,
-                "requests_total": concurrency * requests_per_client,
+                "requests_total": shape.concurrency * shape.requests_per_client,
                 "requests_ok": load.requests_ok,
                 "requests_failed": load.requests_failed,
                 "shed_retries": load.shed_retries,
@@ -565,11 +566,7 @@ def run(
                 # dependent (cache state decides hits vs misses), so CI
                 # ignores the values and exact-gates only the flag.
                 "attribution": {
-                    name: {
-                        _ATTRIBUTION_KEYS[counter]: value
-                        for counter, value in sorted(counters.items())
-                        if counter in _ATTRIBUTION_KEYS
-                    }
+                    name: _report_keys(counters)
                     for name, counters in sorted(load.attribution().items())
                 },
                 # Per-outcome telemetry totals; backpressure varies with
@@ -586,17 +583,7 @@ def run(
                 # reported for observability.  Key names deliberately
                 # avoid bench-diff cost markers so runs are not gated on
                 # interleaving-dependent counts.
-                "counter_growth": {
-                    "bytes": growth["bytes_read"],
-                    "seek_count": growth["disk_seeks"],
-                    "hits": growth["buffer_hits"],
-                    "pinned_hits": growth["buffer_pinned_hits"],
-                    "misses": growth["buffer_misses"],
-                    "loads": growth["loads"],
-                    "intranode": growth["intranode_loads"],
-                    "superedge": growth["superedge_loads"],
-                    "degraded": growth["degraded_reads"],
-                },
+                "counter_growth": _report_keys(growth),
                 "daemon": phase.daemon.counters.as_dict(),
             }
             results.update(chaos)
@@ -616,6 +603,7 @@ def run(
 
 def report(results: dict) -> str:
     """Human-readable summary table."""
+    chaos = results["chaos_detail"]
     rows = [
         ("pages", results["num_pages"]),
         ("concurrency", results["concurrency"]),
@@ -629,29 +617,20 @@ def report(results: dict) -> str:
         ("requests conserved", results["requests_conserved"]),
         ("attribution conserved", results["attribution_conserved"]),
         ("traces propagated", results["traces_propagated"]),
+        ("chaos: conserved / zero failed",
+         f"{results['chaos_conserved']} / {results['chaos_zero_failed']}"),
+        ("chaos: degraded served / accounted",
+         f"{results['chaos_degraded_served']} / "
+         f"{results['chaos_degraded_accounted']}"),
+        ("chaos: deadlines honored", results["chaos_deadline_honored"]),
+        ("chaos: degraded / timeouts / retries",
+         f"{chaos['degraded']} / {chaos['timeouts']} / {chaos['io_retries']}"),
+        ("swap: applied / matches serial",
+         f"{results['swap_applied']} / {results['swap_matches_serial']}"),
+        ("swap: zero failed / conserved",
+         f"{results['swap_zero_failed']} / {results['swap_conserved']}"),
+        ("swap: drained in flight", results["swap_detail"]["drained_in_flight"]),
     ]
-    if "chaos_conserved" in results:
-        detail = results.get("chaos_detail", {})
-        rows.extend([
-            ("chaos: conserved / zero failed",
-             f"{results['chaos_conserved']} / {results['chaos_zero_failed']}"),
-            ("chaos: degraded served / accounted",
-             f"{results['chaos_degraded_served']} / "
-             f"{results['chaos_degraded_accounted']}"),
-            ("chaos: deadlines honored", results["chaos_deadline_honored"]),
-            ("chaos: degraded / timeouts / retries",
-             f"{detail.get('degraded', 0)} / {detail.get('timeouts', 0)} / "
-             f"{detail.get('io_retries', 0)}"),
-        ])
-    if "swap_applied" in results:
-        detail = results.get("swap_detail", {})
-        rows.extend([
-            ("swap: applied / matches serial",
-             f"{results['swap_applied']} / {results['swap_matches_serial']}"),
-            ("swap: zero failed / conserved",
-             f"{results['swap_zero_failed']} / {results['swap_conserved']}"),
-            ("swap: drained in flight", detail.get("drained_in_flight", 0)),
-        ])
     table = format_table(["metric", "value"], rows)
     attribution_rows = [
         (
@@ -662,122 +641,88 @@ def report(results: dict) -> str:
             counters.get("misses", 0),
             counters.get("loads", 0),
         )
-        for name, counters in sorted(results.get("attribution", {}).items())
+        for name, counters in sorted(results["attribution"].items())
     ]
     if attribution_rows:
         table += "\n\nper-query attributed I/O:\n" + format_table(
             ["query", "bytes", "seeks", "hits", "misses", "loads"],
             attribution_rows,
         )
-    overload_rows = [
-        (
-            level["clients"],
-            level["offered"],
-            level["completed"],
-            level["shed"],
-            f"{level['shed_rate_pct']:.1f}%",
-            f"{level['queue_wait_ms_p50']:.1f}",
-            f"{level['queue_wait_ms_p99']:.1f}",
-            level["requests_conserved"],
-        )
-        for level in results.get("overload", [])
-    ]
-    if overload_rows:
-        table += "\n\noverload sweep:\n" + format_table(
-            ["clients", "offered", "completed", "shed", "shed rate",
-             "qwait p50ms", "qwait p99ms", "conserved"],
-            overload_rows,
-        )
+    table += "\n\noverload sweep:\n" + format_table(
+        ["clients", "offered", "completed", "shed", "shed rate",
+         "qwait p50ms", "qwait p99ms", "conserved"],
+        [
+            (
+                level["clients"],
+                level["offered"],
+                level["completed"],
+                level["shed"],
+                f"{level['shed_rate_pct']:.1f}%",
+                f"{level['queue_wait_ms_p50']:.1f}",
+                f"{level['queue_wait_ms_p99']:.1f}",
+                level["requests_conserved"],
+            )
+            for level in results["overload"]
+        ],
+    )
     return table
 
 
-def main() -> None:
+#: Result flag -> the failure it names: every one must hold.
+GATES = {
+    "matches_serial": "concurrent results diverged from the serial baseline",
+    "metrics_conserved": "per-client metrics do not sum to the shared totals",
+    "requests_conserved": "telemetry did not account for every request sent",
+    "attribution_conserved":
+        "per-request attributed I/O does not sum to the session totals",
+    "traces_propagated": "a reply failed to echo its propagated trace id",
+    "chaos_conserved": "chaos sweep lost requests",
+    "chaos_zero_failed": "chaos sweep failed requests hard",
+    "chaos_degraded_served":
+        "chaos sweep never answered from quarantined regions",
+    "chaos_degraded_accounted":
+        "degraded replies do not match the degraded outcome total",
+    "chaos_deadline_honored":
+        "a deadline request answered later than deadline + grace",
+    "swap_applied": "the hot store swap did not happen",
+    "swap_matches_serial":
+        "replies across the swap diverged from the serial baseline",
+    "swap_zero_failed": "requests failed during the hot swap",
+    "swap_conserved": "telemetry lost requests across the hot swap",
+}
+
+
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=None)
-    parser.add_argument(
-        "--buffer-kb", type=int, default=DEFAULT_BUFFER_BYTES // 1024
-    )
-    parser.add_argument("--concurrency", type=int, default=DEFAULT_CONCURRENCY)
-    parser.add_argument(
-        "--requests", type=int, default=DEFAULT_REQUESTS_PER_CLIENT,
-        help="query requests per client",
-    )
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
-    parser.add_argument("--queue-limit", type=int, default=DEFAULT_QUEUE_LIMIT)
+    add_load_arguments(parser, LoadShape(), "query requests per client")
     parser.add_argument("--stripes", type=int, default=DEFAULT_STRIPES)
     add_report_arguments(parser)
     add_trace_arguments(parser)
-    arguments = parser.parse_args()
+    arguments = parser.parse_args(argv)
+    shape = parsed_shape(arguments)
     with trace_session(arguments, "serve") as tracer:
-        outcome = run(
-            size=arguments.size,
-            buffer_bytes=arguments.buffer_kb * 1024,
-            concurrency=arguments.concurrency,
-            requests_per_client=arguments.requests,
-            workers=arguments.workers,
-            queue_limit=arguments.queue_limit,
-            stripes=arguments.stripes,
-        )
-    results = outcome["results"]
-    if not arguments.quiet:
-        print(
-            f"[serve] concurrent Figure 11 mix "
-            f"(pages={results['num_pages']}, "
-            f"concurrency={results['concurrency']})"
-        )
-        print(report(results))
-    if not results["matches_serial"]:
-        raise ServeError("concurrent results diverged from the serial baseline")
-    if not results["metrics_conserved"]:
-        raise ServeError("per-client metrics do not sum to the shared totals")
-    if not results["requests_conserved"]:
-        raise ServeError("telemetry did not account for every request sent")
-    if not results["attribution_conserved"]:
-        raise ServeError(
-            "per-request attributed I/O does not sum to the session totals"
-        )
-    if not results["traces_propagated"]:
-        raise ServeError("a reply failed to echo its propagated trace id")
+        results = run(
+            size=arguments.size, shape=shape, stripes=arguments.stripes
+        )["results"]
     unconserved = [
         level["clients"]
         for level in results["overload"]
         if not level["requests_conserved"]
     ]
-    if unconserved:
-        raise ServeError(
-            f"overload sweep lost requests at concurrency {unconserved}"
-        )
-    chaos_gates = {
-        "chaos_conserved": "chaos sweep lost requests",
-        "chaos_zero_failed": "chaos sweep failed requests hard",
-        "chaos_degraded_served":
-            "chaos sweep never answered from quarantined regions",
-        "chaos_degraded_accounted":
-            "degraded replies do not match the degraded outcome total",
-        "chaos_deadline_honored":
-            "a deadline request answered later than deadline + grace",
-        "swap_applied": "the hot store swap did not happen",
-        "swap_matches_serial":
-            "replies across the swap diverged from the serial baseline",
-        "swap_zero_failed": "requests failed during the hot swap",
-        "swap_conserved": "telemetry lost requests across the hot swap",
-    }
-    for gate, message in chaos_gates.items():
-        if not results[gate]:
-            raise ServeError(message)
-    emit_report(
-        arguments.json_dir,
+    gates = {message: results[flag] for flag, message in GATES.items()}
+    gates[f"overload sweep lost requests at concurrency {unconserved}"] = (
+        not unconserved
+    )
+    gate_and_report(
+        arguments,
         "serve",
         results,
-        params={
-            "concurrency": arguments.concurrency,
-            "requests_per_client": arguments.requests,
-            "workers": arguments.workers,
-            "queue_limit": arguments.queue_limit,
-            "stripes": arguments.stripes,
-            "buffer_bytes": arguments.buffer_kb * 1024,
-        },
-        spans=tracer.summary_dict() if tracer else None,
+        f"[serve] concurrent Figure 11 mix (pages={results['num_pages']}, "
+        f"concurrency={shape.concurrency})\n{report(results)}",
+        gates,
+        params={**asdict(shape), "stripes": arguments.stripes},
+        tracer=tracer,
     )
 
 

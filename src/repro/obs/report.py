@@ -14,13 +14,10 @@ The schema is versioned (:data:`SCHEMA_VERSION`) and validated by
 :func:`validate_report` — hand-rolled structural checks, no external
 jsonschema dependency.  :func:`diff_reports` compares two reports'
 numeric cost metrics (wall/simulated times, percentiles, seeks, bytes,
-...) and flags relative increases beyond a threshold, which is how CI
-and ``repro bench-diff`` turn the JSON trail into regression gates.
-
-Run as a module for the CLI used by CI::
-
-    python -m repro.obs.report validate BENCH_*.json
-    python -m repro.obs.report diff old/BENCH_x.json new/BENCH_x.json
+...) and flags relative increases beyond a threshold.  The command line
+is ``repro bench-validate FILES...`` and ``repro bench-diff OLD NEW``
+(:mod:`repro.cli.bench`), which is how CI turns the JSON trail into
+regression gates.
 """
 
 from __future__ import annotations
@@ -395,63 +392,3 @@ def diff_reports(
             )
         )
     return diff
-
-
-# -- module CLI (used by CI) ------------------------------------------------
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``validate FILES...`` / ``diff OLD NEW [--threshold F]``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True)
-    validate = commands.add_parser("validate", help="schema-check reports")
-    validate.add_argument("files", nargs="+")
-    diff = commands.add_parser("diff", help="compare two reports")
-    diff.add_argument("old")
-    diff.add_argument("new")
-    diff.add_argument("--threshold", type=float, default=0.2)
-    diff.add_argument(
-        "--ignore",
-        action="append",
-        default=[],
-        metavar="SUBSTRING",
-        help="skip cost paths containing SUBSTRING (repeatable; e.g. wall_ms)",
-    )
-    diff.add_argument(
-        "--exact",
-        action="append",
-        default=[],
-        metavar="SUBSTRING",
-        help="paths containing SUBSTRING must match exactly (repeatable; "
-        "covers non-numeric leaves like digests; e.g. digest, matches_serial)",
-    )
-    arguments = parser.parse_args(argv)
-
-    if arguments.command == "validate":
-        failed = False
-        for name in arguments.files:
-            try:
-                load_report(name)
-                print(f"{name}: ok")
-            except ReportError as exc:
-                print(f"{name}: INVALID — {exc}")
-                failed = True
-        return 1 if failed else 0
-
-    result = diff_reports(
-        load_report(arguments.old),
-        load_report(arguments.new),
-        threshold=arguments.threshold,
-        ignore=tuple(arguments.ignore),
-        exact=tuple(arguments.exact),
-    )
-    print(result.render())
-    return 1 if result.failed else 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

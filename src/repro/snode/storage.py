@@ -88,7 +88,8 @@ class StorageLayout:
     boundaries: list[int]
     new_to_old: list[int]
     domains: dict[str, list[int]]
-    super_adjacency_bytes: bytes
+    #: The supernode graph, decoded once (to walk ``pointers.bin``).
+    super_adjacency: list[list[int]]
     index_files: list[str]
     manifest: dict
 
@@ -519,10 +520,11 @@ def read_layout(root: Path | str) -> StorageLayout:
         for domain, supernodes in json.loads(domain_blob).items()
     }
 
-    super_adjacency_bytes = _read_framed_table(root, SUPERNODE_NAME, manifest)
     from repro.snode.encode import decode_supernode_graph
 
-    adjacency = decode_supernode_graph(super_adjacency_bytes)
+    adjacency = decode_supernode_graph(
+        _read_framed_table(root, SUPERNODE_NAME, manifest)
+    )
     pointer_blob = _read_framed_table(root, POINTERS_NAME, manifest)
     position = 0
     intranode: list[GraphLocation] = []
@@ -551,7 +553,7 @@ def read_layout(root: Path | str) -> StorageLayout:
         boundaries=boundaries,
         new_to_old=new_to_old,
         domains=domains,
-        super_adjacency_bytes=super_adjacency_bytes,
+        super_adjacency=adjacency,
         index_files=manifest["index_files"],
         manifest=manifest,
     )

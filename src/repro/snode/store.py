@@ -42,7 +42,6 @@ from repro.snode.encode import (
     RowDirectory,
     SuperedgeRows,
     decode_intranode,
-    decode_supernode_graph,
     positive_rows_from_payload,
 )
 from repro.snode.storage import (
@@ -114,9 +113,7 @@ class SNodeStore:
             ("intra", entry[1]) if entry[0] == "intranode" else ("super", *entry[1:])
             for entry in read_quarantine(self._root)
         }
-        self._super_adjacency = decode_supernode_graph(
-            self._layout.super_adjacency_bytes
-        )
+        self._super_adjacency = self._layout.super_adjacency
         self._boundaries = self._layout.boundaries
         self._cache_decoded = cache_decoded
         self.metrics = MetricsRegistry()

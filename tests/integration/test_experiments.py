@@ -143,7 +143,7 @@ class TestBufferSweep:
 
         points = buffer_sweep.run(
             size=900, buffer_sizes_kb=(8, 256), trials=1
-        )
+        ).points
         # Both default schemes sweep the same grid through the one
         # set_buffer_bytes() protocol: 2 schemes x 2 sizes x 3 queries.
         assert {p.scheme for p in points} == {"s-node", "relational"}
@@ -158,14 +158,14 @@ class TestBufferSweep:
 
         points = buffer_sweep.run(
             size=600, buffer_sizes_kb=(8,), trials=1, schemes=("s-node",)
-        )
+        ).points
         assert {p.scheme for p in points} == {"s-node"}
         assert len(points) == 3
 
     def test_larger_buffer_never_much_worse(self):
         from repro.experiments import buffer_sweep
 
-        points = buffer_sweep.run(size=900, buffer_sizes_kb=(8, 512), trials=1)
+        points = buffer_sweep.run(size=900, buffer_sizes_kb=(8, 512), trials=1).points
         by_curve: dict[tuple[str, str], dict[int, float]] = {}
         for point in points:
             by_curve.setdefault((point.scheme, point.query), {})[
@@ -201,10 +201,9 @@ class TestServeExperiment:
 
         outcome = serve.run(
             size=400,
-            concurrency=3,
-            requests_per_client=6,
-            workers=2,
-            queue_limit=2,
+            shape=serve.LoadShape(
+                concurrency=3, requests_per_client=6, workers=2, queue_limit=2
+            ),
         )
         results = outcome["results"]
         assert results["matches_serial"] is True

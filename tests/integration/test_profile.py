@@ -122,23 +122,37 @@ class TestBufferSweepPredict:
     def test_predictions_track_measured_points(self):
         from repro.experiments import buffer_sweep
 
-        points, predictions = buffer_sweep.run(
+        sweep = buffer_sweep.run(
             size=1000,
             buffer_sizes_kb=(16, 64),
             trials=2,
             schemes=("s-node",),
             predict=True,
         )
-        assert points and predictions
+        assert sweep.points and sweep.curves
+        assert set(sweep.traces) == set(sweep.curves)
         worst = 0.0
-        for point in points:
-            curve = predictions[(point.scheme, point.query)]
+        for point in sweep.points:
+            curve = sweep.curves[(point.scheme, point.query)]
             worst = max(
                 worst, abs(curve.hit_ratio(point.buffer_kb * 1024) - point.hit_ratio)
             )
         assert worst < 0.01
-        report = buffer_sweep.prediction_report(points, predictions)
+        rows = buffer_sweep.validation_rows(sweep, "s-node")
+        assert len(rows) == len(sweep.points)
+        assert buffer_sweep.worst_delta(rows) == worst
+        report = buffer_sweep.prediction_report(sweep)
         assert "predicted" in report
+        assert "worst |predicted - measured|" in report
+
+    def test_without_predict_the_sweep_has_no_curves(self):
+        from repro.experiments import buffer_sweep
+
+        sweep = buffer_sweep.run(
+            size=600, buffer_sizes_kb=(16,), trials=1, schemes=("s-node",)
+        )
+        assert len(sweep.points) == 3
+        assert sweep.curves == {} and sweep.traces == {}
 
 
 class TestCli:
@@ -193,3 +207,30 @@ class TestCli:
             == 0
         )
         assert "miss-ratio" not in capsys.readouterr().out
+
+    def test_every_entry_point_runs_one_driver(self, tmp_path, capsys):
+        """``repro profile``, ``repro experiment profile`` and the driver's
+        ``main`` parse the same flags and write the same report."""
+        import re
+        import tempfile
+
+        from repro.cli import main
+        from repro.obs.report import flatten_leaves, load_report
+
+        args = ["--size", "800", "--capacities-kb", "16", "64",
+                "--trials", "1", "--quiet"]
+        assert main(["profile", *args, "--json", str(tmp_path / "a")]) == 0
+        assert main(
+            ["experiment", "profile", *args, "--json", str(tmp_path / "b")]
+        ) == 0
+        profile.main([*args, "--json", str(tmp_path / "c")])
+        capsys.readouterr()
+        # Seek-profile files are keyed by their (temporary) build path.
+        workdir = re.compile(re.escape(tempfile.gettempdir()) + r"/[^/]+")
+        outcomes = []
+        for name in "abc":
+            results = load_report(tmp_path / name / "BENCH_profile.json")["results"]
+            paths = {workdir.sub("TMP", path) for path in flatten_leaves(results)}
+            outcomes.append((paths, results["worst_validation_delta"]))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert len(outcomes[0][0]) > 0

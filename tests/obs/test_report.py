@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import ReportError
 from repro.obs.histogram import HistogramSet
 from repro.obs.report import (
@@ -16,7 +17,6 @@ from repro.obs.report import (
     flatten_leaves,
     flatten_numeric,
     load_report,
-    main as report_main,
     report_filename,
     validate_report,
     write_report,
@@ -242,31 +242,33 @@ class TestExactDiff:
 
 
 class TestModuleCli:
+    """The reports' command line: ``repro bench-validate`` / ``bench-diff``."""
+
     def test_validate_ok_and_invalid(self, tmp_path, capsys):
         good = write_report(sample_report(), tmp_path)
         bad = tmp_path / "BENCH_bad.json"
         bad.write_text(json.dumps({"schema_version": 99}))
-        assert report_main(["validate", str(good)]) == 0
-        assert report_main(["validate", str(good), str(bad)]) == 1
+        assert cli_main(["bench-validate", str(good)]) == 0
+        assert cli_main(["bench-validate", str(good), str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().out
 
     def test_diff_exit_codes(self, tmp_path, capsys):
         old_dir, new_dir = tmp_path / "old", tmp_path / "new"
         old = write_report(sample_report(wall_ms=10.0), old_dir)
         new = write_report(sample_report(wall_ms=15.0), new_dir)
-        assert report_main(["diff", str(old), str(new)]) == 1
-        assert report_main(["diff", str(old), str(old)]) == 0
+        assert cli_main(["bench-diff", str(old), str(new)]) == 1
+        assert cli_main(["bench-diff", str(old), str(old)]) == 0
         # A generous threshold lets the regressed report pass.
         assert (
-            report_main(["diff", str(old), str(new), "--threshold", "0.9"]) == 0
+            cli_main(["bench-diff", str(old), str(new), "--threshold", "0.9"]) == 0
         )
         capsys.readouterr()
 
     def test_diff_exact_flag_gates_digests(self, tmp_path, capsys):
         old = write_report(build_bench_report("aaa"), tmp_path / "old")
         new = write_report(build_bench_report("bbb"), tmp_path / "new")
-        assert report_main(["diff", str(old), str(new)]) == 0
+        assert cli_main(["bench-diff", str(old), str(new)]) == 0
         assert (
-            report_main(["diff", str(old), str(new), "--exact", "digest"]) == 1
+            cli_main(["bench-diff", str(old), str(new), "--exact", "digest"]) == 1
         )
         capsys.readouterr()

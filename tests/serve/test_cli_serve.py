@@ -63,6 +63,29 @@ class TestLoadgenJson:
         assert report["histograms"]["client_latency"]["count"] == 6
         assert report["histograms"]["queue_wait"]["count"] == 6
 
+    @pytest.mark.parametrize(
+        "flags, deadline_ms, deadline_every, carried",
+        [
+            ([], 250.0, 3, 2),
+            (["--deadline-every", "0"], 250.0, 0, 6),
+            (["--deadline-ms", "100"], 100.0, 3, 2),
+        ],
+    )
+    def test_chaos_preset_yields_to_explicit_flags(
+        self, daemon, tmp_path, capsys, flags, deadline_ms, deadline_every, carried
+    ):
+        code = main(
+            ["loadgen", "--port", str(daemon.port), "--chaos",
+             "--concurrency", "2", "--requests", "3",
+             "--json", str(tmp_path), *flags]
+        )
+        capsys.readouterr()
+        assert code == 0
+        report = json.loads((tmp_path / "BENCH_loadgen.json").read_text())
+        assert report["params"]["deadline_ms"] == deadline_ms
+        assert report["params"]["deadline_every"] == deadline_every
+        assert report["results"]["deadline_requests"] == carried
+
     def test_loadgen_report_validates(self, daemon, tmp_path, capsys):
         main(
             ["loadgen", "--port", str(daemon.port),

@@ -112,6 +112,29 @@ class TestIndexes:
     def test_unknown_domain_empty(self, small_build):
         assert small_build.store.supernodes_of_domain("nowhere.example") == []
 
+    def test_open_decodes_the_supernode_graph_once(self, small_build, monkeypatch):
+        """``read_layout`` decodes the supernode graph to walk the pointer
+        table; the store keeps that decode instead of repeating it."""
+        calls = []
+        decode = encode.decode_supernode_graph
+
+        def counted(data):
+            calls.append(len(data))
+            return decode(data)
+
+        monkeypatch.setattr(encode, "decode_supernode_graph", counted)
+        # A name the store module bound at import would dodge the patch.
+        monkeypatch.setattr(
+            "repro.snode.store.decode_supernode_graph", counted, raising=False
+        )
+        store = SNodeStore(small_build.root)
+        try:
+            assert len(calls) == 1
+            assert store.super_adjacency == small_build.store.super_adjacency
+            assert store.super_adjacency == small_build.model.super_adjacency
+        finally:
+            store.close()
+
 
 class TestBufferManager:
     def test_small_buffer_causes_evictions(self, small_repo, small_build, tmp_path):

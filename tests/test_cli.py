@@ -191,6 +191,41 @@ class TestBuildTrace:
         assert capsys.readouterr().err == ""
 
 
+class TestBuildTraceOnFailure:
+    def test_failed_build_still_writes_its_spans(
+        self, stream, tmp_path, capsys, monkeypatch
+    ):
+        from repro.errors import BuildError
+        from repro.snode import build as snode_build
+
+        def broken_model(*args, **kwargs):
+            raise BuildError("injected model failure")
+
+        monkeypatch.setattr(snode_build, "build_model", broken_model)
+        spans_path = tmp_path / "spans.jsonl"
+        folded_path = tmp_path / "stacks.folded"
+        argv = [
+            "build", "--stream", str(stream), "--out", str(tmp_path / "sn"),
+            "--quiet", "--trace", "--trace-out", str(spans_path),
+            "--folded", str(folded_path),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "injected model failure" in err
+        assert "build.model" in err  # the --trace tree
+        header, *records = [
+            json.loads(line) for line in spans_path.read_text().splitlines()
+        ]
+        assert header["schema"] == "repro-spans"
+        assert header["spans"] == len(records)
+        status = {record["name"]: record["status"] for record in records}
+        assert status["build.stream"] == "ok"
+        assert status["build.refine"] == "ok"
+        assert status["build.model"] == "error:BuildError"
+        assert status["build"] == "error:BuildError"
+        assert "build;build.model" in folded_path.read_text()
+
+
 class TestBenchCommands:
     @pytest.fixture()
     def reports(self, tmp_path):

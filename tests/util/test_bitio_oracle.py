@@ -19,7 +19,7 @@ import pytest
 from repro.errors import BitStreamError, CodecError
 from repro.snode import encode, reference
 from repro.util import bitio
-from repro.snode.storage import read_layout
+from repro.snode.storage import SUPERNODE_NAME, _read_framed_table, read_layout
 from repro.util.bitio import BitReader, BitWriter
 from repro.util.huffman import HuffmanCodec
 from repro.util.varint import decode_gamma
@@ -247,7 +247,9 @@ def test_truncated_payloads_fail_alike(build_600):
 
 
 def test_supernode_graph_matches_per_symbol_decode(build_600):
-    data = read_layout(build_600).super_adjacency_bytes
+    data = _read_framed_table(
+        build_600, SUPERNODE_NAME, read_layout(build_600).manifest
+    )
     reader = oracle_bitio.BitReader(data)
     count = oracle_codecs.decode_gamma(reader)
     lengths = {}
