@@ -15,8 +15,9 @@ it, with no wall clock involved:
   ``snode.store.loads``) ``storage.device.bytes_read`` and
   ``snode.encode.graphs_decoded`` are that many times the record's;
 * ``snode.reference.rows_decoded`` per round is strictly below the
-  record's: a re-loaded superedge graph parses its header and decodes
-  rows only when a linked source is asked for.
+  record's: a re-loaded graph parses nothing its first load parsed — a
+  superedge graph is built from its learned header and decodes rows only
+  when a linked source is asked for.
 
 The traced rounds follow at least one untraced round, whose scans load
 every graph, so each of them runs with every pool charge already learned

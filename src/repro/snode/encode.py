@@ -321,14 +321,27 @@ def decode_superedge_payload(data: bytes) -> tuple[bool, list[int], list[list[in
     return negative, linked, _stored_rows(reader, len(linked))
 
 
+class SuperedgeHeader(NamedTuple):
+    """What a superedge payload's header says: what parsing it learns."""
+
+    #: Whether the body stores each linked source's *absent* targets.
+    negative: bool
+    #: Ascending source locals that hold a row; immutable, because every
+    #: entry built from this header shares it.
+    sources: tuple[int, ...]
+    #: Bit offset of the body (its dictionary, then the rows).
+    body_bit: int
+
+
 def _positive_rows(
-    sources: list[int], data: bytes, body_bit: int, negative: bool, target_size: int
+    header: SuperedgeHeader, data: bytes, target_size: int
 ) -> dict[int, list[int]]:
     """Source local -> positive row, from a payload's undecoded body.
 
     A pure function of its arguments: threads that race to materialise
     one :class:`SuperedgeRows` each compute the same dict.
     """
+    negative, sources, body_bit = header
     rows = _stored_rows(BitReader(data, body_bit), len(sources))
     if negative:
         targets = range(target_size)
@@ -342,24 +355,29 @@ class SuperedgeRows:
     """Positive rows of one superedge graph, held sparsely and on demand.
 
     A superedge graph links a handful of its source supernode's pages and
-    its payload opens with their list, so that list is all a fresh entry
-    has parsed: :meth:`row` answers an unlinked local from it alone, and
-    the rows themselves are decoded by the first access to a linked one.
+    its payload opens with their list, so its :class:`SuperedgeHeader`
+    is all a fresh entry knows: :meth:`row` answers an unlinked local from
+    it alone, and the rows themselves are decoded by the first access to
+    a linked one.
     """
 
-    __slots__ = ("source_size", "sources", "_rows")
+    __slots__ = ("source_size", "header", "sources", "_rows")
 
     def __init__(
-        self, source_size: int, sources: list[int], rows: dict[int, list[int]] | tuple
+        self,
+        source_size: int,
+        header: SuperedgeHeader,
+        rows: dict[int, list[int]] | tuple,
     ) -> None:
         #: Pages in the source supernode (rows a dense form would have).
         self.source_size = source_size
-        #: Ascending source locals that hold a row.
-        self.sources = sources
+        self.header = header
+        #: Ascending source locals that hold a row (``header.sources``).
+        self.sources = header.sources
         #: The materialised ``local -> row`` dict, or until first needed
-        #: the rest of the payload as ``(payload, body bit offset,
-        #: negative?, target size)`` — plain values, never a live reader:
-        #: :attr:`linked` swaps one for the other in a single store.
+        #: the rest of the payload as ``(payload, target size)`` — plain
+        #: values, never a live reader: :attr:`linked` swaps one for the
+        #: other in a single store.
         self._rows = rows
 
     @property
@@ -371,7 +389,7 @@ class SuperedgeRows:
         """
         rows = self._rows
         if type(rows) is tuple:
-            rows = self._rows = _positive_rows(self.sources, *rows)
+            rows = self._rows = _positive_rows(self.header, *rows)
         return rows
 
     def row(self, local: int) -> list[int]:
@@ -385,16 +403,22 @@ class SuperedgeRows:
 
 
 def positive_rows_from_payload(
-    data: bytes, source_size: int, target_size: int
+    data: bytes,
+    source_size: int,
+    target_size: int,
+    header: SuperedgeHeader | None = None,
 ) -> SuperedgeRows:
-    """Parse a superedge payload's header only: polarity and linked sources.
+    """The rows of a superedge payload, none of them decoded yet.
 
-    The rows stay encoded until :attr:`SuperedgeRows.linked` is read.
+    Without a ``header`` the payload's header — polarity and linked
+    sources — is parsed and kept on the result (``.header``).  Given that
+    header again, nothing is parsed.  The rows stay encoded until
+    :attr:`SuperedgeRows.linked` is read.
     """
-    reader, negative, sources = _superedge_header(data)
-    return SuperedgeRows(
-        source_size, sources, (data, reader.position, negative, target_size)
-    )
+    if header is None:
+        reader, negative, sources = _superedge_header(data)
+        header = SuperedgeHeader(negative, tuple(sources), reader.position)
+    return SuperedgeRows(source_size, header, (data, target_size))
 
 
 # ---------------------------------------------------------------------------

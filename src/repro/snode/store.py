@@ -40,6 +40,7 @@ from repro.obs import tracing
 from repro.snode.encode import (
     IntranodeRows,
     RowDirectory,
+    SuperedgeHeader,
     SuperedgeRows,
     decode_intranode,
     positive_rows_from_payload,
@@ -120,12 +121,14 @@ class SNodeStore:
         self._pool = BufferPool(buffer_bytes, registry=self.metrics, stripes=stripes)
         self._devices: dict[int, CountedFile] = {}
         self._devices_lock = threading.Lock()
-        #: Buffer key -> (decoded charge, row directory or None): what the
-        #: graph's first load learned by decoding it whole.  A graph's
+        #: Buffer key -> (pool charge, parsed facts): what the graph's
+        #: first load learned — the charge (the decoded cost, or the
+        #: payload's length in a payload-caching store) and an intranode
+        #: graph's row directory or a superedge graph's header.  A graph's
         #: bytes never change under an open store, so every later load is
-        #: put at this charge with its rows undecoded — a superedge graph
-        #: header-first, an intranode graph by its directory.
-        self._learned: dict[tuple, tuple[int, RowDirectory | None]] = {}
+        #: put at this charge and parses nothing: its entry is built from
+        #: the facts, with no row decoded until one is asked for.
+        self._learned: dict[tuple, tuple[int, RowDirectory | SuperedgeHeader]] = {}
         #: Supernode -> (buffer keys, kinds) of the graphs its adjacency
         #: lists are spread over, intranode graph first, built on first
         #: use (racing threads build equal tuples).
@@ -263,7 +266,7 @@ class SNodeStore:
         sizes = self._sizes(key)
         if key[0] == "intra":
             return [[] for _ in range(sizes[0])]
-        return SuperedgeRows(sizes[0], [], {})
+        return SuperedgeRows(sizes[0], SuperedgeHeader(False, (), 0), {})
 
     def _quarantine(self, key: tuple) -> None:
         # Quarantining is a store-wide state change, so it always charges
@@ -284,9 +287,10 @@ class SNodeStore:
         tracing.note(f"{kind}_loads")
 
     def _decode(self, key: tuple, payload: bytes, learned: tuple | None):
+        facts = None if learned is None else learned[1]
         if key[0] == "intra":
-            return decode_intranode(payload, None if learned is None else learned[1])
-        return positive_rows_from_payload(payload, *self._sizes(key))
+            return decode_intranode(payload, facts)
+        return positive_rows_from_payload(payload, *self._sizes(key), facts)
 
     def _graph(self, key: tuple, registry):
         """The one keyed load path behind both graph kinds.
@@ -297,12 +301,14 @@ class SNodeStore:
         pointer-table entry and the decoder are touched only on a miss,
         a degraded answer or an encoded-payload hit.
 
-        A graph is put at its full decoded charge whatever it holds: its
-        first load decodes every row, learning that charge (and an
-        intranode graph's row directory); a re-load leaves the rows to
-        whoever asks for them — a superedge graph parses its header, an
-        intranode graph nothing.  The pool therefore sees the same keys at
-        the same costs either way.
+        A decoded graph is put at its full decoded charge whatever it
+        holds: its first load decodes every row, learning that charge with
+        an intranode graph's row directory or a superedge graph's header;
+        a re-load parses nothing and leaves the rows to whoever asks for
+        them.  The pool therefore sees the same keys at the same costs
+        either way.  A payload-caching store learns the directory or
+        header too (a superedge graph's first load parses only its
+        header), so every later access, miss or hit, parses nothing.
         """
         reg = registry if registry is not None else self.metrics
         kind = "intranode" if key[0] == "intra" else "superedge"
@@ -329,18 +335,16 @@ class SNodeStore:
             return self._degraded(key, reg)
         learned = self._learned.get(key)
         rows = self._decode(key, payload, learned)
-        if learned is None and kind == "intranode":
-            learned = self._learned[key] = (_graph_cost(len(rows), rows), rows.directory)
-        elif learned is None and self._cache_decoded:
-            # Only a decoded-graph pool needs a superedge charge: a
-            # payload-caching store leaves the rows undecoded until a
-            # linked one is read.
-            cost = _graph_cost(rows.source_size, rows.linked.values())
-            learned = self._learned[key] = (cost, None)
-        if self._cache_decoded:
-            self._pool.put(key, rows, learned[0], kind=kind)
-        else:
-            self._pool.put(key, payload, len(payload), kind=kind)
+        if learned is None:
+            if not self._cache_decoded:
+                charge = len(payload)
+            elif kind == "intranode":
+                charge = _graph_cost(len(rows), rows)
+            else:
+                charge = _graph_cost(rows.source_size, rows.linked.values())
+            facts = rows.directory if kind == "intranode" else rows.header
+            learned = self._learned[key] = (charge, facts)
+        self._pool.put(key, rows if self._cache_decoded else payload, learned[0], kind=kind)
         self._loaded(kind, key[1:], reg)
         return rows
 

@@ -442,10 +442,27 @@ class TestWhatIsKept:
         assert any(s["name"].startswith("nav.") and s.get("counters") for s in spans)
         assert {t["outcome"] for t in expected["debug_traces"]} >= {"ok", "bad_request"}
 
-    def test_slow_record_renders_its_own_request_after_300_more(self, serve_context):
+    def test_slow_record_renders_its_own_request_after_300_more(
+        self, serve_context, monkeypatch
+    ):
         """A record retained in the slow heap is rendered long after it was
         filed — the connection, its sessions and its tracer's successors
-        have moved on 300 requests — and still reads as its own request."""
+        have moved on 300 requests — and still reads as its own request.
+
+        The query's first grouped read (lookups read one page) is held
+        50 ms, so it is the slowest request by construction: a cold query3
+        over a store that has learned its graphs takes a few milliseconds,
+        no more than one lookup that a collector pause lands in."""
+        real = SNodeStore.out_neighbors_many
+        held = threading.Event()
+
+        def first_read_held(store, pages, registry=None, memory_only=False):
+            if not held.is_set():
+                held.set()
+                time.sleep(0.05)
+            return real(store, pages, registry, memory_only)
+
+        monkeypatch.setattr(SNodeStore, "out_neighbors_many", first_read_held)
         recorder = flightrecorder.FlightRecorder(slow_threshold_s=0.0, slow_top=1)
         daemon = GraphQueryDaemon(
             serve_context, port=0, workers=2, telemetry=ServeTelemetry(recorder=recorder)

@@ -526,12 +526,12 @@ class TestBatchedAccounting:
 
     def test_second_cold_pass_counts_like_the_first(self, small_build, monkeypatch):
         """The first pass decodes every graph it loads whole, learning its
-        charge (and an intranode graph's row directory); the later passes
-        put them at the charge learned — superedge graphs header-first,
-        intranode graphs with no row decoded until one is asked for.  The
-        third runs with every directory learned and reads rows one at a
-        time.  Same counters, same occupancy, same tallies, same LRU
-        order — the parent's."""
+        charge with an intranode graph's row directory or a superedge
+        graph's header; the later passes put them at the charge learned
+        and parse nothing — no row decoded until one is asked for.  The
+        third runs with every directory and header learned and reads rows
+        one at a time.  Same counters, same occupancy, same tallies, same
+        LRU order — the parent's."""
         store = SNodeStore(small_build.root, buffer_bytes=64 * 1024)
         single_rows = []
 
@@ -546,6 +546,10 @@ class TestBatchedAccounting:
                 assert all(
                     store._learned[("intra", supernode)][1] is not None
                     for supernode in range(store.num_supernodes)
+                )
+                assert all(
+                    type(store._learned[("super", *key)][1]) is encode.SuperedgeHeader
+                    for key in superedge_keys(store)
                 )
                 single_rows.clear()
             store.drop_buffers()
@@ -564,7 +568,18 @@ class TestBatchedAccounting:
         store.close()
 
     def test_encoded_payload_cache(self, small_build):
+        """A payload-caching store learns every header and directory on
+        its first pass; the second, which parses none of them, counts
+        the same."""
         store = SNodeStore(small_build.root, buffer_bytes=4 * 1024, cache_decoded=False)
+        self.probe(store)
+        assert accounting(store.metrics, store._pool) == self.ENCODED
+        assert all(
+            type(store._learned[("super", *key)][1]) is encode.SuperedgeHeader
+            for key in superedge_keys(store)
+        )
+        store.drop_buffers()
+        store.metrics.reset()
         self.probe(store)
         assert accounting(store.metrics, store._pool) == self.ENCODED
         store.close()

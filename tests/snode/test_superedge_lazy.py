@@ -3,17 +3,19 @@
 ``positive_rows_from_payload`` parses the polarity bit and the linked
 source list and keeps the rest of the payload undecoded;
 ``SNodeStore._graph`` puts such an entry at the full decoded charge, which
-it learned the first time it loaded the graph.  Checked here against the
+it learned with the header the first time it loaded the graph, and builds
+every later entry of the graph from that header.  Checked here against the
 eager decoders in ``tests/util/oracle_codecs.py``:
 
 * generated superedge graphs — ``sources``, ``row(local)`` of every local
   and ``linked`` equal the oracle's, and an unlinked ``row`` decodes
   nothing;
 * whole stores — two passes over every page of generated crawls, the
-  second header-first after ``drop_buffers()``, equal the crawl graph at
-  the oracle's pool charge;
+  second from the learned headers after ``drop_buffers()``, equal the
+  crawl graph at the oracle's pool charge;
 * a body cut short under a sound header — typed errors, where and how
-  often they surface.
+  often they surface, through an entry alone and through a store that
+  learned the header from the sound payload or a fresh one.
 
 The file fails under each of these seeded mutations (applied one at a
 time while it was written):
@@ -29,6 +31,7 @@ time while it was written):
 
 from __future__ import annotations
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -99,7 +102,7 @@ def check_against_oracle(linked_rows, source_size, target_size, force_positive, 
 
     rows = positive_rows_from_payload(payload, source_size, target_size)
     assert rows.source_size == source_size
-    assert rows.sources == sorted(want)
+    assert rows.sources == tuple(sorted(want))
     for local in range(source_size):
         if local not in want:
             assert rows.row(local) == []
@@ -202,7 +205,7 @@ def test_two_passes_over_every_page_equal_the_crawl(crawl_builds, direction, cac
     assert len(new_to_old) == len(expected)
     store = SNodeStore(build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
     charge = oracle_charge(build.root, cache_decoded)
-    for _pass in range(2):  # the second one finds every charge learned: header-first
+    for _pass in range(2):  # the second finds every charge and header learned
         assert {page: store.out_neighbors(page) for page in pages} == expected
         assert store.buffer_stats()["used_bytes"] == charge
         # A few locals of each supernode at a time: most graphs link none of them.
@@ -253,7 +256,7 @@ def test_body_cut_at_every_bit_offset():
     for bit in range(body_bit, 8 * len(payload)):
         data = cut_body.cut_at(payload, bit)
         rows = positive_rows_from_payload(data, 11, 40)
-        assert rows.sources == [1, 2, 5, 8]
+        assert rows.sources == (1, 2, 5, 8)
         assert rows.row(0) == [] and rows.row(10) == [] and undecoded(rows)
         want = cut_body.outcome(oracle_codecs.linked_rows_from_payload, data, 40)
         for _call in range(2):  # a poisoned entry stays typed, call after call
@@ -270,7 +273,7 @@ def test_body_cut_at_every_bit_offset():
 @pytest.mark.parametrize("cache_decoded", [True, False], ids=["decoded", "encoded"])
 def test_cut_body_through_the_store_keeps_the_batch_flushed(small_build, cache_decoded):
     """Decoded entries fail at load time as they always did; encoded
-    ones (header-first on every access) at the first linked row — either
+    ones (header only on their first load) at the first linked row — either
     way inside ``_adjacency``'s ``try``, so the graphs read so far stay
     charged, and the next call fails the same way."""
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
@@ -293,3 +296,59 @@ def test_cut_body_through_the_store_keeps_the_batch_flushed(small_build, cache_d
         # The cut graph itself counts as loaded only where loading decodes nothing.
         assert charged["loads"] == position + 1 + (not cache_decoded)
     store.close()
+
+
+@pytest.mark.parametrize("cache_decoded", [True, False], ids=["decoded", "encoded"])
+@pytest.mark.parametrize("negative", [False, True], ids=["positive", "negative"])
+def test_cut_superedge_bodies_fail_typed_through_a_learned_store(
+    small_build, tmp_path, negative, cache_decoded
+):
+    """The superedge twin of ``test_cut_intranode_payloads_fail_typed``: a
+    body cut at every bit offset past its header, checksum recomputed,
+    served through a store that learned the header from the sound payload
+    and through a fresh store.  Every linked read raises ``CodecError``
+    (``BitStreamError`` is one) or is the oracle's rows — never
+    ``IndexError``, never a hang — call after call, and an unlinked row
+    stays ``[]``."""
+    root = tmp_path / "build"
+    shutil.copytree(small_build.root, root)
+    learned = SNodeStore(root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
+    key = cut_body.richest_superedge(learned, negative)
+    location, stored_negative = learned._layout.superedge[key]
+    payload = cut_body.region(learned, location)
+    source_size, target_size = learned._sizes(("super", *key))
+    learned.superedge_rows(*key)  # the first load learns the header
+    header = learned._learned[("super", *key)][1]
+    assert header.negative == negative and len(header.sources) > 1
+    unlinked = [local for local in range(source_size) if local not in header.sources]
+    outcome = cut_body.outcome
+    failed = served = 0
+    for bit in range(header.body_bit, 8 * len(payload)):
+        data = cut_body.cut_at(payload, bit)
+        cut = (cut_body.append_region(learned, location.file_index, data), stored_negative)
+        want = outcome(oracle_codecs.linked_rows_from_payload, data, target_size)
+        learned._layout.superedge[key] = cut
+        learned.drop_buffers()
+        entry = learned.superedge_rows(*key)
+        assert entry.header is header and undecoded(entry)  # a re-load parses nothing
+        fresh = SNodeStore(root, cache_decoded=cache_decoded)
+        fresh._layout.superedge[key] = cut
+        loaded = outcome(fresh.superedge_rows, *key)  # a decoded first load decodes the body
+        entries = [entry]
+        if loaded[0] == "ok":
+            entries.append(loaded[1])
+        else:
+            assert loaded == want
+        for rows in entries:
+            for _call in range(2):
+                assert outcome(getattr, rows, "linked") == want
+                for local in header.sources:
+                    assert outcome(rows.row, local) == (
+                        want if want[0] == "error" else ("ok", want[1][local])
+                    )
+                assert [rows.row(local) for local in unlinked] == [[]] * len(unlinked)
+        fresh.close()
+        failed += want[0] == "error"
+        served += want[0] == "ok"
+    learned.close()
+    assert failed > 8 * len(payload) - header.body_bit - 16 and served > 0

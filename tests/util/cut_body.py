@@ -1,7 +1,7 @@
 """Payloads whose header is sound and whose body is cut short.
 
 Superedge payloads keep their polarity bit and linked-source list;
-intranode payloads keep their dictionary, and are served from a region
+intranode payloads keep their dictionary.  Either is served from a region
 appended to the index file with its checksum recomputed, so any cut bit
 offset reaches the decoder.  Built from the pointer table and the
 bit-by-bit oracle decoders only, so the same cut can be served by any
@@ -90,6 +90,18 @@ def richest_intranode(store, max_bytes: int = 128) -> int:
         supernode: references(location)
         for supernode, location in enumerate(store._layout.intranode)
         if location.length <= max_bytes
+    }
+    return max(counts, key=counts.get)
+
+
+def richest_superedge(store, negative: bool, max_bytes: int = 48) -> tuple[int, int]:
+    """The superedge graph of ``store`` stored ``negative`` (or positive)
+    that links the most sources among those of at most ``max_bytes``
+    bytes: the one whose cut body breaks the most linked rows."""
+    counts = {
+        key: len(oracle_codecs.decode_superedge_payload(region(store, location))[1])
+        for key, (location, stored_negative) in store._layout.superedge.items()
+        if stored_negative == negative and location.length <= max_bytes
     }
     return max(counts, key=counts.get)
 

@@ -1,4 +1,4 @@
-"""Three fast paths, each against its oracle.
+"""Four fast paths, each against its oracle.
 
 **Pushed span counters.**  A request's counters used to be read off its
 spans as the difference of two full snapshots of the connection's session
@@ -31,6 +31,16 @@ record offsets.  A payload cut at every bit offset past its dictionary
 fails typed through a store that learned its directory and through a
 fresh one; a scan decodes each graph in one pass.
 
+**The learned superedge header.**  A re-loaded superedge graph parses
+nothing: its entry is built from the ``SuperedgeHeader`` (polarity,
+linked sources, body offset) its first load parsed.  Hypothesis generates
+superedge graphs — both polarities, the dictionary on and off, nothing
+and everything linked — and an entry built from the learned header, with
+no ``BitReader`` to build one, must equal a freshly parsed entry and the
+oracle on ``sources``, ``linked`` and ``row(local)`` for every local;
+every superedge payload of a build, re-loaded through a store of either
+``cache_decoded`` mode after a learning pass, must equal its fresh parse.
+
 Seeded mutations, each failing the test named:
 
 * base-registry charges leak in (``ClientEngine.bind`` also binding
@@ -56,7 +66,18 @@ Seeded mutations, each failing the test named:
   ``reference._apply_reference``) — ``test_row_reads_equal_the_oracle``;
 * a scan decodes row by row (the all-rows rule in
   ``SNodeStore._adjacency`` deleted) —
-  ``test_a_scan_decodes_each_intranode_graph_in_one_pass``.
+  ``test_a_scan_decodes_each_intranode_graph_in_one_pass``;
+* the learned header's body offset is one bit late (``reader.position +
+  1`` in ``encode.positive_rows_from_payload``) —
+  ``test_learned_headers_equal_a_fresh_parse``;
+* the polarity is dropped from the learned header (the store learns
+  ``rows.header._replace(negative=False)``) —
+  ``test_every_superedge_payload_reloads_like_a_fresh_parse``;
+* the learned sources are a mutable list shared by every entry of a key
+  (``sources`` for ``tuple(sources)`` in
+  ``encode.positive_rows_from_payload``) —
+  ``test_learned_headers_equal_a_fresh_parse`` and
+  ``test_every_superedge_payload_reloads_like_a_fresh_parse``.
 """
 
 from __future__ import annotations
@@ -64,6 +85,7 @@ from __future__ import annotations
 import collections
 import enum
 import shutil
+from unittest import mock
 
 import cut_body
 import oracle_codecs
@@ -78,6 +100,7 @@ from repro.serve.daemon import ClientEngine
 from repro.snode import encode
 from repro.snode.build import BuildOptions
 from repro.snode.delta import DeltaOverlay
+from repro.snode.model import _superedge_graph
 from repro.snode.pair import SNodePair
 from repro.snode.store import SNodeStore
 from repro.storage import faults
@@ -514,3 +537,138 @@ def test_cut_intranode_payloads_fail_typed(small_build, tmp_path):
         fresh.close()
     learned.close()
     assert failed > len(cuts) and served > len(cuts)
+
+
+# -- the learned superedge header --------------------------------------------
+
+
+@st.composite
+def superedge_graphs(draw):
+    """(linked positive rows, source size, target size, force positive?,
+    dictionary allowed?) — the model's own polarity choice then applies.
+
+    Few distinct rows, many of them dense: shared targets make the
+    dictionary pay, dense rows make the negative form win.
+    """
+    source_size = draw(st.integers(1, 24))
+    target_size = draw(st.integers(1, 24))
+    linked = draw(
+        st.one_of(
+            st.just(set()),  # nothing linked
+            st.just(set(range(source_size))),  # every source linked
+            st.sets(st.integers(0, source_size - 1), min_size=1),
+        )
+    )
+    shapes = draw(
+        st.lists(st.sets(st.integers(0, target_size - 1), min_size=1), min_size=1, max_size=3)
+    )
+    rows = {local: sorted(draw(st.sampled_from(shapes))) for local in sorted(linked)}
+    return rows, source_size, target_size, draw(st.booleans()), draw(st.booleans())
+
+
+def same_entry(entry, want: dict, source_size: int) -> None:
+    """``entry`` holds ``want`` (source local -> positive row) and no
+    other row; every local is read before ``linked``."""
+    assert entry.sources == tuple(want)
+    assert [entry.row(local) for local in range(source_size)] == [
+        want.get(local, []) for local in range(source_size)
+    ]
+    assert entry.linked == want
+
+
+def check_learned_header(linked_rows, source_size, target_size, force_positive, use_dictionary):
+    graph = _superedge_graph(0, 1, linked_rows, source_size, target_size, force_positive)
+    payload = encode.encode_superedge(graph, use_dictionary=use_dictionary)
+    want = oracle_codecs.linked_rows_from_payload(payload, target_size)
+    assert want == linked_rows  # the oracle reads back what the model stored
+
+    fresh = encode.positive_rows_from_payload(payload, source_size, target_size)
+    header = fresh.header
+    negative, sources, _rows = oracle_codecs.decode_superedge_payload(payload)
+    assert header == (negative, tuple(sources), cut_body.body_bit(payload))
+    hash(header)  # immutable all the way down: every entry of a key shares it
+
+    with mock.patch.object(encode, "BitReader", side_effect=AssertionError("a reader")):
+        learned = encode.positive_rows_from_payload(payload, source_size, target_size, header)
+        unlinked = [learned.row(local) for local in range(source_size) if local not in want]
+    assert unlinked == [[]] * (source_size - len(want))
+    assert learned.header is header and learned.sources is header.sources
+    assert type(learned._rows) is tuple  # nothing decoded yet
+    same_entry(learned, want, source_size)
+    same_entry(fresh, want, source_size)
+    return graph, payload
+
+
+#: Named graphs: a dense one (stored negative unless forced positive),
+#: hub targets with and without a dictionary, nothing linked, every
+#: source linked.
+DENSE = {local: [t for t in range(12) if t != local % 12] for local in range(0, 20, 2)}
+HUBS = {local: [2, 5, 9, 11 + local] for local in range(8)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(superedge_graphs())
+@example((DENSE, 20, 12, False, True))
+@example((DENSE, 20, 12, True, True))
+@example((HUBS, 8, 24, False, True))
+@example((HUBS, 8, 24, False, False))
+@example(({}, 9, 4, False, True))
+@example(({0: [1], 1: [1], 2: [0, 1]}, 3, 2, False, False))
+def test_learned_headers_equal_a_fresh_parse(case):
+    check_learned_header(*case)
+
+
+def test_the_named_superedge_graphs_are_what_they_claim():
+    """Both polarities, a dictionary the encoder did and did not use,
+    nothing linked and every source linked all occur."""
+
+    def dictionary_of(payload):
+        prefix = oracle_codecs.BitReader(payload, cut_body.body_bit(payload))
+        return oracle_codecs._decode_locals(prefix)
+
+    dense, _payload = check_learned_header(DENSE, 20, 12, False, True)
+    forced, _payload = check_learned_header(DENSE, 20, 12, True, True)
+    assert dense.negative and not forced.negative
+    _graph, with_dictionary = check_learned_header(HUBS, 8, 24, False, True)
+    _graph, without = check_learned_header(HUBS, 8, 24, False, False)
+    assert dictionary_of(with_dictionary) and not dictionary_of(without)
+    _graph, empty = check_learned_header({}, 9, 4, False, True)
+    assert encode.positive_rows_from_payload(empty, 9, 4).sources == ()
+    every = {0: [1], 1: [1], 2: [0, 1]}
+    _graph, full = check_learned_header(every, 3, 2, False, False)
+    assert encode.positive_rows_from_payload(full, 3, 2).sources == (0, 1, 2)
+
+
+@pytest.mark.parametrize("cache_decoded", [True, False], ids=["decoded", "encoded"])
+def test_every_superedge_payload_reloads_like_a_fresh_parse(small_build, cache_decoded):
+    """After a learning pass every superedge graph of the build is
+    re-loaded from its learned header — a miss and then a pool hit, which
+    a payload-caching store also builds from the header — and equals a
+    fresh parse of its payload; two entries of a key share one immutable
+    ``sources``."""
+    store = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
+    for _page, _row in store.iterate_all():  # every header learned
+        pass
+    store.drop_buffers()
+    store.metrics.reset()
+    boundaries = store.boundaries
+    negative = 0
+    for (source, target), (location, stored_negative) in store._layout.superedge.items():
+        source_size = boundaries[source + 1] - boundaries[source]
+        target_size = boundaries[target + 1] - boundaries[target]
+        fresh = encode.positive_rows_from_payload(
+            cut_body.region(store, location), source_size, target_size
+        )
+        _charge, header = store._learned[("super", source, target)]
+        assert header == fresh.header and header.negative == stored_negative
+        assert type(header.sources) is tuple
+        reloaded, hit = (store.superedge_rows(source, target) for _ in range(2))
+        assert reloaded.header is header and hit.header is header
+        assert reloaded.sources is hit.sources
+        same_entry(reloaded, fresh.linked, source_size)
+        same_entry(hit, fresh.linked, source_size)
+        negative += header.negative
+    assert negative > 0
+    stats = store.metrics.io_stats()
+    assert stats["buffer_hits_superedge"] == stats["superedge_loads"] == len(store._layout.superedge)
+    store.close()
