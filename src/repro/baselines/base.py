@@ -236,7 +236,6 @@ class SNodeRepresentation(GraphRepresentation):
         cls,
         root,
         buffer_bytes: int | None = None,
-        stripes: int = 1,
         on_corruption: str = "raise",
     ) -> "SNodeRepresentation":
         """Open a committed build directory without rebuilding.
@@ -255,7 +254,6 @@ class SNodeRepresentation(GraphRepresentation):
                 buffer_bytes=(
                     DEFAULT_BUFFER_BYTES if buffer_bytes is None else buffer_bytes
                 ),
-                stripes=stripes,
                 on_corruption=on_corruption,
             )
         )

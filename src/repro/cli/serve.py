@@ -35,7 +35,6 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
             repository,
             base,
             buffer_bytes=arguments.buffer_kb * 1024,
-            stripes=arguments.stripes,
             on_corruption=arguments.on_corruption,
         )
         if arguments.corrupt_pages:
@@ -59,7 +58,6 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
                 repository,
                 base,
                 buffer_bytes=arguments.buffer_kb * 1024,
-                stripes=arguments.stripes,
                 on_corruption=arguments.on_corruption,
             )
         if arguments.mutable:
@@ -293,7 +291,6 @@ def register(commands) -> None:
     serve.add_argument("--buffer-kb", type=int, default=512)
     serve.add_argument("--workers", type=int, default=8)
     serve.add_argument("--queue-limit", type=int, default=32)
-    serve.add_argument("--stripes", type=int, default=8)
     serve.add_argument("--workdir", default=None,
                        help="build directory (default: temporary)")
     serve.add_argument(

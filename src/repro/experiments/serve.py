@@ -92,7 +92,6 @@ from repro.obs import tracing
 from repro.serve import protocol
 from repro.serve.daemon import (
     DEFAULT_BUFFER_BYTES,
-    DEFAULT_STRIPES,
     SERVE_NAMES,
     DaemonHandle,
     GraphQueryDaemon,
@@ -362,7 +361,7 @@ _CHAOS_DEADLINE_MS = 250.0
 _CHAOS_DEADLINE_EVERY = 3
 
 
-def _chaos_phase(repository, base: Path, shape: LoadShape, stripes: int) -> dict:
+def _chaos_phase(repository, base: Path, shape: LoadShape) -> dict:
     """Serve a corrupted store copy under injected faults and deadlines.
 
     Copies the committed pair, flips one byte in *every* intranode
@@ -384,7 +383,6 @@ def _chaos_phase(repository, base: Path, shape: LoadShape, stripes: int) -> dict
         repository,
         chaos_dir,
         buffer_bytes=shape.buffer_bytes,
-        stripes=stripes,
         on_corruption="degrade",
     )
     try:
@@ -487,7 +485,6 @@ def _swap_phase(
 def run(
     size: int | None = None,
     shape: LoadShape = LoadShape(),
-    stripes: int = DEFAULT_STRIPES,
     workdir: str | None = None,
 ) -> dict:
     """Run the serving benchmark end-to-end; returns the results dict."""
@@ -498,10 +495,7 @@ def run(
     try:
         with tracing.span("serve.build"):
             context = ServeContext.build(
-                repository,
-                base,
-                buffer_bytes=shape.buffer_bytes,
-                stripes=stripes,
+                repository, base, buffer_bytes=shape.buffer_bytes
             )
         try:
             # Serial baseline: the six queries through the root (shared)
@@ -543,7 +537,7 @@ def run(
                     for clients in _overload_levels(shape)
                 ]
             with tracing.span("serve.chaos"):
-                chaos = _chaos_phase(repository, base, shape, stripes)
+                chaos = _chaos_phase(repository, base, shape)
             # The swap phase runs last: it retires the original stores
             # and leaves the context serving from the swapped-in pair.
             with tracing.span("serve.swap"):
@@ -551,7 +545,6 @@ def run(
             results = {
                 "num_pages": repository.num_pages,
                 **asdict(shape),
-                "stripes": stripes,
                 "requests_total": shape.concurrency * shape.requests_per_client,
                 "requests_ok": load.requests_ok,
                 "requests_failed": load.requests_failed,
@@ -608,7 +601,6 @@ def report(results: dict) -> str:
         ("pages", results["num_pages"]),
         ("concurrency", results["concurrency"]),
         ("workers / queue limit", f"{results['workers']} / {results['queue_limit']}"),
-        ("buffer stripes", results["stripes"]),
         ("requests ok / total", f"{results['requests_ok']} / {results['requests_total']}"),
         ("backpressure retries", results["shed_retries"]),
         ("buffer hit rate", f"{results['hit_rate_pct']:.1f}%"),
@@ -696,15 +688,12 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=None)
     add_load_arguments(parser, LoadShape(), "query requests per client")
-    parser.add_argument("--stripes", type=int, default=DEFAULT_STRIPES)
     add_report_arguments(parser)
     add_trace_arguments(parser)
     arguments = parser.parse_args(argv)
     shape = parsed_shape(arguments)
     with trace_session(arguments, "serve") as tracer:
-        results = run(
-            size=arguments.size, shape=shape, stripes=arguments.stripes
-        )["results"]
+        results = run(size=arguments.size, shape=shape)["results"]
     unconserved = [
         level["clients"]
         for level in results["overload"]
@@ -721,7 +710,7 @@ def main(argv: list[str] | None = None) -> None:
         f"[serve] concurrent Figure 11 mix (pages={results['num_pages']}, "
         f"concurrency={shape.concurrency})\n{report(results)}",
         gates,
-        params={**asdict(shape), "stripes": arguments.stripes},
+        params=asdict(shape),
         tracer=tracer,
     )
 

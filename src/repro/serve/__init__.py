@@ -1,8 +1,8 @@
 """Concurrent query serving: daemon, wire protocol, load generator.
 
 The serving subsystem turns the single-caller query stack into a
-multi-client daemon: one shared S-Node store pair (lock-striped buffer
-pool, pinned supernode graphs) serves any number of TCP clients, each
+multi-client daemon: one shared S-Node store pair (one LRU buffer pool
+per direction, pinned supernode graphs) serves any number of TCP clients, each
 with its own metrics session, behind explicit admission control.
 
 * :mod:`repro.serve.protocol` — length-prefixed JSON frames, canonical

@@ -3,8 +3,8 @@
 Architecture (the paper's runtime organization, made multi-client):
 
 * **one shared store pair** — forward and transpose S-Node stores with
-  their pinned supernode graphs and one byte-budgeted buffer pool each
-  (lock-striped for concurrent readers);
+  their pinned supernode graphs and one byte-budgeted LRU buffer pool
+  each, behind one lock, shared by every reader;
 * **per-client sessions** — every connection gets its own pair of
   client views (:meth:`~repro.baselines.base.SNodeRepresentation.session`)
   wrapped in a :class:`~repro.query.engine.QueryEngine`, so its hits,
@@ -110,8 +110,6 @@ from repro.storage.fsck import fsck
 DEFAULT_WORKERS = 8
 #: Maximum requests in flight (running + queued) before shedding.
 DEFAULT_QUEUE_LIMIT = 32
-#: Buffer-pool lock stripes for the shared stores in serving mode.
-DEFAULT_STRIPES = 8
 #: Shared buffer budget per direction (matches the Figure 11 bound).
 DEFAULT_BUFFER_BYTES = 512 * 1024
 
@@ -203,7 +201,6 @@ class ServeContext:
         pagerank_index,
         pair: SNodePair,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-        stripes: int = DEFAULT_STRIPES,
         on_corruption: str = "raise",
     ) -> None:
         self.repository = repository
@@ -213,7 +210,6 @@ class ServeContext:
         # Store-opening configuration, remembered so a hot swap opens
         # the replacement pair exactly the way the originals were.
         self.buffer_bytes = buffer_bytes
-        self.stripes = stripes
         self.on_corruption = on_corruption
         #: Bumped by every adopted store swap; connections compare it
         #: against their engine's generation and rebuild lazily.
@@ -239,21 +235,18 @@ class ServeContext:
         repository,
         workdir: Path | str,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-        stripes: int = DEFAULT_STRIPES,
         refinement=None,
         on_corruption: str = "raise",
     ) -> "ServeContext":
         """Build forward + transpose S-Node stores and the indexes.
 
         ``refinement=None`` is the experiment default.  The builder's
-        stores are closed and reopened with ``stripes`` buffer-pool
-        segments — the serving configuration; experiments that need the
-        exact single-LRU eviction order open their own stores with the
-        default ``stripes=1``.
+        stores are closed as each is committed and the pair is reopened
+        by :meth:`open` with ``buffer_bytes`` per direction.
         """
         options = store_options(buffer_bytes, refinement)
         SNodePair.commit(repository, workdir, options, SERVE_NAMES)
-        context = cls.open(repository, workdir, buffer_bytes, stripes, on_corruption)
+        context = cls.open(repository, workdir, buffer_bytes, on_corruption)
         context.refinement = refinement
         return context
 
@@ -263,7 +256,6 @@ class ServeContext:
         repository,
         workdir: Path | str,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-        stripes: int = DEFAULT_STRIPES,
         on_corruption: str = "raise",
     ) -> "ServeContext":
         """Open committed ``serve_f``/``serve_b`` directories, no rebuild.
@@ -278,7 +270,6 @@ class ServeContext:
             workdir,
             SERVE_NAMES,
             buffer_bytes,
-            stripes,
             on_corruption,
             num_pages=repository.num_pages,
         )
@@ -288,7 +279,6 @@ class ServeContext:
             PageRankIndex(repository),
             pair,
             buffer_bytes=buffer_bytes,
-            stripes=stripes,
             on_corruption=on_corruption,
         )
 
@@ -389,7 +379,6 @@ class ServeContext:
             workdir,
             SERVE_NAMES,
             self.buffer_bytes,
-            self.stripes,
             self.on_corruption,
             num_pages=self.repository.num_pages,
             wrong_size=_SWAP_WRONG_SIZE,

@@ -231,7 +231,6 @@ def build_snode(
 def open_snode(
     root: Path | str,
     buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-    stripes: int = 1,
     on_corruption: str = "raise",
 ) -> SNodeBuild:
     """Open a *committed* build directory for serving, without rebuilding.
@@ -246,12 +245,7 @@ def open_snode(
     function while still serving the old store.
     """
     root = Path(root)
-    store = SNodeStore(
-        root,
-        buffer_bytes=buffer_bytes,
-        stripes=stripes,
-        on_corruption=on_corruption,
-    )
+    store = SNodeStore(root, buffer_bytes=buffer_bytes, on_corruption=on_corruption)
     new_to_old = tuple(store.new_to_old)
     old_to_new = [0] * len(new_to_old)
     for new_page, old_page in enumerate(new_to_old):

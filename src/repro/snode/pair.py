@@ -90,9 +90,9 @@ class SNodePair(RepresentationPair):
         names: tuple[str, str] = DEFAULT_NAMES,
     ) -> None:
         """:meth:`build` for whoever opens the pair its own way (a daemon's
-        stripes, a compaction's swap): each side is closed as soon as it is
-        committed, so the forward build — model, store, buffers — is not
-        held while the transpose is built."""
+        buffer budget, a compaction's swap): each side is closed as soon as
+        it is committed, so the forward build — model, store, buffers — is
+        not held while the transpose is built."""
         for name, transposed in zip(names, (False, True)):
             _build_side(repository, Path(root) / name, options, transposed).store.close()
 
@@ -102,7 +102,6 @@ class SNodePair(RepresentationPair):
         root: Path | str,
         names: tuple[str, str] = DEFAULT_NAMES,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-        stripes: int = 1,
         on_corruption: str = "raise",
         num_pages: int | None = None,
         wrong_size: str = _WRONG_SIZE,
@@ -116,10 +115,7 @@ class SNodePair(RepresentationPair):
 
         def side(directory: Path, transposed: bool) -> SNodeBuild:
             build = open_snode(
-                directory,
-                buffer_bytes=buffer_bytes,
-                stripes=stripes,
-                on_corruption=on_corruption,
+                directory, buffer_bytes=buffer_bytes, on_corruption=on_corruption
             )
             if num_pages is not None and build.store.num_pages != num_pages:
                 build.store.close()

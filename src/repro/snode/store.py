@@ -82,7 +82,6 @@ class SNodeStore:
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         cache_decoded: bool = True,
         on_corruption: str = "raise",
-        stripes: int = 1,
     ) -> None:
         """Open a stored representation.
 
@@ -101,11 +100,6 @@ class SNodeStore:
         rows come back empty, each such answer counting one
         ``degraded_reads``.  Regions already quarantined on disk by
         ``repro fsck --repair`` are honoured in both modes.
-
-        ``stripes`` configures buffer-pool lock striping for concurrent
-        serving (see :class:`~repro.storage.bufferpool.BufferPool`); the
-        default of 1 keeps the exact single-LRU eviction order that the
-        experiments and their committed baselines depend on.
         """
         self.set_on_corruption(on_corruption)
         self._root = Path(root)
@@ -118,7 +112,7 @@ class SNodeStore:
         self._boundaries = self._layout.boundaries
         self._cache_decoded = cache_decoded
         self.metrics = MetricsRegistry()
-        self._pool = BufferPool(buffer_bytes, registry=self.metrics, stripes=stripes)
+        self._pool = BufferPool(buffer_bytes, registry=self.metrics)
         self._devices: dict[int, CountedFile] = {}
         self._devices_lock = threading.Lock()
         #: Buffer key -> (pool charge, parsed facts): what the graph's

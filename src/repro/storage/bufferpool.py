@@ -17,17 +17,11 @@ runtime architecture needs:
   store's lifetime, so a budget that cannot cover them is infeasible and
   sweeps skip the point explicitly instead of getting silently wrong
   accounting;
-* **concurrent readers** — the cache is *lock-striped*: keys hash onto
-  ``stripes`` independent LRU segments, each with its own lock and an
-  equal share of the byte budget, so N sessions hitting different
-  stripes never serialize on one mutex.  ``stripes=1`` (the default) is
-  a single exact LRU with byte-identical behaviour to the serial pool —
-  the configuration every experiment and the Mattson miss-ratio
-  validation use; the query daemon opens its shared store with more
-  stripes.  Pinned entries and their byte accounting are written behind
-  one dedicated lock, so capacity/pinned-byte bookkeeping is atomic
-  under contention; lookups read the pinned table without it (see
-  :meth:`BufferPool.get`).
+* **concurrent readers** — one exact LRU behind one lock, which also
+  guards the pinned entries and their byte accounting, so every LRU and
+  pin mutation is atomic under contention; lookups read the pinned table
+  without it (see :meth:`BufferPool.get`).  Every experiment, the Mattson
+  miss-ratio validation and the query daemon use this same single LRU.
 
 Hit/miss/eviction counters live in the owning representation's
 :class:`~repro.storage.metrics.MetricsRegistry` (``buffer_hits``,
@@ -60,14 +54,6 @@ from repro.storage.metrics import MetricsRegistry
 from repro.util.lru import LRUCache
 
 
-def _split_budget(capacity_bytes: int, stripes: int) -> list[int]:
-    """Per-stripe byte budgets (stripe 0 absorbs the remainder)."""
-    share = capacity_bytes // stripes
-    budgets = [share] * stripes
-    budgets[0] += capacity_bytes - share * stripes
-    return budgets
-
-
 @functools.cache
 def _kind_counters(kind: str) -> tuple[str, str]:
     """``(buffer_hits_<kind>, buffer_misses_<kind>)``, formatted once."""
@@ -92,32 +78,14 @@ class BufferPool:
         self,
         capacity_bytes: int,
         registry: MetricsRegistry | None = None,
-        stripes: int = 1,
     ) -> None:
-        if stripes < 1:
-            raise ValueError(f"stripes must be >= 1, got {stripes}")
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._capacity_bytes = capacity_bytes
-        self._stripes = stripes
-        self._pin_lock = threading.RLock()
+        self._lock = threading.RLock()
         self._pinned: dict[Hashable, tuple[object, int]] = {}
         self._pinned_bytes = 0
-        self._locks = [threading.RLock() for _ in range(stripes)]
-        self._caches = self._empty_caches(capacity_bytes)
-
-    def _stripe(self, key: Hashable) -> int:
-        if self._stripes == 1:
-            return 0
-        return hash(key) % self._stripes
+        self._cache = LRUCache(capacity_bytes, self._evicted)
 
     # -- eviction accounting -----------------------------------------------
-
-    def _empty_caches(self, capacity_bytes: int) -> list[LRUCache]:
-        """One empty LRU per stripe, each counting its evictions."""
-        return [
-            LRUCache(budget, self._evicted)
-            for budget in _split_budget(capacity_bytes, self._stripes)
-        ]
 
     def _evicted(self, key: Hashable, value: object) -> None:
         # Evictions are shared-pool events (session A's admission can push
@@ -143,10 +111,10 @@ class BufferPool:
         target = registry if registry is not None else self.registry
         if kind is not None:
             names = _kind_counters(kind)
-        # No pin lock: one dict read is atomic, and every writer of
-        # ``_pinned`` replaces whole ``(value, cost)`` tuples under the
-        # lock, so a reader sees the entry from before or after a pin,
-        # never a torn one.
+        # No lock for the pinned table: one dict read is atomic, and every
+        # writer of ``_pinned`` replaces whole ``(value, cost)`` tuples
+        # under the lock, so a reader sees the entry from before or after
+        # a pin, never a torn one.
         pinned = self._pinned.get(key)
         if pinned is not None:
             target.inc("buffer_hits")
@@ -155,9 +123,8 @@ class BufferPool:
                 target.inc(names[0])
             _profile.buffer_access(self, key, kind, hit=True, pinned=True)
             return pinned[0]
-        index = hash(key) % self._stripes if self._stripes > 1 else 0
-        with self._locks[index]:
-            value = self._caches[index].get(key)
+        with self._lock:
+            value = self._cache.get(key)
         if value is None:
             target.inc("buffer_misses")
             if kind is not None:
@@ -179,15 +146,15 @@ class BufferPool:
         """Every key's cached value, in order — or None, all or nothing.
 
         When every key is cached this *is* :meth:`get` of each key in
-        order: the same LRU movement within each stripe, the same
-        ``buffer_hits`` / ``buffer_hits_<kind>`` charged to ``registry``,
-        the same profile events — at one lock round trip per stripe
-        touched instead of one per key.  When any key is missing (a
-        pinned entry counts as missing: pins are not the LRU's) nothing
-        has moved and nothing is counted, so the caller can fall back
-        to key-by-key :meth:`get` as if it had never asked.
+        order: the same LRU movement, the same ``buffer_hits`` /
+        ``buffer_hits_<kind>`` charged to ``registry``, the same profile
+        events — at one lock round trip instead of one per key.  When
+        any key is missing (a pinned entry counts as missing: pins are
+        not the LRU's) nothing has moved and nothing is counted, so the
+        caller can fall back to key-by-key :meth:`get` as if it had
+        never asked.
 
-        The values are peeked without a lock (single atomic dict reads)
+        The values are peeked without the lock (single atomic dict reads)
         and touched under it afterwards.  An entry evicted in between is
         still returned and still counted as a hit: the caller was served
         it from memory, exactly as a :meth:`get` scheduled just before
@@ -195,20 +162,15 @@ class BufferPool:
         """
         if not keys:
             return []
-        caches = self._caches
-        stripes = self._stripes
+        cache = self._cache
         values = []
-        by_stripe: dict[int, list] = {}
         for key in keys:
-            index = hash(key) % stripes if stripes > 1 else 0
-            value = caches[index].peek(key)
+            value = cache.peek(key)
             if value is None:
                 return None
             values.append(value)
-            by_stripe.setdefault(index, []).append(key)
-        for index, touched in by_stripe.items():
-            with self._locks[index]:
-                self._caches[index].touch(touched)
+        with self._lock:
+            self._cache.touch(keys)
         target = registry if registry is not None else self.registry
         target.inc("buffer_hits", len(values))
         for name, count in _hit_counters(tuple(kinds)):
@@ -220,15 +182,14 @@ class BufferPool:
 
     def put(self, key: Hashable, value, cost_bytes: int, kind: str | None = None) -> None:
         """Admit ``value`` under the byte budget (evicting LRU entries)."""
-        with self._pin_lock:
-            if key in self._pinned:
-                self._pinned_bytes += cost_bytes - self._pinned[key][1]
+        with self._lock:
+            pinned = self._pinned.get(key)
+            if pinned is not None:
+                self._pinned_bytes += cost_bytes - pinned[1]
                 self._pinned[key] = (value, cost_bytes)
                 return
-        _profile.buffer_admit(self, key, kind, cost_bytes)
-        index = self._stripe(key)
-        with self._locks[index]:
-            self._caches[index].put(key, value, cost_bytes)
+            _profile.buffer_admit(self, key, kind, cost_bytes)
+            self._cache.put(key, value, cost_bytes)
 
     def get_or_load(
         self,
@@ -271,45 +232,33 @@ class BufferPool:
 
     def pin(self, key: Hashable, value, cost_bytes: int) -> None:
         """Keep ``value`` resident outside the LRU budget until unpinned."""
-        index = self._stripe(key)
-        with self._locks[index]:
-            dropped = self._caches[index].pop(key) is not None
-        if dropped:  # never hold a pinned key twice
-            _profile.buffer_drop(self, key)
-        with self._pin_lock:
+        with self._lock:
+            # Never hold a pinned key twice: the cached copy goes as the
+            # pin is recorded.
+            dropped = self._cache.pop(key) is not None
             previous = self._pinned.get(key)
             if previous is not None:
                 self._pinned_bytes -= previous[1]
             self._pinned[key] = (value, cost_bytes)
             self._pinned_bytes += cost_bytes
+        if dropped:
+            _profile.buffer_drop(self, key)
 
     def unpin(self, key: Hashable) -> None:
         """Release a pinned entry (dropped, not demoted to the LRU)."""
-        with self._pin_lock:
+        with self._lock:
             entry = self._pinned.pop(key, None)
             if entry is not None:
                 self._pinned_bytes -= entry[1]
 
     def invalidate(self, key: Hashable) -> None:
         """Drop ``key`` without eviction accounting (after an in-place write)."""
-        index = self._stripe(key)
-        with self._locks[index]:
-            dropped = self._caches[index].pop(key) is not None
+        with self._lock:
+            dropped = self._cache.pop(key) is not None
         if dropped:
             _profile.buffer_drop(self, key)
 
     # -- maintenance -------------------------------------------------------
-
-    def _lock_all(self) -> list[threading.RLock]:
-        # Whole-pool operations take every stripe lock in index order so
-        # two concurrent maintenance calls cannot deadlock.
-        for lock in self._locks:
-            lock.acquire()
-        return self._locks
-
-    def _unlock_all(self) -> None:
-        for lock in reversed(self._locks):
-            lock.release()
 
     def clear(self, record: bool = True) -> None:
         """Drop every unpinned entry.
@@ -318,15 +267,11 @@ class BufferPool:
         ``buffer_evictions``, as an actual buffer-pressure eviction is
         counted; ``record=False`` discards silently (resize protocol).
         """
-        self._lock_all()
-        try:
+        with self._lock:
             if record:
-                for cache in self._caches:
-                    cache.clear()
+                self._cache.clear()
             else:
-                self._caches = self._empty_caches(self._capacity_bytes)
-        finally:
-            self._unlock_all()
+                self._cache = LRUCache(self._cache.capacity_bytes, self._evicted)
         _profile.buffer_drop(self)
 
     def set_buffer_bytes(self, capacity_bytes: int) -> None:
@@ -338,82 +283,64 @@ class BufferPool:
         leave the capacity accounting negative — the Figure 12 sweep
         treats such a point as infeasible rather than measurable.
         """
-        with self._pin_lock:
-            pinned_bytes = self._pinned_bytes
-        if capacity_bytes < pinned_bytes:
-            raise BufferCapacityError(
-                f"cannot shrink buffer budget to {capacity_bytes} bytes: "
-                f"{pinned_bytes} bytes are pinned (supernode graph, root "
-                f"pages); the budget must at least cover the pinned floor"
-            )
-        self._lock_all()
-        try:
-            self._capacity_bytes = capacity_bytes
-            self._caches = self._empty_caches(capacity_bytes)
-        finally:
-            self._unlock_all()
+        with self._lock:
+            if capacity_bytes < self._pinned_bytes:
+                raise BufferCapacityError(
+                    f"cannot shrink buffer budget to {capacity_bytes} bytes: "
+                    f"{self._pinned_bytes} bytes are pinned (supernode graph, "
+                    f"root pages); the budget must at least cover the pinned "
+                    f"floor"
+                )
+            self._cache = LRUCache(capacity_bytes, self._evicted)
         _profile.buffer_drop(self)
 
     # -- introspection -----------------------------------------------------
 
     @property
-    def stripes(self) -> int:
-        """Number of independent LRU segments."""
-        return self._stripes
-
-    @property
     def capacity_bytes(self) -> int:
         """Configured LRU byte budget (pins live outside it)."""
-        return self._capacity_bytes
+        return self._cache.capacity_bytes
 
     @property
     def used_bytes(self) -> int:
-        """Bytes held by unpinned entries (summed over stripes)."""
-        return sum(cache.used_bytes for cache in self._caches)
+        """Bytes held by unpinned entries."""
+        return self._cache.used_bytes
 
     @property
     def pinned_bytes(self) -> int:
         """Bytes held by pinned entries."""
-        with self._pin_lock:
+        with self._lock:
             return self._pinned_bytes
 
     def check_invariants(self) -> None:
         """Verify capacity/pinned accounting; raises ``StorageError``.
 
-        Checked under all locks, so it is safe to call from a watchdog
+        Checked under the pool lock, so it is safe to call from a watchdog
         thread while readers hammer the pool:
 
-        * each stripe's ``used_bytes`` equals the sum of its entry costs
-          and respects its budget (one over-budget entry may sit alone,
-          matching :class:`~repro.util.lru.LRUCache` admission);
+        * ``used_bytes`` respects the budget (one over-budget entry may
+          sit alone, matching :class:`~repro.util.lru.LRUCache` admission);
         * ``pinned_bytes`` equals the sum of pinned entry costs;
         * no key is both pinned and cached.
         """
-        self._lock_all()
-        try:
-            with self._pin_lock:
-                pinned_sum = sum(
-                    cost for _value, cost in self._pinned.values()
+        with self._lock:
+            pinned_sum = sum(cost for _value, cost in self._pinned.values())
+            if pinned_sum != self._pinned_bytes:
+                raise StorageError(
+                    f"pinned accounting drifted: tracked "
+                    f"{self._pinned_bytes}, actual {pinned_sum}"
                 )
-                if pinned_sum != self._pinned_bytes:
-                    raise StorageError(
-                        f"pinned accounting drifted: tracked "
-                        f"{self._pinned_bytes}, actual {pinned_sum}"
-                    )
-                pinned_keys = set(self._pinned)
-            for index, cache in enumerate(self._caches):
-                overlap = pinned_keys.intersection(cache.keys())
-                if overlap:
-                    raise StorageError(
-                        f"key(s) both pinned and cached: {sorted(map(str, overlap))}"
-                    )
-                if cache.used_bytes > cache.capacity_bytes and len(cache) > 1:
-                    raise StorageError(
-                        f"stripe {index} over budget with multiple entries: "
-                        f"{cache.used_bytes} > {cache.capacity_bytes}"
-                    )
-        finally:
-            self._unlock_all()
+            cache = self._cache
+            overlap = set(self._pinned).intersection(cache.keys())
+            if overlap:
+                raise StorageError(
+                    f"key(s) both pinned and cached: {sorted(map(str, overlap))}"
+                )
+            if cache.used_bytes > cache.capacity_bytes and len(cache) > 1:
+                raise StorageError(
+                    f"over budget with multiple entries: "
+                    f"{cache.used_bytes} > {cache.capacity_bytes}"
+                )
 
     def stats(self) -> dict[str, int]:
         """Occupancy plus the registry's hit/miss/eviction counters.
@@ -427,9 +354,9 @@ class BufferPool:
             "pinned_hits": self.registry.get_total("buffer_pinned_hits"),
             "misses": self.registry.get_total("buffer_misses"),
             "evictions": self.registry.get_total("buffer_evictions"),
-            "entries": sum(len(cache) for cache in self._caches),
+            "entries": len(self._cache),
             "used_bytes": self.used_bytes,
-            "capacity_bytes": self._capacity_bytes,
+            "capacity_bytes": self.capacity_bytes,
             "pinned_entries": len(self._pinned),
             "pinned_bytes": self.pinned_bytes,
         }

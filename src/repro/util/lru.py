@@ -10,7 +10,7 @@ owner count evictions (the buffer pool's ``buffer_evictions``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterable
 from typing import Generic, TypeVar
 
 K = TypeVar("K", bound=Hashable)
@@ -31,9 +31,6 @@ class LRUCache(Generic[K, V]):
         self._entries: OrderedDict[K, tuple[V, int]] = OrderedDict()
         self._used = 0
         self._on_evict = on_evict
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -55,27 +52,24 @@ class LRUCache(Generic[K, V]):
         """Return the cached value and mark it most-recently-used."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
         return entry[0]
 
     def peek(self, key: K) -> V | None:
-        """The cached value, observed only: no order change, no counter."""
+        """The cached value, observed only: no order change."""
         entry = self._entries.get(key)
         return None if entry is None else entry[0]
 
-    def touch(self, keys: list[K]) -> None:
-        """Count a hit for each of ``keys`` and mark it most-recently-used,
-        in order: what :meth:`get` of each would do, for a caller that
-        already holds the values it peeked.  A key evicted since still
-        counts — the caller was served the value."""
+    def touch(self, keys: Iterable[K]) -> None:
+        """Mark each of ``keys`` most-recently-used, in order: what
+        :meth:`get` of each would do to the order, for a caller that
+        already holds the values it peeked.  A key evicted since is
+        skipped."""
         entries = self._entries
         for key in keys:
             if key in entries:
                 entries.move_to_end(key)
-        self.hits += len(keys)
 
     def put(self, key: K, value: V, size_bytes: int) -> None:
         """Insert/replace ``key``; evicts LRU entries to fit the budget.
@@ -100,7 +94,6 @@ class LRUCache(Generic[K, V]):
                 self._entries.move_to_end(old_key, last=False)
                 old_key, (old_value, old_size) = self._entries.popitem(last=False)
             self._used -= old_size
-            self.evictions += 1
             if self._on_evict is not None:
                 self._on_evict(old_key, old_value)
 
@@ -117,21 +110,9 @@ class LRUCache(Generic[K, V]):
         while self._entries:
             key, (value, size) = self._entries.popitem(last=False)
             self._used -= size
-            self.evictions += 1
             if self._on_evict is not None:
                 self._on_evict(key, value)
 
     def keys(self) -> list[K]:
         """Keys ordered least- to most-recently used."""
         return list(self._entries)
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters plus occupancy."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-            "used_bytes": self._used,
-            "capacity_bytes": self._capacity,
-        }

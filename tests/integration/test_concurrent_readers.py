@@ -37,7 +37,6 @@ def context(tiny_repo, test_refinement_config, tmp_path_factory):
         tiny_repo,
         tmp_path_factory.mktemp("concurrent"),
         buffer_bytes=BUFFER_BYTES,
-        stripes=4,
         refinement=test_refinement_config,
     )
     yield built

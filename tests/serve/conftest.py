@@ -16,7 +16,6 @@ def serve_context(tiny_repo, test_refinement_config, tmp_path_factory):
         tiny_repo,
         tmp_path_factory.mktemp("serve"),
         buffer_bytes=128 * 1024,
-        stripes=4,
         refinement=test_refinement_config,
     )
     yield context

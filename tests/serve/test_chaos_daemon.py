@@ -29,7 +29,6 @@ def corrupted_pair(tiny_repo, test_refinement_config, tmp_path):
         tiny_repo,
         tmp_path / "pristine",
         buffer_bytes=128 * 1024,
-        stripes=4,
         refinement=test_refinement_config,
     )
     pristine.close()
@@ -48,7 +47,6 @@ class TestDegradeThroughDaemon:
             tiny_repo,
             corrupted_pair,
             buffer_bytes=128 * 1024,
-            stripes=4,
             on_corruption="degrade",
         )
         try:
@@ -93,7 +91,6 @@ class TestDegradeThroughDaemon:
             tiny_repo,
             corrupted_pair,
             buffer_bytes=128 * 1024,
-            stripes=4,
             on_corruption="degrade",
         )
         try:
@@ -127,7 +124,6 @@ class TestDegradeThroughDaemon:
             tiny_repo,
             corrupted_pair,
             buffer_bytes=128 * 1024,
-            stripes=4,
             on_corruption="raise",
         )
         try:
@@ -155,7 +151,6 @@ class TestDegradeThroughDaemon:
             tiny_repo,
             corrupted_pair,
             buffer_bytes=128 * 1024,
-            stripes=4,
             on_corruption="degrade",
         )
         try:
@@ -179,7 +174,6 @@ class TestInlineRepliesUnderChaos:
             tiny_repo,
             corrupted_pair,
             buffer_bytes=128 * 1024,
-            stripes=4,
             on_corruption="degrade",
         )
         pages = range(tiny_repo.num_pages)

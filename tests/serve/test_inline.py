@@ -71,7 +71,6 @@ def private_context(tiny_repo, test_refinement_config, root) -> ServeContext:
         tiny_repo,
         root,
         buffer_bytes=128 * 1024,
-        stripes=4,
         refinement=test_refinement_config,
     )
 
@@ -282,7 +281,6 @@ class TestInlineRule:
             tiny_repo,
             corrupted_pair,
             buffer_bytes=128 * 1024,
-            stripes=4,
             on_corruption="degrade",
         )
         daemon = GraphQueryDaemon(context, port=0, workers=2, queue_limit=8)

@@ -17,7 +17,6 @@ def mutable_env(tiny_repo, test_refinement_config, tmp_path):
         tiny_repo,
         tmp_path / "primary",
         buffer_bytes=128 * 1024,
-        stripes=4,
         refinement=test_refinement_config,
     )
     context.enable_mutation()
@@ -88,7 +87,6 @@ class TestWriteOps:
             tiny_repo,
             tmp_path / "immutable",
             buffer_bytes=128 * 1024,
-            stripes=4,
             refinement=test_refinement_config,
         )
         try:
@@ -196,7 +194,6 @@ class TestCompactOp:
             tiny_repo,
             tmp_path / "immutable",
             buffer_bytes=128 * 1024,
-            stripes=4,
             refinement=test_refinement_config,
         )
         try:

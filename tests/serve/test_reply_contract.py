@@ -257,7 +257,6 @@ def swap_ok(env):
         env.context.repository,
         env.tmp_path / "replacement",
         buffer_bytes=128 * 1024,
-        stripes=4,
         refinement=env.refinement,
     ).close()
     return env.send("swap", workdir=env.path("replacement"))
@@ -522,7 +521,6 @@ def open_context(serve_context, tiny_repo, test_refinement_config, tmp_path):
                 tiny_repo,
                 root,
                 buffer_bytes=128 * 1024,
-                stripes=4,
                 refinement=test_refinement_config,
             )
 
@@ -544,7 +542,6 @@ def open_context(serve_context, tiny_repo, test_refinement_config, tmp_path):
                     tiny_repo,
                     tmp_path / "chaos",
                     buffer_bytes=128 * 1024,
-                    stripes=4,
                     on_corruption="raise" if where == CORRUPT_RAISE else "degrade",
                 )
                 if where == QUARANTINED:

@@ -24,14 +24,12 @@ def swap_env(tiny_repo, test_refinement_config, tmp_path):
         tiny_repo,
         tmp_path / "primary",
         buffer_bytes=128 * 1024,
-        stripes=4,
         refinement=test_refinement_config,
     )
     replacement = ServeContext.build(
         tiny_repo,
         tmp_path / "replacement",
         buffer_bytes=128 * 1024,
-        stripes=4,
         refinement=test_refinement_config,
     )
     replacement.close()  # only its committed directories are needed

@@ -377,7 +377,7 @@ def capture_retained(repository, refinement, workdir: Path) -> dict:
     """Serve :func:`seeded_stream` from a fresh pair, then read back every
     place the flight recorder keeps it, timings cut."""
     context = ServeContext.build(
-        repository, workdir / "pair", buffer_bytes=128 * 1024, stripes=4, refinement=refinement
+        repository, workdir / "pair", buffer_bytes=128 * 1024, refinement=refinement
     )
     recorder = flightrecorder.FlightRecorder(
         slow_threshold_s=0.0,

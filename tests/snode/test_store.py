@@ -297,8 +297,10 @@ def accounting(registry, pool=None) -> dict:
 
     ``snapshot`` is every counter plus the ``distinct_*`` tally sizes;
     the tallies' keys are digested.  Given the store's ``pool``, the
-    ``lru`` leg digests each stripe's keys, least- to most-recently used,
-    which pins the order of the loads and evictions that left them.
+    ``lru`` leg digests the pool's keys, least- to most-recently used,
+    which pins the order of the loads and evictions that left them (the
+    keys are digested as a one-element list, the form the pinned digests
+    were recorded in).
     """
     tallies = sorted(
         (name[len("distinct_"):], sorted(registry.distinct_keys(name[len("distinct_"):])))
@@ -307,7 +309,7 @@ def accounting(registry, pool=None) -> dict:
     )
     legs = {"snapshot": registry.snapshot(), "tallies": digest(tallies)}
     if pool is not None:
-        legs["lru"] = digest([cache.keys() for cache in pool._caches])
+        legs["lru"] = digest([pool._cache.keys()])
     return legs
 
 
@@ -592,7 +594,7 @@ class TestBatchedAccounting:
         store.close()
 
     def test_six_concurrent_sessions(self, small_build):
-        store = SNodeStore(small_build.root, buffer_bytes=1 << 26, stripes=4)
+        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
         for page in range(1200):  # everything resident: threads only hit
             store.out_neighbors(page)
         sessions = [store.metrics.child(f"client-{index}") for index in range(6)]
@@ -619,7 +621,7 @@ class TestBatchedAccounting:
         intranode entry's every row is a race.  Whoever wins, the rows
         are the crawl's, each session is charged its own hits and nothing
         else moves."""
-        store = SNodeStore(small_build.root, buffer_bytes=1 << 26, stripes=4)
+        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
         numbering = small_build.numbering
         expected = {
             numbering.old_to_new[page]: sorted(
@@ -764,7 +766,7 @@ class TestResidentVisit:
         assert warm_store.metrics.io_stats() == self.WARM_SESSION
 
     def test_warm_pass_under_six_concurrent_sessions(self, small_build):
-        store = SNodeStore(small_build.root, buffer_bytes=16 << 20, stripes=8)
+        store = SNodeStore(small_build.root, buffer_bytes=16 << 20)
         TestBatchedAccounting.probe(store)
         store.metrics.reset()
         sessions = [store.metrics.child(f"client-{index}") for index in range(6)]
@@ -786,7 +788,7 @@ class TestResidentVisit:
         monkeypatch.setattr(CountedFile, "read_at", lambda *args, **kwargs: reads.append(args))
 
         def state():
-            return store.metrics.snapshot(), store.buffer_stats(), store._pool._caches[0].keys()
+            return store.metrics.snapshot(), store.buffer_stats(), store._pool._cache.keys()
 
         numbering = small_build.numbering
         served = refused = 0

@@ -201,15 +201,14 @@ KINDS = ("intranode", "superedge", None)
 def pool_state(pool) -> dict:
     """Everything a lookup could move: order, counters, occupancy."""
     return {
-        "order": [cache.keys() for cache in pool._caches],
-        "lru_hits": [(cache.hits, cache.misses) for cache in pool._caches],
+        "order": pool._cache.keys(),
         "counters": pool.registry.snapshot(),
         "stats": pool.stats(),
     }
 
 
-def filled(stripes, contents) -> BufferPool:
-    pool = BufferPool(10_000, stripes=stripes)
+def filled(contents) -> BufferPool:
+    pool = BufferPool(10_000)
     for key in contents:
         pool.put(("g", key), [key], 10, kind=KINDS[key % 3])
     return pool
@@ -221,14 +220,13 @@ _CONTENTS = st.lists(st.integers(0, 30), max_size=20, unique=True)
 class TestGetResident:
     """One visit for many keys: all of them as ``get`` would, or nothing."""
 
-    @pytest.mark.parametrize("stripes", [1, 8])
     @given(contents=_CONTENTS, data=st.data())
-    def test_all_resident_is_get_of_each_in_order(self, stripes, contents, data):
+    def test_all_resident_is_get_of_each_in_order(self, contents, data):
         asked = data.draw(st.lists(st.sampled_from(contents or [0]), max_size=12))
         assume(set(asked) <= set(contents))
         keys = [("g", key) for key in asked]
         kinds = [KINDS[key % 3] for key in asked]
-        batched, one_by_one = filled(stripes, contents), filled(stripes, contents)
+        batched, one_by_one = filled(contents), filled(contents)
         batched_events, single_events = profile.AccessTracer(), profile.AccessTracer()
         with profile.activated(batched_events):
             values = batched.get_resident(keys, kinds)
@@ -241,16 +239,15 @@ class TestGetResident:
         ] == [event._replace(pool=0) for event in single_events.buffer_events()]
         batched.check_invariants()
 
-    @pytest.mark.parametrize("stripes", [1, 8])
     @given(
         contents=_CONTENTS,
         asked=st.lists(st.integers(0, 40), min_size=1, max_size=12),
         pinned=st.sets(st.integers(0, 40), max_size=3),
     )
     def test_a_key_missing_or_only_pinned_declines_and_moves_nothing(
-        self, stripes, contents, asked, pinned
+        self, contents, asked, pinned
     ):
-        pool = filled(stripes, contents)
+        pool = filled(contents)
         for key in pinned:
             pool.pin(("g", key), [key], 10)
         cached = set(contents) - pinned
@@ -267,9 +264,8 @@ class TestGetResident:
         assert session.snapshot() == {}
         assert events.buffer_events() == []
 
-    @pytest.mark.parametrize("stripes", [1, 8])
-    def test_hits_charge_the_registry_handed_in_once(self, stripes):
-        pool = filled(stripes, range(6))
+    def test_hits_charge_the_registry_handed_in_once(self):
+        pool = filled(range(6))
         session = MetricsRegistry()
         batch = CounterBatch(session)
         keys = [("g", key) for key in (0, 1, 2, 3, 3)]
@@ -285,9 +281,8 @@ class TestGetResident:
         }
         assert pool.registry.snapshot() == {}
 
-    @pytest.mark.parametrize("stripes", [1, 8])
-    def test_entry_evicted_between_peek_and_touch_is_still_a_hit(self, stripes, monkeypatch):
-        pool = filled(stripes, range(4))
+    def test_entry_evicted_between_peek_and_touch_is_still_a_hit(self, monkeypatch):
+        pool = filled(range(4))
         real = LRUCache.touch
 
         def evict_then_touch(cache, keys):
@@ -299,15 +294,91 @@ class TestGetResident:
         assert pool.get_resident(keys, ["superedge"] * 3) == [[1], [2], [3]]
         monkeypatch.undo()
         assert pool.registry.snapshot() == {"buffer_hits": 3, "buffer_hits_superedge": 3}
-        assert sum(cache.hits for cache in pool._caches) == 3
         assert pool.get(("g", 2)) is None
         pool.check_invariants()
 
     def test_no_keys_is_no_lookup(self):
-        pool = filled(1, range(3))
+        pool = filled(range(3))
         before = pool_state(pool)
         assert pool.get_resident([], []) == []
         assert pool_state(pool) == before
+
+
+class CountingLock:
+    """The pool's lock, counting how often it is taken."""
+
+    def __init__(self, lock) -> None:
+        self._lock = lock
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class TestOneLock:
+    """The pool has one lock, and a lookup or an admission takes it once."""
+
+    def acquisitions(self, pool, operation) -> int:
+        lock = CountingLock(pool._lock)
+        pool._lock = lock
+        try:
+            operation()
+        finally:
+            pool._lock = lock._lock
+        return lock.acquisitions
+
+    def test_each_operation_takes_the_lock_once(self):
+        pool = filled(range(6))
+        pool.pin("root", b"meta", 4)
+        keys = [("g", key) for key in range(6)]
+        kinds = [KINDS[key % 3] for key in range(6)]
+        counts = {
+            "get_resident, all resident": lambda: pool.get_resident(keys, kinds),
+            "get, hit": lambda: pool.get(("g", 1), kind="superedge"),
+            "get, miss": lambda: pool.get(("g", 99)),
+            "put, new key": lambda: pool.put(("g", 7), [7], 10, kind="intranode"),
+            "put, cached key": lambda: pool.put(("g", 7), [7], 12),
+            "put, pinned key": lambda: pool.put("root", b"meta!", 5),
+            "pin": lambda: pool.pin(("g", 2), [2], 10),
+        }
+        assert {name: self.acquisitions(pool, op) for name, op in counts.items()} == {
+            name: 1 for name in counts
+        }
+        # Pinned lookups read the pinned table without the lock.
+        assert self.acquisitions(pool, lambda: pool.get("root")) == 0
+        assert pool.get_resident(keys[:2], kinds[:2]) == [[0], [1]]
+        assert pool.pinned_bytes == 5 + 10
+        pool.check_invariants()
+
+    def test_a_pin_cannot_land_inside_an_admission(self, monkeypatch):
+        # put checks the pinned table and admits under one acquisition, so
+        # a pin from another thread waits for the admission, then drops
+        # the cached copy: the key is never both pinned and cached.
+        import threading
+
+        from repro.obs.profile import trace
+
+        pool = BufferPool(100)
+        pinner = threading.Thread(target=pool.pin, args=("k", b"pinned", 4))
+        real_admit = trace.buffer_admit
+
+        def admit_while_pinning(*args):
+            pinner.start()
+            pinner.join(timeout=0.2)  # blocked on the pool lock
+            real_admit(*args)
+
+        monkeypatch.setattr(trace, "buffer_admit", admit_while_pinning)
+        pool.put("k", b"cached", 10)
+        monkeypatch.undo()
+        pinner.join(timeout=10)
+        assert not pinner.is_alive()
+        pool.check_invariants()
+        assert pool.get("k") == b"pinned"
+        assert (pool.used_bytes, pool.pinned_bytes) == (0, 4)
 
 
 class TestMaintenance:
@@ -371,19 +442,12 @@ class TestMaintenance:
 
 
 class TestStriping:
-    def test_striped_pool_partitions_budget(self):
-        pool = BufferPool(100, stripes=4)
-        assert pool.stripes == 4
-        assert pool.capacity_bytes == 100
-
-    def test_stripe_count_validation(self):
-        with pytest.raises(ValueError):
-            BufferPool(100, stripes=0)
+    """One exact LRU per pool: its order, its budget, its pinned floor."""
 
     def test_single_stripe_is_exact_lru(self):
-        # stripes=1 must reproduce the serial single-LRU eviction order
+        # The pool must reproduce the serial single-LRU eviction order
         # (the committed benchmark baselines depend on it).
-        pool = BufferPool(30, stripes=1)
+        pool = BufferPool(30)
         pool.put("a", b"x", 10)
         pool.put("b", b"x", 10)
         pool.put("c", b"x", 10)
@@ -393,7 +457,7 @@ class TestStriping:
         assert pool.get("a") == b"x"
 
     def test_striped_capacity_never_exceeded(self):
-        pool = BufferPool(100, stripes=8)
+        pool = BufferPool(100)
         for i in range(200):
             pool.put(("k", i), b"x", 7)
         assert pool.used_bytes <= 100
@@ -402,7 +466,7 @@ class TestStriping:
     def test_resize_below_pinned_floor_raises_typed(self):
         from repro.errors import BufferCapacityError, StorageError
 
-        pool = BufferPool(1000, stripes=2)
+        pool = BufferPool(1000)
         pool.pin("root", b"meta", 400)
         pool.put("a", b"x", 10)
         with pytest.raises(BufferCapacityError) as excinfo:
@@ -424,7 +488,7 @@ class TestStriping:
     def test_check_invariants_catches_accounting_drift(self):
         from repro.errors import StorageError
 
-        pool = BufferPool(100, stripes=4)
+        pool = BufferPool(100)
         pool.pin("root", b"meta", 10)
         pool.put("a", b"x", 10)
         pool.check_invariants()  # healthy pool passes
@@ -437,7 +501,7 @@ class TestConcurrency:
     def test_concurrent_get_or_load_stays_within_budget(self):
         import threading
 
-        pool = BufferPool(500, stripes=4)
+        pool = BufferPool(500)
         pool.pin("root", b"meta", 64)
         errors = []
 
@@ -486,7 +550,7 @@ class TestConcurrency:
     def test_concurrent_resize_and_reads(self):
         import threading
 
-        pool = BufferPool(400, stripes=2)
+        pool = BufferPool(400)
         stop = threading.Event()
         errors = []
 
@@ -509,4 +573,44 @@ class TestConcurrency:
             thread.join()
         assert errors == []
         assert pool.capacity_bytes == 600
+        pool.check_invariants()
+
+    def test_pins_and_admissions_race_without_losing_bytes(self):
+        # put, pin, unpin and resident visits on overlapping keys from more
+        # threads than cores, switching often: one lost update of the
+        # pinned table or its byte count breaks the final accounting.
+        import sys
+        import threading
+
+        pool = BufferPool(300)
+        errors = []
+
+        def worker(seed: int) -> None:
+            try:
+                for i in range(400):
+                    key = ("k", (seed + i) % 12)
+                    step = (seed * 7 + i) % 5
+                    if step == 0:
+                        pool.pin(key, b"p", 3)
+                    elif step == 1:
+                        pool.unpin(key)
+                    elif step == 2:
+                        pool.get_resident([key, ("k", i % 12)], ["intranode", None])
+                    else:
+                        pool.put(key, b"v", 20 + seed)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
         pool.check_invariants()

@@ -11,13 +11,11 @@ class TestLRUCache:
     def test_get_miss_returns_none(self):
         cache = LRUCache(100)
         assert cache.get("x") is None
-        assert cache.misses == 1
 
     def test_put_then_get(self):
         cache = LRUCache(100)
         cache.put("x", 42, 10)
         assert cache.get("x") == 42
-        assert cache.hits == 1
 
     def test_eviction_respects_budget(self):
         cache = LRUCache(30)
@@ -76,17 +74,6 @@ class TestLRUCache:
         assert sorted(evicted) == ["a", "b"]
         assert len(cache) == 0
         assert cache.used_bytes == 0
-
-    def test_stats_shape(self):
-        cache = LRUCache(50)
-        cache.put("a", 1, 10)
-        cache.get("a")
-        cache.get("zz")
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["used_bytes"] == 10
-        assert stats["capacity_bytes"] == 50
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
