@@ -63,7 +63,8 @@ class ForgetEvent(NamedTuple):
 
 
 class BufferEvent(NamedTuple):
-    """One ``BufferPool.get``: a hit or miss on ``key`` of ``kind``."""
+    """One buffer lookup — a ``BufferPool.get``, or one key of a
+    ``get_resident`` or ``replay`` — a hit or miss on ``key`` of ``kind``."""
 
     seq: int
     pool: int

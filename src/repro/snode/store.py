@@ -224,30 +224,14 @@ class SNodeStore:
                     self._devices[file_index] = device
         return device
 
-    def _read_payload(
-        self,
-        location: GraphLocation,
-        key: tuple,
-        registry: MetricsRegistry | None = None,
-    ) -> bytes:
-        """The checksummed payload at ``location``; ``key`` is the buffer
-        key of the graph it holds, named only when the checksum fails."""
-        payload = self._device(location.file_index).read_at(
-            location.offset, location.length, registry=registry
-        )
-        actual = integrity.crc32(payload)
-        if actual != location.crc:
-            if key[0] == "intra":
-                region = f"intranode {key[1]}"
-            else:
-                region = f"superedge {key[1]}->{key[2]}"
-            raise CorruptionError(
-                f"{region}: payload checksum mismatch in "
-                f"{self._layout.index_files[location.file_index]} at offset "
-                f"{location.offset} (stored {location.crc:#010x}, "
-                f"read {actual:#010x})"
-            )
-        return payload
+    def _location(self, key: tuple) -> GraphLocation:
+        """The pointer-table entry of graph ``key``."""
+        if key[0] == "intra":
+            return self._layout.intranode[key[1]]
+        entry = self._layout.superedge.get(key[1:])
+        if entry is None:
+            raise StorageError(f"no superedge {key[1]} -> {key[2]}")
+        return entry[0]
 
     def _sizes(self, key: tuple) -> list[int]:
         """Page counts of the supernodes a graph key names, in key order."""
@@ -271,14 +255,26 @@ class SNodeStore:
             self._quarantined.add(key)
         self.metrics.inc("regions_quarantined")
 
-    def _loaded(self, kind: str, key: tuple, registry) -> None:
-        registry.inc("loads")
-        registry.inc(f"{kind}_loads")
-        registry.mark(kind, key)
-        # Attribute the load to the innermost open tracing span (if a
+    def _loaded(self, keys: list[tuple], registry) -> None:
+        """Count the loads of the graphs ``keys`` (buffer keys)."""
+        registry.inc("loads", len(keys))
+        intranode = 0
+        for key in keys:
+            if key[0] == "intra":
+                intranode += 1
+                registry.mark("intranode", key[1:])
+            else:
+                registry.mark("superedge", key[1:])
+        # Attribute the loads to the innermost open tracing span (if a
         # tracer is active), so span trees show which phase/operation
         # pulled which graph kind from disk.
-        tracing.note(f"{kind}_loads")
+        for name, count in (
+            ("intranode_loads", intranode),
+            ("superedge_loads", len(keys) - intranode),
+        ):
+            if count:
+                registry.inc(name, count)
+                tracing.note(name, count)
 
     def _decode(self, key: tuple, payload: bytes, learned: tuple | None):
         facts = None if learned is None else learned[1]
@@ -286,14 +282,11 @@ class SNodeStore:
             return decode_intranode(payload, facts)
         return positive_rows_from_payload(payload, *self._sizes(key), facts)
 
-    def _graph(self, key: tuple, registry):
-        """The one keyed load path behind both graph kinds.
-
-        ``key`` is the buffer key: ``("intra", supernode)`` or
-        ``("super", source, target)``.  A buffered decoded graph costs
-        the quarantine test and the pool lookup; supernode sizes, the
-        pointer-table entry and the decoder are touched only on a miss,
-        a degraded answer or an encoded-payload hit.
+    def _checked(self, key: tuple, location: GraphLocation, payload: bytes) -> tuple:
+        """``(rows, charge)`` of the graph ``key`` read from ``location``:
+        the payload's checksum tested, then decoded with what the graph's
+        first load learned — or, on that first load, decoded whole and
+        the charge and facts learned.
 
         A decoded graph is put at its full decoded charge whatever it
         holds: its first load decodes every row, learning that charge with
@@ -304,6 +297,36 @@ class SNodeStore:
         header too (a superedge graph's first load parses only its
         header), so every later access, miss or hit, parses nothing.
         """
+        actual = integrity.crc32(payload)
+        if actual != location.crc:
+            if key[0] == "intra":
+                region = f"intranode {key[1]}"
+            else:
+                region = f"superedge {key[1]}->{key[2]}"
+            raise CorruptionError(
+                f"{region}: payload checksum mismatch in "
+                f"{self._layout.index_files[location.file_index]} at offset "
+                f"{location.offset} (stored {location.crc:#010x}, "
+                f"read {actual:#010x})"
+            )
+        learned = self._learned.get(key)
+        rows = self._decode(key, payload, learned)
+        if learned is None:
+            if not self._cache_decoded:
+                charge = len(payload)
+            elif key[0] == "intra":
+                charge = _graph_cost(len(rows), rows)
+            else:
+                charge = _graph_cost(rows.source_size, rows.linked.values())
+            facts = rows.directory if key[0] == "intra" else rows.header
+            learned = self._learned[key] = (charge, facts)
+        return rows, learned[0]
+
+    def _graph(self, key: tuple, registry):
+        """One graph by its buffer key — ``("intra", supernode)`` or
+        ``("super", source, target)`` — looked up, and on a miss read,
+        checked, decoded and admitted (:meth:`_checked`): the one-key
+        case of :meth:`_load_visit`."""
         reg = registry if registry is not None else self.metrics
         kind = "intranode" if key[0] == "intra" else "superedge"
         if key in self._quarantined:
@@ -313,33 +336,19 @@ class SNodeStore:
             if self._cache_decoded:
                 return cached
             return self._decode(key, cached, self._learned.get(key))
-        if kind == "intranode":
-            location = self._layout.intranode[key[1]]
-        else:
-            entry = self._layout.superedge.get(key[1:])
-            if entry is None:
-                raise StorageError(f"no superedge {key[1]} -> {key[2]}")
-            location, _negative = entry
+        location = self._location(key)
+        payload = self._device(location.file_index).read_at(
+            location.offset, location.length, registry=reg
+        )
         try:
-            payload = self._read_payload(location, key, registry=reg)
+            rows, charge = self._checked(key, location, payload)
         except CorruptionError:
             if self._on_corruption != "degrade":
                 raise
             self._quarantine(key)
             return self._degraded(key, reg)
-        learned = self._learned.get(key)
-        rows = self._decode(key, payload, learned)
-        if learned is None:
-            if not self._cache_decoded:
-                charge = len(payload)
-            elif kind == "intranode":
-                charge = _graph_cost(len(rows), rows)
-            else:
-                charge = _graph_cost(rows.source_size, rows.linked.values())
-            facts = rows.directory if kind == "intranode" else rows.header
-            learned = self._learned[key] = (charge, facts)
-        self._pool.put(key, rows if self._cache_decoded else payload, learned[0], kind=kind)
-        self._loaded(kind, key[1:], reg)
+        self._pool.put(key, rows if self._cache_decoded else payload, charge, kind=kind)
+        self._loaded([key], reg)
         return rows
 
     def intranode_rows(
@@ -392,12 +401,123 @@ class SNodeStore:
             self._degraded(key, batch) if key in bad else next(cached) for key in keys
         ]
 
-    def _load_each(self, supernode: int, batch: CounterBatch):
-        """The graphs of :meth:`_visit`, each looked up — and on a miss
-        read, decoded and admitted — as the caller asks for the next."""
-        yield self.intranode_rows(supernode, registry=batch)
-        for target_super in self._super_adjacency[supernode]:
-            yield self.superedge_rows(supernode, target_super, registry=batch)
+    def _load_visit(self, supernode: int, batch: CounterBatch):
+        """The graphs of :meth:`_visit`, a segment at a time.
+
+        A segment starts at the first graph not yet served: the graphs
+        buffered from there on are peeked, nothing moved, then the run
+        of *missing* graphs after them whose regions follow one another
+        in one file is read with one ``read_at``.  Each region's slice
+        is checked and decoded on its own (:meth:`_checked`), outside
+        the pool lock; then the segment's lookups and admissions are
+        replayed in the order of one lookup per graph, under one lock
+        round trip (:meth:`~repro.storage.bufferpool.BufferPool.replay`).
+        The next segment is peeked only after that, so a graph an
+        admission of this visit evicted is a miss of a later segment:
+        one thread at a time, the counters, evictions and LRU order are
+        those of looking each graph up — and loading it on a miss — in
+        turn, and the bytes and seeks too, since the run is the regions
+        that lookup would have read one after another.
+
+        Under concurrency, a graph another reader admitted since the
+        peek is served as that cached hit (its bytes stay charged to this
+        reader), and a peeked graph evicted since ends the replay there:
+        the next segment starts at it.
+
+        A quarantined graph is served empty and breaks a run.  A region
+        failing its checksum in degrade mode is quarantined alone, its
+        lookup counted as a miss, and its run neighbours are served; any
+        other failure counts the segment up to and including the failing
+        graph's miss, charges the bytes read up to the end of its region
+        (the rest were read ahead for graphs never reached) and raises.
+        """
+        keys, kinds = self._visit(supernode)
+        pool = self._pool
+        quarantined = self._quarantined
+        end = len(keys)
+        start = 0
+        while start < end:
+            if keys[start] in quarantined:
+                yield self._degraded(keys[start], batch)
+                start += 1
+                continue
+            split = start
+            while split < end and keys[split] not in quarantined and pool.is_cached(keys[split]):
+                split += 1
+            run = []
+            stop = split
+            while stop < end and keys[stop] not in quarantined and not pool.is_cached(keys[stop]):
+                location = self._location(keys[stop])
+                if run and (
+                    location.file_index != run[-1].file_index
+                    or location.offset != run[-1].offset + run[-1].length
+                ):
+                    break
+                run.append(location)
+                stop += 1
+            loads: list[tuple | None] = [None] * (split - start)
+            fresh, failure = self._read_run(keys[split:stop], run, loads, batch)
+            served = pool.replay(
+                keys[start : start + len(loads)], kinds[start : start + len(loads)], loads, batch
+            )
+            # A failing graph ends its segment's loads; only its miss counts.
+            failed = failure is not None and len(served) == len(loads)
+            graphs = []
+            admitted = []
+            for index, value in enumerate(served[:-1] if failed else served, start):
+                key, load = keys[index], loads[index - start]
+                if value is None:
+                    rows = self._degraded(key, batch)
+                elif load is not None and value is load[0]:
+                    rows = fresh[index - split]
+                    admitted.append(key)
+                elif self._cache_decoded:
+                    rows = value
+                else:
+                    rows = self._decode(key, value, self._learned.get(key))
+                graphs.append(rows)
+            if admitted:
+                self._loaded(admitted, batch)
+            if failed:
+                raise failure
+            start += len(served)
+            yield from graphs
+
+    def _read_run(self, keys, run: list, loads: list, batch: CounterBatch):
+        """Read the adjacent regions ``run`` of ``keys`` with one
+        ``read_at`` and check and decode each slice, appending to
+        ``loads`` what :meth:`~repro.storage.bufferpool.BufferPool.replay`
+        takes for it; returns ``(decoded graphs, failure or None)``."""
+        if not run:
+            return [], None
+        first, last = run[0], run[-1]
+        total = last.offset + last.length - first.offset
+        # Any failure is handed back, not raised: the caller counts the
+        # segment's lookups up to the failing graph's miss, then raises it.
+        try:
+            data = self._device(first.file_index).read_at(
+                first.offset, total, registry=batch
+            )
+        except Exception as exc:
+            loads.append((None, 0))
+            return [], exc
+        fresh = []
+        for key, location in zip(keys, run):
+            begin = location.offset - first.offset
+            payload = data[begin : begin + location.length]
+            try:
+                rows, charge = self._checked(key, location, payload)
+            except Exception as exc:
+                loads.append((None, 0))
+                fresh.append(None)
+                if isinstance(exc, CorruptionError) and self._on_corruption == "degrade":
+                    self._quarantine(key)
+                    continue
+                batch.inc("bytes_read", begin + location.length - total)
+                return fresh, exc
+            loads.append((rows if self._cache_decoded else payload, charge))
+            fresh.append(rows)
+        return fresh, None
 
     def _adjacency(
         self,
@@ -420,8 +540,8 @@ class SNodeStore:
         visit to the pool
         (:meth:`~repro.storage.bufferpool.BufferPool.get_resident`, which
         moves and counts what one lookup per graph would).  When one is
-        missing nothing has moved and the graphs are looked up and
-        loaded one by one; under ``memory_only`` that raises
+        missing nothing has moved and the graphs are loaded a segment at
+        a time (:meth:`_load_visit`); under ``memory_only`` that raises
         :class:`~repro.errors.NotResident` instead, before any counter
         moves or any file is read.
 
@@ -441,7 +561,7 @@ class SNodeStore:
                     raise NotResident(
                         f"supernode {supernode} is not wholly buffered"
                     )
-                graphs = self._load_each(supernode, batch)
+                graphs = self._load_visit(supernode, batch)
             graphs = iter(graphs)
             intra = next(graphs)
             if type(intra) is IntranodeRows and len(locals_) >= len(intra):

@@ -180,6 +180,65 @@ class BufferPool:
                 _profile.buffer_access(self, key, kind, hit=True, pinned=False)
         return values
 
+    def is_cached(self, key: Hashable) -> bool:
+        """Whether ``key`` is in the LRU now — observed only: no lock (one
+        atomic dict read), no order change, nothing counted or profiled.
+        A pinned entry is not the LRU's."""
+        return key in self._cache
+
+    def replay(
+        self,
+        keys: Sequence[Hashable],
+        kinds: Sequence[str],
+        loads: Sequence[tuple | None],
+        registry: MetricsRegistry | None = None,
+    ) -> list:
+        """:meth:`get` of each key in order, each miss followed by the
+        :meth:`put` of what the caller loaded for it, under one lock
+        round trip.
+
+        ``loads[i]`` is what the caller holds for ``keys[i]``:
+
+        * None — it peeked the key cached.  Should the key have been
+          evicted since, the replay ends before it, counting nothing for
+          it or after it, and the list returned is shorter than ``keys``;
+        * ``(value, cost)`` — it loaded ``value``.  A miss admits it at
+          ``cost`` and returns it; a hit (another reader admitted the key
+          in the meantime) returns the cached value instead;
+        * ``(None, 0)`` — its load failed: a miss is counted, nothing is
+          looked up or admitted, and None is returned.
+
+        The counters (charged to ``registry``, as :meth:`get` charges
+        them), LRU movement, evictions and profile events are those of
+        the same calls made one by one.  The keys must not be pinned.
+        """
+        #: (kind, hit) -> lookups, charged once the lock is released.
+        tally: Counter = Counter()
+        profiling = _profile.current_profiler() is not None
+        values = []
+        with self._lock:
+            cache = self._cache
+            for key, kind, load in zip(keys, kinds, loads):
+                value = None if load is not None and load[0] is None else cache.get(key)
+                hit = value is not None
+                if not hit:
+                    if load is None:
+                        break
+                    value = load[0]
+                tally[kind, hit] += 1
+                if profiling:
+                    _profile.buffer_access(self, key, kind, hit=hit, pinned=False)
+                if not hit and value is not None:
+                    if profiling:
+                        _profile.buffer_admit(self, key, kind, load[1])
+                    cache.put(key, value, load[1])
+                values.append(value)
+        target = registry if registry is not None else self.registry
+        for (kind, hit), count in tally.items():
+            target.inc("buffer_hits" if hit else "buffer_misses", count)
+            target.inc(_kind_counters(kind)[0 if hit else 1], count)
+        return values
+
     def put(self, key: Hashable, value, cost_bytes: int, kind: str | None = None) -> None:
         """Admit ``value`` under the byte budget (evicting LRU entries)."""
         with self._lock:

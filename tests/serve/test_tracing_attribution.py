@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import re
@@ -366,6 +367,22 @@ def untimed(document: dict) -> dict:
     return out
 
 
+class SteppingClock:
+    """A monotonic clock that moves one microsecond per reading, plus
+    whatever :meth:`advance` adds: a span lasts as long as the number of
+    readings taken during it, not as long as the host took."""
+
+    def __init__(self) -> None:
+        self._readings = itertools.count()
+        self._offset = 0.0
+
+    def advance(self, seconds: float) -> None:
+        self._offset += seconds
+
+    def __call__(self) -> float:
+        return self._offset + next(self._readings) * 1e-6
+
+
 def wait_for_recorded(recorder, count: int) -> None:
     deadline = time.monotonic() + 10.0
     while recorder.recorded < count:
@@ -449,23 +466,29 @@ class TestWhatIsKept:
         filed — the connection, its sessions and its tracer's successors
         have moved on 300 requests — and still reads as its own request.
 
-        The query's first grouped read (lookups read one page) is held
-        50 ms, so it is the slowest request by construction: a cold query3
-        over a store that has learned its graphs takes a few milliseconds,
-        no more than one lookup that a collector pause lands in."""
+        The telemetry's clock is a :class:`SteppingClock`, so a phase
+        lasts as many microseconds as the clock was read during it, and
+        the query's first grouped read (lookups read one page) moves it
+        on a second — well inside the query's deadline, which the same
+        clock times — so the query is the slowest request by
+        construction, whatever the host's real timings."""
         real = SNodeStore.out_neighbors_many
         held = threading.Event()
+        clock = SteppingClock()
 
         def first_read_held(store, pages, registry=None, memory_only=False):
             if not held.is_set():
                 held.set()
-                time.sleep(0.05)
+                clock.advance(1.0)
             return real(store, pages, registry, memory_only)
 
         monkeypatch.setattr(SNodeStore, "out_neighbors_many", first_read_held)
         recorder = flightrecorder.FlightRecorder(slow_threshold_s=0.0, slow_top=1)
         daemon = GraphQueryDaemon(
-            serve_context, port=0, workers=2, telemetry=ServeTelemetry(recorder=recorder)
+            serve_context,
+            port=0,
+            workers=2,
+            telemetry=ServeTelemetry(recorder=recorder, clock=clock),
         )
         serve_context.forward.drop_caches()
         serve_context.backward.drop_caches()
