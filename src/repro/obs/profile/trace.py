@@ -64,7 +64,7 @@ class ForgetEvent(NamedTuple):
 
 class BufferEvent(NamedTuple):
     """One buffer lookup — a ``BufferPool.get``, or one key of a
-    ``get_resident`` or ``replay`` — a hit or miss on ``key`` of ``kind``."""
+    ``replay`` — a hit or miss on ``key`` of ``kind``."""
 
     seq: int
     pool: int

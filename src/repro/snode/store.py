@@ -322,41 +322,14 @@ class SNodeStore:
             learned = self._learned[key] = (charge, facts)
         return rows, learned[0]
 
-    def _graph(self, key: tuple, registry):
-        """One graph by its buffer key — ``("intra", supernode)`` or
-        ``("super", source, target)`` — looked up, and on a miss read,
-        checked, decoded and admitted (:meth:`_checked`): the one-key
-        case of :meth:`_load_visit`."""
-        reg = registry if registry is not None else self.metrics
-        kind = "intranode" if key[0] == "intra" else "superedge"
-        if key in self._quarantined:
-            return self._degraded(key, reg)
-        cached = self._pool.get(key, kind=kind, registry=reg)
-        if cached is not None:
-            if self._cache_decoded:
-                return cached
-            return self._decode(key, cached, self._learned.get(key))
-        location = self._location(key)
-        payload = self._device(location.file_index).read_at(
-            location.offset, location.length, registry=reg
-        )
-        try:
-            rows, charge = self._checked(key, location, payload)
-        except CorruptionError:
-            if self._on_corruption != "degrade":
-                raise
-            self._quarantine(key)
-            return self._degraded(key, reg)
-        self._pool.put(key, rows if self._cache_decoded else payload, charge, kind=kind)
-        self._loaded([key], reg)
-        return rows
-
     def intranode_rows(
         self, supernode: int, registry: MetricsRegistry | None = None
     ) -> IntranodeRows | list[list[int]]:
         """Intranode graph of ``supernode`` (local target indices), its rows
         decoded on demand; a quarantined graph is a list of empty rows."""
-        return self._graph(("intra", supernode), registry)
+        reg = registry if registry is not None else self.metrics
+        (rows,) = self._load((("intra", supernode),), ("intranode",), reg)
+        return rows
 
     def superedge_rows(
         self,
@@ -365,7 +338,9 @@ class SNodeStore:
         registry: MetricsRegistry | None = None,
     ) -> SuperedgeRows:
         """Positive rows of superedge (source, target), decoded on demand."""
-        return self._graph(("super", source, target), registry)
+        reg = registry if registry is not None else self.metrics
+        (rows,) = self._load((("super", source, target),), ("superedge",), reg)
+        return rows
 
     # -- adjacency access ----------------------------------------------------
 
@@ -380,49 +355,63 @@ class SNodeStore:
             visit = self._visits[supernode] = (keys, kinds)
         return visit
 
-    def _resident(self, supernode: int, batch: CounterBatch) -> list | None:
-        """The graphs of :meth:`_visit` when none needs a file — buffered
-        decoded, or quarantined and so served empty — else None with
-        nothing moved or counted."""
-        if not self._cache_decoded:
-            return None
-        keys, kinds = self._visit(supernode)
-        bad = self._quarantined and self._quarantined.intersection(keys)
-        if not bad:
-            return self._pool.get_resident(keys, kinds, batch)
-        sound = [pair for pair in zip(keys, kinds) if pair[0] not in bad]
-        cached = self._pool.get_resident(
-            [key for key, _kind in sound], [kind for _key, kind in sound], batch
-        )
-        if cached is None:
-            return None
-        cached = iter(cached)
-        return [
-            self._degraded(key, batch) if key in bad else next(cached) for key in keys
-        ]
+    def _load(self, keys: tuple, kinds: tuple, batch, memory_only: bool = False):
+        """The graphs ``keys`` (buffer keys, ``("intra", supernode)`` or
+        ``("super", source, target)``, of ``kinds``) in order: a visit
+        (:meth:`_visit`), or one graph.
 
-    def _load_visit(self, supernode: int, batch: CounterBatch):
-        """The graphs of :meth:`_visit`, a segment at a time.
+        The graphs buffered from the first one on are peeked
+        (:meth:`~repro.storage.bufferpool.BufferPool.peek`: no lock,
+        nothing moved).  When that is every graph and the pool holds them
+        decoded, one :meth:`~repro.storage.bufferpool.BufferPool.replay`
+        with no loads moves and counts what one lookup per graph would,
+        and the list peeked is the answer.  Otherwise the graphs are
+        loaded a segment at a time (:meth:`_segments`), the first segment
+        starting from the graphs already peeked, and as they are consumed:
+        the graphs after one that fails as its rows are read are not
+        read.
+
+        ``memory_only`` raises :class:`~repro.errors.NotResident`, before
+        anything moves, unless every graph is buffered decoded or
+        quarantined.
+        """
+        pool = self._pool
+        quarantined = self._quarantined
+        peeked = pool.peek(keys, 0, quarantined)
+        if len(peeked) == len(keys) and self._cache_decoded:
+            pool.replay(keys, kinds, (), batch)
+            return peeked
+        if memory_only and not (
+            self._cache_decoded
+            and all(key in quarantined or pool.is_cached(key) for key in keys)
+        ):
+            raise NotResident(f"supernode {keys[0][1]} is not wholly buffered")
+        return self._segments(keys, kinds, peeked, batch, memory_only)
+
+    def _segments(self, keys: tuple, kinds: tuple, peeked: list, batch, memory_only: bool):
+        """:meth:`_load`'s graphs, a segment at a time.
 
         A segment starts at the first graph not yet served: the graphs
-        buffered from there on are peeked, nothing moved, then the run
-        of *missing* graphs after them whose regions follow one another
-        in one file is read with one ``read_at``.  Each region's slice
-        is checked and decoded on its own (:meth:`_checked`), outside
-        the pool lock; then the segment's lookups and admissions are
-        replayed in the order of one lookup per graph, under one lock
-        round trip (:meth:`~repro.storage.bufferpool.BufferPool.replay`).
-        The next segment is peeked only after that, so a graph an
-        admission of this visit evicted is a miss of a later segment:
-        one thread at a time, the counters, evictions and LRU order are
-        those of looking each graph up — and loading it on a miss — in
-        turn, and the bytes and seeks too, since the run is the regions
-        that lookup would have read one after another.
+        buffered from there on are peeked (``peeked``, the first time),
+        then the run of *missing* graphs after them whose regions follow
+        one another in one file is read with one ``read_at``.  Each
+        region's slice is checked and decoded on its own
+        (:meth:`_checked`), outside the pool lock; then the segment's
+        lookups and admissions are replayed in the order of one lookup
+        per graph, under one lock round trip.  The next segment is peeked
+        only after that, so a graph an admission of this visit evicted is
+        a miss of a later segment: one thread at a time, the counters,
+        evictions and LRU order are those of looking each graph up — and
+        loading it on a miss — in turn, and the bytes and seeks too,
+        since the run is the regions that lookup would have read one
+        after another.
 
-        Under concurrency, a graph another reader admitted since the
-        peek is served as that cached hit (its bytes stay charged to this
-        reader), and a peeked graph evicted since ends the replay there:
-        the next segment starts at it.
+        Under concurrency a peeked graph is served as peeked, and counted
+        a hit, even if another reader evicted it since; a graph another
+        reader admitted since the peek is served as that cached hit (its
+        bytes stay charged to this reader).  Under ``memory_only`` a run
+        to read (a graph evicted since :meth:`_load` looked) raises
+        :class:`~repro.errors.NotResident` instead.
 
         A quarantined graph is served empty and breaks a run.  A region
         failing its checksum in degrade mode is quarantined alone, its
@@ -431,7 +420,6 @@ class SNodeStore:
         graph's miss, charges the bytes read up to the end of its region
         (the rest were read ahead for graphs never reached) and raises.
         """
-        keys, kinds = self._visit(supernode)
         pool = self._pool
         quarantined = self._quarantined
         end = len(keys)
@@ -441,9 +429,9 @@ class SNodeStore:
                 yield self._degraded(keys[start], batch)
                 start += 1
                 continue
-            split = start
-            while split < end and keys[split] not in quarantined and pool.is_cached(keys[split]):
-                split += 1
+            if start:
+                peeked = pool.peek(keys, start, quarantined)
+            split = start + len(peeked)
             run = []
             stop = split
             while stop < end and keys[stop] not in quarantined and not pool.is_cached(keys[stop]):
@@ -455,20 +443,27 @@ class SNodeStore:
                     break
                 run.append(location)
                 stop += 1
-            loads: list[tuple | None] = [None] * (split - start)
+            if run and memory_only:
+                raise NotResident(f"supernode {keys[0][1]} is not wholly buffered")
+            loads: list[tuple] = []
             fresh, failure = self._read_run(keys[split:stop], run, loads, batch)
-            served = pool.replay(
-                keys[start : start + len(loads)], kinds[start : start + len(loads)], loads, batch
-            )
-            # A failing graph ends its segment's loads; only its miss counts.
-            failed = failure is not None and len(served) == len(loads)
-            graphs = []
+            stop = split + len(loads)
+            served = pool.replay(keys[start:stop], kinds[start:stop], loads, batch)
+            if failure is not None:
+                served.pop()  # the failing graph: only its miss counts
+            if self._cache_decoded:
+                graphs = peeked
+            else:
+                graphs = [
+                    self._decode(key, payload, self._learned.get(key))
+                    for key, payload in zip(keys[start:split], peeked)
+                ]
             admitted = []
-            for index, value in enumerate(served[:-1] if failed else served, start):
-                key, load = keys[index], loads[index - start]
+            for index, value in enumerate(served, split):
+                key, load = keys[index], loads[index - split]
                 if value is None:
                     rows = self._degraded(key, batch)
-                elif load is not None and value is load[0]:
+                elif value is load[0]:
                     rows = fresh[index - split]
                     admitted.append(key)
                 elif self._cache_decoded:
@@ -478,9 +473,9 @@ class SNodeStore:
                 graphs.append(rows)
             if admitted:
                 self._loaded(admitted, batch)
-            if failed:
+            if failure is not None:
                 raise failure
-            start += len(served)
+            start = stop
             yield from graphs
 
     def _read_run(self, keys, run: list, loads: list, batch: CounterBatch):
@@ -536,14 +531,11 @@ class SNodeStore:
         intranode graph is decoded whole in one pass; otherwise each asked
         row is decoded alone, with its reference chain.
 
-        A supernode whose graphs are all buffered decoded is read in one
-        visit to the pool
-        (:meth:`~repro.storage.bufferpool.BufferPool.get_resident`, which
-        moves and counts what one lookup per graph would).  When one is
-        missing nothing has moved and the graphs are loaded a segment at
-        a time (:meth:`_load_visit`); under ``memory_only`` that raises
-        :class:`~repro.errors.NotResident` instead, before any counter
-        moves or any file is read.
+        The graphs are loaded by :meth:`_load`: a supernode whose graphs
+        are all buffered decoded in one visit to the pool, else a segment
+        at a time.  Under ``memory_only`` a supernode one of whose graphs
+        is missing raises :class:`~repro.errors.NotResident` instead,
+        before any counter moves or any file is read.
 
         The pool, the device and the load bookkeeping charge one
         :class:`~repro.storage.metrics.CounterBatch` for the whole call,
@@ -555,14 +547,7 @@ class SNodeStore:
         first = boundaries[supernode]
         batch = CounterBatch(registry if registry is not None else self.metrics)
         try:
-            graphs = self._resident(supernode, batch)
-            if graphs is None:
-                if memory_only:
-                    raise NotResident(
-                        f"supernode {supernode} is not wholly buffered"
-                    )
-                graphs = self._load_visit(supernode, batch)
-            graphs = iter(graphs)
+            graphs = iter(self._load(*self._visit(supernode), batch, memory_only))
             intra = next(graphs)
             if type(intra) is IntranodeRows and len(locals_) >= len(intra):
                 # Every row asked for (a scan): one fused decode of the

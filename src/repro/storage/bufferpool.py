@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import threading
 from collections import Counter
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Collection, Hashable, Sequence
 
 from repro.errors import BufferCapacityError, StorageError
 from repro.obs import tracing
@@ -137,107 +137,94 @@ class BufferPool:
         _profile.buffer_access(self, key, kind, hit=True, pinned=False)
         return value
 
-    def get_resident(
+    def peek(
         self,
         keys: Sequence[Hashable],
-        kinds: Sequence[str | None],
-        registry: MetricsRegistry | None = None,
-    ) -> list | None:
-        """Every key's cached value, in order — or None, all or nothing.
-
-        When every key is cached this *is* :meth:`get` of each key in
-        order: the same LRU movement, the same ``buffer_hits`` /
-        ``buffer_hits_<kind>`` charged to ``registry``, the same profile
-        events — at one lock round trip instead of one per key.  When
-        any key is missing (a pinned entry counts as missing: pins are
-        not the LRU's) nothing has moved and nothing is counted, so the
-        caller can fall back to key-by-key :meth:`get` as if it had
-        never asked.
-
-        The values are peeked without the lock (single atomic dict reads)
-        and touched under it afterwards.  An entry evicted in between is
-        still returned and still counted as a hit: the caller was served
-        it from memory, exactly as a :meth:`get` scheduled just before
-        the eviction would have been.
-        """
-        if not keys:
-            return []
-        cache = self._cache
+        start: int = 0,
+        skip: Collection[Hashable] = (),
+    ) -> list:
+        """The cached values of ``keys[start:]``, in order, up to the first
+        key that is not in the LRU or is in ``skip`` — observed only: no
+        lock (single atomic dict reads), no order change, nothing counted
+        or profiled.  A pinned entry is not the LRU's.  The values are
+        what :meth:`replay` serves these keys as."""
+        peek = self._cache.peek
         values = []
-        for key in keys:
-            value = cache.peek(key)
-            if value is None:
-                return None
+        for key in keys[start:]:
+            value = peek(key)
+            if value is None or (skip and key in skip):
+                break
             values.append(value)
-        with self._lock:
-            self._cache.touch(keys)
-        target = registry if registry is not None else self.registry
-        target.inc("buffer_hits", len(values))
-        for name, count in _hit_counters(tuple(kinds)):
-            target.inc(name, count)
-        if _profile.current_profiler() is not None:
-            for key, kind in zip(keys, kinds):
-                _profile.buffer_access(self, key, kind, hit=True, pinned=False)
         return values
 
     def is_cached(self, key: Hashable) -> bool:
-        """Whether ``key`` is in the LRU now — observed only: no lock (one
-        atomic dict read), no order change, nothing counted or profiled.
-        A pinned entry is not the LRU's."""
+        """Whether ``key`` is in the LRU now — observed as :meth:`peek`
+        observes it."""
         return key in self._cache
 
     def replay(
         self,
         keys: Sequence[Hashable],
-        kinds: Sequence[str],
-        loads: Sequence[tuple | None],
+        kinds: Sequence[str | None],
+        loads: Sequence[tuple],
         registry: MetricsRegistry | None = None,
     ) -> list:
         """:meth:`get` of each key in order, each miss followed by the
         :meth:`put` of what the caller loaded for it, under one lock
-        round trip.
+        round trip; returns what each load is served.
 
-        ``loads[i]`` is what the caller holds for ``keys[i]``:
+        The first ``len(keys) - len(loads)`` keys are the ones the caller
+        peeked (:meth:`peek`): each is marked most recently used and
+        counted a hit.  The caller holds their values as peeked, and a
+        key evicted since is still served that way and counted a hit —
+        a :meth:`get` scheduled just before the eviction would have been.
 
-        * None — it peeked the key cached.  Should the key have been
-          evicted since, the replay ends before it, counting nothing for
-          it or after it, and the list returned is shorter than ``keys``;
+        ``loads[i]`` is what the caller holds for the key after them:
+
         * ``(value, cost)`` — it loaded ``value``.  A miss admits it at
-          ``cost`` and returns it; a hit (another reader admitted the key
-          in the meantime) returns the cached value instead;
+          ``cost`` and serves it; a hit (another reader admitted the key
+          in the meantime) serves the cached value instead;
         * ``(None, 0)`` — its load failed: a miss is counted, nothing is
-          looked up or admitted, and None is returned.
+          looked up or admitted, and None is served.
 
         The counters (charged to ``registry``, as :meth:`get` charges
         them), LRU movement, evictions and profile events are those of
         the same calls made one by one.  The keys must not be pinned.
         """
-        #: (kind, hit) -> lookups, charged once the lock is released.
-        tally: Counter = Counter()
+        peeked = len(keys) - len(loads)
+        #: (kind, hit) -> lookups of the loads, charged once the lock is released.
+        tally: dict[tuple, int] = {}
         profiling = _profile.current_profiler() is not None
-        values = []
+        served = []
         with self._lock:
             cache = self._cache
-            for key, kind, load in zip(keys, kinds, loads):
-                value = None if load is not None and load[0] is None else cache.get(key)
-                hit = value is not None
-                if not hit:
-                    if load is None:
-                        break
-                    value = load[0]
-                tally[kind, hit] += 1
+            cache.touch(keys[:peeked])
+            if profiling:
+                for key, kind in zip(keys[:peeked], kinds):
+                    _profile.buffer_access(self, key, kind, hit=True, pinned=False)
+            for key, kind, (value, cost) in zip(keys[peeked:], kinds[peeked:], loads):
+                cached = None if value is None else cache.get(key)
+                hit = cached is not None
+                tally[kind, hit] = tally.get((kind, hit), 0) + 1
                 if profiling:
                     _profile.buffer_access(self, key, kind, hit=hit, pinned=False)
-                if not hit and value is not None:
+                if hit:
+                    value = cached
+                elif value is not None:
                     if profiling:
-                        _profile.buffer_admit(self, key, kind, load[1])
-                    cache.put(key, value, load[1])
-                values.append(value)
+                        _profile.buffer_admit(self, key, kind, cost)
+                    cache.put(key, value, cost)
+                served.append(value)
         target = registry if registry is not None else self.registry
+        if peeked:
+            target.inc("buffer_hits", peeked)
+            for name, count in _hit_counters(tuple(kinds[:peeked])):
+                target.inc(name, count)
         for (kind, hit), count in tally.items():
             target.inc("buffer_hits" if hit else "buffer_misses", count)
-            target.inc(_kind_counters(kind)[0 if hit else 1], count)
-        return values
+            if kind is not None:
+                target.inc(_kind_counters(kind)[0 if hit else 1], count)
+        return served
 
     def put(self, key: Hashable, value, cost_bytes: int, kind: str | None = None) -> None:
         """Admit ``value`` under the byte budget (evicting LRU entries)."""
@@ -254,17 +241,16 @@ class BufferPool:
         self,
         key: Hashable,
         loader: Callable[[], object],
-        cost: Callable[[object], int] | int | None = None,
+        cost: int | None = None,
         kind: str | None = None,
         registry: MetricsRegistry | None = None,
     ):
         """Return the cached value for ``key``, loading and admitting on miss.
 
-        ``cost`` is either an explicit byte cost, a function of the loaded
-        value, or None (``len(value)`` — raw byte payloads).  ``kind``
-        names the load in the registry (``<kind>_loads`` plus the total
-        ``loads`` counter) — how "loads by graph kind" reach Figure 11's
-        instrumentation table.  ``registry`` attributes the lookup and
+        ``cost`` is an explicit byte cost, or None (``len(value)`` — raw
+        byte payloads).  ``kind`` names the load in the registry
+        (``<kind>_loads`` plus the total ``loads`` counter) — how "loads
+        by graph kind" reach Figure 11's instrumentation table.  ``registry`` attributes the lookup and
         the load to a session instead of the pool's base registry.
         """
         target = registry if registry is not None else self.registry
@@ -272,13 +258,9 @@ class BufferPool:
         if value is not None:
             return value
         value = loader()
-        if callable(cost):
-            cost_bytes = cost(value)
-        elif cost is None:
-            cost_bytes = len(value)  # type: ignore[arg-type]
-        else:
-            cost_bytes = cost
-        self.put(key, value, cost_bytes, kind=kind)
+        if cost is None:
+            cost = len(value)  # type: ignore[arg-type]
+        self.put(key, value, cost, kind=kind)
         target.inc("loads")
         if kind is not None:
             target.inc(f"{kind}_loads")
@@ -290,7 +272,7 @@ class BufferPool:
     # -- pinning -----------------------------------------------------------
 
     def pin(self, key: Hashable, value, cost_bytes: int) -> None:
-        """Keep ``value`` resident outside the LRU budget until unpinned."""
+        """Keep ``value`` resident outside the LRU budget for good."""
         with self._lock:
             # Never hold a pinned key twice: the cached copy goes as the
             # pin is recorded.
@@ -302,13 +284,6 @@ class BufferPool:
             self._pinned_bytes += cost_bytes
         if dropped:
             _profile.buffer_drop(self, key)
-
-    def unpin(self, key: Hashable) -> None:
-        """Release a pinned entry (dropped, not demoted to the LRU)."""
-        with self._lock:
-            entry = self._pinned.pop(key, None)
-            if entry is not None:
-                self._pinned_bytes -= entry[1]
 
     def invalidate(self, key: Hashable) -> None:
         """Drop ``key`` without eviction accounting (after an in-place write)."""

@@ -9,12 +9,14 @@ the worker pool, which keeps what the attempt counted.
 
 Seeded mutations, each of which fails a test named here:
 
-* ``BufferPool.get_resident`` charges its hits before it knows every key
-  is cached — ``test_cold_lookup_takes_a_worker_its_repeat_does_not``
-  (a cold reply reports hits) and
-  ``tests/storage/test_bufferpool.py::TestGetResident``;
+* ``SNodeStore._load`` makes its resident ``BufferPool.replay`` (the one
+  with no loads) before it knows every graph was peeked —
+  ``test_cold_lookup_takes_a_worker_its_repeat_does_not`` (a cold reply
+  reports hits); charging only the graphs peeked before a missing one
+  fails
+  ``tests/util/test_visit_loader_oracle.py::test_visit_loader_equals_the_per_graph_loader``;
 * ``LRUCache.touch`` walks its keys in reverse —
-  ``TestGetResident::test_all_resident_is_get_of_each_in_order``;
+  ``tests/storage/test_bufferpool.py::TestReplay::test_replay_is_get_and_put_of_each_in_order``;
 * ``_execute_measured`` reads only the last root span's counters (the
   attempt's are dropped on fallback) —
   ``test_graph_evicted_mid_query_falls_back``;

@@ -15,6 +15,8 @@ per-graph loader of ``tests/util/oracle_loader.py``):
 * two sessions racing on one cold supernode both read its run, one
   admits every graph and the other is served them as hits, and request
   → session → store conservation is exact;
+* a graph peeked buffered and evicted by another reader before the
+  replay is served as peeked and counted a hit, not read again;
 * six sessions probing through a pool far smaller than their working
   set, preempted every 10 µs, get the crawl's rows, and every lookup is
   one hit or one miss and every miss one load.
@@ -33,6 +35,7 @@ from repro.errors import CorruptionError
 from repro.obs.profile import trace as profile
 from repro.snode.store import SNodeStore
 from repro.storage import faults
+from repro.storage.bufferpool import BufferPool
 from repro.storage.device import CountedFile
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
@@ -234,6 +237,61 @@ def test_two_sessions_racing_on_one_cold_supernode(small_build, monkeypatch):
     assert totals["loads"] == totals["buffer_misses"] == graphs
     assert totals["buffer_hits"] == 2 * len(pages) * graphs - graphs
     assert store._pool._cache.keys() == list(keys)
+    store._pool.check_invariants()
+    store.close()
+
+
+def test_a_peeked_graph_evicted_before_the_replay_is_served_from_the_peek(
+    small_build, monkeypatch
+):
+    """A visit whose intranode graph is buffered and whose superedge
+    graphs are one cold run: the replay evicts the peeked intranode graph
+    first, as another reader's admission could.  The visit is still one
+    hit, two misses, two loads and one ``read_at`` of the run — the graph
+    is not read again — and request → session → store conservation is
+    exact."""
+    store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
+    supernode = three_region_visit(store)
+    keys = store._visit(supernode)[0]
+    _first, *run = regions(store, supernode)
+    page = store.supernode_range(supernode)[0]
+    with SNodeStore(small_build.root) as clean:
+        answer = clean.out_neighbors(page)
+    store.intranode_rows(supernode)
+    base = store.metrics.io_stats()
+
+    real = BufferPool.replay
+    evicted = []
+
+    def evicting_replay(pool, *args, **kwargs):
+        if not evicted:
+            evicted.append(pool._cache.pop(keys[0]))
+        return real(pool, *args, **kwargs)
+
+    monkeypatch.setattr(BufferPool, "replay", evicting_replay)
+    session = store.metrics.child("client")
+    tracer = profile.AccessTracer()
+    with profile.activated(tracer):
+        got = store.out_neighbors(page, session)
+    monkeypatch.undo()
+    assert got == answer
+    assert evicted[0] is not None
+    request = session.io_stats()
+    assert {name: request.get(name) for name in (
+        "buffer_hits", "buffer_hits_intranode", "buffer_misses",
+        "buffer_misses_superedge", "loads", "superedge_loads", "intranode_loads",
+    )} == {
+        "buffer_hits": 1, "buffer_hits_intranode": 1, "buffer_misses": 2,
+        "buffer_misses_superedge": 2, "loads": 2, "superedge_loads": 2, "intranode_loads": None,
+    }
+    assert request["bytes_read"] == sum(region.length for region in run)
+    assert reads(tracer) == 1
+    assert keys[0] not in store._pool._cache.keys()
+    # request -> session -> store
+    assert store.metrics.io_stats() == base
+    merged = {name: base.get(name, 0) + request.get(name, 0) for name in {*base, *request}}
+    store.metrics.merge(session)
+    assert store.metrics.io_stats() == merged
     store._pool.check_invariants()
     store.close()
 

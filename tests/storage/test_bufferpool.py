@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs import profile
 from repro.storage.bufferpool import BufferPool
 from repro.storage.metrics import CounterBatch, MetricsRegistry
-from repro.util.lru import LRUCache
 
 
 class TestCacheProtocol:
@@ -58,8 +57,6 @@ class TestCacheProtocol:
         assert pool.used_bytes == 4
         pool.get_or_load("explicit", lambda: [1, 2], cost=10)
         assert pool.used_bytes == 14
-        pool.get_or_load("callable", lambda: [1, 2, 3], cost=lambda v: 8 * len(v))
-        assert pool.used_bytes == 38
 
 
 class TestPinning:
@@ -91,12 +88,13 @@ class TestPinning:
         pool.set_buffer_bytes(50)
         assert pool.get("root") == b"meta"
 
-    def test_unpin_drops_entry(self):
+    def test_repinning_a_key_replaces_its_entry_and_bytes(self):
         pool = BufferPool(100)
         pool.pin("root", b"meta", 8)
-        pool.unpin("root")
-        assert pool.get("root") is None
-        assert pool.pinned_bytes == 0
+        pool.pin("root", b"meta!", 5)
+        assert pool.get("root") == b"meta!"
+        assert pool.pinned_bytes == 5
+        pool.check_invariants()
 
     def test_put_to_pinned_key_updates_pin(self):
         pool = BufferPool(100)
@@ -207,8 +205,8 @@ def pool_state(pool) -> dict:
     }
 
 
-def filled(contents) -> BufferPool:
-    pool = BufferPool(10_000)
+def filled(contents, capacity: int = 10_000) -> BufferPool:
+    pool = BufferPool(capacity)
     for key in contents:
         pool.put(("g", key), [key], 10, kind=KINDS[key % 3])
     return pool
@@ -216,91 +214,139 @@ def filled(contents) -> BufferPool:
 
 _CONTENTS = st.lists(st.integers(0, 30), max_size=20, unique=True)
 
+#: Loads after a peeked prefix: (key, what happened to it, cost).  Their
+#: keys are outside ``_CONTENTS``: the caller found each of them missing.
+_LOADS = st.lists(
+    st.tuples(
+        st.integers(31, 45), st.sampled_from(("fresh", "admitted", "failed")), st.integers(1, 40)
+    ),
+    max_size=6,
+    unique_by=lambda load: load[0],
+)
 
-class TestGetResident:
-    """One visit for many keys: all of them as ``get`` would, or nothing."""
 
-    @given(contents=_CONTENTS, data=st.data())
-    def test_all_resident_is_get_of_each_in_order(self, contents, data):
-        asked = data.draw(st.lists(st.sampled_from(contents or [0]), max_size=12))
-        assume(set(asked) <= set(contents))
-        keys = [("g", key) for key in asked]
-        kinds = [KINDS[key % 3] for key in asked]
-        batched, one_by_one = filled(contents), filled(contents)
+def events_of(tracer) -> list:
+    return [event._replace(pool=0) for event in tracer.buffer_events()]
+
+
+class TestReplay:
+    """Peek, then replay: the keys the caller peeked, then what it loaded
+    for the keys it found missing, moved and counted as ``get`` of each
+    key in order — and ``put`` of each loaded one it missed — would."""
+
+    @given(contents=_CONTENTS, loads=_LOADS, data=st.data())
+    def test_replay_is_get_and_put_of_each_in_order(self, contents, loads, data):
+        capacity = data.draw(st.sampled_from((60, 150, 10_000)))
+        batched, one_by_one = filled(contents, capacity), filled(contents, capacity)
+        # Another reader admits these after the caller found them missing,
+        # before the caller peeks the rest.
+        for pool in (batched, one_by_one):
+            for key, how, cost in loads:
+                if how == "admitted":
+                    pool.put(("g", key), ["other", key], cost, kind=KINDS[key % 3])
+        cached = [key for _tag, key in batched._cache.keys() if key <= 30]
+        asked = data.draw(st.lists(st.sampled_from(cached), max_size=12)) if cached else []
+        keys = [("g", key) for key in asked] + [("g", key) for key, _how, _cost in loads]
+        kinds = [KINDS[key[1] % 3] for key in keys]
+        held = [
+            (None, 0) if how == "failed" else ([key, "mine"], cost) for key, how, cost in loads
+        ]
+
         batched_events, single_events = profile.AccessTracer(), profile.AccessTracer()
         with profile.activated(batched_events):
-            values = batched.get_resident(keys, kinds)
+            peeked = batched.peek(keys[: len(asked)])
+            served = batched.replay(keys, kinds, held)
         with profile.activated(single_events):
-            expected = [one_by_one.get(key, kind=kind) for key, kind in zip(keys, kinds)]
-        assert values == expected == [[key] for key in asked]
+            expected = [
+                one_by_one.get(key, kind=kind) for key, kind in zip(keys[: len(asked)], kinds)
+            ]
+            expected_served = []
+            for key, kind, (_key, how, cost), (value, _cost) in zip(
+                keys[len(asked) :], kinds[len(asked) :], loads, held
+            ):
+                if how == "failed":
+                    assert one_by_one.get(key, kind=kind) is None
+                    expected_served.append(None)
+                    continue
+                cached_value = one_by_one.get(key, kind=kind)
+                if cached_value is None:
+                    one_by_one.put(key, value, cost, kind=kind)
+                expected_served.append(value if cached_value is None else cached_value)
+        assert peeked == expected == [[key] for key in asked]
+        assert served == expected_served
         assert pool_state(batched) == pool_state(one_by_one)
-        assert [
-            event._replace(pool=0) for event in batched_events.buffer_events()
-        ] == [event._replace(pool=0) for event in single_events.buffer_events()]
+        assert events_of(batched_events) == events_of(single_events)
         batched.check_invariants()
 
     @given(
         contents=_CONTENTS,
-        asked=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+        asked=st.lists(st.integers(0, 40), max_size=12),
+        start=st.integers(0, 3),
         pinned=st.sets(st.integers(0, 40), max_size=3),
+        skipped=st.sets(st.integers(0, 40), max_size=3),
     )
-    def test_a_key_missing_or_only_pinned_declines_and_moves_nothing(
-        self, contents, asked, pinned
+    def test_peek_stops_at_the_first_key_missing_pinned_or_skipped_and_moves_nothing(
+        self, contents, asked, start, pinned, skipped
     ):
         pool = filled(contents)
         for key in pinned:
             pool.pin(("g", key), [key], 10)
         cached = set(contents) - pinned
-        assume(not set(asked) <= cached)
         before = pool_state(pool)
-        session = MetricsRegistry()
         events = profile.AccessTracer()
         with profile.activated(events):
-            answer = pool.get_resident(
-                [("g", key) for key in asked], [KINDS[key % 3] for key in asked], session
+            values = pool.peek(
+                [("g", key) for key in asked], start, {("g", key) for key in skipped}
             )
-        assert answer is None
+        expected = []
+        for key in asked[start:]:
+            if key not in cached or key in skipped:
+                break
+            expected.append([key])
+        assert values == expected
         assert pool_state(pool) == before
-        assert session.snapshot() == {}
         assert events.buffer_events() == []
 
-    def test_hits_charge_the_registry_handed_in_once(self):
+    def test_hits_and_misses_charge_the_registry_handed_in_once(self):
         pool = filled(range(6))
         session = MetricsRegistry()
         batch = CounterBatch(session)
-        keys = [("g", key) for key in (0, 1, 2, 3, 3)]
-        assert pool.get_resident(keys, [KINDS[key[1] % 3] for key in keys], batch) == [
-            [0], [1], [2], [3], [3]
-        ]
+        keys = [("g", key) for key in (0, 1, 2, 3, 3, 7, 8)]
+        kinds = [KINDS[key[1] % 3] for key in keys]
+        assert pool.peek(keys) == [[0], [1], [2], [3], [3]]
+        assert pool.replay(keys, kinds, [([7], 10), (None, 0)], batch) == [[7], None]
         assert session.snapshot() == {} and pool.registry.snapshot() == {}
         batch.flush()
         assert session.snapshot() == {
             "buffer_hits": 5,
             "buffer_hits_intranode": 3,
             "buffer_hits_superedge": 1,
+            "buffer_misses": 2,
+            "buffer_misses_superedge": 1,
         }
         assert pool.registry.snapshot() == {}
 
-    def test_entry_evicted_between_peek_and_touch_is_still_a_hit(self, monkeypatch):
+    def test_a_peeked_entry_evicted_before_the_replay_is_still_a_hit(self):
         pool = filled(range(4))
-        real = LRUCache.touch
-
-        def evict_then_touch(cache, keys):
-            cache.pop(("g", 2))
-            real(cache, keys)
-
-        monkeypatch.setattr(LRUCache, "touch", evict_then_touch)
-        keys = [("g", key) for key in (1, 2, 3)]
-        assert pool.get_resident(keys, ["superedge"] * 3) == [[1], [2], [3]]
-        monkeypatch.undo()
-        assert pool.registry.snapshot() == {"buffer_hits": 3, "buffer_hits_superedge": 3}
-        assert pool.get(("g", 2)) is None
+        keys = [("g", key) for key in (1, 2, 3, 9)]
+        assert pool.peek(keys) == [[1], [2], [3]]
+        pool._cache.pop(("g", 2))  # another reader's admission evicts it
+        # Served as peeked: never a short list, never a second read.
+        assert pool.replay(keys, ["superedge"] * 4, [([9], 10)]) == [[9]]
+        assert pool.registry.snapshot() == {
+            "buffer_hits": 3,
+            "buffer_hits_superedge": 3,
+            "buffer_misses": 1,
+            "buffer_misses_superedge": 1,
+        }
+        assert pool._cache.keys() == [("g", 0), ("g", 1), ("g", 3), ("g", 9)]
         pool.check_invariants()
 
     def test_no_keys_is_no_lookup(self):
         pool = filled(range(3))
         before = pool_state(pool)
-        assert pool.get_resident([], []) == []
+        assert pool.peek([]) == []
+        assert pool.replay([], [], []) == []
         assert pool_state(pool) == before
 
 
@@ -320,7 +366,8 @@ class CountingLock:
 
 
 class TestOneLock:
-    """The pool has one lock, and a lookup or an admission takes it once."""
+    """The pool has one lock, and a lookup, an admission or a replay takes
+    it once."""
 
     def acquisitions(self, pool, operation) -> int:
         lock = CountingLock(pool._lock)
@@ -337,7 +384,10 @@ class TestOneLock:
         keys = [("g", key) for key in range(6)]
         kinds = [KINDS[key % 3] for key in range(6)]
         counts = {
-            "get_resident, all resident": lambda: pool.get_resident(keys, kinds),
+            "replay, all peeked": lambda: pool.replay(keys, kinds, ()),
+            "replay, peeked and loaded": lambda: pool.replay(
+                [*keys, ("g", 8)], [*kinds, "superedge"], [([8], 10)]
+            ),
             "get, hit": lambda: pool.get(("g", 1), kind="superedge"),
             "get, miss": lambda: pool.get(("g", 99)),
             "put, new key": lambda: pool.put(("g", 7), [7], 10, kind="intranode"),
@@ -348,9 +398,10 @@ class TestOneLock:
         assert {name: self.acquisitions(pool, op) for name, op in counts.items()} == {
             name: 1 for name in counts
         }
-        # Pinned lookups read the pinned table without the lock.
+        # Pinned lookups and peeks take no lock.
         assert self.acquisitions(pool, lambda: pool.get("root")) == 0
-        assert pool.get_resident(keys[:2], kinds[:2]) == [[0], [1]]
+        assert self.acquisitions(pool, lambda: pool.peek(keys)) == 0
+        assert pool.peek(keys[:2]) == [[0], [1]]
         assert pool.pinned_bytes == 5 + 10
         pool.check_invariants()
 
@@ -576,9 +627,10 @@ class TestConcurrency:
         pool.check_invariants()
 
     def test_pins_and_admissions_race_without_losing_bytes(self):
-        # put, pin, unpin and resident visits on overlapping keys from more
-        # threads than cores, switching often: one lost update of the
-        # pinned table or its byte count breaks the final accounting.
+        # put, pin, peek + replay of a resident visit and replays that admit
+        # on overlapping keys from more threads than cores, switching often:
+        # one lost update of the pinned table, its byte count or the LRU's
+        # budget breaks the final accounting.
         import sys
         import threading
 
@@ -593,9 +645,13 @@ class TestConcurrency:
                     if step == 0:
                         pool.pin(key, b"p", 3)
                     elif step == 1:
-                        pool.unpin(key)
+                        # Replayed keys are never pinned: the store's loads
+                        # are graphs, its pins roots.
+                        loaded = ("r", (seed * 5 + i) % 12)
+                        pool.replay([loaded], ["superedge"], [(b"v", 15 + seed)])
                     elif step == 2:
-                        pool.get_resident([key, ("k", i % 12)], ["intranode", None])
+                        visit = [key, ("k", i % 12)]
+                        pool.replay(visit[: len(pool.peek(visit))], ["intranode", None], ())
                     else:
                         pool.put(key, b"v", 20 + seed)
             except Exception as exc:  # pragma: no cover - failure path

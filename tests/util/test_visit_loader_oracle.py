@@ -1,36 +1,43 @@
-"""The segment visit loader against the per-graph one.
+"""The store's loader against the per-graph one.
 
-``SNodeStore._load_visit`` reads a supernode's missing graphs a segment at
-a time: the buffered graphs from the next unserved one on are peeked,
-the run of missing graphs with adjacent regions after them is read with
-one ``read_at``, and the segment's lookups and admissions are replayed
-under one pool lock (``BufferPool.replay``).  Its oracle is the loader it
-replaced, kept in ``oracle_loader.py``: every graph looked up, and on a
-miss read, checked, decoded and admitted, on its own.
+``SNodeStore._load`` reads every graph the store serves — a supernode's
+visit or one graph — through one protocol with the pool: the graphs
+buffered from the first one on are peeked; when that is all of them,
+one ``BufferPool.replay`` with no loads serves them.  Otherwise they are
+read a segment at a time: the buffered graphs from the next unserved one
+on are peeked, the run of missing graphs with adjacent regions after them
+is read with one ``read_at``, and the segment's lookups and admissions
+are replayed under one pool lock.  Its oracle is the loader it replaced,
+kept in ``oracle_loader.py`` and installed over ``_load``: every graph
+looked up with ``BufferPool.get``, and on a miss read, checked, decoded
+and admitted with ``BufferPool.put``, on its own.
 
 Hypothesis drives both over the same build with the same generated
 sequence of probes, ``out_neighbors_many`` groups, scans, single graphs
-read out of visit order and cold resets — a pool from far below one visit's working set to one that holds
-everything, both ``cache_decoded`` modes, a build whose payload files
-are small enough that visits cross file boundaries, and a copy with
-regions quarantined on disk.  After every step the rows, every registry
-counter and tally, the pool's LRU key order and the access profiler's
-buffer-event stream must be equal; a step whose visits were all cold
-must have made exactly one ``read_at`` per maximal run of adjacent
-missing regions.
+read out of visit order, ``memory_only`` probes and cold resets — a pool
+from far below one visit's working set to one that holds everything,
+both ``cache_decoded`` modes, a build whose payload files are small
+enough that visits cross file boundaries, and a copy with regions
+quarantined on disk.  After every step the rows (or the ``NotResident``
+refusal), every registry counter and tally, the pool's LRU key order and
+the access profiler's buffer-event stream must be equal; a step whose
+visits were all cold must have made exactly one ``read_at`` per maximal
+run of adjacent missing regions.
 
 Seeded mutations, each failing the test named:
 
 * a run extended across a non-adjacent region (the offset / file test
-  in ``_load_visit``'s run loop deleted) —
+  in ``_segments``' run loop deleted) —
   ``test_a_cold_visit_reads_once_per_adjacent_miss_run`` and
   ``test_visit_loader_equals_the_per_graph_loader``;
 * puts replayed before the segment's hits (``BufferPool.replay``
-  admits every loaded key first, then looks up the peeked ones) —
+  admits every loaded key first, then touches the peeked ones) —
   ``test_visit_loader_equals_the_per_graph_loader``;
 * the next segment's residency peeked before this segment's puts (every
   key of the visit peeked once, up front) —
-  ``test_visit_loader_equals_the_per_graph_loader``.
+  ``test_visit_loader_equals_the_per_graph_loader``;
+* the resident replay touching its keys in reverse —
+  ``test_visit_loader_equals_the_per_graph_loader`` (the LRU order).
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from oracle_loader import per_graph
 
+from repro.errors import NotResident
 from repro.obs.profile import trace as profile
 from repro.snode.build import BuildOptions, build_snode
 from repro.snode.storage import read_layout
@@ -100,7 +108,7 @@ def reads(profiler) -> int:
 
 def visited(store, op) -> list[int]:
     """The supernodes ``op`` visits, in the order it visits them."""
-    if op[0] == "probe":
+    if op[0] in ("probe", "inline"):
         return [store.supernode_of(op[1])]
     return sorted({store.supernode_of(page) for page in pages_of(store, op)})
 
@@ -153,6 +161,11 @@ def apply(store, op):
         return {local: rows.row(local) for local in rows.sources}
     if op[0] == "probe":
         return store.out_neighbors(op[1])
+    if op[0] == "inline":
+        try:
+            return store.out_neighbors(op[1], memory_only=True)
+        except NotResident:
+            return NotResident
     return store.out_neighbors_many(pages_of(store, op))
 
 
@@ -167,6 +180,7 @@ def same_state(reference, store) -> None:
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("probe"), st.integers(0, PAGES - 1)),
+        st.tuples(st.just("inline"), st.integers(0, PAGES - 1)),
         st.tuples(st.just("many"), st.lists(st.integers(0, PAGES - 1), min_size=1, max_size=10)),
         st.tuples(st.just("scan"), st.integers(0, 1 << 10), st.integers(1, 4)),
         st.tuples(st.just("graph"), st.integers(0, PAGES - 1), st.integers(0, 1 << 10)),
@@ -190,13 +204,17 @@ steps = st.lists(
 @example([("graph", 0, 1), ("probe", 0)], 768, True, "clean")
 # A segment's puts evict a graph a later segment would have peeked buffered.
 @example([("graph", 54, 1), ("many", [54])], 768, True, "clean")
+# A resident visit, refused cold and served warm from memory.
+@example([("inline", 54), ("probe", 54), ("inline", 54), ("probe", 54)], 1 << 22, True, "clean")
+# A visit refused with its intranode graph peeked: nothing moves.
+@example([("graph", 54, 0), ("inline", 54)], 1 << 22, True, "clean")
 def test_visit_loader_equals_the_per_graph_loader(roots, program, budget, decoded, root):
     reference = per_graph(SNodeStore(roots[root], buffer_bytes=budget, cache_decoded=decoded))
     store = SNodeStore(roots[root], buffer_bytes=budget, cache_decoded=decoded)
     traces = profile.AccessTracer(), profile.AccessTracer()
     try:
         for op in program:
-            runs = None if op[0] in ("drop", "graph") else cold_runs(store, visited(store, op))
+            runs = None if op[0] in ("drop", "graph", "inline") else cold_runs(store, visited(store, op))
             before = reads(traces[1])
             with profile.activated(traces[0]):
                 want = apply(reference, op)
