@@ -7,6 +7,12 @@
 3. **Split policy** (section 3.2: random vs largest-first, which the paper
    found indistinguishable) — compare final partition sizes and
    representation sizes under both policies.
+4. **Which superedge graphs a lookup loads** (section 4.3's "1 intranode
+   + 46 superedge graphs") — per direction, the superedge graphs a
+   one-page lookup loads on average: the paper's visit, every graph of
+   the page's supernode, against the visit of a pressed buffer pool,
+   only those whose header lists the page.  Counted from the store's
+   visit records, not timed.
 """
 
 from __future__ import annotations
@@ -40,8 +46,35 @@ class AblationRow:
     negative_superedges: int
 
 
-def _build(repository, workdir: str, label: str, options: BuildOptions) -> AblationRow:
+@dataclass
+class VisitRow:
+    """Superedge graphs a one-page lookup loads, averaged over the pages."""
+
+    configuration: str
+    direction: str
+    superedge_graphs_per_lookup: float
+
+
+def _visit_rows(store, direction: str) -> list[VisitRow]:
+    paper, linked = store.superedge_graphs_per_lookup()
+    return [
+        VisitRow(f"paper visit ({direction})", direction, paper),
+        VisitRow(f"linked visit ({direction})", direction, linked),
+    ]
+
+
+def _build(
+    repository,
+    workdir: str,
+    label: str,
+    options: BuildOptions,
+    visits: list[VisitRow] | None = None,
+) -> AblationRow:
+    """One configuration's row; given ``visits``, its store's visit rows
+    are appended there."""
     build = build_snode(repository, workdir, options)
+    if visits is not None:
+        visits += _visit_rows(build.store, "WGT" if options.transpose else "WG")
     manifest = build.manifest
     row = AblationRow(
         configuration=label,
@@ -55,20 +88,23 @@ def _build(repository, workdir: str, label: str, options: BuildOptions) -> Ablat
     return row
 
 
-def run(size: int | None = None) -> list[AblationRow]:
-    """Run every ablation on one dataset; returns one row per config."""
+def run(size: int | None = None) -> tuple[list[AblationRow], list[VisitRow]]:
+    """Run every ablation on one dataset; returns one row per build
+    configuration, and the visit rows of the full S-Node per direction."""
     size = size or sweep_sizes()[1]
     repository = dataset(size)
     rows: list[AblationRow] = []
+    visits: list[VisitRow] = []
     base_config = experiment_refinement_config()
+    full = BuildOptions(refinement=base_config)
     with tempfile.TemporaryDirectory() as base:
-        rows.append(
-            _build(
-                repository,
-                f"{base}/full",
-                "full S-Node",
-                BuildOptions(refinement=base_config),
-            )
+        rows.append(_build(repository, f"{base}/full", "full S-Node", full, visits))
+        _build(
+            repository,
+            f"{base}/transpose",
+            "full S-Node (WGT)",
+            replace(full, transpose=True),
+            visits,
         )
         rows.append(
             _build(
@@ -99,12 +135,12 @@ def run(size: int | None = None) -> list[AblationRow]:
                 BuildOptions(refinement=replace(base_config, policy="largest")),
             )
         )
-    return rows
+    return rows, visits
 
 
-def report(rows: list[AblationRow]) -> str:
-    """Comparison table across configurations."""
-    return format_table(
+def report(rows: list[AblationRow], visits: list[VisitRow]) -> str:
+    """Comparison table across configurations, then the visit table."""
+    sizes = format_table(
         [
             "configuration",
             "bits/edge",
@@ -125,6 +161,10 @@ def report(rows: list[AblationRow]) -> str:
             for r in rows
         ],
     )
+    return sizes + "\n\n" + format_table(
+        ["visit", "superedge graphs per lookup"],
+        [(r.configuration, r.superedge_graphs_per_lookup) for r in visits],
+    )
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -134,14 +174,14 @@ def main(argv: list[str] | None = None) -> None:
     add_trace_arguments(parser)
     arguments = parser.parse_args(argv)
     with trace_session(arguments, "ablations") as tracer:
-        rows = run(size=arguments.size)
+        rows, visits = run(size=arguments.size)
     if not arguments.quiet:
         print("[ablations]")
-        print(report(rows))
+        print(report(rows, visits))
     emit_report(
         arguments.json_dir,
         "ablations",
-        [asdict(row) for row in rows],
+        [asdict(row) for row in [*rows, *visits]],
         spans=tracer.summary_dict() if tracer else None,
     )
 

@@ -23,7 +23,11 @@ emitting the predicted hit ratio at every swept capacity next to the
 measured one — the sweep validates the one-pass miss-ratio curve, and
 the curve in turn reads off the Figure 12 saturation knee without
 sweeping.  Pinned-entry hits are excluded from both sides: they are
-served outside the LRU budget at any capacity.
+served outside the LRU budget at any capacity.  S-Node's request stream
+depends on the capacity once its pool evicts (a pressed pool loads only
+the superedge graphs that link the asked pages), so where its recorded
+run evicted, its rows above the recording capacity, and knees above it,
+are reported unverified.
 """
 
 from __future__ import annotations
@@ -91,6 +95,11 @@ class SweepPoint:
         return self.hits / total if total else 0.0
 
 
+#: Schemes whose buffer request stream depends on the capacity: an S-Node
+#: visit loads fewer graphs once its pool has evicted (DESIGN.md, "Linked
+#: visits under pressure").
+CAPACITY_DEPENDENT_STREAMS = frozenset({"s-node"})
+
 #: Ring-buffer bound for ``--predict`` traces: large enough that seed-scale
 #: sweeps never drop buffer events (dropped events would bias the curve).
 PREDICT_TRACE_CAPACITY = 1 << 20
@@ -102,21 +111,37 @@ class Sweep:
 
     ``points`` holds one point per (scheme, query, buffer size).  With
     ``predict`` each (scheme, query) also has its recorded access trace
-    in ``traces`` and that trace's Mattson miss-ratio curve in ``curves``;
-    without it both are empty.
+    in ``traces``, that trace's Mattson miss-ratio curve in ``curves`` and
+    whether the recorded run evicted in ``evicted``, and each scheme the
+    capacity it was recorded at in ``recorded_kb``; without it all are
+    empty.
     """
 
     points: list[SweepPoint] = field(default_factory=list)
     curves: dict = field(default_factory=dict)
     traces: dict = field(default_factory=dict)
+    evicted: dict = field(default_factory=dict)
+    recorded_kb: dict = field(default_factory=dict)
+
+    def verified(self, scheme: str, query: str, capacity: int) -> bool:
+        """Whether the recorded trace of (``scheme``, ``query``) is the
+        request stream at ``capacity`` bytes: always, unless the scheme's
+        stream depends on the capacity, its recorded run evicted and
+        ``capacity`` is above the recording one."""
+        return (
+            scheme not in CAPACITY_DEPENDENT_STREAMS
+            or not self.evicted[scheme, query]
+            or capacity <= self.recorded_kb[scheme] * 1024
+        )
 
 
 def _record(sweep: Sweep, scheme: str, pair, engine, trials: int) -> None:
     """Record one profiled run per query; add its trace and curve.
 
-    The buffer request stream is capacity-independent (queries request the
-    same graphs no matter what is cached), so a single trace recorded at
-    the current capacity predicts every swept capacity.  The warm-up
+    Queries request the same graphs no matter what is cached, so a
+    single trace recorded at the current capacity predicts every swept
+    capacity — but for a scheme in :data:`CAPACITY_DEPENDENT_STREAMS`
+    whose recorded run evicted (:meth:`Sweep.verified`).  The warm-up
     execution updates the LRU stack *uncounted* so the counted window
     matches the measured trials, which also start warm.
     """
@@ -125,12 +150,14 @@ def _record(sweep: Sweep, scheme: str, pair, engine, trials: int) -> None:
     for query_name, query_fn in SWEEP_QUERIES.items():
         tracer = access_profile.AccessTracer(capacity=PREDICT_TRACE_CAPACITY)
         pair.drop_caches()
+        pair.reset_io_stats()
         with access_profile.activated(tracer):
             query_fn(engine)  # cold warm-up, uncounted
             boundary = tracer.seq
             for _ in range(trials):
                 query_fn(engine)
         sweep.traces[(scheme, query_name)] = tracer
+        sweep.evicted[(scheme, query_name)] = pair.total("buffer_evictions") > 0
         sweep.curves[(scheme, query_name)] = access_profile.analyze_buffer_trace(
             tracer.buffer_events(), count_from_seq=boundary
         )
@@ -239,6 +266,7 @@ def run(
                 )
             engine = pair.make_engine(repository, text_index, pagerank_index)
             if predict:
+                sweep.recorded_kb[scheme] = buffer_sizes_kb[0]
                 with tracing.span("buffer_sweep.predict", scheme=scheme):
                     _record(sweep, scheme, pair, engine, trials)
             _measure(
@@ -265,6 +293,7 @@ def validation_rows(sweep: Sweep, scheme: str) -> list[dict]:
                 "predicted_hit_ratio": predicted,
                 "measured_hit_ratio": point.hit_ratio,
                 "delta": predicted - point.hit_ratio,
+                "verified": sweep.verified(scheme, point.query, point.buffer_kb * 1024),
             }
         )
     return rows
@@ -276,9 +305,10 @@ def worst_delta(rows: list[dict]) -> float:
 
 
 def validation_table(rows: list[dict]) -> str:
-    """:func:`validation_rows` as a table, closed by the worst gap."""
+    """:func:`validation_rows` as a table, closed by the worst gap and the
+    count of rows whose request stream differs from the recorded one."""
     table = format_table(
-        ["query", "buffer", "predicted", "measured", "delta"],
+        ["query", "buffer", "predicted", "measured", "delta", "verified"],
         [
             (
                 row["query"],
@@ -286,13 +316,21 @@ def validation_table(rows: list[dict]) -> str:
                 f"{row['predicted_hit_ratio'] * 100.0:.2f}%",
                 f"{row['measured_hit_ratio'] * 100.0:.2f}%",
                 f"{row['delta'] * 100.0:+.2f}pp",
+                "yes" if row["verified"] else "no",
             )
             for row in rows
         ],
     )
+    unverified = sum(not row["verified"] for row in rows)
     return (
         f"{table}\nworst |predicted - measured| = "
         f"{worst_delta(rows) * 100.0:.2f}pp"
+        + (
+            f"; {unverified} rows unverified (recorded under eviction at a "
+            f"smaller capacity, where the request stream differs)"
+            if unverified
+            else ""
+        )
     )
 
 
@@ -306,6 +344,7 @@ def prediction_report(sweep: Sweep) -> str:
     knees = "; ".join(
         f"{scheme}/{query}: saturates at "
         f"{curve.saturation_capacity / 1024.0:.0f} KiB"
+        + ("" if sweep.verified(scheme, query, curve.saturation_capacity) else " (unverified)")
         for (scheme, query), curve in sorted(sweep.curves.items())
     )
     sections.append("MRC saturation capacities (no sweep needed): " + knees)

@@ -64,6 +64,9 @@ class ProfileResult:
     curves: dict[str, access_profile.MissRatioCurve]
     #: Predicted-vs-measured rows of the validation sweep (queries only).
     validation: list[dict]
+    #: Phases whose knee lies where the request stream differs from the
+    #: recorded one (:meth:`buffer_sweep.Sweep.verified`).
+    unverified_knees: set[str]
     seek: access_profile.SeekProfile
     heatmap: access_profile.AccessHeatmap
 
@@ -101,6 +104,7 @@ def run(
         raise ReproError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     size = size or sweep_sizes()[3]
     validation: list[dict] = []
+    unverified_knees: set[str] = set()
     if workload == "build":
         tracer = _record_build(dataset(size))
         traces = {"build": tracer}
@@ -116,6 +120,11 @@ def run(
         traces = {query: tracer for (_, query), tracer in sweep.traces.items()}
         curves = {query: curve for (_, query), curve in sweep.curves.items()}
         validation = buffer_sweep.validation_rows(sweep, scheme)
+        unverified_knees = {
+            query
+            for query, curve in curves.items()
+            if not sweep.verified(scheme, query, curve.saturation_capacity)
+        }
     io_events = [event for tracer in traces.values() for event in tracer.io_events()]
     buffer_events = [
         event for tracer in traces.values() for event in tracer.buffer_events()
@@ -128,6 +137,7 @@ def run(
         traces=traces,
         curves=curves,
         validation=validation,
+        unverified_knees=unverified_knees,
         seek=access_profile.SeekProfile.from_events(io_events),
         heatmap=access_profile.AccessHeatmap.from_events(buffer_events, io_events),
     )
@@ -166,6 +176,7 @@ def render(result: ProfileResult, top: int = 10) -> str:
             f"{name}: {curve.accesses} accesses, {curve.compulsory} compulsory; "
             f"first hit at {curve.min_useful_capacity / 1024.0:.1f} KiB, "
             f"saturates at {curve.saturation_capacity / 1024.0:.1f} KiB"
+            + (" (unverified)" if name in result.unverified_knees else "")
         )
     if result.validation:
         lines.append("\npredicted vs measured hit ratio:")

@@ -33,15 +33,18 @@ from __future__ import annotations
 
 import bisect
 import threading
+from array import array
 from pathlib import Path
+from typing import NamedTuple
 
-from repro.errors import CorruptionError, NotResident, StorageError
+from repro.errors import CodecError, CorruptionError, NotResident, StorageError
 from repro.obs import tracing
 from repro.snode.encode import (
     IntranodeRows,
     RowDirectory,
     SuperedgeHeader,
     SuperedgeRows,
+    _superedge_header,
     decode_intranode,
     positive_rows_from_payload,
 )
@@ -71,6 +74,28 @@ def _graph_cost(num_rows: int, rows) -> int:
     """Buffer charge of a decoded graph: ``num_rows`` rows in all, whose
     entries are in ``rows`` (any rows left out of it must be empty)."""
     return _ROW_COST * num_rows + _EDGE_COST * sum(map(len, rows))
+
+
+class _Visit(NamedTuple):
+    """Every graph one supernode's adjacency lists are spread over."""
+
+    #: Buffer keys in the order they are read: the intranode graph, then
+    #: one superedge graph per target supernode.
+    keys: tuple
+    kinds: tuple
+    #: Where each source local's link record starts in ``records``, and
+    #: where the last one ends.  Emptied, every local is read from the
+    #: whole visit.
+    starts: array
+    #: The link records back to back: each local's ascending positions in
+    #: ``keys`` of the graphs its row is in — the intranode graph, each
+    #: superedge graph whose header lists it, and each one whose header
+    #: is unknown.
+    records: array
+
+    def links(self, local: int) -> array:
+        """``local``'s link record."""
+        return self.records[self.starts[local] : self.starts[local + 1]]
 
 
 class SNodeStore:
@@ -123,11 +148,10 @@ class SNodeStore:
         #: put at this charge and parses nothing: its entry is built from
         #: the facts, with no row decoded until one is asked for.
         self._learned: dict[tuple, tuple[int, RowDirectory | SuperedgeHeader]] = {}
-        #: Supernode -> (buffer keys, kinds) of the graphs its adjacency
-        #: lists are spread over, intranode graph first, built on first
-        #: use (racing threads build equal tuples).
-        self._visits: dict[int, tuple[tuple, tuple]] = {}
         self._quarantined_lock = threading.Lock()
+        #: Supernode -> its visit, with the links every superedge header
+        #: read at open gives (:meth:`_read_visits`).
+        self._visits: list[_Visit] = self._read_visits()
         # The paper pins the supernode graph and both indexes for the
         # lifetime of the store; account for them as pinned buffer bytes.
         self._pool.pin(
@@ -138,6 +162,56 @@ class SNodeStore:
         self._pool.pin(
             ("pinned", "pageid-index"), self._boundaries, 8 * len(self._boundaries)
         )
+
+    def _read_visits(self) -> list[_Visit]:
+        """Every supernode's visit, each superedge header read once.
+
+        The payload files are read whole, one at a time, past the
+        device's counters and any fault plan, as the pinned tables are.
+        A superedge region's header is known if its bytes match the
+        checksum of its pointer record and parse; a region quarantined,
+        failing its checksum or its parse, or in a file that cannot be
+        read has an unknown header and is in every local's visit.
+        """
+        by_file: dict[int, list[tuple]] = {}
+        for key, (location, _kind) in self._layout.superedge.items():
+            if ("super", *key) not in self._quarantined:
+                by_file.setdefault(location.file_index, []).append((key, location))
+        sources: dict[tuple, list[int]] = {}
+        for file_index, regions in by_file.items():
+            try:
+                data = (self._root / self._layout.index_files[file_index]).read_bytes()
+            except OSError:
+                continue  # every header in it is unknown
+            for key, location in regions:
+                payload = data[location.offset : location.offset + location.length]
+                if integrity.crc32(payload) == location.crc:
+                    try:
+                        sources[key] = _superedge_header(payload)[2]
+                    except CodecError:
+                        pass
+            del data
+        visits = []
+        boundaries = self._boundaries
+        for supernode, targets in enumerate(self._super_adjacency):
+            always = [0]
+            linked: dict[int, list[int]] = {}
+            for position, target in enumerate(targets, 1):
+                known = sources.get((supernode, target))
+                if known is None:
+                    always.append(position)
+                    continue
+                for local in known:
+                    linked.setdefault(local, []).append(position)
+            starts, records = array("I", [0]), array("I")
+            for local in range(boundaries[supernode + 1] - boundaries[supernode]):
+                positions = linked.get(local)
+                records.extend(always if positions is None else sorted(always + positions))
+                starts.append(len(records))
+            keys = (("intra", supernode), *[("super", supernode, t) for t in targets])
+            kinds = ("intranode", *["superedge"] * len(targets))
+            visits.append(_Visit(keys, kinds, starts, records))
+        return visits
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -210,6 +284,17 @@ class SNodeStore:
     def supernodes_of_domain(self, domain: str) -> list[int]:
         """Domain-index lookup: supernodes holding pages of ``domain``."""
         return list(self._layout.domains.get(domain.lower(), []))
+
+    def superedge_graphs_per_lookup(self) -> tuple[float, float]:
+        """Superedge graphs a one-page lookup loads, averaged over every
+        page: the paper's visit (every graph of its supernode) and the
+        visit of a pressed pool (the graphs its link record names)."""
+        paper = linked = 0
+        for visit in self._visits:
+            size = len(visit.starts) - 1
+            paper += (len(visit.keys) - 1) * size
+            linked += len(visit.records) - size
+        return paper / self.num_pages, linked / self.num_pages
 
     # -- buffer manager ------------------------------------------------------
 
@@ -344,21 +429,39 @@ class SNodeStore:
 
     # -- adjacency access ----------------------------------------------------
 
-    def _visit(self, supernode: int) -> tuple[tuple, tuple]:
-        """Buffer keys and kinds of every graph ``supernode``'s adjacency
-        lists are assembled from, in the order they are read."""
-        visit = self._visits.get(supernode)
-        if visit is None:
-            targets = self._super_adjacency[supernode]
-            keys = (("intra", supernode), *(("super", supernode, t) for t in targets))
-            kinds = ("intranode", *("superedge" for _ in targets))
-            visit = self._visits[supernode] = (keys, kinds)
-        return visit
+    def _positions(self, supernode: int, locals_: list[int]) -> array | list | None:
+        """Positions in ``supernode``'s visit of the graphs the rows of
+        ``locals_`` are in, or None for the whole visit: the paper's
+        visit while the pool is not pressed, for a scan, or with the link
+        records emptied."""
+        visit = self._visits[supernode]
+        first, end = self.supernode_range(supernode)
+        if not self._pool.pressed or not visit.starts or len(locals_) >= end - first:
+            return None
+        if len(locals_) == 1:
+            positions = visit.links(locals_[0])
+        else:
+            union: set[int] = set()
+            for local in locals_:
+                union.update(visit.links(local))
+            positions = sorted(union)
+        if len(positions) == len(visit.keys):
+            return None
+        return positions
 
-    def _load(self, keys: tuple, kinds: tuple, batch, memory_only: bool = False):
+    def _load(
+        self,
+        keys: tuple,
+        kinds: tuple,
+        batch,
+        memory_only: bool = False,
+        positions: array | list | None = None,
+    ):
         """The graphs ``keys`` (buffer keys, ``("intra", supernode)`` or
-        ``("super", source, target)``, of ``kinds``) in order: a visit
-        (:meth:`_visit`), or one graph.
+        ``("super", source, target)``, of ``kinds``) in order: a visit, or
+        one graph — or the graphs at ``positions`` of their supernode's
+        visit (:meth:`_positions`), which :meth:`_segments` reads through
+        the rest of.
 
         The graphs buffered from the first one on are peeked
         (:meth:`~repro.storage.bufferpool.BufferPool.peek`: no lock,
@@ -386,9 +489,17 @@ class SNodeStore:
             and all(key in quarantined or pool.is_cached(key) for key in keys)
         ):
             raise NotResident(f"supernode {keys[0][1]} is not wholly buffered")
-        return self._segments(keys, kinds, peeked, batch, memory_only)
+        return self._segments(keys, kinds, peeked, batch, memory_only, positions)
 
-    def _segments(self, keys: tuple, kinds: tuple, peeked: list, batch, memory_only: bool):
+    def _segments(
+        self,
+        keys: tuple,
+        kinds: tuple,
+        peeked: list,
+        batch,
+        memory_only: bool,
+        positions,
+    ):
         """:meth:`_load`'s graphs, a segment at a time.
 
         A segment starts at the first graph not yet served: the graphs
@@ -406,6 +517,13 @@ class SNodeStore:
         since the run is the regions that lookup would have read one
         after another.
 
+        Given ``positions``, a run also reads through the regions of the
+        visit left out between two of its graphs, if those regions
+        follow one another from the end of the first graph's to the start
+        of the second's: their bytes are read and counted, but not
+        checked, decoded or buffered, and the read seeks where the whole
+        visit's would.
+
         Under concurrency a peeked graph is served as peeked, and counted
         a hit, even if another reader evicted it since; a graph another
         reader admitted since the peek is served as that cached hit (its
@@ -422,6 +540,8 @@ class SNodeStore:
         """
         pool = self._pool
         quarantined = self._quarantined
+        if positions is not None:
+            visit = self._visits[keys[0][1]].keys
         end = len(keys)
         start = 0
         while start < end:
@@ -436,11 +556,18 @@ class SNodeStore:
             stop = split
             while stop < end and keys[stop] not in quarantined and not pool.is_cached(keys[stop]):
                 location = self._location(keys[stop])
-                if run and (
-                    location.file_index != run[-1].file_index
-                    or location.offset != run[-1].offset + run[-1].length
-                ):
-                    break
+                if run:
+                    previous = run[-1]
+                    reach = previous.offset + previous.length
+                    if positions is not None:
+                        for key in visit[positions[stop - 1] + 1 : positions[stop]]:
+                            skipped = self._location(key)
+                            if skipped.file_index != previous.file_index or skipped.offset != reach:
+                                reach = -1
+                                break
+                            reach += skipped.length
+                    if location.file_index != previous.file_index or location.offset != reach:
+                        break
                 run.append(location)
                 stop += 1
             if run and memory_only:
@@ -479,8 +606,9 @@ class SNodeStore:
             yield from graphs
 
     def _read_run(self, keys, run: list, loads: list, batch: CounterBatch):
-        """Read the adjacent regions ``run`` of ``keys`` with one
-        ``read_at`` and check and decode each slice, appending to
+        """Read the regions ``run`` of ``keys``, adjacent or with only
+        skipped regions between them, with one ``read_at`` and check and
+        decode each slice, appending to
         ``loads`` what :meth:`~repro.storage.bufferpool.BufferPool.replay`
         takes for it; returns ``(decoded graphs, failure or None)``."""
         if not run:
@@ -523,10 +651,17 @@ class SNodeStore:
     ) -> list[list[int]]:
         """Complete adjacency lists of ``locals_`` of ``supernode``.
 
-        Each list is assembled from the intranode graph plus every
-        outgoing superedge graph of the supernode, exactly the paper's
-        "adjacency lists are partitioned across multiple smaller graphs";
-        every graph is loaded once however many locals are asked for.
+        Each list is assembled from the intranode graph plus the outgoing
+        superedge graphs of the supernode, the paper's "adjacency lists
+        are partitioned across multiple smaller graphs"; every graph is
+        loaded once however many locals are asked for.  While the pool is
+        pressed (:attr:`~repro.storage.bufferpool.BufferPool.pressed`: it
+        has evicted to admit since it was last emptied) those are only
+        the superedge graphs whose headers, read at open, list an asked
+        local, and those whose headers are unknown
+        (:meth:`_positions`); otherwise, and for a scan, every one —
+        the paper's visit, which with room to spare buffers the rest of
+        the supernode for the lookups that follow.
         Asked for as many locals as the supernode has pages (a scan), the
         intranode graph is decoded whole in one pass; otherwise each asked
         row is decoded alone, with its reference chain.
@@ -545,9 +680,14 @@ class SNodeStore:
         """
         boundaries = self._boundaries
         first = boundaries[supernode]
+        keys, kinds = self._visits[supernode][:2]
+        positions = self._positions(supernode, locals_)
+        if positions is not None:
+            keys = tuple([keys[position] for position in positions])
+            kinds = tuple([kinds[position] for position in positions])
         batch = CounterBatch(registry if registry is not None else self.metrics)
         try:
-            graphs = iter(self._load(*self._visit(supernode), batch, memory_only))
+            graphs = iter(self._load(keys, kinds, batch, memory_only, positions))
             intra = next(graphs)
             if type(intra) is IntranodeRows and len(locals_) >= len(intra):
                 # Every row asked for (a scan): one fused decode of the
@@ -557,8 +697,8 @@ class SNodeStore:
             #: local -> the rows of ``result`` asked for it, built on the
             #: first graph that links fewer locals than were asked for.
             asked: dict[int, list[list[int]]] | None = None
-            for target_super, rows in zip(self._super_adjacency[supernode], graphs):
-                base = boundaries[target_super]
+            for key, rows in zip(keys[1:], graphs):
+                base = boundaries[key[2]]
                 if len(rows.sources) < len(locals_):
                     # A superedge graph links a handful of the supernode's
                     # pages: walk those, not every local asked for — and

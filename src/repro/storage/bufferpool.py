@@ -84,6 +84,7 @@ class BufferPool:
         self._pinned: dict[Hashable, tuple[object, int]] = {}
         self._pinned_bytes = 0
         self._cache = LRUCache(capacity_bytes, self._evicted)
+        self._pressed = False
 
     # -- eviction accounting -----------------------------------------------
 
@@ -91,6 +92,7 @@ class BufferPool:
         # Evictions are shared-pool events (session A's admission can push
         # out session B's entry), so they always charge the base registry.
         self.registry.inc("buffer_evictions")
+        self._pressed = True
 
     # -- cache protocol ----------------------------------------------------
 
@@ -306,6 +308,7 @@ class BufferPool:
                 self._cache.clear()
             else:
                 self._cache = LRUCache(self._cache.capacity_bytes, self._evicted)
+            self._pressed = False
         _profile.buffer_drop(self)
 
     def set_buffer_bytes(self, capacity_bytes: int) -> None:
@@ -326,6 +329,7 @@ class BufferPool:
                     f"floor"
                 )
             self._cache = LRUCache(capacity_bytes, self._evicted)
+            self._pressed = False
         _profile.buffer_drop(self)
 
     # -- introspection -----------------------------------------------------
@@ -339,6 +343,13 @@ class BufferPool:
     def used_bytes(self) -> int:
         """Bytes held by unpinned entries."""
         return self._cache.used_bytes
+
+    @property
+    def pressed(self) -> bool:
+        """Whether the LRU has evicted an entry to admit another since the
+        last :meth:`clear` or :meth:`set_buffer_bytes` (read without the
+        lock: one attribute read)."""
+        return self._pressed
 
     @property
     def pinned_bytes(self) -> int:

@@ -182,7 +182,7 @@ class TestAblations:
     def test_run_shape(self):
         from repro.experiments import ablations
 
-        rows = ablations.run(size=600)
+        rows, visits = ablations.run(size=600)
         names = [r.configuration for r in rows]
         assert "full S-Node" in names
         by_name = {r.configuration: r for r in rows}
@@ -192,7 +192,7 @@ class TestAblations:
             <= by_name["no reference encoding"].payload_bytes
         )
         assert by_name["always-positive superedges"].negative_superedges == 0
-        assert "bits/edge" in ablations.report(rows)
+        assert "bits/edge" in ablations.report(rows, visits)
 
 
 class TestServeExperiment:

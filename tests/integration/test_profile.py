@@ -145,6 +145,26 @@ class TestBufferSweepPredict:
         assert "predicted" in report
         assert "worst |predicted - measured|" in report
 
+    def test_rows_above_a_pressed_recording_are_unverified(self):
+        """S-Node's request stream depends on the capacity once its pool
+        evicts: a capacity above the recording one that still evicts
+        (20 KiB here) asks for more graphs than the recorded stream, and
+        its prediction misses.  Such rows, and knees above the recording
+        capacity, are flagged; every row left verified agrees exactly."""
+        from repro.experiments import buffer_sweep
+
+        sweep = buffer_sweep.run(
+            size=800, buffer_sizes_kb=(16, 20), trials=1, schemes=("s-node",), predict=True
+        )
+        rows = buffer_sweep.validation_rows(sweep, "s-node")
+        assert all(sweep.evicted.values())
+        assert [row["verified"] for row in rows] == [True] * 3 + [False] * 3
+        assert all(row["delta"] == 0 for row in rows if row["verified"])
+        assert any(row["delta"] != 0 for row in rows)
+        report = buffer_sweep.prediction_report(sweep)
+        assert "3 rows unverified" in report
+        assert "(unverified)" in report.split("MRC saturation capacities")[1]
+
     def test_without_predict_the_sweep_has_no_curves(self):
         from repro.experiments import buffer_sweep
 

@@ -19,7 +19,8 @@ per-graph loader of ``tests/util/oracle_loader.py``):
   replay is served as peeked and counted a hit, not read again;
 * six sessions probing through a pool far smaller than their working
   set, preempted every 10 µs, get the crawl's rows, and every lookup is
-  one hit or one miss and every miss one load.
+  one hit or one miss and every miss one load — through the paper's
+  visit, and through a pressed pool's visit of only the linked graphs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.device import CountedFile
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
-from oracle_loader import per_graph  # noqa: E402
+from oracle_loader import paper_visit, per_graph  # noqa: E402
 
 
 def three_region_visit(store) -> int:
@@ -48,7 +49,7 @@ def three_region_visit(store) -> int:
     for supernode, targets in enumerate(store.super_adjacency):
         if len(targets) != 2:
             continue
-        regions = [store._location(key) for key in store._visit(supernode)[0]]
+        regions = [store._location(key) for key in store._visits[supernode].keys]
         if all(region.length for region in regions) and all(
             later.file_index == earlier.file_index
             and later.offset == earlier.offset + earlier.length
@@ -59,7 +60,7 @@ def three_region_visit(store) -> int:
 
 
 def regions(store, supernode: int) -> list:
-    return [store._location(key) for key in store._visit(supernode)[0]]
+    return [store._location(key) for key in store._visits[supernode].keys]
 
 
 def outcome(store, page: int):
@@ -169,7 +170,7 @@ def test_two_sessions_racing_on_one_cold_supernode(small_build, monkeypatch):
     the other is served them as hits, and both are charged their read."""
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
     supernode = three_region_visit(store)
-    keys = store._visit(supernode)[0]
+    keys = store._visits[supernode].keys
     run_bytes = sum(region.length for region in regions(store, supernode))
     first, end = store.supernode_range(supernode)
     pages = [first + (index % (end - first)) for index in range(3)]
@@ -252,7 +253,7 @@ def test_a_peeked_graph_evicted_before_the_replay_is_served_from_the_peek(
     exact."""
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
     supernode = three_region_visit(store)
-    keys = store._visit(supernode)[0]
+    keys = store._visits[supernode].keys
     _first, *run = regions(store, supernode)
     page = store.supernode_range(supernode)[0]
     with SNodeStore(small_build.root) as clean:
@@ -296,11 +297,13 @@ def test_a_peeked_graph_evicted_before_the_replay_is_served_from_the_peek(
     store.close()
 
 
-def test_six_sessions_over_a_churning_pool(small_build):
-    store = SNodeStore(small_build.root, buffer_bytes=16 * 1024)
-    pages = list(range(0, store.num_pages, 5))
-    with SNodeStore(small_build.root) as clean:
-        expected = {page: clean.out_neighbors(page) for page in pages}
+def race_six(store, expected: dict, visit_length) -> list[int]:
+    """Six sessions probing every page of ``expected`` through ``store``,
+    each from its own starting point, preempted every 10 µs: every row
+    is the crawl's, every lookup one hit or one miss and every miss one
+    load.  ``visit_length(supernode, local)`` is how many graphs a
+    lookup visits; returns each session's lookups."""
+    pages = list(expected)
     sessions = [store.metrics.child(f"client-{index}") for index in range(6)]
     lookups = [0] * 6
     wrong: list[int] = []
@@ -310,7 +313,8 @@ def test_six_sessions_over_a_churning_pool(small_build):
         # point, so they meet on cold supernodes at different times.
         start = index * len(pages) // 6
         for page in pages[start:] + pages[:start]:
-            lookups[index] += len(store._visit(store.supernode_of(page))[0])
+            supernode = store.supernode_of(page)
+            lookups[index] += visit_length(supernode, page - store.supernode_range(supernode)[0])
             if store.out_neighbors(page, sessions[index]) != expected[page]:
                 wrong.append(page)
 
@@ -337,4 +341,31 @@ def test_six_sessions_over_a_churning_pool(small_build):
         store.metrics.merge(session)
     assert store.metrics.snapshot() == merged
     assert totals["loads"] == 0 and totals["buffer_evictions"] > 0
+    return lookups
+
+
+def test_six_sessions_over_a_churning_pool(small_build):
+    """Through the paper's visit, and through a pool pressed before the
+    race starts, so that every lookup visits only the graphs that link
+    its page — fewer than the paper's visit."""
+    store = paper_visit(SNodeStore(small_build.root, buffer_bytes=16 * 1024))
+    pages = list(range(0, store.num_pages, 5))
+    with SNodeStore(small_build.root) as clean:
+        expected = {page: clean.out_neighbors(page) for page in pages}
+    paper = race_six(
+        store, expected, lambda supernode, _local: len(store._visits[supernode].keys)
+    )
     store.close()
+
+    linked = SNodeStore(small_build.root, buffer_bytes=16 * 1024)
+    for _page, _row in linked.iterate_all():
+        pass
+    assert linked._pool.pressed
+    linked.metrics.reset()
+
+    def visit_length(supernode: int, local: int) -> int:
+        positions = linked._positions(supernode, [local])
+        return len(linked._visits[supernode].keys if positions is None else positions)
+
+    assert sum(race_six(linked, expected, visit_length)) < sum(paper)
+    linked.close()

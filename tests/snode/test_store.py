@@ -10,6 +10,7 @@ import sys
 import threading
 import weakref
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,9 @@ from repro.snode.storage import read_layout
 from repro.snode.store import SNodeStore
 from repro.storage.device import CountedFile
 from repro.util.bitio import BitReader
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
+from oracle_loader import paper_visit  # noqa: E402
 
 
 @contextmanager
@@ -198,9 +202,21 @@ def dense(rows):
     return [rows.row(local) for local in range(rows.source_size)]
 
 
+def reads_less(linked: dict, paper: dict) -> None:
+    """A store that, once its pool is pressed, loads only the graphs that
+    link the pages asked for, against the paper's visit over the same
+    lookups: fewer loads and fewer bytes.  (Not fewer seeks: these
+    lookups walk the pages in layout order, and a paper visit's read
+    ends where the next supernode's begins.)"""
+    assert linked["superedge_loads"] < paper["superedge_loads"]
+    assert linked["loads"] < paper["loads"]
+    assert linked["bytes_read"] < paper["bytes_read"]
+
+
 class TestSparseSuperedgeRows:
     #: ``io_stats()`` of the probe list below, captured at the parent
-    #: commit (dense superedge entries, per-bit reader) on this fixture.
+    #: commit (dense superedge entries, per-bit reader) on this fixture:
+    #: the paper's visit, every graph of the supernode, on every lookup.
     PINNED_IO_STATS = {
         "buffer_evictions": 1041,
         "buffer_hits": 876,
@@ -232,17 +248,56 @@ class TestSparseSuperedgeRows:
             assert len(rows.linked) < len(as_dense) or all(as_dense)
         store.close()
 
+    @staticmethod
+    def bounded_probe(store) -> list:
+        """Point lookups, a grouped lookup, a session and a full scan; the
+        rows of each."""
+        rows = [store.out_neighbors(page) for page in range(0, 1200, 7)]
+        rows.append(store.out_neighbors_many(list(range(5, 1200, 53))))
+        with client(store, "pinned") as registry:
+            rows += [store.out_neighbors(page, registry) for page in range(3, 1200, 101)]
+        rows.append(list(store.iterate_all()))
+        return rows
+
     def test_bounded_buffer_counters_match_parent_commit(self, small_repo, small_build):
         assert small_repo.num_pages == 1200
-        store = SNodeStore(small_build.root, buffer_bytes=24 * 1024)
-        for page in range(0, 1200, 7):
-            store.out_neighbors(page)
-        store.out_neighbors_many(list(range(5, 1200, 53)))
-        with client(store, "pinned") as registry:
-            for page in range(3, 1200, 101):
-                store.out_neighbors(page, registry)
-        assert sum(len(row) for _page, row in store.iterate_all()) == small_repo.graph.num_edges
+        store = paper_visit(SNodeStore(small_build.root, buffer_bytes=24 * 1024))
+        rows = self.bounded_probe(store)
+        assert sum(len(row) for _page, row in rows[-1]) == small_repo.graph.num_edges
         assert store.metrics.io_stats() == self.PINNED_IO_STATS
+        store.close()
+        linked = SNodeStore(small_build.root, buffer_bytes=24 * 1024)
+        assert self.bounded_probe(linked) == rows
+        reads_less(linked.metrics.io_stats(), self.PINNED_IO_STATS)
+        linked.close()
+
+    def test_link_records_equal_the_loaded_headers(self, small_build):
+        """The headers read at open name, for each page, exactly the
+        superedge graphs whose loaded rows list it."""
+        store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
+        linked = 0
+        for supernode, targets in enumerate(store.super_adjacency):
+            visit = store._visits[supernode]
+            assert visit.keys == (
+                ("intra", supernode), *(("super", supernode, t) for t in targets)
+            )
+            graphs = [store.superedge_rows(supernode, target) for target in targets]
+            first, end = store.supernode_range(supernode)
+            assert len(visit.starts) == end - first + 1
+            for local in range(end - first):
+                want = [p for p, rows in enumerate(graphs, 1) if local in rows.linked]
+                assert tuple(visit.links(local)) == (0, *want)
+                linked += len(want)
+        paper = sum(
+            len(targets) * (end - first)
+            for targets, (first, end) in zip(
+                store.super_adjacency, map(store.supernode_range, range(store.num_supernodes))
+            )
+        )
+        assert store.superedge_graphs_per_lookup() == (
+            paper / store.num_pages,
+            linked / store.num_pages,
+        )
         store.close()
 
     def test_unlinked_rows_are_empty_and_private(self, small_build):
@@ -361,7 +416,10 @@ class TestBatchedAccounting:
     The pinned dicts are :func:`accounting` of the same scenarios run at
     the parent commit, where every increment took the registry lock on
     its own.  The ``lru`` legs of the single-threaded scenarios were
-    captured while the registry still logged every load and unload.
+    captured while the registry still logged every load and unload.  The
+    bounded-pool scenarios hold them through :func:`paper_visit`, the
+    visit they were captured with; a store left to load only the graphs
+    that link its pages under pressure reads less.
     """
 
     BOUNDED = {
@@ -516,7 +574,7 @@ class TestBatchedAccounting:
             pass
 
     def test_bounded_buffer(self, small_build):
-        store = SNodeStore(small_build.root, buffer_bytes=24 * 1024)
+        store = paper_visit(SNodeStore(small_build.root, buffer_bytes=24 * 1024))
         self.probe(store)
         assert accounting(store.metrics, store._pool) == self.BOUNDED
         assert store.metrics.io_stats() == {
@@ -525,6 +583,10 @@ class TestBatchedAccounting:
             if not name.startswith("distinct_")
         }
         store.close()
+        linked = SNodeStore(small_build.root, buffer_bytes=24 * 1024)
+        self.probe(linked)
+        reads_less(linked.metrics.snapshot(), self.BOUNDED["snapshot"])
+        linked.close()
 
     def test_second_cold_pass_counts_like_the_first(self, small_build, monkeypatch):
         """The first pass decodes every graph it loads whole, learning its
@@ -533,8 +595,10 @@ class TestBatchedAccounting:
         and parse nothing — no row decoded until one is asked for.  The
         third runs with every directory and header learned and reads rows
         one at a time.  Same counters, same occupancy, same tallies, same
-        LRU order — the parent's."""
-        store = SNodeStore(small_build.root, buffer_bytes=64 * 1024)
+        LRU order — the parent's, through the paper's visit.  A store that
+        loads only the graphs that link its pages under pressure also
+        counts every cold pass alike, and reads less."""
+        store = paper_visit(SNodeStore(small_build.root, buffer_bytes=64 * 1024))
         single_rows = []
 
         def counted(data, starts, local, *rest):
@@ -568,12 +632,26 @@ class TestBatchedAccounting:
         assert passes[2] == passes[1] == passes[0] == self.COLD_PASS
         assert len(single_rows) > 100
         store.close()
+        linked = SNodeStore(small_build.root, buffer_bytes=64 * 1024)
+        passes = []
+        for _ in range(3):
+            linked.drop_buffers()
+            linked.metrics.reset()
+            self.probe(linked)
+            passes.append(
+                {"buffer": linked.buffer_stats(), **accounting(linked.metrics, linked._pool)}
+            )
+        assert passes[2] == passes[1] == passes[0]
+        reads_less(passes[0]["snapshot"], self.COLD_PASS["snapshot"])
+        linked.close()
 
     def test_encoded_payload_cache(self, small_build):
         """A payload-caching store learns every header and directory on
         its first pass; the second, which parses none of them, counts
         the same."""
-        store = SNodeStore(small_build.root, buffer_bytes=4 * 1024, cache_decoded=False)
+        store = paper_visit(
+            SNodeStore(small_build.root, buffer_bytes=4 * 1024, cache_decoded=False)
+        )
         self.probe(store)
         assert accounting(store.metrics, store._pool) == self.ENCODED
         assert all(
@@ -585,13 +663,36 @@ class TestBatchedAccounting:
         self.probe(store)
         assert accounting(store.metrics, store._pool) == self.ENCODED
         store.close()
+        linked = SNodeStore(small_build.root, buffer_bytes=4 * 1024, cache_decoded=False)
+        self.probe(linked)
+        first = accounting(linked.metrics, linked._pool)
+        linked.drop_buffers()
+        linked.metrics.reset()
+        self.probe(linked)
+        assert accounting(linked.metrics, linked._pool) == first
+        reads_less(first["snapshot"], self.ENCODED["snapshot"])
+        linked.close()
 
     def test_degrade_mode_over_corrupted_regions(self, corrupted_root):
-        store = SNodeStore(corrupted_root, buffer_bytes=24 * 1024, on_corruption="degrade")
+        """The regions were corrupted before the store opened, so their
+        headers are unknown: a store that loads only the graphs that link
+        its pages still loads them on every visit, and quarantines and
+        serves them degraded exactly as the paper's visit does."""
+        store = paper_visit(
+            SNodeStore(corrupted_root, buffer_bytes=24 * 1024, on_corruption="degrade")
+        )
         self.probe(store)
         assert accounting(store.metrics, store._pool) == self.DEGRADED
         assert len(store.quarantined) == self.DEGRADED_QUARANTINED
+        linked = SNodeStore(corrupted_root, buffer_bytes=24 * 1024, on_corruption="degrade")
+        self.probe(linked)
+        assert linked.quarantined == store.quarantined
+        charged = linked.metrics.snapshot()
+        for name in ("degraded_reads", "regions_quarantined"):
+            assert charged[name] == self.DEGRADED["snapshot"][name]
+        reads_less(charged, self.DEGRADED["snapshot"])
         store.close()
+        linked.close()
 
     def test_six_concurrent_sessions(self, small_build):
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26)

@@ -295,6 +295,27 @@ def test_cut_body_through_the_store_keeps_the_batch_flushed(small_build, cache_d
         assert charged["bytes_read"] == sum(location.length for location in read)
         # The cut graph itself counts as loaded only where loading decodes nothing.
         assert charged["loads"] == position + 1 + (not cache_decoded)
+    # Once the pool is pressed, a page the cut graph does not link never
+    # loads it and is answered; the page it links still fails.
+    unlinked = next(
+        other
+        for other in range(store.supernode_range(source)[1] - first)
+        if (position + 1) not in store._visits[source].links(other)
+    )
+    with SNodeStore(small_build.root) as clean:
+        answer = clean.out_neighbors(first + unlinked)
+    store.set_buffer_bytes(store._pool.pinned_bytes)
+    for supernode in range(store.num_supernodes):
+        if store._pool.pressed:
+            break
+        store.intranode_rows(supernode)
+    assert store._pool.pressed
+    store.metrics.reset()
+    assert store.out_neighbors(first + unlinked) == answer
+    assert not store._pool.is_cached(("super", source, target))
+    assert store.metrics.get("superedge_loads") < len(store.super_adjacency[source])
+    with pytest.raises(CodecError):
+        store.out_neighbors(first + local)
     store.close()
 
 

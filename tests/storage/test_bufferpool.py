@@ -466,6 +466,32 @@ class TestMaintenance:
         assert pool.registry.get("buffer_evictions") == 0
         assert pool.get("a") is None
 
+    def test_pressed_once_an_admission_evicts(self):
+        """``pressed``: an admission has evicted since the pool was last
+        emptied or resized — not a drop, a pin, or an admission that fit."""
+        pool = BufferPool(25)
+        assert not pool.pressed
+        pool.put("a", b"x", 10)
+        pool.put("b", b"x", 10)
+        pool.pin("root", b"m", 5)
+        pool.invalidate("b")
+        assert not pool.pressed
+        pool.replay(["c", "d"], [None, None], [(b"x", 10), (b"x", 10)])  # 30 > 25: evicts "a"
+        assert pool.pressed
+        pool.get("c")
+        assert pool.pressed
+        pool.clear(record=True)  # counted as evictions, yet no admission evicted
+        assert not pool.pressed
+        pool.put("a", b"x", 20)
+        pool.put("b", b"x", 20)
+        assert pool.pressed
+        pool.set_buffer_bytes(25)
+        assert not pool.pressed
+        pool.put("a", b"x", 20)
+        pool.put("b", b"x", 20)
+        pool.clear(record=False)
+        assert not pool.pressed
+
     def test_shared_registry(self):
         registry = MetricsRegistry()
         first = BufferPool(100, registry=registry)

@@ -6,6 +6,10 @@ decoded and admitted with ``BufferPool.put`` — on its own, in turn.
 ``per_graph(store)`` installs it over one store instance's ``_load``, so
 the same ``_adjacency``, ``intranode_rows`` and ``superedge_rows`` drive
 either loader: cold and resident visits and single graphs alike.
+
+``paper_visit(store)`` makes one store read the paper's visit — the
+intranode graph and every superedge graph of the supernode — whatever
+the pool's pressure, as if no superedge header had been read at open.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import functools
 
 from repro.errors import CorruptionError, NotResident
+from repro.obs.profile import trace as profile
 
 
 def load_one(store, key: tuple, kind: str, registry):
@@ -42,10 +47,12 @@ def load_one(store, key: tuple, kind: str, registry):
     return rows
 
 
-def load_each(store, keys, kinds, batch, memory_only: bool = False):
+def load_each(store, keys, kinds, batch, memory_only: bool = False, positions=None):
     """The graphs ``keys``, one keyed load each as the caller asks for the
     next; under ``memory_only``, NotResident before anything moves unless
-    every graph is buffered decoded or quarantined."""
+    every graph is buffered decoded or quarantined.  ``positions`` (where
+    ``keys`` sit in their visit) serves the store's read-through, which
+    loading graph by graph has no use for."""
     if memory_only and not (
         store._cache_decoded
         and all(key in store._quarantined or store._pool.is_cached(key) for key in keys)
@@ -59,3 +66,51 @@ def per_graph(store):
     """``store``, every graph it reads loaded graph by graph from now on."""
     store._load = functools.partial(load_each, store)
     return store
+
+
+def paper_visit(store):
+    """``store``, its link records cleared: every superedge header is
+    unknown, so every visit is the whole supernode's."""
+    for visit in store._visits:
+        del visit.starts[:]
+    return store
+
+
+def read_through(store, io_events, buffer_events) -> int:
+    """The bytes ``io_events`` — the reads of one step through ``store``,
+    whose buffer lookups were ``buffer_events`` — read for graphs that
+    step did not look up, each read checked to be one run: regions of one
+    supernode's visit, each starting where the last ended, first and last
+    looked up and missed, and none looked up and hit in between."""
+    layout = store._layout
+    starts = {}
+    for key in (
+        *(("intra", node) for node in range(len(layout.intranode))),
+        *(("super", *pair) for pair in layout.superedge),
+    ):
+        location = store._location(key)
+        if location.length:
+            path = str(store._root / layout.index_files[location.file_index])
+            starts[path, location.offset] = key, location.length
+    lookups = {
+        event.key: event.hit
+        for event in buffer_events
+        if type(event) is profile.BufferEvent and not event.pinned
+    }
+    skipped = 0
+    for event in io_events:
+        if type(event) is not profile.IOEvent or not event.length:
+            continue
+        chain = []
+        reach = event.offset
+        while reach < event.offset + event.length:
+            key, length = starts[event.file, reach]
+            chain.append((key, length))
+            reach += length
+        assert reach == event.offset + event.length
+        assert len({key[1] for key, _length in chain}) == 1, chain
+        assert lookups.get(chain[0][0]) is False and lookups.get(chain[-1][0]) is False
+        for key, length in chain[1:-1]:
+            assert lookups.get(key) is not True, key
+            skipped += length if key not in lookups else 0
+    return skipped

@@ -24,6 +24,14 @@ the access profiler's buffer-event stream must be equal; a step whose
 visits were all cold must have made exactly one ``read_at`` per maximal
 run of adjacent missing regions.
 
+Both stores are held to the paper's visit (``paper_visit``), so every
+count above is the per-graph loader's.  A second pair runs alongside:
+a store left to load, once its pool is pressed, only the graphs that
+link the asked pages, against the per-graph loader of such a store —
+the same graphs, equal in every count but the bytes its runs read
+through between two of them (each read checked to be one run of one
+visit) and the seeks that saves.
+
 Seeded mutations, each failing the test named:
 
 * a run extended across a non-adjacent region (the offset / file test
@@ -46,7 +54,7 @@ import shutil
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from oracle_loader import per_graph
+from oracle_loader import paper_visit, per_graph, read_through
 
 from repro.errors import NotResident
 from repro.obs.profile import trace as profile
@@ -121,27 +129,53 @@ def pages_of(store, op) -> list[int]:
     return list(range(store.supernode_range(first)[0], store.supernode_range(last - 1)[1]))
 
 
-def cold_runs(store, supernodes) -> int | None:
-    """How many maximal runs of adjacent missing regions the visits to
-    ``supernodes`` read, if none of their graphs is buffered; else None."""
+def locals_in(store, op, supernode: int) -> list[int]:
+    """The locals of ``supernode`` whose rows ``op`` asks for."""
+    first, end = store.supernode_range(supernode)
+    if op[0] in ("probe", "inline"):
+        return [op[1] - first]
+    return [page - first for page in pages_of(store, op) if first <= page < end]
+
+
+def cold_runs(store, op) -> int | None:
+    """How many maximal runs of missing regions the visits of ``op`` read
+    — each run a region after another, or after the regions of its visit
+    the store leaves out between them — if none of their graphs is
+    buffered and which graphs they visit is known before ``op``; else
+    None."""
+    supernodes = visited(store, op)
+    if (
+        len(supernodes) > 1
+        and not store._pool.pressed
+        and any(visit.starts for visit in store._visits)
+    ):
+        return None  # the first visit's admissions may press the pool
     runs = 0
     for supernode in supernodes:
-        keys, _kinds = store._visit(supernode)
+        keys = store._visits[supernode].keys
         if any(store._pool.is_cached(key) for key in keys):
             return None
+        positions = store._positions(supernode, locals_in(store, op, supernode))
         previous = None
-        for key in keys:
+        for position in range(len(keys)) if positions is None else positions:
+            key = keys[position]
             if key in store._quarantined:
                 previous = None
                 continue
             location = store._location(key)
+            if previous is not None:
+                reach = previous.offset + previous.length
+                for skipped in keys[last + 1 : position]:
+                    gap = store._location(skipped)
+                    follows = gap.file_index == previous.file_index and gap.offset == reach
+                    reach = reach + gap.length if follows else -1
             if (
                 previous is None
                 or location.file_index != previous.file_index
-                or location.offset != previous.offset + previous.length
+                or location.offset != reach
             ):
                 runs += 1
-            previous = location
+            previous, last = location, position
     return runs
 
 
@@ -169,8 +203,16 @@ def apply(store, op):
     return store.out_neighbors_many(pages_of(store, op))
 
 
-def same_state(reference, store) -> None:
-    assert store.metrics.snapshot() == reference.metrics.snapshot()
+def same_state(reference, store, skipped: int = 0) -> None:
+    """``store`` left as ``reference``; given the bytes its reads
+    read through (``skipped``), but for those bytes and the seeks they
+    saved."""
+    want = reference.metrics.snapshot()
+    got = store.metrics.snapshot()
+    if skipped:
+        assert got.pop("bytes_read") == want.pop("bytes_read") + skipped
+        assert got.pop("disk_seeks", 0) <= want.pop("disk_seeks")
+    assert got == want
     for kind in ("intranode", "superedge"):
         assert store.metrics.distinct_keys(kind) == reference.metrics.distinct_keys(kind)
     assert store._pool._cache.keys() == reference._pool._cache.keys()
@@ -208,14 +250,43 @@ steps = st.lists(
 @example([("inline", 54), ("probe", 54), ("inline", 54), ("probe", 54)], 1 << 22, True, "clean")
 # A visit refused with its intranode graph peeked: nothing moves.
 @example([("graph", 54, 0), ("inline", 54)], 1 << 22, True, "clean")
+# Cold groups over an unpressed pool: one read per run, in both pairs.
+@example([("scan", 3, 4), ("many", [10, 150, 290])], 1 << 22, True, "clean")
+# Pressed by the first probe: the later ones look up only linked graphs.
+@example([("probe", 0), ("probe", 1), ("probe", 2), ("probe", 120)], 768, True, "clean")
 def test_visit_loader_equals_the_per_graph_loader(roots, program, budget, decoded, root):
-    reference = per_graph(SNodeStore(roots[root], buffer_bytes=budget, cache_decoded=decoded))
-    store = SNodeStore(roots[root], buffer_bytes=budget, cache_decoded=decoded)
-    traces = profile.AccessTracer(), profile.AccessTracer()
+    """Through the paper's visit, the two loaders are equal in every
+    count.  A store that loads only the graphs that link its pages under
+    pressure looks up, for a probe, only the graphs its link record
+    names, and hands the per-graph loader the same graphs; against it,
+    the store's runs also read the regions it leaves out between two of
+    them (one run each: :func:`read_through`), and nothing else
+    differs."""
+
+    def opened(oracle):
+        store = SNodeStore(roots[root], buffer_bytes=budget, cache_decoded=decoded)
+        return per_graph(store) if oracle else store
+
+    reference, store = paper_visit(opened(True)), paper_visit(opened(False))
+    linked_reference, linked = opened(True), opened(False)
+    traces = [profile.AccessTracer() for _ in range(4)]
+    skipped = 0
     try:
         for op in program:
-            runs = None if op[0] in ("drop", "graph", "inline") else cold_runs(store, visited(store, op))
-            before = reads(traces[1])
+            counted = op[0] not in ("drop", "graph", "inline")
+            runs = cold_runs(store, op) if counted else None
+            linked_runs = cold_runs(linked, op) if counted else None
+            if op[0] == "probe":
+                supernode = linked.supernode_of(op[1])
+                keys = linked._visits[supernode].keys
+                positions = linked._positions(supernode, locals_in(linked, op, supernode))
+                lookups = sum(
+                    keys[position] not in linked._quarantined
+                    for position in (range(len(keys)) if positions is None else positions)
+                )
+                lookups += linked.metrics.get("buffer_hits") + linked.metrics.get("buffer_misses")
+            before = reads(traces[1]), reads(traces[3])
+            marks = len(traces[3].io_events()), len(traces[3].buffer_events())
             with profile.activated(traces[0]):
                 want = apply(reference, op)
             with profile.activated(traces[1]):
@@ -224,10 +295,33 @@ def test_visit_loader_equals_the_per_graph_loader(roots, program, budget, decode
             same_state(reference, store)
             assert buffer_stream(traces[1]) == buffer_stream(traces[0])
             if runs is not None:
-                assert reads(traces[1]) - before == runs
+                assert reads(traces[1]) - before[0] == runs
+
+            with profile.activated(traces[2]):
+                linked_want = apply(linked_reference, op)
+            with profile.activated(traces[3]):
+                linked_got = apply(linked, op)
+            assert linked_got == linked_want
+            if NotResident not in (got, linked_got):
+                assert linked_got == want
+            if op[0] == "probe":
+                assert (
+                    linked.metrics.get("buffer_hits") + linked.metrics.get("buffer_misses")
+                    == lookups
+                )
+            io_mark, buffer_mark = marks
+            skipped += read_through(
+                linked,
+                traces[3].io_events()[io_mark:],
+                traces[3].buffer_events()[buffer_mark:],
+            )
+            same_state(linked_reference, linked, skipped)
+            assert buffer_stream(traces[3]) == buffer_stream(traces[2])
+            if linked_runs is not None:
+                assert reads(traces[3]) - before[1] == linked_runs
     finally:
-        reference.close()
-        store.close()
+        for each in (reference, store, linked_reference, linked):
+            each.close()
 
 
 @pytest.mark.parametrize("decoded", [True, False], ids=["decoded", "encoded"])
@@ -244,7 +338,7 @@ def test_a_cold_visit_reads_once_per_adjacent_miss_run(roots, root, decoded):
             for each in (reference, store):
                 each.drop_buffers()
             op = ("scan", supernode, 1)
-            runs = cold_runs(store, [supernode])
+            runs = cold_runs(store, op)
             tracer = profile.AccessTracer()
             with profile.activated(tracer):
                 got = apply(store, op)
