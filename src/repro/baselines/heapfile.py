@@ -48,11 +48,6 @@ class HeapPage:
     def _set_slot(self, index: int, offset: int, length: int) -> None:
         _SLOT.pack_into(self._data, _HEADER_SIZE + index * _SLOT.size, offset, length)
 
-    @property
-    def slot_count(self) -> int:
-        """Number of slots (including deleted ones)."""
-        return self._header()[0]
-
     def free_space(self) -> int:
         """Bytes available for one more record (incl. its slot entry)."""
         slots, free_offset = self._header()
@@ -79,13 +74,6 @@ class HeapPage:
         if offset == 0 and length == 0:
             raise StorageError(f"slot {slot} is deleted")
         return bytes(self._data[offset : offset + length])
-
-    def delete(self, slot: int) -> None:
-        """Tombstone ``slot`` (space is not compacted)."""
-        slots, _ = self._header()
-        if not 0 <= slot < slots:
-            raise StorageError(f"slot {slot} out of range")
-        self._set_slot(slot, 0, 0)
 
     def to_bytes(self) -> bytes:
         """Serialized page image."""

@@ -3,7 +3,6 @@
 from repro.graph.digraph import Digraph, GraphBuilder
 from repro.graph.algorithms import (
     bfs_distances,
-    degree_statistics,
     hits,
     in_neighborhood,
     out_neighborhood,
@@ -15,7 +14,6 @@ __all__ = [
     "Digraph",
     "GraphBuilder",
     "bfs_distances",
-    "degree_statistics",
     "hits",
     "in_neighborhood",
     "out_neighborhood",

@@ -192,16 +192,3 @@ def kleinberg_base_set(
     base |= out_neighborhood(graph, roots)
     base |= in_neighborhood(transpose, roots)
     return base
-
-
-def degree_statistics(graph: Digraph) -> dict[str, float]:
-    """Degree summary used by experiment reports (mean out-degree etc.)."""
-    if graph.num_vertices == 0:
-        return {"mean_out_degree": 0.0, "max_out_degree": 0.0, "max_in_degree": 0.0}
-    out_degrees = np.diff(graph.offsets)
-    in_degrees = np.bincount(graph.targets, minlength=graph.num_vertices)
-    return {
-        "mean_out_degree": float(out_degrees.mean()),
-        "max_out_degree": float(out_degrees.max()),
-        "max_in_degree": float(in_degrees.max()) if len(in_degrees) else 0.0,
-    }

@@ -115,42 +115,6 @@ class Digraph:
         targets = sources[order]
         return Digraph(offsets, targets)
 
-    def subgraph(self, vertices: Sequence[int]) -> tuple["Digraph", dict[int, int]]:
-        """Induced subgraph on ``vertices``.
-
-        Returns the new graph (vertices relabelled ``0..k-1`` in the order
-        given) and the old->new id mapping.
-        """
-        mapping = {int(v): i for i, v in enumerate(vertices)}
-        if len(mapping) != len(vertices):
-            raise GraphError("duplicate vertices in subgraph request")
-        builder = GraphBuilder(len(mapping))
-        for old, new in mapping.items():
-            for target in self.successors(old):
-                mapped = mapping.get(int(target))
-                if mapped is not None:
-                    builder.add_edge(new, mapped)
-        return builder.build(), mapping
-
-    def relabel(self, permutation: Sequence[int]) -> "Digraph":
-        """Relabel vertices: new id of old vertex ``v`` is ``permutation[v]``."""
-        n = self.num_vertices
-        perm = np.asarray(permutation, dtype=np.int64)
-        if len(perm) != n or len(np.unique(perm)) != n:
-            raise GraphError("permutation must be a bijection on vertices")
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[perm] = np.arange(n, dtype=np.int64)
-        degrees = np.diff(self._offsets)[inverse]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        targets = np.empty(self.num_edges, dtype=np.int64)
-        for new in range(n):
-            old = int(inverse[new])
-            row = perm[self.successors(old)]
-            row.sort()
-            targets[offsets[new] : offsets[new + 1]] = row
-        return Digraph(offsets, targets)
-
     # -- construction helpers -----------------------------------------------
 
     @classmethod
@@ -205,22 +169,11 @@ class GraphBuilder:
         self._chunks: list[np.ndarray] = []  # packed (source, target) pairs
         self._sources: list[int] = []
         self._targets: list[int] = []
-        self._num_buffered = 0
 
     @property
     def num_vertices(self) -> int:
         """Number of vertices the built graph will have."""
         return self._num_vertices
-
-    @property
-    def num_buffered_edges(self) -> int:
-        """Edges recorded so far (duplicates still counted)."""
-        return self._num_buffered
-
-    def add_vertex(self) -> int:
-        """Append a fresh vertex; returns its id."""
-        self._num_vertices += 1
-        return self._num_vertices - 1
 
     def _spill(self) -> None:
         """Move the Python append buffer into a packed numpy chunk."""
@@ -241,7 +194,6 @@ class GraphBuilder:
             raise GraphError(f"target {target} out of range")
         self._sources.append(source)
         self._targets.append(target)
-        self._num_buffered += 1
         if len(self._sources) >= self.CHUNK_EDGES:
             self._spill()
 
@@ -264,7 +216,6 @@ class GraphBuilder:
                 raise GraphError(f"target {target} out of range")
             self._sources.append(source)
             self._targets.append(target)
-            self._num_buffered += 1
         if len(self._sources) >= self.CHUNK_EDGES:
             self._spill()
 

@@ -50,10 +50,6 @@ class PageRankIndex:
         candidates.sort(key=lambda p: (-self._scores[p], p))
         return candidates[:k]
 
-    def rank_order(self, pages: Iterable[int]) -> list[int]:
-        """All of ``pages`` sorted by descending PageRank."""
-        return sorted(pages, key=lambda p: (-self._scores[p], p))
-
     @property
     def scores(self) -> np.ndarray:
         """The full score vector (read-only use)."""

@@ -32,15 +32,6 @@ class TextIndex:
                 term_map = self._postings.setdefault(term, {})
                 term_map.setdefault(page.page_id, []).append(position)
 
-    @property
-    def num_terms(self) -> int:
-        """Distinct terms indexed."""
-        return len(self._postings)
-
-    def document_frequency(self, term: str) -> int:
-        """Number of pages containing ``term``."""
-        return len(self._postings.get(term.lower(), {}))
-
     def pages_with_term(self, term: str) -> set[int]:
         """Pages containing ``term`` at least once."""
         return set(self._postings.get(term.lower(), {}))

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from collections import Counter
 
+#: Most points :meth:`AccessHeatmap.working_set_curve` returns.
+WORKING_SET_POINTS = 64
+
 
 def _default_node_of(key):
     """Supernode of a structured buffer key, or None when not node-shaped."""
@@ -94,11 +97,12 @@ class AccessHeatmap:
     def distinct_keys(self) -> int:
         return sum(len(counter) for counter in self.by_kind.values())
 
-    def working_set_curve(self, max_points: int = 64) -> list[dict]:
+    def working_set_curve(self) -> list[dict]:
         """Cumulative access share by key rank, hottest first.
 
         Each point says: the hottest ``keys`` keys absorb ``fraction`` of
-        all unpinned buffer accesses.  Sampled down to ``max_points``.
+        all unpinned buffer accesses.  Sampled down to
+        :data:`WORKING_SET_POINTS`.
         """
         counts = sorted(
             (count for counter in self.by_kind.values() for count in counter.values()),
@@ -107,7 +111,7 @@ class AccessHeatmap:
         if not counts or not self.accesses:
             return []
         points: list[dict] = []
-        stride = max(1, len(counts) // max_points)
+        stride = max(1, len(counts) // WORKING_SET_POINTS)
         running = 0
         for rank, count in enumerate(counts, start=1):
             running += count

@@ -31,6 +31,10 @@ from collections import OrderedDict
 
 from repro.obs.profile.trace import AdmitEvent, BufferEvent, DropEvent
 
+#: Most breakpoints :meth:`MissRatioCurve.to_dict` serializes (the last
+#: one is always kept).
+CURVE_POINTS = 256
+
 
 class StackDistance:
     """One-pass byte-weighted LRU stack-distance accumulator.
@@ -153,13 +157,13 @@ class MissRatioCurve:
                 points.append((distance, index + 1))
         return points
 
-    def to_dict(self, capacities: list[int] | None = None, max_points: int = 256) -> dict:
+    def to_dict(self, capacities: list[int] | None = None) -> dict:
         """Serializable curve: summary, sampled breakpoints, optional spot
         predictions at ``capacities``."""
         points = self.breakpoints()
-        if len(points) > max_points:
-            step = len(points) / max_points
-            sampled = [points[int(i * step)] for i in range(max_points)]
+        if len(points) > CURVE_POINTS:
+            step = len(points) / CURVE_POINTS
+            sampled = [points[int(i * step)] for i in range(CURVE_POINTS)]
             if sampled[-1] != points[-1]:
                 sampled.append(points[-1])
             points = sampled
@@ -188,16 +192,12 @@ class MissRatioCurve:
         return out
 
 
-def analyze_buffer_trace(
-    events,
-    include_pinned: bool = False,
-    count_from_seq: int = 0,
-) -> MissRatioCurve:
+def analyze_buffer_trace(events, count_from_seq: int = 0) -> MissRatioCurve:
     """Replay a recorded buffer-event stream through Mattson analysis.
 
     ``events`` is :meth:`AccessTracer.buffer_events` output (access,
     admit and drop events, in order).  Pinned lookups live outside the
-    LRU budget and are skipped unless ``include_pinned``.  Events with
+    LRU budget and are skipped.  Events with
     ``seq < count_from_seq`` update the stack without being counted —
     pass the tracer's ``seq`` taken after a warm-up phase to predict the
     hit ratio of the measured window only.
@@ -206,7 +206,7 @@ def analyze_buffer_trace(
     for event in events:
         kind = type(event)
         if kind is BufferEvent:
-            if event.pinned and not include_pinned:
+            if event.pinned:
                 continue
             analysis.access(
                 event.key, pool=event.pool, count=event.seq >= count_from_seq

@@ -83,17 +83,13 @@ def build_report(
     metrics: dict | None = None,
     histograms: dict | None = None,
     spans: dict | None = None,
-    environment: dict | None = None,
-    created_unix: float | None = None,
 ) -> dict:
     """Assemble a schema-conforming report document."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "experiment": experiment,
-        "created_unix": float(
-            created_unix if created_unix is not None else time.time()
-        ),
-        "environment": environment if environment is not None else _default_environment(),
+        "created_unix": time.time(),
+        "environment": _default_environment(),
         "params": params or {},
         "results": results,
         "metrics": metrics or {},
@@ -308,14 +304,13 @@ class BenchDiff:
 
 #: Absolute floor (in metric units) below which changes are noise, not
 #: regressions — a 0.01 ms -> 0.02 ms flip is +100% but meaningless.
-DEFAULT_MIN_DELTA = 1e-6
+MIN_DELTA = 1e-6
 
 
 def diff_reports(
     old: dict,
     new: dict,
     threshold: float = 0.2,
-    min_delta: float = DEFAULT_MIN_DELTA,
     ignore: tuple[str, ...] = (),
     exact: tuple[str, ...] = (),
 ) -> BenchDiff:
@@ -380,8 +375,8 @@ def diff_reports(
         if before > 0:
             change = delta / before
         else:
-            change = 0.0 if delta <= min_delta else float("inf")
-        regression = change > threshold and delta > min_delta
+            change = 0.0 if delta <= MIN_DELTA else float("inf")
+        regression = change > threshold and delta > MIN_DELTA
         diff.entries.append(
             DiffEntry(
                 path=path,

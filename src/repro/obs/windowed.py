@@ -165,18 +165,6 @@ class WindowedHistogram(_Windows):
                 merged.merge(histogram)
         return merged
 
-    def live_windows(self) -> list[tuple[int, LatencyHistogram]]:
-        """Copies of the live ``(window_index, histogram)`` buckets."""
-        now = self.clock()
-        out: list[tuple[int, LatencyHistogram]] = []
-        with self._lock:
-            self._advance(now)
-            for index, histogram in self._ring:
-                copy = LatencyHistogram(self.min_value, self.growth)
-                copy.merge(histogram)
-                out.append((index, copy))
-        return out
-
     def to_dict(self) -> dict:
         """Serializable view: windowed summary + cumulative histogram."""
         snapshot = self.snapshot()

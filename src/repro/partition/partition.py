@@ -106,24 +106,6 @@ class Partition:
         """Element sizes, in element order."""
         return [len(e) for e in self._elements]
 
-    # -- refinement -------------------------------------------------------------
-
-    def replace_element(self, index: int, pieces: Sequence[Element]) -> "Partition":
-        """Return a new partition with element ``index`` replaced by ``pieces``.
-
-        This is exactly the paper's refinement step: P_{i+1} keeps every
-        other element and substitutes {A_1..A_m} for N_ij.  The pieces must
-        exactly re-cover the replaced element.
-        """
-        old = self._elements[index]
-        covered = sorted(page for piece in pieces for page in piece.pages)
-        if covered != list(old.pages):
-            raise PartitionError("pieces do not exactly cover the split element")
-        new_elements = (
-            self._elements[:index] + list(pieces) + self._elements[index + 1 :]
-        )
-        return Partition(self._num_pages, new_elements)
-
     # -- constructors ------------------------------------------------------------
 
     @classmethod

@@ -813,8 +813,8 @@ class GraphQueryDaemon:
         prefix even while writes keep arriving); **build** base +
         snapshot-overlay through the normal build pipeline off-loop
         under ``workdir``; then the protocol above, whose flip also
-        truncates the absorbed WAL prefix and replays the unabsorbed
-        suffix into fresh overlays.  Writes logged during the build are
+        moves the unabsorbed WAL suffix into the new build's log and
+        replays it into fresh overlays.  Writes logged during the build are
         exactly that suffix — none are lost, none are double-applied.
         One swap at a time: a second one is refused, not queued.
         """

@@ -73,17 +73,6 @@ class SNodeModel:
         """Number of superedges in the supernode graph."""
         return sum(len(row) for row in self.super_adjacency)
 
-    def positive_rows(self, source: int, target: int) -> list[list[int]]:
-        """Reconstruct the positive rows of superedge (source, target).
-
-        Inverts the negative encoding when needed — this is the primitive
-        both the store and the correctness tests use.
-        """
-        graph = self.superedges.get((source, target))
-        if graph is None:
-            raise BuildError(f"no superedge {source} -> {target}")
-        return decode_superedge(graph, self.numbering.supernode_size(target))
-
 
 def decode_superedge(graph: SuperedgeGraph, target_size: int) -> list[list[int]]:
     """Positive rows of a superedge graph, whatever its stored polarity."""

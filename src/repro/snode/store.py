@@ -281,10 +281,6 @@ class SNodeStore:
         """(first, past-last) page ids of ``supernode``."""
         return self._boundaries[supernode], self._boundaries[supernode + 1]
 
-    def supernodes_of_domain(self, domain: str) -> list[int]:
-        """Domain-index lookup: supernodes holding pages of ``domain``."""
-        return list(self._layout.domains.get(domain.lower(), []))
-
     def superedge_graphs_per_lookup(self) -> tuple[float, float]:
         """Superedge graphs a one-page lookup loads, averaged over every
         page: the paper's visit (every graph of its supernode) and the

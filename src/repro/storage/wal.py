@@ -21,10 +21,11 @@ sidecar ``graph.wal`` next to the forward build's manifest:
   dropped by :meth:`GraphWal.scan`).
 
 Compaction replays base + WAL into a fresh build and atomically adopts
-it; the absorbed WAL prefix is truncated via the same staged-rename
-idiom as every other atomic replace in the repo (``graph.wal.new`` then
-``os.replace``), so a crash mid-truncation leaves either the old or the
-new log, never a half one.
+it; :meth:`GraphWal.carry_suffix_to` then moves the unabsorbed suffix
+into the new build's log and empties the old one, each through the same
+staged-rename idiom as every other atomic replace in the repo
+(``graph.wal.new`` then ``os.replace``), so a crash mid-rewrite leaves
+either the old or the new log, never a half one.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.util.varint import decode_nibble, encode_nibble
 
 #: File name of the WAL sidecar inside a (forward) build directory.
 WAL_NAME = "graph.wal"
-#: Staging name used for atomic truncation (``graph.wal.new`` -> rename).
+#: Staging name used for atomic rewrites (``graph.wal.new`` -> rename).
 WAL_STAGING_SUFFIX = ".new"
 
 #: Record opcodes.  The WAL is last-op-wins per edge, so these two are
@@ -224,24 +225,6 @@ class GraphWal:
         blob = self.path.read_bytes()
         self._replace_with(blob[: scan.good_bytes])
         return scan.torn_bytes
-
-    def truncate_prefix(self, offset: int) -> int:
-        """Drop the absorbed prefix ``[0, offset)``; returns bytes kept.
-
-        Called under the swap generation bump once a compacted build that
-        already contains those records is adopted.  ``offset`` must be a
-        frame boundary (an offset previously returned by :meth:`append`
-        or observed via :meth:`size_bytes`).
-        """
-        blob = self.path.read_bytes() if self.path.exists() else b""
-        if not 0 <= offset <= len(blob):
-            raise StorageError(
-                f"WAL truncation offset {offset} outside [0, {len(blob)}]"
-            )
-        if offset == 0:
-            return len(blob)
-        self._replace_with(blob[offset:])
-        return len(blob) - offset
 
     def carry_suffix_to(self, other: "GraphWal", offset: int) -> int:
         """Move the unabsorbed suffix ``[offset:]`` into ``other``'s log.

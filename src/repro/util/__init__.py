@@ -1,21 +1,16 @@
-"""Low-level utilities: bit I/O, integer codes, Huffman, RLE, LRU."""
+"""Low-level utilities: bit I/O, integer codes (gamma, vbyte, nybble,
+minimal binary), Huffman, RLE, LRU."""
 
 from repro.util.bitio import BitReader, BitWriter
 from repro.util.lru import LRUCache
 from repro.util.varint import (
-    decode_delta,
     decode_gamma,
-    decode_golomb,
     decode_minimal_binary,
     decode_nibble,
-    decode_unary,
     decode_vbyte,
-    encode_delta,
     encode_gamma,
-    encode_golomb,
     encode_minimal_binary,
     encode_nibble,
-    encode_unary,
     encode_vbyte,
     gamma_cost,
 )
@@ -24,15 +19,9 @@ __all__ = [
     "BitReader",
     "BitWriter",
     "LRUCache",
-    "encode_unary",
-    "decode_unary",
     "encode_gamma",
     "decode_gamma",
     "gamma_cost",
-    "encode_delta",
-    "decode_delta",
-    "encode_golomb",
-    "decode_golomb",
     "encode_vbyte",
     "decode_vbyte",
     "encode_nibble",

@@ -111,12 +111,6 @@ class BitWriter:
         if self._filled >= _SPILL_BITS:
             self._spill()
 
-    def align(self) -> None:
-        """Pad with zero bits up to the next byte boundary."""
-        pad = -self._filled & 7
-        self._current <<= pad
-        self._filled += pad
-
     def extend(self, other: "BitWriter") -> None:
         """Append every bit written to ``other`` onto this writer."""
         if self._filled & 7:

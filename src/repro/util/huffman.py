@@ -102,12 +102,11 @@ class HuffmanCodec:
         self._table = self._build_decode_table()
 
     @classmethod
-    def from_frequencies(
-        cls, frequencies: Mapping[int, int], max_length: int = _MAX_TABLE_BITS
-    ) -> "HuffmanCodec":
-        """Build a codec straight from symbol frequencies."""
+    def from_frequencies(cls, frequencies: Mapping[int, int]) -> "HuffmanCodec":
+        """Build a codec straight from symbol frequencies, lengths limited
+        to the decoder's window."""
         lengths = huffman_code_lengths(frequencies)
-        return cls(limit_code_lengths(lengths, max_length))
+        return cls(limit_code_lengths(lengths, _MAX_TABLE_BITS))
 
     # -- construction -----------------------------------------------------
 
@@ -206,10 +205,6 @@ class HuffmanCodec:
             symbols.append(symbol)
         reader._byte, reader._window, reader._avail = byte, window, avail
         return symbols
-
-    def encoded_size_bits(self, symbols: Iterable[int]) -> int:
-        """Total bits the codec would use to encode ``symbols``."""
-        return sum(self.code_length(symbol) for symbol in symbols)
 
     # -- serialization of the code table itself ----------------------------
 

@@ -3,40 +3,22 @@
 The paper's encoders lean on a small toolbox of classical codes
 ("Managing Gigabytes", Witten/Moffat/Bell):
 
-* unary            - tiny values (flags, short runs)
 * Elias gamma      - gap-encoded adjacency lists (the workhorse)
-* Elias delta      - larger gaps / lengths
-* Golomb/Rice      - runs with a known density (RLE bit vectors)
+* Elias delta      - the bit cost of the baselines' offset directories
+  (:func:`delta_cost`; no stored stream uses the code itself)
 * variable-byte    - byte-aligned offsets in index files
 * nybble           - the 4-bit-at-a-time code used by the Link3 scheme
 * minimal binary   - values with a known exclusive upper bound
 
 All codes here operate on *non-negative* integers.  Gamma and delta cannot
-represent 0 natively, so the encode/decode pair applies a +1/-1 shift: the
-caller works with values >= 0.
+represent 0 natively, so both apply a +1 shift: the caller works with
+values >= 0.
 """
 
 from __future__ import annotations
 
 from repro.errors import BitStreamError, CodecError
 from repro.util.bitio import BitReader, BitWriter
-
-# ---------------------------------------------------------------------------
-# unary
-# ---------------------------------------------------------------------------
-
-
-def encode_unary(writer: BitWriter, value: int) -> None:
-    """Write ``value`` as a unary code (value zero bits then a one bit)."""
-    if value < 0:
-        raise CodecError(f"unary cannot encode {value}")
-    writer.write_unary(value)
-
-
-def decode_unary(reader: BitReader) -> int:
-    """Read a unary code."""
-    return reader.read_unary()
-
 
 # ---------------------------------------------------------------------------
 # Elias gamma
@@ -96,54 +78,14 @@ def gamma_cost(value: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def encode_delta(writer: BitWriter, value: int) -> None:
-    """Write ``value >= 0`` as an Elias delta code (internally shifted +1)."""
-    if value < 0:
-        raise CodecError(f"delta cannot encode {value}")
-    shifted = value + 1
-    width = shifted.bit_length()
-    encode_gamma(writer, width - 1)
-    writer.write_bits(shifted - (1 << (width - 1)), width - 1)
-
-
-def decode_delta(reader: BitReader) -> int:
-    """Read an Elias delta code written by :func:`encode_delta`."""
-    width = decode_gamma(reader)
-    rest = reader.read_bits(width) if width else 0
-    return (1 << width) + rest - 1
-
-
 def delta_cost(value: int) -> int:
-    """Number of bits :func:`encode_delta` uses for ``value`` (>= 0)."""
+    """Number of bits the Elias delta code of ``value`` (>= 0) uses: the
+    gamma code of the width of ``value + 1``, then that number's bits
+    after its leading one."""
     if value < 0:
         raise CodecError(f"delta cannot encode {value}")
     width = (value + 1).bit_length()
     return gamma_cost(width - 1) + width - 1
-
-
-# ---------------------------------------------------------------------------
-# Golomb / Rice
-# ---------------------------------------------------------------------------
-
-
-def encode_golomb(writer: BitWriter, value: int, modulus: int) -> None:
-    """Write ``value >= 0`` with Golomb parameter ``modulus >= 1``."""
-    if value < 0:
-        raise CodecError(f"golomb cannot encode {value}")
-    if modulus < 1:
-        raise CodecError(f"golomb modulus must be >= 1, got {modulus}")
-    quotient, remainder = divmod(value, modulus)
-    writer.write_unary(quotient)
-    encode_minimal_binary(writer, remainder, modulus)
-
-
-def decode_golomb(reader: BitReader, modulus: int) -> int:
-    """Read a Golomb code with parameter ``modulus``."""
-    if modulus < 1:
-        raise CodecError(f"golomb modulus must be >= 1, got {modulus}")
-    quotient = reader.read_unary()
-    remainder = decode_minimal_binary(reader, modulus)
-    return quotient * modulus + remainder
 
 
 # ---------------------------------------------------------------------------

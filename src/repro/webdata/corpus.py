@@ -46,7 +46,6 @@ class Repository:
     graph: Digraph
     _domain_members: dict[str, list[int]] = field(default_factory=dict, repr=False)
     _host_members: dict[str, list[int]] = field(default_factory=dict, repr=False)
-    _url_to_id: dict[str, int] = field(default_factory=dict, repr=False)
     #: Page id -> registered domain (:meth:`domain_of`'s table).
     _page_domains: list[str] = field(default_factory=list, repr=False)
     _transpose: Digraph | None = field(default=None, repr=False)
@@ -68,14 +67,12 @@ class Repository:
     def _rebuild_maps(self) -> None:
         self._domain_members = {}
         self._host_members = {}
-        self._url_to_id = {}
         self._page_domains = []
         for page in self.pages:
             host = page.host
             domain = sys.intern(registered_domain(host))  # one string per domain
             self._host_members.setdefault(host, []).append(page.page_id)
             self._domain_members.setdefault(domain, []).append(page.page_id)
-            self._url_to_id[page.url] = page.page_id
             self._page_domains.append(domain)
 
     # -- basic accessors ----------------------------------------------------
@@ -100,11 +97,6 @@ class Repository:
     def domain_of(self, page_id: int) -> str:
         """:attr:`Page.domain` of ``pages[page_id]``, from a table."""
         return self._page_domains[page_id]
-
-    def page_by_url(self, url: str) -> Page | None:
-        """Page with exactly this URL, or None."""
-        page_id = self._url_to_id.get(url)
-        return None if page_id is None else self.pages[page_id]
 
     def domains(self) -> list[str]:
         """All registered domains present, sorted."""

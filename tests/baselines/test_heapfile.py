@@ -39,13 +39,6 @@ class TestHeapPage:
             count += 1
         assert count > 100
 
-    def test_delete_tombstones(self):
-        page = HeapPage()
-        slot = page.insert(b"gone")
-        page.delete(slot)
-        with pytest.raises(StorageError):
-            page.read(slot)
-
     def test_invalid_slot(self):
         page = HeapPage()
         with pytest.raises(StorageError):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import GraphError
 from repro.graph.algorithms import (
     bfs_distances,
-    degree_statistics,
     hits,
     in_neighborhood,
     kleinberg_base_set,
@@ -131,13 +130,6 @@ class TestNeighborhoods:
         graph = Digraph.from_adjacency([[1], [2], [], [0]])
         base = kleinberg_base_set(graph, graph.transpose(), [0])
         assert base == {0, 1, 3}
-
-    def test_degree_statistics(self):
-        stats = degree_statistics(Digraph.from_adjacency([[1, 2], [], []]))
-        assert stats["mean_out_degree"] == pytest.approx(2 / 3)
-        assert stats["max_out_degree"] == 2
-        assert stats["max_in_degree"] == 1
-
 
 @settings(deadline=None, max_examples=25)
 @given(

@@ -41,12 +41,6 @@ class TestBuilder:
         with pytest.raises(GraphError):
             builder.add_edge(-1, 0)
 
-    def test_add_vertex(self):
-        builder = GraphBuilder(1)
-        new = builder.add_vertex()
-        builder.add_edge(0, new)
-        assert builder.build().successors_list(0) == [1]
-
     def test_add_links_matches_per_edge_adds(self):
         rows = [[1, 2, 2], [0], [], [0, 1, 3]]
         by_edge, by_links = GraphBuilder(4), GraphBuilder(4)
@@ -54,7 +48,6 @@ class TestBuilder:
             for target in targets:
                 by_edge.add_edge(source, target)
             by_links.add_links(source, targets)
-        assert by_links.num_buffered_edges == by_edge.num_buffered_edges
         a, b = by_edge.build(), by_links.build()
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.targets, b.targets)
@@ -113,29 +106,6 @@ class TestDigraph:
         graph = small_graph()
         assert graph.transpose().transpose() == graph
 
-    def test_subgraph(self):
-        graph = small_graph()
-        sub, mapping = graph.subgraph([0, 2])
-        assert mapping == {0: 0, 2: 1}
-        assert sorted(sub.edges()) == [(0, 1), (1, 0)]
-
-    def test_subgraph_duplicate_vertices_rejected(self):
-        with pytest.raises(GraphError):
-            small_graph().subgraph([0, 0])
-
-    def test_relabel_preserves_structure(self):
-        graph = small_graph()
-        permutation = [2, 0, 3, 1]
-        relabeled = graph.relabel(permutation)
-        expected = sorted(
-            (permutation[s], permutation[t]) for s, t in graph.edges()
-        )
-        assert sorted(relabeled.edges()) == expected
-
-    def test_relabel_requires_bijection(self):
-        with pytest.raises(GraphError):
-            small_graph().relabel([0, 0, 1, 2])
-
     def test_invalid_csr_rejected(self):
         with pytest.raises(GraphError):
             Digraph(np.array([0, 2, 1]), np.array([0, 1]))
@@ -162,26 +132,3 @@ def test_property_transpose_preserves_edge_count(case):
     transpose = graph.transpose()
     assert transpose.num_edges == graph.num_edges
     assert sorted(transpose.edges()) == sorted((t, s) for s, t in graph.edges())
-
-
-@given(
-    st.integers(min_value=1, max_value=20).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                max_size=60,
-            ),
-            st.randoms(use_true_random=False),
-        )
-    )
-)
-def test_property_relabel_roundtrip(case):
-    n, edges, rng = case
-    graph = Digraph.from_edges(n, edges)
-    permutation = list(range(n))
-    rng.shuffle(permutation)
-    inverse = [0] * n
-    for old, new in enumerate(permutation):
-        inverse[new] = old
-    assert graph.relabel(permutation).relabel(inverse) == graph

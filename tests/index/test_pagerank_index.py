@@ -36,11 +36,6 @@ class TestPageRankIndex:
     def test_top_k_restricted_pool(self, index):
         assert index.top_k([3, 4], 1)[0] in (3, 4)
 
-    def test_rank_order_descending(self, index):
-        order = index.rank_order(range(6))
-        scores = [index.score(p) for p in order]
-        assert scores == sorted(scores, reverse=True)
-
     def test_out_of_range(self, index):
         with pytest.raises(QueryError):
             index.score(100)

@@ -33,13 +33,6 @@ class TestTermLookup:
     def test_unknown_term_empty(self, index):
         assert index.pages_with_term("quantum") == set()
 
-    def test_document_frequency(self, index):
-        assert index.document_frequency("snoopy") == 1
-
-    def test_num_terms(self, index):
-        assert index.num_terms == 10
-
-
 class TestConjunction:
     def test_all_terms(self, index):
         assert index.pages_with_all(["mobile", "networking"]) == {0, 1, 2}

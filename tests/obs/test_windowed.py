@@ -34,7 +34,6 @@ class TestWindowedHistogram:
         windowed.record(0.020)
         assert windowed.snapshot().count == 2
         assert windowed.cumulative.count == 2
-        assert len(windowed.live_windows()) == 1
 
     def test_rotation_drops_old_windows_from_snapshot(self):
         clock = FakeClock()

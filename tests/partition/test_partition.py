@@ -74,35 +74,6 @@ class TestPartition:
             Partition.trivial(3).element_of(7)
 
 
-class TestReplaceElement:
-    def test_refinement_step(self):
-        partition = Partition.by_domain(["a", "a", "a", "b"])
-        index = next(
-            i for i, e in enumerate(partition.elements()) if e.domain == "a"
-        )
-        pieces = [
-            Element(pages=(0,), domain="a"),
-            Element(pages=(1, 2), domain="a"),
-        ]
-        refined = partition.replace_element(index, pieces)
-        assert refined.num_elements == 3
-        assert refined.element_of(0) != refined.element_of(1)
-        assert refined.element_of(1) == refined.element_of(2)
-
-    def test_pieces_must_cover_exactly(self):
-        partition = Partition.trivial(3)
-        with pytest.raises(PartitionError):
-            partition.replace_element(0, [Element(pages=(0, 1), domain="")])
-        with pytest.raises(PartitionError):
-            partition.replace_element(
-                0,
-                [
-                    Element(pages=(0, 1), domain=""),
-                    Element(pages=(1, 2), domain=""),
-                ],
-            )
-
-
 class TestSplitElement:
     def test_inherits_metadata(self):
         element = Element(pages=(0, 1, 2), domain="a.com", url_depth=1)

@@ -102,12 +102,6 @@ class TestSuperedgePolarity:
         positive = decode_superedge(graph, target_size=3)
         assert positive == [[0, 1, 2], [0, 1, 2]]
 
-    def test_positive_rows_accessor(self):
-        repo, numbering = dense_pair_setup()
-        model = build_model(repo.graph, numbering)
-        assert model.positive_rows(0, 1) == [[0, 1, 2], [0, 1, 2]]
-
-
 class TestModelEquivalence:
     def test_model_preserves_every_edge(self, small_repo, small_partition):
         numbering = build_numbering(small_repo, small_partition)

@@ -108,13 +108,10 @@ class TestIndexes:
         store = small_build.store
         numbering = small_build.numbering
         domain = small_repo.page(0).domain
-        supernodes = store.supernodes_of_domain(domain)
+        supernodes = store.domains[domain]
         assert supernodes
         for supernode in supernodes:
             assert numbering.supernode_domains[supernode] == domain
-
-    def test_unknown_domain_empty(self, small_build):
-        assert small_build.store.supernodes_of_domain("nowhere.example") == []
 
     def test_open_decodes_the_supernode_graph_once(self, small_build, monkeypatch):
         """``read_layout`` decodes the supernode graph to walk the pointer

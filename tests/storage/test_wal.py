@@ -82,17 +82,6 @@ class TestAppendScan:
         assert wal.path.read_bytes() == good
         assert wal.repair_tail() == 0  # idempotent on a clean log
 
-    def test_truncate_prefix_keeps_suffix_replayable(self, tmp_path):
-        wal = GraphWal(tmp_path / "graph.wal")
-        offsets = [wal.append(op, edges) for op, edges in BATCHES]
-        absorbed = offsets[2]  # byte offset after the third record
-        wal.truncate_prefix(absorbed)
-        scan = wal.scan()
-        assert not scan.torn
-        assert [(r.op, r.edges) for r in scan.records] == [
-            (op, tuple(sorted(set(edges)))) for op, edges in BATCHES[3:]
-        ]
-
     def test_carry_suffix_to_moves_unabsorbed_records(self, tmp_path):
         old = GraphWal(tmp_path / "old" / "graph.wal")
         old.path.parent.mkdir()
@@ -155,7 +144,7 @@ class TestCrashSweep:
         plan = FaultPlan(seed=7, crash_at_write=0, torn_writes=True)
         with faults.activated(plan):
             with pytest.raises(SimulatedCrash):
-                wal.truncate_prefix(10)
+                wal.carry_suffix_to(wal, 10)
         # The staging write crashed before the atomic replace: the main
         # log is untouched and fully replayable.
         assert wal.path.read_bytes() == before

@@ -73,11 +73,6 @@ class BitWriter:
             self.write_bit(0)
         self.write_bit(1)
 
-    def align(self) -> None:
-        """Pad with zero bits up to the next byte boundary."""
-        while self._filled:
-            self.write_bit(0)
-
     def extend(self, other: "BitWriter") -> None:
         """Append every bit written to ``other`` onto this writer."""
         data = other._buffer

@@ -43,13 +43,6 @@ class TestBitWriter:
         with pytest.raises(BitStreamError):
             BitWriter().write_unary(-1)
 
-    def test_align_pads_to_byte_boundary(self):
-        writer = BitWriter()
-        writer.write_bits(0b11, 2)
-        writer.align()
-        assert len(writer) == 8
-        assert writer.to_bytes() == bytes([0b1100_0000])
-
     def test_extend_concatenates_bit_streams(self):
         left = BitWriter()
         left.write_bits(0b101, 3)

@@ -121,8 +121,6 @@ def random_writer_ops(rng: random.Random, depth: int = 0) -> list[tuple]:
             ops.append(("write_bits", value, width))
         elif kind < 0.8:
             ops.append(("write_unary", rng.choice((-1, 0, 1, 7, 8, 300, rng.randrange(40)))))
-        elif kind < 0.9:
-            ops.append(("align",))
         elif depth < 2:
             ops.append(("extend", random_writer_ops(rng, depth + 1)))
     return ops

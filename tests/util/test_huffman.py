@@ -73,13 +73,6 @@ class TestHuffmanCodec:
         with pytest.raises(CodecError):
             HuffmanCodec({})
 
-    def test_encoded_size_matches_actual(self):
-        codec = HuffmanCodec.from_frequencies({i: i * i + 1 for i in range(20)})
-        symbols = list(range(20)) * 3
-        writer = BitWriter()
-        codec.encode_sequence(writer, symbols)
-        assert len(writer) == codec.encoded_size_bits(symbols)
-
     def test_canonical_codes_are_prefix_free(self):
         codec = HuffmanCodec.from_frequencies({i: (i % 5) + 1 for i in range(40)})
         codes = {

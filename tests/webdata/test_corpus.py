@@ -34,11 +34,6 @@ class TestRepository:
         assert page.host == "cs.stanford.edu"
         assert page.domain == "stanford.edu"
 
-    def test_page_by_url(self):
-        repo = make_repository()
-        assert repo.page_by_url("http://www.amazon.com/c.html").page_id == 2
-        assert repo.page_by_url("http://nowhere.org/") is None
-
     def test_page_out_of_range(self):
         with pytest.raises(QueryError):
             make_repository().page(10)
