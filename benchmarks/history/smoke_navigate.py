@@ -25,9 +25,11 @@ graph of its supernode, and every load decoded every row of its graph:
   superedge graph is built from its learned header and decodes rows only
   when a linked source is asked for.
 
-The traced rounds follow at least one untraced round, whose scans load
-every graph, so each of them runs with every pool charge already learned
-and decodes the same rows.  ``--write`` re-records the round's work and
+The traced rounds follow at least one untraced round, whose scans read
+every graph and learn what its first load would, so each of them runs
+with every pool charge already learned and decodes the same rows.  A
+scan reads past the pool, so a round's loads, misses, evictions and
+graphs decoded are its probes' and queries' only.  ``--write`` re-records the round's work and
 keeps the bounds; it belongs to a change that means to move that work.
 """
 

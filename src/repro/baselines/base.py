@@ -326,16 +326,20 @@ class SNodeRepresentation(GraphRepresentation):
         }
 
     def iterate_all(self):
-        """Every (page, adjacency) in storage order.
+        """Every (page, adjacency) in storage order, in repository ids: the
+        store's scan, which translates and sorts each row once, with the
+        overlay merged in.
 
         Always charged to the store's base registry, from a client view
         too: a scan is a whole-store job, and conservation sums count on
         a client's registry holding only that client's lookups.
         """
+        rows = self._store.iterate_all(self._new_to_old)
+        overlay = (self._parent or self)._overlay
+        if overlay is None:
+            return rows
         base = self._store.metrics
-        for new_page, row in self._store.iterate_all():
-            page = self._new_to_old[new_page]
-            yield page, self._repository_row(page, row, base)
+        return ((page, overlay.merge(page, row, base)) for page, row in rows)
 
     def size_bytes(self) -> int:
         from repro.snode.encode import supernode_graph_size_bytes

@@ -67,8 +67,9 @@ class AccessRow:
 
 
 def _warm(representation: GraphRepresentation) -> None:
-    for _page, _row in representation.iterate_all():
-        pass
+    """Buffer every page's adjacency by looking each up — the one warm-up
+    of every scheme.  (A scan would not do: S-Node's reads past its pool.)"""
+    representation.out_neighbors_many(range(representation.num_pages))
 
 
 def _measure(

@@ -193,8 +193,7 @@ class IntranodeRows:
         """Every row; one fused :func:`decode_rows` pass unless already held."""
         rows = self._rows
         if type(rows) is not list:
-            dictionary, body, _starts = self.directory
-            rows = self._rows = decode_rows(BitReader(self.payload, body), dictionary)
+            rows = self._rows = scan_intranode(self.payload, self.directory)[0]
         return rows
 
     def __iter__(self):
@@ -215,12 +214,23 @@ def decode_intranode(data: bytes, directory: RowDirectory | None = None) -> Intr
     """
     if directory is not None:
         return IntranodeRows(data, directory, {})
+    rows, directory = scan_intranode(data)
+    return IntranodeRows(data, directory, rows)
+
+
+def scan_intranode(
+    data: bytes, directory: RowDirectory | None = None
+) -> tuple[list[list[int]], RowDirectory]:
+    """Every row of an intranode payload, decoded in one pass, and its
+    directory: ``directory`` if given, else learned by the pass."""
+    if directory is not None:
+        return decode_rows(BitReader(data, directory.body), directory.dictionary), directory
     reader = BitReader(data)
     dictionary = _decode_locals(reader)
     body = reader.position
     starts = array("I")
     rows = decode_rows(reader, dictionary=dictionary, starts=starts)
-    return IntranodeRows(data, RowDirectory(dictionary, body, starts), rows)
+    return rows, RowDirectory(dictionary, body, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +426,24 @@ def positive_rows_from_payload(
     :attr:`SuperedgeRows.linked` is read.
     """
     if header is None:
-        reader, negative, sources = _superedge_header(data)
-        header = SuperedgeHeader(negative, tuple(sources), reader.position)
+        header = _parsed_header(data)
     return SuperedgeRows(source_size, header, (data, target_size))
+
+
+def scan_superedge(
+    data: bytes, target_size: int, header: SuperedgeHeader | None = None
+) -> tuple[dict[int, list[int]], SuperedgeHeader]:
+    """Every positive row of a superedge payload (``source local -> row``,
+    linked sources only), decoded in one pass, and its header: ``header``
+    if given, else parsed."""
+    if header is None:
+        header = _parsed_header(data)
+    return _positive_rows(header, data, target_size), header
+
+
+def _parsed_header(data: bytes) -> SuperedgeHeader:
+    reader, negative, sources = _superedge_header(data)
+    return SuperedgeHeader(negative, tuple(sources), reader.position)
 
 
 # ---------------------------------------------------------------------------

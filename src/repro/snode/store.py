@@ -47,6 +47,8 @@ from repro.snode.encode import (
     _superedge_header,
     decode_intranode,
     positive_rows_from_payload,
+    scan_intranode,
+    scan_superedge,
 )
 from repro.snode.storage import (
     GraphLocation,
@@ -152,6 +154,10 @@ class SNodeStore:
         #: Supernode -> its visit, with the links every superedge header
         #: read at open gives (:meth:`_read_visits`).
         self._visits: list[_Visit] = self._read_visits()
+        #: Every graph in pointer-table order and where it is: what a scan
+        #: walks (:meth:`_scanned`).
+        self._scan_keys = tuple(key for visit in self._visits for key in visit.keys)
+        self._scan_regions = [self._location(key) for key in self._scan_keys]
         # The paper pins the supernode graph and both indexes for the
         # lifetime of the store; account for them as pinned buffer bytes.
         self._pool.pin(
@@ -378,6 +384,21 @@ class SNodeStore:
         header too (a superedge graph's first load parses only its
         header), so every later access, miss or hit, parses nothing.
         """
+        self._verify(key, location, payload)
+        learned = self._learned.get(key)
+        rows = self._decode(key, payload, learned)
+        if learned is None:
+            if key[0] == "intra":
+                learned = self._learn(key, payload, rows.directory, rows)
+            else:
+                # A payload-caching store's first load parses the header alone.
+                linked = rows.linked if self._cache_decoded else None
+                learned = self._learn(key, payload, rows.header, linked)
+        return rows, learned[0]
+
+    def _verify(self, key: tuple, location: GraphLocation, payload: bytes) -> None:
+        """Raise :class:`~repro.errors.CorruptionError` unless ``payload``
+        matches the checksum of graph ``key``'s pointer record."""
         actual = integrity.crc32(payload)
         if actual != location.crc:
             if key[0] == "intra":
@@ -390,18 +411,21 @@ class SNodeStore:
                 f"{location.offset} (stored {location.crc:#010x}, "
                 f"read {actual:#010x})"
             )
-        learned = self._learned.get(key)
-        rows = self._decode(key, payload, learned)
-        if learned is None:
-            if not self._cache_decoded:
-                charge = len(payload)
-            elif key[0] == "intra":
-                charge = _graph_cost(len(rows), rows)
-            else:
-                charge = _graph_cost(rows.source_size, rows.linked.values())
-            facts = rows.directory if key[0] == "intra" else rows.header
-            learned = self._learned[key] = (charge, facts)
-        return rows, learned[0]
+
+    def _learn(self, key: tuple, payload: bytes, facts, rows) -> tuple:
+        """Record and return what graph ``key``'s first load learns:
+        ``(charge, facts)``, ``facts`` its row directory or header.  The
+        charge is the payload's length in a payload-caching store, else
+        the decoded cost of ``rows`` — an intranode graph's rows, a
+        superedge graph's ``source local -> row`` dict."""
+        if not self._cache_decoded:
+            charge = len(payload)
+        elif key[0] == "intra":
+            charge = _graph_cost(len(rows), rows)
+        else:
+            charge = _graph_cost(self._sizes(key)[0], rows.values())
+        learned = self._learned[key] = (charge, facts)
+        return learned
 
     def intranode_rows(
         self, supernode: int, registry: MetricsRegistry | None = None
@@ -428,8 +452,8 @@ class SNodeStore:
     def _positions(self, supernode: int, locals_: list[int]) -> array | list | None:
         """Positions in ``supernode``'s visit of the graphs the rows of
         ``locals_`` are in, or None for the whole visit: the paper's
-        visit while the pool is not pressed, for a scan, or with the link
-        records emptied."""
+        visit while the pool is not pressed, for every page of the
+        supernode, or with the link records emptied."""
         visit = self._visits[supernode]
         first, end = self.supernode_range(supernode)
         if not self._pool.pressed or not visit.starts or len(locals_) >= end - first:
@@ -655,10 +679,10 @@ class SNodeStore:
         has evicted to admit since it was last emptied) those are only
         the superedge graphs whose headers, read at open, list an asked
         local, and those whose headers are unknown
-        (:meth:`_positions`); otherwise, and for a scan, every one —
-        the paper's visit, which with room to spare buffers the rest of
-        the supernode for the lookups that follow.
-        Asked for as many locals as the supernode has pages (a scan), the
+        (:meth:`_positions`); otherwise, and for every page of the
+        supernode, every one — the paper's visit, which with room to
+        spare buffers the rest of the supernode for the lookups that
+        follow.  Asked for as many locals as the supernode has pages, the
         intranode graph is decoded whole in one pass; otherwise each asked
         row is decoded alone, with its reference chain.
 
@@ -686,8 +710,8 @@ class SNodeStore:
             graphs = iter(self._load(keys, kinds, batch, memory_only, positions))
             intra = next(graphs)
             if type(intra) is IntranodeRows and len(locals_) >= len(intra):
-                # Every row asked for (a scan): one fused decode of the
-                # graph, not one per row.  (A quarantined graph is a list.)
+                # Every row asked for: one fused decode of the graph, not
+                # one per row.  (A quarantined graph is a list.)
                 intra = intra.every()
             result = [[first + t for t in intra[local]] for local in locals_]
             #: local -> the rows of ``result`` asked for it, built on the
@@ -758,16 +782,120 @@ class SNodeStore:
             result.update(zip(group, rows))
         return result
 
-    def iterate_all(self):
-        """Yield (page, adjacency list) for every page in id order.
+    def iterate_all(self, new_to_old=None):
+        """Yield ``(page, adjacency list)`` for every page, supernode by
+        supernode in pointer-table order (Figure 8's linear layout): the
+        sequential path of Table 2, :meth:`load_digraph` and compaction.
 
-        Sequential-access path used by the Table 2 experiment; walks
-        supernodes in order so payload reads follow the linear layout.
+        Given ``new_to_old``, pages and targets are yielded in the ids it
+        maps store ids to (an adapter's repository ids); either way each
+        row is sorted once, in the ids it is yielded in.
+
+        The graphs come from :meth:`_scanned`, past the buffer pool: a
+        scan admits and touches nothing, and moves no pool counter.
         """
-        for supernode in range(self.num_supernodes):
-            first, end = self.supernode_range(supernode)
-            rows = self._adjacency(supernode, list(range(end - first)), None)
-            yield from zip(range(first, end), rows)
+        boundaries = self._boundaries
+        nodes = range(self.num_supernodes)
+        if new_to_old is None:
+            ids = [range(boundaries[node], boundaries[node + 1]) for node in nodes]
+        else:
+            ids = [new_to_old[boundaries[node] : boundaries[node + 1]] for node in nodes]
+        graphs = self._scanned()
+        for supernode, targets in enumerate(self._super_adjacency):
+            pages = ids[supernode]
+            get = pages.__getitem__
+            result = [list(map(get, row)) for row in next(graphs)]
+            for target in targets:
+                linked = next(graphs)
+                if linked:
+                    get = ids[target].__getitem__
+                    for local, row in linked.items():
+                        result[local].extend(map(get, row))
+            for row in result:
+                row.sort()
+            yield from zip(pages, result)
+
+    def _scanned(self):
+        """Every graph of the store in pointer-table order, decoded whole:
+        an intranode graph as its rows, a superedge graph as its ``source
+        local -> row`` dict of linked sources.
+
+        A graph the pool holds is peeked and used as held.  Each maximal
+        run of adjacent regions the pool does not hold is read with one
+        ``read_at``, its device bytes and seek charged to the store's own
+        registry; each region's slice is checked against its pointer
+        record and decoded straight from the bytes read, with what the
+        graph's first load learned (and, the first time, learning it as a
+        load would).  A quarantined graph is served empty, counting one
+        ``degraded_reads``; a region failing its checksum raises — after
+        the graphs before it were served — or, in degrade mode, is
+        quarantined and served empty.
+        """
+        pool = self._pool
+        quarantined = self._quarantined
+        keys, regions = self._scan_keys, self._scan_regions
+        end = len(keys)
+        index = 0
+        while index < end:
+            for value in pool.peek(keys, index, quarantined):
+                yield self._scan_held(keys[index], value)
+                index += 1
+            if index == end:
+                break
+            if keys[index] in quarantined:
+                yield self._degraded_scan(keys[index])
+                index += 1
+                continue
+            first = regions[index]
+            reach = first.offset + first.length
+            stop = index + 1
+            while stop < end:
+                region = regions[stop]
+                if region.file_index != first.file_index or region.offset != reach:
+                    break
+                key = keys[stop]
+                if key in quarantined or pool.is_cached(key):
+                    break
+                reach += region.length
+                stop += 1
+            data = self._device(first.file_index).read_at(
+                first.offset, reach - first.offset
+            )
+            for key, region in zip(keys[index:stop], regions[index:stop]):
+                begin = region.offset - first.offset
+                yield self._scan_read(key, region, data[begin : begin + region.length])
+            index = stop
+
+    def _scan_held(self, key: tuple, value):
+        """A held graph's rows as :meth:`_scanned` serves them."""
+        if self._cache_decoded:
+            return value.every() if key[0] == "intra" else value.linked
+        return self._scan_decode(key, value, self._learned[key][1])[0]
+
+    def _scan_read(self, key: tuple, location: GraphLocation, payload: bytes):
+        """A read graph's rows as :meth:`_scanned` serves them."""
+        if integrity.crc32(payload) != location.crc:
+            if self._on_corruption != "degrade":
+                self._verify(key, location, payload)  # raises CorruptionError
+            self._quarantine(key)
+            return self._degraded_scan(key)
+        learned = self._learned.get(key)
+        rows, facts = self._scan_decode(key, payload, None if learned is None else learned[1])
+        if learned is None:
+            self._learn(key, payload, facts, rows)
+        return rows
+
+    def _scan_decode(self, key: tuple, payload: bytes, facts):
+        """``(rows, facts)`` of graph ``key`` decoded whole from ``payload``."""
+        if key[0] == "intra":
+            return scan_intranode(payload, facts)
+        boundaries = self._boundaries
+        return scan_superedge(payload, boundaries[key[2] + 1] - boundaries[key[2]], facts)
+
+    def _degraded_scan(self, key: tuple):
+        """A quarantined graph as :meth:`_scanned` serves it, counted."""
+        graph = self._degraded(key, self.metrics)
+        return graph if key[0] == "intra" else graph.linked
 
     def load_digraph(self):
         """Decode the entire representation into an in-memory CSR graph.

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import StorageError
 from repro.snode.delta import DeltaOverlay, merged_repository
+from repro.snode.store import SNodeStore
 from repro.storage.metrics import MetricsRegistry
 from repro.storage.wal import GraphWal
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
+from oracle_loader import paper_scan  # noqa: E402
 
 
 class TestOverlaySemantics:
@@ -169,3 +175,42 @@ class TestStoreEquivalence:
         assert merged.num_pages == small_repo.num_pages
         for page in range(merged.num_pages):
             assert merged.graph.successors_list(page) == expected[page]
+
+    def test_compaction_input_and_the_global_graph_ride_the_scan(
+        self, small_repo, small_build, mutated
+    ):
+        """Compaction's ``merged_repository`` over a base opened with a
+        16 KiB pool, and ``load_digraph``, equal the paper scan's graph;
+        both read every payload byte once and move no pool counter."""
+        from repro.baselines import SNodeRepresentation
+
+        removed, added, expected = mutated
+        overlay = DeltaOverlay()
+        overlay.apply("remove", removed)
+        overlay.apply("add", added)
+        with SNodeStore(small_build.root, buffer_bytes=16 * 1024) as oracle:
+            paper = dict(paper_scan(oracle))
+            new_to_old = oracle.new_to_old
+        assert {
+            new_to_old[new]: overlay.merge(new_to_old[new], sorted(new_to_old[t] for t in row))
+            for new, row in paper.items()
+        } == expected
+
+        base = SNodeRepresentation.open(small_build.root, buffer_bytes=16 * 1024)
+        store = base.store
+        try:
+            merged = merged_repository(small_repo, base, overlay)
+            graph = store.load_digraph()
+            assert [merged.graph.successors_list(page) for page in range(small_repo.num_pages)] == [
+                expected[page] for page in range(small_repo.num_pages)
+            ]
+            assert [graph.successors_list(page) for page in range(store.num_pages)] == [
+                paper[page] for page in range(store.num_pages)
+            ]
+            assert store.metrics.snapshot() == {
+                "bytes_read": 2 * store.manifest["payload_bytes"],
+                "disk_seeks": 2 * len(store._layout.index_files),
+            }
+            assert store.buffer_stats()["entries"] == 0
+        finally:
+            base.close()

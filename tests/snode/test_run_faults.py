@@ -21,6 +21,31 @@ per-graph loader of ``tests/util/oracle_loader.py``):
   set, preempted every 10 µs, get the crawl's rows, and every lookup is
   one hit or one miss and every miss one load — through the paper's
   visit, and through a pressed pool's visit of only the linked graphs.
+
+A scan reads each run of adjacent unbuffered regions — a cold store's
+whole payload file — with one ``read_at``, past the pool:
+
+* a bit flip in a region in the middle of the run raises in raise mode
+  once every supernode before its own was yielded, and in degrade mode
+  quarantines that region alone, counts its degraded read and serves
+  every other row;
+* a transient ``EIO`` is retried inside the one read, and a persistent
+  short read raises ``StorageError``;
+* a session probing while the store is scanned over and over gets the
+  crawl's rows, the scans too, with request → session → store
+  conservation exact and the store's own registry charged only device
+  bytes, seeks and the session's evictions.
+
+Seeded mutations of the scan, each failing the test named:
+
+* the checksum of a region read not checked —
+  ``test_a_bit_flip_in_the_middle_of_a_scan_run``;
+* each region read with a ``read_at`` of its own —
+  ``test_a_transient_eio_on_a_scan_read_is_retried``;
+* a failed run read served as degraded graphs —
+  ``test_a_persistent_short_read_of_a_scan_raises_storage_error``;
+* each graph read admitted to the pool (a replayed miss) —
+  ``test_a_lookup_thread_during_scans``.
 """
 
 from __future__ import annotations
@@ -32,7 +57,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, StorageError
 from repro.obs.profile import trace as profile
 from repro.snode.store import SNodeStore
 from repro.storage import faults
@@ -40,7 +65,7 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.device import CountedFile
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
-from oracle_loader import paper_visit, per_graph  # noqa: E402
+from oracle_loader import paper_scan, paper_visit, per_graph  # noqa: E402
 
 
 def three_region_visit(store) -> int:
@@ -358,7 +383,7 @@ def test_six_sessions_over_a_churning_pool(small_build):
     store.close()
 
     linked = SNodeStore(small_build.root, buffer_bytes=16 * 1024)
-    for _page, _row in linked.iterate_all():
+    for _page, _row in paper_scan(linked):
         pass
     assert linked._pool.pressed
     linked.metrics.reset()
@@ -369,3 +394,172 @@ def test_six_sessions_over_a_churning_pool(small_build):
 
     assert sum(race_six(linked, expected, visit_length)) < sum(paper)
     linked.close()
+
+
+# -- a scan's runs ------------------------------------------------------------
+
+
+def scanned(store) -> tuple[list, type | None]:
+    """What a scan of ``store`` yields, and the type of the error it ends in."""
+    rows = []
+    try:
+        for item in store.iterate_all():
+            rows.append(item)
+    except StorageError as error:
+        return rows, type(error)
+    return rows, None
+
+
+@pytest.mark.parametrize("decoded", [True, False], ids=["decoded", "encoded"])
+@pytest.mark.parametrize("mode", ["raise", "degrade"])
+def test_a_bit_flip_in_the_middle_of_a_scan_run(small_build, tmp_path, mode, decoded):
+    """A cold scan reads the payload file in one run.  In raise mode the
+    region failing its checksum raises once every supernode before its
+    own was yielded; in degrade mode only it is quarantined, its degraded
+    read counted, and every other row served.  No pool counter moves."""
+    root = tmp_path / "build"
+    shutil.copytree(small_build.root, root)
+    with SNodeStore(root) as clean:
+        want = list(clean.iterate_all())
+        supernode = three_region_visit(clean)
+        bad_target = clean.super_adjacency[supernode][0]
+        _first, middle, _last = regions(clean, supernode)
+        path = root / clean._layout.index_files[middle.file_index]
+        assert len(clean._layout.index_files) == 1
+    with open(path, "r+b") as handle:
+        handle.seek(middle.offset + middle.length // 2)
+        byte = handle.read(1)[0]
+        handle.seek(middle.offset + middle.length // 2)
+        handle.write(bytes([byte ^ 0x08]))
+
+    store = SNodeStore(root, on_corruption=mode, cache_decoded=decoded)
+    tracer = profile.AccessTracer()
+    with profile.activated(tracer):
+        rows, error = scanned(store)
+    assert reads(tracer) == 1
+    charged = store.metrics.snapshot()
+    payload = store.manifest["payload_bytes"]
+    if mode == "raise":
+        assert error is CorruptionError
+        assert rows == want[: store.supernode_range(supernode)[0]]
+        assert store.quarantined == []
+        assert charged == {"bytes_read": payload, "disk_seeks": 1}
+    else:
+        low, high = store.supernode_range(bad_target)
+        assert error is None
+        assert rows == [
+            (page, row if store.supernode_of(page) != supernode else [
+                target for target in row if not low <= target < high
+            ])
+            for page, row in want
+        ]
+        assert rows != want
+        assert store.quarantined == [("super", supernode, bad_target)]
+        assert charged == {
+            "bytes_read": payload,
+            "disk_seeks": 1,
+            "degraded_reads": 1,
+            "regions_quarantined": 1,
+        }
+    assert store._pool._cache.keys() == []
+    store.close()
+
+
+def test_a_transient_eio_on_a_scan_read_is_retried(small_build):
+    with SNodeStore(small_build.root) as clean:
+        want = list(clean.iterate_all())
+    store = SNodeStore(small_build.root)
+    tracer = profile.AccessTracer()
+    with faults.activated(SpoilFirstRead("eio")), profile.activated(tracer):
+        rows, error = scanned(store)
+    assert (error, rows == want) == (None, True)
+    assert reads(tracer) == 1
+    assert store.metrics.snapshot() == {
+        "bytes_read": store.manifest["payload_bytes"],
+        "disk_seeks": 1,
+        "fault_eio": 1,
+        "io_retries": 1,
+    }
+    store.close()
+
+
+class CutEveryRead(faults.FaultPlan):
+    """A plan that cuts every read attempt in half."""
+
+    def on_read(self, path, offset, data, registry=None):
+        registry.inc("fault_short_reads")
+        return data[: len(data) // 2]
+
+
+def test_a_persistent_short_read_of_a_scan_raises_storage_error(small_build, monkeypatch):
+    monkeypatch.setattr(faults, "READ_RETRY_BACKOFF_S", 0.0)
+    store = SNodeStore(small_build.root)
+    with faults.activated(CutEveryRead(seed=0)):
+        rows, error = scanned(store)
+    assert (error, rows) == (StorageError, [])
+    assert store.metrics.snapshot() == {
+        "disk_seeks": 1,
+        "fault_short_reads": faults.READ_RETRY_LIMIT + 1,
+        "io_retries": faults.READ_RETRY_LIMIT,
+    }
+    store.close()
+
+
+def test_a_lookup_thread_during_scans(small_build):
+    """A session probing every page while the store is scanned over and
+    over, preempted every 10 µs, through a pool far smaller than the
+    working set: both get the crawl's rows, every lookup is one hit or
+    one miss and every miss one load, request → session → store
+    conservation is exact, and the scans charge the store's own registry
+    with device bytes and seeks only."""
+    store = SNodeStore(small_build.root, buffer_bytes=16 * 1024)
+    with SNodeStore(small_build.root) as clean:
+        want = list(clean.iterate_all())
+    expected = dict(want)
+    session = store.metrics.child("client")
+    requests: list[dict] = []
+    got: dict[int, list[int]] = {}
+
+    def probe() -> None:
+        for page in range(store.num_pages):
+            before = session.io_stats()
+            got[page] = store.out_neighbors(page, session)
+            after = session.io_stats()
+            requests.append(
+                {name: after[name] - before.get(name, 0) for name in after if after[name] != before.get(name, 0)}
+            )
+
+    thread = threading.Thread(target=probe)
+    scans = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread.start()
+        while thread.is_alive() or not scans:
+            scans.append(scanned(store))
+        thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert all(scan == (want, None) for scan in scans)
+    assert got == expected
+
+    # request -> session
+    summed: dict[str, int] = {}
+    for counts in requests:
+        for name, amount in counts.items():
+            summed[name] = summed.get(name, 0) + amount
+    charged = session.io_stats()
+    assert summed == charged
+    assert all(counts.get("buffer_hits", 0) + counts.get("buffer_misses", 0) for counts in requests)
+    assert charged["buffer_misses"] == charged["loads"] > 0
+    # session -> store: the scans charged the base bytes and seeks, and
+    # the session's admissions its evictions.
+    base = store.metrics.io_stats()
+    assert set(base) <= {"bytes_read", "disk_seeks", "buffer_evictions"}
+    assert base["bytes_read"] <= len(scans) * store.manifest["payload_bytes"]
+    merged = store.metrics.merged_snapshot()
+    store.metrics.merge(session)
+    assert store.metrics.snapshot() == merged
+    store._pool.check_invariants()
+    store.close()

@@ -41,6 +41,7 @@ from hypothesis import example, given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
 import cut_body  # noqa: E402
 import oracle_codecs  # noqa: E402
+from oracle_loader import paper_scan  # noqa: E402
 
 from repro.errors import CodecError  # noqa: E402
 from repro.snode.build import BuildOptions, build_snode  # noqa: E402
@@ -222,7 +223,7 @@ def test_two_passes_over_every_page_equal_the_crawl(crawl_builds, direction, cac
 @pytest.mark.parametrize("asked", [1, 3], ids=["point", "grouped"])
 def test_a_lookup_decodes_only_the_graphs_that_link_what_it_asked_for(small_build, asked):
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-    for _page, _row in store.iterate_all():  # every charge learned
+    for _page, _row in paper_scan(store):  # every charge learned
         pass
     decoded = header_resident = 0
     busiest = sorted(

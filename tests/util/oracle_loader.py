@@ -10,6 +10,12 @@ either loader: cold and resident visits and single graphs alike.
 ``paper_visit(store)`` makes one store read the paper's visit — the
 intranode graph and every superedge graph of the supernode — whatever
 the pool's pressure, as if no superedge header had been read at open.
+
+``paper_scan(store)`` is the scan as ``SNodeStore.iterate_all`` had it
+before a scan read past the pool: one ``_adjacency`` lookup of every
+page of each supernode in turn, loading, admitting and counting every
+graph through the pool.  Tests that fill, press or learn a pool with a
+scan, or pin the counters of one, use it.
 """
 
 from __future__ import annotations
@@ -66,6 +72,15 @@ def per_graph(store):
     """``store``, every graph it reads loaded graph by graph from now on."""
     store._load = functools.partial(load_each, store)
     return store
+
+
+def paper_scan(store):
+    """Yield ``(page, row)`` for every page of ``store`` in id order, each
+    supernode's rows one ``_adjacency`` lookup through the pool."""
+    for supernode in range(store.num_supernodes):
+        first, end = store.supernode_range(supernode)
+        rows = store._adjacency(supernode, list(range(end - first)), None)
+        yield from zip(range(first, end), rows)
 
 
 def paper_visit(store):

@@ -91,6 +91,7 @@ import cut_body
 import oracle_codecs
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from oracle_loader import paper_scan
 from oracle_tracing import SnapshotTracer
 
 from repro.errors import NotResident, ServeError
@@ -464,7 +465,7 @@ def test_a_scan_decodes_each_intranode_graph_in_one_pass(small_build, monkeypatc
     supernode of more than one page decodes its row alone."""
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
     sources = {key: store.superedge_rows(*key).sources for key in store._layout.superedge}
-    for _page, _row in store.iterate_all():  # every graph loaded: every directory learned
+    for _page, _row in paper_scan(store):  # every graph loaded: every directory learned
         pass
     calls = dict.fromkeys(("decode_rows", "decode_row"), 0)
     for name in calls:
@@ -647,7 +648,7 @@ def test_every_superedge_payload_reloads_like_a_fresh_parse(small_build, cache_d
     fresh parse of its payload; two entries of a key share one immutable
     ``sources``."""
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
-    for _page, _row in store.iterate_all():  # every header learned
+    for _page, _row in paper_scan(store):  # every header learned
         pass
     store.drop_buffers()
     store.metrics.reset()
