@@ -57,7 +57,8 @@ def main() -> None:
         # Operator-side integrity check after the build is on disk.
         for direction in ("wg", "wgt"):
             report = verify_snode(root / direction)
-            status = "OK" if report.ok else f"PROBLEMS: {report.problems[:2]}"
+            problems = [finding.render() for finding in report.findings[:2]]
+            status = "OK" if report.ok else f"PROBLEMS: {problems}"
             print(f"  verify {direction}: {report.graphs_checked} graphs ... {status}")
 
     print(f"\nartifacts left under {workdir}")

@@ -7,10 +7,10 @@ Gives a repository operator the whole pipeline without writing Python:
 * ``repro build``    — build an S-Node representation from a stream
   (``--workers N`` fans the encode stage over a process pool — bytes
   are identical for any N);
-* ``repro verify``   — integrity-check a stored representation;
 * ``repro fsck``     — check any build directory (atomic-commit state,
-  manifest file table, per-region checksums); ``--repair`` quarantines
-  corrupt S-Node regions for graceful degradation;
+  manifest file table, per-region checksums; for S-Node also the layout
+  and a decode of every graph); ``--repair`` quarantines corrupt S-Node
+  regions for graceful degradation;
 * ``repro stats``    — summarize a stored representation;
 * ``repro neighbors``— print a page's out-links from a stored
   representation (by repository page id);
@@ -46,7 +46,7 @@ throttled progress to stderr (suppress with ``--quiet``), and
 pipeline phases.
 
 The package splits one module per subcommand group — ``build`` (generate,
-build), ``query`` (stats, neighbors), ``fsck`` (verify, fsck), ``bench``
+build), ``query`` (stats, neighbors), ``fsck``, ``bench``
 (experiment, bench-validate, bench-diff), ``profile``, ``serve`` (serve,
 loadgen), ``top``, ``trace`` — each exposing a
 ``register(commands)`` hook this module assembles into the parser.  The

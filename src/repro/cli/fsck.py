@@ -1,21 +1,9 @@
-"""``repro fsck`` and ``repro verify`` — integrity checking."""
+"""``repro fsck`` — offline integrity checking of a build directory."""
 
 from __future__ import annotations
 
 import argparse
 import json
-
-
-def _cmd_verify(arguments: argparse.Namespace) -> int:
-    from repro.snode.verify import verify_snode
-
-    report = verify_snode(arguments.root, decode_payloads=not arguments.fast)
-    if report.ok:
-        print(f"OK ({report.graphs_checked} graphs checked)")
-        return 0
-    for problem in report.problems:
-        print(f"PROBLEM: {problem}")
-    return 1
 
 
 def _cmd_fsck(arguments: argparse.Namespace) -> int:
@@ -30,18 +18,12 @@ def _cmd_fsck(arguments: argparse.Namespace) -> int:
 
 
 def register(commands) -> None:
-    """Attach the ``verify`` and ``fsck`` subparsers."""
-    verify = commands.add_parser("verify", help="integrity-check a representation")
-    verify.add_argument("root")
-    verify.add_argument(
-        "--fast", action="store_true", help="skip payload decoding"
-    )
-    verify.set_defaults(handler=_cmd_verify)
-
+    """Attach the ``fsck`` subparser."""
     fsck = commands.add_parser(
         "fsck",
         help="check a build directory: atomic-commit state, manifest file "
-        "table, per-region checksums (any scheme)",
+        "table, per-region checksums (any scheme); for S-Node also the "
+        "layout and a decode of every graph",
     )
     fsck.add_argument("root")
     fsck.add_argument(

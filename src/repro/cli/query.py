@@ -7,6 +7,26 @@ import json
 import sys
 from pathlib import Path
 
+from repro.snode.storage import (
+    DOMAIN_NAME,
+    MANIFEST_NAME,
+    NEWID_NAME,
+    PAGEID_NAME,
+    POINTERS_NAME,
+    SUPERNODE_NAME,
+)
+
+#: Breakdown key, printed label and file of every table beside the
+#: payload files.
+_TABLES = (
+    ("supernode_graph_bytes", "supernode graph", SUPERNODE_NAME),
+    ("pointer_bytes", "pointers", POINTERS_NAME),
+    ("pageid_index_bytes", "pageid index", PAGEID_NAME),
+    ("newid_map_bytes", "newid map", NEWID_NAME),
+    ("domain_index_bytes", "domain index", DOMAIN_NAME),
+    ("manifest_bytes", "manifest", MANIFEST_NAME),
+)
+
 
 def _size_breakdown(root: Path, manifest: dict) -> dict:
     """On-disk bytes per component of a stored representation.
@@ -28,21 +48,10 @@ def _size_breakdown(root: Path, manifest: dict) -> dict:
             "intranode_bytes": manifest.get("intranode_bytes", 0),
             "superedge_bytes": manifest.get("superedge_bytes", 0),
         },
-        "supernode_graph_bytes": file_size("supernode.bin"),
-        "pointer_bytes": file_size("pointers.bin"),
-        "pageid_index_bytes": file_size("pageid.bin"),
-        "newid_map_bytes": file_size("newid.bin"),
-        "domain_index_bytes": file_size("domain.json"),
-        "manifest_bytes": file_size("manifest.json"),
+        **{key: file_size(name) for key, _label, name in _TABLES},
     }
-    breakdown["total_disk_bytes"] = (
-        payload_disk
-        + breakdown["supernode_graph_bytes"]
-        + breakdown["pointer_bytes"]
-        + breakdown["pageid_index_bytes"]
-        + breakdown["newid_map_bytes"]
-        + breakdown["domain_index_bytes"]
-        + breakdown["manifest_bytes"]
+    breakdown["total_disk_bytes"] = payload_disk + sum(
+        breakdown[key] for key, _label, _name in _TABLES
     )
     return breakdown
 
@@ -62,7 +71,7 @@ _STATS_MANIFEST_KEYS = (
 
 def _cmd_stats(arguments: argparse.Namespace) -> int:
     root = Path(arguments.root)
-    manifest_path = root / "manifest.json"
+    manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         print(f"no S-Node manifest under {arguments.root}", file=sys.stderr)
         return 1
@@ -95,12 +104,8 @@ def _cmd_stats(arguments: argparse.Namespace) -> int:
     line(f"payload x{payload['files']}", payload["disk_bytes"])
     line("  - intranode", payload["intranode_bytes"])
     line("  - superedge", payload["superedge_bytes"])
-    line("supernode graph", breakdown["supernode_graph_bytes"])
-    line("pointers", breakdown["pointer_bytes"])
-    line("pageid index", breakdown["pageid_index_bytes"])
-    line("newid map", breakdown["newid_map_bytes"])
-    line("domain index", breakdown["domain_index_bytes"])
-    line("manifest", breakdown["manifest_bytes"])
+    for key, label, _name in _TABLES:
+        line(label, breakdown[key])
     print(f"  {'total':22s} {total:>12d} bytes")
     return 0
 

@@ -38,6 +38,7 @@ import json
 import struct
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from repro.errors import CorruptionError, StorageError
@@ -52,10 +53,9 @@ from repro.snode.encode import (
 from repro.snode.model import SNodeModel
 from repro.snode.reference import DEFAULT_FULL_AFFINITY_LIMIT, DEFAULT_WINDOW
 from repro.storage import integrity
-from repro.storage.atomic import BuildTransaction, require_build
-from repro.util.varint import decode_vbyte, encode_vbyte
+from repro.storage.atomic import MANIFEST_NAME, BuildTransaction, require_build
+from repro.util.varint import decode_vbytes, encode_vbyte
 
-MANIFEST_NAME = "manifest.json"
 SUPERNODE_NAME = "supernode.bin"
 POINTERS_NAME = "pointers.bin"
 PAGEID_NAME = "pageid.bin"
@@ -491,13 +491,7 @@ def read_layout(root: Path | str) -> StorageLayout:
     manifest = _read_manifest(root)
 
     boundary_blob = _read_framed_table(root, PAGEID_NAME, manifest)
-    boundaries: list[int] = []
-    position = 0
-    value = 0
-    while position < len(boundary_blob):
-        delta, position = decode_vbyte(boundary_blob, position)
-        value += delta
-        boundaries.append(value)
+    boundaries = list(accumulate(decode_vbytes(boundary_blob)))
     num_supernodes = manifest["num_supernodes"]
     if len(boundaries) != num_supernodes + 1:
         raise StorageError("PageID index does not match supernode count")
@@ -525,27 +519,20 @@ def read_layout(root: Path | str) -> StorageLayout:
     adjacency = decode_supernode_graph(
         _read_framed_table(root, SUPERNODE_NAME, manifest)
     )
-    pointer_blob = _read_framed_table(root, POINTERS_NAME, manifest)
-    position = 0
-    intranode: list[GraphLocation] = []
-    for _ in range(num_supernodes):
-        file_index, position = decode_vbyte(pointer_blob, position)
-        offset, position = decode_vbyte(pointer_blob, position)
-        length, position = decode_vbyte(pointer_blob, position)
-        crc, position = decode_vbyte(pointer_blob, position)
-        intranode.append(GraphLocation(file_index, offset, length, crc))
+    # Four fields per intranode record, then five per superedge record.
+    fields = decode_vbytes(_read_framed_table(root, POINTERS_NAME, manifest))
+    position = 4 * num_supernodes
+    if len(fields) != position + 5 * sum(map(len, adjacency)):
+        raise StorageError("pointer table does not match the supernode graph")
+    intranode = [GraphLocation(*fields[at : at + 4]) for at in range(0, position, 4)]
     superedge: dict[tuple[int, int], tuple[GraphLocation, bool]] = {}
     for source in range(num_supernodes):
         for target in adjacency[source]:
-            file_index, position = decode_vbyte(pointer_blob, position)
-            offset, position = decode_vbyte(pointer_blob, position)
-            length, position = decode_vbyte(pointer_blob, position)
-            crc, position = decode_vbyte(pointer_blob, position)
-            negative, position = decode_vbyte(pointer_blob, position)
             superedge[(source, target)] = (
-                GraphLocation(file_index, offset, length, crc),
-                bool(negative),
+                GraphLocation(*fields[position : position + 4]),
+                bool(fields[position + 4]),
             )
+            position += 5
 
     return StorageLayout(
         intranode=intranode,
@@ -557,6 +544,29 @@ def read_layout(root: Path | str) -> StorageLayout:
         index_files=manifest["index_files"],
         manifest=manifest,
     )
+
+
+def read_regions(root: Path, index_files: list[str], regions):
+    """Each ``(key, location)`` of ``regions`` with its payload bytes.
+
+    Yields ``(key, location, payload)`` in the order given.  A payload
+    file is read whole, past the devices' counters and any fault plan
+    (as the pinned tables are), when the first region in it comes up,
+    and is let go at the next file: regions in the linear order read
+    each file once.  A region that runs past the end of its file comes
+    back cut short; one whose file is missing or cannot be read comes
+    back as ``None``.
+    """
+    current, data = None, None
+    for key, location in regions:
+        if location.file_index != current:
+            current, data = location.file_index, None
+            try:
+                data = (root / index_files[current]).read_bytes()
+            except (OSError, IndexError):
+                pass
+        end = location.offset + location.length
+        yield key, location, None if data is None else data[location.offset : end]
 
 
 def read_quarantine(root: Path | str) -> set[tuple]:

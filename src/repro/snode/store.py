@@ -55,6 +55,7 @@ from repro.snode.storage import (
     StorageLayout,
     read_layout,
     read_quarantine,
+    read_regions,
 )
 from repro.storage import integrity
 from repro.storage.bufferpool import BufferPool
@@ -172,31 +173,27 @@ class SNodeStore:
     def _read_visits(self) -> list[_Visit]:
         """Every supernode's visit, each superedge header read once.
 
-        The payload files are read whole, one at a time, past the
-        device's counters and any fault plan, as the pinned tables are.
-        A superedge region's header is known if its bytes match the
-        checksum of its pointer record and parse; a region quarantined,
-        failing its checksum or its parse, or in a file that cannot be
-        read has an unknown header and is in every local's visit.
+        The payload files are read by :func:`read_regions` (whole, one
+        at a time, uncounted).  A superedge region's header is known if
+        its bytes match the checksum of its pointer record and parse; a
+        region quarantined, failing its checksum or its parse, or in a
+        file that cannot be read has an unknown header and is in every
+        local's visit.
         """
-        by_file: dict[int, list[tuple]] = {}
-        for key, (location, _kind) in self._layout.superedge.items():
-            if ("super", *key) not in self._quarantined:
-                by_file.setdefault(location.file_index, []).append((key, location))
+        regions = [
+            (key, location)
+            for key, (location, _kind) in self._layout.superedge.items()
+            if ("super", *key) not in self._quarantined
+        ]
         sources: dict[tuple, list[int]] = {}
-        for file_index, regions in by_file.items():
-            try:
-                data = (self._root / self._layout.index_files[file_index]).read_bytes()
-            except OSError:
-                continue  # every header in it is unknown
-            for key, location in regions:
-                payload = data[location.offset : location.offset + location.length]
-                if integrity.crc32(payload) == location.crc:
-                    try:
-                        sources[key] = _superedge_header(payload)[2]
-                    except CodecError:
-                        pass
-            del data
+        for key, location, payload in read_regions(
+            self._root, self._layout.index_files, regions
+        ):
+            if payload is not None and integrity.crc32(payload) == location.crc:
+                try:
+                    sources[key] = _superedge_header(payload)[2]
+                except CodecError:
+                    pass
         visits = []
         boundaries = self._boundaries
         for supernode, targets in enumerate(self._super_adjacency):

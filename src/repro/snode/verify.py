@@ -1,169 +1,184 @@
-"""Integrity verification for a stored S-Node representation.
+"""The offline check of a stored S-Node representation.
 
 ``verify_snode`` checks everything short of re-deriving the original Web
-graph: manifest consistency, pointer-table sanity (extents inside their
-files, the Figure-8 linear ordering), PageID-index monotonicity, and —
-optionally — that every intranode and superedge payload actually decodes
-and has rows matching its supernode's size.
+graph, over one read of the payload files:
 
-Returns a :class:`VerificationReport`; ``report.ok`` is True when no
-problem was found.  This is the tool a repository operator runs after
-copying index files between machines.
+1. **structure** — the PageID index starts at 0, never decreases and
+   covers the manifest's pages; the new-id map is a permutation of the
+   page ids; the index files exist and hold ``payload_bytes`` between
+   them;
+2. **regions**, walked in visit order (the intranode graph of supernode
+   s, then its superedge graphs by target) — each region lies where the
+   Figure-8 linear order puts it: where the previous one ended in the
+   same file, or at offset 0 of the next file.  It is present and
+   matches the CRC32 of its ``pointers.bin`` record and, when it does,
+   decodes to the shape its supernodes give it: one row per page of an
+   intranode graph, and a superedge graph's polarity and linked sources
+   as the pointer table and its source supernode allow.
+
+It is ``repro fsck``'s S-Node pass, run after the build-state and
+file-table passes into fsck's own :class:`FsckReport`; ``repair``
+quarantines the regions that failed their checksum or were cut short.
+A region that decodes wrongly under a sound checksum is reported but
+not quarantined: its bytes are the ones the build wrote.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from struct import error as struct_error
 
 from repro.errors import ReproError
 from repro.snode.encode import decode_intranode, decode_superedge_payload
-from repro.snode.storage import StorageLayout, read_layout
+from repro.snode.storage import (
+    MANIFEST_NAME,
+    NEWID_NAME,
+    PAGEID_NAME,
+    POINTERS_NAME,
+    StorageLayout,
+    read_layout,
+    read_quarantine,
+    read_regions,
+    write_quarantine,
+)
 from repro.storage import integrity
+from repro.storage.atomic import classify_build
+from repro.storage.fsck import FsckReport
 
 
-@dataclass
-class VerificationReport:
-    """Findings of one verification pass."""
+def verify_snode(
+    root: Path | str, report: FsckReport | None = None, repair: bool = False
+) -> FsckReport:
+    """Check the representation stored under ``root``.
 
-    problems: list[str] = field(default_factory=list)
-    graphs_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """True when no problem was found."""
-        return not self.problems
-
-    def add(self, problem: str) -> None:
-        """Record one problem."""
-        self.problems.append(problem)
-
-
-def verify_snode(root: Path | str, decode_payloads: bool = True) -> VerificationReport:
-    """Verify the representation stored under ``root``."""
+    Findings go to ``report`` (fsck's, when this is its S-Node pass) or
+    to a new report of ``root``'s build state.  ``repair`` adds the
+    regions that failed their checksum or were cut short to
+    ``quarantine.json``.
+    """
     root = Path(root)
-    report = VerificationReport()
+    if report is None:
+        report = FsckReport(str(root), scheme="s-node", state=classify_build(root))
     try:
         layout = read_layout(root)
     except (ReproError, OSError, ValueError, KeyError, struct_error) as exc:
-        report.add(f"layout unreadable: {exc!r}")
+        report.add("", f"layout unreadable: {exc}")
         return report
 
     _check_boundaries(layout, report)
-    file_sizes = _check_files(root, layout, report)
-    _check_pointers(layout, file_sizes, report)
-    if decode_payloads and report.ok:
-        _check_payloads(root, layout, report)
+    _check_files(root, layout, report)
+    corrupt = _check_regions(root, layout, report)
+    if repair and corrupt:
+        write_quarantine(root, read_quarantine(root) | corrupt)
+        report.repaired = sorted(list(region) for region in corrupt)
     return report
 
 
-def _check_boundaries(layout: StorageLayout, report: VerificationReport) -> None:
+def _linear_regions(layout: StorageLayout):
+    """Every ``(region, location)`` in visit order: the intranode graph of
+    supernode s, then its superedge graphs by target."""
+    for source, targets in enumerate(layout.super_adjacency):
+        yield ("intranode", source), layout.intranode[source]
+        for target in targets:
+            yield ("superedge", source, target), layout.superedge[(source, target)][0]
+
+
+def _check_boundaries(layout: StorageLayout, report: FsckReport) -> None:
     boundaries = layout.boundaries
     if boundaries[0] != 0:
-        report.add("PageID index does not start at 0")
+        report.add(PAGEID_NAME, "PageID index does not start at 0")
     if any(b > a for a, b in zip(boundaries[1:], boundaries)):
-        report.add("PageID index is not non-decreasing")
+        report.add(PAGEID_NAME, "PageID index is not non-decreasing")
     if boundaries[-1] != layout.manifest["num_pages"]:
         report.add(
+            PAGEID_NAME,
             f"PageID index covers {boundaries[-1]} pages, manifest says "
-            f"{layout.manifest['num_pages']}"
+            f"{layout.manifest['num_pages']}",
         )
     if sorted(layout.new_to_old) != list(range(layout.manifest["num_pages"])):
-        report.add("new-id map is not a permutation of the page ids")
+        report.add(NEWID_NAME, "new-id map is not a permutation of the page ids")
 
 
-def _check_files(
-    root: Path, layout: StorageLayout, report: VerificationReport
-) -> list[int]:
-    sizes = []
+def _check_files(root: Path, layout: StorageLayout, report: FsckReport) -> None:
+    total = 0
     for name in layout.index_files:
         path = root / name
-        if not path.exists():
-            report.add(f"missing index file {name}")
-            sizes.append(0)
+        if path.exists():
+            total += path.stat().st_size
         else:
-            sizes.append(path.stat().st_size)
-    total = sum(sizes)
+            report.add(name, "missing index file")
     if total != layout.manifest["payload_bytes"]:
         report.add(
+            MANIFEST_NAME,
             f"index files hold {total} bytes, manifest says "
-            f"{layout.manifest['payload_bytes']}"
+            f"{layout.manifest['payload_bytes']}",
         )
-    return sizes
 
 
-def _check_pointers(
-    layout: StorageLayout, file_sizes: list[int], report: VerificationReport
-) -> None:
-    sequence = []
-    for supernode, location in enumerate(layout.intranode):
-        sequence.append(("intranode", supernode, location))
-    for key, (location, _negative) in layout.superedge.items():
-        sequence.append(("superedge", key, location))
-    for kind, key, location in sequence:
-        if location.file_index >= len(file_sizes):
-            report.add(f"{kind} {key} points at missing file {location.file_index}")
-            continue
-        if location.offset + location.length > file_sizes[location.file_index]:
+def _check_regions(root: Path, layout: StorageLayout, report: FsckReport) -> set[tuple]:
+    """Walk every region in visit order: where Figure 8 puts it (where the
+    previous one ended, in the same file or at offset 0 of the next one),
+    present, matching its checksum and, when it does, decoding to a sound
+    shape.  Returns the regions cut short or failing their checksum."""
+    corrupt: set[tuple] = set()
+    file_index, end = 0, 0
+    regions = _linear_regions(layout)
+    for region, location, payload in read_regions(root, layout.index_files, regions):
+        where = (location.file_index, location.offset)
+        if where != (file_index, end) and where != (file_index + 1, 0):
             report.add(
-                f"{kind} {key} extent [{location.offset}, "
-                f"{location.offset + location.length}) exceeds file "
-                f"{location.file_index} of {file_sizes[location.file_index]} bytes"
+                POINTERS_NAME,
+                f"{_label(region)} starts at file {where[0]} offset {where[1]}, "
+                f"out of the linear order (file {file_index} offset {end})",
             )
+        file_index, end = location.file_index, location.offset + location.length
+        if payload is None:
+            if location.file_index >= len(layout.index_files):
+                report.add(
+                    POINTERS_NAME,
+                    f"{_label(region)} points at missing file {location.file_index}",
+                )
+            continue  # else its file is missing: a structure finding
+        name = layout.index_files[location.file_index]
+        report.regions_checked += 1
+        if len(payload) != location.length:
+            report.add(
+                name, f"region truncated at offset {location.offset}", list(region)
+            )
+            corrupt.add(region)
+            continue
+        if integrity.crc32(payload) != location.crc:
+            report.add(name, "payload CRC mismatch", list(region))
+            corrupt.add(region)
+            continue
+        try:
+            problem = _misshapen(layout, region, payload)
+        except Exception as exc:  # noqa: BLE001 - a finding, not a crash
+            problem = f"does not decode: {exc}"
+        else:
+            report.graphs_checked += 1
+        if problem:
+            report.add(name, problem, list(region))
+    return corrupt
 
 
-def _check_payloads(
-    root: Path, layout: StorageLayout, report: VerificationReport
-) -> None:
-    handles = {
-        index: open(root / name, "rb")
-        for index, name in enumerate(layout.index_files)
-    }
-    try:
-        for supernode, location in enumerate(layout.intranode):
-            handle = handles[location.file_index]
-            handle.seek(location.offset)
-            payload = handle.read(location.length)
-            size = layout.boundaries[supernode + 1] - layout.boundaries[supernode]
-            if integrity.crc32(payload) != location.crc:
-                report.add(f"intranode {supernode} fails its CRC32 check")
-                continue
-            try:
-                rows = decode_intranode(payload)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                report.add(f"intranode {supernode} does not decode: {exc}")
-                continue
-            if len(rows) != size:
-                report.add(
-                    f"intranode {supernode} has {len(rows)} rows, supernode "
-                    f"holds {size} pages"
-                )
-            report.graphs_checked += 1
-        for (source, target), (location, negative) in layout.superedge.items():
-            handle = handles[location.file_index]
-            handle.seek(location.offset)
-            payload = handle.read(location.length)
-            if integrity.crc32(payload) != location.crc:
-                report.add(f"superedge {source}->{target} fails its CRC32 check")
-                continue
-            try:
-                decoded_negative, linked, _rows = decode_superedge_payload(payload)
-            except Exception as exc:  # noqa: BLE001
-                report.add(f"superedge {source}->{target} does not decode: {exc}")
-                continue
-            if decoded_negative != negative:
-                report.add(
-                    f"superedge {source}->{target} polarity flag disagrees "
-                    "with pointer table"
-                )
-            source_size = layout.boundaries[source + 1] - layout.boundaries[source]
-            if linked and linked[-1] >= source_size:
-                report.add(
-                    f"superedge {source}->{target} lists source local "
-                    f"{linked[-1]} beyond supernode size {source_size}"
-                )
-            report.graphs_checked += 1
-    finally:
-        for handle in handles.values():
-            handle.close()
+def _misshapen(layout: StorageLayout, region: tuple, payload: bytes) -> str | None:
+    """Decode one region; what its shape gets wrong, if anything."""
+    boundaries = layout.boundaries
+    source = region[1]
+    size = boundaries[source + 1] - boundaries[source]
+    if region[0] == "intranode":
+        rows = len(decode_intranode(payload))
+        if rows != size:
+            return f"has {rows} rows, supernode holds {size} pages"
+        return None
+    negative, linked, _rows = decode_superedge_payload(payload)
+    if negative != layout.superedge[source, region[2]][1]:
+        return "polarity flag disagrees with pointer table"
+    if linked and linked[-1] >= size:
+        return f"lists source local {linked[-1]} beyond supernode size {size}"
+    return None
+
+
+def _label(region: tuple) -> str:
+    return f"{region[0]} {'->'.join(str(part) for part in region[1:])}"

@@ -27,7 +27,8 @@ The hardening layer rides on the same choke points:
 * :mod:`repro.storage.atomic` — the tmp-dir / fsync / manifest-last /
   rename build protocol every builder commits through;
 * :mod:`repro.storage.fsck` — offline verification (and quarantine
-  repair) of any stored representation, behind ``repro fsck``.
+  repair) of any stored representation, behind ``repro fsck``; its
+  S-Node pass is :func:`repro.snode.verify.verify_snode`.
 """
 
 from repro.storage.atomic import BuildTransaction, classify_build

@@ -15,14 +15,17 @@ checker inspects a volume, without opening it for queries:
    (crash mid-append) or a leftover truncation staging file is reported
    — and with ``--repair`` truncated/removed — while a build that
    merely *has* a delta layer stays ``valid``;
-4. **region pass** — scheme-specific granular checks: every S-Node
-   intranode/superedge payload region against its ``pointers.bin`` CRC,
-   every heap/B+tree page against its ``.crc`` sidecar, the Link3 block
-   sidecar's frame integrity;
-5. **repair** (opt-in) — ``--repair`` writes the corrupt S-Node region
-   list to ``quarantine.json`` (a store opened with
-   ``on_corruption="degrade"`` then serves every *other* region
-   normally) and truncates torn WAL tails to the last intact record.
+4. **region pass** — scheme-specific granular checks: for S-Node,
+   :func:`repro.snode.verify.verify_snode` (the layout, then every
+   intranode/superedge payload region against its ``pointers.bin`` CRC
+   and, where that holds, decoded and shape-checked); every heap/B+tree
+   page against its ``.crc`` sidecar; the Link3 block sidecar's frame
+   integrity;
+5. **repair** (opt-in) — ``--repair`` writes the S-Node regions that
+   failed their CRC or were cut short to ``quarantine.json`` (a store
+   opened with ``on_corruption="degrade"`` then serves every *other*
+   region normally) and truncates torn WAL tails to the last intact
+   record.
 
 Findings are per file and per region, so an operator knows exactly what
 was lost — and what was not.
@@ -69,6 +72,8 @@ class FsckReport:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     regions_checked: int = 0
+    #: S-Node graphs decoded by the region pass.
+    graphs_checked: int = 0
     repaired: list = field(default_factory=list)
 
     @property
@@ -88,6 +93,7 @@ class FsckReport:
             "ok": self.ok,
             "files_checked": self.files_checked,
             "regions_checked": self.regions_checked,
+            "graphs_checked": self.graphs_checked,
             "findings": [finding.to_dict() for finding in self.findings],
             "repaired": self.repaired,
         }
@@ -95,7 +101,8 @@ class FsckReport:
     def render(self) -> str:
         lines = [
             f"fsck {self.root}: scheme={self.scheme} state={self.state} "
-            f"files={self.files_checked} regions={self.regions_checked}"
+            f"files={self.files_checked} regions={self.regions_checked} "
+            f"graphs={self.graphs_checked}"
         ]
         for finding in self.findings:
             lines.append(f"  PROBLEM {finding.render()}")
@@ -148,7 +155,9 @@ def fsck(root: Path | str, repair: bool = False, quick: bool = False) -> FsckRep
     if quick:
         return report
     if report.scheme == "s-node":
-        _check_snode_regions(root, report, repair)
+        from repro.snode.verify import verify_snode
+
+        verify_snode(root, report, repair)
     elif report.scheme == "relational":
         _check_page_sidecars(root, manifest, report)
     elif report.scheme == "link3":
@@ -224,59 +233,6 @@ def _check_wal_sidecar(root: Path, report: FsckReport, repair: bool) -> None:
         if repair:
             removed = wal.repair_tail()
             report.repaired.append([wal.path.name, "tail", removed])
-
-
-def _check_snode_regions(root: Path, report: FsckReport, repair: bool) -> None:
-    from repro.snode import storage as snode_storage
-
-    try:
-        layout = snode_storage.read_layout(root)
-    except ReproError as exc:
-        report.add("", f"layout unreadable: {exc}")
-        return
-    regions: list[tuple[tuple, snode_storage.GraphLocation]] = [
-        (("intranode", supernode), location)
-        for supernode, location in enumerate(layout.intranode)
-    ]
-    regions.extend(
-        (("superedge", source, target), location)
-        for (source, target), (location, _negative) in sorted(layout.superedge.items())
-    )
-    handles = {
-        index: open(root / name, "rb")
-        for index, name in enumerate(layout.index_files)
-        if (root / name).exists()
-    }
-    corrupt: set[tuple] = set()
-    try:
-        for region, location in regions:
-            handle = handles.get(location.file_index)
-            if handle is None:
-                continue  # already reported as a missing file
-            handle.seek(location.offset)
-            payload = handle.read(location.length)
-            report.regions_checked += 1
-            if len(payload) != location.length:
-                report.add(
-                    layout.index_files[location.file_index],
-                    f"region truncated at offset {location.offset}",
-                    list(region),
-                )
-                corrupt.add(region)
-            elif integrity.crc32(payload) != location.crc:
-                report.add(
-                    layout.index_files[location.file_index],
-                    "payload CRC mismatch",
-                    list(region),
-                )
-                corrupt.add(region)
-    finally:
-        for handle in handles.values():
-            handle.close()
-    if repair and corrupt:
-        already = snode_storage.read_quarantine(root)
-        snode_storage.write_quarantine(root, already | corrupt)
-        report.repaired = sorted(list(region) for region in corrupt)
 
 
 def _check_page_sidecars(root: Path, manifest: dict, report: FsckReport) -> None:

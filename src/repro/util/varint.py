@@ -160,6 +160,22 @@ def decode_vbyte(data: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
 
 
+def decode_vbytes(data: bytes) -> list[int]:
+    """Every varint of ``data``, which holds nothing else, in order."""
+    values = []
+    value = shift = 0
+    for byte in data:
+        value |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+        else:
+            values.append(value)
+            value = shift = 0
+    if shift:
+        raise CodecError("truncated vbyte")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # nybble code (Link3's 4-bit groups: 3 data bits + 1 continuation bit)
 # ---------------------------------------------------------------------------

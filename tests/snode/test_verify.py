@@ -1,14 +1,30 @@
-"""Failure-injection tests: verify_snode catches storage corruption."""
+"""Failure-injection tests: the offline S-Node check catches storage
+corruption, on its own (``verify_snode``) and as fsck's S-Node pass."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.snode.storage import MANIFEST_NAME
-from repro.snode.verify import verify_snode
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
+import cut_body  # noqa: E402
+
+from repro.snode.encode import decode_intranode  # noqa: E402
+from repro.snode.storage import (  # noqa: E402
+    MANIFEST_NAME,
+    POINTERS_NAME,
+    QUARANTINE_NAME,
+    read_layout,
+)
+from repro.snode.store import SNodeStore  # noqa: E402
+from repro.snode.verify import verify_snode  # noqa: E402
+from repro.storage import integrity  # noqa: E402
+from repro.storage.fsck import fsck  # noqa: E402
 
 
 @pytest.fixture()
@@ -18,16 +34,21 @@ def copy_of_build(small_build, tmp_path):
     return target
 
 
+def problems(report) -> list[str]:
+    return [finding.problem for finding in report.findings]
+
+
 class TestCleanBuild:
     def test_fresh_build_verifies(self, small_build):
         report = verify_snode(small_build.root)
-        assert report.ok, report.problems
+        assert report.ok, problems(report)
         assert report.graphs_checked > 0
+        assert report.graphs_checked == report.regions_checked
 
-    def test_structure_only_pass(self, small_build):
-        report = verify_snode(small_build.root, decode_payloads=False)
-        assert report.ok
-        assert report.graphs_checked == 0
+    def test_fsck_runs_the_same_check(self, small_build):
+        report = fsck(small_build.root)
+        assert report.ok, problems(report)
+        assert report.graphs_checked == verify_snode(small_build.root).graphs_checked
 
 
 class TestCorruption:
@@ -41,7 +62,7 @@ class TestCorruption:
         (copy_of_build / manifest["index_files"][0]).unlink()
         report = verify_snode(copy_of_build)
         assert not report.ok
-        assert any("missing index file" in p for p in report.problems)
+        assert any("missing index file" in p for p in problems(report))
 
     def test_truncated_index_file(self, copy_of_build):
         manifest = json.loads((copy_of_build / MANIFEST_NAME).read_text())
@@ -67,13 +88,74 @@ class TestCorruption:
         payload = bytearray(path.read_bytes())
         payload[0] = 0x7F  # first boundary != 0
         path.write_bytes(bytes(payload))
-        report = verify_snode(copy_of_build, decode_payloads=False)
+        report = verify_snode(copy_of_build)
         assert not report.ok
 
     def test_manifest_size_mismatch(self, copy_of_build):
         manifest = json.loads((copy_of_build / MANIFEST_NAME).read_text())
         manifest["payload_bytes"] += 1000
         (copy_of_build / MANIFEST_NAME).write_text(json.dumps(manifest))
-        report = verify_snode(copy_of_build, decode_payloads=False)
+        report = verify_snode(copy_of_build)
         assert not report.ok
-        assert any("manifest says" in p for p in report.problems)
+        assert any("manifest says" in p for p in problems(report))
+
+
+def swappable_superedges(layout) -> tuple[tuple, tuple]:
+    """Two superedge graphs of one source stored with one polarity: the
+    pointer records of either can point at the other's bytes and every
+    region still passes its checksum and decodes to a sound shape."""
+    for source, targets in enumerate(layout.super_adjacency):
+        for first, second in zip(targets, targets[1:]):
+            first, second = (source, first), (source, second)
+            if layout.superedge[first][1] == layout.superedge[second][1]:
+                return first, second
+    raise AssertionError("no two superedge graphs of one source and polarity")
+
+
+def test_swapped_regions_break_the_linear_order(copy_of_build):
+    layout = read_layout(copy_of_build)
+    first, second = swappable_superedges(layout)
+    superedge = layout.superedge
+    superedge[first], superedge[second] = superedge[second], superedge[first]
+    cut_body.write_pointer_table(copy_of_build, layout)
+
+    report = verify_snode(copy_of_build)
+    assert not report.ok
+    assert report.findings
+    for finding in report.findings:
+        assert finding.file == POINTERS_NAME
+        assert "out of the linear order" in finding.problem
+        assert not finding.region  # every region is sound where it lies
+    assert report.graphs_checked == report.regions_checked
+    assert problems(fsck(copy_of_build)) == problems(report)
+
+
+def test_fsck_reports_cut_payloads_it_cannot_decode(copy_of_build):
+    """An intranode payload and a superedge body cut short, each checksum
+    recomputed: the region pass decodes them, reports each as a finding
+    of its region and quarantines neither."""
+    with SNodeStore(copy_of_build) as store:
+        superedge, keep, _local = cut_body.breakable_superedge(store)
+        cut_body.truncate_region(store, superedge, keep)
+        supernode = cut_body.richest_intranode(store)
+        location = store._layout.intranode[supernode]
+        payload = cut_body.region(store, location)[: location.length // 2]
+        with pytest.raises(Exception):
+            decode_intranode(payload)
+        store._layout.intranode[supernode] = dataclasses.replace(
+            location, length=len(payload), crc=integrity.crc32(payload)
+        )
+        cut_body.write_pointer_table(copy_of_build, store._layout)
+
+    cut = sorted([["intranode", supernode], ["superedge", *superedge]])
+    report = fsck(copy_of_build)
+    assert not report.ok
+    assert sorted(f.region for f in report.findings if f.region) == cut
+    for finding in report.findings:
+        if finding.region:
+            assert finding.problem.startswith("does not decode")
+
+    repaired = fsck(copy_of_build, repair=True)
+    assert repaired.repaired == []
+    assert not (copy_of_build / QUARANTINE_NAME).exists()
+    assert problems(repaired) == problems(report)

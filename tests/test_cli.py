@@ -62,16 +62,17 @@ class TestBuild:
 
 
 class TestVerify:
-    def test_verify_clean(self, built, capsys):
-        assert main(["verify", str(built)]) == 0
-        assert "OK" in capsys.readouterr().out
+    """``repro fsck`` is the one offline check; there is no ``repro verify``."""
 
-    def test_verify_fast(self, built, capsys):
-        assert main(["verify", str(built), "--fast"]) == 0
+    def test_verify_clean(self, built, capsys):
+        assert main(["fsck", str(built), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"]
+        assert report["graphs_checked"] == report["regions_checked"] > 0
 
     def test_verify_corrupt(self, built, capsys):
         (built / "pointers.bin").write_bytes(b"\x00\x01")
-        assert main(["verify", str(built)]) == 1
+        assert main(["fsck", str(built)]) == 1
         assert "PROBLEM" in capsys.readouterr().out
 
 

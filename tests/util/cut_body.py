@@ -7,18 +7,21 @@ offset reaches the decoder.  Built from the pointer table and the
 bit-by-bit oracle decoders only, so the same cut can be served by any
 commit of ``snode.encode`` / ``snode.store`` — which is how the error a
 cut surfaces as was captured before cached superedge graphs went
-header-resident.
+header-resident.  :func:`write_pointer_table` puts an edited pointer
+table on disk, for the offline check to read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import oracle_codecs
 
 from repro.errors import CodecError
-from repro.snode.storage import GraphLocation
+from repro.snode.storage import MANIFEST_NAME, POINTERS_NAME, GraphLocation
 from repro.storage import integrity
+from repro.util.varint import encode_vbyte
 
 
 def outcome(function, *args):
@@ -114,3 +117,29 @@ def append_region(store, file_index: int, data: bytes):
         offset = handle.tell()
         handle.write(data)
     return GraphLocation(file_index, offset, len(data), integrity.crc32(data))
+
+
+def write_pointer_table(root, layout) -> None:
+    """Reframe ``root``'s ``pointers.bin`` from ``layout``'s locations and
+    re-record it in the manifest's file table and build digest, so only
+    the S-Node checks can tell the edited table from a built one."""
+    records = [(location, None) for location in layout.intranode]
+    records.extend(
+        layout.superedge[(source, target)]
+        for source, targets in enumerate(layout.super_adjacency)
+        for target in targets
+    )
+    blob = bytearray()
+    for location, negative in records:
+        fields = [location.file_index, location.offset, location.length, location.crc]
+        for value in fields if negative is None else [*fields, int(negative)]:
+            blob.extend(encode_vbyte(value))
+    path = root / POINTERS_NAME
+    path.write_bytes(integrity.encode_frame(bytes(blob)))
+    manifest = json.loads((root / MANIFEST_NAME).read_text())
+    manifest["files"][POINTERS_NAME] = {
+        "bytes": path.stat().st_size,
+        "crc32": integrity.file_crc(path),
+    }
+    manifest["digest"] = integrity.build_digest(manifest["files"])
+    (root / MANIFEST_NAME).write_text(json.dumps(manifest))

@@ -15,6 +15,7 @@ from repro.util.varint import (
     decode_minimal_binary,
     decode_nibble,
     decode_vbyte,
+    decode_vbytes,
     delta_cost,
     encode_gamma,
     encode_minimal_binary,
@@ -129,10 +130,13 @@ class TestVByte:
             value, position = decode_vbyte(blob, position)
             out.append(value)
         assert out == VALUES
+        assert decode_vbytes(blob) == VALUES
 
     def test_truncated_raises(self):
         with pytest.raises(CodecError):
             decode_vbyte(b"\x80")
+        with pytest.raises(CodecError):
+            decode_vbytes(b"\x01\x80")
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**30), max_size=50))
