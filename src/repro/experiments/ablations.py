@@ -32,6 +32,7 @@ from repro.experiments.harness import (
     trace_session,
 )
 from repro.snode.build import BuildOptions, build_snode
+from repro.snode.pair import SNodePair
 
 
 @dataclass
@@ -63,20 +64,10 @@ def _visit_rows(store, direction: str) -> list[VisitRow]:
     ]
 
 
-def _build(
-    repository,
-    workdir: str,
-    label: str,
-    options: BuildOptions,
-    visits: list[VisitRow] | None = None,
-) -> AblationRow:
-    """One configuration's row; given ``visits``, its store's visit rows
-    are appended there."""
-    build = build_snode(repository, workdir, options)
-    if visits is not None:
-        visits += _visit_rows(build.store, "WGT" if options.transpose else "WG")
+def _row(build, label: str) -> AblationRow:
+    """One configuration's row, read off its build."""
     manifest = build.manifest
-    row = AblationRow(
+    return AblationRow(
         configuration=label,
         bits_per_edge=build.bits_per_edge,
         payload_bytes=manifest["payload_bytes"],
@@ -84,6 +75,12 @@ def _build(
         superedges=build.model.num_superedges,
         negative_superedges=build.model.negative_count,
     )
+
+
+def _build(repository, workdir: str, label: str, options: BuildOptions) -> AblationRow:
+    """One forward configuration's row."""
+    build = build_snode(repository, workdir, options)
+    row = _row(build, label)
     build.store.close()
     return row
 
@@ -98,14 +95,10 @@ def run(size: int | None = None) -> tuple[list[AblationRow], list[VisitRow]]:
     base_config = experiment_refinement_config()
     full = BuildOptions(refinement=base_config)
     with tempfile.TemporaryDirectory() as base:
-        rows.append(_build(repository, f"{base}/full", "full S-Node", full, visits))
-        _build(
-            repository,
-            f"{base}/transpose",
-            "full S-Node (WGT)",
-            replace(full, transpose=True),
-            visits,
-        )
+        with SNodePair.build(repository, f"{base}/full", full) as pair:
+            rows.append(_row(pair.forward_build, "full S-Node"))
+            visits += _visit_rows(pair.forward_build.store, "WG")
+            visits += _visit_rows(pair.backward_build.store, "WGT")
         rows.append(
             _build(
                 repository,

@@ -30,6 +30,14 @@ priced from its entries rather than from a bit vector over its span, and
 a cycle contraction touches only the edges at its cycle — with the plans
 of the pair-by-pair planner, which the tests keep as their oracle.
 
+Planning also skips what its answer cannot depend on.  A pair whose
+lower bound (:func:`_parent_floors`) is not below the row's direct cost
+is never priced, since only a cheaper parent becomes an edge.  A
+collection that every dictionary plan beats whatever its arborescence
+(:func:`_all_dictionary_plan`) never builds the affinity graph, and one
+whose graph holds only the root's edges never reaches Edmonds.  The plan
+and every edge list Edmonds is handed are the oracle's.
+
 Decoded rows are plain ``list[int]`` (sorted).  Reference chains may point
 forward in the full-affinity mode; decoding resolves them iteratively.
 :func:`decode_rows` decodes a whole collection and can record where each
@@ -39,7 +47,7 @@ row and its reference chain with the same kernel.
 
 from __future__ import annotations
 
-from collections.abc import Callable, MutableSequence, Sequence
+from collections.abc import Callable, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -206,6 +214,54 @@ def _reference_base_cost(
     return cost + _extras_cost(row, reference_set, len(row) - shared, gamma)
 
 
+def _parent_floors(
+    row: Sequence[int],
+    holders: Mapping[int, Sequence[int]],
+    lengths: Sequence[int],
+    gamma: Sequence[int],
+) -> dict[int, int]:
+    """A lower bound on :func:`_reference_base_cost` of ``row`` against
+    every parent that shares a target with it, by parent, in one pass over
+    ``row``.
+
+    ``holders`` maps each entry of ``row`` to the parents holding it and
+    ``lengths`` gives each parent's entry count; ``row`` is ascending and
+    ``gamma`` covers the lengths and entries.  The bound is the sum of what
+    every reference record holds:
+
+    * the three flags;
+    * unless a full copy, the copy bit vector's scheme flag, gamma-coded
+      length and at least ``min(length, 3)`` body bits: plain bits cost
+      the length, and RLE a first-bit flag and ``gamma(run - 1) >= 1`` per
+      run, where a vector holding both ones and zeros has two runs or more;
+    * the gamma-coded count of extras;
+    * each extra's gap within the row: its gap within the extras list is
+      never smaller, because the extra before it is an entry of the row
+      at or before its predecessor in the row.
+    """
+    # parent -> entries it shares with the row, and the gamma bits of
+    # those entries' gaps within the row
+    shared: dict[int, int] = {}
+    shared_gaps: dict[int, int] = {}
+    gaps = 0
+    previous = -1
+    for target in row:
+        gap = gamma[target - previous - 1]
+        previous = target
+        gaps += gap
+        for parent in holders[target]:
+            shared[parent] = shared.get(parent, 0) + 1
+            shared_gaps[parent] = shared_gaps.get(parent, 0) + gap
+    floors: dict[int, int] = {}
+    for parent, common in shared.items():
+        floor = 3 + gamma[len(row) - common] + gaps - shared_gaps[parent]
+        length = lengths[parent]
+        if common != length:
+            floor += 1 + gamma[length] + min(length, 3)
+        floors[parent] = floor
+    return floors
+
+
 def reference_cost(
     row: Sequence[int], reference_row: Sequence[int], distance: int
 ) -> int:
@@ -215,6 +271,10 @@ def reference_cost(
         row, frozenset(row), reference_row, frozenset(reference_row), gamma
     )
 
+
+#: Fewest bits a row reference costs: three flags (referenced, direction,
+#: full copy), a gamma-coded distance and a gamma-coded count of extras.
+_MIN_REFERENCE_BITS = 5
 
 #: What :meth:`_CollectionCosts.reference_cost` answers for a parent that
 #: shares no target with the row: more than any direct cost.
@@ -290,8 +350,9 @@ class _CollectionCosts:
         enumerated from a ``target -> contents holding it`` index rather
         than tried one by one.  A parent whose cost without the distance
         code is not below the direct cost is dropped there, once per pair
-        of contents; the rows of the contents that remain are put back in
-        ascending order, which is the order of the pair-by-pair scan.
+        of contents, and unpriced when its :func:`_parent_floors` bound
+        already is not; the rows of the contents that remain are put back
+        in ascending order, which is the order of the pair-by-pair scan.
         """
         contents, sets, gamma = self._contents, self._sets, self._gamma
         holders: dict[int, list[int]] = {}
@@ -301,16 +362,19 @@ class _CollectionCosts:
         rows_of: list[list[int]] = [[] for _ in contents]
         for y, content in enumerate(self._ids):
             rows_of[content].append(y)
+        lengths = [len(entries) for entries in contents]
         #: content id -> (row, cost less the distance code), ascending
         candidates: list[list[tuple[int, int]]] = []
         for content, entries in enumerate(contents):
             direct = self._content_direct[content]
             row_set = sets[content]
-            sharing = set().union(*map(holders.__getitem__, entries))
+            floors = _parent_floors(entries, holders, lengths, gamma)
             if len(rows_of[content]) == 1:
-                sharing.discard(content)  # a row is no parent of itself
+                floors.pop(content, None)  # a row is no parent of itself
             parents: list[tuple[int, int]] = []
-            for parent in sharing:
+            for parent, floor in floors.items():
+                if floor >= direct:
+                    continue
                 base = _reference_base_cost(
                     entries, row_set, contents[parent], sets[parent], gamma
                 )
@@ -324,11 +388,11 @@ class _CollectionCosts:
         for y, content in enumerate(self._ids):
             direct = self.direct[y]
             edges.append((root, y, direct))
-            for x, base in candidates[content]:
-                if x != y:
-                    cost = base + gamma[abs(y - x) - 1]
-                    if cost < direct:
-                        edges.append((x, y, cost))
+            edges += [
+                (x, y, cost)
+                for x, base in candidates[content]
+                if x != y and (cost := base + gamma[abs(y - x) - 1]) < direct
+            ]
         return edges
 
     def dictionary_costs(self, dictionary: Sequence[int]) -> list[int]:
@@ -582,11 +646,36 @@ def plan_references(
 
     With a ``dictionary``, every row additionally considers referencing it
     (cost includes the extra flag bit each referenced row then carries).
+
+    Two skips leave the plan as it would be without them:
+
+    * **All-dictionary shortcut.**  With a dictionary, the plan is first
+      tried from direct and dictionary costs alone.  Every row reference
+      costs at least :data:`_MIN_REFERENCE_BITS` (three flags, a gamma
+      distance and a gamma count of extras), one more bit in dictionary
+      mode, and an empty row's only parent is the root.  So when every
+      non-empty row's dictionary cost is below ``min(direct, 1 + 5)``, no
+      parent can keep a row from the dictionary; and when the dictionary
+      total plus the dictionary's own record is below ``sum(min(direct,
+      5))``, which no plan of the rows undercuts, the closing comparison
+      keeps dictionary mode.  The dictionary plan is then returned
+      without building the affinity graph (:func:`_all_dictionary_plan`).
+    * **Unpriced pairs.**  :meth:`_CollectionCosts.affinity_edges` runs
+      the pricing kernel only on a pair whose lower bound
+      (:func:`_parent_floors`) is below the row's direct cost, since a
+      pair costing no less than that is never an edge; and
+      :func:`_plan_full` hands Edmonds no graph without an edge but the
+      root's, whose arborescence is the star.
     """
     m = len(rows)
     if m == 0:
         return EncodingPlan(parents=[], total_bits=0)
     costs = _CollectionCosts(rows)
+    if dictionary:
+        dictionary_costs = costs.dictionary_costs(dictionary)
+        shortcut = _all_dictionary_plan(rows, costs.direct, dictionary_costs, dictionary)
+        if shortcut is not None:
+            return shortcut
     if m <= full_affinity_limit:
         plan = _plan_full(costs)
     else:
@@ -594,7 +683,6 @@ def plan_references(
     if not dictionary:
         return plan
     parents = list(plan.parents)
-    dictionary_costs = costs.dictionary_costs(dictionary)
     total = 0
     for y, row in enumerate(rows):
         parent = parents[y]
@@ -610,6 +698,43 @@ def plan_references(
     # Dictionary mode also pays for serializing the dictionary itself.
     if total + _gaps_cost(dictionary) >= plan.total_bits:
         return plan
+    return EncodingPlan(parents=parents, total_bits=total, used_dictionary=True)
+
+
+def _all_dictionary_plan(
+    rows: Sequence[Sequence[int]],
+    direct: Sequence[int],
+    dictionary_costs: Sequence[int],
+    dictionary: Sequence[int],
+) -> EncodingPlan | None:
+    """The dictionary plan in which every non-empty row takes the
+    dictionary, when direct and dictionary costs alone show that
+    :func:`plan_references` returns it whatever the parents planned for
+    the rows are; None when they do not show it.
+
+    A planned parent costs a row at least ``min(direct, 5)`` bits, and
+    ``1 + min(direct, 5)`` once dictionary mode adds its flag bit, so a
+    row whose dictionary cost is below ``min(direct, 6)`` takes the
+    dictionary under any plan; an empty row is direct under any plan.
+    ``sum(min(direct, 5))`` is at most the ``total_bits`` of any plan, so
+    a dictionary plan that costs less, its dictionary's record included,
+    wins the comparison :func:`plan_references` closes with.
+    """
+    parents: list[int] = []
+    total = 0
+    floor = 0  # no plan of the rows costs less
+    for row, row_direct, cost in zip(rows, direct, dictionary_costs):
+        floor += min(row_direct, _MIN_REFERENCE_BITS)
+        if not row:
+            parents.append(-1)
+            total += row_direct
+        elif cost < min(row_direct, 1 + _MIN_REFERENCE_BITS):
+            parents.append(DICTIONARY_PARENT)
+            total += cost
+        else:
+            return None
+    if total + _gaps_cost(dictionary) >= floor:
+        return None
     return EncodingPlan(parents=parents, total_bits=total, used_dictionary=True)
 
 
@@ -641,6 +766,9 @@ def _plan_full(costs: _CollectionCosts) -> EncodingPlan:
     m = len(direct)
     root = m  # extra node
     edges = costs.affinity_edges()
+    if len(edges) == m:
+        # Only the root's edges: the arborescence is the star, all direct.
+        return EncodingPlan(parents=[-1] * m, total_bits=sum(direct))
     parents_map = minimum_arborescence(m + 1, edges, root)
     parents = [-1] * m
     total = 0

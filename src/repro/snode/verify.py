@@ -100,14 +100,23 @@ def _check_boundaries(layout: StorageLayout, report: FsckReport) -> None:
 
 
 def _check_files(root: Path, layout: StorageLayout, report: FsckReport) -> None:
+    """Every index file present, and ``payload_bytes`` between them.
+
+    A file that already has a finding — fsck's file-table pass reports a
+    missing or resized file first — is not reported again, and neither is
+    the byte total it throws off.
+    """
+    reported = {finding.file for finding in report.findings}
     total = 0
     for name in layout.index_files:
         path = root / name
         if path.exists():
             total += path.stat().st_size
-        else:
+        elif name not in reported:
             report.add(name, "missing index file")
-    if total != layout.manifest["payload_bytes"]:
+    if total != layout.manifest["payload_bytes"] and reported.isdisjoint(
+        layout.index_files
+    ):
         report.add(
             MANIFEST_NAME,
             f"index files hold {total} bytes, manifest says "

@@ -8,6 +8,12 @@ Plans must be equal field for field, the edge list handed to
 ``minimum_arborescence`` edge for edge in order, and arborescences parent
 for parent — equal weight is not enough, because the bytes written
 depend on which of two equally cheap parents wins.
+
+The planner under ``src/`` also skips Edmonds where its answer cannot
+matter: a collection whose every non-empty row takes the dictionary
+whatever its parent (the all-dictionary shortcut) and an affinity graph
+with no edge but the root's.  Wherever it skips, the oracle's plan must
+be the all-dictionary plan or the oracle's graph the root's star.
 """
 
 from __future__ import annotations
@@ -42,47 +48,105 @@ def planned(module, *arguments):
         return module.plan_references(*arguments), handed
 
 
+def all_dictionary(rows, plan):
+    """Whether ``plan`` sends every non-empty row of ``rows`` to the
+    dictionary and every empty one to the root."""
+    return plan.used_dictionary and plan.parents == [
+        reference.DICTIONARY_PARENT if row else -1 for row in rows
+    ]
+
+
 def assert_same_plan(rows, window, full_affinity_limit, dictionary):
     expected, expected_graph = planned(
         oracle_planner, rows, window, full_affinity_limit, dictionary
     )
     plan, graph = planned(reference, rows, window, full_affinity_limit, dictionary)
-    # The affinity graph edge for edge *in order*: the arborescence breaks
-    # ties by position in the list.
-    assert graph == expected_graph
     assert plan.parents == expected.parents
     assert plan.total_bits == expected.total_bits
     assert plan.used_dictionary == expected.used_dictionary
+    if graph or not expected_graph:
+        # The affinity graph edge for edge *in order*: the arborescence
+        # breaks ties by position in the list.
+        assert graph == expected_graph
+    else:
+        ((num_nodes, edges, root),) = expected_graph
+        assert all_dictionary(rows, expected) or all(
+            source == root for source, _, _ in edges
+        )
     return plan
 
 
-@pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])
-def test_every_collection_of_a_build(
-    transpose, test_refinement_config, tmp_path, monkeypatch
-):
-    """Every intranode and superedge collection of a 600-page build."""
+def collections_of_a_build(transpose, refinement, root):
+    """The ``plan_references`` arguments of every intranode and superedge
+    collection of a 600-page build, and the build's model."""
     repository = generate_web(GeneratorConfig(num_pages=600, seed=23))
-    options = BuildOptions(refinement=test_refinement_config, transpose=transpose)
-    build = build_snode(repository, tmp_path / "store", options)
+    options = BuildOptions(refinement=refinement, transpose=transpose)
+    build = build_snode(repository, root, options)
     build.store.close()
     model = build.model
-    checked = []
+    collections = []
 
-    def checking_planner(rows, window, full_affinity_limit, dictionary):
-        checked.append(len(rows))
-        return assert_same_plan(rows, window, full_affinity_limit, dictionary)
+    def capturing(rows, window, full_affinity_limit, dictionary):
+        collections.append((rows, window, full_affinity_limit, dictionary))
+        return reference.plan_references(rows, window, full_affinity_limit, dictionary)
 
     # Re-encode in this process whatever pool the build itself ran on.
-    monkeypatch.setattr(encode, "plan_references", checking_planner)
-    superedge_graphs = 0
-    for supernode in range(model.num_supernodes):
-        encode.encode_intranode(model.intranode[supernode])
-        for target in model.super_adjacency[supernode]:
-            encode.encode_superedge(model.superedges[(supernode, target)])
-            superedge_graphs += 1
+    with mock.patch.object(encode, "plan_references", capturing):
+        for supernode in range(model.num_supernodes):
+            encode.encode_intranode(model.intranode[supernode])
+            for target in model.super_adjacency[supernode]:
+                encode.encode_superedge(model.superedges[(supernode, target)])
+    return model, collections
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])
+def test_every_collection_of_a_build(transpose, test_refinement_config, tmp_path):
+    """Every intranode and superedge collection of a 600-page build."""
+    model, collections = collections_of_a_build(
+        transpose, test_refinement_config, tmp_path / "store"
+    )
+    superedge_graphs = sum(map(len, model.super_adjacency))
     assert superedge_graphs
-    assert len(checked) == model.num_supernodes + superedge_graphs
-    assert max(checked) > 1
+    assert len(collections) == model.num_supernodes + superedge_graphs
+    assert max(len(rows) for rows, *_ in collections) > 1
+    for arguments in collections:
+        assert_same_plan(*arguments)
+
+
+def test_a_build_plans_with_less_work_than_the_oracle(test_refinement_config, tmp_path):
+    """On the collections of a 600-page build, the planner under ``src/``
+    prices fewer pairs and hands Edmonds fewer edges than the oracle, and
+    skips Edmonds for full-affinity collections the oracle hands it, some
+    of them by the all-dictionary shortcut."""
+    _, collections = collections_of_a_build(False, test_refinement_config, tmp_path / "store")
+    work = {}
+    for module, kernel in (
+        (reference, "_reference_base_cost"),
+        (oracle_planner, "reference_cost"),
+    ):
+        priced = []
+        price = getattr(module, kernel)
+
+        def counting(*arguments, price=price):
+            priced.append(None)
+            return price(*arguments)
+
+        edges = 0
+        skipped = []  # per skipped full-affinity collection: all-dictionary?
+        with mock.patch.object(module, kernel, counting):
+            for rows, window, full_affinity_limit, dictionary in collections:
+                plan, graph = planned(module, rows, window, full_affinity_limit, dictionary)
+                if graph:
+                    edges += sum(len(graph_edges) for _, graph_edges, _ in graph)
+                elif len(rows) <= full_affinity_limit:
+                    skipped.append(all_dictionary(rows, plan))
+        work[module.__name__] = (len(priced), edges, skipped)
+    kernel_runs, edges, skipped = work["repro.snode.reference"]
+    oracle_runs, oracle_edges, oracle_skipped = work["oracle_planner"]
+    assert kernel_runs < oracle_runs
+    assert edges < oracle_edges
+    assert not oracle_skipped
+    assert any(skipped)
 
 
 @st.composite
@@ -112,6 +176,70 @@ def test_generated_collections(collection, window, with_dictionary):
     rows, limit = collection
     dictionary = reference.build_dictionary(rows) if with_dictionary else None
     assert_same_plan(rows, window, limit, dictionary)
+
+
+@st.composite
+def repeated_rows(draw):
+    """Copies of one row — about as many as its gap-coded body has bits,
+    where the all-dictionary shortcut turns on — with empty rows and at
+    times one other row, which keeps the shortcut off.
+
+    A non-empty row can only cost under the ``1 + _MIN_REFERENCE_BITS``
+    the shortcut needs per row as a full copy of the dictionary without
+    extras (4 bits, against at least 6 direct), and such a collection's
+    dictionary, from ``build_dictionary``, is the repeated row.  The
+    shortcut then fires exactly when the copies outnumber the bits of the
+    dictionary's own record.
+    """
+    space = draw(st.integers(min_value=1, max_value=300))
+    row = sorted(draw(st.sets(st.integers(0, space - 1), min_size=1, max_size=3)))
+    threshold = reference._gaps_cost(row)
+    near = st.sampled_from([threshold, threshold + 1, threshold - 1, threshold + 2])
+    copies = draw(near | st.integers(2, 2 * threshold))
+    rows = [row] * copies + [[]] * draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        rows.append(sorted(draw(st.sets(st.integers(0, space - 1), max_size=4))))
+    limit = draw(st.sampled_from([6, 96]))
+    return draw(st.permutations(rows)), limit
+
+
+@settings(deadline=None, max_examples=150)
+@given(repeated_rows(), st.sampled_from([1, 8]))
+def test_generated_repeated_rows(collection, window):
+    rows, limit = collection
+    assert_same_plan(rows, window, limit, reference.build_dictionary(rows))
+
+
+@pytest.mark.parametrize("limit", [6, 96], ids=["windowed", "full"])
+@pytest.mark.parametrize(
+    "rows, fires",
+    [
+        # [0] is gap-coded in 4 bits: the dictionary plan needs 5 copies
+        ([[0]] * 4, False),
+        ([[0]] * 5, True),
+        ([[0]] * 5 + [[], []], True),
+        ([[0]] * 12 + [[1]], False),  # [1] is no full copy
+        # the cheapest row that is not a bare full copy: 7 bits, 1 extra
+        ([[1]] * 12 + [[0, 1]], False),
+        # [3, 9]: gamma(2) + gamma(3) + gamma(5) = 3 + 5 + 5 bits
+        ([[3, 9]] * 13, False),
+        ([[3, 9]] * 14, True),
+    ],
+)
+def test_all_dictionary_shortcut_at_its_bounds(rows, fires, limit):
+    """Each strict comparison of the shortcut, on both sides."""
+    dictionary = reference.build_dictionary(rows)
+    plan, graph = planned(reference, rows, 8, limit, dictionary)
+    assert assert_same_plan(rows, 8, limit, dictionary) == plan
+    costs = reference._CollectionCosts(rows)
+    shortcut = reference._all_dictionary_plan(
+        rows, costs.direct, costs.dictionary_costs(dictionary), dictionary
+    )
+    assert (shortcut is not None) == fires
+    if fires:
+        assert shortcut == plan and all_dictionary(rows, plan) and not graph
+    elif limit == 96:
+        assert graph  # the copies reference each other for less than direct
 
 
 def test_entries_past_the_gamma_table():

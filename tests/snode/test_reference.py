@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CodecError
+from repro.snode import reference
 from repro.snode.reference import (
     DICTIONARY_PARENT,
     EncodingPlan,
@@ -64,6 +65,57 @@ class TestCosts:
         parent = sorted(set(data.draw(st.lists(targets))) - set(row))
         distance = data.draw(st.integers(min_value=1, max_value=300))
         assert reference_cost(row, parent, distance) > direct_cost(row)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_pair_floor_never_exceeds_the_kernel(self, data):
+        """The planner prices a pair only when its floor is below the direct
+        cost: the floor must never exceed the kernel's price, and no
+        reference may cost under ``_MIN_REFERENCE_BITS``."""
+        big = len(reference._GAMMA_COST)
+        offset = data.draw(st.sampled_from([0, big - 6]))
+        targets = st.integers(0, data.draw(st.sampled_from([6, 40]))).map(
+            lambda value: value + offset
+        ) | st.sampled_from([3 * big, 3 * big + 1])
+        row = sorted(set(data.draw(st.lists(targets, max_size=12))))
+        ascending = st.lists(targets, max_size=14, unique=True).map(sorted)
+        parents = data.draw(
+            st.lists(
+                st.lists(targets, min_size=1, max_size=3, unique=True).map(sorted)
+                | ascending
+                | st.sampled_from([row, []])  # a full copy, an empty parent
+                | st.lists(st.booleans(), min_size=len(row), max_size=len(row)).map(
+                    lambda keep: list(itertools.compress(row, keep))  # some of the row
+                )
+                | ascending.map(lambda more: sorted({*row, *more})),  # all of it
+                min_size=1,
+                max_size=6,
+            )
+        )
+        gamma = reference._gamma_costs(
+            max([len(row), *(value + 1 for entries in (row, *parents) for value in entries)])
+        )
+        holders = {target: [] for target in row}
+        for index, parent in enumerate(parents):
+            for target in parent:
+                if target in holders:
+                    holders[target].append(index)
+        floors = reference._parent_floors(
+            row, holders, [len(parent) for parent in parents], gamma
+        )
+        for index, parent in enumerate(parents):
+            if set(row).isdisjoint(parent):
+                # No floor: the pruning lemma rules the pair out.
+                assert index not in floors
+            else:
+                kernel = reference._reference_base_cost(
+                    row, frozenset(row), parent, frozenset(parent), gamma
+                )
+                assert floors[index] <= kernel
+            for distance in (1, 2, 3, big + 9):
+                assert reference_cost(row, parent, distance) >= (
+                    reference._MIN_REFERENCE_BITS
+                )
 
 
 class TestArborescence:

@@ -159,3 +159,26 @@ def test_fsck_reports_cut_payloads_it_cannot_decode(copy_of_build):
     assert repaired.repaired == []
     assert not (copy_of_build / QUARANTINE_NAME).exists()
     assert problems(repaired) == problems(report)
+
+
+@pytest.mark.parametrize("damage", ["deleted", "cut"])
+def test_fsck_reports_a_damaged_index_file_once(copy_of_build, damage):
+    """fsck's file-table pass names a missing or resized index file; its
+    S-Node pass adds no second finding for the file, nor the byte total
+    the file throws off.  ``verify_snode`` alone still reports both."""
+    name = read_layout(copy_of_build).index_files[0]
+    path = copy_of_build / name
+    if damage == "deleted":
+        path.unlink()
+    else:
+        path.write_bytes(path.read_bytes()[:-3])
+    report = fsck(copy_of_build)
+    assert [f.problem for f in report.findings if f.file == name and not f.region] == [
+        "missing" if damage == "deleted" else f"holds {path.stat().st_size} bytes, "
+        f"manifest recorded {path.stat().st_size + 3}"
+    ]
+    assert not [f for f in report.findings if f.file == MANIFEST_NAME]
+    alone = problems(verify_snode(copy_of_build))
+    assert any("manifest says" in problem for problem in alone)
+    if damage == "deleted":
+        assert "missing index file" in alone
