@@ -4,10 +4,12 @@
   superedge lists (high in-degree) get short codes.
 * **Intranode graphs** are reference-encoded row collections over local
   indices; a decoded one is an :class:`IntranodeRows`, which a directory
-  of row offsets lets decode one row at a time.
+  of row offsets (:class:`RowDirectory`) lets decode one row at a time.
 * **Superedge graphs** store the sorted list of linked source locals
   (gap-coded) followed by a reference-encoded row collection for exactly
   those sources; a leading flag records the positive/negative polarity.
+  A decoded one is a :class:`SuperedgeRows`, which the same directory,
+  learned for its body, lets decode one row at a time.
 
 Every payload is byte-aligned so the storage layer can concatenate them
 into index files and hand out (offset, length) pointers.
@@ -16,6 +18,7 @@ into index files and hand out (offset, length) pointers.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -140,9 +143,10 @@ def encode_intranode(
 
 
 class RowDirectory(NamedTuple):
-    """Where an intranode payload's rows are: what decoding it whole learns."""
+    """Where a payload's rows are — an intranode graph's, or the rows a
+    superedge graph's body stores: what decoding it whole learns."""
 
-    #: The graph's dictionary of recurring targets.
+    #: The collection's dictionary of recurring targets.
     dictionary: list[int]
     #: Bit offset of the row collection (its row count).
     body: int
@@ -223,9 +227,19 @@ def scan_intranode(
 ) -> tuple[list[list[int]], RowDirectory]:
     """Every row of an intranode payload, decoded in one pass, and its
     directory: ``directory`` if given, else learned by the pass."""
+    return _collection(data, 0, directory)
+
+
+def _collection(
+    data: bytes, bit: int, directory: RowDirectory | None
+) -> tuple[list[list[int]], RowDirectory]:
+    """Every row of the collection whose dictionary starts at bit ``bit``
+    of ``data``, decoded in one pass, and its directory: ``directory`` if
+    given — then the pass starts at its body, the dictionary unread —
+    else learned by the pass."""
     if directory is not None:
         return decode_rows(BitReader(data, directory.body), directory.dictionary), directory
-    reader = BitReader(data)
+    reader = BitReader(data, bit)
     dictionary = _decode_locals(reader)
     body = reader.position
     starts = array("I")
@@ -316,19 +330,25 @@ def _superedge_header(data: bytes) -> tuple[BitReader, bool, list[int]]:
     return reader, negative, _decode_locals(reader)
 
 
-def _stored_rows(reader: BitReader, count: int) -> list[list[int]]:
-    """The ``count`` rows a superedge payload stores, ``reader`` at its body."""
-    dictionary = _decode_locals(reader)
-    rows = decode_rows(reader, dictionary=dictionary)
-    if len(rows) != count:
+def _stored_rows(
+    data: bytes, header: SuperedgeHeader, directory: RowDirectory | None = None
+) -> tuple[list[list[int]], RowDirectory]:
+    """The rows a superedge payload stores, decoded in one pass, and its
+    body's directory: ``directory`` if given, else learned by the pass."""
+    rows, directory = _collection(data, header.body_bit, directory)
+    if len(rows) != len(header.sources):
         raise CodecError("superedge row count mismatch")
-    return rows
+    return rows, directory
 
 
 def decode_superedge_payload(data: bytes) -> tuple[bool, list[int], list[list[int]]]:
-    """Decode a superedge payload to (negative?, linked locals, their rows)."""
+    """Decode a superedge payload to (negative?, linked locals, their rows),
+    with one reader and no directory learned: the offline check's decode."""
     reader, negative, linked = _superedge_header(data)
-    return negative, linked, _stored_rows(reader, len(linked))
+    rows = decode_rows(reader, dictionary=_decode_locals(reader))
+    if len(rows) != len(linked):
+        raise CodecError("superedge row count mismatch")
+    return negative, linked, rows
 
 
 class SuperedgeHeader(NamedTuple):
@@ -343,22 +363,20 @@ class SuperedgeHeader(NamedTuple):
     body_bit: int
 
 
-def _positive_rows(
-    header: SuperedgeHeader, data: bytes, target_size: int
-) -> dict[int, list[int]]:
-    """Source local -> positive row, from a payload's undecoded body.
+def _complement(row: list[int], target_size: int) -> list[int]:
+    """The targets a negative graph's stored ``row`` leaves out: its
+    positive row."""
+    absent = set(row)
+    return [t for t in range(target_size) if t not in absent]
 
-    A pure function of its arguments: threads that race to materialise
-    one :class:`SuperedgeRows` each compute the same dict.
-    """
-    negative, sources, body_bit = header
-    rows = _stored_rows(BitReader(data, body_bit), len(sources))
-    if negative:
-        targets = range(target_size)
-        rows = [
-            [t for t in targets if t not in absent] for absent in map(set, rows)
-        ]
-    return dict(zip(sources, rows))
+
+def _positive_rows(
+    header: SuperedgeHeader, rows: list[list[int]], target_size: int
+) -> dict[int, list[int]]:
+    """Source local -> positive row, from the rows the body stores."""
+    if header.negative:
+        rows = [_complement(row, target_size) for row in rows]
+    return dict(zip(header.sources, rows))
 
 
 class SuperedgeRows:
@@ -367,27 +385,37 @@ class SuperedgeRows:
     A superedge graph links a handful of its source supernode's pages and
     its payload opens with their list, so its :class:`SuperedgeHeader`
     is all a fresh entry knows: :meth:`row` answers an unlinked local from
-    it alone, and the rows themselves are decoded by the first access to
-    a linked one.
+    it alone.  Without the body's :class:`RowDirectory` the first access
+    to a linked row decodes every row, learning the directory
+    (:attr:`directory`); given it, :meth:`row` decodes that source's
+    stored row and its reference chain only
+    (:func:`~repro.snode.reference.decode_row`), and :attr:`linked` every
+    row from the body on, the dictionary unread.
     """
 
-    __slots__ = ("source_size", "header", "sources", "_rows")
+    __slots__ = ("source_size", "header", "sources", "directory", "_rows")
 
     def __init__(
         self,
         source_size: int,
         header: SuperedgeHeader,
         rows: dict[int, list[int]] | tuple,
+        directory: RowDirectory | None = None,
     ) -> None:
         #: Pages in the source supernode (rows a dense form would have).
         self.source_size = source_size
         self.header = header
         #: Ascending source locals that hold a row (``header.sources``).
         self.sources = header.sources
-        #: The materialised ``local -> row`` dict, or until first needed
-        #: the rest of the payload as ``(payload, target size)`` — plain
-        #: values, never a live reader: :attr:`linked` swaps one for the
-        #: other in a single store.
+        #: Where the body's rows are: given, or learned by the first whole
+        #: decode (None until then).
+        self.directory = directory
+        #: The materialised ``local -> row`` dict, or until something
+        #: needs every row ``(payload, target size, stored)``, ``stored``
+        #: the body's rows read one at a time so far, by their index in
+        #: :attr:`sources` — stored rows only, a negative graph's absent
+        #: targets.  Plain values, never a live reader: :attr:`linked`
+        #: swaps one form for the other in a single store.
         self._rows = rows
 
     @property
@@ -399,17 +427,32 @@ class SuperedgeRows:
         """
         rows = self._rows
         if type(rows) is tuple:
-            rows = self._rows = _positive_rows(self.header, *rows)
+            data, target_size, _stored = rows
+            stored, self.directory = _stored_rows(data, self.header, self.directory)
+            rows = self._rows = _positive_rows(self.header, stored, target_size)
         return rows
 
     def row(self, local: int) -> list[int]:
-        """Target locals of source ``local``; a new empty list if unlinked."""
+        """Target locals of source ``local``; a new empty list if unlinked.
+
+        Threads may race to read rows of one entry: each dict store is
+        one, and they compute equal rows.
+        """
         rows = self._rows
-        if type(rows) is tuple:
-            if local not in self.sources:
-                return []
-            rows = self.linked
-        return rows.get(local) or []
+        if type(rows) is not tuple:
+            return rows.get(local) or []
+        sources = self.sources
+        index = bisect_left(sources, local)
+        if index == len(sources) or sources[index] != local:
+            return []
+        directory = self.directory
+        if directory is None:
+            return self.linked[local]
+        data, target_size, stored = rows
+        row = stored.get(index)
+        if row is None:
+            row = decode_row(data, directory.starts, index, directory.dictionary, stored)
+        return _complement(row, target_size) if self.header.negative else row
 
 
 def positive_rows_from_payload(
@@ -417,28 +460,34 @@ def positive_rows_from_payload(
     source_size: int,
     target_size: int,
     header: SuperedgeHeader | None = None,
+    directory: RowDirectory | None = None,
 ) -> SuperedgeRows:
     """The rows of a superedge payload, none of them decoded yet.
 
     Without a ``header`` the payload's header — polarity and linked
-    sources — is parsed and kept on the result (``.header``).  Given that
-    header again, nothing is parsed.  The rows stay encoded until
-    :attr:`SuperedgeRows.linked` is read.
+    sources — is parsed and kept on the result (``.header``); the first
+    linked row read then decodes every row and learns the body's
+    ``directory`` (``.directory``).  Given both again, nothing is parsed
+    and each row is decoded when asked for.
     """
     if header is None:
         header = _parsed_header(data)
-    return SuperedgeRows(source_size, header, (data, target_size))
+    return SuperedgeRows(source_size, header, (data, target_size, {}), directory)
 
 
 def scan_superedge(
-    data: bytes, target_size: int, header: SuperedgeHeader | None = None
-) -> tuple[dict[int, list[int]], SuperedgeHeader]:
+    data: bytes,
+    target_size: int,
+    header: SuperedgeHeader | None = None,
+    directory: RowDirectory | None = None,
+) -> tuple[dict[int, list[int]], SuperedgeHeader, RowDirectory]:
     """Every positive row of a superedge payload (``source local -> row``,
-    linked sources only), decoded in one pass, and its header: ``header``
-    if given, else parsed."""
+    linked sources only), decoded in one pass, its header and its body's
+    directory: each given, or parsed and learned by the pass."""
     if header is None:
         header = _parsed_header(data)
-    return _positive_rows(header, data, target_size), header
+    stored, directory = _stored_rows(data, header, directory)
+    return _positive_rows(header, stored, target_size), header, directory
 
 
 def _parsed_header(data: bytes) -> SuperedgeHeader:

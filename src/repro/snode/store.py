@@ -67,8 +67,9 @@ DEFAULT_BUFFER_BYTES = 8 * 1024 * 1024
 
 # Cost model for decoded graphs held in the buffer: 8 bytes per edge entry
 # plus 4 bytes per row, approximating compact array storage.  A graph is
-# charged for every row and edge, although a re-loaded one holds only the
-# rows asked for (a superedge graph: a row per source page, linked or not).
+# charged for every row and edge (a superedge graph: a row per source page,
+# linked or not), as its first load decoded them, although a re-loaded one
+# of either kind holds only the rows asked for and their reference chains.
 _EDGE_COST = 8
 _ROW_COST = 4
 
@@ -143,14 +144,18 @@ class SNodeStore:
         self._pool = BufferPool(buffer_bytes, registry=self.metrics)
         self._devices: dict[int, CountedFile] = {}
         self._devices_lock = threading.Lock()
-        #: Buffer key -> (pool charge, parsed facts): what the graph's
-        #: first load learned — the charge (the decoded cost, or the
-        #: payload's length in a payload-caching store) and an intranode
-        #: graph's row directory or a superedge graph's header.  A graph's
-        #: bytes never change under an open store, so every later load is
-        #: put at this charge and parses nothing: its entry is built from
-        #: the facts, with no row decoded until one is asked for.
-        self._learned: dict[tuple, tuple[int, RowDirectory | SuperedgeHeader]] = {}
+        #: Buffer key -> (pool charge, *facts): what the graph's first
+        #: whole decode (a load or a scan) learned — the charge (the
+        #: decoded cost, or the payload's length in a payload-caching
+        #: store), then an intranode graph's row directory, or a superedge
+        #: graph's header and its body's row directory.  A graph's bytes
+        #: never change under an open store, so every later load is put at
+        #: this charge and parses nothing: its entry is built from the
+        #: facts, with no row decoded until one is asked for.
+        self._learned: dict[
+            tuple,
+            tuple[int, RowDirectory] | tuple[int, SuperedgeHeader, RowDirectory],
+        ] = {}
         self._quarantined_lock = threading.Lock()
         #: Supernode -> its visit, with the links every superedge header
         #: read at open gives (:meth:`_read_visits`).
@@ -361,36 +366,36 @@ class SNodeStore:
                 tracing.note(name, count)
 
     def _decode(self, key: tuple, payload: bytes, learned: tuple | None):
-        facts = None if learned is None else learned[1]
+        facts = () if learned is None else learned[1:]
         if key[0] == "intra":
-            return decode_intranode(payload, facts)
-        return positive_rows_from_payload(payload, *self._sizes(key), facts)
+            return decode_intranode(payload, *facts)
+        return positive_rows_from_payload(payload, *self._sizes(key), *facts)
 
     def _checked(self, key: tuple, location: GraphLocation, payload: bytes) -> tuple:
         """``(rows, charge)`` of the graph ``key`` read from ``location``:
         the payload's checksum tested, then decoded with what the graph's
-        first load learned — or, on that first load, decoded whole and
+        first whole decode learned — or, on the first, decoded whole and
         the charge and facts learned.
 
         A decoded graph is put at its full decoded charge whatever it
-        holds: its first load decodes every row, learning that charge with
-        an intranode graph's row directory or a superedge graph's header;
-        a re-load parses nothing and leaves the rows to whoever asks for
-        them.  The pool therefore sees the same keys at the same costs
-        either way.  A payload-caching store learns the directory or
-        header too (a superedge graph's first load parses only its
-        header), so every later access, miss or hit, parses nothing.
+        holds: its first load decodes every row in one pass, learning
+        that charge with an intranode graph's row directory, or a
+        superedge graph's header and its body's row directory; a re-load
+        parses nothing and leaves the rows to whoever asks for them, each
+        decoded with its reference chain.  The pool therefore sees the
+        same keys at the same costs either way.  A payload-caching store
+        learns the same facts the same way, so every later access, miss
+        or hit, parses nothing either.
         """
         self._verify(key, location, payload)
         learned = self._learned.get(key)
         rows = self._decode(key, payload, learned)
         if learned is None:
             if key[0] == "intra":
-                learned = self._learn(key, payload, rows.directory, rows)
+                learned = self._learn(key, payload, rows, rows.directory)
             else:
-                # A payload-caching store's first load parses the header alone.
-                linked = rows.linked if self._cache_decoded else None
-                learned = self._learn(key, payload, rows.header, linked)
+                linked = rows.linked
+                learned = self._learn(key, payload, linked, rows.header, rows.directory)
         return rows, learned[0]
 
     def _verify(self, key: tuple, location: GraphLocation, payload: bytes) -> None:
@@ -409,19 +414,20 @@ class SNodeStore:
                 f"read {actual:#010x})"
             )
 
-    def _learn(self, key: tuple, payload: bytes, facts, rows) -> tuple:
-        """Record and return what graph ``key``'s first load learns:
-        ``(charge, facts)``, ``facts`` its row directory or header.  The
-        charge is the payload's length in a payload-caching store, else
-        the decoded cost of ``rows`` — an intranode graph's rows, a
-        superedge graph's ``source local -> row`` dict."""
+    def _learn(self, key: tuple, payload: bytes, rows, *facts) -> tuple:
+        """Record and return what graph ``key``'s first whole decode
+        learns: ``(charge, *facts)``, ``facts`` its row directory, or its
+        header and body's row directory.  The charge is the payload's
+        length in a payload-caching store, else the decoded cost of
+        ``rows`` — an intranode graph's rows, a superedge graph's ``source
+        local -> row`` dict."""
         if not self._cache_decoded:
             charge = len(payload)
         elif key[0] == "intra":
             charge = _graph_cost(len(rows), rows)
         else:
             charge = _graph_cost(self._sizes(key)[0], rows.values())
-        learned = self._learned[key] = (charge, facts)
+        learned = self._learned[key] = (charge, *facts)
         return learned
 
     def intranode_rows(
@@ -680,8 +686,10 @@ class SNodeStore:
         supernode, every one — the paper's visit, which with room to
         spare buffers the rest of the supernode for the lookups that
         follow.  Asked for as many locals as the supernode has pages, the
-        intranode graph is decoded whole in one pass; otherwise each asked
-        row is decoded alone, with its reference chain.
+        intranode graph is decoded whole in one pass, and so is a
+        superedge graph every linked source of which was asked for;
+        otherwise each asked row is decoded alone, with its reference
+        chain.
 
         The graphs are loaded by :meth:`_load`: a supernode whose graphs
         are all buffered decoded in one visit to the pool, else a segment
@@ -719,14 +727,21 @@ class SNodeStore:
                 if len(rows.sources) < len(locals_):
                     # A superedge graph links a handful of the supernode's
                     # pages: walk those, not every local asked for — and
-                    # leave its rows undecoded when none of them was.
+                    # decode only the rows of those that were.
                     if asked is None:
                         asked = {}
                         for local, row in zip(locals_, result):
                             asked.setdefault(local, []).append(row)
-                    for local in rows.sources:
-                        for row in asked.get(local, ()):
-                            row.extend([base + t for t in rows.linked[local]])
+                    linked = [local for local in rows.sources if local in asked]
+                    if not linked:
+                        continue
+                    # Every linked row asked for: one fused decode of the
+                    # body, not one per row.
+                    read = rows.linked.get if len(linked) == len(rows.sources) else rows.row
+                    for local in linked:
+                        targets = [base + t for t in read(local)]
+                        for row in asked[local]:
+                            row.extend(targets)
                 else:
                     for local, row in zip(locals_, result):
                         targets = rows.row(local)
@@ -867,7 +882,7 @@ class SNodeStore:
         """A held graph's rows as :meth:`_scanned` serves them."""
         if self._cache_decoded:
             return value.every() if key[0] == "intra" else value.linked
-        return self._scan_decode(key, value, self._learned[key][1])[0]
+        return self._scan_decode(key, value, self._learned[key][1:])[0]
 
     def _scan_read(self, key: tuple, location: GraphLocation, payload: bytes):
         """A read graph's rows as :meth:`_scanned` serves them."""
@@ -877,17 +892,18 @@ class SNodeStore:
             self._quarantine(key)
             return self._degraded_scan(key)
         learned = self._learned.get(key)
-        rows, facts = self._scan_decode(key, payload, None if learned is None else learned[1])
+        rows, *facts = self._scan_decode(key, payload, () if learned is None else learned[1:])
         if learned is None:
-            self._learn(key, payload, facts, rows)
+            self._learn(key, payload, rows, *facts)
         return rows
 
-    def _scan_decode(self, key: tuple, payload: bytes, facts):
-        """``(rows, facts)`` of graph ``key`` decoded whole from ``payload``."""
+    def _scan_decode(self, key: tuple, payload: bytes, facts: tuple):
+        """``(rows, *facts)`` of graph ``key`` decoded whole from
+        ``payload`` with ``facts``, or learning them if there are none."""
         if key[0] == "intra":
-            return scan_intranode(payload, facts)
+            return scan_intranode(payload, *facts)
         boundaries = self._boundaries
-        return scan_superedge(payload, boundaries[key[2] + 1] - boundaries[key[2]], facts)
+        return scan_superedge(payload, boundaries[key[2] + 1] - boundaries[key[2]], *facts)
 
     def _degraded_scan(self, key: tuple):
         """A quarantined graph as :meth:`_scanned` serves it, counted."""

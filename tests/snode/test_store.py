@@ -25,6 +25,7 @@ from repro.storage.device import CountedFile
 from repro.util.bitio import BitReader
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
+import oracle_codecs  # noqa: E402
 from oracle_loader import paper_scan, paper_visit  # noqa: E402
 
 
@@ -715,10 +716,9 @@ class TestBatchedAccounting:
     ):
         """After a cold reset every graph is re-loaded at its learned
         charge with its rows undecoded; six sessions then read every page
-        at once, so each superedge entry's first linked access and each
-        intranode entry's every row is a race.  Whoever wins, the rows
-        are the crawl's, each session is charged its own hits and nothing
-        else moves."""
+        at once, so every row of each entry, intranode or superedge, is
+        decoded in a race.  Whoever wins, the rows are the crawl's, each
+        session is charged its own hits and nothing else moves."""
         store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
         numbering = small_build.numbering
         expected = {
@@ -766,7 +766,10 @@ class TestBatchedAccounting:
         # Each entry decoded once for good, and kept nothing that reads bits.
         assert [store.superedge_rows(*key) for key in keys] == entries
         for rows in linking:
-            assert type(rows._rows) is dict
+            # Every stored row, read alone into the one entry: a negative
+            # graph's absent targets, never their complement.
+            payload, _target_size, stored = rows._rows
+            assert stored == dict(enumerate(oracle_codecs.decode_superedge_payload(payload)[2]))
             assert not any(
                 isinstance(getattr(rows, slot), BitReader) for slot in rows.__slots__
             )

@@ -2,20 +2,24 @@
 
 ``positive_rows_from_payload`` parses the polarity bit and the linked
 source list and keeps the rest of the payload undecoded;
-``SNodeStore._graph`` puts such an entry at the full decoded charge, which
-it learned with the header the first time it loaded the graph, and builds
-every later entry of the graph from that header.  Checked here against the
-eager decoders in ``tests/util/oracle_codecs.py``:
+``SNodeStore._checked`` puts such an entry at the full decoded charge,
+which it learned with the header and the body's row directory the first
+time it decoded the graph whole, and builds every later entry of the
+graph from those, decoding a linked row and its reference chain when it
+is asked for.  Checked here against the eager decoders in
+``tests/util/oracle_codecs.py``:
 
 * generated superedge graphs — ``sources``, ``row(local)`` of every local
   and ``linked`` equal the oracle's, and an unlinked ``row`` decodes
   nothing;
 * whole stores — two passes over every page of generated crawls, the
-  second from the learned headers after ``drop_buffers()``, equal the
-  crawl graph at the oracle's pool charge;
+  second from the learned headers and directories after
+  ``drop_buffers()``, equal the crawl graph at the oracle's pool charge;
+  a lookup decodes the rows it asked for and their chains, nothing else;
 * a body cut short under a sound header — typed errors, where and how
   often they surface, through an entry alone and through a store that
-  learned the header from the sound payload or a fresh one.
+  learned the header and directory from the sound payload or a fresh
+  one, row by row and whole.
 
 The file fails under each of these seeded mutations (applied one at a
 time while it was written):
@@ -26,7 +30,10 @@ time while it was written):
 3. ``SNodeStore._adjacency`` passes over a linked source that *was*
    asked for (and so skips graphs that are not disjoint from the call);
 4. ``SuperedgeRows.row`` of a header-resident entry skips the membership
-   test and reads ``linked``.
+   test and reads ``linked``;
+5. ``SNodeStore._adjacency`` reads a superedge graph's asked rows one at
+   a time even when every source it links was asked for (``read =
+   rows.row`` always).
 """
 
 from __future__ import annotations
@@ -59,6 +66,27 @@ from repro.webdata.generator import GeneratorConfig, generate_web  # noqa: E402
 def undecoded(rows) -> bool:
     """True while ``rows`` still holds its payload's body as plain values."""
     return type(rows._rows) is tuple
+
+
+def stored_decoded(rows) -> set[int]:
+    """The linked sources whose stored rows ``rows`` holds decoded."""
+    if undecoded(rows):
+        return {rows.sources[index] for index in rows._rows[2]}
+    return set(rows.sources)
+
+
+def reference_chains(payload: bytes, sources, locals_) -> set[int]:
+    """``locals_`` and the linked sources their stored rows reference,
+    transitively, by the oracle's records of ``payload``."""
+    records = oracle_codecs.superedge_records(payload)[3]
+    chain = {sources.index(local) for local in locals_}
+    todo = list(chain)
+    while todo:
+        record = records[todo.pop()]
+        if isinstance(record, tuple) and record[0] not in chain:
+            chain.add(record[0])
+            todo.append(record[0])
+    return {sources[index] for index in chain}
 
 
 def holds_no_reader(rows) -> bool:
@@ -222,10 +250,14 @@ def test_two_passes_over_every_page_equal_the_crawl(crawl_builds, direction, cac
 
 @pytest.mark.parametrize("asked", [1, 3], ids=["point", "grouped"])
 def test_a_lookup_decodes_only_the_graphs_that_link_what_it_asked_for(small_build, asked):
+    """A re-loaded superedge graph decodes the stored rows of the asked
+    locals it links and their reference chains, nothing when it links
+    none of them, and its whole body in one pass when every source it
+    links was asked for among more locals than it links."""
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26)
-    for _page, _row in paper_scan(store):  # every charge learned
+    for _page, _row in paper_scan(store):  # every charge and directory learned
         pass
-    decoded = header_resident = 0
+    untouched = partly = whole = 0
     busiest = sorted(
         range(store.num_supernodes), key=lambda s: -len(store.super_adjacency[s])
     )[:8]
@@ -236,10 +268,19 @@ def test_a_lookup_decodes_only_the_graphs_that_link_what_it_asked_for(small_buil
         store.out_neighbors_many([first + local for local in locals_])
         for target in store.super_adjacency[supernode]:
             rows = store.superedge_rows(supernode, target)
-            assert undecoded(rows) == set(locals_).isdisjoint(rows.sources)
-            header_resident += undecoded(rows)
-            decoded += not undecoded(rows)
-    assert header_resident > 0 and decoded > 0
+            wanted = set(locals_).intersection(rows.sources)
+            decoded = stored_decoded(rows)
+            payload = rows._rows[0] if undecoded(rows) else None
+            assert wanted <= decoded
+            if wanted and payload is not None:
+                assert decoded <= reference_chains(payload, rows.sources, wanted)
+            assert bool(decoded) == bool(wanted)
+            if wanted and len(wanted) == len(rows.sources) < len(locals_):
+                assert not undecoded(rows)  # every linked row asked for: one decode
+                whole += 1
+            untouched += not decoded
+            partly += 0 < len(decoded) < len(rows.sources)
+    assert untouched > 0 and partly > 0 and whole >= (asked > 1)
     store.close()
 
 
@@ -247,12 +288,19 @@ def test_a_lookup_decodes_only_the_graphs_that_link_what_it_asked_for(small_buil
 
 
 def test_body_cut_at_every_bit_offset():
-    """Never ``IndexError``, never a hang; an unlinked row never notices."""
+    """Never ``IndexError``, never a hang; an unlinked row never notices.
+    Read alone through the sound payload's directory, each linked row is
+    the oracle's row read alone or a typed error."""
     linked_rows = {1: [0, 3, 4, 9], 2: [0, 3, 4, 9, 17], 5: [3, 4, 30], 8: [0, 3, 4, 9]}
     graph = _superedge_graph(0, 1, linked_rows, 11, 40, False)
     payload = encode_superedge(graph)
     body_bit = cut_body.body_bit(payload)
     assert body_bit < 8 * len(payload) - 16
+    sound = positive_rows_from_payload(payload, 11, 40)
+    assert sound.directory is None
+    assert sound.linked == linked_rows  # the whole decode learns the directory
+    directory = sound.directory
+    dictionary, _body, starts, _records = oracle_codecs.superedge_records(payload)
     errors = 0
     for bit in range(body_bit, 8 * len(payload)):
         data = cut_body.cut_at(payload, bit)
@@ -267,16 +315,22 @@ def test_body_cut_at_every_bit_offset():
             )
             assert rows.row(0) == []
         assert holds_no_reader(rows)
+        alone = positive_rows_from_payload(data, 11, 40, sound.header, directory)
+        for _call in range(2):
+            for index, local in reversed(list(enumerate(alone.sources))):
+                assert cut_body.outcome(alone.row, local) == cut_body.outcome(
+                    oracle_codecs.superedge_row, data, starts, index, dictionary, False, 40
+                )
+        assert holds_no_reader(alone)
         errors += want[0] == "error"
     assert errors > 8 * len(payload) - body_bit - 16  # all but cuts inside the padding
 
 
 @pytest.mark.parametrize("cache_decoded", [True, False], ids=["decoded", "encoded"])
 def test_cut_body_through_the_store_keeps_the_batch_flushed(small_build, cache_decoded):
-    """Decoded entries fail at load time as they always did; encoded
-    ones (header only on their first load) at the first linked row — either
-    way inside ``_adjacency``'s ``try``, so the graphs read so far stay
-    charged, and the next call fails the same way."""
+    """A first load decodes the body whole in either mode, so a cut body
+    fails at load time, inside ``_adjacency``'s ``try``: the graphs read
+    so far stay charged, and the next call fails the same way."""
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
     (source, target), keep, local = cut_body.breakable_superedge(store)
     cut_body.truncate_region(store, (source, target), keep)
@@ -294,8 +348,7 @@ def test_cut_body_through_the_store_keeps_the_batch_flushed(small_build, cache_d
         charged = store.metrics.io_stats()
         assert charged["buffer_misses"] == position + 2
         assert charged["bytes_read"] == sum(location.length for location in read)
-        # The cut graph itself counts as loaded only where loading decodes nothing.
-        assert charged["loads"] == position + 1 + (not cache_decoded)
+        assert charged["loads"] == position + 1  # the cut graph's load failed
     # Once the pool is pressed, a page the cut graph does not link never
     # loads it and is answered; the page it links still fails.
     unlinked = next(
@@ -327,11 +380,14 @@ def test_cut_superedge_bodies_fail_typed_through_a_learned_store(
 ):
     """The superedge twin of ``test_cut_intranode_payloads_fail_typed``: a
     body cut at every bit offset past its header, checksum recomputed,
-    served through a store that learned the header from the sound payload
-    and through a fresh store.  Every linked read raises ``CodecError``
-    (``BitStreamError`` is one) or is the oracle's rows — never
+    served through a store that learned the header and the body's row
+    directory from the sound payload and through a fresh store.  Every
+    linked row read raises ``CodecError`` (``BitStreamError`` is one) or
+    is the oracle's row read alone through the learned directory, and
+    every whole read raises or is the oracle's rows — never
     ``IndexError``, never a hang — call after call, and an unlinked row
-    stays ``[]``."""
+    stays ``[]``.  A lookup of a linked page through the learned store is
+    the sound store's answer exactly when its row read alone is served."""
     root = tmp_path / "build"
     shutil.copytree(small_build.root, root)
     learned = SNodeStore(root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
@@ -339,23 +395,39 @@ def test_cut_superedge_bodies_fail_typed_through_a_learned_store(
     location, stored_negative = learned._layout.superedge[key]
     payload = cut_body.region(learned, location)
     source_size, target_size = learned._sizes(("super", *key))
-    learned.superedge_rows(*key)  # the first load learns the header
-    header = learned._learned[("super", *key)][1]
+    learned.superedge_rows(*key)  # the first load learns the header and directory
+    _charge, header, directory = learned._learned[("super", *key)]
     assert header.negative == negative and len(header.sources) > 1
+    dictionary, body, starts, _records = oracle_codecs.superedge_records(payload)
+    assert (directory.dictionary, directory.body, list(directory.starts)) == (
+        dictionary,
+        body,
+        starts,
+    )
     unlinked = [local for local in range(source_size) if local not in header.sources]
+    first = learned.supernode_range(key[0])[0]
+    with SNodeStore(small_build.root) as clean:
+        answers = {local: clean.out_neighbors(first + local) for local in header.sources}
     outcome = cut_body.outcome
-    failed = served = 0
+    failed = served = alone = 0
     for bit in range(header.body_bit, 8 * len(payload)):
         data = cut_body.cut_at(payload, bit)
         cut = (cut_body.append_region(learned, location.file_index, data), stored_negative)
         want = outcome(oracle_codecs.linked_rows_from_payload, data, target_size)
+        rows_want = {
+            local: outcome(
+                oracle_codecs.superedge_row, data, starts, index, dictionary, negative, target_size
+            )
+            for index, local in enumerate(header.sources)
+        }
         learned._layout.superedge[key] = cut
         learned.drop_buffers()
         entry = learned.superedge_rows(*key)
-        assert entry.header is header and undecoded(entry)  # a re-load parses nothing
+        assert entry.header is header and entry.directory is directory
+        assert undecoded(entry)  # a re-load parses nothing
         fresh = SNodeStore(root, cache_decoded=cache_decoded)
         fresh._layout.superedge[key] = cut
-        loaded = outcome(fresh.superedge_rows, *key)  # a decoded first load decodes the body
+        loaded = outcome(fresh.superedge_rows, *key)  # a first load decodes the body
         entries = [entry]
         if loaded[0] == "ok":
             entries.append(loaded[1])
@@ -363,14 +435,20 @@ def test_cut_superedge_bodies_fail_typed_through_a_learned_store(
             assert loaded == want
         for rows in entries:
             for _call in range(2):
+                for local in reversed(header.sources):  # not in row order
+                    assert outcome(rows.row, local) == rows_want[local]
                 assert outcome(getattr, rows, "linked") == want
-                for local in header.sources:
-                    assert outcome(rows.row, local) == (
-                        want if want[0] == "error" else ("ok", want[1][local])
-                    )
                 assert [rows.row(local) for local in unlinked] == [[]] * len(unlinked)
         fresh.close()
+        learned.drop_buffers()
+        for local in header.sources:  # a lookup reads the cut graph's row alone
+            read = rows_want[local]
+            assert outcome(learned.out_neighbors, first + local) == (
+                ("ok", answers[local]) if read[0] == "ok" else read
+            )
         failed += want[0] == "error"
         served += want[0] == "ok"
+        alone += want[0] == "error" and any(read[0] == "ok" for read in rows_want.values())
     learned.close()
     assert failed > 8 * len(payload) - header.body_bit - 16 and served > 0
+    assert alone > 0  # rows read alone are served from bodies cut past them

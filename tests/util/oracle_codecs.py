@@ -12,7 +12,8 @@ dense form (a list per source page) the store used to cache; its
 eagerly, whole payload at once, before a cached superedge graph held
 only its header until a linked row was asked for.  ``decode_row`` reads
 one row of a collection from its record's bit offset, recursing along
-its reference chain — the per-row reader an intranode entry must match.
+its reference chain — the per-row reader an intranode entry, and a
+superedge entry through ``superedge_row``, must match.
 
 Then three *encoders* as they were before the write side was priced
 from a row's entries: ``encode_gamma`` as a unary prefix plus a field,
@@ -222,7 +223,36 @@ def intranode_records(data: bytes) -> tuple[list[int], int, list[int], list]:
     """(dictionary, bit offset of the row count, bit offset of every row's
     record, the records) of an intranode payload, read one record after
     the other; a record is a row or (parent, copy bits, extras)."""
+    return _records(BitReader(data))
+
+
+def superedge_records(data: bytes) -> tuple[list[int], int, list[int], list]:
+    """:func:`intranode_records` of the row collection a superedge
+    payload's body stores, past its polarity bit and linked sources."""
     reader = BitReader(data)
+    reader.read_bit()
+    _decode_locals(reader)
+    return _records(reader)
+
+
+def superedge_row(
+    data: bytes,
+    starts: Sequence[int],
+    index: int,
+    dictionary: Sequence[int],
+    negative: bool,
+    target_size: int,
+) -> list[int]:
+    """The positive row of the ``index``-th linked source of a superedge
+    payload, its stored row read by :func:`decode_row`."""
+    row = decode_row(data, starts, index, dictionary)
+    if negative:
+        absent = set(row)
+        return [t for t in range(target_size) if t not in absent]
+    return row
+
+
+def _records(reader: BitReader) -> tuple[list[int], int, list[int], list]:
     dictionary = _decode_locals(reader)
     body = reader.position
     count = decode_gamma(reader)

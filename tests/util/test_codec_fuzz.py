@@ -53,7 +53,7 @@ class TestVarintRoundTrips:
     ]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("name,encode,decode,bound", CODES, ids=lambda c: str(c))
+    @pytest.mark.parametrize("name,encode,decode,bound", CODES, ids=[code[0] for code in CODES])
     def test_round_trip(self, seed, name, encode, decode, bound):
         rng = random.Random(seed)
         for values in _value_shapes(rng):

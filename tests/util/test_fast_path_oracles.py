@@ -31,15 +31,26 @@ record offsets.  A payload cut at every bit offset past its dictionary
 fails typed through a store that learned its directory and through a
 fresh one; a scan decodes each graph in one pass.
 
-**The learned superedge header.**  A re-loaded superedge graph parses
-nothing: its entry is built from the ``SuperedgeHeader`` (polarity,
-linked sources, body offset) its first load parsed.  Hypothesis generates
-superedge graphs — both polarities, the dictionary on and off, nothing
-and everything linked — and an entry built from the learned header, with
-no ``BitReader`` to build one, must equal a freshly parsed entry and the
+**The learned superedge header and directory.**  A re-loaded superedge
+graph parses nothing: its entry is built from the ``SuperedgeHeader``
+(polarity, linked sources, body offset) and the body's ``RowDirectory``
+its first whole decode learned, and decodes a linked row — with its
+reference chain — when it is asked for.  Hypothesis generates superedge
+graphs — both polarities, the dictionary on and off, nothing and
+everything linked, windowed and full-affinity plans (so forward
+references occur) — and an entry built from the learned header, with no
+``BitReader`` to build one, must equal a freshly parsed entry and the
 oracle on ``sources``, ``linked`` and ``row(local)`` for every local;
-every superedge payload of a build, re-loaded through a store of either
-``cache_decoded`` mode after a learning pass, must equal its fresh parse.
+read through the learned directory, in any order, repeated and from a
+partly filled entry, every row must equal
+``oracle_codecs.decode_superedge_payload``'s, the entry must hold stored
+rows only (never a negative row's complement) and parse no dictionary,
+and six threads racing on one entry must read the same.  Every
+superedge payload of a build, re-loaded through a store of either
+``cache_decoded`` mode after a learning pass, must equal its fresh parse
+row by row, and so must a copy with quarantined superedge regions, which
+serves those empty.  A learned store's scan and re-loads parse no
+superedge dictionary; a first load or scan decodes each graph once.
 
 Seeded mutations, each failing the test named:
 
@@ -77,14 +88,25 @@ Seeded mutations, each failing the test named:
   (``sources`` for ``tuple(sources)`` in
   ``encode.positive_rows_from_payload``) —
   ``test_learned_headers_equal_a_fresh_parse`` and
-  ``test_every_superedge_payload_reloads_like_a_fresh_parse``.
+  ``test_every_superedge_payload_reloads_like_a_fresh_parse``;
+* a negative row's complement is kept among the stored rows (``row =
+  stored[index] = _complement(...)`` in ``SuperedgeRows.row``) —
+  ``test_superedge_row_reads_equal_the_oracle``;
+* a row is looked up by its local, not its index (``stored.get(local)``
+  in ``SuperedgeRows.row``) — ``test_superedge_row_reads_equal_the_oracle``;
+* the whole decode re-parses the dictionary (``directory`` not passed to
+  ``_collection`` in ``encode._stored_rows``) —
+  ``test_a_learned_store_parses_no_superedge_dictionary``.
 """
 
 from __future__ import annotations
 
 import collections
 import enum
+import random
 import shutil
+import sys
+import threading
 from unittest import mock
 
 import cut_body
@@ -103,6 +125,7 @@ from repro.snode.build import BuildOptions
 from repro.snode.delta import DeltaOverlay
 from repro.snode.model import _superedge_graph
 from repro.snode.pair import SNodePair
+from repro.snode.storage import read_layout
 from repro.snode.store import SNodeStore
 from repro.storage import faults
 
@@ -462,7 +485,8 @@ def test_the_named_collections_are_what_they_claim():
 def test_a_scan_decodes_each_intranode_graph_in_one_pass(small_build, monkeypatch, cache_decoded):
     """With every directory learned, a scan calls ``decode_rows`` once per
     graph it reads rows of and never ``decode_row``; a point lookup in a
-    supernode of more than one page decodes its row alone."""
+    supernode of more than one page decodes its intranode row alone, and
+    in every superedge graph that links its page that page's row alone."""
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
     sources = {key: store.superedge_rows(*key).sources for key in store._layout.superedge}
     for _page, _row in paper_scan(store):  # every graph loaded: every directory learned
@@ -496,7 +520,7 @@ def test_a_scan_decodes_each_intranode_graph_in_one_pass(small_build, monkeypatc
             local in sources[(supernode, target)] for target in store.super_adjacency[supernode]
         )
     assert single > 50
-    assert calls == {"decode_rows": whole + linking, "decode_row": single}
+    assert calls == {"decode_rows": whole, "decode_row": single + linking}
     store.close()
 
 
@@ -597,6 +621,17 @@ def check_learned_header(linked_rows, source_size, target_size, force_positive, 
     assert type(learned._rows) is tuple  # nothing decoded yet
     same_entry(learned, want, source_size)
     same_entry(fresh, want, source_size)
+    directory = fresh.directory  # learned by the whole decode
+    assert (directory.dictionary, directory.body, list(directory.starts)) == (
+        oracle_codecs.superedge_records(payload)[:3]
+    )
+    with mock.patch.object(
+        encode, "_decode_locals", side_effect=AssertionError("a dictionary parse")
+    ):
+        relearned = encode.positive_rows_from_payload(
+            payload, source_size, target_size, header, directory
+        )
+        same_entry(relearned, want, source_size)
     return graph, payload
 
 
@@ -643,10 +678,10 @@ def test_the_named_superedge_graphs_are_what_they_claim():
 @pytest.mark.parametrize("cache_decoded", [True, False], ids=["decoded", "encoded"])
 def test_every_superedge_payload_reloads_like_a_fresh_parse(small_build, cache_decoded):
     """After a learning pass every superedge graph of the build is
-    re-loaded from its learned header — a miss and then a pool hit, which
-    a payload-caching store also builds from the header — and equals a
-    fresh parse of its payload; two entries of a key share one immutable
-    ``sources``."""
+    re-loaded from its learned header and directory — a miss and then a
+    pool hit, which a payload-caching store also builds from them — and
+    equals a fresh parse of its payload, row by row; two entries of a key
+    share one immutable ``sources``."""
     store = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
     for _page, _row in paper_scan(store):  # every header learned
         pass
@@ -660,11 +695,14 @@ def test_every_superedge_payload_reloads_like_a_fresh_parse(small_build, cache_d
         fresh = encode.positive_rows_from_payload(
             cut_body.region(store, location), source_size, target_size
         )
-        _charge, header = store._learned[("super", source, target)]
+        _charge, header, directory = store._learned[("super", source, target)]
         assert header == fresh.header and header.negative == stored_negative
         assert type(header.sources) is tuple
+        fresh.linked  # the whole decode learns the directory
+        assert directory == fresh.directory
         reloaded, hit = (store.superedge_rows(source, target) for _ in range(2))
         assert reloaded.header is header and hit.header is header
+        assert reloaded.directory is directory and hit.directory is directory
         assert reloaded.sources is hit.sources
         same_entry(reloaded, fresh.linked, source_size)
         same_entry(hit, fresh.linked, source_size)
@@ -672,4 +710,248 @@ def test_every_superedge_payload_reloads_like_a_fresh_parse(small_build, cache_d
     assert negative > 0
     stats = store.metrics.io_stats()
     assert stats["buffer_hits_superedge"] == stats["superedge_loads"] == len(store._layout.superedge)
+    store.close()
+
+
+# -- superedge rows read through the learned directory -----------------------
+
+
+@st.composite
+def superedge_row_reads(draw):
+    """A superedge graph as :func:`superedge_graphs` draws it, then the
+    encoder's window and full-affinity limit, the locals read first and
+    the order the rest are read in — any local, linked or not, repeats
+    allowed."""
+    case = draw(superedge_graphs())
+    source_size = case[1]
+    window, limit = draw(st.sampled_from([(8, 96), (2, 96), (8, 0), (1, 0)]))
+    local = st.integers(0, source_size - 1)
+    first = draw(st.lists(local, max_size=3))
+    order = draw(st.lists(local, max_size=2 * source_size))
+    return (*case, window, limit, first, order)
+
+
+def check_superedge_row_reads(
+    linked_rows, source_size, target_size, force_positive, use_dictionary, window, limit, first, order
+):
+    graph = _superedge_graph(0, 1, linked_rows, source_size, target_size, force_positive)
+    payload = encode.encode_superedge(graph, window, limit, use_dictionary)
+    negative, sources, stored = oracle_codecs.decode_superedge_payload(payload)
+    want = oracle_codecs.linked_rows_from_payload(payload, target_size)
+    assert want == linked_rows
+    dictionary, body, starts, records = oracle_codecs.superedge_records(payload)
+    whole = encode.positive_rows_from_payload(payload, source_size, target_size)  # a first load
+    assert whole.linked == want
+    directory = whole.directory
+    assert (directory.dictionary, directory.body, list(directory.starts)) == (
+        dictionary,
+        body,
+        starts,
+    )
+    entry = encode.positive_rows_from_payload(  # a re-load: nothing decoded
+        payload, source_size, target_size, whole.header, directory
+    )
+    assert entry._rows[2] == {}
+    for local in first:
+        entry.row(local)
+    for local in [*order, *range(source_size)]:
+        assert entry.row(local) == want.get(local, [])
+    held = entry._rows[2]
+    assert held == {index: stored[index] for index in held}  # stored rows, never a complement
+    for index, local in enumerate(sources[:4]):
+        alone = encode.positive_rows_from_payload(
+            payload, source_size, target_size, whole.header, directory
+        )
+        assert alone.row(local) == want[local]
+        assert set(alone._rows[2]) == reference_chain(records, index)  # that row and its chain
+    with mock.patch.object(
+        encode, "_decode_locals", side_effect=AssertionError("a dictionary parse")
+    ):
+        assert entry.linked == want  # every row from the body on
+    return payload, negative, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(superedge_row_reads())
+@example((DENSE, 20, 12, False, True, 8, 96, [4], [18, 0, 2, 1, 2, 18]))
+@example((HUBS, 8, 24, False, True, 8, 96, [], [7, 3, 3, 0]))
+@example((HUBS, 8, 24, False, False, 2, 0, [5], list(range(8))))
+def test_superedge_row_reads_equal_the_oracle(case):
+    check_superedge_row_reads(*case)
+
+
+#: A superedge graph whose full-affinity plan references forward, through
+#: the dictionary and from sibling rows, stored positive.
+HUBS_FORWARD = {local: row for local, row in enumerate(HUBS_AND_FORWARD) if row}
+
+
+def test_the_named_superedge_reads_are_what_they_claim():
+    """Both polarities, dictionary rows and forward references occur in
+    the named superedge graphs."""
+
+    def kinds(linked_rows, source_size, target_size, use_dictionary):
+        payload, negative, records = check_superedge_row_reads(
+            linked_rows, source_size, target_size, False, use_dictionary, 8, 96, [], []
+        )
+        starts = oracle_codecs.superedge_records(payload)[2]
+        found = {"negative" if negative else "positive"}
+        for y, (start, record) in enumerate(zip(starts, records)):
+            if isinstance(record, tuple):
+                found.add("forward" if record[0] > y else "backward")
+            elif oracle_codecs.BitReader(payload, start).read_bit():
+                found.add("dictionary")
+        return found
+
+    assert {"positive", "dictionary", "forward"} <= kinds(HUBS_FORWARD, 14, 11, True)
+    assert {"negative", "backward"} <= kinds(DENSE, 20, 12, True)
+
+
+@pytest.mark.parametrize("graph", ["dense", "hubs"])
+def test_six_threads_race_to_read_one_superedge_entry(graph):
+    """Six threads read every local of one re-loaded entry, each in its
+    own order, at a 10 µs switch interval: every read is the oracle's row
+    and the entry ends holding each stored row once."""
+    linked_rows, source_size, target_size = (
+        (DENSE, 20, 12) if graph == "dense" else (HUBS_FORWARD, 14, 11)
+    )
+    model = _superedge_graph(0, 1, linked_rows, source_size, target_size, False)
+    payload = encode.encode_superedge(model, 8, 96)
+    _negative, _sources, stored = oracle_codecs.decode_superedge_payload(payload)
+    whole = encode.positive_rows_from_payload(payload, source_size, target_size)
+    assert whole.linked == linked_rows
+    for _round in range(20):
+        entry = encode.positive_rows_from_payload(
+            payload, source_size, target_size, whole.header, whole.directory
+        )
+        got: list[list] = [[] for _ in range(6)]
+
+        def read(index: int, entry=entry, got=got) -> None:
+            for local in sorted(range(source_size), key=lambda local: local * (index + 1) % 7):
+                got[index].append((local, entry.row(local)))
+
+        threads = [threading.Thread(target=read, args=(index,)) for index in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for reads in got:
+            assert len(reads) == source_size
+            assert all(row == linked_rows.get(local, []) for local, row in reads)
+        assert entry._rows[2] == dict(enumerate(stored))
+
+
+def quarantined_copy(root, destination):
+    """A copy of the build at ``root`` with one byte flipped in every
+    third superedge region; the keys flipped."""
+    shutil.copytree(root, destination)
+    layout = read_layout(destination)
+    flipped = set()
+    for number, (key, (location, _negative)) in enumerate(sorted(layout.superedge.items())):
+        if number % 3:
+            continue
+        path = destination / layout.index_files[location.file_index]
+        data = bytearray(path.read_bytes())
+        data[location.offset + location.length // 2] ^= 0x10
+        path.write_bytes(bytes(data))
+        flipped.add(("super", *key))
+    return flipped
+
+
+@pytest.mark.parametrize("copy", ["sound", "quarantined"])
+@pytest.mark.parametrize("cache_decoded", [True, False], ids=["decoded", "encoded"])
+def test_every_superedge_row_reads_alone_like_the_oracle(small_build, tmp_path, cache_decoded, copy):
+    """After a learning scan every superedge graph of a build is
+    re-loaded from its learned header and directory and read a local at a
+    time, in a seeded order, twice: each row is the oracle's and nothing
+    is decoded whole.  In a copy whose corrupt superedge regions the scan
+    quarantined (degrade mode) those graphs are served empty, each read
+    counted degraded, and every other graph reads as in the sound copy."""
+    root = small_build.root
+    flipped = set()
+    if copy == "quarantined":
+        root = tmp_path / "copy"
+        flipped = quarantined_copy(small_build.root, root)
+    store = SNodeStore(
+        root, buffer_bytes=1 << 26, cache_decoded=cache_decoded, on_corruption="degrade"
+    )
+    for _page, _row in store.iterate_all():  # the learning pass
+        pass
+    assert flipped <= set(store.quarantined)
+    store.drop_buffers()
+    store.metrics.reset()
+    shuffle = random.Random(7).shuffle
+    boundaries = store.boundaries
+    degraded = 0
+    for (source, target), (location, _negative) in store._layout.superedge.items():
+        key = ("super", source, target)
+        source_size = boundaries[source + 1] - boundaries[source]
+        target_size = boundaries[target + 1] - boundaries[target]
+        order = list(range(source_size))
+        shuffle(order)
+        entry = store.superedge_rows(source, target)
+        if key in flipped:
+            assert [entry.row(local) for local in order] == [[]] * source_size
+            degraded += 1
+            continue
+        want = oracle_codecs.linked_rows_from_payload(
+            cut_body.region(store, location), target_size
+        )
+        assert entry.directory is store._learned[key][2]
+        for local in order + order:
+            assert entry.row(local) == want.get(local, [])
+        assert type(entry._rows) is tuple  # read row by row, never whole
+    assert degraded == len(flipped) and store.metrics.get("degraded_reads") == degraded
+    store.close()
+
+
+@pytest.mark.parametrize("cache_decoded", [True, False], ids=["decoded", "encoded"])
+def test_a_learned_store_parses_no_superedge_dictionary(small_build, monkeypatch, cache_decoded):
+    """A first load decodes each superedge graph once and a first scan
+    each graph once; once learned, a scan and re-loads of every graph
+    parse no superedge header or dictionary (``_decode_locals``), and a
+    re-loaded graph decodes its body whole only when asked for all of it."""
+    calls = collections.Counter()
+    for name in ("decode_rows", "_decode_locals"):
+        original = getattr(encode, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(encode, name, counting)
+    keys = list(read_layout(small_build.root).superedge)
+
+    loaded = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
+    calls.clear()
+    for key in keys:  # first loads: header, dictionary, every row, once each
+        loaded.superedge_rows(*key)
+    assert calls == {"decode_rows": len(keys), "_decode_locals": 2 * len(keys)}
+    loaded.close()
+
+    store = SNodeStore(small_build.root, buffer_bytes=1 << 26, cache_decoded=cache_decoded)
+    graphs = store.num_supernodes + len(keys)
+    calls.clear()
+    for _page, _row in store.iterate_all():  # a first scan
+        pass
+    assert calls == {
+        "decode_rows": graphs,
+        "_decode_locals": store.num_supernodes + 2 * len(keys),
+    }
+    calls.clear()
+    for _page, _row in store.iterate_all():  # a learned scan
+        pass
+    assert calls == {"decode_rows": graphs}
+    calls.clear()
+    for key in keys:  # learned re-loads: every row read alone, then all at once
+        entry = store.superedge_rows(*key)
+        for local in entry.sources:
+            entry.row(local)
+        entry.linked
+    assert calls == {"decode_rows": len(keys)}
     store.close()
