@@ -89,19 +89,6 @@ class GraphRepresentation(abc.ABC):
         Huffman): their cost model has nothing to rebound.
         """
 
-    def set_on_corruption(self, mode: str) -> None:
-        """Pick the corruption policy (``"raise"`` or ``"degrade"``).
-
-        Only schemes with region-granular checksums and quarantine support
-        (S-Node) can degrade; for the rest a corrupt page/block always
-        raises, whatever the mode — this default is a no-op.
-        """
-
-    @property
-    def degraded_reads(self) -> int:
-        """Answers served from quarantined regions (0 unless degrading)."""
-        return self.metrics.get("degraded_reads")
-
     def close(self) -> None:
         """Release file handles."""
 
@@ -166,19 +153,12 @@ class RepresentationPair:
         """(WG, WGT) bits per edge — the scheme's two Table 1 cells."""
         return self.forward.bits_per_edge(), self.backward.bits_per_edge()
 
-    def make_engine(
-        self, repository, text_index, pagerank_index, on_corruption: str = "raise"
-    ):
+    def make_engine(self, repository, text_index, pagerank_index):
         """A :class:`~repro.query.engine.QueryEngine` reading this pair."""
         from repro.query.engine import QueryEngine
 
         return QueryEngine(
-            repository,
-            text_index,
-            pagerank_index,
-            self.forward,
-            self.backward,
-            on_corruption=on_corruption,
+            repository, text_index, pagerank_index, self.forward, self.backward
         )
 
     def close(self) -> None:
@@ -378,9 +358,6 @@ class SNodeRepresentation(GraphRepresentation):
     def set_buffer_bytes(self, buffer_bytes: int) -> None:
         if self._parent is None:
             self._store.set_buffer_bytes(buffer_bytes)
-
-    def set_on_corruption(self, mode: str) -> None:
-        self._store.set_on_corruption(mode)
 
     @property
     def degraded_reads(self) -> int:

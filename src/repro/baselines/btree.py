@@ -2,9 +2,9 @@
 
 Keys are unsigned 64-bit integers; values are small byte strings (at most
 :data:`MAX_VALUE_BYTES`).  The tree supports bulk building from sorted
-pairs (how the relational baseline creates its indexes), point lookups,
-point inserts (leaf/internal splits, no deletes) and ascending range
-scans.  Pages are read through a :class:`repro.storage.device.PageDevice`
+pairs (how the relational baseline creates its indexes), point lookups
+and ascending range scans; a built tree is read-only.  Pages are read
+through a :class:`repro.storage.device.PageDevice`
 (optionally behind a shared :class:`repro.storage.bufferpool.BufferPool`),
 so index I/O is metered by the same counted-seek rule as every other
 access path — a standalone probe shows up in ``io_stats()`` instead of
@@ -106,9 +106,6 @@ class _Internal:
             raise StorageError("internal node overflow")
         return bytes(out)
 
-    def bytes_used(self) -> int:
-        return _INTERNAL_HEADER.size + _CHILD.size + len(self.keys) * _INTERNAL_ENTRY
-
 
 def _parse(data: bytes) -> _Leaf | _Internal:
     if data[0] == 1:
@@ -159,11 +156,11 @@ class BPlusTree:
         device: PageDevice | None = None,
         pool: BufferPool | None = None,
     ) -> None:
-        self._path = Path(path)
-        if not self._path.exists():
-            raise StorageError(f"no B+tree file at {self._path}")
+        path = Path(path)
+        if not path.exists():
+            raise StorageError(f"no B+tree file at {path}")
         if page_reader is None and device is None:
-            device = PageDevice(self._path, PAGE_SIZE, MetricsRegistry())
+            device = PageDevice(path, PAGE_SIZE, MetricsRegistry())
         if page_reader is None and pool is None:
             # Standalone trees get a private page cache charged against the
             # device registry, so repeated descents over the same hot path
@@ -175,7 +172,7 @@ class BPlusTree:
         self._device = device
         self._pool = pool
         self._page_reader = page_reader
-        self._cache_tag = ("btree", str(self._path))
+        self._cache_tag = ("btree", str(path))
         meta_page = self._read_page_raw(0)
         if self._pool is not None:
             # Keep the meta page resident: it is re-read on every reopen
@@ -183,7 +180,6 @@ class BPlusTree:
             self._pool.pin((*self._cache_tag, 0), meta_page, PAGE_SIZE)
         meta = self._parse_meta(meta_page)
         self._root = meta[1]
-        self._height = meta[2]
         self._num_pages = meta[3]
 
     # -- construction ------------------------------------------------------
@@ -195,12 +191,14 @@ class BPlusTree:
         """Create a balanced tree from key-sorted (key, value) pairs.
 
         Writes a ``<file>.crc`` page-checksum sidecar alongside the tree,
-        so every subsequent page read is CRC-verified; point inserts keep
-        the sidecar current through the page device.
+        so every subsequent page read is CRC-verified.
         """
         path = Path(path)
         pages: list[bytes] = [b"\x00" * PAGE_SIZE]  # meta placeholder
-        leaf_fill = PAGE_SIZE - 256  # leave slack for future inserts
+        # The 256-byte leaf slack and the fanout - 8 below fix the page
+        # layout of every relational index, and so the seeks counted in
+        # the committed benchmarks/baselines/ reports: they must not move.
+        leaf_fill = PAGE_SIZE - 256
         current = _Leaf([], [], _NO_PAGE)
         leaf_entries: list[tuple[int, int]] = []  # (first key, page number)
         previous_key: int | None = None
@@ -241,7 +239,7 @@ class BPlusTree:
         level = leaf_entries
         height = 1
         fanout = (PAGE_SIZE - _INTERNAL_HEADER.size - _CHILD.size) // _INTERNAL_ENTRY
-        fanout = max(2, fanout - 8)  # slack for future inserts
+        fanout = max(2, fanout - 8)
         while len(level) > 1:
             next_level: list[tuple[int, int]] = []
             for start in range(0, len(level), fanout):
@@ -346,14 +344,6 @@ class BPlusTree:
                 raise StorageError("leaf chain points at an internal page")
             index = 0
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.scan())
-
-    @property
-    def height(self) -> int:
-        """Tree height (1 = root is a leaf)."""
-        return self._height
-
     @property
     def num_pages(self) -> int:
         """Pages in the file, including the meta page."""
@@ -362,90 +352,6 @@ class BPlusTree:
     def size_bytes(self) -> int:
         """Total file size."""
         return self._num_pages * PAGE_SIZE
-
-    # -- mutation ----------------------------------------------------------
-
-    def insert(self, key: int, value: bytes) -> None:
-        """Insert or overwrite ``key``.
-
-        Splits full nodes on the way back up; the meta page is rewritten
-        when the root changes.  Single-writer only.
-        """
-        if len(value) > MAX_VALUE_BYTES:
-            raise StorageError(f"value of {len(value)} bytes exceeds limit")
-        split = self._insert_into(self._root, key, value)
-        if split is not None:
-            middle_key, new_page = split
-            root_node = _Internal(keys=[middle_key], children=[self._root, new_page])
-            self._root = self._append_page(root_node.to_bytes())
-            self._height += 1
-            self._write_meta()
-
-    def _insert_into(
-        self, page_number: int, key: int, value: bytes
-    ) -> tuple[int, int] | None:
-        node = self._node(page_number)
-        if isinstance(node, _Leaf):
-            index = _lower_bound(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                node.values[index] = value
-            else:
-                node.keys.insert(index, key)
-                node.values.insert(index, value)
-            if node.bytes_used() <= PAGE_SIZE:
-                self._write_page(page_number, node.to_bytes())
-                return None
-            middle = len(node.keys) // 2
-            right = _Leaf(node.keys[middle:], node.values[middle:], node.next_leaf)
-            right_page = self._append_page(right.to_bytes())
-            left = _Leaf(node.keys[:middle], node.values[:middle], right_page)
-            self._write_page(page_number, left.to_bytes())
-            return right.keys[0], right_page
-        child_index = _upper_bound(node.keys, key)
-        split = self._insert_into(node.children[child_index], key, value)
-        if split is None:
-            return None
-        middle_key, new_page = split
-        node.keys.insert(child_index, middle_key)
-        node.children.insert(child_index + 1, new_page)
-        if node.bytes_used() <= PAGE_SIZE:
-            self._write_page(page_number, node.to_bytes())
-            return None
-        middle = len(node.keys) // 2
-        up_key = node.keys[middle]
-        right_node = _Internal(node.keys[middle + 1 :], node.children[middle + 1 :])
-        right_page = self._append_page(right_node.to_bytes())
-        left_node = _Internal(node.keys[:middle], node.children[: middle + 1])
-        self._write_page(page_number, left_node.to_bytes())
-        return up_key, right_page
-
-    def _write_page(self, page_number: int, data: bytes) -> None:
-        if self._device is not None:
-            self._device.write_page(page_number, data)
-        else:
-            with open(self._path, "r+b") as handle:
-                handle.seek(page_number * PAGE_SIZE)
-                handle.write(data)
-        if self._pool is not None:
-            self._pool.invalidate((*self._cache_tag, page_number))
-
-    def _append_page(self, data: bytes) -> int:
-        if self._device is not None:
-            self._device.append_page(data)
-        else:
-            with open(self._path, "ab") as handle:
-                handle.write(data)
-        page_number = self._num_pages
-        self._num_pages += 1
-        self._write_meta()
-        return page_number
-
-    def _write_meta(self) -> None:
-        meta = bytearray(PAGE_SIZE)
-        _META.pack_into(meta, 0, _MAGIC, self._root, self._height, self._num_pages)
-        self._write_page(0, bytes(meta))
-        if self._pool is not None:
-            self._pool.pin((*self._cache_tag, 0), bytes(meta), PAGE_SIZE)
 
     def close(self) -> None:
         """Close the tree's page device (no-op with an injected reader)."""

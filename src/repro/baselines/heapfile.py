@@ -121,12 +121,6 @@ class HeapFile:
         """Pages currently in the file."""
         return self._num_pages
 
-    def read_page(self, page_number: int) -> HeapPage:
-        """Read one page image from disk."""
-        if not 0 <= page_number < self._num_pages:
-            raise StorageError(f"heap page {page_number} out of range")
-        return HeapPage(bytearray(self._device.read_page(page_number)))
-
     def write_page(self, page_number: int, page: HeapPage) -> None:
         """Write one page image back to disk."""
         if not 0 <= page_number < self._num_pages:

@@ -320,9 +320,5 @@ class Link3Representation(GraphRepresentation):
         self._pool.set_buffer_bytes(buffer_bytes)
         self._file.forget_position()
 
-    def buffer_stats(self) -> dict[str, int]:
-        """Block-cache counters."""
-        return self._pool.stats()
-
     def close(self) -> None:
         self._file.close()

@@ -294,10 +294,6 @@ class RelationalRepresentation(GraphRepresentation):
         for device in self._devices():
             device.forget_position()
 
-    def buffer_stats(self) -> dict[str, int]:
-        """Buffer-pool counters."""
-        return self._pool.stats()
-
     def close(self) -> None:
         for device in self._devices():
             device.close()

@@ -19,7 +19,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from repro.errors import ReproError, ServeError
-from repro.partition.clustered_split import ClusteredSplitConfig
 from repro.partition.refine import RefinementConfig
 from repro.webdata.corpus import Repository
 from repro.webdata.generator import GeneratorConfig, generate_web
@@ -81,12 +80,7 @@ def dataset(num_pages: int) -> Repository:
 
 def experiment_refinement_config(seed: int = 7) -> RefinementConfig:
     """The refinement configuration every experiment uses."""
-    return RefinementConfig(
-        seed=seed,
-        min_element_size=512,
-        min_url_group_size=128,
-        clustered=ClusteredSplitConfig(min_cluster_size=128),
-    )
+    return RefinementConfig(seed=seed)
 
 
 def add_report_arguments(parser) -> None:

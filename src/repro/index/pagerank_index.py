@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-import numpy as np
-
 from repro.errors import QueryError
 from repro.graph.algorithms import pagerank
 from repro.webdata.corpus import Repository
@@ -49,8 +47,3 @@ class PageRankIndex:
         candidates = list(pages)
         candidates.sort(key=lambda p: (-self._scores[p], p))
         return candidates[:k]
-
-    @property
-    def scores(self) -> np.ndarray:
-        """The full score vector (read-only use)."""
-        return self._scores

@@ -22,8 +22,6 @@ property the tests verify against a sorted-list reference.
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 
 from repro.errors import EmptyHistogramError
 
@@ -205,15 +203,6 @@ class HistogramSet:
     def observe(self, name: str, value: float) -> None:
         """Record ``value`` under operation ``name``."""
         self.get(name).record(value)
-
-    @contextmanager
-    def time(self, name: str):
-        """Time the enclosed block into operation ``name`` (seconds)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - start)
 
     def names(self) -> list[str]:
         """Recorded operation names, sorted."""

@@ -86,16 +86,7 @@ class AccessHeatmap:
                     folded[node] += count
         return folded.most_common(k)
 
-    def hot_pages(self, file: str, k: int = 10) -> list[tuple[int, int]]:
-        """The ``k`` most-read pages of ``file`` with their read counts."""
-        counter = self.pages.get(file)
-        return counter.most_common(k) if counter else []
-
     # -- skew ---------------------------------------------------------------
-
-    @property
-    def distinct_keys(self) -> int:
-        return sum(len(counter) for counter in self.by_kind.values())
 
     def working_set_curve(self) -> list[dict]:
         """Cumulative access share by key rank, hottest first.

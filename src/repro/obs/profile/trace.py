@@ -344,7 +344,7 @@ def buffer_admit(pool, key, kind: str | None, cost: int) -> None:
 
 
 def buffer_drop(pool, key=None) -> None:
-    """Hook: an invalidation (``key`` None = whole pool)."""
+    """Hook: a drop (a key pinned while cached; ``key`` None = whole pool)."""
     stack = _ACTIVE.get()
     if not stack:
         return

@@ -170,11 +170,6 @@ class Tracer:
         """
         self._origin = time.perf_counter()
 
-    @property
-    def current(self) -> Span | None:
-        """The innermost open span, or None."""
-        return self._stack[-1] if self._stack else None
-
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator[Span]:
         """Open a nested span; exception-safe (status records the error)."""

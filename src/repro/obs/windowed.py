@@ -290,9 +290,3 @@ class WindowedHistogramSet:
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._histograms
-
-    def to_dict(self) -> dict[str, dict]:
-        """{operation: windowed_histogram.to_dict()} for every operation."""
-        with self._lock:
-            items = sorted(self._histograms.items())
-        return {name: histogram.to_dict() for name, histogram in items}

@@ -84,10 +84,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self._elements)
 
-    def element(self, index: int) -> Element:
-        """Element by index."""
-        return self._elements[index]
-
     def elements(self) -> list[Element]:
         """All elements (shallow copy of the list)."""
         return list(self._elements)

@@ -34,15 +34,10 @@ class QueryEngine:
         pagerank_index: PageRankIndex,
         forward: GraphRepresentation,
         backward: GraphRepresentation | None = None,
-        histograms: HistogramSet | None = None,
-        on_corruption: str = "raise",
     ) -> None:
-        """``on_corruption="degrade"`` puts both representations in
-        graceful-degradation mode: a corrupt region is quarantined and its
-        rows served empty instead of failing the whole query (schemes
-        without quarantine support keep raising).  The engine-wide tally
-        is :attr:`degraded_reads`.
-        """
+        """The corruption policy is each store's own, fixed when it opens
+        (``SNodeStore(on_corruption=)``): building an engine changes no
+        store."""
         if forward.num_pages != repository.num_pages:
             raise QueryError("representation does not match repository")
         self.repository = repository
@@ -50,10 +45,6 @@ class QueryEngine:
         self.pagerank = pagerank_index
         self.forward = forward
         self.backward = backward
-        self.on_corruption = on_corruption
-        forward.set_on_corruption(on_corruption)
-        if backward is not None:
-            backward.set_on_corruption(on_corruption)
         self._navigation_seconds = 0.0
         self._nav_lock = threading.Lock()
         self._nav_state = threading.local()
@@ -61,7 +52,7 @@ class QueryEngine:
         #: block records its wall time under its operation kind, so the
         #: experiments can report p50/p90/p99 per operation instead of a
         #: single accumulated mean.
-        self.histograms = histograms if histograms is not None else HistogramSet()
+        self.histograms = HistogramSet()
 
     # -- navigation timing ---------------------------------------------------
 
@@ -109,14 +100,6 @@ class QueryEngine:
         """Navigation time accumulated since the last reset."""
         with self._nav_lock:
             return self._navigation_seconds
-
-    @property
-    def degraded_reads(self) -> int:
-        """Answers served from quarantined regions, both directions."""
-        total = self.forward.degraded_reads
-        if self.backward is not None:
-            total += self.backward.degraded_reads
-        return total
 
     def require_backward(self) -> GraphRepresentation:
         """The transpose representation; raises if the engine has none."""

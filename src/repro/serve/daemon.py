@@ -415,12 +415,7 @@ class ServeContext:
         return self._engine(self.pair)
 
     def _engine(self, pair) -> QueryEngine:
-        # The engine pushes its corruption policy down onto the stores
-        # it reads; defaulting here would silently flip a degrade-mode
-        # serving store back to raise.
-        return pair.make_engine(
-            self.repository, self.text_index, self.pagerank_index, self.on_corruption
-        )
+        return pair.make_engine(self.repository, self.text_index, self.pagerank_index)
 
     def shared_totals(self) -> dict[str, dict[str, float]]:
         """Merged metrics (base + live sessions), per direction."""

@@ -231,10 +231,6 @@ class ServeTelemetry:
         """Seconds since this telemetry (the daemon) started."""
         return self.clock() - self.started
 
-    def requests_total(self) -> int:
-        """Requests recorded across every outcome (lifetime)."""
-        return sum(counter.total for counter in self.outcomes.values())
-
     def snapshot(
         self, gauges: dict | None = None, storage: dict | None = None
     ) -> dict:

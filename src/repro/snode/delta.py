@@ -128,10 +128,6 @@ class DeltaOverlay:
         """Sources with at least one pending delta."""
         return len(self._rows)
 
-    @property
-    def empty(self) -> bool:
-        return not self._rows
-
 
 def merged_repository(repository, base, overlay: DeltaOverlay):
     """A repository whose graph is ``base`` (a forward

@@ -130,7 +130,11 @@ class SNodeStore:
         ``degraded_reads``.  Regions already quarantined on disk by
         ``repro fsck --repair`` are honoured in both modes.
         """
-        self.set_on_corruption(on_corruption)
+        if on_corruption not in ("raise", "degrade"):
+            raise ValueError(
+                f"on_corruption must be 'raise' or 'degrade', got {on_corruption!r}"
+            )
+        self._on_corruption = on_corruption
         self._root = Path(root)
         self._layout: StorageLayout = read_layout(self._root)
         self._quarantined: set[tuple] = {
@@ -955,16 +959,8 @@ class SNodeStore:
 
     @property
     def on_corruption(self) -> str:
-        """Current corruption policy (``"raise"`` or ``"degrade"``)."""
+        """The corruption policy (``"raise"`` or ``"degrade"``), fixed at open."""
         return self._on_corruption
-
-    def set_on_corruption(self, mode: str) -> None:
-        """Set the corruption policy; an open store may switch it."""
-        if mode not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_corruption must be 'raise' or 'degrade', got {mode!r}"
-            )
-        self._on_corruption = mode
 
     @property
     def quarantined(self) -> list[tuple]:

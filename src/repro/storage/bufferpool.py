@@ -287,13 +287,6 @@ class BufferPool:
         if dropped:
             _profile.buffer_drop(self, key)
 
-    def invalidate(self, key: Hashable) -> None:
-        """Drop ``key`` without eviction accounting (after an in-place write)."""
-        with self._lock:
-            dropped = self._cache.pop(key) is not None
-        if dropped:
-            _profile.buffer_drop(self, key)
-
     # -- maintenance -------------------------------------------------------
 
     def clear(self, record: bool = True) -> None:

@@ -111,21 +111,6 @@ class BitWriter:
         if self._filled >= _SPILL_BITS:
             self._spill()
 
-    def extend(self, other: "BitWriter") -> None:
-        """Append every bit written to ``other`` onto this writer."""
-        if self._filled & 7:
-            data = other._buffer
-            self._current = (self._current << (len(data) * _BYTE_BITS)) | int.from_bytes(
-                data, "big"
-            )
-            self._filled += len(data) * _BYTE_BITS
-            self._spill()
-        else:
-            self._spill()
-            self._buffer += other._buffer
-        self._current = (self._current << other._filled) | other._current
-        self._filled += other._filled
-
     def to_bytes(self) -> bytes:
         """Return the packed stream, zero-padding the final partial byte."""
         pad = -self._filled & 7

@@ -142,11 +142,6 @@ class HuffmanCodec:
         """Mapping symbol -> canonical code length in bits."""
         return dict(self._lengths)
 
-    @property
-    def max_length(self) -> int:
-        """Longest code length in the codec."""
-        return self._max_length
-
     def code_length(self, symbol: int) -> int:
         """Length in bits of ``symbol``'s code."""
         try:

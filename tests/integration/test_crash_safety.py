@@ -256,47 +256,3 @@ class TestGracefulDegradation:
         assert not report.ok
         assert report.state == "partial"
 
-
-class TestQueryEngineWiring:
-    def test_engine_propagates_policy_and_sums_degraded_reads(self):
-        from repro.baselines.base import GraphRepresentation
-        from repro.query.engine import QueryEngine
-
-        class Stub(GraphRepresentation):
-            name = "stub"
-
-            def __init__(self) -> None:
-                self.mode = "raise"
-
-            def out_neighbors(self, page):
-                return []
-
-            def iterate_all(self):
-                return iter(())
-
-            def size_bytes(self):
-                return 0
-
-            @property
-            def num_pages(self):
-                return 4
-
-            @property
-            def num_edges(self):
-                return 0
-
-            def set_on_corruption(self, mode):
-                self.mode = mode
-
-        class FakeRepo:
-            num_pages = 4
-
-        forward, backward = Stub(), Stub()
-        forward.metrics.inc("degraded_reads", 2)
-        backward.metrics.inc("degraded_reads", 3)
-        engine = QueryEngine(
-            FakeRepo(), None, None, forward, backward, on_corruption="degrade"
-        )
-        assert forward.mode == "degrade"
-        assert backward.mode == "degrade"
-        assert engine.degraded_reads == 5

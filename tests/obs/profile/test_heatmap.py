@@ -37,7 +37,6 @@ class TestAccessHeatmap:
         assert heatmap.pinned_accesses == 1
         assert heatmap.by_kind["intranode"][("intra", 3)] == 2
         assert heatmap.by_kind["superedge"][("super", 3, 5)] == 1
-        assert heatmap.distinct_keys == 3
 
     def test_top_per_kind(self):
         heatmap = AccessHeatmap.from_events(_trace().buffer_events())
@@ -53,8 +52,8 @@ class TestAccessHeatmap:
         heatmap = AccessHeatmap.from_events(
             tracer.buffer_events(), tracer.io_events()
         )
-        assert heatmap.hot_pages("pages.dat", 1) == [(0, 2)]
-        assert heatmap.hot_pages("other.dat") == []
+        hot_pages = heatmap.to_dict(top_k=1)["hot_pages"]
+        assert hot_pages == {"pages.dat": [{"page": 0, "reads": 2}]}
 
     def test_skew_shares(self):
         heatmap = AccessHeatmap.from_events(_trace().buffer_events())

@@ -176,12 +176,6 @@ class TestHistogramSet:
         hset.observe("a_op", 0.2)
         assert hset.names() == ["a_op", "b_op"]
 
-    def test_time_context_records(self):
-        hset = HistogramSet()
-        with hset.time("timed"):
-            pass
-        assert hset.get("timed").count == 1
-
     def test_round_trip(self):
         hset = HistogramSet()
         hset.observe("x", 0.5)

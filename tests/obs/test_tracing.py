@@ -45,15 +45,6 @@ class TestNesting:
                 pass
         assert outer.duration_s >= inner.duration_s
 
-    def test_current_points_to_innermost(self):
-        tracer = Tracer()
-        assert tracer.current is None
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                assert tracer.current.name == "inner"
-            assert tracer.current.name == "outer"
-        assert tracer.current is None
-
 
 class TestExceptionSafety:
     def test_error_recorded_and_reraised(self):

@@ -163,15 +163,6 @@ class TestWindowedHistogramSet:
         assert family.names() == ["query", "stats"]
         assert family.get("query").cumulative.count == 1
 
-    def test_to_dict_covers_every_operation(self):
-        clock = FakeClock()
-        family = WindowedHistogramSet(window_seconds=10.0, windows=2, clock=clock)
-        family.observe("a", 0.010)
-        family.observe("b", 0.020)
-        data = family.to_dict()
-        assert set(data) == {"a", "b"}
-        assert data["a"]["cumulative"]["count"] == 1
-
     def test_shared_clock_rotates_all_members(self):
         clock = FakeClock()
         family = WindowedHistogramSet(window_seconds=10.0, windows=1, clock=clock)

@@ -39,7 +39,7 @@ def two_camp_world() -> tuple[Digraph, Partition]:
 class TestAdjacencyVectors:
     def test_vectors_reflect_target_supernodes(self):
         graph, partition = two_camp_world()
-        element = partition.element(0)
+        element = partition.elements()[0]
         vectors, neighbors = supernode_adjacency_vectors(
             element, graph, partition.assignment(), 0
         )
@@ -60,7 +60,7 @@ class TestAdjacencyVectors:
             ],
         )
         vectors, neighbors = supernode_adjacency_vectors(
-            partition.element(0), graph, partition.assignment(), 0
+            partition.elements()[0], graph, partition.assignment(), 0
         )
         assert neighbors == [1]
         assert vectors[0, 0] == 1  # page 0 -> element 1
@@ -74,7 +74,7 @@ class TestClusteredSplit:
     def test_splits_two_camps(self):
         graph, partition = two_camp_world()
         children = clustered_split(
-            partition.element(0),
+            partition.elements()[0],
             graph,
             partition.assignment(),
             0,
@@ -98,7 +98,7 @@ class TestClusteredSplit:
             ],
         )
         result = clustered_split(
-            partition.element(0), graph, partition.assignment(), 0,
+            partition.elements()[0], graph, partition.assignment(), 0,
             random.Random(0), self.config(),
         )
         assert result is None
@@ -109,7 +109,7 @@ class TestClusteredSplit:
             2, [Element(pages=(0,), domain="a"), Element(pages=(1,), domain="b")]
         )
         result = clustered_split(
-            partition.element(0), graph, partition.assignment(), 0,
+            partition.elements()[0], graph, partition.assignment(), 0,
             random.Random(0), self.config(),
         )
         assert result is None
@@ -117,7 +117,7 @@ class TestClusteredSplit:
     def test_children_cover_element(self):
         graph, partition = two_camp_world()
         children = clustered_split(
-            partition.element(0), graph, partition.assignment(), 0,
+            partition.elements()[0], graph, partition.assignment(), 0,
             random.Random(1), self.config(),
         )
         covered = sorted(p for c in children for p in c.pages)
@@ -131,7 +131,7 @@ class TestClusteredSplit:
         )
         # With a zero time bound k-means cannot converge -> abort (None).
         result = clustered_split(
-            partition.element(0), graph, partition.assignment(), 0,
+            partition.elements()[0], graph, partition.assignment(), 0,
             random.Random(0), config,
         )
         assert result is None

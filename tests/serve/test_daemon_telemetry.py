@@ -19,6 +19,11 @@ from repro.serve.loadgen import ServeClient, run_load
 from repro.serve.telemetry import PHASES
 
 
+def requests_total(telemetry) -> int:
+    """Requests recorded across every outcome (lifetime)."""
+    return sum(counter.total for counter in telemetry.outcomes.values())
+
+
 @pytest.fixture
 def daemon(serve_context):
     """A running daemon on a free port (per test: telemetry starts clean)."""
@@ -229,7 +234,7 @@ class TestDeterministicBackpressure:
             for name, data in snapshot["ops"].items()
             if not name.startswith("phase:")
         )
-        assert op_total == telemetry.requests_total()
+        assert op_total == requests_total(telemetry)
 
 
 class TestConservationUnderLoad:
@@ -252,7 +257,7 @@ class TestConservationUnderLoad:
         assert snapshot["ops"]["query"]["cumulative"]["count"] == query_frames
         assert telemetry.outcomes["backpressure"].total == load.shed_retries
         # One stats frame per client on top of the queries.
-        assert telemetry.requests_total() == query_frames + 4
+        assert requests_total(telemetry) == query_frames + 4
         # Windowed and cumulative views agree while everything is live.
         ok_windowed = snapshot["outcomes"]["ok"]["windowed"]
         assert ok_windowed == snapshot["outcomes"]["ok"]["total"]

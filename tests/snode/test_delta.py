@@ -62,11 +62,10 @@ class TestOverlaySemantics:
 
     def test_introspection_and_bad_op(self):
         overlay = DeltaOverlay()
-        assert overlay.empty
+        assert overlay.row_count == 0
         overlay.apply("add", [(0, 1), (5, 2)])
         assert overlay.edge_count == 2
         assert overlay.row_count == 2
-        assert not overlay.empty
         with pytest.raises(StorageError):
             overlay.apply("merge", [(0, 1)])
 

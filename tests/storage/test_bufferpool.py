@@ -157,8 +157,8 @@ class TestProfilerHooks:
             pool.get("k", kind="intranode")  # miss
             pool.put("k", b"x", 8, kind="intranode")  # admit
             pool.get("k", kind="intranode")  # hit
-            pool.invalidate("k")  # drop (key was cached)
-            pool.invalidate("absent")  # no drop: nothing was cached
+            pool.pin("k", b"x", 8)  # drop (key was cached)
+            pool.pin("absent", b"x", 8)  # no drop: nothing was cached
         events = tracer.buffer_events()
         kinds = [type(e) for e in events]
         assert kinds == [BufferEvent, AdmitEvent, BufferEvent, DropEvent]
@@ -459,22 +459,15 @@ class TestMaintenance:
         pool.put("d", b"x", 10)  # 30 > 25: evicts "b"
         assert pool.get("b") is None
 
-    def test_invalidate_is_silent(self):
-        pool = BufferPool(100)
-        pool.put("a", b"x", 10)
-        pool.invalidate("a")
-        assert pool.registry.get("buffer_evictions") == 0
-        assert pool.get("a") is None
-
     def test_pressed_once_an_admission_evicts(self):
         """``pressed``: an admission has evicted since the pool was last
         emptied or resized — not a drop, a pin, or an admission that fit."""
         pool = BufferPool(25)
         assert not pool.pressed
         pool.put("a", b"x", 10)
-        pool.put("b", b"x", 10)
+        pool.put("e", b"x", 10)
         pool.pin("root", b"m", 5)
-        pool.invalidate("b")
+        pool.pin("e", b"x", 10)  # drops the cached "e"
         assert not pool.pressed
         pool.replay(["c", "d"], [None, None], [(b"x", 10), (b"x", 10)])  # 30 > 25: evicts "a"
         assert pool.pressed

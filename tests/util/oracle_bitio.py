@@ -73,17 +73,6 @@ class BitWriter:
             self.write_bit(0)
         self.write_bit(1)
 
-    def extend(self, other: "BitWriter") -> None:
-        """Append every bit written to ``other`` onto this writer."""
-        data = other._buffer
-        if self._filled == 0:
-            self._buffer.extend(data)
-        else:
-            for byte in data:
-                self.write_bits(byte, _BYTE_BITS)
-        if other._filled:
-            self.write_bits(other._current, other._filled)
-
     def to_bytes(self) -> bytes:
         """Return the packed stream, zero-padding the final partial byte."""
         if self._filled == 0:

@@ -43,14 +43,6 @@ class TestBitWriter:
         with pytest.raises(BitStreamError):
             BitWriter().write_unary(-1)
 
-    def test_extend_concatenates_bit_streams(self):
-        left = BitWriter()
-        left.write_bits(0b101, 3)
-        right = BitWriter()
-        right.write_bits(0b11001, 5)
-        left.extend(right)
-        assert left.to_bytes() == bytes([0b1011_1001])
-
     def test_byte_aligned_fast_path(self):
         writer = BitWriter()
         writer.write_bits(0xABCD, 16)

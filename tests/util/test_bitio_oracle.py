@@ -107,7 +107,7 @@ def test_failed_gamma_leaves_position():
     assert reader.position == 3
 
 
-def random_writer_ops(rng: random.Random, depth: int = 0) -> list[tuple]:
+def random_writer_ops(rng: random.Random) -> list[tuple]:
     ops = []
     for _ in range(rng.randrange(80)):
         kind = rng.random()
@@ -119,10 +119,8 @@ def random_writer_ops(rng: random.Random, depth: int = 0) -> list[tuple]:
             if rng.random() < 0.05:
                 value, width = rng.choice(((1 << width, width), (-1, width), (0, -1)))
             ops.append(("write_bits", value, width))
-        elif kind < 0.8:
+        else:
             ops.append(("write_unary", rng.choice((-1, 0, 1, 7, 8, 300, rng.randrange(40)))))
-        elif depth < 2:
-            ops.append(("extend", random_writer_ops(rng, depth + 1)))
     return ops
 
 
@@ -131,12 +129,7 @@ def replay_writer(module, ops: list[tuple]):
     writer = module.BitWriter()
     log = []
     for op, *arguments in ops:
-        if op == "extend":
-            other, other_log = replay_writer(module, arguments[0])
-            log.append(other_log)
-            writer.extend(other)
-        else:
-            log.append(outcome(getattr(writer, op), *arguments)[0])
+        log.append(outcome(getattr(writer, op), *arguments)[0])
         log.append(len(writer))
     return writer, log
 

@@ -254,7 +254,7 @@ def test_a_run_reads_through_only_its_own_visits_regions(small_build, tmp_path):
         store.drop_buffers()
         store.out_neighbors_many(list(range(store.num_pages)))  # presses the pool again
         for key in keys:
-            store._pool.invalidate(key)
+            store._pool._cache.pop(key)
         tracer = profile.AccessTracer()
         with profile.activated(tracer):
             rows = store.out_neighbors(page)
@@ -269,7 +269,7 @@ def test_a_run_reads_through_only_its_own_visits_regions(small_build, tmp_path):
     store.drop_buffers()
     store.out_neighbors_many(list(range(store.num_pages)))
     for key in keys:
-        store._pool.invalidate(key)
+        store._pool._cache.pop(key)
     store.superedge_rows(*keys[positions[1]][1:])
     tracer = profile.AccessTracer()
     with profile.activated(tracer):
