@@ -42,8 +42,12 @@ def report(label: str, build) -> None:
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="snode-anatomy-") as scratch:
+        run(Path(scratch))
+
+
+def run(workdir: Path) -> None:
     num_pages = int(sys.argv[1]) if len(sys.argv) > 1 else 6000
-    workdir = Path(tempfile.mkdtemp(prefix="snode-anatomy-"))
 
     print(f"generating {num_pages}-page repository ...")
     repository = generate_web(num_pages=num_pages, seed=3)

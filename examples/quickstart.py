@@ -30,8 +30,11 @@ from repro.webdata import generate_web
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="snode-quickstart-"))
+    with tempfile.TemporaryDirectory(prefix="snode-quickstart-") as scratch:
+        run(Path(scratch))
 
+
+def run(workdir: Path) -> None:
     # 1. A synthetic Web crawl: 5000 pages with realistic link structure
     #    (link copying, host locality, directory-shaped URLs, topical text).
     print("generating repository ...")
@@ -80,7 +83,6 @@ def main() -> None:
     link3.close()
     flat.close()
     pair.close()
-    print(f"artifacts left under {workdir}")
 
 
 if __name__ == "__main__":

@@ -23,8 +23,11 @@ from repro.webdata.webbase import read_repository, write_stream
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="snode-pipeline-"))
+    with tempfile.TemporaryDirectory(prefix="snode-pipeline-") as scratch:
+        run(Path(scratch))
 
+
+def run(workdir: Path) -> None:
     # The crawler's output: one bulk stream for the whole crawl.
     print("crawling (synthetically) ...")
     crawl = generate_web(num_pages=6000, seed=21)
@@ -60,8 +63,6 @@ def main() -> None:
             problems = [finding.render() for finding in report.findings[:2]]
             status = "OK" if report.ok else f"PROBLEMS: {problems}"
             print(f"  verify {direction}: {report.graphs_checked} graphs ... {status}")
-
-    print(f"\nartifacts left under {workdir}")
 
 
 if __name__ == "__main__":

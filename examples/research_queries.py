@@ -61,8 +61,12 @@ def describe(name: str, payload: dict) -> list[str]:
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="snode-queries-") as scratch:
+        run(Path(scratch))
+
+
+def run(workdir: Path) -> None:
     num_pages = int(sys.argv[1]) if len(sys.argv) > 1 else 8000
-    workdir = Path(tempfile.mkdtemp(prefix="snode-queries-"))
 
     print(f"generating {num_pages}-page repository ...")
     repository = generate_web(num_pages=num_pages, seed=7)

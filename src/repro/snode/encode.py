@@ -152,6 +152,19 @@ class RowDirectory(NamedTuple):
     body: int
     #: Bit offset of each row's record.
     starts: array
+    #: Each row's first row up its reference chain, itself included, that
+    #: is not a pure copy (a full copy with no extras).
+    jumps: array
+    #: Byte length of the payload this was learned from.
+    length: int
+
+    def row(self, data: bytes, y: int, decoded: dict[int, list[int]]) -> list[int]:
+        """Row ``y`` of ``data`` and the rows its chain reads, stored in
+        ``decoded`` (:func:`~repro.snode.reference.decode_row`).  Jumps
+        are taken only on a payload of the learned length; any other is
+        read record by record, so a cut one fails as the oracle does."""
+        jumps = self.jumps if len(data) == self.length else range(len(self.starts))
+        return decode_row(data, self.starts, y, self.dictionary, decoded, jumps)
 
 
 class IntranodeRows:
@@ -161,8 +174,8 @@ class IntranodeRows:
     its :class:`RowDirectory` and the rows decoded so far — a ``local ->
     row`` dict, or every row as a list once something needed them all
     (:meth:`every`, iteration, ``==``), swapped in with one store.
-    ``entry[local]`` decodes that row and its reference chain
-    (:func:`~repro.snode.reference.decode_row`).  ``len``, iteration and
+    ``entry[local]`` decodes that row by the records of its reference
+    chain that change it (:meth:`RowDirectory.row`).  ``len``, iteration and
     ``==`` are those of the list of rows.
     """
 
@@ -187,10 +200,7 @@ class IntranodeRows:
             return rows[local]
         row = rows.get(local)
         if row is None:
-            directory = self.directory
-            row = decode_row(
-                self.payload, directory.starts, local, directory.dictionary, rows
-            )
+            row = self.directory.row(self.payload, local, rows)
         return row
 
     def every(self) -> list[list[int]]:
@@ -230,6 +240,13 @@ def scan_intranode(
     return _collection(data, 0, directory)
 
 
+def decode_intranode_payload(data: bytes) -> list[list[int]]:
+    """Every row of an intranode payload, with one reader and no
+    directory learned: the offline check's decode."""
+    reader = BitReader(data)
+    return decode_rows(reader, dictionary=_decode_locals(reader))
+
+
 def _collection(
     data: bytes, bit: int, directory: RowDirectory | None
 ) -> tuple[list[list[int]], RowDirectory]:
@@ -242,9 +259,9 @@ def _collection(
     reader = BitReader(data, bit)
     dictionary = _decode_locals(reader)
     body = reader.position
-    starts = array("I")
-    rows = decode_rows(reader, dictionary=dictionary, starts=starts)
-    return rows, RowDirectory(dictionary, body, starts)
+    starts, jumps = array("I"), array("I")
+    rows = decode_rows(reader, dictionary, starts, jumps)
+    return rows, RowDirectory(dictionary, body, starts, jumps, len(data))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +405,8 @@ class SuperedgeRows:
     it alone.  Without the body's :class:`RowDirectory` the first access
     to a linked row decodes every row, learning the directory
     (:attr:`directory`); given it, :meth:`row` decodes that source's
-    stored row and its reference chain only
-    (:func:`~repro.snode.reference.decode_row`), and :attr:`linked` every
+    stored row by the records of its reference chain that change it
+    (:meth:`RowDirectory.row`), and :attr:`linked` every
     row from the body on, the dictionary unread.
     """
 
@@ -451,7 +468,7 @@ class SuperedgeRows:
         data, target_size, stored = rows
         row = stored.get(index)
         if row is None:
-            row = decode_row(data, directory.starts, index, directory.dictionary, stored)
+            row = directory.row(data, index, stored)
         return _complement(row, target_size) if self.header.negative else row
 
 

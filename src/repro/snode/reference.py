@@ -41,8 +41,10 @@ and every edge list Edmonds is handed are the oracle's.
 Decoded rows are plain ``list[int]`` (sorted).  Reference chains may point
 forward in the full-affinity mode; decoding resolves them iteratively.
 :func:`decode_rows` decodes a whole collection and can record where each
-row's record starts; given those offsets, :func:`decode_row` decodes one
-row and its reference chain with the same kernel.
+row's record starts, and where each row's chain first leaves the *pure
+copies* (full copies with no extras, rows equal to their parent's);
+given those, :func:`decode_row` decodes one row and the records of its
+reference chain that change it, with the same kernel.
 """
 
 from __future__ import annotations
@@ -912,13 +914,16 @@ def decode_rows(
     reader: BitReader,
     dictionary: Sequence[int] | None = None,
     starts: MutableSequence[int] | None = None,
+    jumps: MutableSequence[int] | None = None,
 ) -> list[list[int]]:
     """Decode a row collection written by :func:`encode_rows`.
 
     ``dictionary`` must match what the encoder was given (present for
     superedge graphs, absent for intranode graphs).  ``starts``, when
-    given, receives the bit offset at which each row's record starts: the
-    row directory :func:`decode_row` reads a single row by.
+    given, receives the bit offset at which each row's record starts, and
+    ``jumps`` each row's jump: the first row up its reference chain, the
+    row itself included, that is not a pure copy.  They are the row
+    directory :func:`decode_row` reads a single row by.
     """
     data = reader._data
     byte, window, avail = reader._byte, reader._window, reader._avail
@@ -935,10 +940,28 @@ def decode_rows(
     # Rows whose reference chain was not resolved when they were read:
     # row -> (parent, copy bits or None for a full copy, extras).
     deferred: dict[int, tuple[int, list[int] | None, list[int]]] = {}
-    _decode_records(reader, dictionary, count, range(count), rows, deferred, starts)
+    copies: dict[int, int] | None = None if jumps is None else {}
+    _decode_records(reader, dictionary, count, range(count), rows, deferred, starts, copies)
     if deferred:
         _resolve_deferred(rows, deferred)
+    if jumps is not None:
+        _fill_jumps(jumps, count, copies)  # past the resolve: no chain is cyclic
     return rows  # type: ignore[return-value]
+
+
+def _fill_jumps(jumps: MutableSequence[int], count: int, copies: dict[int, int]) -> None:
+    """Append the jump of each of ``count`` rows to ``jumps``; ``copies``
+    maps each pure copy to its parent and holds no cycle."""
+    jumps.extend(range(count))
+    for y in copies:
+        path = []
+        node = y
+        while node in copies and jumps[node] == node:
+            path.append(node)
+            node = copies[node]
+        node = jumps[node]
+        for step in path:
+            jumps[step] = node
 
 
 def decode_row(
@@ -947,50 +970,51 @@ def decode_row(
     y: int,
     dictionary: Sequence[int] | None,
     decoded: dict[int, list[int]],
+    jumps: Sequence[int],
 ) -> list[int]:
     """Row ``y`` of the collection in ``data`` whose records start at the
     bit offsets ``starts``, decoded without its siblings.
 
-    Row ``y``'s record is read alone; a sibling reference then reads its
-    parent's the same way, forward or backward, until a direct or
-    dictionary row — or a row already in ``decoded`` — ends the chain.
-    Every row of the chain is stored in ``decoded``, each with one dict
-    store, so threads sharing ``decoded`` may race: they compute equal
-    rows.  A chain that returns to a row raises :class:`CodecError`, as
-    in :func:`decode_rows`.
+    The walk starts at ``jumps[y]`` and reads that row's record alone; a
+    sibling reference then reads the record of its parent's jump the
+    same way, forward or backward, until a direct or dictionary row — or
+    a row already in ``decoded`` — ends the chain.  ``jumps`` is what
+    :func:`decode_rows` learned, or ``range(len(starts))`` to read every
+    record of the chain.  Every row read, and ``y``'s own copy, is stored
+    in ``decoded``, each with one dict store, so threads sharing
+    ``decoded`` may race: they compute equal rows.  A chain that returns
+    to a row raises :class:`CodecError`, as in :func:`decode_rows`.
     """
     count = len(starts)
     if not 0 <= y < count:
         raise IndexError(f"row {y} outside a collection of {count}")
-    # The rows read so far whose parent was not known yet, from ``y`` on:
-    # row -> (copy bits or None for a full copy, extras).
+    reader = BitReader(data)
+    # The kernel knows no row, so a sibling reference comes back deferred
+    # as its parent, copy bits and extras; one record at a time.
+    records: list[list[int] | None] = []
+    deferred: dict[int, tuple[int, list[int] | None, list[int]]] = {}
+    # The rows read so far whose parent was not known yet, from
+    # ``jumps[y]`` on: row -> (copy bits or None for a full copy, extras).
     chain: dict[int, tuple[list[int] | None, list[int]]] = {}
-    node = y
+    first = node = jumps[y]
     while (row := decoded.get(node)) is None:
         if node in chain:
             raise CodecError("cyclic reference chain in encoded rows")
-        # No row before ``node`` is known to the kernel, so any sibling
-        # reference comes back deferred, as its parent, copy bits, extras.
-        records: list[list[int] | None] = [None] * node
-        deferred: dict[int, tuple[int, list[int] | None, list[int]]] = {}
+        reader.seek(starts[node])
         _decode_records(
-            BitReader(data, starts[node]),
-            dictionary,
-            count,
-            range(node, node + 1),
-            records,
-            deferred,
-            None,
+            reader, dictionary, count, range(node, node + 1), records, deferred, None, None
         )
-        row = records[node]
+        row = records.pop()
         if row is not None:
             decoded[node] = row
             break
-        parent, copy_bits, extras = deferred[node]
+        parent, copy_bits, extras = deferred.pop(node)
         chain[node] = (copy_bits, extras)
-        node = parent
+        node = jumps[parent]
     for node, (copy_bits, extras) in reversed(chain.items()):
         row = decoded[node] = _apply_reference(row, copy_bits, extras)
+    if first != y:  # ``y`` copies ``first``'s row: a list of its own
+        row = decoded[y] = row[:]
     return row
 
 
@@ -1002,13 +1026,17 @@ def _decode_records(
     rows: list[list[int] | None],
     deferred: dict[int, tuple[int, list[int] | None, list[int]]],
     starts: MutableSequence[int] | None,
+    copies: dict[int, int] | None,
 ) -> None:
     """Read the records of rows ``ys`` of a collection of ``count`` rows,
     ``reader`` at the first of them, appending each row to ``rows``.
 
-    ``rows`` holds the rows before ``ys`` (None where not known).  A row
-    that copies a known row is appended resolved; one whose parent is not
-    known is appended as None and its record put in ``deferred``.
+    ``rows`` holds rows ``0 .. len(rows) - 1`` (None where not known), or
+    nothing when one record is read alone.  A row that copies a known row
+    is appended resolved; one whose parent is not known is appended as
+    None and its record put in ``deferred``.
+    ``starts`` and ``copies``, when given, receive each row's bit offset
+    and, for each pure copy (a full copy with no extras), its parent.
 
     This is the cold read path's inner loop, so it is one fused kernel:
     the reader's window lives in local variables for the whole collection
@@ -1148,11 +1176,14 @@ def _decode_records(
             rows.append(entries)
         elif kind == _DICTIONARY:
             rows.append(sorted({*copied, *entries}))
-        elif parent < y and rows[parent] is not None:
-            rows.append(_apply_reference(rows[parent], copy_bits, entries))
         else:
-            rows.append(None)
-            deferred[y] = (parent, copy_bits, entries)
+            if copies is not None and copy_bits is None and not entries:
+                copies[y] = parent
+            if parent < len(rows) and rows[parent] is not None:
+                rows.append(_apply_reference(rows[parent], copy_bits, entries))
+            else:
+                rows.append(None)
+                deferred[y] = (parent, copy_bits, entries)
     reader._byte, reader._window, reader._avail = byte, window, avail
 
 

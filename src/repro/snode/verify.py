@@ -29,7 +29,7 @@ from pathlib import Path
 from struct import error as struct_error
 
 from repro.errors import ReproError
-from repro.snode.encode import decode_intranode, decode_superedge_payload
+from repro.snode.encode import decode_intranode_payload, decode_superedge_payload
 from repro.snode.storage import (
     MANIFEST_NAME,
     NEWID_NAME,
@@ -177,7 +177,7 @@ def _misshapen(layout: StorageLayout, region: tuple, payload: bytes) -> str | No
     source = region[1]
     size = boundaries[source + 1] - boundaries[source]
     if region[0] == "intranode":
-        rows = len(decode_intranode(payload))
+        rows = len(decode_intranode_payload(payload))
         if rows != size:
             return f"has {rows} rows, supernode holds {size} pages"
         return None

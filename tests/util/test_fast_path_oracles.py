@@ -20,16 +20,21 @@ call per item it replaced.  The canonical values must be equal, their
 JSON byte-equal, and the errors the same.
 
 **The intranode row decoder.**  A re-loaded intranode graph decodes only
-the rows asked for, each with its reference chain, by the row directory
-its first, whole decode learned (``snode.encode.IntranodeRows``).
+the rows asked for, each by the records of its reference chain that
+change it, by the row directory its first, whole decode learned
+(``snode.encode.IntranodeRows``): a read jumps past the *pure copies*
+(full copies with no extras) and decodes the rest of the chain.
 Hypothesis generates row collections — windowed and full-affinity plans
 (so forward references occur), the dictionary on and off, dense runs,
 empty rows, repeated rows — and every row read through the directory, in
 any order and from a partly filled cache, must equal
 ``oracle_codecs.decode_intranode``'s, and the directory the oracle's
-record offsets.  A payload cut at every bit offset past its dictionary
-fails typed through a store that learned its directory and through a
-fresh one; a scan decodes each graph in one pass.
+record offsets; a read decodes exactly the rows ``reference_chain``
+names, and the far end of a run of 40 identical rows at most 2 records.
+A payload cut at every bit offset past its dictionary fails typed
+through a store that learned its directory and through a fresh one,
+exactly as the oracle's record-by-record read; a scan decodes each graph
+in one pass.
 
 **The learned superedge header and directory.**  A re-loaded superedge
 graph parses nothing: its entry is built from the ``SuperedgeHeader``
@@ -75,6 +80,14 @@ Seeded mutations, each failing the test named:
   ``test_row_reads_equal_the_oracle``;
 * a full copy returns the parent's own list (``base`` for ``base[:]`` in
   ``reference._apply_reference``) — ``test_row_reads_equal_the_oracle``;
+* a read takes no jump (``range(len(self.starts))`` always in
+  ``encode.RowDirectory.row``) — ``test_row_reads_equal_the_oracle`` and
+  ``test_a_run_of_identical_rows_reads_past_its_pure_copies``;
+* a row read through a jump shares its list (``row[:]`` dropped in
+  ``reference.decode_row``) — ``test_row_reads_equal_the_oracle``;
+* jumps are taken on a payload of any length (the length rule of
+  ``encode.RowDirectory.row`` dropped) —
+  ``test_cut_intranode_payloads_fail_typed``;
 * a scan decodes row by row (the all-rows rule in
   ``SNodeStore._adjacency`` deleted) —
   ``test_a_scan_decodes_each_intranode_graph_in_one_pass``;
@@ -120,7 +133,7 @@ from repro.errors import NotResident, ServeError
 from repro.obs import tracing
 from repro.serve import protocol
 from repro.serve.daemon import ClientEngine
-from repro.snode import encode
+from repro.snode import encode, reference
 from repro.snode.build import BuildOptions
 from repro.snode.delta import DeltaOverlay
 from repro.snode.model import _superedge_graph
@@ -409,11 +422,21 @@ HUBS_AND_FORWARD = [
 
 
 def reference_chain(records, local: int) -> set[int]:
-    """``local`` and every row its record references, transitively."""
-    chain = [local]
-    while isinstance(records[chain[-1]], tuple):
-        chain.append(records[chain[-1]][0])
-    return set(chain)
+    """``local``, then at each step up its reference chain the first row
+    that is not a pure copy (a full copy with no extras): the rows a read
+    of ``local`` through a learned directory decodes."""
+
+    def jump(node: int) -> int:
+        while isinstance(records[node], tuple) and records[node][1:] == (None, []):
+            node = records[node][0]
+        return node
+
+    node = jump(local)
+    chain = {local, node}
+    while isinstance(records[node], tuple):
+        node = jump(records[node][0])
+        chain.add(node)
+    return chain
 
 
 def check_row_reads(rows, window, limit, use_dictionary, order, first):
@@ -479,6 +502,38 @@ def test_the_named_collections_are_what_they_claim():
     windowed = kinds(DENSE_AND_FORWARD, 2, 0, False)
     assert "partial copy" in windowed and "forward" not in windowed
     assert {"dictionary", "forward", "full copy"} <= kinds(HUBS_AND_FORWARD, 8, 96, True)
+
+
+def test_a_run_of_identical_rows_reads_past_its_pure_copies(monkeypatch):
+    """Without a dictionary, a run of 40 identical rows is encoded as a
+    chain of full copies.  Read from a re-loaded entry, the run's first
+    row — the far end of a chain of more than 35 records — decodes at
+    most 2 records; read record by record it decodes the whole chain."""
+    rows = [[1, 4], [0, 2, 3], *([[2, 5, 6, 9]] * 40), [7]]
+    payload = encode.encode_intranode(rows, use_dictionary=False)
+    records = oracle_codecs.intranode_records(payload)[3]
+    directory = encode.decode_intranode(payload).directory
+    chain = [2]
+    while isinstance(records[chain[-1]], tuple):
+        chain.append(records[chain[-1]][0])
+    assert len(chain) > 35 and all(records[y][1:] == (None, []) for y in chain[:-1])
+    decoded = []
+    original = reference._decode_records
+
+    def counting(reader, dictionary, count, ys, *rest):
+        decoded.append(len(ys))
+        return original(reader, dictionary, count, ys, *rest)
+
+    monkeypatch.setattr(reference, "_decode_records", counting)
+    entry = encode.decode_intranode(payload, directory)
+    assert entry[2] == rows[2] and sum(decoded) <= 2
+    assert set(entry._rows) == reference_chain(records, 2) == {2, chain[-1]}
+    assert entry[2] is not entry[chain[-1]]
+    decoded.clear()
+    one_by_one = reference.decode_row(
+        payload, directory.starts, 2, directory.dictionary, {}, range(len(rows))
+    )
+    assert one_by_one == rows[2] and sum(decoded) == len(chain)
 
 
 @pytest.mark.parametrize("cache_decoded", [True, False], ids=["decoded", "encoded"])
