@@ -31,12 +31,17 @@ a cycle contraction touches only the edges at its cycle — with the plans
 of the pair-by-pair planner, which the tests keep as their oracle.
 
 Planning also skips what its answer cannot depend on.  A pair whose
-lower bound (:func:`_parent_floors`) is not below the row's direct cost
+lower bound (:func:`_parent_floors`, which counts the fewest bits the
+runs of its copy vector can take) is not below the row's direct cost
 is never priced, since only a cheaper parent becomes an edge.  A
 collection that every dictionary plan beats whatever its arborescence
 (:func:`_all_dictionary_plan`) never builds the affinity graph, and one
 whose graph holds only the root's edges never reaches Edmonds.  The plan
 and every edge list Edmonds is handed are the oracle's.
+
+:func:`encode_rows` writes a collection in one kernel on the writer's
+accumulator, the mirror of the read side below; the per-field writers
+it replaced are the tests' oracle, and the bytes are theirs.
 
 Decoded rows are plain ``list[int]`` (sorted).  Reference chains may point
 forward in the full-affinity mode; decoding resolves them iteratively.
@@ -54,9 +59,9 @@ from dataclasses import dataclass
 from itertools import compress
 
 from repro.errors import CodecError
-from repro.util.bitio import BitReader, BitWriter, refill
-from repro.util.rle import decode_bitvector, encode_bitvector
-from repro.util.varint import encode_gamma, encode_minimal_binary, gamma_cost
+from repro.util.bitio import SPILL_BITS, BitReader, BitWriter, refill, spill
+from repro.util.rle import decode_bitvector
+from repro.util.varint import gamma_cost
 
 #: Above this many rows the encoder switches from the full affinity graph
 #: (exact Edmonds arborescence) to windowed candidate references.
@@ -82,6 +87,32 @@ def _gamma_costs(limit: int) -> Sequence[int]:
     return tuple(2 * (value + 1).bit_length() - 1 for value in range(limit + 1))
 
 
+def _fewest_run_bits(limit: int) -> tuple[int, ...]:
+    """``m(n)`` for ``0 <= n < limit``: the fewest bits ``gamma(run - 1)``
+    summed over the runs of any split of ``n`` equal bits into runs.
+
+    ``gamma(run - 1)`` is constant while ``run`` stays within ``2**k ..
+    2**(k+1) - 1``, and ``m`` never decreases (shortening one run of a
+    split never costs more), so the last run of a cheapest split can be
+    taken as long as its class allows: ``m(n)`` is the least of
+    ``gamma(r - 1) + m(n - r)`` over ``r = min(n, 2**(k+1) - 1)``.
+    """
+    fewest = [0]
+    for n in range(1, limit):
+        fewest.append(
+            min(
+                2 * run.bit_length() - 1 + fewest[n - run]
+                for run in {min(n, (2 << k) - 1) for k in range(n.bit_length())}
+            )
+        )
+    return tuple(fewest)
+
+
+#: :func:`_fewest_run_bits` up to the copy vector lengths the pair floor
+#: prices exactly; past them it charges ``min(length, 3)``.
+_FEWEST_RUN_BITS = _fewest_run_bits(128)
+
+
 def _gamma_for(limit: int) -> Callable[[int], int]:
     """``gamma_cost`` for ``0 <= value <= limit``: a look-up where the table
     reaches, the formula past its end."""
@@ -105,18 +136,9 @@ def _gaps_cost(row: Sequence[int]) -> int:
     return cost
 
 
-def _row_bits(row: Sequence[int]) -> list[int]:
-    """Characteristic bit vector of ``row`` up to its largest entry."""
-    if not row:
-        return []
-    bits = [0] * (row[-1] + 1)
-    for value in row:
-        bits[value] = 1
-    return bits
-
-
 def _row_vector_cost(row: Sequence[int]) -> int:
-    """``bitvector_cost(_row_bits(row))`` without the vector.
+    """``bitvector_cost`` of the characteristic bit vector of ``row``, up
+    to its largest entry, without the vector.
 
     ``row`` is ascending and duplicate-free (:func:`_gaps_cost` checks),
     so the vector's runs can be read off its entries: a stretch of
@@ -178,9 +200,10 @@ def _reference_base_cost(
     reference_set: frozenset[int],
     gamma: Sequence[int],
 ) -> int:
-    """:func:`reference_cost` less its distance code: the referenced flag,
-    the direction bit, the full-copy flag, the copy bit vector when not a
-    full copy, and the extras.
+    """Bits of ``row``'s reference record against ``reference_row`` less
+    its distance code: the referenced flag, the direction bit, the
+    full-copy flag, the copy bit vector when not a full copy, and the
+    extras.
 
     This is the planner's kernel.  One pass over ``reference_row`` prices
     the copy bit vector — its RLE runs against its plain length, the
@@ -233,9 +256,14 @@ def _parent_floors(
 
     * the three flags;
     * unless a full copy, the copy bit vector's scheme flag, gamma-coded
-      length and at least ``min(length, 3)`` body bits: plain bits cost
-      the length, and RLE a first-bit flag and ``gamma(run - 1) >= 1`` per
-      run, where a vector holding both ones and zeros has two runs or more;
+      length and at least ``min(length, 1 + m(shared) + m(length -
+      shared))`` body bits: plain bits cost the length, and RLE a
+      first-bit flag and ``gamma(run - 1)`` per run, where the runs of
+      ones split the ``shared`` ones and the runs of zeros the rest, and
+      no split of ``n`` bits costs under ``m(n)``
+      (:data:`_FEWEST_RUN_BITS`); for a parent longer than that table,
+      ``min(length, 3)``, since a vector holding both ones and zeros has
+      two runs or more;
     * the gamma-coded count of extras;
     * each extra's gap within the row: its gap within the extras list is
       never smaller, because the extra before it is an entry of the row
@@ -254,24 +282,19 @@ def _parent_floors(
         for parent in holders[target]:
             shared[parent] = shared.get(parent, 0) + 1
             shared_gaps[parent] = shared_gaps.get(parent, 0) + gap
+    runs = _FEWEST_RUN_BITS
     floors: dict[int, int] = {}
     for parent, common in shared.items():
         floor = 3 + gamma[len(row) - common] + gaps - shared_gaps[parent]
         length = lengths[parent]
         if common != length:
-            floor += 1 + gamma[length] + min(length, 3)
+            if length < len(runs):
+                body = 1 + runs[common] + runs[length - common]
+            else:
+                body = 3
+            floor += 1 + gamma[length] + min(length, body)
         floors[parent] = floor
     return floors
-
-
-def reference_cost(
-    row: Sequence[int], reference_row: Sequence[int], distance: int
-) -> int:
-    """Bits to encode ``row`` referencing a row ``distance`` away."""
-    gamma = _gamma_costs(max(len(row), len(reference_row), row[-1] if row else 0))
-    return gamma_cost(distance - 1) + _reference_base_cost(
-        row, frozenset(row), reference_row, frozenset(reference_row), gamma
-    )
 
 
 #: Fewest bits a row reference costs: three flags (referenced, direction,
@@ -288,7 +311,7 @@ class _CollectionCosts:
 
     Rows of equal content share a *content id*, and with it one frozenset,
     one direct cost and one memo entry per ordered pair of contents: the
-    distance between two rows enters :func:`reference_cost` only as the
+    distance between two rows enters a reference's cost only as the
     additive ``gamma_cost(distance - 1)``.  Everything lives as long as
     the ``plan_references`` call that made it.
 
@@ -319,7 +342,7 @@ class _CollectionCosts:
         self._base: dict[tuple[int, int], int] = {}
 
     def reference_cost(self, y: int, x: int) -> int:
-        """``reference_cost(rows[y], rows[x], |y - x|)``, or at least
+        """Bits to encode ``rows[y]`` referencing ``rows[x]``, or at least
         :data:`_NO_SHARED_TARGET` when the two rows share no target."""
         key = content, parent_content = self._ids[y], self._ids[x]
         base = self._base.get(key)
@@ -470,8 +493,9 @@ def minimum_arborescence(
     # its edge out of the super node left from).
     expansions: list[tuple[int, dict[int, int], dict[int, int], dict[int, int]]] = []
 
+    settled = {root}
     while True:
-        cycle = _find_cycle(best_in, current_nodes, root)
+        cycle = _find_cycle(best_in, current_nodes, settled)
         if cycle is None:
             break
         # Contract the cycle into a fresh super node.
@@ -559,28 +583,35 @@ def minimum_arborescence(
 def _find_cycle(
     best_in: dict[int, tuple[int, int]],
     nodes: set[int],
-    root: int,
+    settled: set[int],
 ) -> list[int] | None:
-    """Find a cycle in the parent-pointer graph, or None."""
-    color = dict.fromkeys(nodes, 0)  # 0 unvisited, 1 in progress, 2 done
+    """The first cycle of the parent-pointer graph, walking from each node
+    of ``nodes`` in turn, or None.
+
+    ``settled`` holds nodes whose parent path reaches the root, the root
+    included; the walks skip them and add every node they settle.  A
+    contraction never changes a parent on a settled node's path — no
+    node of it has its parent in a cycle — so the set stays true from one
+    call to the next.  A walk that ends at a node without a parent entry
+    (a source outside the graph) settles nothing.
+    """
     for start in nodes:
-        if start == root or color[start] == 2:
+        if start in settled:
             continue
         path: list[int] = []
+        on_path: set[int] = set()
         node = start
-        while True:
-            if node == root or color.get(node, 2) == 2:
-                break
-            if color[node] == 1:
+        while node not in settled:
+            if node in on_path:
                 return path[path.index(node) :]
-            color[node] = 1
-            path.append(node)
             entry = best_in.get(node)
-            if entry is None:
+            if entry is None:  # not a node of the graph: the walk ends
                 break
+            on_path.add(node)
+            path.append(node)
             node = entry[0]
-        for visited in path:
-            color[visited] = 2
+        else:
+            settled.update(path)
     return None
 
 
@@ -821,36 +852,143 @@ def encode_rows(
     given (superedge graphs), referenced rows carry one extra bit choosing
     between a sibling-row reference and a dictionary reference; the
     dictionary itself is serialized by the caller, not here.
+
+    This is the build's writer, one fused kernel: the writer's
+    accumulator lives in local variables for the whole collection (the
+    invariant is in ``util.bitio``) and every field — a flag, a gamma
+    code, a dictionary index, a run, a plain copy vector — is one shift
+    and one or on it.  A gamma code of ``value`` is the field ``value +
+    1`` in ``gamma[value]`` bits, whose leading zeros are the code's
+    unary prefix.  A direct row's mode bit and body come from
+    :func:`_ascending_code`.
     """
     if plan is None:
         plan = plan_references(rows, window, full_affinity_limit, dictionary)
-    if len(plan.parents) != len(rows):
+    parents = plan.parents
+    if len(parents) != len(rows):
         raise CodecError("encoding plan does not match row count")
     if plan.used_dictionary and not dictionary:
         raise CodecError("plan uses a dictionary that was not given")
     # Flag-bit layout depends on whether dictionary mode is active.
     dictionary = list(dictionary) if (dictionary and plan.used_dictionary) else None
-    positions = {value: index for index, value in enumerate(dictionary or ())}
-    encode_gamma(writer, len(rows))
+    gamma = _gamma_costs(max(len(rows), max(map(max, filter(None, rows)), default=0) + 1))
+    # dictionary entry -> its minimal-binary index (field, width); see
+    # ``varint.encode_minimal_binary``, which writes no bit for a bound of 1
+    codes: dict[int, tuple[int, int]] = {}
+    sibling, sibling_width = 0b1, 1  # referenced, then "sibling" in dictionary mode
+    if dictionary:
+        sibling, sibling_width = 0b10, 2
+        width = (len(dictionary) - 1).bit_length()
+        cutoff = (1 << width) - len(dictionary)
+        codes = {
+            value: (index, width - 1) if index < cutoff else (index + cutoff, width)
+            for index, value in enumerate(dictionary)
+        }
+    buffer, current, filled = writer._buffer, writer._current, writer._filled
+    # gamma: row count
+    width = gamma[len(rows)]
+    current = current << width | len(rows) + 1
+    filled += width
     for y, row in enumerate(rows):
-        parent = plan.parents[y]
+        if filled >= SPILL_BITS:
+            current, filled = spill(buffer, current, filled)
+        parent = parents[y]
         if parent == DICTIONARY_PARENT:
             if not dictionary:
                 raise CodecError("plan references a dictionary that was not given")
-            writer.write_bit(1)
-            writer.write_bit(1)  # dictionary reference
-            _encode_dictionary_body(writer, row, positions)
+            used = sorted(codes[value] for value in row if value in codes)
+            extras = [value for value in row if value not in codes]
+            if len(used) == len(codes):
+                # bits: referenced, dictionary reference, full copy
+                current = current << 3 | 0b111
+                filled += 3
+            else:
+                # bits: referenced, dictionary reference, no full copy;
+                # gamma: number of entries used
+                width = gamma[len(used)]
+                current = (current << 3 | 0b110) << width | len(used) + 1
+                filled += 3 + width
+                for field, width in used:
+                    # field: minimal-binary dictionary index
+                    current = current << width | field
+                    filled += width
         elif parent < 0:
-            writer.write_bit(0)
-            encode_ascending(writer, row)
+            # bit: direct, then the mode bit and body
+            field, width = _ascending_code(row, gamma)
+            current = current << 1 + width | field
+            filled += 1 + width
+            continue
         else:
-            writer.write_bit(1)
-            if dictionary:
-                writer.write_bit(0)  # sibling-row reference
+            # bits: referenced (and sibling-row reference); gamma: distance
+            # to the parent; bit: backward (1) or forward (0)
             distance = abs(y - parent)
-            encode_gamma(writer, distance - 1)
-            writer.write_bit(1 if parent < y else 0)  # 1 = backward
-            _encode_reference_body(writer, row, rows[parent])
+            if not distance:
+                raise CodecError(f"row {y} references itself")
+            width = gamma[distance - 1]
+            current = (
+                (current << sibling_width | sibling) << width | distance
+            ) << 1 | (parent < y)
+            filled += sibling_width + width + 1
+            parent_row = rows[parent]
+            parent_set = set(parent_row)
+            extras = [value for value in row if value not in parent_set]
+            length = len(parent_row)
+            if length and len(row) - len(extras) == length:
+                # bit: full copy
+                current = current << 1 | 1
+                filled += 1
+            elif not length:
+                # bit: no full copy; bit: plain scheme; gamma: 0
+                current = current << 3 | 0b001
+                filled += 3
+            else:
+                # bit: no full copy, then the copy bit vector: its plain
+                # bits and its RLE runs (``gamma(run - 1)`` each, in
+                # ``rle_width`` bits) are gathered in one pass
+                row_set = set(row)
+                bit = first = parent_row[0] in row_set
+                plain = rle = rle_width = run = 0
+                for value in parent_row:
+                    copied = value in row_set
+                    plain = plain << 1 | copied
+                    if copied is bit:
+                        run += 1
+                    else:
+                        width = gamma[run - 1]
+                        rle = rle << width | run
+                        rle_width += width
+                        bit = copied
+                        run = 1
+                width = gamma[run - 1]
+                rle = rle << width | run
+                rle_width += width
+                span = gamma[length]
+                if 1 + rle_width < length:
+                    # bits: no full copy, RLE scheme; gamma: length; bit:
+                    # the first bit's value; then the runs
+                    current = (
+                        ((current << 2 | 0b01) << span | length + 1) << 1 | first
+                    ) << rle_width | rle
+                    filled += 3 + span + rle_width
+                else:
+                    # bits: no full copy, plain scheme; gamma: length;
+                    # field: the bits
+                    current = ((current << 2) << span | length + 1) << length | plain
+                    filled += 2 + span + length
+        # gamma: number of extras, then gamma: each extra's gap
+        width = gamma[len(extras)]
+        current = current << width | len(extras) + 1
+        filled += width
+        previous = -1
+        for value in extras:
+            gap = value - previous
+            if gap < 1:
+                raise CodecError("row entries must be strictly increasing")
+            width = gamma[gap - 1]
+            current = current << width | gap
+            filled += width
+            previous = value
+    writer._current, writer._filled = current, filled
     return plan
 
 
@@ -858,52 +996,64 @@ def encode_ascending(writer: BitWriter, row: Sequence[int]) -> None:
     """Mode bit and body of an ascending, duplicate-free list — a direct
     row, or a superedge graph's linked sources: dense (1), its
     characteristic bit vector, when that is shorter, else sparse (0), its
-    gamma-coded length and gaps.  The vector is built only when it wins."""
-    gaps = _gaps_cost(row)  # first: it refuses a list out of order
-    if _row_vector_cost(row) < gaps:
-        writer.write_bit(1)
-        encode_bitvector(writer, _row_bits(row))
-    else:
-        writer.write_bit(0)
-        _encode_extras(writer, row)
+    gamma-coded length and gaps."""
+    limit = max(len(row), max(row, default=0)) + 1
+    writer.write_bits(*_ascending_code(row, _gamma_costs(limit)))
 
 
-def _encode_reference_body(
-    writer: BitWriter, row: Sequence[int], reference_row: Sequence[int]
-) -> None:
-    """Full-copy flag, copy bit vector (unless full copy), extras."""
-    row_set = set(row)
-    copy_bits = [1 if value in row_set else 0 for value in reference_row]
-    reference_set = set(reference_row)
-    extras = [value for value in row if value not in reference_set]
-    full_copy = bool(copy_bits) and all(copy_bits)
-    writer.write_bit(1 if full_copy else 0)
-    if not full_copy:
-        encode_bitvector(writer, copy_bits)
-    _encode_extras(writer, extras)
+def _ascending_code(row: Sequence[int], gamma: Sequence[int]) -> tuple[int, int]:
+    """``(field, width)``: the mode bit and body :func:`encode_ascending`
+    writes for ``row``, ``gamma`` covering its length and entries.
 
-
-def _encode_dictionary_body(
-    writer: BitWriter, row: Sequence[int], positions: dict[int, int]
-) -> None:
-    """Full-copy flag or minimal-binary index list, then extras;
-    ``positions`` maps a dictionary entry to its index."""
-    indexes = sorted(positions[value] for value in row if value in positions)
-    full_copy = len(indexes) == len(positions)
-    writer.write_bit(1 if full_copy else 0)
-    if not full_copy:
-        encode_gamma(writer, len(indexes))
-        for index in indexes:
-            encode_minimal_binary(writer, index, len(positions))
-    _encode_extras(writer, [value for value in row if value not in positions])
-
-
-def _encode_extras(writer: BitWriter, extras: Sequence[int]) -> None:
-    encode_gamma(writer, len(extras))
+    One pass over the entries gathers both bodies' codes: the gaps, and
+    the runs of the characteristic bit vector — a stretch of consecutive
+    entries is a run of ones, the gap before it a run of zeros, and the
+    last entry ends the vector (the reading of :func:`_row_vector_cost`).
+    The bit vector wins, as in :func:`direct_cost`, only when shorter;
+    within it RLE wins only when shorter than the plain bits.
+    """
+    if not row:
+        return 0b01, 2  # sparse; gamma: length 0
+    gaps = gaps_width = rle = rle_width = run = 0
     previous = -1
-    for value in extras:
-        encode_gamma(writer, value - previous - 1)
+    for value in row:
+        gap = value - previous
+        if gap < 1:
+            raise CodecError("row entries must be strictly increasing")
+        width = gamma[gap - 1]
+        gaps = gaps << width | gap
+        gaps_width += width
+        if gap == 1:
+            run += 1
+        else:
+            if run:
+                width = gamma[run - 1]
+                rle = rle << width | run
+                rle_width += width
+            width = gamma[gap - 2]
+            rle = rle << width | gap - 1
+            rle_width += width
+            run = 1
         previous = value
+    width = gamma[run - 1]
+    rle = rle << width | run
+    rle_width += width
+    span = previous + 1
+    length_width = gamma[len(row)]
+    span_width = gamma[span]
+    if 1 + span_width + min(1 + rle_width, span) >= length_width + gaps_width:
+        # bit: sparse; gamma: length; the gaps
+        return (len(row) + 1) << gaps_width | gaps, 1 + length_width + gaps_width
+    if 1 + rle_width < span:
+        # bits: dense, RLE scheme; gamma: span; bit: the first bit's value;
+        # then the runs
+        field = ((0b11 << span_width | span + 1) << 1 | (row[0] == 0)) << rle_width | rle
+        return field, 3 + span_width + rle_width
+    # bits: dense, plain scheme; gamma: span; field: the bits
+    plain = 0
+    for value in row:
+        plain |= 1 << previous - value
+    return (0b10 << span_width | span + 1) << span | plain, 2 + span_width + span
 
 
 # How decode_rows read the row it is working on.

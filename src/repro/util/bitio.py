@@ -29,6 +29,23 @@ rely on when they take the reader's state into local variables:
 A kernel copies ``_data, _byte, _window, _avail`` out, decodes with
 local arithmetic, calls :func:`refill` when a field needs more bits than
 ``avail``, and writes ``_byte, _window, _avail`` back before it returns.
+
+**The accumulator invariant** — the write-side mirror, what the record
+writer ``snode.reference.encode_rows`` relies on:
+
+* ``0 <= _current < 1 << _filled``: the bits not yet in ``_buffer``,
+  the last written lowest, so a field of ``width`` bits holding
+  ``value < 1 << width`` is appended by ``current << width | value``
+  with nothing to mask;
+* the stream is ``_buffer`` then those ``_filled`` bits, so its length
+  is ``8 * len(_buffer) + _filled``;
+* whole bytes leave the accumulator through :func:`spill` only, which
+  the writer calls once ``_filled`` reaches :data:`SPILL_BITS` (a kernel
+  at least once per record), so shifts stay on short integers.
+
+A kernel copies ``_buffer, _current, _filled`` out, appends fields with
+local arithmetic, spills into the same ``_buffer`` and writes
+``_current, _filled`` back before it returns.
 """
 
 from __future__ import annotations
@@ -38,7 +55,7 @@ from repro.errors import BitStreamError
 _BYTE_BITS = 8
 
 #: The writer spills its accumulator to the byte buffer past this many bits.
-_SPILL_BITS = 256
+SPILL_BITS = 256
 
 #: Bytes a refill moves into the reader's window.
 REFILL_BYTES = 32
@@ -69,23 +86,15 @@ class BitWriter:
         """Total number of bits written so far."""
         return len(self._buffer) * _BYTE_BITS + self._filled
 
-    @property
-    def bit_length(self) -> int:
-        """Total number of bits written so far (alias of ``len``)."""
-        return len(self)
-
     def _spill(self) -> None:
         """Move the accumulator's whole bytes into the byte buffer."""
-        tail = self._filled & 7
-        self._buffer += (self._current >> tail).to_bytes(self._filled >> 3, "big")
-        self._current &= (1 << tail) - 1
-        self._filled = tail
+        self._current, self._filled = spill(self._buffer, self._current, self._filled)
 
     def write_bit(self, bit: int) -> None:
         """Append a single bit (any truthy value counts as 1)."""
         self._current = (self._current << 1) | (1 if bit else 0)
         self._filled += 1
-        if self._filled >= _SPILL_BITS:
+        if self._filled >= SPILL_BITS:
             self._spill()
 
     def write_bits(self, value: int, width: int) -> None:
@@ -99,7 +108,7 @@ class BitWriter:
             raise BitStreamError(f"value {value} does not fit in {width} bits")
         self._current = (self._current << width) | value
         self._filled += width
-        if self._filled >= _SPILL_BITS:
+        if self._filled >= SPILL_BITS:
             self._spill()
 
     def write_unary(self, value: int) -> None:
@@ -108,7 +117,7 @@ class BitWriter:
             raise BitStreamError(f"unary cannot encode negative value {value}")
         self._current = (self._current << (value + 1)) | 1
         self._filled += value + 1
-        if self._filled >= _SPILL_BITS:
+        if self._filled >= SPILL_BITS:
             self._spill()
 
     def to_bytes(self) -> bytes:
@@ -116,6 +125,14 @@ class BitWriter:
         pad = -self._filled & 7
         tail = (self._current << pad).to_bytes((self._filled + pad) >> 3, "big")
         return bytes(self._buffer) + tail
+
+
+def spill(buffer: bytearray, current: int, filled: int) -> tuple[int, int]:
+    """Move a writer accumulator's whole bytes to ``buffer``; returns the
+    new ``(current, filled)``, fewer than 8 bits."""
+    tail = filled & 7
+    buffer += (current >> tail).to_bytes(filled >> 3, "big")
+    return current & ((1 << tail) - 1), tail
 
 
 def refill(data: bytes, byte: int, window: int, avail: int) -> tuple[int, int, int]:

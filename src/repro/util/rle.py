@@ -4,7 +4,10 @@ The paper uses RLE bit vectors as one of the "easy to decode bit level
 compression techniques" applied inside reference encoding (the copy bit
 vector of a reference-coded adjacency list) and inside negative superedge
 graphs.  Runs are gamma-coded; the first stored run is always the run of
-the leading bit value, whose value is stored explicitly.
+the leading bit value, whose value is stored explicitly.  A stored
+vector carries a scheme flag: RLE (1) only when shorter than the plain
+bits (0).  This module reads and prices them; the build writes them
+inside the record writer, ``snode.reference.encode_rows``.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import CodecError
-from repro.util.bitio import BitReader, BitWriter, refill
-from repro.util.varint import decode_gamma, encode_gamma, gamma_cost
+from repro.util.bitio import BitReader, refill
+from repro.util.varint import decode_gamma, gamma_cost
 
 
 def runs_of(bits: Sequence[int]) -> list[int]:
@@ -35,18 +38,8 @@ def runs_of(bits: Sequence[int]) -> list[int]:
     return runs
 
 
-def encode_rle(writer: BitWriter, bits: Sequence[int]) -> None:
-    """Write ``bits`` as (length, first-bit, gamma-coded run lengths)."""
-    encode_gamma(writer, len(bits))
-    if not bits:
-        return
-    writer.write_bit(1 if bits[0] else 0)
-    for run in runs_of(bits):
-        encode_gamma(writer, run - 1)
-
-
 def decode_rle(reader: BitReader) -> list[int]:
-    """Read a bit vector written with :func:`encode_rle`.
+    """Read a bit vector written as (length, first bit, runs).
 
     The run lengths are decoded on the reader's window held in local
     variables (see ``util.bitio``); a gamma code's field is the run
@@ -78,7 +71,7 @@ def decode_rle(reader: BitReader) -> list[int]:
 
 
 def rle_cost(bits: Sequence[int]) -> int:
-    """Exact bit cost of :func:`encode_rle` for ``bits``."""
+    """Exact bit cost of ``bits`` as (length, first bit, runs)."""
     cost = gamma_cost(len(bits))
     if not bits:
         return cost
@@ -93,25 +86,9 @@ def plain_cost(bits: Sequence[int]) -> int:
     return gamma_cost(len(bits)) + len(bits)
 
 
-def encode_bitvector(writer: BitWriter, bits: Sequence[int]) -> None:
-    """Store ``bits`` with a 1-bit scheme flag: RLE if cheaper, else plain.
-
-    This is the adaptive choice the paper alludes to ("wherever applicable,
-    we employ other easy to decode bit level compression techniques such as
-    run length encoding (RLE) bit vectors").
-    """
-    if rle_cost(bits) < plain_cost(bits):
-        writer.write_bit(1)
-        encode_rle(writer, bits)
-    else:
-        writer.write_bit(0)
-        encode_gamma(writer, len(bits))
-        for bit in bits:
-            writer.write_bit(bit)
-
-
 def decode_bitvector(reader: BitReader) -> list[int]:
-    """Inverse of :func:`encode_bitvector`."""
+    """Read a bit vector stored with a 1-bit scheme flag: RLE (1) if
+    that was cheaper, else plain (0)."""
     if reader.read_bit():
         return decode_rle(reader)
     total = decode_gamma(reader)
@@ -120,5 +97,5 @@ def decode_bitvector(reader: BitReader) -> list[int]:
 
 
 def bitvector_cost(bits: Sequence[int]) -> int:
-    """Bit cost of :func:`encode_bitvector` (flag + cheaper scheme)."""
+    """Bit cost of ``bits`` behind a scheme flag, in the cheaper scheme."""
     return 1 + min(rle_cost(bits), plain_cost(bits))

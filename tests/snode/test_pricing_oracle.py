@@ -71,7 +71,7 @@ def assert_priced_alike(row):
 def assert_locals_written_alike(row):
     writer, expected = BitWriter(), OracleBitWriter()
     _encode_locals(writer, row)
-    oracle_codecs.encode_locals(expected, row)
+    oracle_codecs.encode_ascending(expected, row)
     assert len(writer) == len(expected)
     assert writer.to_bytes() == expected.to_bytes()
     # A direct row's body is the same choice behind the direct flag.

@@ -4,25 +4,30 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CodecError
-from repro.snode import reference
-from repro.snode.reference import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "util"))
+from oracle_planner import reference_cost  # noqa: E402
+
+from repro.errors import CodecError  # noqa: E402
+from repro.snode import reference  # noqa: E402
+from repro.snode.reference import (  # noqa: E402
     DICTIONARY_PARENT,
     EncodingPlan,
+    _CollectionCosts,
     build_dictionary,
     decode_rows,
     direct_cost,
     encode_rows,
     minimum_arborescence,
     plan_references,
-    reference_cost,
 )
-from repro.util.bitio import BitReader, BitWriter
-from repro.util.varint import gamma_cost
+from repro.util.bitio import BitReader, BitWriter  # noqa: E402
+from repro.util.varint import gamma_cost  # noqa: E402
 
 
 def rows_strategy():
@@ -48,12 +53,13 @@ class TestCosts:
 
     def test_reference_cost_cheap_for_identical_rows(self):
         row = list(range(0, 30, 2))
-        assert reference_cost(row, row, 1) < direct_cost(row)
+        assert _CollectionCosts([row, row]).reference_cost(1, 0) < direct_cost(row)
 
     def test_reference_cost_counts_extras(self):
         base = [0, 2, 4]
         more = [0, 2, 4, 30]
-        assert reference_cost(more, base, 1) > reference_cost(base, base, 1)
+        extra = _CollectionCosts([base, more]).reference_cost(1, 0)
+        assert extra > _CollectionCosts([base, base]).reference_cost(1, 0)
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())
@@ -66,32 +72,57 @@ class TestCosts:
         distance = data.draw(st.integers(min_value=1, max_value=300))
         assert reference_cost(row, parent, distance) > direct_cost(row)
 
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=400)
     @given(st.data())
     def test_pair_floor_never_exceeds_the_kernel(self, data):
         """The planner prices a pair only when its floor is below the direct
         cost: the floor must never exceed the kernel's price, and no
-        reference may cost under ``_MIN_REFERENCE_BITS``."""
+        reference may cost under ``_MIN_REFERENCE_BITS``.
+
+        The copy vectors drawn reach the floor's every case: one shared
+        entry, all entries but one shared, alternating bits (every run a
+        single bit, where RLE is dearest), and parents longer than the
+        table of fewest run bits, where the floor charges
+        ``min(length, 3)``."""
         big = len(reference._GAMMA_COST)
         offset = data.draw(st.sampled_from([0, big - 6]))
-        targets = st.integers(0, data.draw(st.sampled_from([6, 40]))).map(
+        space = data.draw(st.sampled_from([6, 40]))
+        targets = st.integers(0, space).map(
             lambda value: value + offset
         ) | st.sampled_from([3 * big, 3 * big + 1])
         row = sorted(set(data.draw(st.lists(targets, max_size=12))))
         ascending = st.lists(targets, max_size=14, unique=True).map(sorted)
-        parents = data.draw(
-            st.lists(
-                st.lists(targets, min_size=1, max_size=3, unique=True).map(sorted)
-                | ascending
-                | st.sampled_from([row, []])  # a full copy, an empty parent
-                | st.lists(st.booleans(), min_size=len(row), max_size=len(row)).map(
-                    lambda keep: list(itertools.compress(row, keep))  # some of the row
-                )
-                | ascending.map(lambda more: sorted({*row, *more})),  # all of it
-                min_size=1,
-                max_size=6,
-            )
-        )
+        shapes = [
+            st.lists(targets, min_size=1, max_size=3, unique=True).map(sorted),
+            ascending,
+            st.sampled_from([row, []]),  # a full copy, an empty parent
+            st.lists(st.booleans(), min_size=len(row), max_size=len(row)).map(
+                lambda keep: list(itertools.compress(row, keep))  # some of the row
+            ),
+            ascending.map(lambda more: sorted({*row, *more})),  # all of it
+        ]
+        outside = sorted({3 * big + 2, *range(offset, offset + space + 2)} - set(row))
+        long = len(reference._FEWEST_RUN_BITS) + 2
+        if row:
+            others = st.lists(st.sampled_from(outside), min_size=1, max_size=8, unique=True)
+            shapes += [
+                # one shared entry
+                st.tuples(st.sampled_from(row), others).map(lambda p: sorted({p[0], *p[1]})),
+                # all entries but one shared
+                st.sampled_from(outside).map(lambda other: sorted({*row, other})),
+                # longer than the table: the row and a stretch of others
+                st.integers(0, 3).map(
+                    lambda shift: sorted({*row, *range(offset + shift, offset + shift + long)})
+                ),
+                st.sampled_from(row).map(lambda one: sorted({one, *range(5 * big, 5 * big + long)})),
+            ]
+            if data.draw(st.booleans()):
+                # alternating: the row is every other target of a stretch
+                start = data.draw(st.integers(0, space)) + offset
+                stretch = range(start, start + 2 * data.draw(st.integers(1, 70)))
+                row = list(stretch[::2])
+                shapes = [st.just(list(stretch)), st.just(list(stretch)[1:] + [stretch[-1] + 1])]
+        parents = data.draw(st.lists(st.one_of(shapes), min_size=1, max_size=6))
         gamma = reference._gamma_costs(
             max([len(row), *(value + 1 for entries in (row, *parents) for value in entries)])
         )
@@ -116,6 +147,28 @@ class TestCosts:
                 assert reference_cost(row, parent, distance) >= (
                     reference._MIN_REFERENCE_BITS
                 )
+
+    def test_fewest_run_bits(self):
+        """The table against every split of up to 12 bits into runs."""
+
+        def splits(n):
+            if not n:
+                yield []
+            for run in range(1, n + 1):
+                for rest in splits(n - run):
+                    yield [run, *rest]
+
+        expected = [
+            min(sum(gamma_cost(run - 1) for run in split) for split in splits(n))
+            for n in range(13)
+        ]
+        assert list(reference._FEWEST_RUN_BITS[:13]) == expected
+        assert expected[1:] == [1, 2, 3, 4, 5, 5, 5, 6, 7, 7, 7, 7]
+        table = reference._FEWEST_RUN_BITS
+        assert all(
+            table[n] == min(gamma_cost(run - 1) + table[n - run] for run in range(1, n + 1))
+            for n in range(1, len(table))
+        )
 
 
 class TestArborescence:

@@ -15,10 +15,17 @@ one row of a collection from its record's bit offset, recursing along
 its reference chain — the per-row reader an intranode entry, and a
 superedge entry through ``superedge_row``, must match.
 
-Then three *encoders* as they were before the write side was priced
-from a row's entries: ``encode_gamma`` as a unary prefix plus a field,
-and ``encode_locals`` choosing between gamma gaps and the bit vector it
-builds over the list's whole span.
+Then the *encoders* as they were before the write side was one kernel
+on a local accumulator: ``encode_gamma`` as a unary prefix plus a
+field, ``encode_ascending`` choosing between gamma gaps and the bit
+vector it builds over the list's whole span (as it did before the write
+side was priced from a list's entries), ``encode_bitvector`` writing a
+plain vector bit by bit, and ``encode_rows`` with its per-field
+helpers, one writer method call per flag and one ``encode_gamma`` call
+per gamma code.  They take any writer with ``write_bit`` /
+``write_bits`` / ``write_unary``; the tests hand them the bit-by-bit
+:class:`oracle_bitio.BitWriter`.  The plan is not theirs to check:
+``encode_rows`` takes ``snode.reference.plan_references``'s.
 
 Last, the serve protocol's ``canonicalize`` / ``canonical_json`` as they
 were before the type-dispatched fast path.
@@ -32,8 +39,15 @@ from collections.abc import Sequence
 from oracle_bitio import BitReader
 
 from repro.errors import CodecError, ServeError
+from repro.snode.reference import (
+    DEFAULT_FULL_AFFINITY_LIMIT,
+    DEFAULT_WINDOW,
+    DICTIONARY_PARENT,
+    EncodingPlan,
+    plan_references,
+)
 from repro.util.rle import plain_cost, rle_cost, runs_of
-from repro.util.varint import gamma_cost
+from repro.util.varint import encode_minimal_binary, gamma_cost
 
 
 def decode_gamma(reader: BitReader) -> int:
@@ -334,15 +348,26 @@ def encode_gamma(writer, value: int) -> None:
     writer.write_bits(shifted - (1 << (width - 1)), width - 1)
 
 
+def encode_rle(writer, bits: Sequence[int]) -> None:
+    """Write ``bits`` as (length, first-bit, gamma-coded run lengths)."""
+    encode_gamma(writer, len(bits))
+    if not bits:
+        return
+    writer.write_bit(1 if bits[0] else 0)
+    for run in runs_of(bits):
+        encode_gamma(writer, run - 1)
+
+
 def encode_bitvector(writer, bits: Sequence[int]) -> None:
-    """Store ``bits`` with a 1-bit scheme flag: RLE if cheaper, else plain."""
+    """Store ``bits`` with a 1-bit scheme flag: RLE if cheaper, else plain.
+
+    This is the adaptive choice the paper alludes to ("wherever applicable,
+    we employ other easy to decode bit level compression techniques such as
+    run length encoding (RLE) bit vectors").
+    """
     if rle_cost(bits) < plain_cost(bits):
         writer.write_bit(1)
-        encode_gamma(writer, len(bits))
-        if bits:
-            writer.write_bit(1 if bits[0] else 0)
-            for run in runs_of(bits):
-                encode_gamma(writer, run - 1)
+        encode_rle(writer, bits)
     else:
         writer.write_bit(0)
         encode_gamma(writer, len(bits))
@@ -350,7 +375,7 @@ def encode_bitvector(writer, bits: Sequence[int]) -> None:
             writer.write_bit(bit)
 
 
-def encode_locals(writer, locals_list: list[int]) -> None:
+def encode_ascending(writer, locals_list: list[int]) -> None:
     """Sorted local-index list: gamma gaps or RLE bit vector, cheaper wins."""
     previous = -1
     gaps_cost = gamma_cost(len(locals_list))
@@ -374,6 +399,92 @@ def encode_locals(writer, locals_list: list[int]) -> None:
         for local in locals_list:
             encode_gamma(writer, local - previous - 1)
             previous = local
+
+
+def encode_rows(
+    writer,
+    rows: Sequence[Sequence[int]],
+    plan: EncodingPlan | None = None,
+    window: int = DEFAULT_WINDOW,
+    full_affinity_limit: int = DEFAULT_FULL_AFFINITY_LIMIT,
+    dictionary: Sequence[int] | None = None,
+) -> EncodingPlan:
+    """Encode a row collection; returns the plan that was used.
+
+    Layout: gamma(row count), then per row either a direct or a referenced
+    record as described in the module docstring.  When ``dictionary`` is
+    given (superedge graphs), referenced rows carry one extra bit choosing
+    between a sibling-row reference and a dictionary reference; the
+    dictionary itself is serialized by the caller, not here.
+    """
+    if plan is None:
+        plan = plan_references(rows, window, full_affinity_limit, dictionary)
+    if len(plan.parents) != len(rows):
+        raise CodecError("encoding plan does not match row count")
+    if plan.used_dictionary and not dictionary:
+        raise CodecError("plan uses a dictionary that was not given")
+    # Flag-bit layout depends on whether dictionary mode is active.
+    dictionary = list(dictionary) if (dictionary and plan.used_dictionary) else None
+    positions = {value: index for index, value in enumerate(dictionary or ())}
+    encode_gamma(writer, len(rows))
+    for y, row in enumerate(rows):
+        parent = plan.parents[y]
+        if parent == DICTIONARY_PARENT:
+            if not dictionary:
+                raise CodecError("plan references a dictionary that was not given")
+            writer.write_bit(1)
+            writer.write_bit(1)  # dictionary reference
+            _encode_dictionary_body(writer, row, positions)
+        elif parent < 0:
+            writer.write_bit(0)
+            encode_ascending(writer, row)
+        else:
+            writer.write_bit(1)
+            if dictionary:
+                writer.write_bit(0)  # sibling-row reference
+            distance = abs(y - parent)
+            encode_gamma(writer, distance - 1)
+            writer.write_bit(1 if parent < y else 0)  # 1 = backward
+            _encode_reference_body(writer, row, rows[parent])
+    return plan
+
+
+def _encode_reference_body(
+    writer, row: Sequence[int], reference_row: Sequence[int]
+) -> None:
+    """Full-copy flag, copy bit vector (unless full copy), extras."""
+    row_set = set(row)
+    copy_bits = [1 if value in row_set else 0 for value in reference_row]
+    reference_set = set(reference_row)
+    extras = [value for value in row if value not in reference_set]
+    full_copy = bool(copy_bits) and all(copy_bits)
+    writer.write_bit(1 if full_copy else 0)
+    if not full_copy:
+        encode_bitvector(writer, copy_bits)
+    _encode_extras(writer, extras)
+
+
+def _encode_dictionary_body(
+    writer, row: Sequence[int], positions: dict[int, int]
+) -> None:
+    """Full-copy flag or minimal-binary index list, then extras;
+    ``positions`` maps a dictionary entry to its index."""
+    indexes = sorted(positions[value] for value in row if value in positions)
+    full_copy = len(indexes) == len(positions)
+    writer.write_bit(1 if full_copy else 0)
+    if not full_copy:
+        encode_gamma(writer, len(indexes))
+        for index in indexes:
+            encode_minimal_binary(writer, index, len(positions))
+    _encode_extras(writer, [value for value in row if value not in positions])
+
+
+def _encode_extras(writer, extras: Sequence[int]) -> None:
+    encode_gamma(writer, len(extras))
+    previous = -1
+    for value in extras:
+        encode_gamma(writer, value - previous - 1)
+        previous = value
 
 
 # ---------------------------------------------------------------------------

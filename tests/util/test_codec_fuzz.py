@@ -3,7 +3,9 @@
 Every encoder in ``repro.util`` must invert exactly under its decoder for
 randomized inputs *and* for the edge shapes that have historically broken
 bit-level codecs: empty input, a single symbol, all-identical symbols, and
-maximum-gap values.  Seeds are fixed so failures reproduce.
+maximum-gap values.  Seeds are fixed so failures reproduce.  The RLE and
+bit-vector writers are the oracle's (``oracle_codecs``): the build writes
+its bit vectors inside ``snode.reference.encode_rows``.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracle_codecs import encode_bitvector, encode_rle
 
 from repro.util.bitio import BitReader, BitWriter
 from repro.util.huffman import HuffmanCodec
-from repro.util.rle import decode_bitvector, decode_rle, encode_bitvector, encode_rle
+from repro.util.rle import decode_bitvector, decode_rle
 from repro.util.varint import (
     decode_gamma,
     decode_minimal_binary,

@@ -1,9 +1,13 @@
-"""Tests for RLE bit vectors and the adaptive bit-vector codec."""
+"""Tests for RLE bit vectors and the adaptive bit-vector codec.
+
+The writers are the oracle's (``oracle_codecs``): the build writes its
+bit vectors inside ``snode.reference.encode_rows``."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
+from oracle_codecs import encode_bitvector, encode_rle
 
 from repro.errors import CodecError
 from repro.util.bitio import BitReader, BitWriter
@@ -11,8 +15,6 @@ from repro.util.rle import (
     bitvector_cost,
     decode_bitvector,
     decode_rle,
-    encode_bitvector,
-    encode_rle,
     plain_cost,
     rle_cost,
     runs_of,
